@@ -34,8 +34,7 @@ fn params() -> SimParams {
     SimParams::quick_test().with_accesses(ACCESSES)
 }
 
-/// A cold serial replay: fresh session, setup re-executed — the cost the
-/// legacy `replay_trace` entry point paid on every call.
+/// A cold serial replay: fresh session, setup re-executed on every call.
 fn cold_serial(trace: &Trace, params: &SimParams) -> mitosis_trace::ReplayOutcome {
     ReplaySession::new(params)
         .replay(trace, &ReplayRequest::new())
@@ -136,8 +135,8 @@ fn bench_batch(c: &mut Criterion) {
 
 /// Lane-granular sharding of a single 4-lane trace: the remaining lever
 /// for single-trace replay latency on many-core hosts.  `serial` is cold
-/// (the legacy per-call cost); `lane_parallel` is the steady-state warm
-/// session the new API recommends.
+/// (a fresh session per call); `lane_parallel` is the steady-state warm
+/// session the API recommends.
 fn bench_lane_parallel(c: &mut Criterion) {
     let params = params();
     let sockets: Vec<SocketId> = (0..4).map(SocketId::new).collect();
@@ -284,8 +283,8 @@ fn bench_lane_groups_snapshot(c: &mut Criterion) {
 /// scope.  `cold_session` pays prepare + worker spawn on every call;
 /// `warm_full` reuses the session (cached snapshot, live pool threads)
 /// but deep-copies the whole prepared system per group; `warm_partial`
-/// additionally slices each clone to the frame/VA scope its lane group
-/// can touch.
+/// (`SnapshotMode::Auto`) additionally slices each clone to the frame/VA
+/// scope its lane group can touch.
 fn bench_pool(c: &mut Criterion) {
     let params = params().with_threads_per_socket(2);
     let captured = mitosis_trace::capture_multisocket_scenario(
@@ -330,7 +329,7 @@ fn bench_pool(c: &mut Criterion) {
 
     let partial = ReplayRequest::new()
         .grouped(4)
-        .snapshots(SnapshotMode::Partial);
+        .snapshots(SnapshotMode::Auto);
     let mut partial_session = ReplaySession::new(&params);
     partial_session
         .replay(&trace, &partial)

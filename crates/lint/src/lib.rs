@@ -9,8 +9,8 @@
 //! only see after they ship (hash-ordered iteration feeding metrics,
 //! silent truncating casts on wire values, wall-clock reads in measured
 //! paths, stray TLB flushes bypassing the consistency layer, panics
-//! escaping worker isolation, deprecated replay entry points, and
-//! wire-event tables drifting out of sync between capture and replay).
+//! escaping worker isolation, and wire-event tables drifting out of sync
+//! between capture and replay).
 //!
 //! The pass is built on a hand-rolled, string/char/comment-aware Rust
 //! [lexer] (no `syn` — the build environment has no registry

@@ -13,8 +13,6 @@
 //!   `as u16` on a wire value produces a wrong-but-checksummed trace.
 //! * [`panic-hygiene`](panic_hygiene) — worker-thread panics must be
 //!   caught at the `catch_unwind` isolation boundary (PR 7's design).
-//! * [`deprecated-replay-api`](deprecated) — the PR 8 migration: nothing
-//!   outside `tests/replay_api.rs` speaks the deprecated one-shot API.
 //! * [`trace-event-exhaustiveness`](exhaustiveness) — every wire event
 //!   defined in `format.rs` is produced by capture and consumed by replay.
 
@@ -22,7 +20,6 @@ use crate::diag::Diagnostic;
 use crate::source::SourceFile;
 
 pub mod casts;
-pub mod deprecated;
 pub mod exhaustiveness;
 pub mod iteration;
 pub mod panic_hygiene;
@@ -52,7 +49,6 @@ pub const RULE_NAMES: &[&str] = &[
     shootdown::NAME,
     casts::NAME,
     panic_hygiene::NAME,
-    deprecated::NAME,
     exhaustiveness::NAME,
     SUPPRESSION_SYNTAX,
 ];
@@ -72,7 +68,6 @@ pub fn default_rules() -> Vec<Box<dyn Rule>> {
         Box::new(shootdown::ShootdownLayering::workspace_default()),
         Box::new(casts::TruncatingCast::workspace_default()),
         Box::new(panic_hygiene::PanicHygiene::workspace_default()),
-        Box::new(deprecated::DeprecatedReplayApi::workspace_default()),
         Box::new(exhaustiveness::TraceEventExhaustiveness::workspace_default()),
     ]
 }

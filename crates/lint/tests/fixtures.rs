@@ -11,7 +11,6 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use mitosis_lint::rules::casts::TruncatingCast;
-use mitosis_lint::rules::deprecated::DeprecatedReplayApi;
 use mitosis_lint::rules::exhaustiveness::TraceEventExhaustiveness;
 use mitosis_lint::rules::iteration::NondeterministicIteration;
 use mitosis_lint::rules::panic_hygiene::PanicHygiene;
@@ -314,46 +313,6 @@ fn panic_rule_ignores_non_worker_files() {
         "a file with no thread::spawn and not configured as worker code \
          is out of scope:\n{}",
         report.render_text()
-    );
-}
-
-// --- deprecated-replay-api ---------------------------------------------
-
-#[test]
-fn deprecated_rule_extracts_names_and_flags_outside_callers() {
-    let fx = Fixture::new();
-    fx.write(
-        "crates/trace/src/old.rs",
-        "#[deprecated(note = \"use ReplaySession\")]\n\
-         pub fn replay_one_shot(t: &Trace) -> Metrics { session().one(t) }\n\
-         // `shared_name` is defined both deprecated and current: ambiguous\n\
-         // at a lexical call site, so it must not be flagged.\n\
-         #[deprecated]\n\
-         pub fn shared_name() {}\n\
-         pub fn shared_name_current() {}\n",
-    )
-    .write("crates/trace/src/new.rs", "pub fn shared_name() {}\n")
-    .write(
-        "examples/demo.rs",
-        "fn main() { replay_one_shot(&t); shared_name(); }\n",
-    )
-    .write(
-        "tests/replay_api.rs",
-        "fn equivalence() { replay_one_shot(&t); }\n",
-    );
-    let report = fx.run(Box::new(DeprecatedReplayApi::new(
-        "crates/trace/src/",
-        &["tests/replay_api.rs"],
-    )));
-    assert_eq!(
-        lines_flagged(&report, "deprecated-replay-api", "examples/demo.rs"),
-        vec![1],
-        "only the unambiguous deprecated name fires, once:\n{}",
-        report.render_text()
-    );
-    assert!(
-        lines_flagged(&report, "deprecated-replay-api", "tests/replay_api.rs").is_empty(),
-        "the equivalence suite is allowed to call the deprecated API"
     );
 }
 

@@ -150,7 +150,7 @@ struct IntervalCheckpoint {
 }
 
 /// Mid-run engine state captured at an access-count boundary by
-/// [`ExecutionEngine::run_span_with_sources_dynamic`]: everything the
+/// [`ExecutionEngine::execute`]: everything the
 /// engine itself carries between accesses — per-thread MMUs (TLBs, paging
 /// structure caches, statistics), cycle accumulators, lazily-derived
 /// translation state, the per-socket page-table-line caches, and the
@@ -194,8 +194,48 @@ pub enum SpanOutcome {
     Completed(RunMetrics),
     /// The run paused at the requested access boundary; resume by passing
     /// the checkpoint back (with the same system state) to
-    /// [`ExecutionEngine::run_span_with_sources_dynamic`].
+    /// [`ExecutionEngine::execute`].
     Paused(EngineCheckpoint),
+}
+
+impl SpanOutcome {
+    /// The metrics of a run that was not asked to pause.
+    fn completed(self) -> RunMetrics {
+        match self {
+            SpanOutcome::Completed(metrics) => metrics,
+            SpanOutcome::Paused(_) => unreachable!("no stop boundary was requested"),
+        }
+    }
+}
+
+/// One measured-phase run for [`ExecutionEngine::execute`]: the workload,
+/// the threads and the access source feeding each, the phase-change
+/// schedule, and the span of the run to execute.
+pub struct RunSpec<'a, S> {
+    /// The workload whose per-access compute and bandwidth costs apply.
+    pub spec: &'a WorkloadSpec,
+    /// One placement per simulated thread.
+    pub threads: &'a [ThreadPlacement],
+    /// Accesses every thread executes over the whole run.
+    pub accesses_per_thread: u64,
+    /// One access source per thread placement, each yielding every access
+    /// of its thread from the run's start (or resume point) on.
+    pub sources: &'a mut [S],
+    /// Mid-run phase-change events, fired at their access-count
+    /// boundaries; an empty schedule is the static run.
+    pub schedule: &'a PhaseSchedule,
+    /// Continue a paused run from its [`EngineCheckpoint`].  The caller
+    /// must hand back the same mid-run `system`/`mitosis` state the paused
+    /// run was mutating (or a deep clone of it), and `sources` positioned
+    /// at the checkpoint's access index: source `i` must yield access
+    /// `checkpoint.at_access()` of thread `i` next.  With `None` the run
+    /// starts from access 0.
+    pub resume: Option<&'a EngineCheckpoint>,
+    /// Pause once every thread has executed exactly this many accesses,
+    /// *before* applying any phase-change events scheduled at that
+    /// boundary (the resumed run fires them exactly once).  Must lie inside
+    /// `[start, accesses_per_thread)`; with `None` the run completes.
+    pub stop_at: Option<u64>,
 }
 
 /// Replays workload access streams against a [`System`].
@@ -379,15 +419,20 @@ impl ExecutionEngine {
         params: &SimParams,
     ) -> Result<RunMetrics, VmError> {
         let mut streams = Self::thread_streams(spec, params, threads.len());
-        self.run_with_sources(
-            system,
-            pid,
+        let run = RunSpec {
             spec,
-            region,
             threads,
-            params.accesses_per_thread,
-            &mut streams,
-        )
+            accesses_per_thread: params.accesses_per_thread,
+            sources: &mut streams,
+            schedule: &PhaseSchedule::new(),
+            resume: None,
+            stop_at: None,
+        };
+        match self.execute(system, &mut Mitosis::new(), pid, region, run) {
+            Ok(outcome) => Ok(outcome.completed()),
+            Err(MitosisError::Vm(vm)) => Err(vm),
+            Err(other) => unreachable!("empty schedule cannot raise a Mitosis error: {other}"),
+        }
     }
 
     /// The live access streams [`ExecutionEngine::run`] feeds its threads:
@@ -404,48 +449,6 @@ impl ExecutionEngine {
         (0..threads)
             .map(|index| AccessStream::new(spec, params.seed.wrapping_add(index as u64)))
             .collect()
-    }
-
-    /// Runs the measured phase feeding each thread from its own
-    /// [`AccessSource`] instead of a live [`AccessStream`].
-    ///
-    /// This is the entry point trace replay uses: a captured trace lane fed
-    /// through here reproduces the metrics of the live run that generated
-    /// it bit-for-bit.  `sources` must contain exactly one source per entry
-    /// in `threads`; each source must yield at least `accesses_per_thread`
-    /// accesses.
-    ///
-    /// # Errors
-    ///
-    /// Propagates page-fault handling errors (demand paging during the
-    /// measured phase is allowed and counted).
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_with_sources<S: AccessSource>(
-        &mut self,
-        system: &mut System,
-        pid: Pid,
-        spec: &WorkloadSpec,
-        region: VirtAddr,
-        threads: &[ThreadPlacement],
-        accesses_per_thread: u64,
-        sources: &mut [S],
-    ) -> Result<RunMetrics, VmError> {
-        let mut mitosis = Mitosis::new();
-        self.run_with_sources_dynamic(
-            system,
-            &mut mitosis,
-            pid,
-            spec,
-            region,
-            threads,
-            accesses_per_thread,
-            sources,
-            &PhaseSchedule::new(),
-        )
-        .map_err(|err| match err {
-            MitosisError::Vm(vm) => vm,
-            other => unreachable!("empty schedule cannot raise a Mitosis error: {other}"),
-        })
     }
 
     /// Runs the measured phase with live per-thread streams and a schedule
@@ -469,21 +472,26 @@ impl ExecutionEngine {
         schedule: &PhaseSchedule,
     ) -> Result<RunMetrics, MitosisError> {
         let mut streams = Self::thread_streams(spec, params, threads.len());
-        self.run_with_sources_dynamic(
-            system,
-            mitosis,
-            pid,
+        let run = RunSpec {
             spec,
-            region,
             threads,
-            params.accesses_per_thread,
-            &mut streams,
+            accesses_per_thread: params.accesses_per_thread,
+            sources: &mut streams,
             schedule,
-        )
+            resume: None,
+            stop_at: None,
+        };
+        self.execute(system, mitosis, pid, region, run)
+            .map(SpanOutcome::completed)
     }
 
-    /// The generic measured phase: every thread replays its source, and the
-    /// schedule's phase-change events fire at their access-count boundaries.
+    /// The generic measured phase: every thread replays its own
+    /// [`AccessSource`], and the schedule's phase-change events fire at
+    /// their access-count boundaries.
+    ///
+    /// This is the entry point trace capture and replay use: a captured
+    /// trace lane fed through here reproduces the metrics of the live run
+    /// that generated it bit-for-bit.
     ///
     /// The run is split into segments between consecutive boundaries.
     /// Within a segment every thread executes the same number of accesses
@@ -508,58 +516,9 @@ impl ExecutionEngine {
     /// the system without any local thread observing it (see
     /// [`PhaseEvent::thread`](crate::PhaseEvent)).
     ///
-    /// # Errors
-    ///
-    /// Propagates page-fault handling errors (demand paging during the
-    /// measured phase is allowed and counted) and event application errors.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_with_sources_dynamic<S: AccessSource>(
-        &mut self,
-        system: &mut System,
-        mitosis: &mut Mitosis,
-        pid: Pid,
-        spec: &WorkloadSpec,
-        region: VirtAddr,
-        threads: &[ThreadPlacement],
-        accesses_per_thread: u64,
-        sources: &mut [S],
-        schedule: &PhaseSchedule,
-    ) -> Result<RunMetrics, MitosisError> {
-        match self.run_span_with_sources_dynamic(
-            system,
-            mitosis,
-            pid,
-            spec,
-            region,
-            threads,
-            accesses_per_thread,
-            sources,
-            schedule,
-            None,
-            None,
-        )? {
-            SpanOutcome::Completed(metrics) => Ok(metrics),
-            SpanOutcome::Paused(_) => unreachable!("no stop boundary was requested"),
-        }
-    }
-
-    /// The bounded form of [`ExecutionEngine::run_with_sources_dynamic`]:
-    /// runs the measured phase over `[start, stop)` instead of always
-    /// `[0, accesses_per_thread)`.
-    ///
-    /// * `resume` — continue a paused run from its [`EngineCheckpoint`].
-    ///   The caller must hand back the same mid-run `system`/`mitosis`
-    ///   state the paused run was mutating (or a deep clone of it), and
-    ///   `sources` positioned at the checkpoint's access index: source `i`
-    ///   must yield access `checkpoint.at_access()` of thread `i` next.
-    ///   With `None` the run starts from access 0.
-    /// * `stop_at` — pause once every thread has executed exactly this many
-    ///   accesses, *before* applying any phase-change events scheduled at
-    ///   that boundary (the resumed run fires them exactly once).  Must lie
-    ///   inside `[start, accesses_per_thread)`; with `None` the run
-    ///   completes.
-    ///
-    /// A paused-then-resumed run re-executes the same per-access operations
+    /// [`RunSpec::resume`] and [`RunSpec::stop_at`] bound the run to
+    /// `[start, stop)` instead of always `[0, accesses_per_thread)`.  A
+    /// paused-then-resumed run re-executes the same per-access operations
     /// in the same order as an uninterrupted run *within each thread*, and
     /// the completed metrics cover the whole run.  Cross-thread interleaving
     /// differs only around the pause boundary, which matters only for state
@@ -568,26 +527,29 @@ impl ExecutionEngine {
     /// state — a single thread, or threads on distinct sockets replaying a
     /// fully premapped region (no demand faults) — or when the stop falls on
     /// an existing schedule boundary.  The trace-replay layer documents the
-    /// same conditions for its `checkpoint_at`/`resume_from`.
+    /// same conditions for its `checkpoint_at`.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`ExecutionEngine::run_with_sources_dynamic`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_span_with_sources_dynamic<S: AccessSource>(
+    /// Propagates page-fault handling errors (demand paging during the
+    /// measured phase is allowed and counted) and event application errors.
+    pub fn execute<S: AccessSource>(
         &mut self,
         system: &mut System,
         mitosis: &mut Mitosis,
         pid: Pid,
-        spec: &WorkloadSpec,
         region: VirtAddr,
-        threads: &[ThreadPlacement],
-        accesses_per_thread: u64,
-        sources: &mut [S],
-        schedule: &PhaseSchedule,
-        resume: Option<&EngineCheckpoint>,
-        stop_at: Option<u64>,
+        run: RunSpec<'_, S>,
     ) -> Result<SpanOutcome, MitosisError> {
+        let RunSpec {
+            spec,
+            threads,
+            accesses_per_thread,
+            sources,
+            schedule,
+            resume,
+            stop_at,
+        } = run;
         assert_eq!(
             threads.len(),
             sources.len(),
@@ -996,49 +958,6 @@ impl ExecutionEngine {
         self.mmu_pool = mmus;
         Ok(SpanOutcome::Completed(metrics))
     }
-
-    /// Runs the measured phase from a [`PreparedSystem`] snapshot, leaving
-    /// the snapshot untouched: the snapshot is cloned and the clone is run
-    /// (and discarded), so the same snapshot can seed any number of runs —
-    /// serial re-runs, per-worker copies in parallel replay — each starting
-    /// from bit-identical prepared state.
-    ///
-    /// Metrics are bit-identical to calling
-    /// [`ExecutionEngine::run_with_sources_dynamic`] directly on a system
-    /// that just executed the same setup: a cloned snapshot *is* that
-    /// system.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ExecutionEngine::run_with_sources_dynamic`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_snapshot_with_sources<S: AccessSource>(
-        &mut self,
-        snapshot: &PreparedSystem,
-        spec: &WorkloadSpec,
-        threads: &[ThreadPlacement],
-        accesses_per_thread: u64,
-        sources: &mut [S],
-        schedule: &PhaseSchedule,
-    ) -> Result<RunMetrics, MitosisError> {
-        let mut prepared = snapshot.clone();
-        self.run_with_sources_dynamic(
-            &mut prepared.system,
-            &mut prepared.mitosis,
-            prepared.pid,
-            spec,
-            prepared.region,
-            threads,
-            accesses_per_thread,
-            sources,
-            schedule,
-        )
-    }
-
-    /// Merged MMU statistics helper (for tests).
-    pub fn merged_stats(metrics: &RunMetrics) -> &MmuStats {
-        &metrics.mmu
-    }
 }
 
 #[cfg(test)]
@@ -1234,16 +1153,26 @@ mod tests {
         let mut engine = ExecutionEngine::new(&snapshot.system);
         for _ in 0..2 {
             let mut sources = ExecutionEngine::thread_streams(&spec, &params, threads.len());
+            let mut clone = snapshot.clone();
+            let run = RunSpec {
+                spec: &spec,
+                threads: &threads,
+                accesses_per_thread: params.accesses_per_thread,
+                sources: &mut sources,
+                schedule: &PhaseSchedule::new(),
+                resume: None,
+                stop_at: None,
+            };
             let from_snapshot = engine
-                .run_snapshot_with_sources(
-                    &snapshot,
-                    &spec,
-                    &threads,
-                    params.accesses_per_thread,
-                    &mut sources,
-                    &PhaseSchedule::new(),
+                .execute(
+                    &mut clone.system,
+                    &mut clone.mitosis,
+                    clone.pid,
+                    clone.region,
+                    run,
                 )
-                .unwrap();
+                .unwrap()
+                .completed();
             assert_eq!(from_snapshot, direct, "snapshot run diverged");
             engine.reset();
         }
@@ -1287,47 +1216,28 @@ mod tests {
             let mut mitosis = Mitosis::new();
             let mut engine = ExecutionEngine::new(&system);
             let mut sources = ExecutionEngine::thread_streams(&spec, &params, threads.len());
-            let paused = engine
-                .run_span_with_sources_dynamic(
-                    &mut system,
-                    &mut mitosis,
-                    pid,
-                    &spec,
-                    region,
-                    &threads,
-                    params.accesses_per_thread,
-                    &mut sources,
+            let mut span = |resume, stop_at| {
+                let run = RunSpec {
+                    spec: &spec,
+                    threads: &threads,
+                    accesses_per_thread: params.accesses_per_thread,
+                    sources: &mut sources,
                     schedule,
-                    None,
-                    Some(stop),
-                )
-                .unwrap();
-            let checkpoint = match paused {
+                    resume,
+                    stop_at,
+                };
+                engine
+                    .execute(&mut system, &mut mitosis, pid, region, run)
+                    .unwrap()
+            };
+            let checkpoint = match span(None, Some(stop)) {
                 SpanOutcome::Paused(checkpoint) => checkpoint,
                 SpanOutcome::Completed(_) => panic!("a stop inside the run must pause"),
             };
             assert_eq!(checkpoint.at_access(), stop);
             // The sources already yielded `stop` accesses each; resuming
             // continues them in place.
-            let resumed = engine
-                .run_span_with_sources_dynamic(
-                    &mut system,
-                    &mut mitosis,
-                    pid,
-                    &spec,
-                    region,
-                    &threads,
-                    params.accesses_per_thread,
-                    &mut sources,
-                    schedule,
-                    Some(&checkpoint),
-                    None,
-                )
-                .unwrap();
-            match resumed {
-                SpanOutcome::Completed(metrics) => metrics,
-                SpanOutcome::Paused(_) => panic!("no further stop was requested"),
-            }
+            span(Some(&checkpoint), None).completed()
         };
         for schedule in [&PhaseSchedule::new(), &schedule] {
             let uninterrupted = run_once(schedule);

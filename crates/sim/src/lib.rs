@@ -55,7 +55,7 @@ mod shootdown;
 pub use configs::{DataPolicyChoice, MigrationConfig, MigrationRun, MultiSocketConfig};
 pub use dynamics::{apply_phase_change, PhaseChange, PhaseEvent, PhaseSchedule};
 pub use engine::{
-    data_access_cycles, EngineCheckpoint, ExecutionEngine, PreparedSystem, SpanOutcome,
+    data_access_cycles, EngineCheckpoint, ExecutionEngine, PreparedSystem, RunSpec, SpanOutcome,
     ThreadPlacement,
 };
 pub use metrics::RunMetrics;

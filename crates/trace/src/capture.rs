@@ -23,7 +23,7 @@ use mitosis_mem::{FragmentationModel, PlacementPolicy};
 use mitosis_numa::{Interference, NodeMask, SocketId};
 use mitosis_sim::{
     ExecutionEngine, MigrationRun, MultiSocketConfig, PhaseChange, PhaseEvent, PhaseSchedule,
-    RunMetrics, SimParams, ThreadPlacement,
+    RunMetrics, RunSpec, SimParams, SpanOutcome, ThreadPlacement,
 };
 use mitosis_vmm::{AutoNuma, MmapFlags, PtPlacement, System, ThpMode};
 use mitosis_workloads::{Access, AccessSource, AccessStream, InitPattern, WorkloadSpec};
@@ -182,18 +182,19 @@ fn run_and_record(
             .into_iter()
             .map(RecordingSource::new)
             .collect();
-    let mut engine = ExecutionEngine::new(system);
-    let metrics = engine.run_with_sources_dynamic(
-        system,
-        mitosis,
-        pid,
+    let run = RunSpec {
         spec,
-        region,
         threads,
-        params.accesses_per_thread,
-        &mut sources,
+        accesses_per_thread: params.accesses_per_thread,
+        sources: &mut sources,
         schedule,
-    )?;
+        resume: None,
+        stop_at: None,
+    };
+    let metrics = match ExecutionEngine::new(system).execute(system, mitosis, pid, region, run)? {
+        SpanOutcome::Completed(metrics) => metrics,
+        SpanOutcome::Paused(_) => unreachable!("no stop boundary was requested"),
+    };
     // Global phase changes fire at the same access boundary on every
     // thread, so every lane carries their markers — replay cross-checks
     // them as an integrity guard.  Staggered (thread-filtered) changes are
@@ -227,8 +228,9 @@ fn run_and_record(
 /// engine-level experiment shape) while capturing it.
 ///
 /// The returned trace records the full setup — process creation, the lazy
-/// mmap, first-touch population — so [`replay_trace`](crate::replay_trace)
-/// can reconstruct the run from nothing but the trace and `params`.
+/// mmap, first-touch population — so replay
+/// ([`ReplaySession`](crate::ReplaySession)) can reconstruct the run from
+/// nothing but the trace and `params`.
 ///
 /// # Errors
 ///
@@ -245,11 +247,11 @@ pub fn capture_engine_run(
 ///
 /// The engine applies the schedule at its access-count boundaries during
 /// the measured phase; every fired event lands in each lane as a mid-lane
-/// marker at the exact access index, so
-/// [`replay_trace`](crate::replay_trace) re-applies it at the same boundary
-/// and the replayed metrics stay bit-identical.  When the schedule contains
-/// page-table operations (replica add/drop, page-table migration), the
-/// capture installs the Mitosis backend and records that as a setup event.
+/// marker at the exact access index, so replay re-applies it at the same
+/// boundary and the replayed metrics stay bit-identical.  When the
+/// schedule contains page-table operations (replica add/drop, page-table
+/// migration), the capture installs the Mitosis backend and records that
+/// as a setup event.
 ///
 /// # Errors
 ///
@@ -359,7 +361,7 @@ pub fn capture_engine_run_dynamic(
 /// machines run many threads per socket, not one), so the captured trace
 /// carries `sockets × threads_per_socket` lanes — the multi-lane-per-socket
 /// shape the per-socket lane groups of
-/// [`replay_parallel_lanes`](crate::replay_parallel_lanes) shard.
+/// [`ReplayRequest::grouped`](crate::ReplayRequest::grouped) shard.
 ///
 /// # Errors
 ///

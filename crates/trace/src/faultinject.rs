@@ -20,7 +20,7 @@
 //!   codecs over them directly.
 //! * The parallel lane driver consults the process-wide
 //!   [`env_plan`] for worker panics and delays (see
-//!   [`replay_parallel_lanes`](crate::replay_parallel_lanes)); injected
+//!   [`ReplaySession::replay`](crate::ReplaySession::replay)); injected
 //!   worker faults exercise the catch-unwind/retry/serial-degradation
 //!   machinery end to end.
 //!

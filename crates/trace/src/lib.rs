@@ -18,14 +18,14 @@
 //!   [`ExecutionEngine`](mitosis_sim::ExecutionEngine), re-applying
 //!   mid-lane phase changes at the same boundaries and reproducing the
 //!   live run's [`RunMetrics`](mitosis_sim::RunMetrics) bit-for-bit;
-//! * [`session`] is the entry point: a [`ReplaySession`] executes
-//!   builder-style [`ReplayRequest`]s — serial, lane-selected, or sharded
-//!   as per-socket lane groups across a **persistent worker pool** — with
-//!   a snapshot cache and partial (scoped) snapshots making repeated and
-//!   grouped replays cheaper than one-shot serial replay, bit-identically;
+//! * [`session`] is the one replay entry point: a [`ReplaySession`]
+//!   executes builder-style [`ReplayRequest`]s — serial, lane-selected, or
+//!   sharded as per-socket lane groups across a **persistent worker pool**
+//!   — with a snapshot cache and partial (scoped) snapshots making repeated
+//!   and grouped replays cheaper than one-shot serial replay,
+//!   bit-identically;
 //! * [`parallel`] holds the report types ([`LaneReplayReport`],
-//!   [`ReplayReport`], [`ShardDecision`]) and the deprecated free-function
-//!   entry points that predate [`ReplaySession`].
+//!   [`ReplayReport`], [`ShardDecision`]) and the shardability analysis.
 //!
 //! # Example
 //!
@@ -77,20 +77,11 @@ pub use format::{
     TraceCheckpoint, TraceError, TraceEvent, TraceItem, TraceLane, TraceMeta, TraceReader,
     TraceWriter, DEFAULT_CHECKPOINT_INTERVAL, TRACE_MAGIC, TRACE_MIN_VERSION, TRACE_VERSION,
 };
-#[allow(deprecated)]
-pub use parallel::{
-    replay_parallel, replay_parallel_lanes, replay_parallel_lanes_faulted,
-    replay_parallel_lanes_observed, replay_sequential,
-};
 pub use parallel::{
     GroupFailure, GroupFailureKind, LaneReplayReport, ReplayAggregate, ReplayReport, ShardDecision,
 };
 pub use replay::{
     prepare_replay, LaneCursor, MachineMismatch, ReplayCompleteness, ReplayError, ReplayOptions,
     ReplayOutcome, ReplaySnapshot, TraceReplayer,
-};
-#[allow(deprecated)]
-pub use replay::{
-    replay_trace, replay_trace_lane, replay_trace_lanes, replay_trace_salvaged, replay_trace_with,
 };
 pub use session::{ReplayMode, ReplayRequest, ReplaySession, SnapshotMode};

@@ -1,5 +1,5 @@
-//! Report and decision types of parallel trace replay, plus the deprecated
-//! free-function entry points that predate [`ReplaySession`].
+//! Report and decision types of parallel trace replay, and the up-front
+//! shardability analysis [`ReplaySession`] runs before sharding.
 //!
 //! Each trace in a batch describes one captured process (workload), and
 //! replaying it is embarrassingly parallel: every replay builds its own
@@ -30,14 +30,13 @@
 //! why.
 //!
 //! The driver itself lives in [`ReplaySession`] (persistent worker pool,
-//! snapshot cache, partial snapshots); the free functions here are thin
-//! deprecated wrappers that build a throwaway session per call.
+//! snapshot cache, partial snapshots).
+//!
+//! [`ReplaySession`]: crate::ReplaySession
 
-use crate::faultinject::FaultPlan;
 use crate::format::{Trace, TraceEvent};
 use crate::replay::{ReplayError, ReplayOutcome};
-use crate::session::{ReplayRequest, ReplaySession};
-use mitosis_sim::{Observer, RunMetrics, SimParams};
+use mitosis_sim::RunMetrics;
 use std::fmt;
 use std::time::Duration;
 
@@ -87,7 +86,7 @@ impl ReplayAggregate {
 }
 
 /// Result of replaying a batch of traces
-/// ([`ReplaySession::replay_batch`]).
+/// ([`ReplaySession::replay_batch`](crate::ReplaySession::replay_batch)).
 #[derive(Debug, Clone)]
 pub struct ReplayReport {
     /// Per-trace outcomes, in input order.
@@ -181,47 +180,6 @@ impl fmt::Display for ReplayReport {
             self.aggregate.demand_faults,
         )
     }
-}
-
-/// Replays `traces` one after another on the calling thread.
-///
-/// # Errors
-///
-/// Fails on the first trace that does not replay.
-#[deprecated(note = "use `ReplaySession::replay_batch` with a serial `ReplayRequest`")]
-pub fn replay_sequential(
-    traces: &[Trace],
-    params: &SimParams,
-) -> Result<ReplayReport, ReplayError> {
-    ReplaySession::new(params)
-        .without_snapshot_cache()
-        .replay_batch(traces, &ReplayRequest::new())
-}
-
-/// Replays `traces` sharded across up to `workers` host threads, merging
-/// the metrics at the end.
-///
-/// Per-trace results are identical to [`replay_sequential`]; with enough
-/// host cores the batch completes in roughly `1/min(workers, len)` of the
-/// sequential wall time.
-///
-/// # Errors
-///
-/// Fails if any trace does not replay; the first error in input order is
-/// returned.
-///
-/// # Panics
-///
-/// Panics if `workers` is zero.
-#[deprecated(note = "use `ReplaySession::replay_batch` with `ReplayRequest::grouped`")]
-pub fn replay_parallel(
-    traces: &[Trace],
-    params: &SimParams,
-    workers: usize,
-) -> Result<ReplayReport, ReplayError> {
-    ReplaySession::new(params)
-        .without_snapshot_cache()
-        .replay_batch(traces, &ReplayRequest::new().grouped(workers))
 }
 
 /// Why a lane-granular replay did — or did not — shard a trace.
@@ -337,7 +295,7 @@ impl fmt::Display for GroupFailure {
 }
 
 /// Result of a lane-granular replay of one trace
-/// ([`ReplaySession::replay`]).
+/// ([`ReplaySession::replay`](crate::ReplaySession::replay)).
 #[derive(Debug, Clone)]
 pub struct LaneReplayReport {
     /// The merged outcome — metrics bit-identical to a serial whole-trace
@@ -368,10 +326,14 @@ pub struct LaneReplayReport {
     /// replay really did run and really was discarded — its cost is
     /// included, because it was paid.
     pub wall: Duration,
-    /// Elapsed host time this call spent preparing the shared snapshot —
-    /// the one setup-event reconstruction, paid **once** per trace, not
-    /// once per worker group (the groups clone the prepared system).  Zero
-    /// when the session served the replay from its snapshot cache.
+    /// Host time reported as setup.  A sharded call reports the time it
+    /// spent preparing the shared snapshot — the one setup-event
+    /// reconstruction, paid **once** per trace, not once per worker group
+    /// (the groups clone the prepared system) — and zero when the session
+    /// served the replay from its snapshot cache.  A serial call (including
+    /// every serial fallback) always runs from a clone of the cached
+    /// snapshot and reports the clone time; the prepare time of a cold
+    /// serial call shows up only in `wall`.
     pub setup_wall: Duration,
     /// Elapsed host time from the end of setup to the last worker
     /// finishing (serial path: the measured phase alone).  `throughput()`
@@ -505,93 +467,13 @@ pub(crate) fn lanes_fully_premapped(trace: &Trace) -> bool {
     })
 }
 
-/// Replays a single trace with its lanes sharded across up to `workers`
-/// host threads as **per-socket lane groups**, merging the per-group
-/// metrics deterministically; see [`ReplaySession::replay`] for the full
-/// semantics.
-///
-/// # Errors
-///
-/// Fails if the preparation or the serial whole-trace replay does not
-/// replay, or if a lane group fails even its serial degradation replay.
-///
-/// # Panics
-///
-/// Panics if `workers` is zero.
-#[deprecated(note = "use `ReplaySession::replay` with `ReplayRequest::grouped`")]
-pub fn replay_parallel_lanes(
-    trace: &Trace,
-    params: &SimParams,
-    workers: usize,
-) -> Result<LaneReplayReport, ReplayError> {
-    ReplaySession::new(params)
-        .without_snapshot_cache()
-        .replay(trace, &ReplayRequest::new().grouped(workers))
-}
-
-/// [`replay_parallel_lanes`] reporting to an [`Observer`]; see
-/// [`ReplaySession::set_observer`].  Observing never changes the replayed
-/// metrics.
-///
-/// # Errors
-///
-/// Same conditions as [`replay_parallel_lanes`].
-///
-/// # Panics
-///
-/// Panics if `workers` is zero.
-#[deprecated(
-    note = "use `ReplaySession::set_observer` and `ReplaySession::replay` with \
-            `ReplayRequest::grouped`"
-)]
-pub fn replay_parallel_lanes_observed(
-    trace: &Trace,
-    params: &SimParams,
-    workers: usize,
-    observer: &Observer,
-) -> Result<LaneReplayReport, ReplayError> {
-    let mut session = ReplaySession::new(params).without_snapshot_cache();
-    session.set_observer(observer.clone());
-    session.replay(trace, &ReplayRequest::new().grouped(workers))
-}
-
-/// [`replay_parallel_lanes_observed`] with an explicit [`FaultPlan`]; see
-/// [`ReplayRequest::fault_plan`].
-///
-/// # Errors
-///
-/// Same conditions as [`replay_parallel_lanes`]; a worker failure alone is
-/// *not* an error (it degrades), but a group whose serial degradation also
-/// fails propagates that failure.
-///
-/// # Panics
-///
-/// Panics if `workers` is zero.
-#[deprecated(
-    note = "use `ReplaySession::replay` with `ReplayRequest::grouped` and \
-            `ReplayRequest::fault_plan`"
-)]
-pub fn replay_parallel_lanes_faulted(
-    trace: &Trace,
-    params: &SimParams,
-    workers: usize,
-    observer: &Observer,
-    plan: &FaultPlan,
-) -> Result<LaneReplayReport, ReplayError> {
-    let mut session = ReplaySession::new(params).without_snapshot_cache();
-    session.set_observer(observer.clone());
-    session.replay(
-        trace,
-        &ReplayRequest::new().grouped(workers).fault_plan(*plan),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::capture::capture_engine_run;
-    use crate::session::socket_groups;
+    use crate::session::{socket_groups, ReplayRequest, ReplaySession};
     use mitosis_numa::SocketId;
+    use mitosis_sim::SimParams;
     use mitosis_workloads::suite;
 
     /// All-lane per-socket grouping, as the old standalone `lane_groups`

@@ -1,6 +1,7 @@
-//! Deterministic trace replay.
+//! Deterministic trace replay: the layer [`ReplaySession`](crate::ReplaySession)
+//! drives.
 //!
-//! [`replay_trace`] rebuilds the captured experiment from scratch — a fresh
+//! Replay rebuilds the captured experiment from scratch — a fresh
 //! [`System`], the recorded setup events applied in order, one
 //! [`LaneCursor`] per captured thread — and drives the existing
 //! [`ExecutionEngine`] with it.  Mid-lane phase-change markers are lifted
@@ -10,31 +11,26 @@
 //! replayed [`RunMetrics`] are bit-identical to the live run's — for
 //! static *and* dynamic captures.
 //!
-//! [`TraceReplayer`] is the reusable form: it keeps one [`ExecutionEngine`]
-//! (pooled MMUs, allocated caches) across replays, resetting it per trace,
-//! which shaves the per-run setup cost that dominates for short traces.
-//! [`replay_trace_lane`] replays a single lane of a trace against its own
-//! freshly reconstructed system — the building block of lane-granular
-//! parallel replay.
-//!
 //! Replay is split into *prepare* and *run*: [`prepare_replay`] executes
 //! the header checks and setup events once, producing a cloneable
 //! [`ReplaySnapshot`] of the full prepared system, and
 //! [`TraceReplayer::replay_snapshot`] /
 //! [`TraceReplayer::replay_snapshot_lanes`] run the measured phase from a
 //! *clone* of that snapshot.  Running from a clone is bit-identical to
-//! re-executing the setup — the parallel lane-group driver relies on this
-//! to prepare once and fan copies out to its workers.
+//! re-executing the setup — grouped replay relies on this to prepare
+//! once and fan copies out to its workers.  [`TraceReplayer`]
+//! keeps one [`ExecutionEngine`] (pooled MMUs, allocated caches) across
+//! runs, resetting it per trace, which shaves the per-run setup cost that
+//! dominates for short traces.
 
 use crate::format::{MachineFingerprint, Trace, TraceError, TraceEvent, TraceLane};
-use crate::session::{ReplayRequest, ReplaySession};
 use mitosis::{Mitosis, MitosisError};
 use mitosis_mem::{FragmentationModel, PlacementPolicy};
 use mitosis_numa::{Interference, NodeMask, SocketId};
 use mitosis_pt::VirtAddr;
 use mitosis_sim::{
     EngineCheckpoint, ExecutionEngine, Observer, PhaseChange, PhaseEvent, PhaseSchedule,
-    PreparedSystem, RunMetrics, SimParams, SpanOutcome, ThreadPlacement,
+    PreparedSystem, RunMetrics, RunSpec, SimParams, SpanOutcome, ThreadPlacement,
 };
 use mitosis_vmm::{AutoNuma, MmapFlags, PtPlacement, System, ThpMode, VmError};
 use mitosis_workloads::{Access, AccessSource, InitPattern, WorkloadSpec};
@@ -136,7 +132,7 @@ impl AccessSource for LaneCursor<'_> {
     }
 }
 
-/// Knobs for [`replay_trace_with`].
+/// Knobs for [`prepare_replay`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ReplayOptions {
     /// Proceed when the trace's recorded machine fingerprint does not match
@@ -222,8 +218,8 @@ pub struct ReplayOutcome {
     /// measured-phase rate by folding setup reconstruction in.
     pub measured_wall: Duration,
     /// Whether the whole trace ran, or only a salvaged prefix of a damaged
-    /// one ([`TraceReplayer::replay_salvaged`]).  Plain replay entry points
-    /// always report [`ReplayCompleteness::Complete`].
+    /// one ([`ReplaySession::replay_bytes`](crate::ReplaySession::replay_bytes)
+    /// with [`ReplayRequest::salvage`](crate::ReplayRequest::salvage)).
     pub completeness: ReplayCompleteness,
 }
 
@@ -341,12 +337,12 @@ fn schedule_of_lanes(lanes: &[TraceLane]) -> Result<PhaseSchedule, ReplayError> 
 /// system with every setup event applied, ready to run lanes.
 ///
 /// Produced once per trace by [`prepare_replay`], then *cloned* into every
-/// run that needs it — serial re-runs, one copy per lane group in
-/// [`replay_parallel_lanes`](crate::replay_parallel_lanes) — instead of
-/// re-executing the setup events per run.  The clone is a deep copy of the
-/// full simulated state (see [`PreparedSystem`]), so running from a clone
-/// is bit-identical to running after a fresh setup replay; it merely costs
-/// a memcpy-shaped copy instead of re-faulting every page of the footprint.
+/// run that needs it — serial re-runs, one copy per lane group in grouped
+/// replay — instead of re-executing the setup events per run.  The clone
+/// is a deep copy of the full simulated state (see [`PreparedSystem`]), so
+/// running from a clone is bit-identical to running after a fresh setup
+/// replay; it merely costs a memcpy-shaped copy instead of re-faulting
+/// every page of the footprint.
 ///
 /// The snapshot borrows nothing from the [`Trace`]: lane accesses stay in
 /// the trace, and the run entry points take both (the snapshot must have
@@ -354,10 +350,11 @@ fn schedule_of_lanes(lanes: &[TraceLane]) -> Result<PhaseSchedule, ReplayError> 
 /// lane count and per-lane access count).
 ///
 /// A snapshot is not limited to the post-setup boundary:
-/// [`TraceReplayer::checkpoint_at`] pauses a replay mid-lane and returns a
-/// snapshot of the partially run system (`at_access > 0`, with the engine's
-/// own checkpoint attached), and [`TraceReplayer::resume_from`] finishes it
-/// — bit-identical to the uninterrupted run.
+/// [`TraceReplayer::checkpoint_at`] pauses a whole-trace replay mid-lane
+/// and returns a snapshot of the partially run system (`at_access > 0`,
+/// with the engine's own checkpoint attached), and
+/// [`TraceReplayer::replay_snapshot`] finishes it — bit-identical to the
+/// uninterrupted run.
 #[derive(Debug, Clone)]
 pub struct ReplaySnapshot {
     prepared: PreparedSystem,
@@ -375,10 +372,6 @@ pub struct ReplaySnapshot {
     /// phase-schedule position) when this snapshot paused inside the
     /// measured phase; `None` at the post-setup boundary.
     engine: Option<EngineCheckpoint>,
-    /// The lane selection a mid-run snapshot was paused with.  Its
-    /// `schedule` is already retargeted to that selection, so resuming must
-    /// use the identical selection (enforced, not assumed).
-    selection: Option<Vec<usize>>,
 }
 
 impl ReplaySnapshot {
@@ -460,7 +453,6 @@ impl ReplaySnapshot {
             setup_wall: clone_start.elapsed(),
             at_access: 0,
             engine: None,
-            selection: None,
         })
     }
 
@@ -485,141 +477,12 @@ impl ReplaySnapshot {
     }
 }
 
-/// Replays `trace` on a fresh system built from `params` and returns the
-/// reproduced metrics.
-///
-/// `params` must describe the same machine the capture ran on: the machine
-/// fingerprint recorded in the trace header is checked against the one
-/// `params` builds, and a mismatch is rejected (a mismatched machine would
-/// silently produce different metrics).  Use [`replay_trace_with`] and
-/// [`ReplayOptions::force_machine`] to override.  The access count and seed
-/// are taken from the trace itself.
-///
-/// # Errors
-///
-/// Fails if the machine fingerprint does not match, the trace references an
-/// unknown workload, its events cannot be applied (e.g. an access lane
-/// precedes process creation), or a VM / Mitosis operation fails.
-#[deprecated(note = "use `ReplaySession::replay` with the default `ReplayRequest`")]
-pub fn replay_trace(trace: &Trace, params: &SimParams) -> Result<ReplayOutcome, ReplayError> {
-    Ok(ReplaySession::new(params)
-        .without_snapshot_cache()
-        .replay(trace, &ReplayRequest::new())?
-        .outcome)
-}
-
-/// [`replay_trace`] with explicit [`ReplayOptions`].
-///
-/// # Errors
-///
-/// Same conditions as [`replay_trace`]; the machine-fingerprint check is
-/// downgraded to a stderr warning when `options.force_machine` is set.
-#[deprecated(note = "use `ReplaySession::replay` with `ReplayRequest::force_machine` as needed")]
-pub fn replay_trace_with(
-    trace: &Trace,
-    params: &SimParams,
-    options: ReplayOptions,
-) -> Result<ReplayOutcome, ReplayError> {
-    Ok(ReplaySession::new(params)
-        .without_snapshot_cache()
-        .replay(trace, &request_of_options(options))?
-        .outcome)
-}
-
-/// The [`ReplayRequest`] equivalent of legacy [`ReplayOptions`] — shared by
-/// the deprecated wrappers.
-fn request_of_options(options: ReplayOptions) -> ReplayRequest {
-    if options.force_machine {
-        ReplayRequest::new().force_machine()
-    } else {
-        ReplayRequest::new()
-    }
-}
-
-/// Replays trace `bytes`, salvaging a damaged stream to its longest
-/// checkpoint-attested prefix instead of giving up; see
-/// [`TraceReplayer::replay_salvaged`].
-///
-/// # Errors
-///
-/// Same conditions as [`TraceReplayer::replay_salvaged`].
-#[deprecated(note = "use `ReplaySession::replay_bytes` with `ReplayRequest::salvage`")]
-pub fn replay_trace_salvaged(
-    bytes: &[u8],
-    params: &SimParams,
-    options: ReplayOptions,
-) -> Result<ReplayOutcome, ReplayError> {
-    Ok(ReplaySession::new(params)
-        .without_snapshot_cache()
-        .replay_bytes(bytes, &request_of_options(options).salvage())?
-        .outcome)
-}
-
-/// Replays a single lane of `trace` on its own freshly reconstructed
-/// system and returns that lane's per-thread metrics.
-///
-/// The full setup (and the mid-lane phase-change schedule) is replayed
-/// exactly as for a whole-trace replay; only the selected lane's accesses
-/// run.  When the trace's lanes are independent — distinct sockets, no
-/// demand faults — merging every lane's metrics with
-/// [`RunMetrics::merge`] reproduces the whole-trace replay bit-for-bit;
-/// the lane-granular parallel driver verifies those conditions.
-///
-/// # Errors
-///
-/// Same conditions as [`replay_trace`], plus a mismatch for an
-/// out-of-range lane index.
-#[deprecated(note = "use `ReplaySession::replay` with `ReplayRequest::lane`")]
-pub fn replay_trace_lane(
-    trace: &Trace,
-    params: &SimParams,
-    options: ReplayOptions,
-    lane: usize,
-) -> Result<ReplayOutcome, ReplayError> {
-    Ok(ReplaySession::new(params)
-        .without_snapshot_cache()
-        .replay(trace, &request_of_options(options).lane(lane))?
-        .outcome)
-}
-
-/// Replays a subset of `trace`'s lanes — in lane order, against one
-/// freshly reconstructed system — and returns their merged metrics.
-///
-/// This is the unit of work of the per-socket lane groups in
-/// [`replay_parallel_lanes`](crate::replay_parallel_lanes): lanes sharing
-/// a socket interact through that socket's page-table-line cache, so they
-/// must replay *together* and in lane order to reproduce the whole-trace
-/// replay; lanes on other sockets touch disjoint caches and may replay in
-/// other groups.  Mid-lane phase changes are re-applied at the same
-/// boundaries; changes staggered onto lanes outside `lanes` still mutate
-/// the system (keeping its evolution identical to the whole-trace replay)
-/// without any selected lane observing them.
-///
-/// # Errors
-///
-/// Same conditions as [`replay_trace`], plus a mismatch for an empty
-/// selection, an out-of-range lane index, or a selection that is not
-/// strictly increasing (group replay is order-sensitive, so a shuffled
-/// selection would silently diverge).
-#[deprecated(note = "use `ReplaySession::replay` with `ReplayRequest::lanes`")]
-pub fn replay_trace_lanes(
-    trace: &Trace,
-    params: &SimParams,
-    options: ReplayOptions,
-    lanes: &[usize],
-) -> Result<ReplayOutcome, ReplayError> {
-    Ok(ReplaySession::new(params)
-        .without_snapshot_cache()
-        .replay(trace, &request_of_options(options).lanes(lanes.to_vec()))?
-        .outcome)
-}
-
 /// A reusable replay driver: keeps one [`ExecutionEngine`] (pooled MMUs,
 /// allocated per-socket caches) across replays and resets it per trace, so
 /// batch replay does not pay the engine construction cost per trace.
 ///
-/// Metrics are bit-identical to one-shot [`replay_trace`] calls: a reset
-/// engine is indistinguishable from a fresh one.
+/// Metrics are bit-identical to a fresh replayer's: a reset engine is
+/// indistinguishable from a fresh one.
 #[derive(Debug, Default)]
 pub struct TraceReplayer {
     /// The pooled engine, tagged with the machine it was built for (an
@@ -659,39 +522,7 @@ impl TraceReplayer {
         &self.observer
     }
 
-    /// Replays `trace` (strict machine check); see [`replay_trace`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`replay_trace`].
-    #[deprecated(note = "use `ReplaySession::replay` with the default `ReplayRequest`")]
-    pub fn replay(
-        &mut self,
-        trace: &Trace,
-        params: &SimParams,
-    ) -> Result<ReplayOutcome, ReplayError> {
-        self.replay_full(trace, params, ReplayOptions::default())
-    }
-
-    /// Replays `trace` with explicit options; see [`replay_trace_with`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`replay_trace_with`].
-    #[deprecated(
-        note = "use `ReplaySession::replay` with `ReplayRequest::force_machine` as needed"
-    )]
-    pub fn replay_with(
-        &mut self,
-        trace: &Trace,
-        params: &SimParams,
-        options: ReplayOptions,
-    ) -> Result<ReplayOutcome, ReplayError> {
-        self.replay_full(trace, params, options)
-    }
-
-    /// Prepare + run in one call — the non-deprecated body behind the
-    /// deprecated whole-trace entry points, and the per-trace unit of
+    /// Prepare + run in one call — the per-trace unit of
     /// [`ReplaySession::replay_batch`](crate::ReplaySession::replay_batch).
     pub(crate) fn replay_full(
         &mut self,
@@ -706,67 +537,21 @@ impl TraceReplayer {
         self.run_lanes(prepared, trace, None)
     }
 
-    /// Replays one lane of `trace`; see [`replay_trace_lane`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`replay_trace_lane`].
-    #[deprecated(note = "use `ReplaySession::replay` with `ReplayRequest::lane`")]
-    pub fn replay_lane(
-        &mut self,
-        trace: &Trace,
-        params: &SimParams,
-        options: ReplayOptions,
-        lane: usize,
-    ) -> Result<ReplayOutcome, ReplayError> {
-        self.replay_lanes_full(trace, params, options, &[lane])
-    }
-
-    /// Replays a subset of lanes in lane order against one reconstructed
-    /// system; see [`replay_trace_lanes`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`replay_trace_lanes`].
-    #[deprecated(note = "use `ReplaySession::replay` with `ReplayRequest::lanes`")]
-    pub fn replay_lanes(
-        &mut self,
-        trace: &Trace,
-        params: &SimParams,
-        options: ReplayOptions,
-        lanes: &[usize],
-    ) -> Result<ReplayOutcome, ReplayError> {
-        self.replay_lanes_full(trace, params, options, lanes)
-    }
-
-    /// Prepare + run an explicit lane selection — the non-deprecated body
-    /// behind the deprecated lane entry points.
-    pub(crate) fn replay_lanes_full(
-        &mut self,
-        trace: &Trace,
-        params: &SimParams,
-        options: ReplayOptions,
-        lanes: &[usize],
-    ) -> Result<ReplayOutcome, ReplayError> {
-        validate_lane_selection(trace, lanes)?;
-        let prepared = {
-            let _span = self.observer.span("prepare_replay", self.track);
-            prepare_replay(trace, params, options)?
-        };
-        self.run_lanes(prepared, trace, Some(lanes))
-    }
-
     /// Replays all lanes of `trace` from a shared [`ReplaySnapshot`]: the
-    /// snapshot is cloned (a deep copy of the prepared system) and the
-    /// clone runs the measured phase, so the setup events are **not**
-    /// re-executed.  Metrics are bit-identical to [`TraceReplayer::replay`]
-    /// on the same trace; the outcome's `setup_wall` records only the clone
-    /// cost.
+    /// snapshot is cloned (a deep copy of the prepared system; it stays
+    /// reusable) and the clone runs the measured phase from wherever the
+    /// snapshot stands, so the setup events are **not** re-executed.  From
+    /// a post-setup snapshot that is the whole measured phase; from a
+    /// mid-run snapshot taken by [`TraceReplayer::checkpoint_at`] it is the
+    /// rest of the run, and the metrics still cover the *whole* measured
+    /// phase — per-thread totals carry across the pause.  Either way the
+    /// metrics are bit-identical to an uninterrupted replay of the same
+    /// trace; the outcome's `setup_wall` records only the clone cost.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`replay_trace`], plus a mismatch when `trace` is
-    /// not the trace the snapshot was prepared from.
+    /// Same conditions as [`prepare_replay`], plus a mismatch when `trace`
+    /// is not the trace the snapshot was prepared from.
     pub fn replay_snapshot(
         &mut self,
         snapshot: &ReplaySnapshot,
@@ -781,14 +566,24 @@ impl TraceReplayer {
     }
 
     /// Replays an ordered subset of `trace`'s lanes from a shared
-    /// [`ReplaySnapshot`] — the per-worker unit of snapshot-based lane-group
-    /// replay: every group clones the one prepared system instead of
-    /// rebuilding it from events.
+    /// post-setup [`ReplaySnapshot`] — the per-worker unit of
+    /// snapshot-based lane-group replay: every group clones the one
+    /// prepared system instead of rebuilding it from events.
+    ///
+    /// Lanes sharing a socket interact through that socket's
+    /// page-table-line cache, so they must replay *together* and in lane
+    /// order to reproduce the whole-trace replay.  Mid-lane phase changes
+    /// are re-applied at the same boundaries; changes staggered onto lanes
+    /// outside `lanes` still mutate the system without any selected lane
+    /// observing them.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`replay_trace_lanes`], plus a mismatch when
-    /// `trace` is not the trace the snapshot was prepared from.
+    /// Same conditions as [`prepare_replay`], plus a mismatch when `trace`
+    /// is not the trace the snapshot was prepared from, for an empty,
+    /// out-of-range or not strictly increasing selection, and for a
+    /// mid-run snapshot (it paused a whole-trace replay, so running a lane
+    /// subset from it would misattribute per-thread state).
     pub fn replay_snapshot_lanes(
         &mut self,
         snapshot: &ReplaySnapshot,
@@ -804,19 +599,21 @@ impl TraceReplayer {
         self.run_lanes(clone, trace, Some(lanes))
     }
 
-    /// Replays `trace` up to `at` accesses per lane and pauses, returning a
-    /// mid-run [`ReplaySnapshot`] that [`TraceReplayer::resume_from`] can
-    /// finish later — the resumed run's metrics are bit-identical to an
-    /// uninterrupted replay.  `at == 0` returns the plain post-setup
-    /// snapshot (nothing has run yet).
+    /// Replays all lanes of `trace` up to `at` accesses per lane and
+    /// pauses, returning a mid-run [`ReplaySnapshot`] that
+    /// [`TraceReplayer::replay_snapshot`] can finish later — the resumed
+    /// run's metrics are bit-identical to an uninterrupted replay.
+    /// `at == 0` returns the plain post-setup snapshot (nothing has run
+    /// yet).
     ///
     /// The pause lands *before* any phase change scheduled at `at` fires,
     /// so resuming applies it exactly once.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`replay_trace`], plus a mismatch when `at` is at
-    /// or past the per-lane access count (there is nothing left to resume).
+    /// Same conditions as [`prepare_replay`], plus a mismatch when `at` is
+    /// at or past the per-lane access count (there is nothing left to
+    /// resume).
     pub fn checkpoint_at(
         &mut self,
         trace: &Trace,
@@ -842,72 +639,6 @@ impl TraceReplayer {
         match self.run_lanes_span(prepared, trace, None, Some(at))? {
             LaneRun::Paused(snapshot) => Ok(*snapshot),
             LaneRun::Completed(_) => unreachable!("engine pauses at every in-range stop boundary"),
-        }
-    }
-
-    /// Finishes a paused replay from a [`ReplaySnapshot`] taken by
-    /// [`TraceReplayer::checkpoint_at`]: the snapshot is cloned (it stays
-    /// reusable) and the clone runs from its pause boundary to completion.
-    /// The outcome's metrics cover the *whole* measured phase — per-thread
-    /// totals carry across the pause — and are bit-identical to an
-    /// uninterrupted replay of the same trace.  Also accepts a post-setup
-    /// snapshot, behaving like [`TraceReplayer::replay_snapshot`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`replay_trace`], plus a mismatch when `trace` is
-    /// not the trace the snapshot was prepared from.
-    pub fn resume_from(
-        &mut self,
-        snapshot: &ReplaySnapshot,
-        trace: &Trace,
-    ) -> Result<ReplayOutcome, ReplayError> {
-        snapshot.check_trace(trace)?;
-        let clone = {
-            let _span = self.observer.span("snapshot_clone", self.track);
-            clone_snapshot(snapshot)
-        };
-        let selection = clone.selection.clone();
-        match self.run_lanes_span(clone, trace, selection.as_deref(), None)? {
-            LaneRun::Completed(outcome) => Ok(*outcome),
-            LaneRun::Paused(_) => unreachable!("no stop boundary was requested"),
-        }
-    }
-
-    /// Replays trace `bytes`, salvaging a damaged stream instead of giving
-    /// up: intact bytes replay normally
-    /// ([`ReplayCompleteness::Complete`]); a stream that fails to decode is
-    /// recovered to its longest checkpoint-attested prefix
-    /// ([`Trace::recover`]) and that prefix replays, with the outcome
-    /// marked [`ReplayCompleteness::Salvaged`] so partial metrics can never
-    /// pass as whole-trace metrics.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`replay_trace_with`]; additionally the decode
-    /// error of `bytes` when no checkpoint-attested prefix exists to
-    /// salvage.
-    #[deprecated(note = "use `ReplaySession::replay_bytes` with `ReplayRequest::salvage`")]
-    pub fn replay_salvaged(
-        &mut self,
-        bytes: &[u8],
-        params: &SimParams,
-        options: ReplayOptions,
-    ) -> Result<ReplayOutcome, ReplayError> {
-        match Trace::from_bytes(bytes) {
-            Ok(trace) => self.replay_full(&trace, params, options),
-            Err(_) => {
-                let salvaged = Trace::recover(bytes)?;
-                let mut outcome = self.replay_full(&salvaged.trace, params, options)?;
-                outcome.completeness = ReplayCompleteness::Salvaged {
-                    valid_accesses: salvaged.valid_accesses,
-                    lost_accesses: salvaged.lost_accesses,
-                };
-                self.observer.counter("replay.salvaged", 1);
-                self.observer
-                    .counter("replay.salvaged_lost_accesses", salvaged.lost_accesses);
-                Ok(outcome)
-            }
         }
     }
 
@@ -949,16 +680,14 @@ impl TraceReplayer {
             setup_wall,
             at_access,
             engine: engine_checkpoint,
-            selection: paused_selection,
         } = snapshot;
-        // A mid-run snapshot's schedule is already retargeted to the
-        // selection it paused with, and its engine checkpoint carries that
-        // many per-thread states: resuming with any other selection would
-        // silently misattribute lanes.  Enforce instead of assuming.
-        if engine_checkpoint.is_some() && paused_selection.as_deref() != selection {
+        // A mid-run snapshot paused a whole-trace replay: its engine
+        // checkpoint carries one per-thread state per trace lane, so
+        // resuming a lane subset would silently misattribute lanes.
+        if engine_checkpoint.is_some() && selection.is_some() {
             return Err(ReplayError::Mismatch(
-                "mid-run snapshot must resume with the lane selection it was \
-                 paused with"
+                "mid-run snapshot paused a whole-trace replay and must resume \
+                 all lanes"
                     .into(),
             ));
         }
@@ -978,12 +707,10 @@ impl TraceReplayer {
         // one naming an absent lane goes out of range (the change still
         // fires, no local thread observes it), keeping the system evolution
         // of every lane subset identical to the whole-trace replay.
-        // A mid-run snapshot's schedule was retargeted when it first ran,
-        // so it must not be retargeted again.
-        let schedule = match (&engine_checkpoint, selection) {
-            (None, Some(indices)) => schedule
+        let schedule = match selection {
+            Some(indices) => schedule
                 .retarget_threads(|lane| indices.iter().position(|&selected| selected == lane)),
-            _ => schedule,
+            None => schedule,
         };
         let threads: Vec<ThreadPlacement> = selected
             .iter()
@@ -1016,19 +743,16 @@ impl TraceReplayer {
         let measured_start = Instant::now();
         let span_outcome = {
             let _span = self.observer.span("replay.measured", self.track);
-            engine.run_span_with_sources_dynamic(
-                &mut system,
-                &mut mitosis,
-                pid,
-                &spec,
-                region,
-                &threads,
+            let run = RunSpec {
+                spec: &spec,
+                threads: &threads,
                 accesses_per_thread,
-                &mut cursors,
-                &schedule,
-                engine_checkpoint.as_ref(),
+                sources: &mut cursors,
+                schedule: &schedule,
+                resume: engine_checkpoint.as_ref(),
                 stop_at,
-            )?
+            };
+            engine.execute(&mut system, &mut mitosis, pid, region, run)?
         };
         match span_outcome {
             SpanOutcome::Completed(metrics) => {
@@ -1062,7 +786,6 @@ impl TraceReplayer {
                     setup_wall,
                     at_access,
                     engine: Some(checkpoint),
-                    selection: selection.map(<[usize]>::to_vec),
                 })))
             }
         }
@@ -1376,7 +1099,6 @@ pub fn prepare_replay(
         setup_wall: setup_start.elapsed(),
         at_access: 0,
         engine: None,
-        selection: None,
     })
 }
 
@@ -1384,6 +1106,7 @@ pub fn prepare_replay(
 mod tests {
     use super::*;
     use crate::format::{TraceLane, TraceMeta};
+    use crate::session::{ReplayRequest, ReplaySession};
     use mitosis_workloads::suite;
 
     fn replay_via_session(trace: &Trace, params: &SimParams) -> Result<ReplayOutcome, ReplayError> {

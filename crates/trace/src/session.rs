@@ -1,16 +1,9 @@
-//! The unified replay entry point: [`ReplaySession`] executes
-//! [`ReplayRequest`]s.
+//! The replay entry point: [`ReplaySession`] executes [`ReplayRequest`]s.
 //!
-//! Earlier revisions of this crate grew eleven public replay entry points
-//! (`replay_trace`, `replay_trace_with`, `replay_trace_lane`,
-//! `replay_trace_lanes`, `replay_trace_salvaged`, `replay_sequential`,
-//! `replay_parallel`, `replay_parallel_lanes`,
-//! `replay_parallel_lanes_observed`, `replay_parallel_lanes_faulted`, plus
-//! the `TraceReplayer` method zoo behind them), each a point in the same
-//! configuration space: which lanes, serial or grouped, how many workers,
-//! observed or not, fault-injected or not, salvage or strict.  A
-//! [`ReplaySession`] replaces them with one builder-described request
-//! executed against persistent state:
+//! Every replay is a point in one configuration space — which lanes,
+//! serial or grouped, how many workers, observed or not, fault-injected or
+//! not, salvage or strict — so a session takes one builder-described
+//! request and executes it against persistent state:
 //!
 //! * a **persistent worker pool** — threads are spawned lazily, once, and
 //!   live across replay calls, each keeping a warm
@@ -32,8 +25,7 @@
 //!   a 2-core host is not asked to juggle 8 groups.
 //!
 //! Replayed metrics are bit-identical across every request shape — serial,
-//! grouped, merged, full or partial snapshots, warm or cold pool — and
-//! bit-identical to the deprecated entry points, which now delegate here.
+//! grouped, merged, full or partial snapshots, warm or cold pool.
 //!
 //! # Example
 //!
@@ -81,16 +73,14 @@ use std::time::{Duration, Instant};
 /// How a [`ReplayRequest`] executes the selected lanes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReplayMode {
-    /// All selected lanes replay on the calling thread against one system
-    /// — the semantics of the old `replay_trace` / `replay_trace_lanes`.
+    /// All selected lanes replay on the calling thread against one system.
     #[default]
     Serial,
     /// Per-socket lane groups fan out across up to `workers` pool threads,
-    /// one unit per socket group — the semantics of the old
-    /// `replay_parallel_lanes`.
+    /// one unit per socket group.
     Grouped {
-        /// Upper bound on concurrently working pool threads (must be
-        /// nonzero).
+        /// Upper bound on concurrently working pool threads (zero is
+        /// rejected as a [`ReplayError::Mismatch`]).
         workers: usize,
     },
     /// Like [`ReplayMode::Grouped`], with the worker count taken from
@@ -106,8 +96,8 @@ pub enum ReplayMode {
 /// Partial (scoped) snapshots are an optimisation, never a correctness
 /// commitment: they are used only when the shardability analysis proves the
 /// run cannot leave the cloned slice (setup premaps every accessed page, no
-/// mid-lane phase changes).  Requesting [`SnapshotMode::Partial`] outside
-/// those conditions silently falls back to full clones, and the existing
+/// mid-lane phase changes); outside those conditions
+/// [`SnapshotMode::Auto`] falls back to full clones, and the existing
 /// defence layers (worker panic isolation, the demand-fault serial re-run)
 /// backstop the proof itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -117,9 +107,6 @@ pub enum SnapshotMode {
     Auto,
     /// Always deep-copy the whole prepared system.
     Full,
-    /// Prefer partial snapshots; identical to [`SnapshotMode::Auto`] today,
-    /// spelled out for tests that compare the two paths.
-    Partial,
 }
 
 /// A builder-style description of one replay: which lanes, serial or
@@ -127,7 +114,7 @@ pub enum SnapshotMode {
 /// fault injection.
 ///
 /// The default request replays every lane serially with strict machine
-/// checking — the semantics of the old `replay_trace`.
+/// checking.
 #[derive(Debug, Clone, Default)]
 pub struct ReplayRequest {
     lanes: Option<Vec<usize>>,
@@ -139,8 +126,8 @@ pub struct ReplayRequest {
 }
 
 impl ReplayRequest {
-    /// The default request: every lane, serial, strict machine check, full
-    /// snapshots, no salvage, fault plan from the environment.
+    /// The default request: every lane, serial, strict machine check,
+    /// [`SnapshotMode::Auto`], no salvage, fault plan from the environment.
     pub fn new() -> Self {
         ReplayRequest::default()
     }
@@ -248,7 +235,6 @@ pub struct ReplaySession {
     observer: Observer,
     pool: ReplayPool,
     driver: TraceReplayer,
-    cache_enabled: bool,
     cache: Option<SessionCache>,
 }
 
@@ -270,19 +256,8 @@ impl ReplaySession {
             observer: Observer::none(),
             pool: ReplayPool::new(),
             driver: TraceReplayer::new(),
-            cache_enabled: true,
             cache: None,
         }
-    }
-
-    /// Disables the snapshot cache: every request re-prepares (and the
-    /// serial path consumes its snapshot without a clone) — the exact cost
-    /// model of the deprecated one-shot entry points, which build their
-    /// sessions this way.
-    pub fn without_snapshot_cache(mut self) -> Self {
-        self.cache_enabled = false;
-        self.cache = None;
-        self
     }
 
     /// Installs the observer all subsequent replays report spans, counters
@@ -319,31 +294,19 @@ impl ReplaySession {
     /// # Errors
     ///
     /// Fails when the trace cannot be prepared (machine mismatch, unknown
-    /// workload, malformed setup events — see the old `replay_trace`), when
-    /// the lane selection is invalid, or when a lane group fails even its
-    /// serial degradation replay.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the request asks for [`ReplayMode::Grouped`] with zero
-    /// workers.
+    /// workload, malformed setup events — see [`prepare_replay`]), when the
+    /// lane selection is invalid or the request asks for zero workers, or
+    /// when a lane group fails even its serial degradation replay.
     pub fn replay(
         &mut self,
         trace: &Trace,
         request: &ReplayRequest,
     ) -> Result<LaneReplayReport, ReplayError> {
         let start = Instant::now();
+        let workers = requested_workers(request.mode)?;
         if let Some(lanes) = &request.lanes {
             validate_lane_selection(trace, lanes)?;
         }
-        let workers = match request.mode {
-            ReplayMode::Serial => 1,
-            ReplayMode::Grouped { workers } => {
-                assert!(workers > 0, "grouped replay needs at least one worker");
-                workers
-            }
-            ReplayMode::Auto => host_parallelism(),
-        };
 
         let prepare_start = Instant::now();
         let (shared_trace, snapshot, analysis, cache_hit) =
@@ -381,7 +344,7 @@ impl ReplaySession {
         if let Some(decision) = serial_reason {
             return self.run_serial(
                 trace,
-                snapshot,
+                &snapshot,
                 request.lanes.as_deref(),
                 decision,
                 groups.len(),
@@ -500,7 +463,7 @@ impl ReplaySession {
             // and any worker failures are included.
             return self.run_serial(
                 trace,
-                snapshot,
+                &snapshot,
                 request.lanes.as_deref(),
                 ShardDecision::DemandFaultsObserved,
                 groups.len(),
@@ -585,34 +548,20 @@ impl ReplaySession {
     }
 
     /// Replays a batch of traces — serially in input order for
-    /// [`ReplayMode::Serial`], sharded across the pool otherwise (the
-    /// semantics of the old `replay_sequential` / `replay_parallel`).  The
+    /// [`ReplayMode::Serial`], sharded across the pool otherwise.  The
     /// request's lane selection and snapshot mode do not apply (each trace
     /// replays whole, from its own freshly prepared system).
     ///
     /// # Errors
     ///
-    /// Fails if any trace does not replay; the first error in input order
-    /// is returned.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the request asks for [`ReplayMode::Grouped`] with zero
-    /// workers.
+    /// Fails if the request asks for zero workers or any trace does not
+    /// replay; the first error in input order is returned.
     pub fn replay_batch(
         &mut self,
         traces: &[Trace],
         request: &ReplayRequest,
     ) -> Result<ReplayReport, ReplayError> {
-        let workers = match request.mode {
-            ReplayMode::Serial => 1,
-            ReplayMode::Grouped { workers } => {
-                assert!(workers > 0, "parallel replay needs at least one worker");
-                workers
-            }
-            ReplayMode::Auto => host_parallelism(),
-        };
-        let workers = workers.min(traces.len()).max(1);
+        let workers = requested_workers(request.mode)?.min(traces.len()).max(1);
         let options = request.options();
         let start = Instant::now();
 
@@ -689,26 +638,21 @@ impl ReplaySession {
         let shared_trace = Arc::new(trace.clone());
         let snapshot = Arc::new(snapshot);
         let analysis = Arc::new(analyse(trace));
-        if self.cache_enabled {
-            self.cache = Some(SessionCache {
-                trace: Arc::clone(&shared_trace),
-                snapshot: Arc::clone(&snapshot),
-                analysis: Arc::clone(&analysis),
-            });
-        }
+        self.cache = Some(SessionCache {
+            trace: Arc::clone(&shared_trace),
+            snapshot: Arc::clone(&snapshot),
+            analysis: Arc::clone(&analysis),
+        });
         Ok((shared_trace, snapshot, analysis, false))
     }
 
     /// The serial path: all selected lanes on the driver thread, one
-    /// system.  When the snapshot is not shared (cache off, nothing else
-    /// holding it) it is consumed without a clone — the exact cost model of
-    /// the old one-shot entry points; a shared snapshot runs from a clone,
-    /// bit-identically.
+    /// system cloned from the cached snapshot.
     #[allow(clippy::too_many_arguments)]
     fn run_serial(
         &mut self,
         trace: &Trace,
-        snapshot: Arc<ReplaySnapshot>,
+        snapshot: &ReplaySnapshot,
         selection: Option<&[usize]>,
         decision: ShardDecision,
         groups: usize,
@@ -718,12 +662,9 @@ impl ReplaySession {
     ) -> Result<LaneReplayReport, ReplayError> {
         self.driver.set_observer(self.observer.clone());
         self.driver.set_observer_track(0);
-        let outcome = match Arc::try_unwrap(snapshot) {
-            Ok(owned) => self.driver.run_lanes(owned, trace, selection)?,
-            Err(shared) => match selection {
-                Some(lanes) => self.driver.replay_snapshot_lanes(&shared, trace, lanes)?,
-                None => self.driver.replay_snapshot(&shared, trace)?,
-            },
+        let outcome = match selection {
+            Some(lanes) => self.driver.replay_snapshot_lanes(snapshot, trace, lanes)?,
+            None => self.driver.replay_snapshot(snapshot, trace)?,
         };
         let setup_wall = outcome.setup_wall;
         let measured_wall = outcome.measured_wall;
@@ -744,6 +685,19 @@ impl ReplaySession {
 /// The host's available parallelism, 1 when unknown.
 fn host_parallelism() -> usize {
     thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// The upper bound on working threads a request's mode asks for; a
+/// grouped request for zero workers is a mismatch, not a panic.
+fn requested_workers(mode: ReplayMode) -> Result<usize, ReplayError> {
+    match mode {
+        ReplayMode::Serial => Ok(1),
+        ReplayMode::Grouped { workers: 0 } => Err(ReplayError::Mismatch(
+            "request `grouped(0)` asks for zero workers; grouped replay needs at least one".into(),
+        )),
+        ReplayMode::Grouped { workers } => Ok(workers),
+        ReplayMode::Auto => Ok(host_parallelism()),
+    }
 }
 
 /// Partitions `selection` into per-socket groups: one group per distinct

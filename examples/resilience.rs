@@ -111,7 +111,7 @@ fn main() {
         .checkpoint_at(&captured.trace, &params, ReplayOptions::default(), halfway)
         .expect("checkpoint");
     let resumed = replayer
-        .resume_from(&snapshot, &captured.trace)
+        .replay_snapshot(&snapshot, &captured.trace)
         .expect("resume");
     assert_eq!(resumed.metrics, serial.metrics);
     println!(

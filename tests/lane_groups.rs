@@ -229,7 +229,7 @@ proptest! {
         let partial = session
             .replay(
                 &trace,
-                &ReplayRequest::new().grouped(workers).snapshots(SnapshotMode::Partial),
+                &ReplayRequest::new().grouped(workers).snapshots(SnapshotMode::Auto),
             )
             .expect("partial-clone replay");
         prop_assert_eq!(partial.outcome.metrics, full.outcome.metrics);

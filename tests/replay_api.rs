@@ -1,33 +1,22 @@
-//! Integration tests for the unified `ReplaySession` / `ReplayRequest`
-//! surface itself (the per-scenario guarantees live in `lane_groups.rs`,
+//! Integration tests for the `ReplaySession` / `ReplayRequest` surface
+//! itself (the per-scenario guarantees live in `lane_groups.rs`,
 //! `trace_determinism.rs`, `resilience.rs`, ...).
 //!
 //! Three contracts pinned here:
 //!
-//! * **Request ↔ legacy equivalence** — every `ReplayRequest` shape is
-//!   bit-identical to the deprecated entry point it replaced, on
-//!   arbitrary lane/socket layouts (the wrappers delegate to the session,
-//!   so this also proves the wrappers kept their semantics).
 //! * **Pool reuse** — a warm session serves repeated grouped requests
 //!   without spawning new worker threads (`threads_spawned` is pinned
 //!   after the first call) and stays bit-identical to a fresh session
 //!   per request.
-//! * **Snapshot cache** — switching traces invalidates the cache, and a
-//!   session with the cache disabled replays identically.
-
-// The whole point of half this file is to compare against the deprecated
-// wrappers.
-#![allow(deprecated)]
+//! * **Snapshot cache** — switching traces invalidates the cache, and
+//!   clearing it forces the next replay to re-prepare.
+//! * **Bad requests are errors** — a request the session cannot execute
+//!   returns a `ReplayError`, never a panic inside the library.
 
 use mitosis_numa::SocketId;
 use mitosis_sim::SimParams;
-use mitosis_trace::{
-    capture_engine_run, replay_parallel, replay_parallel_lanes, replay_sequential, replay_trace,
-    replay_trace_lane, replay_trace_lanes, replay_trace_salvaged, ReplayOptions, ReplayRequest,
-    ReplaySession, Trace,
-};
+use mitosis_trace::{capture_engine_run, ReplayError, ReplayRequest, ReplaySession, Trace};
 use mitosis_workloads::suite;
-use proptest::prelude::*;
 
 fn quick(accesses: u64) -> SimParams {
     SimParams::quick_test().with_accesses(accesses)
@@ -38,103 +27,6 @@ fn capture(params: &SimParams, sockets: &[u16]) -> Trace {
     capture_engine_run(&suite::gups(), params, &placements)
         .expect("capture")
         .trace
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
-
-    /// Every request shape reproduces its legacy entry point bit-for-bit
-    /// on an arbitrary lane/socket layout.
-    #[test]
-    fn any_request_is_bit_identical_to_the_legacy_entry_point(
-        sockets in prop::collection::vec(0u16..4, 2..6),
-        workers in 1usize..5,
-        lane_pick in 0usize..64,
-    ) {
-        let params = quick(200);
-        let trace = capture(&params, &sockets);
-        let mut session = ReplaySession::new(&params);
-
-        // Serial whole-trace <-> replay_trace.
-        let legacy = replay_trace(&trace, &params).expect("legacy serial");
-        let request = session
-            .replay(&trace, &ReplayRequest::new())
-            .expect("request serial");
-        prop_assert_eq!(request.outcome.metrics, legacy.metrics);
-
-        // Single lane <-> replay_trace_lane.
-        let lane = lane_pick % trace.lanes.len();
-        let legacy = replay_trace_lane(&trace, &params, ReplayOptions::default(), lane)
-            .expect("legacy lane");
-        let request = session
-            .replay(&trace, &ReplayRequest::new().lane(lane))
-            .expect("request lane");
-        prop_assert_eq!(request.outcome.metrics, legacy.metrics);
-
-        // Lane subset <-> replay_trace_lanes (every other lane).
-        let selection: Vec<usize> = (0..trace.lanes.len()).step_by(2).collect();
-        let legacy = replay_trace_lanes(&trace, &params, ReplayOptions::default(), &selection)
-            .expect("legacy lanes");
-        let request = session
-            .replay(&trace, &ReplayRequest::new().lanes(selection))
-            .expect("request lanes");
-        prop_assert_eq!(request.outcome.metrics, legacy.metrics);
-
-        // Grouped <-> replay_parallel_lanes: metrics AND the report shape
-        // (decision, groups, workers) must agree.
-        let legacy = replay_parallel_lanes(&trace, &params, workers).expect("legacy grouped");
-        let request = session
-            .replay(&trace, &ReplayRequest::new().grouped(workers))
-            .expect("request grouped");
-        prop_assert_eq!(request.outcome.metrics, legacy.outcome.metrics);
-        prop_assert_eq!(request.decision, legacy.decision);
-        prop_assert_eq!(request.groups, legacy.groups);
-        prop_assert_eq!(request.workers, legacy.workers);
-
-        // Salvage <-> replay_trace_salvaged on intact bytes (the damaged
-        // path is pinned in resilience.rs).
-        let bytes = trace.to_bytes().expect("encode");
-        let legacy = replay_trace_salvaged(&bytes, &params, ReplayOptions::default())
-            .expect("legacy salvage");
-        let request = session
-            .replay_bytes(&bytes, &ReplayRequest::new().salvage())
-            .expect("request salvage");
-        prop_assert_eq!(request.outcome.metrics, legacy.metrics);
-        prop_assert_eq!(request.outcome.completeness, legacy.completeness);
-    }
-
-    /// Batch requests reproduce the legacy sequential/parallel drivers.
-    #[test]
-    fn batch_requests_match_the_legacy_batch_drivers(
-        seeds in prop::collection::vec(0u64..500, 2..5),
-        workers in 1usize..5,
-    ) {
-        let traces: Vec<Trace> = seeds
-            .iter()
-            .map(|&seed| capture(&quick(150).with_seed(seed), &[0, 1]))
-            .collect();
-        let params = quick(150).with_seed(seeds[0]);
-        // Per-trace metadata carries the seed, so one params works for all
-        // captures of the same machine shape... except the seed check: use
-        // per-trace params exactly as the legacy drivers did.
-        let _ = &params;
-        for (trace, &seed) in traces.iter().zip(&seeds) {
-            let p = quick(150).with_seed(seed);
-            let legacy = replay_sequential(std::slice::from_ref(trace), &p).expect("legacy seq");
-            let parallel = replay_parallel(std::slice::from_ref(trace), &p, workers)
-                .expect("legacy par");
-            let mut session = ReplaySession::new(&p);
-            let serial = session
-                .replay_batch(std::slice::from_ref(trace), &ReplayRequest::new())
-                .expect("request seq");
-            let grouped = session
-                .replay_batch(std::slice::from_ref(trace), &ReplayRequest::new().grouped(workers))
-                .expect("request par");
-            prop_assert_eq!(serial.outcomes[0].metrics, legacy.outcomes[0].metrics);
-            prop_assert_eq!(grouped.outcomes[0].metrics, parallel.outcomes[0].metrics);
-            prop_assert_eq!(serial.aggregate, legacy.aggregate);
-        }
-    }
 }
 
 #[test]
@@ -273,31 +165,42 @@ fn switching_traces_invalidates_the_snapshot_cache() {
 }
 
 #[test]
-fn disabling_the_snapshot_cache_changes_nothing_but_the_caching() {
+fn clearing_the_snapshot_cache_forces_a_re_prepare() {
     let params = quick(250);
     let trace = capture(&params, &[0, 1, 2, 3]);
-    let mut cached = ReplaySession::new(&params);
-    let mut uncached = ReplaySession::new(&params).without_snapshot_cache();
-    for round in 0..3 {
-        let with_cache = cached
-            .replay(&trace, &ReplayRequest::new().grouped(4))
-            .expect("cached replay");
-        let without_cache = uncached
-            .replay(&trace, &ReplayRequest::new().grouped(4))
-            .expect("uncached replay");
-        assert_eq!(
-            with_cache.outcome.metrics, without_cache.outcome.metrics,
-            "round {round}: cache changed the metrics"
-        );
-        assert!(
-            without_cache.setup_wall > std::time::Duration::ZERO,
-            "round {round}: an uncached session re-prepares every time"
-        );
-    }
-    // clear_snapshot_cache forces the next replay to re-prepare.
-    cached.clear_snapshot_cache();
-    let after_clear = cached
+    let mut session = ReplaySession::new(&params);
+    let cold = session
+        .replay(&trace, &ReplayRequest::new().grouped(4))
+        .expect("cold replay");
+    session.clear_snapshot_cache();
+    let after_clear = session
         .replay(&trace, &ReplayRequest::new().grouped(4))
         .expect("replay after clearing the cache");
     assert!(after_clear.setup_wall > std::time::Duration::ZERO);
+    assert_eq!(after_clear.outcome.metrics, cold.outcome.metrics);
+}
+
+#[test]
+fn zero_worker_requests_are_mismatches_not_panics() {
+    let params = quick(100);
+    let trace = capture(&params, &[0, 1]);
+    let mut session = ReplaySession::new(&params);
+    let request = ReplayRequest::new().grouped(0);
+
+    let err = session
+        .replay(&trace, &request)
+        .expect_err("grouped(0) must be rejected");
+    assert!(matches!(err, ReplayError::Mismatch(_)), "{err}");
+    assert!(err.to_string().contains("grouped(0)"), "{err}");
+
+    let err = session
+        .replay_batch(std::slice::from_ref(&trace), &request)
+        .expect_err("grouped(0) batch must be rejected");
+    assert!(matches!(err, ReplayError::Mismatch(_)), "{err}");
+    assert!(err.to_string().contains("grouped(0)"), "{err}");
+
+    // The rejection leaves the session usable.
+    session
+        .replay(&trace, &ReplayRequest::new().grouped(2))
+        .expect("a valid request after the rejected one");
 }

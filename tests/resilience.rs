@@ -210,7 +210,7 @@ proptest! {
             .expect("checkpoint");
         prop_assert_eq!(snapshot.at_access(), stop);
         let resumed = replayer
-            .resume_from(&snapshot, &captured.trace)
+            .replay_snapshot(&snapshot, &captured.trace)
             .expect("resume");
         prop_assert_eq!(resumed.metrics, serial.metrics);
         prop_assert_eq!(resumed.metrics, captured.live_metrics);
@@ -309,7 +309,7 @@ fn checkpoint_resume_fires_mid_lane_events_exactly_once() {
         // reproduce the uninterrupted run.
         for round in 0..2 {
             let resumed = replayer
-                .resume_from(&snapshot, &captured.trace)
+                .replay_snapshot(&snapshot, &captured.trace)
                 .expect("resume");
             assert_eq!(
                 resumed.metrics, serial.metrics,
@@ -332,7 +332,7 @@ fn checkpoint_boundaries_are_validated() {
         .expect("post-setup snapshot");
     assert_eq!(snapshot.at_access(), 0);
     let outcome = replayer
-        .resume_from(&snapshot, &captured.trace)
+        .replay_snapshot(&snapshot, &captured.trace)
         .expect("resume from post-setup");
     assert_eq!(outcome.metrics, captured.live_metrics);
 
