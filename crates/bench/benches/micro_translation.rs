@@ -1,6 +1,6 @@
 //! Micro-benchmarks (ablation) of the core mechanisms: TLB hits, local vs.
-//! remote page walks, native vs. replicated PTE updates and whole-tree
-//! replication.
+//! remote page walks, native vs. replicated PTE updates, whole-tree
+//! replication, and the setup layer (populate, footprint).
 //!
 //! These are not paper figures; they quantify the design choices called out
 //! in DESIGN.md (2N-reference eager updates, replica-ring lookups, walk cost
@@ -8,13 +8,14 @@
 //! itself.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use mitosis::{replicate_tree, MitosisPvOps};
+use mitosis::{replicate_tree, Mitosis, MitosisPvOps};
 use mitosis_mem::FrameKind;
 use mitosis_mmu::{Mmu, PteCacheSet};
-use mitosis_numa::{CoreId, MachineConfig, NodeMask, SocketId};
+use mitosis_numa::{CoreId, Machine, MachineConfig, NodeMask, SocketId};
 use mitosis_pt::{
     Mapper, NativePvOps, PageSize, PtEnv, Pte, PteFlags, PvOps, ReplicationSpec, VirtAddr,
 };
+use mitosis_vmm::{MmapFlags, Pid, System};
 use std::time::Duration;
 
 /// Builds a native page table with `pages` 4 KiB mappings on socket 0.
@@ -258,11 +259,75 @@ fn bench_tree_replication(c: &mut Criterion) {
     group.finish();
 }
 
+/// Bytes of the lazily mapped region the setup benches populate: 1024
+/// base pages, two leaf tables.
+const SETUP_REGION: u64 = 4 * 1024 * 1024;
+
+/// A process with a lazily mapped [`SETUP_REGION`] on the 4-socket testbed,
+/// with page-table replication on every socket when `replicated`.
+fn lazy_region(machine: &Machine, replicated: bool) -> (System, Pid, VirtAddr) {
+    let mut mitosis = Mitosis::new();
+    let mut system = if replicated {
+        mitosis.install(machine.clone())
+    } else {
+        System::new(machine.clone())
+    };
+    let pid = system.create_process(SocketId::new(0)).expect("process");
+    let region = system
+        .mmap(pid, SETUP_REGION, MmapFlags::lazy())
+        .expect("mmap");
+    if replicated {
+        mitosis
+            .enable_for_process(&mut system, pid, None)
+            .expect("replicate");
+    }
+    (system, pid, region)
+}
+
+fn bench_setup(c: &mut Criterion) {
+    let machine = MachineConfig::paper_testbed().build();
+    let mut group = c.benchmark_group("micro/populate");
+    group
+        .sample_size(20)
+        .warm_up_time(Duration::from_millis(300))
+        .measurement_time(Duration::from_secs(1));
+    for (label, replicated) in [("native", false), ("mitosis_4way", true)] {
+        group.bench_function(label, |b| {
+            b.iter_batched(
+                || lazy_region(&machine, replicated),
+                |(mut system, pid, region)| {
+                    system
+                        .populate_region(pid, region, SETUP_REGION, SocketId::new(0))
+                        .expect("populate");
+                    system
+                },
+                BatchSize::PerIteration,
+            );
+        });
+    }
+    group.finish();
+
+    let mut group = c.benchmark_group("micro/footprint");
+    group
+        .sample_size(20)
+        .warm_up_time(Duration::from_millis(300))
+        .measurement_time(Duration::from_secs(1));
+    group.bench_function("mitosis_4way", |b| {
+        let (mut system, pid, region) = lazy_region(&machine, true);
+        system
+            .populate_region(pid, region, SETUP_REGION, SocketId::new(0))
+            .expect("populate");
+        b.iter(|| system.footprint(pid).expect("footprint"));
+    });
+    group.finish();
+}
+
 criterion_group!(
     micro,
     bench_walks,
     bench_translation_throughput,
     bench_pte_updates,
-    bench_tree_replication
+    bench_tree_replication,
+    bench_setup
 );
 criterion_main!(micro);

@@ -17,7 +17,7 @@
 //!   walker used, so reads consolidate them with a logical OR across the
 //!   ring and clears reset every replica (paper §5.4).
 
-use mitosis_mem::{FrameId, FrameKind};
+use mitosis_mem::{FrameId, FrameKind, FrameTable};
 use mitosis_numa::SocketId;
 use mitosis_pt::{Level, PtContext, PtError, PtOpStats, Pte, PvOps, ReplicationSpec};
 
@@ -60,7 +60,7 @@ impl MitosisPvOps {
     /// Translates `pte` for the replica living on `replica_socket`: entries
     /// pointing at page-table pages are redirected to the same-socket child
     /// replica (when one exists); leaf/data entries are copied verbatim.
-    fn pte_for_replica(&mut self, ctx: &PtContext<'_>, pte: Pte, replica_socket: SocketId) -> Pte {
+    fn pte_for_replica(&mut self, frames: &FrameTable, pte: Pte, replica_socket: SocketId) -> Pte {
         if !pte.is_present() || pte.is_huge() {
             return pte;
         }
@@ -68,10 +68,10 @@ impl MitosisPvOps {
             Some(frame) => frame,
             None => return pte,
         };
-        match ctx.frames.kind(target) {
+        match frames.kind(target) {
             Some(FrameKind::PageTable { .. }) => {
                 self.stats.replica_ring_reads += 1;
-                match ctx.frames.replica_on_socket(target, replica_socket) {
+                match frames.replica_on_socket(target, replica_socket) {
                     Some(replica_child) => pte.with_frame(replica_child),
                     None => pte,
                 }
@@ -123,18 +123,16 @@ impl PvOps for MitosisPvOps {
     }
 
     fn set_pte(&mut self, ctx: &mut PtContext<'_>, table: FrameId, index: usize, pte: Pte) {
+        let frames = &*ctx.frames;
         // The written table itself is the replica of its own socket: child
         // pointers are localised to keep every socket's tree self-contained.
-        let own_socket = ctx.frames.socket_of(table);
-        let own = self.pte_for_replica(ctx, pte, own_socket);
+        let own = self.pte_for_replica(frames, pte, frames.socket_of(table));
         ctx.store.write(table, index, own);
         self.stats.pte_writes += 1;
         // Propagate to every other replica in the ring.
-        let ring = ctx.frames.replicas_of(table);
-        self.stats.replica_ring_reads += (ring.len() - 1) as u64;
-        for replica in ring.into_iter().skip(1) {
-            let replica_socket = ctx.frames.socket_of(replica);
-            let translated = self.pte_for_replica(ctx, pte, replica_socket);
+        for replica in frames.ring(table).skip(1) {
+            self.stats.replica_ring_reads += 1;
+            let translated = self.pte_for_replica(frames, pte, frames.socket_of(replica));
             ctx.store.write(replica, index, translated);
             self.stats.replica_pte_writes += 1;
         }
@@ -148,7 +146,7 @@ impl PvOps for MitosisPvOps {
         // Consolidate accessed/dirty bits across the ring (logical OR).
         let mut accessed = pte.flags().accessed;
         let mut dirty = pte.flags().dirty;
-        for replica in ctx.frames.replicas_of(table).into_iter().skip(1) {
+        for replica in ctx.frames.ring(table).skip(1) {
             let other = ctx.store.read(replica, index);
             accessed |= other.flags().accessed;
             dirty |= other.flags().dirty;
@@ -164,7 +162,7 @@ impl PvOps for MitosisPvOps {
     }
 
     fn clear_accessed_dirty(&mut self, ctx: &mut PtContext<'_>, table: FrameId, index: usize) {
-        for replica in ctx.frames.replicas_of(table) {
+        for replica in ctx.frames.ring(table) {
             let pte = ctx.store.read(replica, index);
             if pte.is_present() {
                 ctx.store.write(replica, index, pte.with_ad_cleared());

@@ -10,7 +10,7 @@
 use crate::error::MitosisError;
 use mitosis_mem::{FrameId, FrameKind};
 use mitosis_numa::{NodeMask, SocketId};
-use mitosis_pt::{Level, PtContext, PtRoots, Pte};
+use mitosis_pt::{Level, PtContext, PtRoots, PtSlot};
 
 /// Result of a tree replication.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -39,24 +39,6 @@ fn collect_tree(ctx: &PtContext<'_>, root: FrameId) -> Vec<(FrameId, Level)> {
         }
     }
     out
-}
-
-/// Translates `pte` for a replica on `socket`: pointers to page-table pages
-/// are redirected to the same-socket replica of the child.
-fn pte_for_socket(ctx: &PtContext<'_>, pte: Pte, socket: SocketId) -> Pte {
-    if !pte.is_present() || pte.is_huge() {
-        return pte;
-    }
-    let target = match pte.frame() {
-        Some(frame) => frame,
-        None => return pte,
-    };
-    if let Some(FrameKind::PageTable { .. }) = ctx.frames.kind(target) {
-        if let Some(replica) = ctx.frames.replica_on_socket(target, socket) {
-            return pte.with_frame(replica);
-        }
-    }
-    pte
 }
 
 /// Replicates the page-table tree rooted at `roots.base()` onto every socket
@@ -94,9 +76,11 @@ pub fn replicate_tree(
 
     // Pass 1: make sure every table has a replica frame on every requested
     // socket (children must exist before parents can point at them).
+    let mut ring = Vec::new();
     for (table, level) in &tree {
-        let mut ring = ctx.frames.replicas_of(*table);
-        let mut extended = false;
+        ring.clear();
+        ring.extend(ctx.frames.ring(*table));
+        let members = ring.len();
         for socket in &sockets {
             if ring
                 .iter()
@@ -117,9 +101,8 @@ pub fn replicate_tree(
             ctx.store.insert_table(frame);
             ring.push(frame);
             summary.replica_tables_created += 1;
-            extended = true;
         }
-        if extended {
+        if ring.len() > members {
             ctx.frames.link_replicas(&ring);
         }
     }
@@ -129,15 +112,46 @@ pub fn replicate_tree(
     // to the replicas on its own socket), so that after replication *every*
     // socket's tree — including the one holding the original pages — walks
     // only local page-table pages.
-    for (table, _) in &tree {
-        // Snapshot the present entries (bitmap-driven) before writing: the
-        // ring may include the table itself, whose child pointers get
-        // localised in place.
-        for (index, pte) in ctx.store.present_entries(*table) {
-            for replica in ctx.frames.replicas_of(*table) {
-                let socket = ctx.frames.socket_of(replica);
-                let translated = pte_for_socket(ctx, pte, socket);
-                ctx.store.write(replica, index, translated);
+    let mut members: Vec<(SocketId, PtSlot)> = Vec::new();
+    let mut children: Vec<FrameId> = Vec::new();
+    for (table, level) in &tree {
+        // Ring members' sockets and store slots, once per table; the table
+        // itself comes first.
+        members.clear();
+        members.extend(
+            ctx.frames
+                .ring(*table)
+                .map(|member| (ctx.frames.socket_of(member), ctx.store.slot(member))),
+        );
+        let source = members[0].1;
+        if *level == Level::L1 {
+            // Leaf entries point at data frames and are copied verbatim.
+            for index in ctx.store.present_indices(source) {
+                let pte = ctx.store.read_at(source, index);
+                for &(_, slot) in &members[1..] {
+                    ctx.store.write_at(slot, index, pte);
+                }
+            }
+            continue;
+        }
+        // The bitmap is snapshotted when the walk starts, and each entry is
+        // read before the table's own copy of it is rewritten.
+        for index in ctx.store.present_indices(source) {
+            let pte = ctx.store.read_at(source, index);
+            children.clear();
+            if let Some(child) = pte.frame().filter(|_| !pte.is_huge()) {
+                if let Some(FrameKind::PageTable { .. }) = ctx.frames.kind(child) {
+                    children.extend(ctx.frames.ring(child));
+                }
+            }
+            for &(socket, slot) in &members {
+                // The first child replica on the member's socket, as
+                // `FrameTable::replica_on_socket` would find it.
+                let translated = children
+                    .iter()
+                    .find(|child| ctx.frames.socket_of(**child) == socket)
+                    .map_or(pte, |child| pte.with_frame(*child));
+                ctx.store.write_at(slot, index, translated);
             }
         }
     }

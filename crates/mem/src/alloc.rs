@@ -10,17 +10,22 @@ use crate::error::MemError;
 use crate::fragmentation::FragmentationModel;
 use crate::frame::{FrameId, FrameSpace, FRAMES_PER_HUGE_PAGE};
 use mitosis_numa::{Machine, SocketId};
-use std::collections::BTreeSet;
 
 /// Per-socket allocation state.
 #[derive(Debug, Clone)]
 struct SocketPool {
+    /// First frame of the socket's range.
+    start: u64,
     /// Next never-allocated frame (bump pointer within the socket's range).
     next: u64,
     /// End of the socket's range (exclusive).
     end: u64,
     /// Frames returned by `free` that can be reused for 4 KiB allocations.
     free_list: Vec<FrameId>,
+    /// One bit per frame of `[start, next)`, set while the frame is
+    /// allocated.  Frames above the bump pointer were never handed out, so
+    /// the bitmap grows with `next` and costs nothing before allocation.
+    in_use: Vec<u64>,
     /// Number of frames currently allocated.
     allocated: u64,
     /// High-water mark of allocated frames.
@@ -30,6 +35,41 @@ struct SocketPool {
 impl SocketPool {
     fn free_frames(&self) -> u64 {
         (self.end - self.next) + self.free_list.len() as u64
+    }
+
+    /// Moves the bump pointer to `next`, growing the bitmap to cover it.
+    fn bump_to(&mut self, next: u64) {
+        self.next = next;
+        self.in_use
+            .resize((next - self.start).div_ceil(64) as usize, 0);
+    }
+
+    fn is_set(&self, pfn: u64) -> bool {
+        let bit = pfn - self.start;
+        self.in_use
+            .get((bit >> 6) as usize)
+            .is_some_and(|word| word & (1 << (bit & 63)) != 0)
+    }
+
+    /// Marks an allocated frame; it must lie below the bump pointer.
+    fn set(&mut self, pfn: u64) {
+        let bit = pfn - self.start;
+        self.in_use[(bit >> 6) as usize] |= 1 << (bit & 63);
+    }
+
+    /// Clears a frame's bit, returning `false` if it was not set.
+    fn clear(&mut self, pfn: u64) -> bool {
+        if !self.is_set(pfn) {
+            return false;
+        }
+        let bit = pfn - self.start;
+        self.in_use[(bit >> 6) as usize] &= !(1 << (bit & 63));
+        true
+    }
+
+    fn count_allocation(&mut self, frames: u64) {
+        self.allocated += frames;
+        self.peak_allocated = self.peak_allocated.max(self.allocated);
     }
 }
 
@@ -65,7 +105,6 @@ pub struct AllocStats {
 pub struct FrameAllocator {
     space: FrameSpace,
     pools: Vec<SocketPool>,
-    allocated: BTreeSet<FrameId>,
     fragmentation: FragmentationModel,
 }
 
@@ -81,9 +120,11 @@ impl FrameAllocator {
             .map(|s| {
                 let range = space.range_of(SocketId::new(s as u16));
                 SocketPool {
+                    start: range.start.pfn(),
                     next: range.start.pfn(),
                     end: range.end.pfn(),
                     free_list: Vec::new(),
+                    in_use: Vec::new(),
                     allocated: 0,
                     peak_allocated: 0,
                 }
@@ -92,7 +133,6 @@ impl FrameAllocator {
         FrameAllocator {
             space,
             pools,
-            allocated: BTreeSet::new(),
             fragmentation: FragmentationModel::none(),
         }
     }
@@ -102,32 +142,16 @@ impl FrameAllocator {
         self.fragmentation = model;
     }
 
-    /// Clones the allocator's per-socket bookkeeping (bump pointers, free
-    /// lists, counters, fragmentation model) but **not** the per-frame
-    /// `allocated` membership set, which dominates clone cost on populated
-    /// systems (one entry per allocated 4 KiB frame).
-    ///
-    /// The shell still serves fresh allocations correctly — the bump
-    /// pointers, free lists and counters ([`Self::total_allocated`],
-    /// [`Self::stats`]) are intact — but [`Self::is_allocated`] reports
-    /// `false` (and freeing fails) for frames allocated before the clone.
-    /// Partial replay snapshots use this when
-    /// the shardability analysis proves the run cannot fault: a run that
-    /// never allocates or frees never consults the membership set, and any
-    /// unexpected fault is caught afterwards by the demand-fault check and
-    /// re-run on a full clone.
-    pub fn clone_shell(&self) -> FrameAllocator {
-        FrameAllocator {
-            space: self.space.clone(),
-            pools: self.pools.clone(),
-            allocated: BTreeSet::new(),
-            fragmentation: self.fragmentation.clone(),
-        }
-    }
-
     /// The frame space this allocator manages.
     pub fn frame_space(&self) -> &FrameSpace {
         &self.space
+    }
+
+    /// The pool owning `frame`, or `None` for a frame outside the machine.
+    fn pool_of(&self, frame: FrameId) -> Option<usize> {
+        self.space
+            .contains(frame)
+            .then(|| self.space.socket_of(frame).index())
     }
 
     /// Allocates one 4 KiB frame on exactly the given socket.
@@ -144,14 +168,13 @@ impl FrameAllocator {
             frame
         } else if pool.next < pool.end {
             let frame = FrameId::new(pool.next);
-            pool.next += 1;
+            pool.bump_to(pool.next + 1);
             frame
         } else {
             return Err(MemError::OutOfMemory { socket });
         };
-        pool.allocated += 1;
-        pool.peak_allocated = pool.peak_allocated.max(pool.allocated);
-        self.allocated.insert(frame);
+        pool.set(frame.pfn());
+        pool.count_allocation(1);
         Ok(frame)
     }
 
@@ -203,14 +226,12 @@ impl FrameAllocator {
         for pfn in pool.next..aligned {
             pool.free_list.push(FrameId::new(pfn));
         }
-        pool.next = aligned + FRAMES_PER_HUGE_PAGE;
-        pool.allocated += FRAMES_PER_HUGE_PAGE;
-        pool.peak_allocated = pool.peak_allocated.max(pool.allocated);
-        let first = FrameId::new(aligned);
-        for i in 0..FRAMES_PER_HUGE_PAGE {
-            self.allocated.insert(first.offset(i));
+        pool.bump_to(aligned + FRAMES_PER_HUGE_PAGE);
+        for pfn in aligned..aligned + FRAMES_PER_HUGE_PAGE {
+            pool.set(pfn);
         }
-        Ok(first)
+        pool.count_allocation(FRAMES_PER_HUGE_PAGE);
+        Ok(FrameId::new(aligned))
     }
 
     /// Frees a previously allocated 4 KiB frame.
@@ -220,11 +241,13 @@ impl FrameAllocator {
     /// Returns [`MemError::NotAllocated`] if the frame is not currently
     /// allocated.
     pub fn free(&mut self, frame: FrameId) -> Result<(), MemError> {
-        if !self.allocated.remove(&frame) {
+        let pool = match self.pool_of(frame) {
+            Some(socket) => &mut self.pools[socket],
+            None => return Err(MemError::NotAllocated { pfn: frame.pfn() }),
+        };
+        if !pool.clear(frame.pfn()) {
             return Err(MemError::NotAllocated { pfn: frame.pfn() });
         }
-        let socket = self.space.socket_of(frame);
-        let pool = &mut self.pools[socket.index()];
         pool.free_list.push(frame);
         pool.allocated -= 1;
         Ok(())
@@ -245,7 +268,8 @@ impl FrameAllocator {
 
     /// Returns `true` if `frame` is currently allocated.
     pub fn is_allocated(&self, frame: FrameId) -> bool {
-        self.allocated.contains(&frame)
+        self.pool_of(frame)
+            .is_some_and(|socket| self.pools[socket].is_set(frame.pfn()))
     }
 
     /// Number of frames currently allocated across the whole machine.
@@ -354,6 +378,32 @@ mod tests {
         let mut alloc =
             FrameAllocator::with_frame_space(FrameSpace::with_frames_per_socket(1, 100));
         assert!(alloc.alloc_huge_on(SocketId::new(0)).is_err());
+    }
+
+    #[test]
+    fn membership_survives_a_clone_and_rejects_foreign_frames() {
+        let mut alloc = small_allocator();
+        let f = alloc.alloc_on(SocketId::new(1)).unwrap();
+        let huge = alloc.alloc_huge_on(SocketId::new(0)).unwrap();
+        let mut copy = alloc.clone();
+        assert!(copy.is_allocated(f) && copy.is_allocated(huge.offset(511)));
+        copy.free(f).unwrap();
+        copy.free_huge(huge).unwrap();
+        // The original is untouched by frees on the copy.
+        assert!(alloc.is_allocated(f) && alloc.is_allocated(huge));
+        // Frames never handed out, or outside the machine, are not
+        // allocated and cannot be freed.
+        for stray in [
+            FrameId::new(2047),
+            FrameId::new(4096),
+            FrameId::new(1 << 40),
+        ] {
+            assert!(!alloc.is_allocated(stray));
+            assert_eq!(
+                alloc.free(stray),
+                Err(MemError::NotAllocated { pfn: stray.pfn() })
+            );
+        }
     }
 
     #[test]

@@ -279,29 +279,41 @@ impl FrameTable {
         remaining
     }
 
+    /// Walks `frame`'s replica ring without allocating, yielding `frame`
+    /// first and then every other member in ring order.  A non-replicated
+    /// frame yields just itself, at the cost of one metadata probe.
+    ///
+    /// # Panics
+    ///
+    /// The iterator panics if the ring has more than 64 members (the
+    /// maximum socket count), which means the ring is corrupted.
+    pub fn ring(&self, frame: FrameId) -> impl Iterator<Item = FrameId> + '_ {
+        let mut cursor = Some(frame);
+        let mut yielded = 0;
+        std::iter::from_fn(move || {
+            let current = cursor?;
+            yielded += 1;
+            assert!(
+                yielded <= 64,
+                "replica ring longer than the maximum socket count; corrupted ring?"
+            );
+            cursor = self
+                .get(current)
+                .and_then(|m| m.replica_next)
+                .filter(|next| *next != frame);
+            Some(current)
+        })
+    }
+
     /// Returns every member of `frame`'s replica ring, starting with `frame`
     /// itself.  A non-replicated frame yields just `[frame]`.
     pub fn replicas_of(&self, frame: FrameId) -> Vec<FrameId> {
-        let mut out = vec![frame];
-        let mut cursor = frame;
-        while let Some(next) = self.get(cursor).and_then(|m| m.replica_next) {
-            if next == frame {
-                break;
-            }
-            out.push(next);
-            cursor = next;
-            assert!(
-                out.len() <= 64,
-                "replica ring longer than the maximum socket count; corrupted ring?"
-            );
-        }
-        out
+        self.ring(frame).collect()
     }
 
     /// Returns the replica of `frame` that lives on `socket`, if any.
     pub fn replica_on_socket(&self, frame: FrameId, socket: SocketId) -> Option<FrameId> {
-        self.replicas_of(frame)
-            .into_iter()
+        self.ring(frame)
             .find(|f| self.space.socket_of(*f) == socket)
     }
 
@@ -473,6 +485,40 @@ mod tests {
             1
         );
         assert_eq!(t.count_on_socket(SocketId::new(0), FrameKind::Data), 1);
+    }
+
+    #[test]
+    fn ring_walks_members_in_order_starting_anywhere() {
+        let mut t = table();
+        let frames: Vec<FrameId> = (0..4).map(|s| FrameId::new(s * 1000 + 3)).collect();
+        for &f in &frames {
+            t.insert(f, FrameKind::PageTable { level: 1 });
+        }
+        assert_eq!(t.ring(frames[2]).collect::<Vec<_>>(), vec![frames[2]]);
+        t.link_replicas(&frames);
+        assert_eq!(t.ring(frames[0]).collect::<Vec<_>>(), frames);
+        assert_eq!(
+            t.ring(frames[2]).collect::<Vec<_>>(),
+            vec![frames[2], frames[3], frames[0], frames[1]]
+        );
+        // An untracked frame is its own one-member ring.
+        assert_eq!(
+            t.ring(FrameId::new(42)).collect::<Vec<_>>(),
+            vec![FrameId::new(42)]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "corrupted ring")]
+    fn ring_walk_stops_on_a_corrupted_ring() {
+        let mut t = FrameTable::new(FrameSpace::with_frames_per_socket(1, 4096));
+        let frames: Vec<FrameId> = (0..70).map(FrameId::new).collect();
+        for &f in &frames {
+            t.insert(f, FrameKind::PageTable { level: 1 });
+        }
+        // A 70-member ring cannot come from a machine of at most 64 sockets.
+        t.link_replicas(&frames);
+        let _ = t.ring(frames[0]).count();
     }
 
     #[test]

@@ -54,9 +54,10 @@ impl PageCache {
         self.target_per_socket
     }
 
-    /// Number of reserved frames currently held for `socket`.
+    /// Number of reserved frames currently held for `socket` (0 for a
+    /// socket the machine lacks).
     pub fn reserved(&self, socket: SocketId) -> usize {
-        self.reserves[socket.index()].len()
+        self.reserves.get(socket.index()).map_or(0, Vec::len)
     }
 
     /// Tops up every socket's reserve to the configured target.
@@ -86,17 +87,22 @@ impl PageCache {
     ///
     /// # Errors
     ///
-    /// Returns [`MemError::PageCacheEmpty`] if strict allocation, the
-    /// reserve and the machine-wide fallback all fail.
+    /// Returns [`MemError::OutOfMemory`] for a socket the machine lacks, and
+    /// [`MemError::PageCacheEmpty`] if strict allocation, the reserve and
+    /// the machine-wide fallback all fail.
     pub fn alloc_pagetable_frame(
         &mut self,
         alloc: &mut FrameAllocator,
         socket: SocketId,
     ) -> Result<FrameId, MemError> {
+        let reserve = self
+            .reserves
+            .get_mut(socket.index())
+            .ok_or(MemError::OutOfMemory { socket })?;
         if let Ok(frame) = alloc.alloc_on(socket) {
             return Ok(frame);
         }
-        if let Some(frame) = self.reserves[socket.index()].pop() {
+        if let Some(frame) = reserve.pop() {
             return Ok(frame);
         }
         alloc
@@ -183,6 +189,23 @@ mod tests {
         assert_eq!(cache.reserved(SocketId::new(0)), 1);
         assert!(!alloc.is_allocated(b));
         assert!(alloc.is_allocated(a));
+    }
+
+    #[test]
+    fn a_socket_the_machine_lacks_is_an_error_not_a_panic() {
+        let mut alloc = FrameAllocator::with_frame_space(FrameSpace::with_frames_per_socket(2, 64));
+        let mut cache = PageCache::new(2, 1);
+        cache.refill(&mut alloc).unwrap();
+        let missing = SocketId::new(9);
+        assert_eq!(cache.reserved(missing), 0);
+        assert_eq!(
+            cache.alloc_pagetable_frame(&mut alloc, missing),
+            Err(MemError::OutOfMemory { socket: missing })
+        );
+        // Nothing was taken from another socket's memory or reserve.
+        assert_eq!(alloc.total_allocated(), 2);
+        assert_eq!(cache.reserved(SocketId::new(0)), 1);
+        assert_eq!(cache.reserved(SocketId::new(1)), 1);
     }
 
     #[test]

@@ -93,12 +93,15 @@ impl PolicyEngine {
             PlacementPolicy::FirstTouch => faulting_socket,
             PlacementPolicy::Bind(socket) | PlacementPolicy::Preferred(socket) => socket,
             PlacementPolicy::Interleave(mask) => {
-                let sockets: Vec<SocketId> = mask.iter().collect();
-                if sockets.is_empty() {
+                if mask.is_empty() {
                     return faulting_socket;
                 }
-                let socket = sockets[self.interleave.next % sockets.len()];
-                self.interleave.next = (self.interleave.next + 1) % sockets.len();
+                let count = mask.count();
+                let socket = mask
+                    .iter()
+                    .nth(self.interleave.next % count)
+                    .expect("the cursor indexes a socket of the mask");
+                self.interleave.next = (self.interleave.next + 1) % count;
                 socket
             }
         }

@@ -75,4 +75,7 @@ pub use ops::{
 };
 pub use store::{PtSlot, PtStore};
 pub use tx::{MappingTx, ShootdownPlan, ShootdownRange};
-pub use walk::{iter_leaf_mappings, translate, LeafMapping, Translation};
+pub use walk::{
+    for_each_leaf, for_each_table, iter_leaf_mappings, table_at, translate, LeafMapping,
+    Translation,
+};

@@ -239,31 +239,28 @@ impl PtStore {
     /// the occupancy bitmap drives the iteration, so empty stretches of the
     /// table cost one popcount instead of 64 reads.
     pub fn present_at(&self, slot: PtSlot) -> impl Iterator<Item = (usize, Pte)> + '_ {
-        let table = &self.slots[slot.0 as usize];
-        table
-            .occupancy
-            .iter()
+        let entries = &self.slots[slot.0 as usize].entries;
+        self.present_indices(slot)
+            .map(move |index| (index, entries[index]))
+    }
+
+    /// The indices of the present entries of the table behind `slot`, in
+    /// ascending order.  The iterator owns a copy of the occupancy bitmap,
+    /// so the caller may write the store — this table included — while
+    /// walking it; the walk still covers exactly the entries present when it
+    /// started.
+    pub fn present_indices(&self, slot: PtSlot) -> impl Iterator<Item = usize> {
+        let occupancy = self.slots[slot.0 as usize].occupancy;
+        occupancy
+            .into_iter()
             .enumerate()
-            .flat_map(move |(word_index, &word)| {
+            .flat_map(|(word_index, word)| {
                 std::iter::successors((word != 0).then_some(word), |w| {
                     let rest = w & (w - 1);
                     (rest != 0).then_some(rest)
                 })
-                .map(move |w| {
-                    let index = (word_index << 6) | w.trailing_zeros() as usize;
-                    (index, table.entries[index])
-                })
+                .map(move |w| (word_index << 6) | w.trailing_zeros() as usize)
             })
-    }
-
-    /// Iterates over the present entries of the table in `frame` as
-    /// `(index, pte)` pairs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `frame` is not a page-table page.
-    pub fn present_entries(&self, frame: FrameId) -> Vec<(usize, Pte)> {
-        self.present_at(self.slot(frame)).collect()
     }
 
     /// Number of present entries in the table in `frame`, by popcount.
@@ -375,7 +372,7 @@ mod tests {
         store.write(FrameId::new(1), 511, pte);
         store.write(FrameId::new(1), 0, pte);
         assert_eq!(store.read(FrameId::new(1), 511), pte);
-        let entries = store.present_entries(FrameId::new(1));
+        let entries: Vec<_> = store.present_at(store.slot(FrameId::new(1))).collect();
         assert_eq!(entries.len(), 2);
         assert_eq!(entries[0].0, 0);
         assert_eq!(entries[1].0, 511);
@@ -441,7 +438,12 @@ mod tests {
         assert_eq!(store.present_count(FrameId::new(1)), 2);
         store.write(FrameId::new(1), 63, Pte::EMPTY);
         assert_eq!(store.present_count(FrameId::new(1)), 1);
-        assert_eq!(store.present_entries(FrameId::new(1)), vec![(64, pte)]);
+        assert_eq!(
+            store
+                .present_at(store.slot(FrameId::new(1)))
+                .collect::<Vec<_>>(),
+            vec![(64, pte)]
+        );
     }
 
     #[test]
@@ -474,6 +476,25 @@ mod tests {
             })
             .collect();
         assert_eq!(seen, indices);
+    }
+
+    #[test]
+    fn present_indices_snapshot_the_bitmap() {
+        let mut store = PtStore::new();
+        store.insert_table(FrameId::new(3));
+        let slot = store.slot(FrameId::new(3));
+        let pte = Pte::new(FrameId::new(77), PteFlags::user_data());
+        for index in [5usize, 64, 300] {
+            store.write_at(slot, index, pte);
+        }
+        let mut seen = Vec::new();
+        for index in store.present_indices(slot) {
+            // Writes during the walk neither add nor drop visited indices.
+            store.write_at(slot, index, Pte::EMPTY);
+            store.write_at(slot, 511 - index, pte);
+            seen.push(index);
+        }
+        assert_eq!(seen, vec![5, 64, 300]);
     }
 
     #[test]

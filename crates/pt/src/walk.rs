@@ -74,14 +74,44 @@ pub fn translate(store: &PtStore, root: FrameId, addr: VirtAddr) -> Option<Trans
     None
 }
 
+/// Returns the page-table page at `level` on the path to `addr` in the tree
+/// rooted at `root`, or `None` if an entry above that level is absent or
+/// maps a large page.
+pub fn table_at(store: &PtStore, root: FrameId, addr: VirtAddr, level: Level) -> Option<FrameId> {
+    let mut table = root;
+    for upper in Level::WALK_ORDER {
+        if upper == level {
+            return Some(table);
+        }
+        let pte = store.read_at(store.slot(table), addr.index_at(upper));
+        if !pte.is_present() || pte.is_huge() {
+            return None;
+        }
+        table = pte.frame()?;
+    }
+    None
+}
+
 /// Enumerates every leaf mapping reachable from `root`, in address order.
 pub fn iter_leaf_mappings(store: &PtStore, root: FrameId) -> Vec<LeafMapping> {
     let mut out = Vec::new();
-    collect(store, root, Level::L4, 0, &mut out);
+    for_each_leaf(store, root, |leaf| out.push(leaf));
     out
 }
 
-fn collect(store: &PtStore, table: FrameId, level: Level, base: u64, out: &mut Vec<LeafMapping>) {
+/// Calls `visit` for every leaf mapping reachable from `root`, in address
+/// order — [`iter_leaf_mappings`] without building the list.
+pub fn for_each_leaf(store: &PtStore, root: FrameId, mut visit: impl FnMut(LeafMapping)) {
+    visit_leaves(store, root, Level::L4, 0, &mut visit);
+}
+
+fn visit_leaves(
+    store: &PtStore,
+    table: FrameId,
+    level: Level,
+    base: u64,
+    visit: &mut impl FnMut(LeafMapping),
+) {
     // The occupancy bitmap yields present entries directly; sparse tables
     // (the common case above the leaf level) cost popcounts, not 512 reads.
     for (index, pte) in store.present_at(store.slot(table)) {
@@ -94,7 +124,7 @@ fn collect(store: &PtStore, table: FrameId, level: Level, base: u64, out: &mut V
                 Level::L3 => PageSize::Giant1G,
                 Level::L4 => continue,
             };
-            out.push(LeafMapping {
+            visit(LeafMapping {
                 addr: VirtAddr::new(entry_base),
                 frame: pte.frame().expect("present leaf entry has a frame"),
                 size,
@@ -102,7 +132,27 @@ fn collect(store: &PtStore, table: FrameId, level: Level, base: u64, out: &mut V
             });
         } else if let Some(next) = level.next_lower() {
             let child = pte.frame().expect("present table entry has a frame");
-            collect(store, child, next, entry_base, out);
+            visit_leaves(store, child, next, entry_base, visit);
+        }
+    }
+}
+
+/// Calls `visit` for every page-table page reachable from `root`, parents
+/// before children.  Leaf (L1) tables are visited without reading their
+/// entries, so counting tables costs a scan of the upper levels only.
+pub fn for_each_table(store: &PtStore, root: FrameId, mut visit: impl FnMut(FrameId)) {
+    visit_tables(store, root, Level::L4, &mut visit);
+}
+
+fn visit_tables(store: &PtStore, table: FrameId, level: Level, visit: &mut impl FnMut(FrameId)) {
+    visit(table);
+    let Some(lower) = level.next_lower() else {
+        return;
+    };
+    for (_, pte) in store.present_at(store.slot(table)) {
+        if !pte.is_huge() {
+            let child = pte.frame().expect("present table entry has a frame");
+            visit_tables(store, child, lower, visit);
         }
     }
 }
@@ -179,6 +229,32 @@ mod tests {
         let (store, root) = build();
         assert!(translate(&store, root, VirtAddr::new(0x1000)).is_none());
         assert!(translate(&store, root, VirtAddr::new(0x4000_2000)).is_none());
+    }
+
+    #[test]
+    fn table_at_stops_at_the_requested_level() {
+        let (store, root) = build();
+        let va = VirtAddr::new(0x4000_0000);
+        assert_eq!(table_at(&store, root, va, Level::L4), Some(root));
+        assert_eq!(table_at(&store, root, va, Level::L1), Some(FrameId::new(3)));
+        // Under the 2 MiB leaf there is no L1 table; in the next 512 GiB
+        // slot there is no L3 table.
+        assert_eq!(
+            table_at(&store, root, VirtAddr::new(0x4020_0000), Level::L1),
+            None
+        );
+        assert_eq!(
+            table_at(&store, root, VirtAddr::new(0x80_0000_0000), Level::L3),
+            None
+        );
+    }
+
+    #[test]
+    fn for_each_table_visits_every_table_once() {
+        let (store, root) = build();
+        let mut seen = Vec::new();
+        for_each_table(&store, root, |table| seen.push(table.pfn()));
+        assert_eq!(seen, vec![0, 1, 2, 3]);
     }
 
     #[test]

@@ -4,11 +4,11 @@ use crate::config::{PtPlacement, ShootdownMode, ThpMode, VmmConfig};
 use crate::error::VmError;
 use crate::process::{AddressSpace, Pid, Process};
 use crate::vma::{Protection, Vma};
-use mitosis_mem::{CowRefCounts, FrameId, FrameKind, MemError};
+use mitosis_mem::{CowRefCounts, FrameId, FrameKind, MemError, PolicyEngine, BASE_PAGE_SIZE};
 use mitosis_numa::{Machine, SocketId};
 use mitosis_pt::{
-    Level, Mapper, MappingTx, NativePvOps, PageSize, PageTableDump, PtEnv, Pte, PteFlags, PvOps,
-    ShootdownPlan, Translation, VirtAddr,
+    Level, Mapper, MappingTx, NativePvOps, PageSize, PageTableDump, PtContext, PtEnv, Pte,
+    PteFlags, PvOps, ReplicationSpec, ShootdownPlan, Translation, VirtAddr,
 };
 use std::collections::BTreeMap;
 
@@ -272,16 +272,16 @@ impl System {
     ///
     /// Returns an error if the page-table root cannot be allocated.
     pub fn create_process(&mut self, home_socket: SocketId) -> Result<Pid, VmError> {
-        let pid = Pid::new(self.next_pid);
-        self.next_pid += 1;
         let pt_socket = self.config.pt_placement.resolve(home_socket);
         let mut ctx = self.env.context();
         let roots = Mapper::create_roots(
             self.ops.as_mut(),
             &mut ctx,
             pt_socket,
-            mitosis_pt::ReplicationSpec::none(),
+            ReplicationSpec::none(),
         )?;
+        let pid = Pid::new(self.next_pid);
+        self.next_pid += 1;
         let process = Process::new(pid, home_socket, AddressSpace::new(roots));
         self.processes.insert(pid, process);
         Ok(pid)
@@ -315,6 +315,12 @@ impl System {
     /// Faults in every page of `[addr, addr + length)` as if touched by a
     /// thread running on `socket`.
     ///
+    /// The result is exactly that of calling [`System::handle_fault`] page
+    /// by page.  Once a fault maps a 4 KiB page, the rest of that leaf
+    /// table's 2 MiB window is mapped directly through the table instead of
+    /// walking from the root per page, unless a transparent huge page could
+    /// still back part of it.
+    ///
     /// # Errors
     ///
     /// Propagates fault-handling errors; pages already mapped are skipped.
@@ -330,8 +336,85 @@ impl System {
         while cursor < end {
             let outcome = self.handle_fault(pid, cursor, socket)?;
             cursor = outcome.addr.add(outcome.size.bytes());
+            if outcome.size == PageSize::Base4K && !outcome.already_mapped {
+                cursor = self.populate_leaf_window(pid, outcome.addr, end, socket)?;
+            }
         }
         Ok(())
+    }
+
+    /// Maps the pages after `faulted` — a base page a fault just mapped — up
+    /// to the next 2 MiB boundary, `end` or the end of the VMA, exactly as
+    /// per-page [`System::handle_fault`] calls would, and returns the
+    /// address where those calls would continue.
+    ///
+    /// The window shares `faulted`'s leaf table, so each page costs one
+    /// entry probe plus the base-page step the fault handler runs
+    /// ([`map_base_page`]); present entries are skipped like spurious
+    /// faults.  A fault would try a transparent huge page first, though,
+    /// and a failed attempt has side effects (a fragmentation draw, frames
+    /// skipped for alignment refilling the free list), so the window is
+    /// left to the per-page path unless THP provably cannot take it.
+    fn populate_leaf_window(
+        &mut self,
+        pid: Pid,
+        faulted: VirtAddr,
+        end: VirtAddr,
+        socket: SocketId,
+    ) -> Result<VirtAddr, VmError> {
+        let from = faulted.add(PageSize::Base4K.bytes());
+        let huge_start = faulted.align_down(PageSize::Huge2M);
+        let thp = self.config.thp.is_enabled();
+        let process = self
+            .processes
+            .get_mut(&pid)
+            .ok_or(VmError::NoSuchProcess { pid })?;
+        let vma = process
+            .address_space()
+            .vmas()
+            .find(faulted)
+            .ok_or(VmError::SegmentationFault { addr: faulted })?;
+        let window_end = huge_start
+            .add(PageSize::Huge2M.bytes())
+            .min(end)
+            .min(vma.end());
+        if from >= window_end {
+            return Ok(from);
+        }
+        let root = process.address_space().roots().base();
+        let store = &self.env.store;
+        let thp_may_take_window = thp
+            && vma.thp_eligible()
+            && vma.fits_huge_page(faulted)
+            && mitosis_pt::translate(store, root, huge_start).is_none();
+        if thp_may_take_window {
+            return Ok(from);
+        }
+        let flags = leaf_flags(vma.protection());
+        let leaf = mitosis_pt::table_at(store, root, faulted, Level::L1)
+            .expect("the page just faulted in hangs off a leaf table");
+        let slot = store.slot(leaf);
+        let mut ctx = self.env.context();
+        let mut page = from;
+        while page < window_end {
+            if !ctx
+                .store
+                .read_at(slot, page.index_at(Level::L1))
+                .is_present()
+            {
+                map_base_page(
+                    self.ops.as_mut(),
+                    &mut ctx,
+                    process.data_policy_mut(),
+                    socket,
+                    page,
+                    flags,
+                    LeafPath::Table(leaf),
+                )?;
+            }
+            page = page.add(PageSize::Base4K.bytes());
+        }
+        Ok(window_end)
     }
 
     /// Handles a page fault at `addr` raised by a thread running on
@@ -381,11 +464,7 @@ impl System {
             });
         }
 
-        let flags = if protection.is_writable() {
-            PteFlags::user_data()
-        } else {
-            PteFlags::user_readonly()
-        };
+        let flags = leaf_flags(protection);
         let pt_socket = config.pt_placement.resolve(socket);
 
         // Try a transparent huge page first.
@@ -428,17 +507,18 @@ impl System {
 
         // Base-page path.
         let page_addr = addr.align_down(PageSize::Base4K);
-        let frame = process.data_policy_mut().alloc_data(ctx.alloc, socket)?;
-        ctx.frames.insert(frame, FrameKind::Data);
-        mapper.map(
+        let frame = map_base_page(
             self.ops.as_mut(),
             &mut ctx,
+            process.data_policy_mut(),
+            socket,
             page_addr,
-            frame,
-            PageSize::Base4K,
             flags,
-            pt_socket,
-            replication,
+            LeafPath::Walk {
+                mapper,
+                pt_socket,
+                replication,
+            },
         )?;
         Ok(FaultOutcome {
             addr: page_addr,
@@ -469,7 +549,20 @@ impl System {
             return self.handle_fault(pid, addr, socket);
         }
         let t = match self.translate(pid, addr)? {
-            None => return self.handle_fault(pid, addr, socket),
+            None => {
+                // Demand paging maps by the area's protection; a store
+                // into a read-only area must not be satisfied by it.
+                let writable = self
+                    .process(pid)?
+                    .address_space()
+                    .vmas()
+                    .find(addr)
+                    .is_some_and(|vma| vma.protection().is_writable());
+                if !writable {
+                    return Err(VmError::SegmentationFault { addr });
+                }
+                return self.handle_fault(pid, addr, socket);
+            }
             Some(t) => t,
         };
         if t.pte.flags().writable {
@@ -908,10 +1001,15 @@ impl System {
 
     /// Changes the protection of `[addr, addr + length)` (`mprotect`).
     ///
+    /// Areas the range covers in part are split at its edges, so only the
+    /// covered pieces change protection; a range may span several areas.
+    ///
     /// # Errors
     ///
-    /// Returns [`VmError::SegmentationFault`] if the range is not covered by
-    /// a VMA.
+    /// Returns [`VmError::InvalidArgument`] for a zero or unaligned range,
+    /// or one whose edge falls inside a huge-page mapping (demote it
+    /// first), and [`VmError::SegmentationFault`] if no VMA covers `addr`.
+    /// Nothing changes when an error is returned.
     pub fn mprotect(
         &mut self,
         pid: Pid,
@@ -919,7 +1017,10 @@ impl System {
         length: u64,
         protection: Protection,
     ) -> Result<(), VmError> {
-        if length == 0 {
+        if length == 0
+            || !length.is_multiple_of(PageSize::Base4K.bytes())
+            || !addr.is_aligned(PageSize::Base4K)
+        {
             return Err(VmError::InvalidArgument);
         }
         let ranged = self.config.shootdown.is_ranged();
@@ -928,24 +1029,24 @@ impl System {
             .processes
             .get_mut(&pid)
             .ok_or(VmError::NoSuchProcess { pid })?;
-        {
-            let vma = process
-                .address_space_mut()
-                .vmas_mut()
-                .find_mut(addr)
-                .ok_or(VmError::SegmentationFault { addr })?;
-            if vma.start() == addr && vma.length() == length {
-                vma.set_protection(protection);
-            }
+        if process.address_space().vmas().find(addr).is_none() {
+            return Err(VmError::SegmentationFault { addr });
         }
         let roots = process.address_space().roots().clone();
+        for &edge in &[addr, addr.add(length)] {
+            if let Some(t) = mitosis_pt::translate(&self.env.store, roots.base(), edge) {
+                if edge.align_down(t.size) < edge {
+                    return Err(VmError::InvalidArgument);
+                }
+            }
+        }
+        process
+            .address_space_mut()
+            .vmas_mut()
+            .protect_range(addr, length, protection);
         let mut ctx = self.env.context();
         let mapper = Mapper::new(&roots);
-        let flags = if protection.is_writable() {
-            PteFlags::user_data()
-        } else {
-            PteFlags::user_readonly()
-        };
+        let flags = leaf_flags(protection);
         let mut cursor = addr;
         let end = addr.add(length);
         while cursor < end {
@@ -1127,26 +1228,29 @@ impl System {
     /// Computes the per-socket memory footprint (data and page-table pages)
     /// of a process, including page-table replicas.
     ///
+    /// Data bytes come from one walk of the base tree; page-table pages are
+    /// counted by walking each distinct root, without reading the entries
+    /// of leaf tables.
+    ///
     /// # Errors
     ///
     /// Returns [`VmError::NoSuchProcess`] for an unknown pid.
     pub fn footprint(&self, pid: Pid) -> Result<MemoryFootprint, VmError> {
         let process = self.process(pid)?;
         let sockets = self.machine.sockets();
+        let space = self.env.frames.frame_space();
         let mut footprint = MemoryFootprint {
             data_bytes: vec![0; sockets],
             pagetable_bytes: vec![0; sockets],
         };
         let roots = process.address_space().roots();
-        for mapping in mitosis_pt::iter_leaf_mappings(&self.env.store, roots.base()) {
-            let socket = self.env.frames.socket_of(mapping.frame);
-            footprint.data_bytes[socket.index()] += mapping.size.bytes();
-        }
+        mitosis_pt::for_each_leaf(&self.env.store, roots.base(), |leaf| {
+            footprint.data_bytes[space.socket_of(leaf.frame).index()] += leaf.size.bytes();
+        });
         for root in roots.distinct_roots() {
-            let dump = PageTableDump::capture(&self.env.store, &self.env.frames, root);
-            for cell in dump.cells() {
-                footprint.pagetable_bytes[cell.socket.index()] += cell.table_pages * 4096;
-            }
+            mitosis_pt::for_each_table(&self.env.store, root, |table| {
+                footprint.pagetable_bytes[space.socket_of(table).index()] += BASE_PAGE_SIZE;
+            });
         }
         Ok(footprint)
     }
@@ -1167,13 +1271,12 @@ impl System {
     /// Clones only the state a replay restricted to `sockets` and the
     /// half-open virtual-address `va_ranges` of `pid` can touch: the
     /// page-table subtrees reachable from those sockets' roots
-    /// ([`PtStore::clone_reachable`](mitosis_pt::PtStore::clone_reachable)),
-    /// the frame metadata of those sockets' frame ranges
-    /// ([`FrameTable::clone_ranges`](mitosis_mem::FrameTable::clone_ranges))
-    /// and the allocator's bookkeeping shell
-    /// ([`FrameAllocator::clone_shell`](mitosis_mem::FrameAllocator::clone_shell)),
-    /// plus all the cheap whole-system state (machine, PV-Ops backend,
-    /// processes, VMAs, page cache).
+    /// ([`PtStore::clone_reachable`](mitosis_pt::PtStore::clone_reachable))
+    /// and the frame metadata of those sockets' frame ranges
+    /// ([`FrameTable::clone_ranges`](mitosis_mem::FrameTable::clone_ranges)),
+    /// plus the whole-system state that is cheap to copy: machine, PV-Ops
+    /// backend, processes, VMAs, page cache and the frame allocator, whose
+    /// membership bitmaps cost one bit per frame ever allocated.
     ///
     /// The result is a fraction of a full [`Clone`] on populated systems,
     /// but it is only equivalent for runs that stay within the declared
@@ -1202,7 +1305,7 @@ impl System {
         let env = PtEnv {
             store: self.env.store.clone_reachable(&roots, va_ranges),
             frames: self.env.frames.clone_ranges(&frame_ranges),
-            alloc: self.env.alloc.clone_shell(),
+            alloc: self.env.alloc.clone(),
             page_cache: self.env.page_cache.clone(),
         };
         Ok(System {
@@ -1216,6 +1319,64 @@ impl System {
             pending: self.pending.clone(),
         })
     }
+}
+
+/// Leaf flags for a data page of an area with `protection`.
+fn leaf_flags(protection: Protection) -> PteFlags {
+    if protection.is_writable() {
+        PteFlags::user_data()
+    } else {
+        PteFlags::user_readonly()
+    }
+}
+
+/// How [`map_base_page`] reaches the leaf entry of the page it maps.
+enum LeafPath<'a> {
+    /// Walk from the base root, allocating missing tables on `pt_socket`.
+    Walk {
+        mapper: Mapper<'a>,
+        pt_socket: SocketId,
+        replication: ReplicationSpec,
+    },
+    /// The page's leaf (L1) table, already resolved by the caller.
+    Table(FrameId),
+}
+
+/// The base-page step of a demand fault, shared by [`System::handle_fault`]
+/// and the leaf-table populate: allocates a data frame by the process'
+/// placement `policy` for a thread on `socket`, records it, and maps it at
+/// `page`.
+fn map_base_page(
+    ops: &mut dyn PvOps,
+    ctx: &mut PtContext<'_>,
+    policy: &mut PolicyEngine,
+    socket: SocketId,
+    page: VirtAddr,
+    flags: PteFlags,
+    leaf: LeafPath<'_>,
+) -> Result<FrameId, VmError> {
+    let frame = policy.alloc_data(ctx.alloc, socket)?;
+    ctx.frames.insert(frame, FrameKind::Data);
+    match leaf {
+        LeafPath::Walk {
+            mapper,
+            pt_socket,
+            replication,
+        } => mapper.map(
+            ops,
+            ctx,
+            page,
+            frame,
+            PageSize::Base4K,
+            flags,
+            pt_socket,
+            replication,
+        )?,
+        LeafPath::Table(table) => {
+            ops.set_pte(ctx, table, page.index_at(Level::L1), Pte::new(frame, flags));
+        }
+    }
+    Ok(frame)
 }
 
 #[cfg(test)]
@@ -1606,6 +1767,115 @@ mod tests {
                 .protection(),
             Protection::ReadOnly
         );
+    }
+
+    #[test]
+    fn partial_mprotect_splits_the_area_and_guards_later_writes() {
+        let mut sys = system();
+        let pid = sys.create_process(SocketId::new(0)).unwrap();
+        let addr = sys.mmap(pid, 4 * 4096, MmapFlags::lazy()).unwrap();
+        sys.handle_fault(pid, addr, SocketId::new(0)).unwrap();
+        sys.mprotect(pid, addr, 2 * 4096, Protection::ReadOnly)
+            .unwrap();
+        // Page 1 is unmapped but now read-only: a store faults, a load
+        // maps it read-only.
+        let page1 = addr.add(4096);
+        assert_eq!(
+            sys.handle_fault_access(pid, page1, SocketId::new(0), true),
+            Err(VmError::SegmentationFault { addr: page1 })
+        );
+        let read = sys
+            .handle_fault_access(pid, page1, SocketId::new(0), false)
+            .unwrap();
+        assert!(!read.already_mapped);
+        assert!(
+            !sys.translate(pid, page1)
+                .unwrap()
+                .unwrap()
+                .pte
+                .flags()
+                .writable
+        );
+        // The tail keeps its protection.
+        let page2 = addr.add(2 * 4096);
+        sys.handle_fault_access(pid, page2, SocketId::new(0), true)
+            .unwrap();
+        assert!(
+            sys.translate(pid, page2)
+                .unwrap()
+                .unwrap()
+                .pte
+                .flags()
+                .writable
+        );
+        let layout: Vec<(VirtAddr, u64, Protection)> = sys
+            .process(pid)
+            .unwrap()
+            .address_space()
+            .vmas()
+            .iter()
+            .map(|v| (v.start(), v.length(), v.protection()))
+            .collect();
+        assert_eq!(
+            layout,
+            vec![
+                (addr, 2 * 4096, Protection::ReadOnly),
+                (page2, 2 * 4096, Protection::ReadWrite)
+            ]
+        );
+    }
+
+    #[test]
+    fn mprotect_through_a_huge_page_is_rejected_before_any_change() {
+        let mut sys = system();
+        sys.set_thp(ThpMode::Always);
+        let pid = sys.create_process(SocketId::new(0)).unwrap();
+        let len = 2 * 1024 * 1024;
+        let addr = sys.mmap(pid, len, MmapFlags::populate()).unwrap();
+        assert_eq!(
+            sys.mprotect(pid, addr, 4096, Protection::ReadOnly),
+            Err(VmError::InvalidArgument)
+        );
+        assert!(
+            sys.translate(pid, addr)
+                .unwrap()
+                .unwrap()
+                .pte
+                .flags()
+                .writable
+        );
+        let vmas = sys.process(pid).unwrap().address_space().vmas().clone();
+        assert_eq!(vmas.len(), 1);
+        assert_eq!(vmas.find(addr).unwrap().protection(), Protection::ReadWrite);
+        // The whole huge page can change protection.
+        sys.mprotect(pid, addr, len, Protection::ReadOnly).unwrap();
+        assert!(
+            !sys.translate(pid, addr)
+                .unwrap()
+                .unwrap()
+                .pte
+                .flags()
+                .writable
+        );
+    }
+
+    #[test]
+    fn sockets_the_machine_lacks_are_errors_not_panics() {
+        let mut sys = system();
+        assert!(matches!(
+            sys.create_process(SocketId::new(9)),
+            Err(VmError::Mem(_))
+        ));
+        sys.set_pt_placement(PtPlacement::Fixed(SocketId::new(7)));
+        assert!(matches!(
+            sys.create_process(SocketId::new(0)),
+            Err(VmError::Mem(_))
+        ));
+        assert!(sys.pids().is_empty());
+        // A failed creation consumes no pid.
+        sys.set_pt_placement(PtPlacement::Local);
+        let pid = sys.create_process(SocketId::new(1)).unwrap();
+        assert_eq!(pid, Pid::new(1));
     }
 
     #[test]

@@ -239,6 +239,18 @@ impl VmaSet {
         removed
     }
 
+    /// Sets the protection of `[start, start + length)` (`mprotect`):
+    /// areas are split at the range edges as by [`Self::remove_range`], and
+    /// every piece inside the range — across as many areas as it spans —
+    /// takes `protection`.
+    pub fn protect_range(&mut self, start: VirtAddr, length: u64, protection: Protection) {
+        for mut piece in self.remove_range(start, length) {
+            piece.set_protection(protection);
+            self.areas.push(piece);
+        }
+        self.areas.sort_by_key(|v| v.start());
+    }
+
     /// Returns the lowest address at or above `hint` where a `length`-byte
     /// region fits without overlapping any area.
     pub fn find_free_region(&self, hint: VirtAddr, length: u64) -> VirtAddr {
@@ -339,6 +351,40 @@ mod tests {
         assert_eq!(set.total_bytes(), 0x3000);
         // A disjoint range removes nothing.
         assert!(set.remove_range(VirtAddr::new(0x40000), 0x1000).is_empty());
+    }
+
+    #[test]
+    fn protect_range_splits_at_both_edges_across_areas() {
+        let mut set = VmaSet::new();
+        set.insert(vma(0x10000, 0x4000).with_thp_disabled())
+            .unwrap();
+        set.insert(vma(0x14000, 0x4000)).unwrap();
+        // From inside the first area to inside the second.
+        set.protect_range(VirtAddr::new(0x12000), 0x4000, Protection::ReadOnly);
+        let layout: Vec<(u64, u64, Protection, bool)> = set
+            .iter()
+            .map(|v| {
+                (
+                    v.start().as_u64(),
+                    v.length(),
+                    v.protection(),
+                    v.thp_eligible(),
+                )
+            })
+            .collect();
+        assert_eq!(
+            layout,
+            vec![
+                (0x10000, 0x2000, Protection::ReadWrite, false),
+                (0x12000, 0x2000, Protection::ReadOnly, false),
+                (0x14000, 0x2000, Protection::ReadOnly, true),
+                (0x16000, 0x2000, Protection::ReadWrite, true),
+            ]
+        );
+        // A range no area covers changes nothing.
+        set.protect_range(VirtAddr::new(0x40000), 0x1000, Protection::ReadOnly);
+        assert_eq!(set.len(), 4);
+        assert_eq!(set.total_bytes(), 0x8000);
     }
 
     #[test]

@@ -2,7 +2,10 @@
 //! relies on: frame-allocator soundness, address arithmetic, PTE encoding,
 //! TLB coherence after shootdowns and placement-policy behaviour.
 
-use mitosis_mem::{FrameAllocator, FrameId, FrameSpace, PlacementPolicy, PolicyEngine};
+use mitosis_mem::{
+    FrameAllocator, FrameId, FrameSpace, MemError, PlacementPolicy, PolicyEngine,
+    FRAMES_PER_HUGE_PAGE,
+};
 use mitosis_mmu::Tlb;
 use mitosis_numa::{NodeMask, SocketId};
 use mitosis_pt::{Level, PageSize, Pte, PteFlags, VirtAddr};
@@ -13,25 +16,61 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// The allocator never hands out the same frame twice, always respects
-    /// the requested socket, and frees return frames for reuse.
+    /// the requested socket, and frees return frames for reuse — for 4 KiB
+    /// frames and 2 MiB runs alike — while `is_allocated` agrees with a
+    /// model of every frame handed out and not yet freed.
     #[test]
-    fn frame_allocator_is_sound(ops in prop::collection::vec((0u16..4, prop::bool::ANY), 1..200)) {
-        let mut alloc = FrameAllocator::with_frame_space(FrameSpace::with_frames_per_socket(4, 256));
+    fn frame_allocator_is_sound(ops in prop::collection::vec((0u16..4, 0u8..8), 1..200)) {
+        let space = FrameSpace::with_frames_per_socket(4, 2048);
+        let mut alloc = FrameAllocator::with_frame_space(space.clone());
         let mut live: Vec<FrameId> = Vec::new();
-        let mut seen = HashSet::new();
-        for (socket, free_one) in ops {
-            if free_one && !live.is_empty() {
-                let frame = live.swap_remove(0);
-                prop_assert!(alloc.free(frame).is_ok());
-                prop_assert!(alloc.free(frame).is_err(), "double free must fail");
-                seen.remove(&frame);
-            } else if let Ok(frame) = alloc.alloc_on(SocketId::new(socket)) {
-                prop_assert_eq!(alloc.frame_space().socket_of(frame), SocketId::new(socket));
-                prop_assert!(seen.insert(frame), "frame handed out twice");
-                live.push(frame);
+        let mut huge: Vec<FrameId> = Vec::new();
+        let mut model = HashSet::new();
+        for (socket, op) in ops {
+            let socket = SocketId::new(socket);
+            match op {
+                0 | 1 if !live.is_empty() => {
+                    let frame = live.swap_remove(0);
+                    prop_assert!(alloc.free(frame).is_ok());
+                    prop_assert!(alloc.free(frame).is_err(), "double free must fail");
+                    prop_assert!(!alloc.is_allocated(frame));
+                    model.remove(&frame);
+                }
+                2 if !huge.is_empty() => {
+                    let first = huge.swap_remove(0);
+                    prop_assert!(alloc.free_huge(first).is_ok());
+                    prop_assert!(alloc.free_huge(first).is_err(), "double free must fail");
+                    for i in 0..FRAMES_PER_HUGE_PAGE {
+                        model.remove(&first.offset(i));
+                    }
+                }
+                3 => match alloc.alloc_huge_on(socket) {
+                    Ok(first) => {
+                        prop_assert!(first.is_huge_aligned());
+                        prop_assert_eq!(space.socket_of(first), socket);
+                        for i in 0..FRAMES_PER_HUGE_PAGE {
+                            prop_assert!(model.insert(first.offset(i)), "frame handed out twice");
+                            prop_assert!(alloc.is_allocated(first.offset(i)));
+                        }
+                        huge.push(first);
+                    }
+                    Err(err) => prop_assert_eq!(err, MemError::HugeAllocationFailed { socket }),
+                },
+                _ => {
+                    if let Ok(frame) = alloc.alloc_on(socket) {
+                        prop_assert_eq!(space.socket_of(frame), socket);
+                        prop_assert!(model.insert(frame), "frame handed out twice");
+                        prop_assert!(alloc.is_allocated(frame));
+                        live.push(frame);
+                    }
+                }
             }
         }
-        prop_assert_eq!(alloc.total_allocated() as usize, live.len());
+        prop_assert_eq!(alloc.total_allocated() as usize, model.len());
+        for pfn in 0..space.total_frames() + 64 {
+            let frame = FrameId::new(pfn);
+            prop_assert_eq!(alloc.is_allocated(frame), model.contains(&frame), "{}", frame);
+        }
     }
 
     /// Virtual-address decomposition is consistent with the level coverage
