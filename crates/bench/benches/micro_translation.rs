@@ -1,6 +1,7 @@
 //! Micro-benchmarks (ablation) of the core mechanisms: TLB hits, local vs.
 //! remote page walks, native vs. replicated PTE updates, whole-tree
-//! replication, and the setup layer (populate, footprint).
+//! replication, the setup layer (populate, footprint) and the
+//! copy-on-write path (one-page ranged shootdown, fork).
 //!
 //! These are not paper figures; they quantify the design choices called out
 //! in DESIGN.md (2N-reference eager updates, replica-ring lookups, walk cost
@@ -13,7 +14,8 @@ use mitosis_mem::FrameKind;
 use mitosis_mmu::{Mmu, PteCacheSet};
 use mitosis_numa::{CoreId, Machine, MachineConfig, NodeMask, SocketId};
 use mitosis_pt::{
-    Mapper, NativePvOps, PageSize, PtEnv, Pte, PteFlags, PvOps, ReplicationSpec, VirtAddr,
+    Mapper, NativePvOps, PageSize, PtEnv, Pte, PteFlags, PvOps, ReplicationSpec, ShootdownPlan,
+    ShootdownRange, VirtAddr,
 };
 use mitosis_vmm::{MmapFlags, Pid, System};
 use std::time::Duration;
@@ -263,8 +265,8 @@ fn bench_tree_replication(c: &mut Criterion) {
 /// base pages, two leaf tables.
 const SETUP_REGION: u64 = 4 * 1024 * 1024;
 
-/// A process with a lazily mapped [`SETUP_REGION`] on the 4-socket testbed,
-/// with page-table replication on every socket when `replicated`.
+/// A process with a lazily mapped [`SETUP_REGION`] on `machine`, with
+/// page-table replication on every socket when `replicated`.
 fn lazy_region(machine: &Machine, replicated: bool) -> (System, Pid, VirtAddr) {
     let mut mitosis = Mitosis::new();
     let mut system = if replicated {
@@ -322,12 +324,79 @@ fn bench_setup(c: &mut Criterion) {
     group.finish();
 }
 
+/// The two steps of a fork/CoW storm that scale with the work modelled:
+/// the one-page ranged shootdown a copy-on-write break delivers, applied
+/// to an MMU whose TLBs are full (it checks one set per TLB level, not
+/// every way), and a fork of a populated region under 2-way replication
+/// (one child-table lookup per parent leaf table, not two root walks per
+/// leaf).
+fn bench_cow_path(c: &mut Criterion) {
+    let mut group = c.benchmark_group("micro/shootdown");
+    group
+        .sample_size(20)
+        .warm_up_time(Duration::from_millis(300))
+        .measurement_time(Duration::from_secs(1));
+    let machine = MachineConfig::paper_testbed_scaled().build();
+    let cost = machine.cost_model().clone();
+    let (mut env, roots, addrs) = build_tree(4096);
+    group.bench_function("ranged_page", |b| {
+        let mut mmu = Mmu::new(CoreId::new(0), SocketId::new(0));
+        let mut caches = PteCacheSet::for_machine(&machine);
+        for &addr in &addrs {
+            mmu.access(
+                addr,
+                false,
+                roots.base(),
+                &mut env.store,
+                &env.frames,
+                &cost,
+                caches.socket(SocketId::new(0)),
+            );
+        }
+        assert_eq!(mmu.tlb().occupancy(), 64 + 1024, "4 KiB TLBs are full");
+        let plan = ShootdownPlan {
+            ranges: vec![ShootdownRange {
+                asid: 0,
+                vpn_start: addrs[addrs.len() - 1].page_number(PageSize::Base4K),
+                pages: 1,
+                size: PageSize::Base4K,
+            }],
+            ..ShootdownPlan::default()
+        };
+        b.iter(|| mmu.apply_shootdown(&plan));
+    });
+    group.finish();
+
+    let machine = MachineConfig::two_socket_small().build();
+    let mut group = c.benchmark_group("micro/fork");
+    group
+        .sample_size(20)
+        .warm_up_time(Duration::from_millis(300))
+        .measurement_time(Duration::from_secs(1));
+    group.bench_function("mitosis_2way", |b| {
+        let (mut system, pid, region) = lazy_region(&machine, true);
+        system
+            .populate_region(pid, region, SETUP_REGION, SocketId::new(0))
+            .expect("populate");
+        b.iter_batched(
+            || system.clone(),
+            |mut forked| {
+                forked.fork(pid).expect("fork");
+                forked
+            },
+            BatchSize::PerIteration,
+        );
+    });
+    group.finish();
+}
+
 criterion_group!(
     micro,
     bench_walks,
     bench_translation_throughput,
     bench_pte_updates,
     bench_tree_replication,
-    bench_setup
+    bench_setup,
+    bench_cow_path
 );
 criterion_main!(micro);

@@ -57,6 +57,15 @@ impl MitosisPvOps {
         Ok(frame)
     }
 
+    /// Unregisters one page-table page and returns its frame.
+    fn release_one(&mut self, ctx: &mut PtContext<'_>, frame: FrameId) -> Result<(), PtError> {
+        ctx.store.remove_table(frame);
+        ctx.frames.remove(frame);
+        ctx.page_cache.release_pagetable_frame(ctx.alloc, frame)?;
+        self.stats.tables_freed += 1;
+        Ok(())
+    }
+
     /// Translates `pte` for the replica living on `replica_socket`: entries
     /// pointing at page-table pages are redirected to the same-socket child
     /// replica (when one exists); leaf/data entries are copied verbatim.
@@ -100,7 +109,17 @@ impl PvOps for MitosisPvOps {
         }
         let mut frames = Vec::with_capacity(sockets.len());
         for s in &sockets {
-            frames.push(self.alloc_one(ctx, level, *s)?);
+            match self.alloc_one(ctx, level, *s) {
+                Ok(frame) => frames.push(frame),
+                Err(err) => {
+                    // A failed allocation leaves no unreachable replica
+                    // behind.
+                    for frame in frames {
+                        self.release_one(ctx, frame)?;
+                    }
+                    return Err(err);
+                }
+            }
         }
         ctx.frames.link_replicas(&frames);
         let primary = sockets
@@ -114,10 +133,7 @@ impl PvOps for MitosisPvOps {
     fn release_table(&mut self, ctx: &mut PtContext<'_>, frame: FrameId) -> Result<(), PtError> {
         let ring = ctx.frames.replicas_of(frame);
         for member in ring {
-            ctx.store.remove_table(member);
-            ctx.frames.remove(member);
-            ctx.page_cache.release_pagetable_frame(ctx.alloc, member)?;
-            self.stats.tables_freed += 1;
+            self.release_one(ctx, member)?;
         }
         Ok(())
     }
@@ -327,6 +343,33 @@ mod tests {
             let pte = ctx.store.read(replica, 5);
             assert!(!pte.flags().accessed && !pte.flags().dirty);
         }
+    }
+
+    #[test]
+    fn a_replicated_allocation_that_fails_leaves_no_table_behind() {
+        let machine = MachineConfig::new(2, 1)
+            .with_memory_per_socket(2 * 1024 * 1024)
+            .build();
+        let mut env = PtEnv::new(&machine);
+        let mut ops = MitosisPvOps::new();
+        let mut ctx = env.context();
+        // Exhaust the machine, then return one frame on socket 0: the
+        // socket-0 replica fits, the socket-1 replica does not.
+        while ctx.alloc.alloc_on(SocketId::new(1)).is_ok() {}
+        let mut last = None;
+        while let Ok(frame) = ctx.alloc.alloc_on(SocketId::new(0)) {
+            last = Some(frame);
+        }
+        ctx.alloc.free(last.unwrap()).unwrap();
+        let err = ops
+            .alloc_table(&mut ctx, Level::L1, SocketId::new(0), &all_sockets())
+            .unwrap_err();
+        assert!(matches!(err, PtError::Mem(_)), "{err:?}");
+        assert_eq!(ctx.store.table_count(), 0);
+        assert_eq!(ctx.frames.kind(last.unwrap()), None);
+        assert_eq!(ctx.page_cache.reserved(SocketId::new(0)), 1);
+        assert_eq!(ops.stats().tables_allocated, 1);
+        assert_eq!(ops.stats().tables_freed, 1);
     }
 
     #[test]

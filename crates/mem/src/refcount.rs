@@ -3,21 +3,29 @@
 //! After a fork, parent and child map the same data frames read-only; each
 //! shared frame carries a share count here.  A frame absent from the table
 //! is exclusively owned (the overwhelmingly common case), so the table only
-//! ever holds the currently-shared frames.  Backed by a `BTreeMap` so
-//! iteration order — and therefore any replay that walks the table — is
-//! deterministic.
+//! ever holds the currently-shared frames.  Counts live in a two-level
+//! directory indexed by frame number — the layout `FrameTable` and
+//! `PtStore` use — so every query and update is two array indexations; a
+//! fork sharing hundreds of thousands of frames and the copy-on-write
+//! faults that follow pay no tree search.
 
 use crate::frame::FrameId;
-use std::collections::BTreeMap;
+
+/// Frames per directory chunk (and the shift that selects the chunk).
+const DIR_SHIFT: u32 = 12;
+const CHUNK_FRAMES: usize = 1 << DIR_SHIFT;
 
 /// Share counts for copy-on-write frames.
 ///
 /// Only frames shared by more than one mapping appear in the table; the
 /// count is the number of mappings referencing the frame.  Dropping to one
-/// reference removes the entry (the frame is exclusive again).
+/// reference removes the entry (the frame is exclusive again).  A count of
+/// 0 in the directory means "not shared"; a chunk is allocated when the
+/// first frame it covers is shared.
 #[derive(Debug, Clone, Default)]
 pub struct CowRefCounts {
-    shared: BTreeMap<u64, u32>,
+    dir: Vec<Option<Box<[u32; CHUNK_FRAMES]>>>,
+    shared: usize,
 }
 
 impl CowRefCounts {
@@ -26,43 +34,67 @@ impl CowRefCounts {
         CowRefCounts::default()
     }
 
+    /// The stored count of `frame`: 0 when it is not shared.
+    fn count(&self, frame: FrameId) -> u32 {
+        self.dir
+            .get((frame.pfn() >> DIR_SHIFT) as usize)
+            .and_then(Option::as_ref)
+            .map_or(0, |chunk| chunk[frame.pfn() as usize & (CHUNK_FRAMES - 1)])
+    }
+
+    /// The stored count of `frame`, allocating its chunk on first use.
+    fn count_mut(&mut self, frame: FrameId) -> &mut u32 {
+        let chunk = (frame.pfn() >> DIR_SHIFT) as usize;
+        if chunk >= self.dir.len() {
+            self.dir.resize(chunk + 1, None);
+        }
+        let chunk = self.dir[chunk].get_or_insert_with(|| Box::new([0; CHUNK_FRAMES]));
+        &mut chunk[frame.pfn() as usize & (CHUNK_FRAMES - 1)]
+    }
+
     /// Returns the number of mappings referencing `frame` (1 when the frame
     /// is not shared).
     pub fn references(&self, frame: FrameId) -> u32 {
-        self.shared.get(&frame.pfn()).copied().unwrap_or(1)
+        self.count(frame).max(1)
     }
 
     /// Returns `true` when `frame` is mapped by more than one owner.
     pub fn is_shared(&self, frame: FrameId) -> bool {
-        self.shared.contains_key(&frame.pfn())
+        self.count(frame) != 0
     }
 
     /// Records one additional mapping of `frame` (fork sharing a frame
     /// between parent and child).
     pub fn share(&mut self, frame: FrameId) {
-        *self.shared.entry(frame.pfn()).or_insert(1) += 1;
+        let count = self.count_mut(frame);
+        if *count == 0 {
+            *count = 2;
+            self.shared += 1;
+        } else {
+            *count += 1;
+        }
     }
 
     /// Drops one mapping of `frame`; returns `true` when the caller held
     /// the last reference and now owns the frame exclusively (and may free
     /// or write it in place).
     pub fn release(&mut self, frame: FrameId) -> bool {
-        match self.shared.get_mut(&frame.pfn()) {
-            None => true,
-            Some(count) if *count <= 2 => {
-                self.shared.remove(&frame.pfn());
-                false
-            }
-            Some(count) => {
-                *count -= 1;
-                false
-            }
+        if !self.is_shared(frame) {
+            return true;
         }
+        let count = self.count_mut(frame);
+        if *count <= 2 {
+            *count = 0;
+            self.shared -= 1;
+        } else {
+            *count -= 1;
+        }
+        false
     }
 
     /// Number of currently shared frames.
     pub fn shared_frames(&self) -> usize {
-        self.shared.len()
+        self.shared
     }
 }
 

@@ -289,6 +289,20 @@ impl<V> LruMap<V> {
         self.len += 1;
     }
 
+    /// Removes `key` if resident, preserving the recency order of the other
+    /// entries.  Returns `true` when an entry was removed.
+    pub fn remove(&mut self, key: u64) -> bool {
+        let Some(pos) = self.probe(key) else {
+            return false;
+        };
+        let slot = self.index[pos];
+        self.index_remove(pos);
+        self.unlink(slot);
+        self.free.push(slot);
+        self.len -= 1;
+        true
+    }
+
     /// Removes every entry whose key fails `keep`, preserving the recency
     /// order of the survivors.  O(len) — meant for rare invalidations
     /// (table freed or migrated), not the access path.
@@ -363,6 +377,37 @@ mod tests {
         }
         assert!(!map.contains(0));
         assert!(map.contains(2) && map.contains(4));
+    }
+
+    #[test]
+    fn remove_drops_one_key_and_keeps_order() {
+        let mut map = LruMap::new(4);
+        for key in 0..4u64 {
+            map.insert(key, key * 10);
+        }
+        assert!(map.remove(1));
+        assert!(!map.remove(1), "already gone");
+        assert!(!map.remove(99), "never resident");
+        assert_eq!(map.len(), 3);
+        assert!(!map.contains(1));
+        assert_eq!(map.get(2), Some(&20));
+        // Recency is now 2, 3, 0 (most recent first): one insert fits, and
+        // each insert past capacity evicts the oldest survivor.
+        map.insert(4, 40);
+        assert_eq!(map.len(), 4);
+        map.insert(5, 50);
+        assert!(!map.contains(0));
+        map.insert(6, 60);
+        assert!(!map.contains(3));
+        assert!(map.contains(2) && map.contains(4) && map.contains(5) && map.contains(6));
+        // Removing the head and the tail keeps the list consistent.
+        assert!(map.remove(6));
+        assert!(map.remove(2));
+        map.insert(7, 70);
+        map.insert(8, 80);
+        map.insert(9, 90);
+        assert!(!map.contains(4), "oldest survivor evicted first");
+        assert!(map.contains(5) && map.contains(7) && map.contains(8) && map.contains(9));
     }
 
     #[test]

@@ -40,7 +40,16 @@ impl LevelCache {
 
     /// Drops every entry whose key falls in `[key_start, key_end]`.
     /// Returns the number of entries removed.
+    ///
+    /// A range naming fewer keys than are resident removes each key
+    /// directly; a wider one scans the residents.  Both leave the same
+    /// survivors in the same recency order.
     fn invalidate_keys(&mut self, key_start: u64, key_end: u64) -> usize {
+        if key_end - key_start + 1 < self.entries.len() as u64 {
+            return (key_start..=key_end)
+                .filter(|&key| self.entries.remove(key))
+                .count();
+        }
         let mut removed = 0;
         self.entries.retain(|key, _| {
             let dead = key >= key_start && key <= key_end;

@@ -226,6 +226,11 @@ impl Tlb {
     /// Invalidates every entry of `size` in address space `asid` whose
     /// virtual page number falls in `[vpn_start, vpn_start + pages)`
     /// (a ranged shootdown).  Returns the number of entries invalidated.
+    ///
+    /// An entry for page `v` can only sit in set `v mod sets`, so only the
+    /// sets of the range's first `min(pages, sets)` pages are examined: a
+    /// one-page range checks one set, and a range of at least `sets` pages
+    /// visits every set exactly once.
     pub fn invalidate_range(
         &mut self,
         asid: u16,
@@ -239,21 +244,26 @@ impl Tlb {
         }
         let asid_bits = (asid as u64) << ASID_SHIFT;
         let vpn_end = vpn_start.saturating_add(pages);
+        let sets = (vpn_end - vpn_start).min(self.sets as u64) as usize;
+        let first_set = self.set_start(vpn_start) / self.ways;
         let mut removed = 0;
-        for way in 0..self.tags.len() {
-            let tag = self.tags[way];
-            if tag == INVALID_TAG
-                || (tag & 3) != code
-                || (tag >> ASID_SHIFT) << ASID_SHIFT != asid_bits
-            {
-                continue;
-            }
-            let vpn = (tag >> 2) & ((1u64 << (ASID_SHIFT - 2)) - 1);
-            if vpn >= vpn_start && vpn < vpn_end {
-                self.tags[way] = INVALID_TAG;
-                self.last_used[way] = 0;
-                self.per_size[code as usize - 1] -= 1;
-                removed += 1;
+        for i in 0..sets {
+            let start = (first_set + i) % self.sets * self.ways;
+            for way in start..start + self.ways {
+                let tag = self.tags[way];
+                if tag == INVALID_TAG
+                    || (tag & 3) != code
+                    || (tag >> ASID_SHIFT) << ASID_SHIFT != asid_bits
+                {
+                    continue;
+                }
+                let vpn = (tag >> 2) & ((1u64 << (ASID_SHIFT - 2)) - 1);
+                if vpn >= vpn_start && vpn < vpn_end {
+                    self.tags[way] = INVALID_TAG;
+                    self.last_used[way] = 0;
+                    self.per_size[code as usize - 1] -= 1;
+                    removed += 1;
+                }
             }
         }
         removed

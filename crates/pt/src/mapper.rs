@@ -150,19 +150,20 @@ impl<'a> Mapper<'a> {
         if ops.read_pte(ctx, table, index).is_present() {
             return Err(PtError::AlreadyMapped { addr });
         }
-        let flags = if size == PageSize::Base4K {
-            PteFlags {
-                huge: false,
-                ..flags
-            }
-        } else {
-            PteFlags {
-                huge: true,
-                ..flags
-            }
-        };
-        ops.set_pte(ctx, table, index, Pte::new(frame, flags));
+        ops.set_pte(ctx, table, index, Mapper::leaf_pte(frame, size, flags));
         Ok(())
+    }
+
+    /// The leaf entry mapping a page of `size` at `frame` with `flags`: the
+    /// huge (PS) bit is set exactly for large pages.
+    pub fn leaf_pte(frame: FrameId, size: PageSize, flags: PteFlags) -> Pte {
+        Pte::new(
+            frame,
+            PteFlags {
+                huge: size != PageSize::Base4K,
+                ..flags
+            },
+        )
     }
 
     /// Removes the mapping of the page containing `addr` and returns the old
@@ -195,7 +196,23 @@ impl<'a> Mapper<'a> {
         addr: VirtAddr,
         flags: PteFlags,
     ) -> Result<(), PtError> {
-        let (table, index, old) = self.find_leaf(ops, ctx, addr)?;
+        let (table, index, _) = self.find_leaf(ops, ctx, addr)?;
+        Mapper::protect_entry(ops, ctx, table, index, flags);
+        Ok(())
+    }
+
+    /// Rewrites the protection flags of the present leaf entry at `index`
+    /// of `table`, keeping its frame, large-page bit and the accessed/dirty
+    /// bits of every replica (the entry is read through the backend) — the
+    /// one write [`Mapper::protect`] issues once it has found the entry.
+    pub fn protect_entry(
+        ops: &mut dyn PvOps,
+        ctx: &mut PtContext<'_>,
+        table: FrameId,
+        index: usize,
+        flags: PteFlags,
+    ) {
+        let old = ops.read_pte(ctx, table, index);
         let flags = PteFlags {
             huge: old.is_huge(),
             accessed: old.flags().accessed,
@@ -203,7 +220,6 @@ impl<'a> Mapper<'a> {
             ..flags
         };
         ops.set_pte(ctx, table, index, old.with_flags(flags));
-        Ok(())
     }
 
     /// Reads the leaf entry mapping `addr` through the backend, so that
@@ -265,11 +281,16 @@ impl<'a> Mapper<'a> {
         self.roots
     }
 
-    // ------------------------------------------------------------------
-
     /// Walks from the base root to the table at `target_level` covering
-    /// `addr`, allocating missing intermediate tables.
-    fn walk_alloc(
+    /// `addr` and returns it, allocating missing intermediate tables on
+    /// `pt_socket` (subject to the backend's replication behaviour).
+    ///
+    /// # Errors
+    ///
+    /// * [`PtError::AlreadyMapped`] if a large page maps `addr` above
+    ///   `target_level`,
+    /// * allocation errors from the backend.
+    pub fn walk_alloc(
         &self,
         ops: &mut dyn PvOps,
         ctx: &mut PtContext<'_>,
@@ -306,6 +327,8 @@ impl<'a> Mapper<'a> {
         }
         Ok(table)
     }
+
+    // ------------------------------------------------------------------
 
     /// Finds the leaf entry covering `addr` starting from the base root.
     fn find_leaf(

@@ -48,6 +48,17 @@ pub struct LeafMapping {
 ///
 /// Returns `None` if the address is unmapped.
 pub fn translate(store: &PtStore, root: FrameId, addr: VirtAddr) -> Option<Translation> {
+    translate_entry(store, root, addr).map(|(_, translation)| translation)
+}
+
+/// [`translate`], also returning the page-table page holding the leaf
+/// entry (at index `addr.index_at(translation.level)`), so a caller that
+/// rewrites the entry need not walk again.
+pub fn translate_entry(
+    store: &PtStore,
+    root: FrameId,
+    addr: VirtAddr,
+) -> Option<(FrameId, Translation)> {
     let mut table = root;
     for level in Level::WALK_ORDER {
         let pte = store.read_at(store.slot(table), addr.index_at(level));
@@ -62,12 +73,15 @@ pub fn translate(store: &PtStore, root: FrameId, addr: VirtAddr) -> Option<Trans
                 Level::L3 => PageSize::Giant1G,
                 Level::L4 => return None,
             };
-            return Some(Translation {
-                frame: pte.frame().expect("present leaf entry has a frame"),
-                size,
-                pte,
-                level,
-            });
+            return Some((
+                table,
+                Translation {
+                    frame: pte.frame().expect("present leaf entry has a frame"),
+                    size,
+                    pte,
+                    level,
+                },
+            ));
         }
         table = pte.frame().expect("present table entry has a frame");
     }

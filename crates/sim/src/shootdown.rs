@@ -149,10 +149,16 @@ pub fn apply_boundary(
 }
 
 /// Applies the consistency work a mid-segment fault produced (a
-/// copy-on-write break remaps a page) to the faulting thread's own MMU —
-/// the other threads' stale read-only entries are dropped by the ranged
-/// plan's ASID match the next time a boundary broadcasts, exactly like
-/// lazily-delivered shootdown IPIs.
+/// copy-on-write break remaps a page) to the faulting thread's own MMU
+/// only.
+///
+/// The engine drains the transaction before calling this, so no later
+/// boundary's plan names the page: in ranged mode, other threads' stale
+/// read-only entries for it stay resident until they are evicted or a
+/// full flush drops them.  This is a known modelling deviation — a real
+/// copy-on-write break shoots the page down on every core that may cache
+/// it — kept because delivering it would change the simulated results of
+/// the fork/CoW scenarios.
 pub fn apply_local(
     plan: &ShootdownPlan,
     mmu: &mut Mmu,

@@ -11,6 +11,7 @@ use mitosis_pt::{
     PteFlags, PvOps, ReplicationSpec, ShootdownPlan, Translation, VirtAddr,
 };
 use std::collections::BTreeMap;
+use std::convert::Infallible;
 
 /// Flags controlling an [`System::mmap`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -548,22 +549,25 @@ impl System {
         if !is_write {
             return self.handle_fault(pid, addr, socket);
         }
-        let t = match self.translate(pid, addr)? {
-            None => {
-                // Demand paging maps by the area's protection; a store
-                // into a read-only area must not be satisfied by it.
-                let writable = self
-                    .process(pid)?
-                    .address_space()
-                    .vmas()
-                    .find(addr)
-                    .is_some_and(|vma| vma.protection().is_writable());
-                if !writable {
-                    return Err(VmError::SegmentationFault { addr });
-                }
-                return self.handle_fault(pid, addr, socket);
+        let ranged = self.config.shootdown.is_ranged();
+        let asid = Self::asid_of(pid);
+        let process = self
+            .processes
+            .get_mut(&pid)
+            .ok_or(VmError::NoSuchProcess { pid })?;
+        let root = process.address_space().roots().base();
+        let vma_writable = process
+            .address_space()
+            .vmas()
+            .find(addr)
+            .map(|vma| vma.protection().is_writable());
+        let Some((table, t)) = mitosis_pt::translate_entry(&self.env.store, root, addr) else {
+            // Demand paging maps by the area's protection; a store into a
+            // read-only area must not be satisfied by it.
+            if vma_writable != Some(true) {
+                return Err(VmError::SegmentationFault { addr });
             }
-            Some(t) => t,
+            return self.handle_fault(pid, addr, socket);
         };
         if t.pte.flags().writable {
             // Spurious: another thread already resolved the fault.
@@ -574,32 +578,18 @@ impl System {
                 already_mapped: true,
             });
         }
-        let ranged = self.config.shootdown.is_ranged();
-        let asid = Self::asid_of(pid);
-        let process = self
-            .processes
-            .get_mut(&pid)
-            .ok_or(VmError::NoSuchProcess { pid })?;
-        let vma_writable = process
-            .address_space()
-            .vmas()
-            .find(addr)
-            .ok_or(VmError::SegmentationFault { addr })?
-            .protection()
-            .is_writable();
-        if !vma_writable {
+        if vma_writable != Some(true) {
             return Err(VmError::SegmentationFault { addr });
         }
-        let replication = process.replication();
-        let roots = process.address_space().roots().clone();
         let aligned = addr.align_down(t.size);
-        let pt_socket = self.config.pt_placement.resolve(socket);
+        let index = addr.index_at(t.level);
         let flags = PteFlags::user_data();
         let mut ctx = self.env.context();
-        let mapper = Mapper::new(&roots);
-        if self.cow.is_shared(t.frame) {
+        let frame = if self.cow.is_shared(t.frame) {
             // Still shared: copy the page to a private frame placed by the
-            // process' data policy, remap, and drop our reference.
+            // process' data policy, remap, and drop our reference.  The
+            // remap is Linux's `ptep_clear_flush` + `set_pte_at`: clear the
+            // entry, then write the new frame.
             let new_frame = match t.size {
                 PageSize::Base4K => process.data_policy_mut().alloc_data(ctx.alloc, socket)?,
                 PageSize::Huge2M => process
@@ -608,41 +598,30 @@ impl System {
                 PageSize::Giant1G => return Err(VmError::InvalidArgument),
             };
             ctx.frames.insert(new_frame, FrameKind::Data);
-            mapper.unmap(self.ops.as_mut(), &mut ctx, aligned)?;
-            mapper.map(
-                self.ops.as_mut(),
+            self.ops.set_pte(&mut ctx, table, index, Pte::EMPTY);
+            self.ops.set_pte(
                 &mut ctx,
-                aligned,
-                new_frame,
-                t.size,
-                flags,
-                pt_socket,
-                replication,
-            )?;
+                table,
+                index,
+                Mapper::leaf_pte(new_frame, t.size, flags),
+            );
             self.cow.release(t.frame);
-            if ranged {
-                self.pending.invalidate_page(asid, aligned, t.size);
-            }
-            Ok(FaultOutcome {
-                addr: aligned,
-                size: t.size,
-                frame: new_frame,
-                already_mapped: false,
-            })
+            new_frame
         } else {
             // The other side already copied; the frame is exclusive again
             // and can be written in place.
-            mapper.protect(self.ops.as_mut(), &mut ctx, aligned, flags)?;
-            if ranged {
-                self.pending.invalidate_page(asid, aligned, t.size);
-            }
-            Ok(FaultOutcome {
-                addr: aligned,
-                size: t.size,
-                frame: t.frame,
-                already_mapped: false,
-            })
+            Mapper::protect_entry(self.ops.as_mut(), &mut ctx, table, index, flags);
+            t.frame
+        };
+        if ranged {
+            self.pending.invalidate_page(asid, aligned, t.size);
         }
+        Ok(FaultOutcome {
+            addr: aligned,
+            size: t.size,
+            frame,
+            already_mapped: false,
+        })
     }
 
     /// Forks `parent`: the child gets its own page-table tree (honouring the
@@ -653,6 +632,13 @@ impl System {
     /// child, so the next store from either side faults and copies
     /// ([`System::handle_fault_access`]).
     ///
+    /// The copy runs table by table, as Linux's `copy_pte_range` does: each
+    /// parent table holding leaves resolves its child counterpart once.
+    /// The child's tree is built first, because only its allocations can
+    /// fail; a failed fork releases the partial tree and leaves the parent,
+    /// the share table, the pending shootdown work and the pid counter as
+    /// they were.
+    ///
     /// # Errors
     ///
     /// Returns [`VmError::NoSuchProcess`] for an unknown parent, or
@@ -660,46 +646,68 @@ impl System {
     pub fn fork(&mut self, parent: Pid) -> Result<Pid, VmError> {
         let ranged = self.config.shootdown.is_ranged();
         let parent_asid = Self::asid_of(parent);
-        let (home, replication, policy, parent_roots, vmas) = {
+        let (home, replication, policy, parent_root, vmas) = {
             let p = self.process(parent)?;
             (
                 p.home_socket(),
                 p.replication(),
                 p.data_policy().policy(),
-                p.address_space().roots().clone(),
+                p.address_space().roots().base(),
                 p.address_space().vmas().clone(),
             )
         };
-        let child_pid = Pid::new(self.next_pid);
-        self.next_pid += 1;
-        let leaves = mitosis_pt::iter_leaf_mappings(&self.env.store, parent_roots.base());
         let pt_socket = self.config.pt_placement.resolve(home);
         let mut ctx = self.env.context();
-        let child_roots =
-            Mapper::create_roots(self.ops.as_mut(), &mut ctx, pt_socket, replication)?;
-        let parent_mapper = Mapper::new(&parent_roots);
+        let ops = self.ops.as_mut();
+        let child_roots = Mapper::create_roots(ops, &mut ctx, pt_socket, replication)?;
         let child_mapper = Mapper::new(&child_roots);
         let readonly = PteFlags::user_readonly();
-        for leaf in leaves {
-            if leaf.pte.flags().writable {
-                parent_mapper.protect(self.ops.as_mut(), &mut ctx, leaf.addr, readonly)?;
+        // The child table receiving each level's leaves, with the parent
+        // table they come from.
+        let mut targets: [Option<(FrameId, FrameId)>; 3] = [None; 3];
+        let copied = for_each_leaf_entry(&mut ctx, parent_root, &mut |ctx, leaf| {
+            let target = &mut targets[usize::from(leaf.level.number()) - 1];
+            let table = match *target {
+                Some((from, to)) if from == leaf.table => to,
+                _ => {
+                    let to = child_mapper.walk_alloc(
+                        ops,
+                        ctx,
+                        leaf.addr,
+                        leaf.level,
+                        pt_socket,
+                        &replication,
+                    )?;
+                    *target = Some((leaf.table, to));
+                    to
+                }
+            };
+            let pte = Mapper::leaf_pte(leaf.frame, leaf.size, readonly);
+            ops.set_pte(ctx, table, leaf.index, pte);
+            Ok::<(), mitosis_pt::PtError>(())
+        });
+        if let Err(err) = copied {
+            let mut tables = Vec::new();
+            mitosis_pt::for_each_table(ctx.store, child_roots.base(), |t| tables.push(t));
+            for table in tables {
+                ops.release_table(&mut ctx, table)?;
+            }
+            return Err(err.into());
+        }
+        let (pending, cow) = (&mut self.pending, &mut self.cow);
+        let shared = for_each_leaf_entry(&mut ctx, parent_root, &mut |ctx, leaf| {
+            if leaf.writable {
+                Mapper::protect_entry(ops, ctx, leaf.table, leaf.index, readonly);
                 if ranged {
-                    self.pending
-                        .invalidate_page(parent_asid, leaf.addr, leaf.size);
+                    pending.invalidate_page(parent_asid, leaf.addr, leaf.size);
                 }
             }
-            child_mapper.map(
-                self.ops.as_mut(),
-                &mut ctx,
-                leaf.addr,
-                leaf.frame,
-                leaf.size,
-                readonly,
-                pt_socket,
-                replication,
-            )?;
-            self.cow.share(leaf.frame);
-        }
+            cow.share(leaf.frame);
+            Ok::<(), Infallible>(())
+        });
+        let Ok(()) = shared;
+        let child_pid = Pid::new(self.next_pid);
+        self.next_pid += 1;
         let mut child = Process::new(child_pid, home, AddressSpace::new(child_roots));
         child.set_replication(replication);
         child.set_data_policy(policy);
@@ -1321,6 +1329,77 @@ impl System {
     }
 }
 
+/// One leaf entry of a page-table tree, as [`for_each_leaf_entry`] visits
+/// it.
+#[derive(Debug, Clone, Copy)]
+struct LeafEntry {
+    /// The page-table page holding the entry.
+    table: FrameId,
+    /// The entry's index in `table`.
+    index: usize,
+    /// The level of `table`.
+    level: Level,
+    /// First virtual address the entry maps.
+    addr: VirtAddr,
+    /// Size of the mapped page.
+    size: PageSize,
+    /// First frame of the mapped page.
+    frame: FrameId,
+    /// The entry allows writes.
+    writable: bool,
+}
+
+/// Visits every leaf entry of the tree rooted at `root`, in address order,
+/// stopping at the first error.  Unlike [`mitosis_pt::for_each_leaf`] the
+/// visitor holds the context and may write the store as it goes — another
+/// tree, or the entry it is handed — because each table's present entries
+/// are fixed when the walk reaches it.
+fn for_each_leaf_entry<E>(
+    ctx: &mut PtContext<'_>,
+    root: FrameId,
+    visit: &mut impl FnMut(&mut PtContext<'_>, LeafEntry) -> Result<(), E>,
+) -> Result<(), E> {
+    visit_leaf_entries(ctx, root, Level::L4, 0, visit)
+}
+
+fn visit_leaf_entries<E>(
+    ctx: &mut PtContext<'_>,
+    table: FrameId,
+    level: Level,
+    base: u64,
+    visit: &mut impl FnMut(&mut PtContext<'_>, LeafEntry) -> Result<(), E>,
+) -> Result<(), E> {
+    let slot = ctx.store.slot(table);
+    for index in ctx.store.present_indices(slot) {
+        let pte = ctx.store.read_at(slot, index);
+        let addr = base + index as u64 * level.entry_coverage();
+        let frame = pte.frame().expect("present entry has a frame");
+        if level != Level::L1 && !pte.is_huge() {
+            if let Some(lower) = level.next_lower() {
+                visit_leaf_entries(ctx, frame, lower, addr, visit)?;
+            }
+            continue;
+        }
+        let size = match level {
+            Level::L1 => PageSize::Base4K,
+            Level::L2 => PageSize::Huge2M,
+            Level::L3 => PageSize::Giant1G,
+            Level::L4 => continue,
+        };
+        let leaf = LeafEntry {
+            table,
+            index,
+            level,
+            addr: VirtAddr::new(addr),
+            size,
+            frame,
+            writable: pte.flags().writable,
+        };
+        visit(ctx, leaf)?;
+    }
+    Ok(())
+}
+
 /// Leaf flags for a data page of an area with `protection`.
 fn leaf_flags(protection: Protection) -> PteFlags {
     if protection.is_writable() {
@@ -1624,6 +1703,65 @@ mod tests {
                 .flags()
                 .writable
         );
+    }
+
+    /// A parent whose 4 KiB pages fill a two-socket machine with 16 MiB
+    /// per socket, with 6 pages unmapped again: too little memory left for
+    /// a child's page tables.
+    fn nearly_full_system() -> (System, Pid) {
+        let machine = MachineConfig::new(2, 1)
+            .with_memory_per_socket(16 * 1024 * 1024)
+            .build();
+        let mut sys = System::new(machine);
+        let pid = sys.create_process(SocketId::new(0)).unwrap();
+        let mut last = None;
+        while let Ok(addr) = sys.mmap(pid, 64 * 4096, MmapFlags::populate().without_thp()) {
+            last = Some(addr);
+        }
+        sys.munmap(pid, last.unwrap(), 6 * 4096).unwrap();
+        (sys, pid)
+    }
+
+    #[test]
+    fn a_failed_fork_leaves_the_parent_untouched() {
+        let (mut sys, parent) = nearly_full_system();
+        sys.set_shootdown_mode(ShootdownMode::Ranged);
+        let root = sys.process(parent).unwrap().address_space().roots().base();
+        let leaves = mitosis_pt::iter_leaf_mappings(&sys.pt_env().store, root);
+        let tables = sys.pt_env().store.table_count();
+        let stats = sys.pvops().stats();
+        let err = sys.fork(parent).unwrap_err();
+        assert!(matches!(err, VmError::Mem(_)), "{err:?}");
+        assert_eq!(
+            mitosis_pt::iter_leaf_mappings(&sys.pt_env().store, root),
+            leaves
+        );
+        assert!(leaves.iter().all(|leaf| leaf.pte.flags().writable));
+        assert_eq!(sys.cow_refcounts().shared_frames(), 0);
+        assert!(sys.pending_shootdown().is_empty());
+        assert_eq!(sys.pt_env().store.table_count(), tables);
+        let after = sys.pvops().stats();
+        assert_eq!(
+            after.tables_allocated - stats.tables_allocated,
+            after.tables_freed - stats.tables_freed,
+            "every child table allocated was released"
+        );
+        assert_eq!(sys.pids(), vec![parent]);
+        // The pid the fork would have taken is still the next one.
+        sys.munmap(parent, leaves[0].addr, 64 * 4096).unwrap();
+        assert_eq!(sys.create_process(SocketId::new(1)), Ok(Pid::new(2)));
+    }
+
+    #[test]
+    fn a_fork_failing_at_the_root_consumes_no_pid() {
+        let mut sys = system();
+        let parent = sys.create_process(SocketId::new(0)).unwrap();
+        sys.mmap(parent, 8 * 4096, MmapFlags::populate()).unwrap();
+        sys.set_pt_placement(PtPlacement::Fixed(SocketId::new(7)));
+        assert!(sys.fork(parent).is_err());
+        assert_eq!(sys.cow_refcounts().shared_frames(), 0);
+        sys.set_pt_placement(PtPlacement::Local);
+        assert_eq!(sys.create_process(SocketId::new(0)), Ok(Pid::new(2)));
     }
 
     #[test]

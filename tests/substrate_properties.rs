@@ -1,16 +1,19 @@
 //! Property-based tests of the substrate invariants the Mitosis mechanism
 //! relies on: frame-allocator soundness, address arithmetic, PTE encoding,
-//! TLB coherence after shootdowns and placement-policy behaviour.
+//! TLB coherence after shootdowns and placement-policy behaviour — plus
+//! brute-force reference models of the TLBs, the paging-structure caches
+//! and the copy-on-write share table, driven with the same operations as
+//! the optimised structures.
 
 use mitosis_mem::{
-    FrameAllocator, FrameId, FrameSpace, MemError, PlacementPolicy, PolicyEngine,
+    CowRefCounts, FrameAllocator, FrameId, FrameSpace, MemError, PlacementPolicy, PolicyEngine,
     FRAMES_PER_HUGE_PAGE,
 };
-use mitosis_mmu::Tlb;
+use mitosis_mmu::{PagingStructureCache, Tlb, TlbHierarchy, TlbLevel};
 use mitosis_numa::{NodeMask, SocketId};
 use mitosis_pt::{Level, PageSize, Pte, PteFlags, VirtAddr};
 use proptest::prelude::*;
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -184,5 +187,440 @@ proptest! {
         prop_assert_eq!(ma.count(), a.count_ones() as usize);
         let rebuilt: NodeMask = ma.iter().collect();
         prop_assert_eq!(rebuilt, ma);
+    }
+}
+
+/// One resident translation of [`ModelTlb`].
+#[derive(Debug, Clone, Copy)]
+struct ModelEntry {
+    asid: u16,
+    vpn: u64,
+    size: PageSize,
+    frame: FrameId,
+    writable: bool,
+    last_used: u64,
+}
+
+/// A brute-force set-associative LRU TLB: every resident entry in one
+/// list, an entry's set computed from its page number when needed, and
+/// ranged invalidation by a scan of every entry.
+#[derive(Debug)]
+struct ModelTlb {
+    sets: u64,
+    ways: usize,
+    entries: Vec<ModelEntry>,
+    tick: u64,
+}
+
+impl ModelTlb {
+    fn new(entries: usize, ways: usize) -> Self {
+        ModelTlb {
+            sets: (entries / ways) as u64,
+            ways,
+            entries: Vec::new(),
+            tick: 0,
+        }
+    }
+
+    fn position(&self, asid: u16, vpn: u64, size: PageSize) -> Option<usize> {
+        self.entries
+            .iter()
+            .position(|e| e.asid == asid && e.vpn == vpn && e.size == size)
+    }
+
+    fn lookup(
+        &mut self,
+        asid: u16,
+        addr: VirtAddr,
+        size: PageSize,
+        is_write: bool,
+    ) -> Option<(FrameId, bool)> {
+        self.tick += 1;
+        let i = self.position(asid, addr.page_number(size), size)?;
+        let entry = &mut self.entries[i];
+        if is_write && !entry.writable {
+            return None;
+        }
+        entry.last_used = self.tick;
+        Some((entry.frame, entry.writable))
+    }
+
+    fn insert(
+        &mut self,
+        asid: u16,
+        addr: VirtAddr,
+        size: PageSize,
+        frame: FrameId,
+        writable: bool,
+    ) {
+        self.tick += 1;
+        let vpn = addr.page_number(size);
+        if let Some(i) = self.position(asid, vpn, size) {
+            self.entries[i].frame = frame;
+            self.entries[i].writable = writable;
+            self.entries[i].last_used = self.tick;
+            return;
+        }
+        let set = vpn % self.sets;
+        let in_set = || {
+            self.entries
+                .iter()
+                .enumerate()
+                .filter(|(_, e)| e.vpn % self.sets == set)
+        };
+        if in_set().count() == self.ways {
+            let (victim, _) = in_set().min_by_key(|(_, e)| e.last_used).unwrap();
+            self.entries.remove(victim);
+        }
+        self.entries.push(ModelEntry {
+            asid,
+            vpn,
+            size,
+            frame,
+            writable,
+            last_used: self.tick,
+        });
+    }
+
+    fn invalidate_range(&mut self, asid: u16, vpn_start: u64, pages: u64, size: PageSize) -> usize {
+        let vpn_end = vpn_start.saturating_add(pages);
+        let before = self.entries.len();
+        self.entries.retain(|e| {
+            !(e.asid == asid && e.size == size && e.vpn >= vpn_start && e.vpn < vpn_end)
+        });
+        before - self.entries.len()
+    }
+}
+
+/// The two-level hierarchy over [`ModelTlb`]s: split L1s backed by a
+/// unified L2 that promotes its hits into the L1.
+#[derive(Debug)]
+struct ModelHierarchy {
+    l1_4k: ModelTlb,
+    l1_2m: ModelTlb,
+    l2: ModelTlb,
+}
+
+impl ModelHierarchy {
+    fn l1(&mut self, size: PageSize) -> &mut ModelTlb {
+        match size {
+            PageSize::Base4K => &mut self.l1_4k,
+            PageSize::Huge2M | PageSize::Giant1G => &mut self.l1_2m,
+        }
+    }
+
+    fn lookup(
+        &mut self,
+        asid: u16,
+        addr: VirtAddr,
+        size: PageSize,
+        is_write: bool,
+    ) -> Option<(TlbLevel, FrameId, u64)> {
+        if let Some((frame, _)) = self.l1(size).lookup(asid, addr, size, is_write) {
+            return Some((TlbLevel::L1, frame, 0));
+        }
+        let (frame, writable) = self.l2.lookup(asid, addr, size, is_write)?;
+        self.l1(size).insert(asid, addr, size, frame, writable);
+        Some((TlbLevel::L2, frame, 7))
+    }
+
+    fn insert(
+        &mut self,
+        asid: u16,
+        addr: VirtAddr,
+        size: PageSize,
+        frame: FrameId,
+        writable: bool,
+    ) {
+        self.l1(size).insert(asid, addr, size, frame, writable);
+        self.l2.insert(asid, addr, size, frame, writable);
+    }
+
+    fn invalidate_range(&mut self, asid: u16, vpn_start: u64, pages: u64, size: PageSize) -> usize {
+        self.l1_4k.invalidate_range(asid, vpn_start, pages, size)
+            + self.l1_2m.invalidate_range(asid, vpn_start, pages, size)
+            + self.l2.invalidate_range(asid, vpn_start, pages, size)
+    }
+
+    fn occupancy(&self) -> usize {
+        self.l1_4k.entries.len() + self.l1_2m.entries.len() + self.l2.entries.len()
+    }
+}
+
+const SIZES: [PageSize; 3] = [PageSize::Base4K, PageSize::Huge2M, PageSize::Giant1G];
+
+/// The length of a drawn ranged invalidation: 0, 1, `sets - 1`, `sets`,
+/// more than `sets`, or unbounded.
+fn range_pages(sets: u64, aux: u64) -> u64 {
+    [0, 1, sets - 1, sets, sets + 1, 3 * sets + 5, u64::MAX][(aux % 7) as usize]
+}
+
+/// One exact-LRU cache as a recency list (most recent first), with ranged
+/// invalidation by a scan of the residents.
+#[derive(Debug)]
+struct ModelLru {
+    capacity: usize,
+    entries: Vec<(u64, FrameId)>,
+}
+
+impl ModelLru {
+    fn get(&mut self, key: u64) -> Option<FrameId> {
+        let i = self.entries.iter().position(|&(k, _)| k == key)?;
+        let entry = self.entries.remove(i);
+        self.entries.insert(0, entry);
+        Some(entry.1)
+    }
+
+    fn insert(&mut self, key: u64, frame: FrameId) {
+        if let Some(i) = self.entries.iter().position(|&(k, _)| k == key) {
+            self.entries.remove(i);
+        } else if self.entries.len() == self.capacity {
+            self.entries.pop();
+        }
+        self.entries.insert(0, (key, frame));
+    }
+
+    fn retain_outside(&mut self, first: u64, last: u64) -> usize {
+        let before = self.entries.len();
+        self.entries.retain(|&(k, _)| k < first || k > last);
+        before - self.entries.len()
+    }
+}
+
+/// The reference for [`PagingStructureCache`]: PDE, PDPTE and PML4E caches
+/// as [`ModelLru`]s, consulted deepest first.
+#[derive(Debug)]
+struct ModelPwc {
+    caches: [ModelLru; 3],
+}
+
+impl ModelPwc {
+    fn new(pde: usize, pdpte: usize, pml4e: usize) -> Self {
+        let cache = |capacity| ModelLru {
+            capacity,
+            entries: Vec::new(),
+        };
+        ModelPwc {
+            caches: [cache(pde), cache(pdpte), cache(pml4e)],
+        }
+    }
+
+    /// Cache `i` holds entries read at `[L2, L3, L4][i]`, keyed by the
+    /// address bits above that level's index shift.
+    fn key(addr: VirtAddr, i: usize) -> u64 {
+        addr.as_u64() >> [21, 30, 39][i]
+    }
+
+    fn walk_start(&mut self, addr: VirtAddr) -> Option<(Level, FrameId)> {
+        let levels = [Level::L1, Level::L2, Level::L3];
+        (0..3).find_map(|i| {
+            let frame = self.caches[i].get(Self::key(addr, i))?;
+            Some((levels[i], frame))
+        })
+    }
+
+    fn record(&mut self, addr: VirtAddr, i: usize, frame: FrameId) {
+        self.caches[i].insert(Self::key(addr, i), frame);
+    }
+
+    fn invalidate_range(&mut self, start: VirtAddr, end: VirtAddr) -> usize {
+        if end.as_u64() <= start.as_u64() {
+            return 0;
+        }
+        let last = VirtAddr::new(end.as_u64() - 1);
+        (0..3)
+            .map(|i| self.caches[i].retain_outside(Self::key(start, i), Self::key(last, i)))
+            .sum()
+    }
+}
+
+/// A paging-structure-cache address: one of 2 × 3 × 6 2 MiB regions
+/// spread over two 512 GiB and three 1 GiB slots, plus a page offset.
+fn pwc_addr(l4: u64, l3: u64, l2: u64, page: u64) -> VirtAddr {
+    VirtAddr::new((l4 << 39) | (l3 << 30) | (l2 << 21) | ((page & 0x1ff) << 12))
+}
+
+/// A frame for the share-table model: a few frames at both edges of four
+/// directory chunks, so counts collide within and across chunks.
+fn cow_frame(chunk: u64, offset: u64) -> FrameId {
+    let offset = if offset < 8 {
+        offset
+    } else {
+        4096 - 16 + offset
+    };
+    FrameId::new([0, 1, 7, 1000][chunk as usize] * 4096 + offset)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `Tlb` — including a geometry whose set count is not a power of two —
+    /// matches the brute-force model on every lookup, insert and ranged
+    /// invalidation, under several ASIDs and all three page sizes.
+    #[test]
+    fn tlb_matches_the_full_scan_model(
+        geometry in 0usize..4,
+        ops in prop::collection::vec((0u8..4, 0u16..3, 0u64..96, 0u8..3, 0u64..64), 1..300),
+    ) {
+        let (entries, ways) = [(64, 4), (24, 4), (16, 8), (1024, 8)][geometry];
+        let sets = (entries / ways) as u64;
+        let mut tlb = Tlb::new(entries, ways);
+        let mut model = ModelTlb::new(entries, ways);
+        for (step, &(kind, asid, vpn, size, aux)) in ops.iter().enumerate() {
+            let size = SIZES[size as usize];
+            let addr = VirtAddr::new(vpn * size.bytes());
+            match kind {
+                0 | 1 => {
+                    let frame = FrameId::new(vpn * 8 + u64::from(asid));
+                    tlb.insert(asid, addr, size, frame, aux % 2 == 0);
+                    model.insert(asid, addr, size, frame, aux % 2 == 0);
+                }
+                2 => prop_assert_eq!(
+                    tlb.lookup(asid, addr, size, aux % 2 == 1),
+                    model.lookup(asid, addr, size, aux % 2 == 1),
+                    "step {}", step
+                ),
+                _ => {
+                    let pages = range_pages(sets, aux);
+                    prop_assert_eq!(
+                        tlb.invalidate_range(asid, vpn, pages, size),
+                        model.invalidate_range(asid, vpn, pages, size),
+                        "step {}: {} pages from {}", step, pages, vpn
+                    );
+                }
+            }
+            prop_assert_eq!(tlb.occupancy(), model.entries.len(), "step {}", step);
+        }
+        for (asid, vpn, size) in (0..3u16).flat_map(|a| (0..96u64).flat_map(move |v| SIZES.map(|s| (a, v, s)))) {
+            let addr = VirtAddr::new(vpn * size.bytes());
+            prop_assert_eq!(tlb.lookup(asid, addr, size, false), model.lookup(asid, addr, size, false));
+        }
+    }
+
+    /// `TlbHierarchy` — lookups with L2-to-L1 promotion, inserts into both
+    /// levels and ranged invalidation summed over the levels — matches the
+    /// model hierarchy, on a small geometry (six L2 sets) and the paper's.
+    #[test]
+    fn tlb_hierarchy_matches_the_full_scan_model(
+        geometry in 0usize..2,
+        ops in prop::collection::vec((0u8..4, 0u16..3, 0u64..96, 0u8..3, 0u64..64), 1..300),
+    ) {
+        let (l1_4k, l1_2m, l2) = [(8, 8, 48), (64, 32, 1024)][geometry];
+        let mut tlb = TlbHierarchy::new(l1_4k, l1_2m, l2);
+        let mut model = ModelHierarchy {
+            l1_4k: ModelTlb::new(l1_4k, 4),
+            l1_2m: ModelTlb::new(l1_2m, 4),
+            l2: ModelTlb::new(l2, 8),
+        };
+        let sets = (l2 / 8) as u64;
+        for (step, &(kind, asid, vpn, size, aux)) in ops.iter().enumerate() {
+            let size = SIZES[size as usize];
+            let addr = VirtAddr::new(vpn * size.bytes());
+            match kind {
+                0 | 1 => {
+                    let frame = FrameId::new(vpn * 8 + u64::from(asid));
+                    tlb.insert(asid, addr, size, frame, aux % 2 == 0);
+                    model.insert(asid, addr, size, frame, aux % 2 == 0);
+                }
+                2 => prop_assert_eq!(
+                    tlb.lookup(asid, addr, size, aux % 2 == 1),
+                    model.lookup(asid, addr, size, aux % 2 == 1),
+                    "step {}", step
+                ),
+                _ => {
+                    let pages = range_pages(sets, aux);
+                    prop_assert_eq!(
+                        tlb.invalidate_range(asid, vpn, pages, size),
+                        model.invalidate_range(asid, vpn, pages, size),
+                        "step {}: {} pages from {}", step, pages, vpn
+                    );
+                }
+            }
+            prop_assert_eq!(tlb.occupancy(), model.occupancy(), "step {}", step);
+        }
+    }
+
+    /// `PagingStructureCache` — keyed or scanning ranged eviction — leaves
+    /// the same residents in the same recency order as a `retain`-only
+    /// model: every later walk start, and so every later eviction, agrees.
+    #[test]
+    fn paging_structure_cache_matches_the_retain_model(
+        geometry in 0usize..2,
+        ops in prop::collection::vec((0u8..9, 0u64..2, 0u64..3, 0u64..6, 0u64..512), 1..300),
+    ) {
+        let (pde, pdpte, pml4e) = [(4, 3, 2), (32, 16, 16)][geometry];
+        let mut pwc = PagingStructureCache::new(pde, pdpte, pml4e);
+        let mut model = ModelPwc::new(pde, pdpte, pml4e);
+        for (step, &(kind, l4, l3, l2, aux)) in ops.iter().enumerate() {
+            let addr = pwc_addr(l4, l3, l2, aux);
+            match kind {
+                0..=3 => {
+                    let i = (aux % 3) as usize;
+                    let frame = FrameId::new(aux * 16 + u64::from(kind));
+                    pwc.record(addr, [Level::L2, Level::L3, Level::L4][i], frame);
+                    model.record(addr, i, frame);
+                }
+                4 | 5 => prop_assert_eq!(pwc.walk_start(addr), model.walk_start(addr), "step {}", step),
+                8 if aux % 4 == 0 => {
+                    pwc.flush();
+                    model = ModelPwc::new(pde, pdpte, pml4e);
+                }
+                _ => {
+                    let bytes = [0, 4096, 2 << 20, 10 << 20, 1 << 30, 3 << 30, 1 << 39][(aux % 7) as usize];
+                    let end = addr.add(bytes);
+                    prop_assert_eq!(
+                        pwc.invalidate_range(addr, end),
+                        model.invalidate_range(addr, end),
+                        "step {}: {} bytes from {}", step, bytes, addr
+                    );
+                }
+            }
+        }
+        for (l4, l3, l2) in (0..2).flat_map(|a| (0..3).flat_map(move |b| (0..6).map(move |c| (a, b, c)))) {
+            let addr = pwc_addr(l4, l3, l2, 0);
+            prop_assert_eq!(pwc.walk_start(addr), model.walk_start(addr));
+        }
+    }
+
+    /// `CowRefCounts` matches a `BTreeMap` of share counts — absent means
+    /// one owner, sharing adds one, releasing the second-to-last reference
+    /// removes the entry — across directory chunks.
+    #[test]
+    fn cow_refcounts_match_a_btreemap_model(
+        ops in prop::collection::vec((0u8..3, 0u64..4, 0u64..16), 1..400),
+    ) {
+        let mut counts = CowRefCounts::new();
+        let mut model: BTreeMap<u64, u32> = BTreeMap::new();
+        for (step, &(kind, chunk, offset)) in ops.iter().enumerate() {
+            let frame = cow_frame(chunk, offset);
+            if kind < 2 {
+                counts.share(frame);
+                *model.entry(frame.pfn()).or_insert(1) += 1;
+            } else {
+                let last = match model.get(&frame.pfn()).copied() {
+                    None => true,
+                    Some(count) if count <= 2 => {
+                        model.remove(&frame.pfn());
+                        false
+                    }
+                    Some(count) => {
+                        model.insert(frame.pfn(), count - 1);
+                        false
+                    }
+                };
+                prop_assert_eq!(counts.release(frame), last, "step {}", step);
+            }
+            prop_assert_eq!(counts.shared_frames(), model.len(), "step {}", step);
+            prop_assert_eq!(
+                counts.references(frame),
+                model.get(&frame.pfn()).copied().unwrap_or(1),
+                "step {}", step
+            );
+        }
+        for (chunk, offset) in (0..4).flat_map(|c| (0..16).map(move |o| (c, o))) {
+            let frame = cow_frame(chunk, offset);
+            prop_assert_eq!(counts.is_shared(frame), model.contains_key(&frame.pfn()));
+            prop_assert_eq!(counts.references(frame), model.get(&frame.pfn()).copied().unwrap_or(1));
+        }
     }
 }
