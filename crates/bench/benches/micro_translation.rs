@@ -3,10 +3,10 @@
 //! replication, the setup layer (populate, footprint) and the
 //! copy-on-write path (one-page ranged shootdown, fork).
 //!
-//! These are not paper figures; they quantify the design choices called out
-//! in DESIGN.md (2N-reference eager updates, replica-ring lookups, walk cost
-//! asymmetry) and guard against performance regressions in the simulator
-//! itself.
+//! These are not paper figures; they quantify the paper's design choices
+//! (2N-reference eager updates, replica-ring lookups, walk cost asymmetry)
+//! and guard against performance regressions in the simulator itself.  The
+//! README's *Performance* section records their figures.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use mitosis::{replicate_tree, Mitosis, MitosisPvOps};

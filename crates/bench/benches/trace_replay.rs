@@ -21,8 +21,7 @@ use mitosis_numa::SocketId;
 use mitosis_pt::VirtAddr;
 use mitosis_sim::{ExecutionEngine, PhaseChange, PhaseSchedule, SimParams};
 use mitosis_trace::{
-    capture_engine_run, capture_engine_run_dynamic, ReplayRequest, ReplaySession, SnapshotMode,
-    Trace,
+    capture_engine_run, capture_engine_run_dynamic, ReplayRequest, ReplaySession, Trace,
 };
 use mitosis_vmm::{MmapFlags, System};
 use mitosis_workloads::suite;
@@ -179,8 +178,8 @@ fn bench_lane_parallel(c: &mut Criterion) {
 /// The measured phase is kept shorter than the setup (full-footprint
 /// populate across four sockets): that is the regime the session's
 /// amortisation targets — on a single-core runner the grouped win comes
-/// entirely from the removed prepare and the scoped clones, while the
-/// measured replay work itself cannot shrink below serial.
+/// entirely from the prepare the warm session skips, while the measured
+/// replay work itself cannot shrink below serial.
 fn bench_lane_groups(c: &mut Criterion) {
     let params = SimParams::quick_test()
         .with_accesses(ACCESSES / 4)
@@ -219,17 +218,15 @@ fn bench_lane_groups(c: &mut Criterion) {
     group.finish();
 }
 
-/// Snapshot-based lane-group replay: proves grouped replay no longer pays
-/// the setup reconstruction once **per worker group**.
+/// Snapshot-based lane-group replay: the setup parts of one cold grouped
+/// call, priced one by one.
 ///
 /// The trace is deliberately setup-heavy (full-footprint populate, a short
-/// measured phase), so per-group re-setup would dominate grouped wall
-/// time.  `prepare_once` prices the one setup execution; `clone` prices
-/// the per-group snapshot copy that replaced it; `grouped` is the full
-/// cold driver (one prepare + one clone per group per call).  With the old
-/// re-setup-per-worker driver, `grouped` carried ~`groups ×
-/// prepare_once`; now it carries `prepare_once + groups × clone`, and
-/// `clone` is the number that stays flat as setup size grows.
+/// measured phase).  `prepare_once` prices the one setup execution a call
+/// makes; `clone` prices the full copy of the prepared system that every
+/// unit replays from; `grouped` is the whole cold call.  So `grouped`
+/// carries about `prepare_once + groups × clone` plus the measured phase,
+/// and `clone` grows with the resident state, not with the setup work.
 fn bench_lane_groups_snapshot(c: &mut Criterion) {
     // Short measured phase over the standard footprint: setup-dominated.
     let params = SimParams::quick_test()
@@ -279,12 +276,11 @@ fn bench_lane_groups_snapshot(c: &mut Criterion) {
     group.finish();
 }
 
-/// The session's two levers in isolation: pool warm-up and snapshot
-/// scope.  `cold_session` pays prepare + worker spawn on every call;
-/// `warm_full` reuses the session (cached snapshot, live pool threads)
-/// but deep-copies the whole prepared system per group; `warm_partial`
-/// (`SnapshotMode::Auto`) additionally slices each clone to the frame/VA
-/// scope its lane group can touch.
+/// What a warm session saves on a grouped request.  `cold_session` pays
+/// prepare and worker spawn on every call; `warm_full` reuses one session,
+/// so every call finds the snapshot cached and the pool threads running,
+/// and pays only one full clone of the prepared system per unit plus the
+/// measured phase.
 fn bench_pool(c: &mut Criterion) {
     let params = params().with_threads_per_socket(2);
     let captured = mitosis_trace::capture_multisocket_scenario(
@@ -310,9 +306,7 @@ fn bench_pool(c: &mut Criterion) {
         });
     });
 
-    let full = ReplayRequest::new()
-        .grouped(4)
-        .snapshots(SnapshotMode::Full);
+    let full = ReplayRequest::new().grouped(4);
     let mut full_session = ReplaySession::new(&params);
     full_session
         .replay(&trace, &full)
@@ -327,20 +321,6 @@ fn bench_pool(c: &mut Criterion) {
         "a warm session must never respawn workers"
     );
 
-    let partial = ReplayRequest::new()
-        .grouped(4)
-        .snapshots(SnapshotMode::Auto);
-    let mut partial_session = ReplaySession::new(&params);
-    partial_session
-        .replay(&trace, &partial)
-        .expect("warm the session");
-    group.bench_function("warm_partial", |b| {
-        b.iter(|| {
-            partial_session
-                .replay(&trace, &partial)
-                .expect("warm partial-clone")
-        });
-    });
     group.finish();
 }
 

@@ -1,7 +1,8 @@
 //! Shared helpers for the figure and table harnesses.
 //!
 //! Each benchmark target in `benches/` regenerates one figure or table of
-//! the Mitosis paper (see DESIGN.md for the experiment index).  The targets
+//! the Mitosis paper (the README's *Figures and benchmarks* section lists
+//! them).  The targets
 //! are ordinary `main` programs (`harness = false`) that print a text version
 //! of the figure, except for the micro-benchmarks which use Criterion.
 //!

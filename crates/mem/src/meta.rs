@@ -10,8 +10,7 @@
 //! frame number — the same handle trick `PtStore` uses for page-table pages —
 //! instead of a hash map.  Lookups hash nothing, replica-ring hops are two
 //! array indexations, and because the directory is ordered by frame number
-//! the table can be *range-sliced*: partial replay snapshots clone only the
-//! frame ranges a lane group can touch via [`FrameTable::clone_ranges`].
+//! a socket's frames iterate as one contiguous range.
 
 use crate::frame::{FrameId, FrameRange, FrameSpace};
 use mitosis_numa::SocketId;
@@ -129,8 +128,10 @@ impl FrameTable {
         &mut chunk[frame.pfn() as usize & (CHUNK_FRAMES - 1)]
     }
 
-    /// Places `meta` for `frame`, creating or replacing its slot.
-    fn insert_meta(&mut self, frame: FrameId, meta: PageMeta) {
+    /// Records metadata for a newly allocated frame, replacing any previous
+    /// entry.
+    pub fn insert(&mut self, frame: FrameId, kind: FrameKind) {
+        let meta = PageMeta::new(kind);
         match self.slot_of(frame) {
             Some(slot) => self.slots[slot as usize] = meta,
             None => {
@@ -148,12 +149,6 @@ impl FrameTable {
                 self.len += 1;
             }
         }
-    }
-
-    /// Records metadata for a newly allocated frame, replacing any previous
-    /// entry.
-    pub fn insert(&mut self, frame: FrameId, kind: FrameKind) {
-        self.insert_meta(frame, PageMeta::new(kind));
     }
 
     /// Removes the metadata of a freed frame and returns it.
@@ -216,27 +211,6 @@ impl FrameTable {
                     })
                     .filter(move |(frame, _)| frame.pfn() >= start && frame.pfn() < end)
             })
-    }
-
-    /// Clones only the entries whose frames fall in one of `ranges` — the
-    /// partial-snapshot path: a lane group that provably touches only a few
-    /// frame ranges gets a table holding just those, at a cost proportional
-    /// to the slice instead of the whole machine.
-    ///
-    /// Replica links are copied as-is; ring members outside `ranges` are
-    /// simply absent from the slice, so ring walks on a sliced table are only
-    /// meaningful for rings fully contained in the cloned ranges.  Partial
-    /// replay snapshots guarantee this by construction: runs that could
-    /// consult a ring (demand faults, replication events) fall back to a full
-    /// clone.
-    pub fn clone_ranges(&self, ranges: &[FrameRange]) -> FrameTable {
-        let mut out = FrameTable::new(self.space.clone());
-        for range in ranges {
-            for (frame, meta) in self.iter_range(*range) {
-                out.insert_meta(frame, meta.clone());
-            }
-        }
-        out
     }
 
     /// Number of tracked frames of a given kind on a given socket.
@@ -383,41 +357,6 @@ mod tests {
                 Some(FrameKind::PageTable { level: 2 })
             );
         }
-    }
-
-    #[test]
-    fn clone_ranges_slices_by_frame_number() {
-        let mut t = table();
-        for pfn in [0u64, 500, 999, 1000, 1500, 2500, 3999] {
-            t.insert(FrameId::new(pfn), FrameKind::Data);
-        }
-        let space = t.frame_space().clone();
-        let slice = t.clone_ranges(&[space.range_of(SocketId::new(1))]);
-        assert_eq!(slice.len(), 2);
-        assert_eq!(slice.kind(FrameId::new(1000)), Some(FrameKind::Data));
-        assert_eq!(slice.kind(FrameId::new(1500)), Some(FrameKind::Data));
-        assert_eq!(slice.kind(FrameId::new(999)), None);
-        assert_eq!(slice.kind(FrameId::new(2500)), None);
-
-        let both = t.clone_ranges(&[
-            space.range_of(SocketId::new(0)),
-            space.range_of(SocketId::new(3)),
-        ]);
-        assert_eq!(both.len(), 4);
-        assert_eq!(both.kind(FrameId::new(3999)), Some(FrameKind::Data));
-    }
-
-    #[test]
-    fn clone_ranges_preserves_replica_links_inside_the_slice() {
-        let mut t = table();
-        let frames = [FrameId::new(10), FrameId::new(20)];
-        for &f in &frames {
-            t.insert(f, FrameKind::PageTable { level: 2 });
-        }
-        t.link_replicas(&frames);
-        let slice = t.clone_ranges(&[FrameRange::new(FrameId::new(0), FrameId::new(100))]);
-        assert!(slice.is_replicated(frames[0]));
-        assert_eq!(slice.replicas_of(frames[0]).len(), 2);
     }
 
     #[test]

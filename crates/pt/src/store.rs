@@ -25,7 +25,7 @@
 //! [`PtSlot`] handle once and use the `*_at` accessors, skipping the
 //! directory on subsequent accesses.
 
-use crate::addr::{Level, VirtAddr, ENTRIES_PER_TABLE};
+use crate::addr::ENTRIES_PER_TABLE;
 use crate::entry::Pte;
 use mitosis_mem::FrameId;
 
@@ -276,70 +276,6 @@ impl PtStore {
             .sum()
     }
 
-    /// Clones only the page-table subtrees reachable from `roots` that can
-    /// serve a translation for one of the half-open virtual-address
-    /// `ranges`.
-    ///
-    /// This is the partial-snapshot path: a replay lane group whose accesses
-    /// provably stay inside a few VA ranges only ever walks the tables on
-    /// those paths, so cloning the rest of the store (other sockets' replica
-    /// trees, unrelated regions) is wasted work.  Each visited table is
-    /// copied in full — sibling entries are cheap and keeping them makes the
-    /// copy independent of entry-granular range math — but child tables
-    /// whose span misses every range are not descended into.
-    ///
-    /// Walking a sliced store outside the declared ranges finds no table and
-    /// panics like any unmapped-table access; callers (the grouped replay
-    /// driver) rely on worker panic isolation plus the demand-fault re-run
-    /// to recover from an undersized slice, so the slice is an optimisation,
-    /// never a correctness commitment.
-    pub fn clone_reachable(&self, roots: &[FrameId], ranges: &[(VirtAddr, VirtAddr)]) -> PtStore {
-        let mut out = PtStore::new();
-        for &root in roots {
-            self.copy_subtree(root, Level::L4, VirtAddr::new(0), ranges, &mut out);
-        }
-        out
-    }
-
-    fn copy_subtree(
-        &self,
-        frame: FrameId,
-        level: Level,
-        base: VirtAddr,
-        ranges: &[(VirtAddr, VirtAddr)],
-        out: &mut PtStore,
-    ) {
-        if out.contains(frame) {
-            return; // shared between roots (non-replicated trees)
-        }
-        let Some(slot) = self.slot_of(frame) else {
-            return;
-        };
-        out.insert_table(frame);
-        let out_slot = out.slot(frame);
-        for (index, pte) in self.present_at(slot) {
-            out.write_at(out_slot, index, pte);
-        }
-        let Some(lower) = level.next_lower() else {
-            return;
-        };
-        for (index, pte) in self.present_at(slot) {
-            if pte.is_huge() {
-                continue; // leaf at this level, nothing below
-            }
-            let span_start = base.add(index as u64 * level.entry_coverage());
-            let span_end = span_start.add(level.entry_coverage());
-            let wanted = ranges.iter().any(|(start, end)| {
-                start.as_u64() < span_end.as_u64() && span_start.as_u64() < end.as_u64()
-            });
-            if wanted {
-                if let Some(child) = pte.frame() {
-                    self.copy_subtree(child, lower, span_start, ranges, out);
-                }
-            }
-        }
-    }
-
     /// Iterates over all page-table frames currently stored.
     pub fn table_frames(&self) -> impl Iterator<Item = FrameId> + '_ {
         self.slots
@@ -495,58 +431,6 @@ mod tests {
             seen.push(index);
         }
         assert_eq!(seen, vec![5, 64, 300]);
-    }
-
-    #[test]
-    fn clone_reachable_slices_by_va_range() {
-        use crate::addr::{Level, VirtAddr};
-        // Two translation paths: VA 0 and VA at the second L2 entry span
-        // (2 MiB * 512 = 1 GiB apart at L3, so they share L4+L3 but use
-        // distinct L2 subtrees).
-        let mut store = PtStore::new();
-        let root = FrameId::new(1);
-        let l3 = FrameId::new(2);
-        let (l2_a, l1_a) = (FrameId::new(3), FrameId::new(4));
-        let (l2_b, l1_b) = (FrameId::new(5), FrameId::new(6));
-        for f in [root, l3, l2_a, l1_a, l2_b, l1_b] {
-            store.insert_table(f);
-        }
-        let table = |f: FrameId| Pte::new(f, PteFlags::table_pointer());
-        let va_a = VirtAddr::new(0);
-        let va_b = VirtAddr::new(Level::L3.entry_coverage()); // second L3 entry
-        store.write(root, va_a.index_at(Level::L4), table(l3));
-        store.write(l3, va_a.index_at(Level::L3), table(l2_a));
-        store.write(l2_a, va_a.index_at(Level::L2), table(l1_a));
-        store.write(
-            l1_a,
-            va_a.index_at(Level::L1),
-            Pte::new(FrameId::new(100), PteFlags::user_data()),
-        );
-        store.write(l3, va_b.index_at(Level::L3), table(l2_b));
-        store.write(l2_b, va_b.index_at(Level::L2), table(l1_b));
-        store.write(
-            l1_b,
-            va_b.index_at(Level::L1),
-            Pte::new(FrameId::new(200), PteFlags::user_data()),
-        );
-
-        // Slice covering only the first path.
-        let slice = store.clone_reachable(&[root], &[(va_a, va_a.add(4096))]);
-        assert!(slice.contains(root) && slice.contains(l3));
-        assert!(slice.contains(l2_a) && slice.contains(l1_a));
-        assert!(!slice.contains(l2_b) && !slice.contains(l1_b));
-        assert_eq!(
-            slice.read(l1_a, va_a.index_at(Level::L1)).frame(),
-            Some(FrameId::new(100))
-        );
-        // Visited tables are copied in full: the L3 entry pointing into the
-        // un-cloned subtree is still present, its target just isn't stored.
-        assert!(slice.read(l3, va_b.index_at(Level::L3)).is_present());
-
-        // A slice covering both paths copies everything reachable.
-        let both =
-            store.clone_reachable(&[root], &[(va_a, va_a.add(4096)), (va_b, va_b.add(4096))]);
-        assert_eq!(both.table_count(), 6);
     }
 
     #[test]

@@ -48,35 +48,6 @@ pub struct PreparedSystem {
     pub region: VirtAddr,
 }
 
-impl PreparedSystem {
-    /// Partial snapshot: clones only the state a replay confined to
-    /// `sockets` and the half-open `va_ranges` can touch (see
-    /// [`System::clone_for_scoped_replay`]), plus the whole cheap policy
-    /// state.  Equivalent to [`Clone`] — at a fraction of the cost — only
-    /// for runs that stay in scope and cannot demand-fault; callers prove
-    /// that from the trace's shardability analysis and fall back to a full
-    /// clone otherwise.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`VmError`] if the prepared pid is unknown to the system
-    /// (which would indicate snapshot corruption).
-    pub fn clone_scoped(
-        &self,
-        sockets: &[SocketId],
-        va_ranges: &[(VirtAddr, VirtAddr)],
-    ) -> Result<PreparedSystem, VmError> {
-        Ok(PreparedSystem {
-            system: self
-                .system
-                .clone_for_scoped_replay(self.pid, sockets, va_ranges)?,
-            mitosis: self.mitosis.clone(),
-            pid: self.pid,
-            region: self.region,
-        })
-    }
-}
-
 /// Cycles charged for one data access, given where the data lives and how
 /// bandwidth-hungry the workload is.
 ///

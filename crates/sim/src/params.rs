@@ -6,11 +6,11 @@ use mitosis_workloads::WorkloadSpec;
 
 /// Parameters shared by every experiment run.
 ///
-/// The defaults reproduce the paper's testbed scaled down by 128x in capacity
-/// (see DESIGN.md): latencies, TLB sizes and core counts are real, while
-/// memory, last-level cache and workload footprints shrink together so that
-/// the pressure *ratios* (footprint vs. TLB reach, page-table size vs. L3)
-/// match the originals.
+/// The defaults reproduce the paper's testbed scaled down by 128x in
+/// capacity: latencies, TLB sizes and core counts are real, while memory,
+/// last-level cache and workload footprints shrink together so that the
+/// pressure *ratios* (footprint vs. TLB reach, page-table size vs. L3) match
+/// the originals.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimParams {
     /// Capacity scale factor applied to the machine and to workload

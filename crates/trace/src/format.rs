@@ -62,13 +62,11 @@ pub fn checked_socket_u16(index: usize) -> Result<u16, TraceError> {
     u16::try_from(index).map_err(|_| TraceError::UnencodableSocket(index))
 }
 
-/// Current format version written by [`TraceWriter`].
+/// The format version [`TraceWriter`] writes and the only one
+/// [`TraceReader`] accepts.
 ///
 /// Version history:
-/// * 1 — initial format (workload spec + seed in the header).  Still
-///   readable: the machine fingerprint decodes as
-///   [`MachineFingerprint::UNKNOWN`], which replay treats as a mismatch
-///   (forcible, since it cannot be verified).
+/// * 1 — initial format (workload spec + seed in the header).
 /// * 2 — header additionally records the [`MachineFingerprint`], so replay
 ///   can refuse a trace captured on a differently sized machine instead of
 ///   silently producing different metrics.
@@ -77,17 +75,15 @@ pub fn checked_socket_u16(index: usize) -> Result<u16, TraceError> {
 ///   [`TraceEvent::AutoNumaRebalance`], plus the pre-existing
 ///   [`TraceEvent::MigratePageTable`] / [`TraceEvent::Interference`] now
 ///   also valid inside lanes) and the multi-socket scenario setup event
-///   [`TraceEvent::InterleaveData`].  The wire format is unchanged — v1/v2
-///   readers would reject only the new codes, so the version bump marks
-///   traces that may carry them.
+///   [`TraceEvent::InterleaveData`].  The wire format is unchanged; the
+///   version bump marks traces that may carry the new codes.
 /// * 4 — staggered (per-thread) phase boundaries: the mid-lane markers
 ///   [`TraceEvent::MigrateData`], [`TraceEvent::AutoNumaRebalance`] and
 ///   [`TraceEvent::Interference`] gain an optional trailing `staggered`
 ///   argument.  A staggered marker applies only to the lane it is recorded
 ///   in, so lanes of one trace may legitimately carry *different* markers
-///   (the pre-v4 invariant was all-lanes-agree).  Unstaggered events encode
-///   exactly as in v3 (the argument is simply absent), so v4 bodies without
-///   staggered markers are byte-identical to v3 bodies.
+///   (the pre-v4 invariant was all-lanes-agree).  Unstaggered events omit
+///   the argument.
 /// * 5 — periodic per-lane checkpoint markers for trace salvage: an
 ///   *internal* event (code 15, never surfaced as a [`TraceEvent`])
 ///   carrying `(accesses so far in this lane, running FNV-64 state of
@@ -102,14 +98,11 @@ pub fn checked_socket_u16(index: usize) -> Result<u16, TraceError> {
 /// * 6 — address-space-churn and fork/CoW events: [`TraceEvent::Fork`],
 ///   [`TraceEvent::MmapAt`], [`TraceEvent::MunmapAt`],
 ///   [`TraceEvent::PromoteHuge`] and [`TraceEvent::DemoteHuge`] (codes
-///   16–20), valid as mid-lane phase-change markers.  The wire format is
-///   otherwise unchanged: a v6 trace without the new events encodes
-///   byte-identically to a v5 trace except for the header's version word,
-///   and v1–v5 traces remain readable.
+///   16–20), valid as mid-lane phase-change markers.
+///
+/// The reader decodes this version only: any other version word is
+/// [`TraceError::UnsupportedVersion`].
 pub const TRACE_VERSION: u32 = 6;
-
-/// Oldest format version [`TraceReader`] still accepts.
-pub const TRACE_MIN_VERSION: u32 = 1;
 
 /// File magic, `b"MTRC"`.
 pub const TRACE_MAGIC: [u8; 4] = *b"MTRC";
@@ -170,8 +163,7 @@ pub(crate) mod event_code {
 }
 
 /// The internal per-lane checkpoint marker (format v5).  Never decoded
-/// into a [`TraceEvent`]: the reader validates and swallows it, pre-v5
-/// readers reject it as an unknown event.
+/// into a [`TraceEvent`]: the reader validates and swallows it.
 const CHECKPOINT_EVENT_CODE: u64 = event_code::CHECKPOINT;
 
 /// Accesses between two checkpoint markers within a lane, unless
@@ -353,15 +345,6 @@ pub struct MachineFingerprint {
 }
 
 impl MachineFingerprint {
-    /// Placeholder for traces that predate machine fingerprinting
-    /// (format v1).  Never matches a real machine, so strict replay of a
-    /// v1 trace is refused with an explanation rather than trusted blindly.
-    pub const UNKNOWN: MachineFingerprint = MachineFingerprint {
-        machine_scale: 0,
-        sockets: 0,
-        frames_per_socket: 0,
-    };
-
     /// The fingerprint of the machine `params` builds.
     ///
     /// # Errors
@@ -382,9 +365,6 @@ impl MachineFingerprint {
 
 impl fmt::Display for MachineFingerprint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if *self == MachineFingerprint::UNKNOWN {
-            return write!(f, "unknown (format v1 trace)");
-        }
         write!(
             f,
             "scale {}, {} sockets, {} frames/socket",
@@ -593,8 +573,7 @@ pub enum TraceEvent {
 impl TraceEvent {
     fn encode(self) -> (u64, [u64; 3], usize) {
         // Staggerable markers append their flag as an optional trailing
-        // argument (format v4): unstaggered events omit it, which keeps
-        // their encoding byte-identical to v3.
+        // argument (format v4): unstaggered events omit it.
         let staggerable = |code: u64, first: u64, staggered: bool| {
             if staggered {
                 (code, [first, 1, 0], 2)
@@ -652,9 +631,9 @@ impl TraceEvent {
                 .copied()
                 .ok_or(TraceError::Corrupt("event is missing arguments"))
         };
-        // The staggered flag is an optional trailing argument: absent in
-        // v1–v3 traces (and in unstaggered v4 events), present only on the
-        // three staggerable mid-lane markers.
+        // The staggered flag is an optional trailing argument: absent on
+        // unstaggered events, present only on the three staggerable
+        // mid-lane markers.
         let staggered = |i: usize| args.get(i).copied().unwrap_or(0) != 0;
         let socket = |i: usize| -> Result<u16, TraceError> {
             u16::try_from(arg(i)?).map_err(|_| TraceError::Corrupt("socket index overflows u16"))
@@ -903,7 +882,6 @@ pub struct TraceCheckpoint {
 pub struct TraceReader<R: Read> {
     source: HashingReader<R>,
     meta: TraceMeta,
-    version: u32,
     prev_offset: u64,
     accesses_seen: u64,
     finished: bool,
@@ -933,7 +911,7 @@ impl<R: Read> TraceReader<R> {
         let mut version = [0u8; 4];
         source.read_exact(&mut version)?;
         let version = u32::from_le_bytes(version);
-        if !(TRACE_MIN_VERSION..=TRACE_VERSION).contains(&version) {
+        if version != TRACE_VERSION {
             return Err(TraceError::UnsupportedVersion(version));
         }
         let name_len = source.varint()? as usize;
@@ -949,17 +927,11 @@ impl<R: Read> TraceReader<R> {
         let write_fraction = f64::from_bits(source.varint()?);
         let compute_cycles_per_access = source.varint()?;
         let bandwidth_intensity = f64::from_bits(source.varint()?);
-        let machine = if version >= 2 {
-            MachineFingerprint {
-                machine_scale: source.varint()?,
-                sockets: u16::try_from(source.varint()?)
-                    .map_err(|_| TraceError::Corrupt("socket count overflows u16"))?,
-                frames_per_socket: source.varint()?,
-            }
-        } else {
-            // v1 traces carry no fingerprint; replay treats this as an
-            // unverifiable mismatch (forcible).
-            MachineFingerprint::UNKNOWN
+        let machine = MachineFingerprint {
+            machine_scale: source.varint()?,
+            sockets: u16::try_from(source.varint()?)
+                .map_err(|_| TraceError::Corrupt("socket count overflows u16"))?,
+            frames_per_socket: source.varint()?,
         };
         Ok(TraceReader {
             source,
@@ -972,7 +944,6 @@ impl<R: Read> TraceReader<R> {
                 bandwidth_intensity,
                 machine,
             },
-            version,
             prev_offset: 0,
             accesses_seen: 0,
             finished: false,
@@ -985,11 +956,6 @@ impl<R: Read> TraceReader<R> {
     /// The trace header metadata.
     pub fn meta(&self) -> &TraceMeta {
         &self.meta
-    }
-
-    /// The format version the trace was written with.
-    pub fn version(&self) -> u32 {
-        self.version
     }
 
     /// The most recent checkpoint marker that validated, if any.  After a
@@ -1073,14 +1039,11 @@ impl<R: Read> TraceReader<R> {
         }
     }
 
-    /// Validates one checkpoint marker against the stream actually read: a
-    /// pre-v5 trace cannot legitimately carry one, the recorded lane access
-    /// count must match the decode position, and the recorded running hash
-    /// must match the hash of every byte read before the marker.
+    /// Validates one checkpoint marker against the stream actually read:
+    /// the recorded lane access count must match the decode position, and
+    /// the recorded running hash must match the hash of every byte read
+    /// before the marker.
     fn validate_checkpoint(&mut self, stream_hash: u64, args: &[u64]) -> Result<(), TraceError> {
-        if self.version < 5 {
-            return Err(TraceError::UnknownEvent(CHECKPOINT_EVENT_CODE));
-        }
         if self.lanes_seen == 0 {
             return Err(TraceError::Corrupt(
                 "checkpoint marker before the first lane",
@@ -1263,8 +1226,7 @@ impl Trace {
     /// # Errors
     ///
     /// Returns the original decode error when nothing is attested: a
-    /// damaged header, a pre-v5 trace (no markers), or damage before the
-    /// first checkpoint.
+    /// damaged header, or damage before the first checkpoint.
     pub fn recover<R: Read>(source: R) -> Result<SalvagedTrace, TraceError> {
         let mut reader = TraceReader::new(source)?;
         let mut trace = Trace {
@@ -1519,101 +1481,6 @@ mod tests {
     }
 
     #[test]
-    fn unstaggered_v4_bodies_match_the_v3_encoding() {
-        // The staggered flag is an optional trailing argument, and v5
-        // checkpoint markers only appear after DEFAULT_CHECKPOINT_INTERVAL
-        // accesses in a lane: a small trace without staggered markers must
-        // encode byte-identically to the v3 writer, except for the version
-        // word in the header.
-        let trace = Trace {
-            meta: meta(),
-            setup_events: vec![
-                TraceEvent::CreateProcess { socket: 0 },
-                TraceEvent::Interference {
-                    sockets: 0b10,
-                    staggered: false,
-                },
-            ],
-            lanes: vec![TraceLane {
-                socket: 0,
-                accesses: vec![Access {
-                    offset: 64,
-                    is_write: false,
-                }],
-                events: vec![(
-                    1,
-                    TraceEvent::MigrateData {
-                        socket: 1,
-                        staggered: false,
-                    },
-                )],
-            }],
-        };
-        let bytes = trace.to_bytes().unwrap();
-        assert_eq!(
-            u32::from_le_bytes(bytes[4..8].try_into().unwrap()),
-            TRACE_VERSION
-        );
-        // Rewrite the version word to 3 and fix up the checksum: the body
-        // must decode identically, proving nothing else changed.
-        let mut v3 = bytes.clone();
-        v3[4..8].copy_from_slice(&3u32.to_le_bytes());
-        let body_end = v3.len() - 8;
-        let mut hash = Fnv64::new();
-        hash.update(&v3[..body_end]);
-        let checksum = hash.0;
-        v3[body_end..].copy_from_slice(&checksum.to_le_bytes());
-        assert_eq!(Trace::from_bytes(&v3).unwrap(), trace);
-    }
-
-    #[test]
-    fn v6_bodies_without_churn_events_match_the_v5_encoding() {
-        // The v6 event codes are purely additive: a trace carrying none of
-        // them must encode byte-identically to the v5 writer, except for
-        // the version word in the header.
-        let trace = Trace {
-            meta: meta(),
-            setup_events: vec![
-                TraceEvent::CreateProcess { socket: 0 },
-                TraceEvent::Mmap {
-                    len: 1 << 27,
-                    populate: true,
-                    thp: false,
-                },
-            ],
-            lanes: vec![TraceLane {
-                socket: 0,
-                accesses: vec![Access {
-                    offset: 64,
-                    is_write: true,
-                }],
-                events: vec![(
-                    1,
-                    TraceEvent::MigrateData {
-                        socket: 1,
-                        staggered: false,
-                    },
-                )],
-            }],
-        };
-        let bytes = trace.to_bytes().unwrap();
-        assert_eq!(
-            u32::from_le_bytes(bytes[4..8].try_into().unwrap()),
-            TRACE_VERSION
-        );
-        // Rewrite the version word to 5 and fix up the checksum: the body
-        // must decode identically, proving nothing else changed.
-        let mut v5 = bytes.clone();
-        v5[4..8].copy_from_slice(&5u32.to_le_bytes());
-        let body_end = v5.len() - 8;
-        let mut hash = Fnv64::new();
-        hash.update(&v5[..body_end]);
-        let checksum = hash.0;
-        v5[body_end..].copy_from_slice(&checksum.to_le_bytes());
-        assert_eq!(Trace::from_bytes(&v5).unwrap(), trace);
-    }
-
-    #[test]
     fn churn_and_fork_events_roundtrip() {
         let trace = Trace {
             meta: meta(),
@@ -1809,29 +1676,6 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_markers_in_pre_v5_traces_are_rejected() {
-        // Rewrite a marker-bearing v5 trace's version word to 4 (fixing up
-        // the trailing checksum): the reader must refuse the marker as an
-        // unknown event rather than trusting it.
-        let trace = Trace {
-            meta: meta(),
-            setup_events: vec![],
-            lanes: vec![lane_of(100)],
-        };
-        let mut bytes = encode_with_interval(&trace, 64);
-        bytes[4..8].copy_from_slice(&4u32.to_le_bytes());
-        let body_end = bytes.len() - 8;
-        let mut hash = Fnv64::new();
-        hash.update(&bytes[..body_end]);
-        let checksum = hash.0;
-        bytes[body_end..].copy_from_slice(&checksum.to_le_bytes());
-        assert!(matches!(
-            Trace::from_bytes(&bytes),
-            Err(TraceError::UnknownEvent(code)) if code == CHECKPOINT_EVENT_CODE
-        ));
-    }
-
-    #[test]
     fn trace_error_source_exposes_the_io_chain() {
         use std::error::Error as _;
         let io = io::Error::new(io::ErrorKind::UnexpectedEof, "short read");
@@ -1910,44 +1754,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_traces_decode_with_an_unknown_fingerprint() {
-        // Hand-encode a minimal format-v1 trace (header without the
-        // machine fingerprint, one empty body, FNV-64 checksum): archived
-        // PR 1 artifacts must stay readable.
-        fn varint(out: &mut Vec<u8>, mut v: u64) {
-            loop {
-                let byte = (v & 0x7f) as u8;
-                v >>= 7;
-                out.push(if v == 0 { byte } else { byte | 0x80 });
-                if v == 0 {
-                    break;
-                }
-            }
-        }
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&TRACE_MAGIC);
-        bytes.extend_from_slice(&1u32.to_le_bytes());
-        let m = meta();
-        varint(&mut bytes, m.workload.len() as u64);
-        bytes.extend_from_slice(m.workload.as_bytes());
-        varint(&mut bytes, m.footprint);
-        varint(&mut bytes, m.seed);
-        varint(&mut bytes, m.write_fraction.to_bits());
-        varint(&mut bytes, m.compute_cycles_per_access);
-        varint(&mut bytes, m.bandwidth_intensity.to_bits());
-        varint(&mut bytes, TAG_END); // END marker with zero accesses
-        let mut hash = Fnv64::new();
-        hash.update(&bytes);
-        bytes.extend_from_slice(&hash.0.to_le_bytes());
-
-        let decoded = Trace::from_bytes(&bytes).unwrap();
-        assert_eq!(decoded.meta.machine, MachineFingerprint::UNKNOWN);
-        assert_eq!(decoded.meta.workload, m.workload);
-        assert_eq!(decoded.meta.seed, m.seed);
-        assert!(decoded.meta.machine.to_string().contains("format v1"));
-    }
-
-    #[test]
     fn header_validation_rejects_garbage() {
         assert!(matches!(
             Trace::from_bytes(b"NOPE"),
@@ -1965,6 +1771,19 @@ mod tests {
             Trace::from_bytes(&future),
             Err(TraceError::UnsupportedVersion(99))
         ));
+        // Older version words are refused too: the reader decodes exactly
+        // the current format.
+        for version in [0u32, 1, 5] {
+            let mut old = future.clone();
+            old[4..8].copy_from_slice(&version.to_le_bytes());
+            assert!(
+                matches!(
+                    Trace::from_bytes(&old),
+                    Err(TraceError::UnsupportedVersion(v)) if v == version
+                ),
+                "version {version} must be unsupported"
+            );
+        }
     }
 
     #[test]

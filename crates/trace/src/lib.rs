@@ -21,9 +21,8 @@
 //! * [`session`] is the one replay entry point: a [`ReplaySession`]
 //!   executes builder-style [`ReplayRequest`]s — serial, lane-selected, or
 //!   sharded as per-socket lane groups across a **persistent worker pool**
-//!   — with a snapshot cache and partial (scoped) snapshots making repeated
-//!   and grouped replays cheaper than one-shot serial replay,
-//!   bit-identically;
+//!   — with a snapshot cache making repeated and grouped replays cheaper
+//!   than one-shot serial replay, bit-identically;
 //! * [`parallel`] holds the report types ([`LaneReplayReport`],
 //!   [`ReplayReport`], [`ShardDecision`]) and the shardability analysis.
 //!
@@ -75,7 +74,7 @@ pub use faultinject::{env_plan, FaultPlan, FaultyReader, FaultyWriter};
 pub use format::{
     checked_socket_u16, socket_index_u16, MachineFingerprint, SalvagedTrace, Trace,
     TraceCheckpoint, TraceError, TraceEvent, TraceItem, TraceLane, TraceMeta, TraceReader,
-    TraceWriter, DEFAULT_CHECKPOINT_INTERVAL, TRACE_MAGIC, TRACE_MIN_VERSION, TRACE_VERSION,
+    TraceWriter, DEFAULT_CHECKPOINT_INTERVAL, TRACE_MAGIC, TRACE_VERSION,
 };
 pub use parallel::{
     GroupFailure, GroupFailureKind, LaneReplayReport, ReplayAggregate, ReplayReport, ShardDecision,
@@ -84,4 +83,4 @@ pub use replay::{
     prepare_replay, LaneCursor, MachineMismatch, ReplayCompleteness, ReplayError, ReplayOptions,
     ReplayOutcome, ReplaySnapshot, TraceReplayer,
 };
-pub use session::{ReplayMode, ReplayRequest, ReplaySession, SnapshotMode};
+pub use session::{ReplayMode, ReplayRequest, ReplaySession};

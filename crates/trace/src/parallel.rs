@@ -30,7 +30,7 @@
 //! why.
 //!
 //! The driver itself lives in [`ReplaySession`] (persistent worker pool,
-//! snapshot cache, partial snapshots).
+//! snapshot cache).
 //!
 //! [`ReplaySession`]: crate::ReplaySession
 
@@ -564,10 +564,11 @@ mod tests {
         let groups = lane_groups(&trace);
         assert_eq!(groups, vec![vec![0, 2], vec![1, 3], vec![4]]);
 
-        // Fingerprint-less v1 traces (sockets == 0) size by the lanes
-        // themselves instead of panicking.
-        let v1 = synthetic_trace(0, &[90, 90, 1]);
-        assert_eq!(lane_groups(&v1), vec![vec![0, 1], vec![2]]);
+        // Lanes on sockets beyond the fingerprint's count (here it
+        // records none) size the table by the lanes themselves instead of
+        // indexing out of bounds.
+        let beyond = synthetic_trace(0, &[90, 90, 1]);
+        assert_eq!(lane_groups(&beyond), vec![vec![0, 1], vec![2]]);
     }
 
     #[test]

@@ -399,63 +399,6 @@ impl ReplaySnapshot {
         self.machine_mismatch
     }
 
-    /// The prepared simulated system (setup applied, measured phase not
-    /// yet run).
-    pub fn prepared(&self) -> &PreparedSystem {
-        &self.prepared
-    }
-
-    /// Whether this snapshot is eligible for [`ReplaySnapshot::clone_scoped`]:
-    /// it must stand at the post-setup boundary (`at_access == 0`, no engine
-    /// checkpoint) with an *empty* phase schedule — a mid-lane migration or
-    /// replication allocates frames the scoped clone would not carry, so any
-    /// scheduled phase change disqualifies the snapshot.
-    ///
-    /// This is a necessary condition only; the caller must additionally
-    /// prove the lanes it will run cannot demand-fault (every accessed page
-    /// premapped by setup).  Scoped clones are an optimisation, never a
-    /// correctness commitment: when in doubt, clone the whole snapshot.
-    pub fn supports_scoped_clone(&self) -> bool {
-        self.at_access == 0 && self.engine.is_none() && self.schedule.events().is_empty()
-    }
-
-    /// Clones only the slice of the prepared system that a run confined to
-    /// `sockets` and `va_ranges` can touch — per-socket frame-table ranges,
-    /// the covering VMA subtrees, and the page-table subtrees resolving the
-    /// ranges — instead of deep-copying the whole footprint (see
-    /// [`PreparedSystem::clone_scoped`]).  Running lanes inside the scope
-    /// from the partial clone is bit-identical to running them from a full
-    /// clone; the partial clone merely costs proportionally to the scope.
-    ///
-    /// The returned snapshot's `setup_wall` records the clone cost alone,
-    /// like any snapshot-clone run path.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the scope is invalid for the prepared system (unknown
-    /// socket, range outside any VMA).  Only call on snapshots where
-    /// [`ReplaySnapshot::supports_scoped_clone`] holds.
-    pub fn clone_scoped(
-        &self,
-        sockets: &[SocketId],
-        va_ranges: &[(VirtAddr, VirtAddr)],
-    ) -> Result<ReplaySnapshot, ReplayError> {
-        let clone_start = Instant::now();
-        let prepared = self.prepared.clone_scoped(sockets, va_ranges)?;
-        Ok(ReplaySnapshot {
-            prepared,
-            spec: self.spec.clone(),
-            lanes: self.lanes,
-            accesses_per_thread: self.accesses_per_thread,
-            schedule: self.schedule.clone(),
-            machine: self.machine,
-            machine_mismatch: self.machine_mismatch,
-            setup_wall: clone_start.elapsed(),
-            at_access: 0,
-            engine: None,
-        })
-    }
-
     /// Cheap consistency check that `trace` is plausibly the trace this
     /// snapshot was prepared from: the lane count and *every* lane's
     /// access count must match the prepared shape.  (A shape-identical
@@ -645,7 +588,7 @@ impl TraceReplayer {
     /// Runs the measured phase of a prepared replay over all lanes
     /// (`selection == None`) or an ordered subset, consuming the snapshot
     /// (the one-shot path: no clone is paid).
-    pub(crate) fn run_lanes(
+    fn run_lanes(
         &mut self,
         snapshot: ReplaySnapshot,
         trace: &Trace,

@@ -14,18 +14,15 @@
 //!   [`ReplaySnapshot`] of the last trace is kept (verified against the
 //!   request's trace by full equality on every hit) so a warm session skips
 //!   setup-event reconstruction entirely;
-//! * **partial snapshots** — when the shardability analysis proves a lane
-//!   group can only touch its own sockets' frames and its own VA ranges
-//!   (setup premaps everything, no mid-lane phase changes), each group
-//!   clones just that slice of the prepared system
-//!   ([`ReplaySnapshot::clone_scoped`]) instead of deep-copying all of it;
 //! * **adaptive group sizing** — [`ReplayMode::Auto`] merges per-socket
 //!   lane groups down to the host's available parallelism (largest group
 //!   first onto the least-loaded unit, never splitting a socket group), so
 //!   a 2-core host is not asked to juggle 8 groups.
 //!
-//! Replayed metrics are bit-identical across every request shape — serial,
-//! grouped, merged, full or partial snapshots, warm or cold pool.
+//! Every grouped unit replays from its own full clone of the session's
+//! snapshot, just as serial replay and serial degradation do.  Replayed
+//! metrics are bit-identical across every request shape — serial, grouped,
+//! merged, warm or cold pool.
 //!
 //! # Example
 //!
@@ -61,8 +58,6 @@ use crate::replay::{
     prepare_replay, validate_lane_selection, ReplayCompleteness, ReplayError, ReplayOptions,
     ReplayOutcome, ReplaySnapshot, TraceReplayer,
 };
-use mitosis_numa::SocketId;
-use mitosis_pt::VirtAddr;
 use mitosis_sim::{Observer, RunMetrics, SimParams};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -91,27 +86,8 @@ pub enum ReplayMode {
     Auto,
 }
 
-/// Which clone a grouped replay's units run from.
-///
-/// Partial (scoped) snapshots are an optimisation, never a correctness
-/// commitment: they are used only when the shardability analysis proves the
-/// run cannot leave the cloned slice (setup premaps every accessed page, no
-/// mid-lane phase changes); outside those conditions
-/// [`SnapshotMode::Auto`] falls back to full clones, and the existing
-/// defence layers (worker panic isolation, the demand-fault serial re-run)
-/// backstop the proof itself.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SnapshotMode {
-    /// Partial snapshots whenever provably safe, full clones otherwise.
-    #[default]
-    Auto,
-    /// Always deep-copy the whole prepared system.
-    Full,
-}
-
 /// A builder-style description of one replay: which lanes, serial or
-/// grouped, which snapshot flavour, salvage and machine-check behaviour,
-/// fault injection.
+/// grouped, salvage and machine-check behaviour, fault injection.
 ///
 /// The default request replays every lane serially with strict machine
 /// checking.
@@ -119,15 +95,14 @@ pub enum SnapshotMode {
 pub struct ReplayRequest {
     lanes: Option<Vec<usize>>,
     mode: ReplayMode,
-    snapshots: SnapshotMode,
     salvage: bool,
     force_machine: bool,
     fault_plan: Option<FaultPlan>,
 }
 
 impl ReplayRequest {
-    /// The default request: every lane, serial, strict machine check,
-    /// [`SnapshotMode::Auto`], no salvage, fault plan from the environment.
+    /// The default request: every lane, serial, strict machine check, no
+    /// salvage, fault plan from the environment.
     pub fn new() -> Self {
         ReplayRequest::default()
     }
@@ -160,13 +135,6 @@ impl ReplayRequest {
     /// Grouped execution sized to the host (see [`ReplayMode::Auto`]).
     pub fn auto_grouped(mut self) -> Self {
         self.mode = ReplayMode::Auto;
-        self
-    }
-
-    /// Selects the snapshot flavour grouped units clone
-    /// (see [`SnapshotMode`]).
-    pub fn snapshots(mut self, mode: SnapshotMode) -> Self {
-        self.snapshots = mode;
         self
     }
 
@@ -205,23 +173,14 @@ impl ReplayRequest {
     }
 }
 
-/// What the session knows about a prepared trace beyond the snapshot:
-/// whether lanes can shard, and the per-lane VA footprint partial
-/// snapshots are sliced by.
-struct ShardAnalysis {
-    /// Whether the setup events premap every page every lane touches — the
-    /// up-front proof that the measured phase cannot demand-fault.
-    fully_premapped: bool,
-    /// Half-open access-offset span `[min, max)` of each lane (covering
-    /// the full 8-byte word of every access), `None` for an empty lane.
-    lane_spans: Vec<Option<(u64, u64)>>,
-}
-
 /// One prepared trace the session keeps warm between calls.
+#[derive(Clone)]
 struct SessionCache {
     trace: Arc<Trace>,
     snapshot: Arc<ReplaySnapshot>,
-    analysis: Arc<ShardAnalysis>,
+    /// Whether the setup events premap every page every lane touches — the
+    /// up-front proof that the measured phase cannot demand-fault.
+    fully_premapped: bool,
 }
 
 /// The unified replay driver: persistent worker pool + snapshot cache +
@@ -309,8 +268,14 @@ impl ReplaySession {
         }
 
         let prepare_start = Instant::now();
-        let (shared_trace, snapshot, analysis, cache_hit) =
-            self.resolve_snapshot(trace, request)?;
+        let (
+            SessionCache {
+                trace: shared_trace,
+                snapshot,
+                fully_premapped,
+            },
+            cache_hit,
+        ) = self.resolve_snapshot(trace, request)?;
         // The reported setup wall is the reconstruction the caller paid
         // for.  A cache hit reconstructs nothing — its verification cost
         // is part of `wall`, not `setup_wall` (the report docs promise
@@ -336,7 +301,7 @@ impl ReplaySession {
             Some(ShardDecision::SingleWorker)
         } else if groups.len() < 2 {
             Some(ShardDecision::SingleSocketGroup)
-        } else if !analysis.fully_premapped {
+        } else if !fully_premapped {
             Some(ShardDecision::DemandFaultRisk)
         } else {
             None
@@ -367,21 +332,8 @@ impl ReplaySession {
         self.pool.ensure_workers(spawned);
         let plan = request.fault_plan.unwrap_or(*env_plan());
 
-        // Partial snapshots only where the analysis proves them safe: no
-        // mid-lane phase changes (a migration allocates frames outside the
-        // slice) and a fully premapped footprint (no demand faults).  The
-        // proof is backstopped twice: an unexpected panic from a missing
-        // page-table slice is caught by worker isolation and retried from
-        // the full snapshot path below, and an unexpected demand fault
-        // triggers the serial re-run at the end of this function.
-        let scoped = snapshot.supports_scoped_clone()
-            && analysis.fully_premapped
-            && request.snapshots != SnapshotMode::Full;
-        let region = snapshot.prepared().region;
-
         let (sender, results) = mpsc::channel();
         for (index, unit) in units.iter().enumerate() {
-            let scope = scoped.then(|| unit_scope(trace, unit, region, &analysis.lane_spans));
             self.pool.submit(unit_job(
                 Arc::clone(&shared_trace),
                 Arc::clone(&snapshot),
@@ -389,7 +341,6 @@ impl ReplaySession {
                 index,
                 self.observer.clone(),
                 plan,
-                scope,
                 sender.clone(),
             ));
         }
@@ -433,8 +384,7 @@ impl ReplaySession {
 
         // Graceful degradation, unchanged from the old driver: every unit
         // whose worker gave up replays serially on the driver thread from
-        // the *full* shared snapshot (never a partial one — the failure may
-        // BE the partial slice), keeping the merged metrics complete.
+        // the shared snapshot, keeping the merged metrics complete.
         self.driver.set_observer(self.observer.clone());
         self.driver.set_observer_track(0);
         for failure in &mut failures {
@@ -548,19 +498,26 @@ impl ReplaySession {
     }
 
     /// Replays a batch of traces — serially in input order for
-    /// [`ReplayMode::Serial`], sharded across the pool otherwise.  The
-    /// request's lane selection and snapshot mode do not apply (each trace
-    /// replays whole, from its own freshly prepared system).
+    /// [`ReplayMode::Serial`], sharded across the pool otherwise.  Each
+    /// trace replays whole, from its own freshly prepared system.
     ///
     /// # Errors
     ///
-    /// Fails if the request asks for zero workers or any trace does not
-    /// replay; the first error in input order is returned.
+    /// Fails if the request selects lanes (a batch replays every lane of
+    /// every trace, so a selection would be silently ignored) or asks for
+    /// zero workers, or if any trace does not replay; the first error in
+    /// input order is returned.
     pub fn replay_batch(
         &mut self,
         traces: &[Trace],
         request: &ReplayRequest,
     ) -> Result<ReplayReport, ReplayError> {
+        if let Some(lanes) = &request.lanes {
+            return Err(ReplayError::Mismatch(format!(
+                "request selects lanes {lanes:?}, but a batch replays every lane \
+                 of every trace; replay a lane subset with `replay`"
+            )));
+        }
         let workers = requested_workers(request.mode)?.min(traces.len()).max(1);
         let options = request.options();
         let start = Instant::now();
@@ -611,39 +568,32 @@ impl ReplaySession {
     /// Resolves the prepared snapshot for `trace`: the cached one when the
     /// session has already prepared this exact trace (verified by full
     /// equality — a cache hit is never trusted on shape alone), a fresh
-    /// preparation otherwise.
+    /// preparation otherwise.  The flag reports which of the two it was.
     fn resolve_snapshot(
         &mut self,
         trace: &Trace,
         request: &ReplayRequest,
-    ) -> Result<ResolvedSnapshot, ReplayError> {
+    ) -> Result<(SessionCache, bool), ReplayError> {
         if let Some(cache) = &self.cache {
             // A snapshot prepared under force_machine records its mismatch;
             // a later strict request must not ride the downgraded cache
             // entry, so it re-prepares (and errors properly).
             let strict_ok = request.force_machine || cache.snapshot.machine_mismatch().is_none();
             if strict_ok && cache.trace.as_ref() == trace {
-                return Ok((
-                    Arc::clone(&cache.trace),
-                    Arc::clone(&cache.snapshot),
-                    Arc::clone(&cache.analysis),
-                    true,
-                ));
+                return Ok((cache.clone(), true));
             }
         }
         let snapshot = {
             let _span = self.observer.span("prepare_replay", 0);
             prepare_replay(trace, &self.params, request.options())?
         };
-        let shared_trace = Arc::new(trace.clone());
-        let snapshot = Arc::new(snapshot);
-        let analysis = Arc::new(analyse(trace));
-        self.cache = Some(SessionCache {
-            trace: Arc::clone(&shared_trace),
-            snapshot: Arc::clone(&snapshot),
-            analysis: Arc::clone(&analysis),
-        });
-        Ok((shared_trace, snapshot, analysis, false))
+        let cache = SessionCache {
+            trace: Arc::new(trace.clone()),
+            snapshot: Arc::new(snapshot),
+            fully_premapped: lanes_fully_premapped(trace),
+        };
+        self.cache = Some(cache.clone());
+        Ok((cache, false))
     }
 
     /// The serial path: all selected lanes on the driver thread, one
@@ -702,8 +652,9 @@ fn requested_workers(mode: ReplayMode) -> Result<usize, ReplayError> {
 
 /// Partitions `selection` into per-socket groups: one group per distinct
 /// socket, each holding its lanes in selection order, groups ordered by
-/// first appearance.  Sized by the trace's machine fingerprint, falling
-/// back to the largest lane socket for fingerprint-less v1 traces.
+/// first appearance.  Sized by the trace's machine fingerprint, or by the
+/// largest lane socket when a lane names a socket beyond the fingerprint's
+/// count (the table must never be indexed out of bounds).
 pub(crate) fn socket_groups(trace: &Trace, selection: &[usize]) -> Vec<Vec<usize>> {
     let sockets = (trace.meta.machine.sockets as usize).max(
         selection
@@ -762,63 +713,9 @@ fn merge_groups(groups: &[Vec<usize>], target: usize) -> Vec<Vec<usize>> {
     units
 }
 
-/// Computes the shardability facts of `trace` once (cached with the
-/// snapshot): premap coverage and per-lane VA spans.
-fn analyse(trace: &Trace) -> ShardAnalysis {
-    let lane_spans = trace
-        .lanes
-        .iter()
-        .map(|lane| {
-            lane.accesses.iter().fold(None, |span, access| {
-                // The engine reads the whole 8-byte word at the access.
-                let start = access.offset;
-                let end = (access.offset | 7) + 1;
-                Some(match span {
-                    None => (start, end),
-                    Some((lo, hi)) => (u64::min(lo, start), u64::max(hi, end)),
-                })
-            })
-        })
-        .collect();
-    ShardAnalysis {
-        fully_premapped: lanes_fully_premapped(trace),
-        lane_spans,
-    }
-}
-
-/// The scope of one unit for a partial snapshot: the distinct sockets its
-/// lanes run on, and each lane's VA range (region base + access span).
-type UnitScope = (Vec<SocketId>, Vec<(VirtAddr, VirtAddr)>);
-
-/// What [`ReplaySession::resolve_snapshot`] hands back for one replay
-/// call: the shared trace, the prepared snapshot, its shardability
-/// analysis, and whether all three came from the session cache.
-type ResolvedSnapshot = (Arc<Trace>, Arc<ReplaySnapshot>, Arc<ShardAnalysis>, bool);
-
-fn unit_scope(
-    trace: &Trace,
-    unit: &[usize],
-    region: VirtAddr,
-    lane_spans: &[Option<(u64, u64)>],
-) -> UnitScope {
-    let mut sockets = Vec::new();
-    let mut ranges = Vec::new();
-    for &lane in unit {
-        let socket = SocketId::new(trace.lanes[lane].socket);
-        if !sockets.contains(&socket) {
-            sockets.push(socket);
-        }
-        if let Some((start, end)) = lane_spans[lane] {
-            ranges.push((region.add(start), region.add(end)));
-        }
-    }
-    (sockets, ranges)
-}
-
 /// Builds the pool job replaying one unit: fault-injection consultation,
 /// bounded retries with backoff, panic isolation — the worker body of the
 /// old scoped-thread driver, now dispatched to a persistent worker.
-#[allow(clippy::too_many_arguments)]
 fn unit_job(
     trace: Arc<Trace>,
     snapshot: Arc<ReplaySnapshot>,
@@ -826,7 +723,6 @@ fn unit_job(
     index: usize,
     observer: Observer,
     plan: FaultPlan,
-    scope: Option<UnitScope>,
     results: mpsc::Sender<(usize, Result<ReplayOutcome, GroupFailure>)>,
 ) -> PoolJob {
     Box::new(move |replayer| {
@@ -848,25 +744,16 @@ fn unit_job(
                 // fails intermittently) gets a moment to clear.
                 thread::sleep(Duration::from_millis(1 << attempt));
             }
-            // A panic anywhere in the unit replay — injected, real, or a
-            // partial snapshot whose slice proved too small — is caught at
-            // the unit boundary instead of unwinding into the pool worker.
+            // A panic anywhere in the unit replay, injected or real, is
+            // caught at the unit boundary instead of unwinding into the pool
+            // worker.
             let result = catch_unwind(AssertUnwindSafe(|| {
                 if plan.worker_panics(index, attempt) {
                     observer.counter("fault.worker_panic", 1);
                     panic!("injected worker panic (group {index}, attempt {attempt})");
                 }
                 let _span = observer.span("group_replay", track);
-                match &scope {
-                    Some((sockets, ranges)) => {
-                        let partial = {
-                            let _span = observer.span("snapshot_clone", track);
-                            snapshot.clone_scoped(sockets, ranges)
-                        }?;
-                        replayer.run_lanes(partial, &trace, Some(&unit))
-                    }
-                    None => replayer.replay_snapshot_lanes(&snapshot, &trace, &unit),
-                }
+                replayer.replay_snapshot_lanes(&snapshot, &trace, &unit)
             }));
             match result {
                 Ok(Ok(outcome)) => {

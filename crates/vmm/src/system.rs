@@ -1275,58 +1275,6 @@ impl System {
             .ops
             .select_root(process.address_space().roots(), socket))
     }
-
-    /// Clones only the state a replay restricted to `sockets` and the
-    /// half-open virtual-address `va_ranges` of `pid` can touch: the
-    /// page-table subtrees reachable from those sockets' roots
-    /// ([`PtStore::clone_reachable`](mitosis_pt::PtStore::clone_reachable))
-    /// and the frame metadata of those sockets' frame ranges
-    /// ([`FrameTable::clone_ranges`](mitosis_mem::FrameTable::clone_ranges)),
-    /// plus the whole-system state that is cheap to copy: machine, PV-Ops
-    /// backend, processes, VMAs, page cache and the frame allocator, whose
-    /// membership bitmaps cost one bit per frame ever allocated.
-    ///
-    /// The result is a fraction of a full [`Clone`] on populated systems,
-    /// but it is only equivalent for runs that stay within the declared
-    /// scope and never demand-fault, allocate or migrate.  Callers (the
-    /// grouped replay driver) must prove that up front and fall back to a
-    /// full clone — or re-run on one — when the proof fails.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VmError::NoSuchProcess`] for an unknown pid.
-    pub fn clone_for_scoped_replay(
-        &self,
-        pid: Pid,
-        sockets: &[SocketId],
-        va_ranges: &[(VirtAddr, VirtAddr)],
-    ) -> Result<System, VmError> {
-        let mut roots = Vec::with_capacity(sockets.len());
-        for &socket in sockets {
-            let root = self.cr3_for(pid, socket)?;
-            if !roots.contains(&root) {
-                roots.push(root);
-            }
-        }
-        let space = self.env.alloc.frame_space();
-        let frame_ranges: Vec<_> = sockets.iter().map(|s| space.range_of(*s)).collect();
-        let env = PtEnv {
-            store: self.env.store.clone_reachable(&roots, va_ranges),
-            frames: self.env.frames.clone_ranges(&frame_ranges),
-            alloc: self.env.alloc.clone(),
-            page_cache: self.env.page_cache.clone(),
-        };
-        Ok(System {
-            machine: self.machine.clone(),
-            env,
-            ops: self.ops.clone(),
-            processes: self.processes.clone(),
-            config: self.config,
-            next_pid: self.next_pid,
-            cow: self.cow.clone(),
-            pending: self.pending.clone(),
-        })
-    }
 }
 
 /// One leaf entry of a page-table tree, as [`for_each_leaf_entry`] visits

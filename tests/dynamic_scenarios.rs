@@ -14,7 +14,7 @@ use mitosis_sim::{MultiSocketConfig, PhaseChange, PhaseSchedule, SimParams};
 use mitosis_trace::{
     capture_engine_run, capture_engine_run_dynamic, capture_multisocket_scenario, LaneReplayReport,
     ReplayError, ReplayOutcome, ReplayRequest, ReplaySession, Trace, TraceEvent, TraceLane,
-    TraceMeta, TRACE_MAGIC,
+    TraceMeta,
 };
 use mitosis_workloads::{suite, Access};
 
@@ -582,108 +582,4 @@ fn tampered_staggered_markers_in_setup_are_rejected() {
         matches!(&err, ReplayError::Mismatch(message) if message.contains("staggered")),
         "unexpected error: {err}"
     );
-}
-
-#[test]
-fn v3_traces_replay_identically_to_their_v4_reencoding() {
-    // Unstaggered events encode byte-identically in v3 through v5 (v4
-    // added staggered markers, v5 added checkpoint markers — neither
-    // appears in this trace: nothing is staggered, and the lanes are
-    // shorter than the default checkpoint interval), so the current
-    // encoding can be rewritten as v3 (version word + checksum) and must
-    // decode to the same trace and replay to the same metrics: archived
-    // PR 3 artifacts stay replayable.
-    let params = SimParams::quick_test().with_accesses(500);
-    let sockets: Vec<SocketId> = (0..2).map(SocketId::new).collect();
-    let schedule = PhaseSchedule::new()
-        .at(
-            200,
-            PhaseChange::MigrateData {
-                target: SocketId::new(1),
-            },
-        )
-        .at(
-            300,
-            PhaseChange::SetInterference {
-                sockets: NodeMask::single(SocketId::new(1)),
-            },
-        );
-    let captured =
-        capture_engine_run_dynamic(&suite::gups(), &params, &sockets, &schedule).unwrap();
-    let bytes = captured.trace.to_bytes().unwrap();
-    assert_eq!(
-        u32::from_le_bytes(bytes[4..8].try_into().unwrap()),
-        mitosis_trace::TRACE_VERSION
-    );
-
-    let mut v3 = bytes.clone();
-    v3[4..8].copy_from_slice(&3u32.to_le_bytes());
-    let body_end = v3.len() - 8;
-    let mut hash = 0xcbf29ce484222325u64;
-    for &b in &v3[..body_end] {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x100000001b3);
-    }
-    v3[body_end..].copy_from_slice(&hash.to_le_bytes());
-
-    let decoded = Trace::from_bytes(&v3).unwrap();
-    assert_eq!(decoded, captured.trace);
-    let replayed = serial_replay(&decoded, &params);
-    assert_eq!(replayed.metrics, captured.live_metrics);
-}
-
-#[test]
-fn v1_traces_with_mid_lane_markers_stay_readable() {
-    // Hand-encode a format-v1 trace whose lane carries a positional
-    // `Marker` event — the only mid-lane event v1 defined.  Archived PR 1
-    // artifacts with markers must decode (and replay ignores the marker).
-    fn varint(out: &mut Vec<u8>, mut v: u64) {
-        loop {
-            let byte = (v & 0x7f) as u8;
-            v >>= 7;
-            out.push(if v == 0 { byte } else { byte | 0x80 });
-            if v == 0 {
-                break;
-            }
-        }
-    }
-    fn zigzag(v: i64) -> u64 {
-        ((v << 1) ^ (v >> 63)) as u64
-    }
-    let spec = suite::gups().with_footprint(1 << 26);
-    let meta = TraceMeta::for_spec(&spec, &SimParams::quick_test()).unwrap();
-
-    let mut bytes = Vec::new();
-    bytes.extend_from_slice(&TRACE_MAGIC);
-    bytes.extend_from_slice(&1u32.to_le_bytes());
-    varint(&mut bytes, meta.workload.len() as u64);
-    bytes.extend_from_slice(meta.workload.as_bytes());
-    varint(&mut bytes, meta.footprint);
-    varint(&mut bytes, meta.seed);
-    varint(&mut bytes, meta.write_fraction.to_bits());
-    varint(&mut bytes, meta.compute_cycles_per_access);
-    varint(&mut bytes, meta.bandwidth_intensity.to_bits());
-    // LANE socket 0; one access at offset 8; a Marker(42) event; one more
-    // access at offset 16; END with 2 accesses.  Tags: ACCESS=0b00,
-    // EVENT=0b01, LANE=0b10, END=0b11 in the low two bits.
-    varint(&mut bytes, 0b10); // LANE, socket 0
-    varint(&mut bytes, (zigzag(8) << 1) << 2); // ACCESS, read
-    varint(&mut bytes, (10 << 2) | 0b01); // event code 10 = Marker
-    varint(&mut bytes, 1); // argc
-    varint(&mut bytes, 42); // marker value
-    varint(&mut bytes, ((zigzag(8) << 1) | 1) << 2); // ACCESS, write
-    varint(&mut bytes, (2 << 2) | 0b11); // END, 2 accesses
-    let mut hash = 0xcbf29ce484222325u64;
-    for &b in &bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x100000001b3);
-    }
-    bytes.extend_from_slice(&hash.to_le_bytes());
-
-    let trace = Trace::from_bytes(&bytes).unwrap();
-    assert_eq!(trace.lanes.len(), 1);
-    assert_eq!(trace.lanes[0].accesses.len(), 2);
-    assert_eq!(trace.lanes[0].accesses[1].offset, 16);
-    assert!(trace.lanes[0].accesses[1].is_write);
-    assert_eq!(trace.lanes[0].events, vec![(1, TraceEvent::Marker(42))]);
 }

@@ -1,11 +1,11 @@
 //! Integration tests for per-socket lane groups and the up-front
 //! shardability analysis of grouped `ReplaySession` replay.
 //!
-//! The headline guarantee: for *any* lane/socket layout, worker count and
-//! snapshot mode, lane-granular grouped replay is bit-identical to serial
-//! replay — and the report says which path produced the metrics and why.
-//! Property tests sweep randomized layouts (duplicate sockets, single
-//! sockets, degenerate worker counts, partial vs. full snapshots);
+//! The headline guarantee: for *any* lane/socket layout and worker count,
+//! lane-granular grouped replay is bit-identical to serial replay — and
+//! the report says which path produced the metrics and why.  Property
+//! tests sweep randomized layouts (duplicate sockets, single sockets,
+//! degenerate worker counts);
 //! deterministic tests pin the acceptance criteria: a multi-thread-per-
 //! socket `MultiSocketScenario` capture shards as lane groups, and a
 //! demand-fault-risky trace goes serial before any worker spawns.
@@ -14,8 +14,8 @@ use mitosis_numa::SocketId;
 use mitosis_sim::{MultiSocketConfig, RunMetrics, SimParams};
 use mitosis_trace::{
     capture_engine_run, capture_multisocket_scenario, prepare_replay, LaneReplayReport,
-    ReplayError, ReplayOptions, ReplayOutcome, ReplayRequest, ReplaySession, ShardDecision,
-    SnapshotMode, Trace, TraceEvent, TraceReplayer,
+    ReplayError, ReplayOptions, ReplayOutcome, ReplayRequest, ReplaySession, ShardDecision, Trace,
+    TraceEvent, TraceReplayer,
 };
 use mitosis_workloads::suite;
 use proptest::prelude::*;
@@ -202,39 +202,6 @@ proptest! {
         prop_assert_eq!(report.decision, ShardDecision::DemandFaultRisk);
         prop_assert_eq!(report.workers, 1);
         prop_assert_eq!(report.outcome.metrics, serial.metrics);
-    }
-
-    /// Partial (scoped) snapshots are bit-identical to full clones on
-    /// arbitrary lane layouts: a grouped replay forced to deep-copy the
-    /// whole prepared system per group and one allowed to slice per-group
-    /// frame/VA scopes must merge to the same metrics.
-    #[test]
-    fn partial_snapshots_match_full_clones_on_arbitrary_layouts(
-        sockets in prop::collection::vec(0u16..4, 2..7),
-        workers in 2usize..5,
-    ) {
-        let params = quick(200);
-        let placements: Vec<SocketId> =
-            sockets.iter().copied().map(SocketId::new).collect();
-        let trace = capture_engine_run(&suite::gups(), &params, &placements)
-            .expect("capture")
-            .trace;
-        let mut session = ReplaySession::new(&params);
-        let full = session
-            .replay(
-                &trace,
-                &ReplayRequest::new().grouped(workers).snapshots(SnapshotMode::Full),
-            )
-            .expect("full-clone replay");
-        let partial = session
-            .replay(
-                &trace,
-                &ReplayRequest::new().grouped(workers).snapshots(SnapshotMode::Auto),
-            )
-            .expect("partial-clone replay");
-        prop_assert_eq!(partial.outcome.metrics, full.outcome.metrics);
-        prop_assert_eq!(partial.decision, full.decision);
-        prop_assert!(partial.failures.is_empty());
     }
 
     /// Adaptive (merged) grouping is bit-identical too: for any layout,

@@ -11,7 +11,8 @@
 //! * **Snapshot cache** — switching traces invalidates the cache, and
 //!   clearing it forces the next replay to re-prepare.
 //! * **Bad requests are errors** — a request the session cannot execute
-//!   returns a `ReplayError`, never a panic inside the library.
+//!   (zero workers, a lane selection on a batch) returns a `ReplayError`,
+//!   never a panic inside the library and never silently ignored.
 
 use mitosis_numa::SocketId;
 use mitosis_sim::SimParams;
@@ -203,4 +204,32 @@ fn zero_worker_requests_are_mismatches_not_panics() {
     session
         .replay(&trace, &ReplayRequest::new().grouped(2))
         .expect("a valid request after the rejected one");
+}
+
+#[test]
+fn batch_requests_with_a_lane_selection_are_mismatches() {
+    // A batch replays every lane of every trace; a lane selection it would
+    // ignore must be refused up front, not answered with metrics for work
+    // the caller did not ask for.
+    let params = quick(100);
+    let trace = capture(&params, &[0, 1]);
+    let traces = [trace.clone(), trace];
+    let mut session = ReplaySession::new(&params);
+    for request in [
+        ReplayRequest::new().lane(0),
+        ReplayRequest::new().lanes(vec![0, 1]),
+        ReplayRequest::new().lane(1).grouped(2),
+    ] {
+        let err = session
+            .replay_batch(&traces, &request)
+            .expect_err("a lane selection must be rejected");
+        assert!(matches!(err, ReplayError::Mismatch(_)), "{err}");
+        assert!(err.to_string().contains("selects lanes"), "{err}");
+    }
+
+    // Without a selection the same batch replays.
+    let report = session
+        .replay_batch(&traces, &ReplayRequest::new().grouped(2))
+        .expect("a whole-trace batch");
+    assert_eq!(report.aggregate.traces, 2);
 }
