@@ -65,7 +65,7 @@ fn bench_walks(c: &mut Criterion) {
 
     let machine = MachineConfig::paper_testbed_scaled().build();
     let cost = machine.cost_model().clone();
-    let (mut env, roots, addrs) = build_tree(4096);
+    let (env, roots, addrs) = build_tree(4096);
 
     group.bench_function("tlb_hit", |b| {
         let mut mmu = Mmu::new(CoreId::new(0), SocketId::new(0));
@@ -76,7 +76,7 @@ fn bench_walks(c: &mut Criterion) {
             addr,
             false,
             roots.base(),
-            &mut env.store,
+            &env.store,
             &env.frames,
             &cost,
             caches.socket(SocketId::new(0)),
@@ -86,7 +86,7 @@ fn bench_walks(c: &mut Criterion) {
                 addr,
                 false,
                 roots.base(),
-                &mut env.store,
+                &env.store,
                 &env.frames,
                 &cost,
                 caches.socket(SocketId::new(0)),
@@ -105,7 +105,7 @@ fn bench_walks(c: &mut Criterion) {
                     addrs[i],
                     false,
                     roots.base(),
-                    &mut env.store,
+                    &env.store,
                     &env.frames,
                     &cost,
                     caches.socket(SocketId::new(socket)),
@@ -184,7 +184,7 @@ fn bench_translation_throughput(c: &mut Criterion) {
     // full-scan eviction collapsed.  The CI smoke step (quick mode) only
     // needs the path exercised, not the full-size working set.
     let quick = std::env::var("MITOSIS_BENCH_QUICK").is_ok_and(|v| !v.is_empty());
-    let (mut env, roots, addrs) = build_tree(if quick { 20_000 } else { 200_000 });
+    let (env, roots, addrs) = build_tree(if quick { 20_000 } else { 200_000 });
 
     group.bench_function("random_4k_walks", |b| {
         let mut mmu = Mmu::new(CoreId::new(0), SocketId::new(0));
@@ -201,7 +201,7 @@ fn bench_translation_throughput(c: &mut Criterion) {
                 addr,
                 false,
                 roots.base(),
-                &mut env.store,
+                &env.store,
                 &env.frames,
                 &cost,
                 caches.socket(SocketId::new(0)),
@@ -227,7 +227,7 @@ fn bench_translation_throughput(c: &mut Criterion) {
             addr,
             false,
             roots.base(),
-            &mut env.store,
+            &env.store,
             &env.frames,
             &cost,
             caches.socket(SocketId::new(0)),
@@ -338,7 +338,7 @@ fn bench_cow_path(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(1));
     let machine = MachineConfig::paper_testbed_scaled().build();
     let cost = machine.cost_model().clone();
-    let (mut env, roots, addrs) = build_tree(4096);
+    let (env, roots, addrs) = build_tree(4096);
     group.bench_function("ranged_page", |b| {
         let mut mmu = Mmu::new(CoreId::new(0), SocketId::new(0));
         let mut caches = PteCacheSet::for_machine(&machine);
@@ -347,7 +347,7 @@ fn bench_cow_path(c: &mut Criterion) {
                 addr,
                 false,
                 roots.base(),
-                &mut env.store,
+                &env.store,
                 &env.frames,
                 &cost,
                 caches.socket(SocketId::new(0)),

@@ -2,7 +2,7 @@
 
 use mitosis_mem::MemError;
 use mitosis_numa::SocketId;
-use mitosis_pt::PtError;
+use mitosis_pt::{PtError, VirtAddr};
 use mitosis_vmm::VmError;
 use std::error::Error;
 use std::fmt;
@@ -26,6 +26,18 @@ pub enum MitosisError {
     Pt(PtError),
     /// A physical-memory operation failed.
     Mem(MemError),
+    /// An access faulted inside a segment the execution engine had proven
+    /// fault-free and was running split across socket groups — the
+    /// thread's access source yielded an offset past the bound it
+    /// reported.  Nothing was demand-paged; the run stopped.
+    SplitFault {
+        /// Index of the faulting thread in the run's placements.
+        thread: usize,
+        /// The thread's access index (from the start of the run).
+        access: u64,
+        /// The faulting virtual address.
+        addr: VirtAddr,
+    },
 }
 
 impl fmt::Display for MitosisError {
@@ -41,6 +53,15 @@ impl fmt::Display for MitosisError {
             MitosisError::Vm(err) => write!(f, "virtual memory error: {err}"),
             MitosisError::Pt(err) => write!(f, "page-table error: {err}"),
             MitosisError::Mem(err) => write!(f, "memory error: {err}"),
+            MitosisError::SplitFault {
+                thread,
+                access,
+                addr,
+            } => write!(
+                f,
+                "access {access} of thread {thread} faulted at {addr} in a segment proven \
+                 fault-free: its access source under-reported its offset bound"
+            ),
         }
     }
 }

@@ -15,12 +15,16 @@
 //!   caught at the `catch_unwind` isolation boundary (PR 7's design).
 //! * [`trace-event-exhaustiveness`](exhaustiveness) — every wire event
 //!   defined in `format.rs` is produced by capture and consumed by replay.
+//! * [`observer-in-hot-loop`](hot_loop) — observability stays out of the
+//!   engine's per-access function, the one place the non-perturbation
+//!   proof does not cover.
 
 use crate::diag::Diagnostic;
 use crate::source::SourceFile;
 
 pub mod casts;
 pub mod exhaustiveness;
+pub mod hot_loop;
 pub mod iteration;
 pub mod panic_hygiene;
 pub mod shootdown;
@@ -50,6 +54,7 @@ pub const RULE_NAMES: &[&str] = &[
     casts::NAME,
     panic_hygiene::NAME,
     exhaustiveness::NAME,
+    hot_loop::NAME,
     SUPPRESSION_SYNTAX,
 ];
 
@@ -69,5 +74,6 @@ pub fn default_rules() -> Vec<Box<dyn Rule>> {
         Box::new(casts::TruncatingCast::workspace_default()),
         Box::new(panic_hygiene::PanicHygiene::workspace_default()),
         Box::new(exhaustiveness::TraceEventExhaustiveness::workspace_default()),
+        Box::new(hot_loop::ObserverInHotLoop::workspace_default()),
     ]
 }

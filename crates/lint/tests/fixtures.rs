@@ -12,6 +12,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use mitosis_lint::rules::casts::TruncatingCast;
 use mitosis_lint::rules::exhaustiveness::TraceEventExhaustiveness;
+use mitosis_lint::rules::hot_loop::ObserverInHotLoop;
 use mitosis_lint::rules::iteration::NondeterministicIteration;
 use mitosis_lint::rules::panic_hygiene::PanicHygiene;
 use mitosis_lint::rules::shootdown::{LayeringPair, ShootdownLayering};
@@ -312,6 +313,57 @@ fn panic_rule_ignores_non_worker_files() {
         report.is_clean(),
         "a file with no thread::spawn and not configured as worker code \
          is out of scope:\n{}",
+        report.render_text()
+    );
+}
+
+// --- observer-in-hot-loop ----------------------------------------------
+
+fn hot_loop_rule() -> Box<dyn Rule> {
+    Box::new(ObserverInHotLoop::new(&[(
+        "crates/sim/src/engine.rs",
+        "step_access",
+    )]))
+}
+
+#[test]
+fn hot_loop_rule_fires_inside_the_configured_function_only() {
+    let fx = Fixture::new();
+    fx.write(
+        "crates/sim/src/engine.rs",
+        "pub fn segment(&self) {\n\
+         \x20   let _span = self.observer.span(\"engine.segment\", 0);\n\
+         }\n\
+         fn step_access(mmu: &mut Mmu, obs: &Recorder) -> u64 {\n\
+         \x20   if true { mmu.walk(); }\n\
+         \x20   self.observer.counter(\"engine.accesses\", 1);\n\
+         \x20   obs.log2(\"cycles\", 3);\n\
+         \x20   let _ = \"observer in a string\"; // observer in a comment\n\
+         \x20   mmu.stats().walk.walks\n\
+         }\n\
+         fn after() { self.observer.emit_interval(&sample); }\n",
+    );
+    let report = fx.run(hot_loop_rule());
+    assert_eq!(
+        lines_flagged(&report, "observer-in-hot-loop", "crates/sim/src/engine.rs"),
+        vec![6, 7],
+        "only the body of step_access is in scope, past its nested braces:\n{}",
+        report.render_text()
+    );
+}
+
+#[test]
+fn hot_loop_rule_reports_a_missing_function() {
+    let fx = Fixture::new();
+    fx.write(
+        "crates/sim/src/engine.rs",
+        "fn renamed_step(mmu: &mut Mmu) { mmu.walk(); }\n",
+    );
+    let report = fx.run(hot_loop_rule());
+    assert_eq!(
+        lines_flagged(&report, "observer-in-hot-loop", "crates/sim/src/engine.rs"),
+        vec![1],
+        "{}",
         report.render_text()
     );
 }

@@ -95,7 +95,7 @@ impl Mmu {
         addr: VirtAddr,
         is_write: bool,
         root: FrameId,
-        store: &mut PtStore,
+        store: &PtStore,
         frames: &FrameTable,
         cost: &CostModel,
         pte_cache: &mut PteCache,
@@ -288,32 +288,16 @@ mod tests {
 
     #[test]
     fn first_access_walks_second_hits_tlb() {
-        let (mut store, frames, root, addr) = build();
+        let (store, frames, root, addr) = build();
         let mut mmu = Mmu::new(CoreId::new(0), SocketId::new(0));
         let mut pte_cache = PteCache::new(1024);
-        let first = mmu.access(
-            addr,
-            false,
-            root,
-            &mut store,
-            &frames,
-            &cost(),
-            &mut pte_cache,
-        );
+        let first = mmu.access(addr, false, root, &store, &frames, &cost(), &mut pte_cache);
         assert!(first.tlb_hit.is_none());
         assert!(!first.fault);
         assert_eq!(first.frame, Some(FrameId::new(600)));
         assert!(first.translation_cycles > 0);
 
-        let second = mmu.access(
-            addr,
-            false,
-            root,
-            &mut store,
-            &frames,
-            &cost(),
-            &mut pte_cache,
-        );
+        let second = mmu.access(addr, false, root, &store, &frames, &cost(), &mut pte_cache);
         assert_eq!(second.tlb_hit, Some(TlbLevel::L1));
         assert_eq!(second.translation_cycles, 0);
         assert_eq!(mmu.stats().tlb_misses, 1);
@@ -323,86 +307,38 @@ mod tests {
 
     #[test]
     fn context_switch_flushes_translations() {
-        let (mut store, frames, root, addr) = build();
+        let (store, frames, root, addr) = build();
         let mut mmu = Mmu::new(CoreId::new(0), SocketId::new(0));
         let mut pte_cache = PteCache::new(1024);
-        mmu.access(
-            addr,
-            false,
-            root,
-            &mut store,
-            &frames,
-            &cost(),
-            &mut pte_cache,
-        );
+        mmu.access(addr, false, root, &store, &frames, &cost(), &mut pte_cache);
         mmu.context_switch();
-        let after = mmu.access(
-            addr,
-            false,
-            root,
-            &mut store,
-            &frames,
-            &cost(),
-            &mut pte_cache,
-        );
+        let after = mmu.access(addr, false, root, &store, &frames, &cost(), &mut pte_cache);
         assert!(after.tlb_hit.is_none());
         assert_eq!(mmu.stats().tlb_misses, 2);
     }
 
     #[test]
     fn shootdown_single_page_only_affects_that_page() {
-        let (mut store, frames, root, addr) = build();
+        let (store, frames, root, addr) = build();
         let mut mmu = Mmu::new(CoreId::new(0), SocketId::new(0));
         let mut pte_cache = PteCache::new(1024);
-        mmu.access(
-            addr,
-            false,
-            root,
-            &mut store,
-            &frames,
-            &cost(),
-            &mut pte_cache,
-        );
+        mmu.access(addr, false, root, &store, &frames, &cost(), &mut pte_cache);
         mmu.shootdown_page(0, addr, PageSize::Base4K);
-        let after = mmu.access(
-            addr,
-            false,
-            root,
-            &mut store,
-            &frames,
-            &cost(),
-            &mut pte_cache,
-        );
+        let after = mmu.access(addr, false, root, &store, &frames, &cost(), &mut pte_cache);
         assert!(after.tlb_hit.is_none());
     }
 
     #[test]
     fn ranged_shootdown_plan_invalidates_cached_translations() {
-        let (mut store, frames, root, addr) = build();
+        let (store, frames, root, addr) = build();
         let mut mmu = Mmu::new(CoreId::new(0), SocketId::new(0));
         let mut pte_cache = PteCache::new(1024);
-        mmu.access(
-            addr,
-            false,
-            root,
-            &mut store,
-            &frames,
-            &cost(),
-            &mut pte_cache,
-        );
+        mmu.access(addr, false, root, &store, &frames, &cost(), &mut pte_cache);
         let mut tx = mitosis_pt::MappingTx::new();
         tx.invalidate_page(0, addr, PageSize::Base4K);
         // Resident in L1 and L2 → two entries of modelled work.
         assert_eq!(mmu.apply_shootdown(&tx.take_plan()), 2);
-        let after = mmu.access(
-            addr,
-            false,
-            root,
-            &mut store,
-            &frames,
-            &cost(),
-            &mut pte_cache,
-        );
+        let after = mmu.access(addr, false, root, &store, &frames, &cost(), &mut pte_cache);
         assert!(after.tlb_hit.is_none());
         // A full-flush plan reports the resident count it wiped.
         tx.escalate_full();
@@ -412,55 +348,31 @@ mod tests {
 
     #[test]
     fn asids_partition_the_tlb_between_address_spaces() {
-        let (mut store, frames, root, addr) = build();
+        let (store, frames, root, addr) = build();
         let mut mmu = Mmu::new(CoreId::new(0), SocketId::new(0));
         let mut pte_cache = PteCache::new(1024);
-        mmu.access(
-            addr,
-            false,
-            root,
-            &mut store,
-            &frames,
-            &cost(),
-            &mut pte_cache,
-        );
+        mmu.access(addr, false, root, &store, &frames, &cost(), &mut pte_cache);
         // Switching ASID without flushing: the other space cannot hit.
         mmu.set_asid(7);
         assert_eq!(mmu.asid(), 7);
-        let other = mmu.access(
-            addr,
-            false,
-            root,
-            &mut store,
-            &frames,
-            &cost(),
-            &mut pte_cache,
-        );
+        let other = mmu.access(addr, false, root, &store, &frames, &cost(), &mut pte_cache);
         assert!(other.tlb_hit.is_none());
         // Switching back: the original entry is still resident.
         mmu.set_asid(0);
-        let back = mmu.access(
-            addr,
-            false,
-            root,
-            &mut store,
-            &frames,
-            &cost(),
-            &mut pte_cache,
-        );
+        let back = mmu.access(addr, false, root, &store, &frames, &cost(), &mut pte_cache);
         assert!(back.tlb_hit.is_some());
     }
 
     #[test]
     fn unmapped_access_faults() {
-        let (mut store, frames, root, _) = build();
+        let (store, frames, root, _) = build();
         let mut mmu = Mmu::new(CoreId::new(0), SocketId::new(0));
         let mut pte_cache = PteCache::new(1024);
         let outcome = mmu.access(
             VirtAddr::new(0x1000),
             false,
             root,
-            &mut store,
+            &store,
             &frames,
             &cost(),
             &mut pte_cache,
@@ -472,18 +384,10 @@ mod tests {
 
     #[test]
     fn stats_reset_clears_counters() {
-        let (mut store, frames, root, addr) = build();
+        let (store, frames, root, addr) = build();
         let mut mmu = Mmu::new(CoreId::new(0), SocketId::new(0));
         let mut pte_cache = PteCache::new(1024);
-        mmu.access(
-            addr,
-            true,
-            root,
-            &mut store,
-            &frames,
-            &cost(),
-            &mut pte_cache,
-        );
+        mmu.access(addr, true, root, &store, &frames, &cost(), &mut pte_cache);
         assert!(mmu.stats().accesses > 0);
         mmu.reset_stats();
         assert_eq!(mmu.stats().accesses, 0);

@@ -6,7 +6,11 @@
 //! page lives relative to the walking core — the quantity Mitosis optimises.
 //! The walker also sets the accessed (and, for stores, dirty) bit in the leaf
 //! entry *of the tree it walked*, which is why replicated page tables need
-//! OR-consolidation when the OS reads those bits back (paper §5.4).
+//! OR-consolidation when the OS reads those bits back (paper §5.4).  That
+//! update is an atomic OR through a shared `&PtStore`
+//! ([`PtStore::mark_accessed_at`]), so walkers on several host threads may
+//! share one store: the bits end up the same whatever order they ran in,
+//! and no translation depends on them.
 
 use crate::pte_cache::PteCache;
 use crate::pwc::PagingStructureCache;
@@ -71,10 +75,10 @@ impl HardwareWalker {
     /// Performs a page walk for `addr` starting at the page table rooted at
     /// `root`, on behalf of a core on `socket`.
     ///
-    /// `store` is written to when accessed/dirty bits are set; every other
-    /// argument is a model the walk consults (paging-structure caches, the
-    /// socket's L3 page-table lines, the NUMA cost model) or a statistics
-    /// sink.
+    /// The walk's only write to `store` is the order-independent
+    /// accessed/dirty OR on the leaf it reaches; every other argument is a
+    /// model the walk consults (paging-structure caches, the socket's L3
+    /// page-table lines, the NUMA cost model) or a statistics sink.
     #[allow(clippy::too_many_arguments)]
     pub fn walk(
         &self,
@@ -82,7 +86,7 @@ impl HardwareWalker {
         root: FrameId,
         addr: VirtAddr,
         is_write: bool,
-        store: &mut PtStore,
+        store: &PtStore,
         frames: &FrameTable,
         cost: &CostModel,
         pwc: &mut PagingStructureCache,
@@ -165,13 +169,7 @@ impl HardwareWalker {
                     };
                 }
                 if self.config.set_access_dirty {
-                    let mut updated = pte.with_accessed();
-                    if is_write {
-                        updated = updated.with_dirty();
-                    }
-                    if updated != pte {
-                        store.write_at(slot, index, updated);
-                    }
+                    store.mark_accessed_at(slot, index, is_write);
                 }
                 stats.walk_cycles += cycles;
                 return WalkOutcome {
@@ -253,7 +251,7 @@ mod tests {
 
     #[test]
     fn full_walk_reads_four_levels_and_sets_accessed() {
-        let (mut store, frames, root, addr) = build(false);
+        let (store, frames, root, addr) = build(false);
         let walker = HardwareWalker::new();
         let mut pwc = PagingStructureCache::paper_testbed();
         let mut pte_cache = PteCache::new(1024);
@@ -263,7 +261,7 @@ mod tests {
             root,
             addr,
             false,
-            &mut store,
+            &store,
             &frames,
             &cost(),
             &mut pwc,
@@ -283,7 +281,7 @@ mod tests {
 
     #[test]
     fn write_walk_sets_dirty() {
-        let (mut store, frames, root, addr) = build(false);
+        let (store, frames, root, addr) = build(false);
         let walker = HardwareWalker::new();
         let mut pwc = PagingStructureCache::paper_testbed();
         let mut pte_cache = PteCache::new(1024);
@@ -293,7 +291,7 @@ mod tests {
             root,
             addr,
             true,
-            &mut store,
+            &store,
             &frames,
             &cost(),
             &mut pwc,
@@ -328,7 +326,7 @@ mod tests {
             root,
             addr,
             false,
-            &mut store,
+            &store,
             &frames,
             &cost(),
             &mut pwc,
@@ -341,7 +339,7 @@ mod tests {
             root,
             addr,
             true,
-            &mut store,
+            &store,
             &frames,
             &cost(),
             &mut pwc,
@@ -357,7 +355,7 @@ mod tests {
     #[test]
     fn remote_leaf_table_costs_more() {
         let run = |remote: bool| {
-            let (mut store, frames, root, addr) = build(remote);
+            let (store, frames, root, addr) = build(remote);
             let walker = HardwareWalker::new();
             let mut pwc = PagingStructureCache::paper_testbed();
             let mut pte_cache = PteCache::new(1024);
@@ -367,7 +365,7 @@ mod tests {
                 root,
                 addr,
                 false,
-                &mut store,
+                &store,
                 &frames,
                 &cost(),
                 &mut pwc,
@@ -386,7 +384,7 @@ mod tests {
 
     #[test]
     fn interference_on_the_leaf_socket_inflates_walks() {
-        let (mut store, frames, root, addr) = build(true);
+        let (store, frames, root, addr) = build(true);
         let mut cost = cost();
         cost.set_interference(Interference::on([SocketId::new(1)]).with_latency_factor(2.0));
         let walker = HardwareWalker::new();
@@ -398,7 +396,7 @@ mod tests {
             root,
             addr,
             false,
-            &mut store,
+            &store,
             &frames,
             &cost,
             &mut pwc,
@@ -410,7 +408,7 @@ mod tests {
 
     #[test]
     fn pwc_hit_shortens_subsequent_walks() {
-        let (mut store, frames, root, addr) = build(false);
+        let (store, frames, root, addr) = build(false);
         let walker = HardwareWalker::new();
         let mut pwc = PagingStructureCache::paper_testbed();
         let mut pte_cache = PteCache::new(1); // effectively no PTE cache reuse
@@ -420,7 +418,7 @@ mod tests {
             root,
             addr,
             false,
-            &mut store,
+            &store,
             &frames,
             &cost(),
             &mut pwc,
@@ -434,7 +432,7 @@ mod tests {
             root,
             neighbour,
             false,
-            &mut store,
+            &store,
             &frames,
             &cost(),
             &mut pwc,
@@ -450,7 +448,7 @@ mod tests {
 
     #[test]
     fn pte_cache_hit_avoids_dram_cost() {
-        let (mut store, frames, root, addr) = build(true);
+        let (store, frames, root, addr) = build(true);
         let walker = HardwareWalker::new();
         let mut pwc = PagingStructureCache::paper_testbed();
         let mut pte_cache = PteCache::new(1024);
@@ -460,7 +458,7 @@ mod tests {
             root,
             addr,
             false,
-            &mut store,
+            &store,
             &frames,
             &cost(),
             &mut pwc,
@@ -472,7 +470,7 @@ mod tests {
             root,
             addr,
             false,
-            &mut store,
+            &store,
             &frames,
             &cost(),
             &mut pwc,

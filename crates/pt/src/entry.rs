@@ -75,6 +75,16 @@ pub struct Pte {
 }
 
 impl Pte {
+    // Flag positions in the 64-bit encoding (`Pte::to_bits`).
+    pub(crate) const PRESENT_BIT: u64 = 1 << 0;
+    pub(crate) const WRITABLE_BIT: u64 = 1 << 1;
+    const USER_BIT: u64 = 1 << 2;
+    pub(crate) const ACCESSED_BIT: u64 = 1 << 5;
+    pub(crate) const DIRTY_BIT: u64 = 1 << 6;
+    pub(crate) const HUGE_BIT: u64 = 1 << 7;
+    /// The frame number's position in the 64-bit encoding.
+    const FRAME_SHIFT: u32 = 12;
+
     /// The all-zero, non-present entry.
     pub const EMPTY: Pte = Pte {
         flags: PteFlags {
@@ -160,48 +170,41 @@ impl Pte {
     }
 
     /// Encodes the entry into its 64-bit architectural representation.
+    ///
+    /// [`Pte::from_bits`] inverts it for every entry the simulator builds:
+    /// present entries (from [`Pte::new`] and the `with_*` copies) whose
+    /// frame number fits in 52 bits, and [`Pte::EMPTY`].
+    #[inline]
     pub fn to_bits(self) -> u64 {
-        let mut bits = 0u64;
-        if self.flags.present {
-            bits |= 1 << 0;
-        }
-        if self.flags.writable {
-            bits |= 1 << 1;
-        }
-        if self.flags.user {
-            bits |= 1 << 2;
-        }
-        if self.flags.accessed {
-            bits |= 1 << 5;
-        }
-        if self.flags.dirty {
-            bits |= 1 << 6;
-        }
-        if self.flags.huge {
-            bits |= 1 << 7;
-        }
-        if let Some(frame) = self.frame {
-            bits |= frame.pfn() << 12;
-        }
-        bits
+        let flag = |set: bool, bit: u64| if set { bit } else { 0 };
+        let flags = self.flags;
+        flag(flags.present, Self::PRESENT_BIT)
+            | flag(flags.writable, Self::WRITABLE_BIT)
+            | flag(flags.user, Self::USER_BIT)
+            | flag(flags.accessed, Self::ACCESSED_BIT)
+            | flag(flags.dirty, Self::DIRTY_BIT)
+            | flag(flags.huge, Self::HUGE_BIT)
+            | self
+                .frame
+                .map_or(0, |frame| frame.pfn() << Self::FRAME_SHIFT)
     }
 
     /// Decodes an entry from its 64-bit architectural representation.
+    #[inline]
     pub fn from_bits(bits: u64) -> Self {
-        let present = bits & 1 != 0;
-        if !present {
+        if bits & Self::PRESENT_BIT == 0 {
             return Pte::EMPTY;
         }
         Pte {
             flags: PteFlags {
-                present,
-                writable: bits & (1 << 1) != 0,
-                user: bits & (1 << 2) != 0,
-                accessed: bits & (1 << 5) != 0,
-                dirty: bits & (1 << 6) != 0,
-                huge: bits & (1 << 7) != 0,
+                present: true,
+                writable: bits & Self::WRITABLE_BIT != 0,
+                user: bits & Self::USER_BIT != 0,
+                accessed: bits & Self::ACCESSED_BIT != 0,
+                dirty: bits & Self::DIRTY_BIT != 0,
+                huge: bits & Self::HUGE_BIT != 0,
             },
-            frame: Some(FrameId::new(bits >> 12)),
+            frame: Some(FrameId::new(bits >> Self::FRAME_SHIFT)),
         }
     }
 }
@@ -245,6 +248,32 @@ mod tests {
         assert_eq!(decoded, pte);
         assert!(decoded.is_huge());
         assert_eq!(decoded.frame(), Some(FrameId::new(0x1234)));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Every present entry the simulator can build survives the 64-bit
+        /// encoding the page-table store keeps.
+        #[test]
+        fn present_entries_roundtrip_through_their_bits(
+            pfn in 0u64..(1 << 52),
+            flags in (
+                proptest::prelude::any::<bool>(),
+                proptest::prelude::any::<bool>(),
+                proptest::prelude::any::<bool>(),
+                proptest::prelude::any::<bool>(),
+                proptest::prelude::any::<bool>(),
+            ),
+        ) {
+            let (writable, user, accessed, dirty, huge) = flags;
+            let pte = Pte::new(
+                FrameId::new(pfn),
+                PteFlags { present: true, writable, user, accessed, dirty, huge },
+            );
+            proptest::prop_assert_eq!(Pte::from_bits(pte.to_bits()), pte);
+            proptest::prop_assert_eq!(Pte::from_bits(pte.to_bits()).to_bits(), pte.to_bits());
+        }
     }
 
     #[test]

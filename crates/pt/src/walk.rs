@@ -6,7 +6,7 @@
 
 use crate::addr::{Level, PageSize, VirtAddr};
 use crate::entry::Pte;
-use crate::store::PtStore;
+use crate::store::{set_bits, MaskWord, PtStore, OCC_WORDS};
 use mitosis_mem::FrameId;
 
 /// Result of translating a virtual address in software.
@@ -171,6 +171,120 @@ fn visit_tables(store: &PtStore, table: FrameId, level: Level, visit: &mut impl 
     }
 }
 
+/// The first page of a range that a hardware walk could fault on, as
+/// [`check_writable_range`] reports it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RangeGap {
+    /// The walk for `addr` meets a non-present entry (or a page-table page
+    /// the store does not hold).
+    NotPresent(VirtAddr),
+    /// `addr` is mapped, but by a read-only leaf: a store to it faults.
+    NotWritable(VirtAddr),
+}
+
+/// Proves that every page of the `len` bytes from `start` translates, in
+/// the tree rooted at `root`, through a present and writable leaf — so no
+/// read or write inside the range can fault — or returns the lowest page
+/// that could.
+///
+/// The proof works table by table from the store's entry bitmaps: a leaf
+/// table is checked with a few word operations over its present and
+/// writable bitmaps, never entry by entry, and the only entries read are
+/// the table pointers the proof descends through.  An empty range holds
+/// trivially; a range reaching past the 48-bit address space (where a
+/// hardware index wraps around) is never proven, and reports its start.
+pub fn check_writable_range(
+    store: &PtStore,
+    root: FrameId,
+    start: VirtAddr,
+    len: u64,
+) -> Result<(), RangeGap> {
+    if len == 0 {
+        return Ok(());
+    }
+    let limit = Level::L4.entry_coverage() * crate::addr::ENTRIES_PER_TABLE as u64;
+    let end = start.as_u64().saturating_add(len);
+    if end > limit {
+        return Err(RangeGap::NotPresent(start));
+    }
+    check_table(store, root, Level::L4, 0, start.as_u64(), end)
+}
+
+/// [`check_writable_range`] for the part `[start, end)` of the table at
+/// `level` whose first entry maps `base`.
+fn check_table(
+    store: &PtStore,
+    table: FrameId,
+    level: Level,
+    base: u64,
+    start: u64,
+    end: u64,
+) -> Result<(), RangeGap> {
+    let Some(slot) = store.slot_of(table) else {
+        return Err(RangeGap::NotPresent(VirtAddr::new(start)));
+    };
+    let span = level.entry_coverage();
+    let first = ((start - base) / span) as usize;
+    let last = ((end - 1 - base) / span) as usize;
+    let masks = store.masks_at(slot);
+    // The lowest entry in range that faults: absent, a read-only leaf, or
+    // a huge bit at the root (architecturally invalid).
+    let mut gap = None;
+    let mut descend = [0u64; OCC_WORDS];
+    let words = descend.iter_mut().enumerate();
+    for (word, descend) in words.take(last / 64 + 1).skip(first / 64) {
+        let lo = if word == first / 64 { first % 64 } else { 0 };
+        let hi = if word == last / 64 { last % 64 } else { 63 };
+        let in_range = (u64::MAX >> (63 - hi)) & (u64::MAX << lo);
+        let MaskWord {
+            present,
+            writable,
+            huge,
+        } = masks[word];
+        let leaves = match level {
+            Level::L1 => present,
+            _ => huge,
+        };
+        let missing = !present | if level == Level::L4 { leaves } else { 0 };
+        let readonly = leaves & !writable;
+        let faults = (missing | readonly) & in_range;
+        if level != Level::L1 {
+            *descend = present & !leaves & in_range;
+        }
+        if faults != 0 {
+            let index = word * 64 + faults.trailing_zeros() as usize;
+            let bit = 1u64 << (index % 64);
+            let addr = VirtAddr::new((base + index as u64 * span).max(start));
+            gap = Some(if missing & bit != 0 {
+                RangeGap::NotPresent(addr)
+            } else {
+                RangeGap::NotWritable(addr)
+            });
+            // Children past the gap cannot hold a lower one.
+            *descend &= bit - 1;
+            break;
+        }
+    }
+    if let Some(lower) = level.next_lower() {
+        for index in set_bits(descend) {
+            let entry_base = base + index as u64 * span;
+            let child = store
+                .read_at(slot, index)
+                .frame()
+                .expect("present table entry has a frame");
+            check_table(
+                store,
+                child,
+                lower,
+                entry_base,
+                start.max(entry_base),
+                end.min(entry_base + span),
+            )?;
+        }
+    }
+    gap.map_or(Ok(()), Err)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -261,6 +375,50 @@ mod tests {
             table_at(&store, root, VirtAddr::new(0x80_0000_0000), Level::L3),
             None
         );
+    }
+
+    #[test]
+    fn writable_ranges_are_proven_from_the_bitmaps() {
+        let (mut store, root) = build();
+        let check = |store: &PtStore, start: u64, len: u64| {
+            check_writable_range(store, root, VirtAddr::new(start), len)
+        };
+        let gap = |addr: u64| Err(RangeGap::NotPresent(VirtAddr::new(addr)));
+        assert_eq!(check(&store, 0x4000_0000, 4096), Ok(()));
+        assert_eq!(check(&store, 0x4000_0ff8, 8), Ok(()));
+        assert_eq!(check(&store, 0x4000_0000, 0), Ok(()));
+        assert_eq!(check(&store, 0x4000_0000, 8192), gap(0x4000_1000));
+        // The 2 MiB leaf is proven whole and in part.
+        assert_eq!(check(&store, 0x4020_0000, 2 << 20), Ok(()));
+        assert_eq!(check(&store, 0x4020_5000, 100), Ok(()));
+        // The lowest gap wins: the hole after the 4 KiB page comes before
+        // the unmapped 2 MiB slot after the huge page.
+        assert_eq!(check(&store, 0x4000_0000, 6 << 20), gap(0x4000_1000));
+        assert_eq!(check(&store, 0x4020_0000, 4 << 20), gap(0x4040_0000));
+        assert_eq!(check(&store, 0x80_0000_0000, 4096), gap(0x80_0000_0000));
+        assert_eq!(
+            check(&store, 0xffff_ffff_f000, 1 << 20),
+            gap(0xffff_ffff_f000)
+        );
+
+        // Read-only leaves fault on stores, at either size.
+        let huge_index = VirtAddr::new(0x4020_0000).index_at(Level::L2);
+        let huge = store.read(FrameId::new(2), huge_index);
+        store.write(
+            FrameId::new(2),
+            huge_index,
+            huge.with_flags(PteFlags::user_readonly().huge_page()),
+        );
+        let readonly = |addr: u64| Err(RangeGap::NotWritable(VirtAddr::new(addr)));
+        assert_eq!(check(&store, 0x4020_3000, 4096), readonly(0x4020_3000));
+        let leaf_index = VirtAddr::new(0x4000_0000).index_at(Level::L1);
+        let leaf = store.read(FrameId::new(3), leaf_index);
+        store.write(
+            FrameId::new(3),
+            leaf_index,
+            leaf.with_flags(PteFlags::user_readonly()),
+        );
+        assert_eq!(check(&store, 0x4000_0000, 8), readonly(0x4000_0000));
     }
 
     #[test]

@@ -6,12 +6,14 @@ use crate::metrics::RunMetrics;
 use crate::params::SimParams;
 use crate::shootdown::{self, BoundaryFlush, ShootdownStats};
 use mitosis::{Mitosis, MitosisError};
-use mitosis_mmu::{Mmu, MmuStats, PteCacheSet};
+use mitosis_mem::{FrameId, FrameSpace, FrameTable};
+use mitosis_mmu::{Mmu, MmuStats, PteCache, PteCacheSet};
 use mitosis_numa::{AccessKind, CoreId, CostModel, Cycles, SocketId};
 use mitosis_obs::{IntervalSample, Observer};
-use mitosis_pt::{PageSize, VirtAddr};
+use mitosis_pt::{check_writable_range, PageSize, PtStore, RangeGap, VirtAddr};
 use mitosis_vmm::{Pid, System, VmError};
-use mitosis_workloads::{AccessSource, AccessStream, InitPattern, WorkloadSpec};
+use mitosis_workloads::{Access, AccessSource, AccessStream, InitPattern, WorkloadSpec};
+use std::sync::Arc;
 
 /// Placement of one simulated thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,22 +95,13 @@ struct IntervalState {
 /// interference toggle rewrites, the per-target-socket data-cost table
 /// derived from it, and the CR3 that replica add/drop or page-table
 /// migration retargets.  Threads refreshing at the same segment start share
-/// one cost-model clone behind the `Rc`.
-struct ThreadPhase {
-    cost: std::rc::Rc<CostModel>,
-    data_cost: Vec<Cycles>,
-    cr3: mitosis_mem::FrameId,
-}
-
-/// Owned form of [`ThreadPhase`] inside a checkpoint.  The running form
-/// shares the cost model behind an `Rc` (one clone per segment, not per
-/// thread); the checkpoint owns it by value so checkpoints are `Send` +
-/// `Sync` and can cross threads with the rest of a replay snapshot.
+/// one cost-model clone behind the `Arc`, which also lets a checkpoint carry
+/// the state across host threads as it is.
 #[derive(Debug, Clone)]
-struct ThreadPhaseState {
-    cost: CostModel,
+struct ThreadPhase {
+    cost: Arc<CostModel>,
     data_cost: Vec<Cycles>,
-    cr3: mitosis_mem::FrameId,
+    cr3: FrameId,
 }
 
 /// Saved interval-stream bookkeeping inside a checkpoint, so a resumed run
@@ -137,7 +130,7 @@ pub struct EngineCheckpoint {
     at: u64,
     mmus: Vec<Mmu>,
     totals: Vec<ThreadTotals>,
-    states: Vec<Option<ThreadPhaseState>>,
+    states: Vec<Option<ThreadPhase>>,
     pte_caches: PteCacheSet,
     interval: Option<IntervalCheckpoint>,
 }
@@ -209,6 +202,338 @@ pub struct RunSpec<'a, S> {
     pub stop_at: Option<u64>,
 }
 
+/// Why a segment with two or more socket groups ran serially instead of
+/// split across host threads (see [`ExecutionEngine::execute`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SerialReason {
+    /// The access source of `thread` reports no offset bound
+    /// ([`AccessSource::offset_bound`]).
+    UnboundedSource {
+        /// Index of the thread in the run's placements.
+        thread: usize,
+    },
+    /// A walk for `addr`, inside some thread's bounded range, may meet a
+    /// non-present entry in the CR3 that thread loads.
+    NotPresent {
+        /// The lowest such page.
+        addr: VirtAddr,
+    },
+    /// `addr`, inside some thread's bounded range, is mapped read-only in
+    /// the CR3 that thread loads, so a store to it faults.
+    NotWritable {
+        /// The lowest such page.
+        addr: VirtAddr,
+    },
+}
+
+impl From<RangeGap> for SerialReason {
+    fn from(gap: RangeGap) -> Self {
+        match gap {
+            RangeGap::NotPresent(addr) => SerialReason::NotPresent { addr },
+            RangeGap::NotWritable(addr) => SerialReason::NotWritable { addr },
+        }
+    }
+}
+
+/// How the segments of the most recent run executed: split across host
+/// threads or serially, and why the last serial one with several socket
+/// groups did not split.  Advisory, like [`ShootdownStats`]: not part of
+/// [`RunMetrics`], which are bit-identical either way.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SplitStats {
+    /// Segments whose socket groups ran on separate host threads.
+    pub split_segments: u64,
+    /// Segments that ran every thread on the calling host thread.
+    pub serial_segments: u64,
+    /// Scoped host threads spawned: one per socket group past the first,
+    /// per split segment.
+    pub threads_spawned: u64,
+    /// Why the last serially-run segment that had two or more socket
+    /// groups could not split; `None` if there was no such segment.
+    pub last_serial_reason: Option<SerialReason>,
+}
+
+/// The page-table state a walk reads: the tables and the frame metadata.
+#[derive(Clone, Copy)]
+struct Tables<'a> {
+    store: &'a PtStore,
+    frames: &'a FrameTable,
+}
+
+impl<'a> Tables<'a> {
+    fn of(system: &'a System) -> Self {
+        let env = system.pt_env();
+        Tables {
+            store: &env.store,
+            frames: &env.frames,
+        }
+    }
+}
+
+/// What every access of a run reads and none writes, beyond the tables.
+#[derive(Clone, Copy)]
+struct AccessCtx<'a> {
+    region: u64,
+    compute_cycles: Cycles,
+    frame_space: &'a FrameSpace,
+}
+
+/// The per-access function both execution paths share: translates one
+/// access of a thread, charging its compute and translation cycles, and on
+/// success its data access.  A fault returns the faulting address with no
+/// data charged: the serial path handles it (demand paging, copy-on-write)
+/// and retries, a split socket group reports it as
+/// [`MitosisError::SplitFault`].  It touches no observer — the lint rule
+/// `observer-in-hot-loop` holds it to that.
+#[inline(always)]
+fn step_access(
+    access: Access,
+    mmu: &mut Mmu,
+    totals: &mut ThreadTotals,
+    pte_cache: &mut PteCache,
+    phase: &ThreadPhase,
+    tables: Tables<'_>,
+    ctx: AccessCtx<'_>,
+) -> Result<(), VirtAddr> {
+    // Accesses are 8-byte word granular within the footprint.
+    let addr = VirtAddr::new(ctx.region + (access.offset & !0x7));
+    totals.compute += ctx.compute_cycles;
+    let outcome = mmu.access(
+        addr,
+        access.is_write,
+        phase.cr3,
+        tables.store,
+        tables.frames,
+        &phase.cost,
+        pte_cache,
+    );
+    totals.translation += outcome.translation_cycles;
+    if outcome.fault {
+        return Err(addr);
+    }
+    let frame = outcome.frame.expect("non-faulting access yields a frame");
+    totals.data += phase.data_cost[ctx.frame_space.socket_of(frame).index()];
+    Ok(())
+}
+
+/// One thread of a split segment, owned by the host thread running its
+/// socket group.
+struct GroupThread<'s, S> {
+    thread: usize,
+    mmu: Mmu,
+    totals: ThreadTotals,
+    source: &'s mut S,
+    phase: &'s ThreadPhase,
+    /// Counter snapshots at each interval edge (sampling only).
+    snaps: Vec<(ThreadTotals, MmuStats)>,
+}
+
+/// One socket's threads and page-table-line cache while a split segment
+/// runs.  The group owns all of its mutable state, so no two host threads
+/// write the same cache line.
+struct SocketGroup<'s, S> {
+    socket: SocketId,
+    threads: Vec<GroupThread<'s, S>>,
+    pte_cache: PteCache,
+}
+
+impl<S: AccessSource> SocketGroup<'_, S> {
+    /// Runs the group's threads in thread order over the segment's chunks
+    /// (`edges` ends each chunk), exactly as the serial path would.
+    fn run(
+        &mut self,
+        tables: Tables<'_>,
+        ctx: AccessCtx<'_>,
+        segment_start: u64,
+        edges: &[u64],
+        sampling: bool,
+    ) -> Result<(), MitosisError> {
+        for member in &mut self.threads {
+            let mut chunk_start = segment_start;
+            for &edge in edges {
+                for index in chunk_start..edge {
+                    let access = member.source.next_access();
+                    let stepped = step_access(
+                        access,
+                        &mut member.mmu,
+                        &mut member.totals,
+                        &mut self.pte_cache,
+                        member.phase,
+                        tables,
+                        ctx,
+                    );
+                    if let Err(addr) = stepped {
+                        return Err(MitosisError::SplitFault {
+                            thread: member.thread,
+                            access: index,
+                            addr,
+                        });
+                    }
+                }
+                chunk_start = edge;
+                if sampling {
+                    member.snaps.push((member.totals, *member.mmu.stats()));
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The run's socket groups: each distinct socket's thread indices in
+/// thread order, groups ordered by their first thread.
+fn socket_groups(threads: &[ThreadPlacement]) -> Vec<Vec<usize>> {
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for (index, placement) in threads.iter().enumerate() {
+        match groups
+            .iter_mut()
+            .find(|group| threads[group[0]].socket == placement.socket)
+        {
+            Some(group) => group.push(index),
+            None => groups.push(vec![index]),
+        }
+    }
+    groups
+}
+
+/// Proves that the segment about to run cannot fault: every source reports
+/// an offset bound, and every CR3 a thread loads maps `[region, region +
+/// bound)` — the largest bound among the threads loading it — with present,
+/// writable leaves.  Reads only the sources' bounds and the tables.
+fn prove_fault_free<S: AccessSource>(
+    store: &PtStore,
+    region: VirtAddr,
+    sources: &[S],
+    phases: &[Option<ThreadPhase>],
+) -> Result<(), SerialReason> {
+    let mut spans: Vec<(FrameId, u64)> = Vec::with_capacity(sources.len());
+    for (thread, (source, phase)) in sources.iter().zip(phases).enumerate() {
+        let bound = source
+            .offset_bound()
+            .ok_or(SerialReason::UnboundedSource { thread })?;
+        let cr3 = phase.as_ref().expect("phases are derived first").cr3;
+        spans.push((cr3, bound));
+    }
+    // One proof per distinct CR3, over the largest bound loading it.
+    spans.sort_unstable_by_key(|&(cr3, bound)| (cr3, std::cmp::Reverse(bound)));
+    spans.dedup_by_key(|(cr3, _)| *cr3);
+    for (cr3, bound) in spans {
+        check_writable_range(store, cr3, region, bound)?;
+    }
+    Ok(())
+}
+
+/// What a split segment hands out to its socket groups and collects back.
+struct SplitSegment<'a, S> {
+    groups: &'a [Vec<usize>],
+    threads: &'a [ThreadPlacement],
+    sources: &'a mut [S],
+    states: &'a [Option<ThreadPhase>],
+    mmus: &'a mut Vec<Mmu>,
+    totals: &'a mut [ThreadTotals],
+    segment_start: u64,
+    edges: &'a [u64],
+    /// Per edge, per thread (empty when not sampling).
+    edge_snaps: &'a mut [Vec<(ThreadTotals, MmuStats)>],
+}
+
+/// Runs a segment proven fault-free with each socket group on its own host
+/// thread: the calling thread runs the first group, one scoped thread each
+/// further group.  Each group takes ownership of its threads' MMUs, totals
+/// and sources and its socket's page-table-line cache, and hands them back
+/// when the segment ends — also when a group faults, so the caller can
+/// return every MMU to the pool.  Of several faulting groups, the first in
+/// group order reports.
+fn run_split<S: AccessSource + Send>(
+    pte_caches: &mut PteCacheSet,
+    tables: Tables<'_>,
+    ctx: AccessCtx<'_>,
+    segment: SplitSegment<'_, S>,
+) -> Result<(), MitosisError> {
+    let SplitSegment {
+        groups,
+        threads,
+        sources,
+        states,
+        mmus,
+        totals,
+        segment_start,
+        edges,
+        edge_snaps,
+    } = segment;
+    let sampling = !edge_snaps.is_empty();
+    let mut lanes: Vec<Option<(Mmu, &mut S)>> = std::mem::take(mmus)
+        .into_iter()
+        .zip(sources.iter_mut())
+        .map(Some)
+        .collect();
+    let socket_groups: Vec<SocketGroup<'_, S>> = groups
+        .iter()
+        .map(|members| {
+            let socket = threads[members[0]].socket;
+            SocketGroup {
+                socket,
+                pte_cache: std::mem::replace(pte_caches.socket(socket), PteCache::new(0)),
+                threads: members
+                    .iter()
+                    .map(|&thread| {
+                        let (mmu, source) = lanes[thread].take().expect("one group per thread");
+                        GroupThread {
+                            thread,
+                            mmu,
+                            totals: totals[thread],
+                            source,
+                            phase: states[thread].as_ref().expect("phases derived first"),
+                            snaps: Vec::new(),
+                        }
+                    })
+                    .collect(),
+            }
+        })
+        .collect();
+    let finished = std::thread::scope(|scope| {
+        let mut rest = socket_groups.into_iter();
+        let mut first = rest.next().expect("a split segment has several groups");
+        let spawned: Vec<_> = rest
+            .map(|mut group| {
+                scope.spawn(move || {
+                    let result = group.run(tables, ctx, segment_start, edges, sampling);
+                    (group, result)
+                })
+            })
+            .collect();
+        let result = first.run(tables, ctx, segment_start, edges, sampling);
+        let mut finished = vec![(first, result)];
+        for handle in spawned {
+            // A panicking group re-raises here, as it would have serially.
+            finished.push(
+                handle
+                    .join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload)),
+            );
+        }
+        finished
+    });
+    let mut returned: Vec<Option<Mmu>> = (0..threads.len()).map(|_| None).collect();
+    let mut outcome = Ok(());
+    for (group, result) in finished {
+        *pte_caches.socket(group.socket) = group.pte_cache;
+        for member in group.threads {
+            totals[member.thread] = member.totals;
+            for (snaps, snap) in edge_snaps.iter_mut().zip(member.snaps) {
+                snaps[member.thread] = snap;
+            }
+            returned[member.thread] = Some(member.mmu);
+        }
+        outcome = outcome.and(result);
+    }
+    *mmus = returned
+        .into_iter()
+        .map(|mmu| mmu.expect("every thread ran in one group"))
+        .collect();
+    outcome
+}
+
 /// Replays workload access streams against a [`System`].
 #[derive(Debug)]
 pub struct ExecutionEngine {
@@ -227,6 +552,9 @@ pub struct ExecutionEngine {
     /// TLB-consistency work the most recent run performed (advisory; not
     /// part of [`RunMetrics`] and not carried across checkpoints).
     shootdowns: ShootdownStats,
+    /// How the most recent run's segments executed (advisory, like
+    /// `shootdowns`).
+    split: SplitStats,
 }
 
 impl ExecutionEngine {
@@ -239,6 +567,7 @@ impl ExecutionEngine {
             observer: Observer::none(),
             obs_track: 0,
             shootdowns: ShootdownStats::default(),
+            split: SplitStats::default(),
         }
     }
 
@@ -247,6 +576,22 @@ impl ExecutionEngine {
     /// when a fresh (non-resumed) span starts.
     pub fn last_shootdowns(&self) -> ShootdownStats {
         self.shootdowns
+    }
+
+    /// How the most recent (or in-progress) run's segments executed: how
+    /// many ran split across host threads and how many serially, the
+    /// scoped threads spawned, and why the last serial segment with two or
+    /// more socket groups did not split.  Resets when a fresh (non-resumed)
+    /// span starts.  Advisory: the metrics are identical either way.
+    pub fn last_split(&self) -> SplitStats {
+        self.split
+    }
+
+    /// The per-socket page-table-line caches: machine state the runs warm
+    /// (and [`ExecutionEngine::reset`] flushes), with their hit and miss
+    /// counts.
+    pub fn pte_caches(&self) -> &PteCacheSet {
+        &self.pte_caches
     }
 
     /// Installs the observer later runs report spans, counters and interval
@@ -402,7 +747,11 @@ impl ExecutionEngine {
         match self.execute(system, &mut Mitosis::new(), pid, region, run) {
             Ok(outcome) => Ok(outcome.completed()),
             Err(MitosisError::Vm(vm)) => Err(vm),
-            Err(other) => unreachable!("empty schedule cannot raise a Mitosis error: {other}"),
+            // Live streams report exact offset bounds, so a split segment
+            // cannot fault either.
+            Err(other) => {
+                unreachable!("an empty schedule over live streams raises only VM errors: {other}")
+            }
         }
     }
 
@@ -465,23 +814,51 @@ impl ExecutionEngine {
     /// that generated it bit-for-bit.
     ///
     /// The run is split into segments between consecutive boundaries.
-    /// Within a segment every thread executes the same number of accesses
-    /// (thread 0 first — simulated threads are deterministic, not
-    /// preemptive), then the due events mutate the [`System`] exactly once,
-    /// and the next segment starts.  Each thread carries its own
-    /// translation-state snapshot — CR3, cost-model view, per-target-socket
-    /// data-cost table — refreshed at the thread's *own* boundaries: every
-    /// global (unfiltered) event refreshes all threads (and, for
-    /// mapping-mutating changes, broadcasts a TLB shootdown to every MMU),
-    /// while a thread-filtered event refreshes and shoots down only its
-    /// target, leaving the other threads on their per-thread segment lists
-    /// with warm-but-stale MMU state (stale translations still name valid
-    /// frames — just on the pre-change socket, which is the staggered
-    /// effect being modelled).  The machine-level per-socket
-    /// page-table-line caches are physically coherent with the page tables
-    /// and flush on every mapping-mutating event regardless of filter.
-    /// With an empty schedule all of this degenerates to exactly the static
-    /// run — same order of operations, bit-identical metrics.
+    /// Within a segment every thread executes the same number of accesses,
+    /// then the due events mutate the [`System`] exactly once, and the next
+    /// segment starts.  Each thread carries its own translation-state
+    /// snapshot — CR3, cost-model view, per-target-socket data-cost table —
+    /// refreshed at the thread's *own* boundaries: every global (unfiltered)
+    /// event refreshes all threads (and, for mapping-mutating changes,
+    /// broadcasts a TLB shootdown to every MMU), while a thread-filtered
+    /// event refreshes and shoots down only its target, leaving the other
+    /// threads on their per-thread segment lists with warm-but-stale MMU
+    /// state (stale translations still name valid frames — just on the
+    /// pre-change socket, which is the staggered effect being modelled).
+    /// The machine-level per-socket page-table-line caches are physically
+    /// coherent with the page tables and flush on every mapping-mutating
+    /// event regardless of filter.  With an empty schedule all of this
+    /// degenerates to exactly the static run — same order of operations,
+    /// bit-identical metrics.
+    ///
+    /// # Threading
+    ///
+    /// Simulated threads are deterministic, not preemptive.  The threads of
+    /// one socket — a *socket group* — share that socket's page-table-line
+    /// cache, so within a group a segment runs thread by thread in thread
+    /// order (lowest index first).  Groups share only the page tables'
+    /// accessed/dirty bits, which the walker sets with an order-independent
+    /// atomic OR, as long as nothing faults.  So at each segment start with
+    /// two or more socket groups the engine tries to prove the segment
+    /// fault-free:
+    ///
+    /// * every source reports an upper bound on the offsets it can still
+    ///   yield ([`AccessSource::offset_bound`]), and
+    /// * every CR3 the threads load maps `[region, region + bound)` with
+    ///   present, writable leaves — checked table by table from the page
+    ///   tables' entry bitmaps ([`check_writable_range`]).
+    ///
+    /// A proven segment runs each socket group on its own host thread:
+    /// the calling thread runs the first group, one scoped thread runs each
+    /// further group, and each group owns its MMUs, cycle totals and its
+    /// socket's page-table-line cache while it runs.  Every other segment
+    /// runs serially on the calling thread.  Either way the metrics are
+    /// bit-identical; the choice depends only on the socket groups, the
+    /// sources' bounds and the page tables, never on the host.
+    /// [`ExecutionEngine::last_split`] reports what happened.  A fault in a
+    /// split segment — possible only if a source under-reports its bound —
+    /// stops the run with [`MitosisError::SplitFault`] naming the thread,
+    /// access index and address; the serial path demand-pages instead.
     ///
     /// A thread filter at or beyond `threads.len()` applies the change to
     /// the system without any local thread observing it (see
@@ -503,8 +880,9 @@ impl ExecutionEngine {
     /// # Errors
     ///
     /// Propagates page-fault handling errors (demand paging during the
-    /// measured phase is allowed and counted) and event application errors.
-    pub fn execute<S: AccessSource>(
+    /// measured phase is allowed and counted) and event application errors;
+    /// returns [`MitosisError::SplitFault`] as described above.
+    pub fn execute<S: AccessSource + Send>(
         &mut self,
         system: &mut System,
         mitosis: &mut Mitosis,
@@ -529,6 +907,7 @@ impl ExecutionEngine {
         let start_access = resume.map_or(0, |checkpoint| checkpoint.at);
         if resume.is_none() {
             self.shootdowns = ShootdownStats::default();
+            self.split = SplitStats::default();
         }
         if let Some(checkpoint) = resume {
             assert_eq!(
@@ -551,7 +930,13 @@ impl ExecutionEngine {
             );
         }
         let frame_space = system.pt_env().alloc.frame_space().clone();
+        let ctx = AccessCtx {
+            region: region.as_u64(),
+            compute_cycles: spec.compute_cycles_per_access(),
+            frame_space: &frame_space,
+        };
         let sockets = system.machine().sockets();
+        let groups = socket_groups(threads);
         let mut mmus = match resume {
             Some(checkpoint) => checkpoint.mmus.clone(),
             None => self.checkout_mmus(threads),
@@ -569,18 +954,8 @@ impl ExecutionEngine {
             None => vec![ThreadTotals::default(); threads.len()],
         };
         let mut states: Vec<Option<ThreadPhase>> = match resume {
-            Some(checkpoint) => checkpoint
-                .states
-                .iter()
-                .map(|state| {
-                    state.as_ref().map(|owned| ThreadPhase {
-                        cost: std::rc::Rc::new(owned.cost.clone()),
-                        data_cost: owned.data_cost.clone(),
-                        cr3: owned.cr3,
-                    })
-                })
-                .collect(),
-            None => (0..threads.len()).map(|_| None).collect(),
+            Some(checkpoint) => checkpoint.states.clone(),
+            None => vec![None; threads.len()],
         };
 
         // Interval metrics streaming (off unless the observer asks for it):
@@ -612,10 +987,10 @@ impl ExecutionEngine {
 
         // The fallible measured phase runs inside a closure so the
         // checked-out MMUs return to the pool on *every* exit path — an
-        // error mid-run (a failing phase change, a fault-handling error)
-        // must not discard the pool and silently rebuild TLB/PWC arrays on
-        // each later run.  Checkout resets pooled MMUs, so returning dirty
-        // ones is safe.
+        // error mid-run (a failing phase change, a fault-handling error, a
+        // fault in a split segment) must not discard the pool and silently
+        // rebuild TLB/PWC arrays on each later run.  Checkout resets pooled
+        // MMUs, so returning dirty ones is safe.
         let result = (|| -> Result<Option<EngineCheckpoint>, MitosisError> {
             let mut segment_start = start_access;
             for boundary in schedule.boundaries(accesses_per_thread) {
@@ -650,79 +1025,100 @@ impl ExecutionEngine {
                             .collect(),
                         None => vec![run_to],
                     };
-                    let mut edge_snaps: Vec<Vec<(ThreadTotals, MmuStats)>> =
-                        vec![Vec::new(); edges.len()];
+                    let sampling = interval_state.is_some();
+                    // Per edge, per thread: cumulative counters at the edge.
+                    let mut edge_snaps: Vec<Vec<(ThreadTotals, MmuStats)>> = if sampling {
+                        vec![vec![Default::default(); threads.len()]; edges.len()]
+                    } else {
+                        Vec::new()
+                    };
 
                     // Threads refreshing at the same segment start snapshot
                     // the same cost-model state: share one clone (it holds
                     // the dense precomputed cycle matrix) instead of paying
                     // one copy per thread.
-                    let mut shared_cost: Option<std::rc::Rc<CostModel>> = None;
-                    for (index, (placement, source)) in
-                        threads.iter().zip(sources.iter_mut()).enumerate()
-                    {
-                        if states[index].is_none() {
-                            let cost = shared_cost
-                                .get_or_insert_with(|| {
-                                    std::rc::Rc::new(system.machine().cost_model().clone())
-                                })
-                                .clone();
-                            // Data-access cost depends only on (thread socket,
-                            // data socket, workload bandwidth intensity), all
-                            // fixed until the thread's next boundary:
-                            // precompute the per-target-socket cycle table once
-                            // so the inner loop charges data accesses with a
-                            // single indexed load.
-                            let data_cost: Vec<Cycles> = (0..sockets)
-                                .map(|to| {
-                                    data_access_cycles(
-                                        &cost,
-                                        placement.socket,
-                                        SocketId::new(to as u16),
-                                        spec.bandwidth_intensity(),
-                                    )
-                                })
-                                .collect();
-                            let cr3 = system.cr3_for(pid, placement.socket)?;
-                            states[index] = Some(ThreadPhase {
-                                cost,
-                                data_cost,
-                                cr3,
-                            });
+                    let mut shared_cost: Option<Arc<CostModel>> = None;
+                    for (placement, state) in threads.iter().zip(&mut states) {
+                        if state.is_some() {
+                            continue;
                         }
-                        let state = states[index].as_ref().expect("state derived above");
-                        let cost = &state.cost;
-                        let data_cost = &state.data_cost;
-                        let cr3 = state.cr3;
-                        let mmu = &mut mmus[index];
-                        let totals = &mut totals[index];
+                        let cost = shared_cost
+                            .get_or_insert_with(|| Arc::new(system.machine().cost_model().clone()))
+                            .clone();
+                        // Data-access cost depends only on (thread socket,
+                        // data socket, workload bandwidth intensity), all
+                        // fixed until the thread's next boundary: precompute
+                        // the per-target-socket cycle table once so the
+                        // inner loop charges data accesses with a single
+                        // indexed load.
+                        let data_cost: Vec<Cycles> = (0..sockets)
+                            .map(|to| {
+                                data_access_cycles(
+                                    &cost,
+                                    placement.socket,
+                                    SocketId::new(to as u16),
+                                    spec.bandwidth_intensity(),
+                                )
+                            })
+                            .collect();
+                        let cr3 = system.cr3_for(pid, placement.socket)?;
+                        *state = Some(ThreadPhase {
+                            cost,
+                            data_cost,
+                            cr3,
+                        });
+                    }
 
-                        let mut chunk_start = segment_start;
-                        for (edge_index, &edge) in edges.iter().enumerate() {
-                            for _ in chunk_start..edge {
-                                let access = source.next_access();
-                                // Accesses are 8-byte word granular within the
-                                // footprint.
-                                let addr = VirtAddr::new(region.as_u64() + (access.offset & !0x7));
-                                totals.compute += spec.compute_cycles_per_access();
-
-                                let outcome = {
-                                    let env = system.pt_env_mut();
-                                    mmu.access(
-                                        addr,
-                                        access.is_write,
-                                        cr3,
-                                        &mut env.store,
-                                        &env.frames,
-                                        cost,
+                    let proof = (groups.len() >= 2).then(|| {
+                        prove_fault_free(&system.pt_env().store, region, sources, &states)
+                    });
+                    if let Some(Err(reason)) = proof {
+                        self.split.last_serial_reason = Some(reason);
+                    }
+                    if proof == Some(Ok(())) {
+                        self.split.split_segments += 1;
+                        self.split.threads_spawned += groups.len() as u64 - 1;
+                        run_split(
+                            &mut self.pte_caches,
+                            Tables::of(system),
+                            ctx,
+                            SplitSegment {
+                                groups: &groups,
+                                threads,
+                                sources: &mut *sources,
+                                states: &states,
+                                mmus: &mut mmus,
+                                totals: &mut totals,
+                                segment_start,
+                                edges: &edges,
+                                edge_snaps: &mut edge_snaps,
+                            },
+                        )?;
+                    } else {
+                        self.split.serial_segments += 1;
+                        for (index, (placement, source)) in
+                            threads.iter().zip(sources.iter_mut()).enumerate()
+                        {
+                            let phase = states[index].as_ref().expect("phases derived above");
+                            let mmu = &mut mmus[index];
+                            let totals = &mut totals[index];
+                            let mut chunk_start = segment_start;
+                            for (edge_index, &edge) in edges.iter().enumerate() {
+                                for _ in chunk_start..edge {
+                                    let access = source.next_access();
+                                    let Err(addr) = step_access(
+                                        access,
+                                        mmu,
+                                        totals,
                                         self.pte_caches.socket(placement.socket),
-                                    )
-                                };
-                                totals.translation += outcome.translation_cycles;
-
-                                let frame = if outcome.fault {
-                                    // Demand paging: fault into the kernel, then
-                                    // retry.
+                                        phase,
+                                        Tables::of(system),
+                                        ctx,
+                                    ) else {
+                                        continue;
+                                    };
+                                    // Demand paging: fault into the
+                                    // kernel, then retry.
                                     totals.demand_faults += 1;
                                     let fault = system.handle_fault_access(
                                         pid,
@@ -731,9 +1127,10 @@ impl ExecutionEngine {
                                         access.is_write,
                                     )?;
                                     if !system.pending_shootdown().is_empty() {
-                                        // A copy-on-write break remapped the
-                                        // page (ranged mode records it):
-                                        // invalidate locally before the retry.
+                                        // A copy-on-write break remapped
+                                        // the page (ranged mode records
+                                        // it): invalidate locally before
+                                        // the retry.
                                         let plan = system.take_shootdown_plan();
                                         self.shootdowns.merge(&shootdown::apply_local(
                                             &plan,
@@ -741,30 +1138,25 @@ impl ExecutionEngine {
                                             &mut self.pte_caches,
                                         ));
                                     }
-                                    let retry = {
-                                        let env = system.pt_env_mut();
-                                        mmu.access(
-                                            addr,
-                                            access.is_write,
-                                            cr3,
-                                            &mut env.store,
-                                            &env.frames,
-                                            cost,
-                                            self.pte_caches.socket(placement.socket),
-                                        )
-                                    };
+                                    let tables = Tables::of(system);
+                                    let retry = mmu.access(
+                                        addr,
+                                        access.is_write,
+                                        phase.cr3,
+                                        tables.store,
+                                        tables.frames,
+                                        &phase.cost,
+                                        self.pte_caches.socket(placement.socket),
+                                    );
                                     totals.translation += retry.translation_cycles;
-                                    retry.frame.unwrap_or(fault.frame)
-                                } else {
-                                    outcome.frame.expect("non-faulting access yields a frame")
-                                };
-
-                                let data_socket = frame_space.socket_of(frame);
-                                totals.data += data_cost[data_socket.index()];
-                            }
-                            chunk_start = edge;
-                            if interval_state.is_some() {
-                                edge_snaps[edge_index].push((*totals, *mmu.stats()));
+                                    let frame = retry.frame.unwrap_or(fault.frame);
+                                    totals.data +=
+                                        phase.data_cost[frame_space.socket_of(frame).index()];
+                                }
+                                chunk_start = edge;
+                                if sampling {
+                                    edge_snaps[edge_index][index] = (*totals, *mmu.stats());
+                                }
                             }
                         }
                     }
@@ -820,16 +1212,7 @@ impl ExecutionEngine {
                         at: run_to,
                         mmus: mmus.clone(),
                         totals: totals.clone(),
-                        states: states
-                            .iter()
-                            .map(|state| {
-                                state.as_ref().map(|phase| ThreadPhaseState {
-                                    cost: (*phase.cost).clone(),
-                                    data_cost: phase.data_cost.clone(),
-                                    cr3: phase.cr3,
-                                })
-                            })
-                            .collect(),
+                        states: states.clone(),
                         pte_caches: self.pte_caches.clone(),
                         interval: interval_state.as_ref().map(|state| IntervalCheckpoint {
                             prev: state.prev.clone(),
@@ -852,9 +1235,7 @@ impl ExecutionEngine {
                         None => {
                             // All threads re-derive their state at the next
                             // segment start.
-                            for state in &mut states {
-                                *state = None;
-                            }
+                            states.fill(None);
                             broadcast_flush |= mutates;
                         }
                         Some(thread) if thread < threads.len() => {
@@ -1101,6 +1482,54 @@ mod tests {
             .run(&mut system, pid, &spec, region, &threads, &params)
             .unwrap();
         assert_eq!(after, baseline);
+
+        // A split segment that faults fails with a typed error and still
+        // returns every MMU: two sockets' sources claim a bound of one page
+        // of the premapped region while drawing from all of it.
+        struct Lying(AccessStream);
+        impl AccessSource for Lying {
+            fn next_access(&mut self) -> mitosis_workloads::Access {
+                self.0.next_access()
+            }
+            fn offset_bound(&self) -> Option<u64> {
+                Some(PageSize::Base4K.bytes())
+            }
+        }
+        let (mut system, pid, region, spec) = setup(&params);
+        system
+            .mprotect(
+                pid,
+                region.add(PageSize::Base4K.bytes()),
+                spec.footprint() - PageSize::Base4K.bytes(),
+                mitosis_vmm::Protection::ReadOnly,
+            )
+            .unwrap();
+        let pair =
+            ExecutionEngine::one_thread_per_socket(&system, &[SocketId::new(0), SocketId::new(1)]);
+        let mut sources: Vec<Lying> = ExecutionEngine::thread_streams(&spec, &params, 2)
+            .into_iter()
+            .map(Lying)
+            .collect();
+        let run = RunSpec {
+            spec: &spec,
+            threads: &pair,
+            accesses_per_thread: params.accesses_per_thread,
+            sources: &mut sources,
+            schedule: &PhaseSchedule::new(),
+            resume: None,
+            stop_at: None,
+        };
+        let mut engine = ExecutionEngine::new(&system);
+        let err = engine
+            .execute(&mut system, &mut Mitosis::new(), pid, region, run)
+            .unwrap_err();
+        assert!(matches!(err, MitosisError::SplitFault { .. }), "{err}");
+        assert_eq!(engine.last_split().split_segments, 1);
+        assert_eq!(
+            engine.mmu_pool.len(),
+            2,
+            "a failing split run must return every MMU to the pool"
+        );
     }
 
     #[test]

@@ -55,8 +55,8 @@ mod shootdown;
 pub use configs::{DataPolicyChoice, MigrationConfig, MigrationRun, MultiSocketConfig};
 pub use dynamics::{apply_phase_change, PhaseChange, PhaseEvent, PhaseSchedule};
 pub use engine::{
-    data_access_cycles, EngineCheckpoint, ExecutionEngine, PreparedSystem, RunSpec, SpanOutcome,
-    ThreadPlacement,
+    data_access_cycles, EngineCheckpoint, ExecutionEngine, PreparedSystem, RunSpec, SerialReason,
+    SpanOutcome, SplitStats, ThreadPlacement,
 };
 pub use metrics::RunMetrics;
 pub use migration::WorkloadMigrationScenario;

@@ -61,6 +61,10 @@ impl<S: AccessSource> AccessSource for RecordingSource<S> {
         self.recorded.push(access);
         access
     }
+
+    fn offset_bound(&self) -> Option<u64> {
+        self.inner.offset_bound()
+    }
 }
 
 /// Captures `accesses` accesses of `spec`'s deterministic stream under

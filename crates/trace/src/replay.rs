@@ -101,21 +101,32 @@ impl From<MitosisError> for ReplayError {
 pub struct LaneCursor<'a> {
     accesses: &'a [Access],
     position: usize,
+    /// One past the largest offset from `position` on, taken once when
+    /// the cursor is built (an upper bound for every later position).
+    bound: u64,
 }
 
 impl<'a> LaneCursor<'a> {
     /// A cursor over `accesses`, starting at the beginning.
     pub fn new(accesses: &'a [Access]) -> Self {
-        LaneCursor {
-            accesses,
-            position: 0,
-        }
+        LaneCursor::at(accesses, 0)
     }
 
     /// A cursor that has already consumed `position` accesses — the resume
     /// path of checkpoint/resume replay, where the engine restarts mid-lane.
     pub fn at(accesses: &'a [Access], position: usize) -> Self {
-        LaneCursor { accesses, position }
+        let bound = accesses
+            .get(position..)
+            .unwrap_or_default()
+            .iter()
+            .map(|access| access.offset.saturating_add(1))
+            .max()
+            .unwrap_or(0);
+        LaneCursor {
+            accesses,
+            position,
+            bound,
+        }
     }
 
     /// Accesses not yet consumed.
@@ -129,6 +140,10 @@ impl AccessSource for LaneCursor<'_> {
         let access = self.accesses[self.position];
         self.position += 1;
         access
+    }
+
+    fn offset_bound(&self) -> Option<u64> {
+        Some(self.bound)
     }
 }
 

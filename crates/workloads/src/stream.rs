@@ -23,11 +23,29 @@ pub struct Access {
 pub trait AccessSource {
     /// Produces the next access.
     fn next_access(&mut self) -> Access;
+
+    /// An upper bound on the offsets this source can still yield: every
+    /// later [`Access::offset`] is strictly below it.  `None` — the
+    /// default — means unknown.
+    ///
+    /// The execution engine runs a segment's socket groups on separate
+    /// host threads only once it has proven from the page tables that the
+    /// bounded range cannot fault; a source without a bound keeps its runs
+    /// on one thread.  A source that under-reports its bound makes such a
+    /// run fail with a typed error instead of demand-paging.
+    fn offset_bound(&self) -> Option<u64> {
+        None
+    }
 }
 
 impl AccessSource for AccessStream {
     fn next_access(&mut self) -> Access {
         AccessStream::next_access(self)
+    }
+
+    /// Every pattern draws offsets inside the workload's footprint.
+    fn offset_bound(&self) -> Option<u64> {
+        Some(self.footprint)
     }
 }
 

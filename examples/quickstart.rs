@@ -45,12 +45,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut mmu = Mmu::new(system.machine().first_core_of_socket(socket), socket);
     let mut pte_caches = PteCacheSet::for_machine(system.machine());
     for page in 0..1024u64 {
-        let env = system.pt_env_mut();
+        let env = system.pt_env();
         mmu.access(
             addr.add(page * 4096),
             false,
             cr3,
-            &mut env.store,
+            &env.store,
             &env.frames,
             &cost,
             pte_caches.socket(socket),

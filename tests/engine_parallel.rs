@@ -1,0 +1,431 @@
+//! A segment split across socket groups equals the same segment run
+//! serially.
+//!
+//! `ExecutionEngine::execute` runs each socket group of a segment it has
+//! proven fault-free on its own host thread.  The reference for every run
+//! here is the same run with each access source wrapped so that it reports
+//! no offset bound, which forces the serial path.  The property test
+//! sweeps socket and thread layouts, replication, THP, write fractions,
+//! interval sampling and a pause/resume at an arbitrary access, and
+//! compares everything a run leaves behind: metrics, interval samples,
+//! every root's leaf entries (accessed and dirty bits included) and the
+//! per-socket page-table-line cache counters.  The adversarial tests pin
+//! the layouts that must stay serial and the typed error a lying source
+//! produces.
+
+use mitosis::{Mitosis, MitosisError};
+use mitosis_mem::FrameId;
+use mitosis_numa::SocketId;
+use mitosis_obs::{IntervalSample, MemoryRecorder, Observer};
+use mitosis_pt::{iter_leaf_mappings, LeafMapping, PageSize, VirtAddr};
+use mitosis_sim::{
+    ExecutionEngine, PhaseChange, PhaseSchedule, RunMetrics, RunSpec, SerialReason, SimParams,
+    SpanOutcome, SplitStats, ThreadPlacement,
+};
+use mitosis_vmm::{MmapFlags, Pid, Protection, System, ThpMode};
+use mitosis_workloads::{
+    Access, AccessPattern, AccessSource, AccessStream, InitPattern, Scenario, WorkloadSpec,
+};
+use proptest::prelude::*;
+use std::sync::Arc;
+
+const FOOTPRINT: u64 = 16 << 20;
+const ACCESSES: u64 = 400;
+
+fn workload(write_fraction: f64) -> WorkloadSpec {
+    WorkloadSpec::new(
+        "uniform",
+        "uniform random accesses over a small region",
+        FOOTPRINT,
+        AccessPattern::UniformRandom,
+        write_fraction,
+        5,
+        0.9,
+        InitPattern::SingleThread,
+        Scenario::Both,
+    )
+}
+
+/// An access stream that reports the bound it is given instead of its own:
+/// `None` forces the serial path, a too-small bound lies.
+struct Bounded {
+    inner: AccessStream,
+    bound: Option<u64>,
+}
+
+impl AccessSource for Bounded {
+    fn next_access(&mut self) -> Access {
+        self.inner.next_access()
+    }
+
+    fn offset_bound(&self) -> Option<u64> {
+        self.bound
+    }
+}
+
+/// How the reference and the run under test differ: only in the bound
+/// their sources report.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Bound {
+    /// Each source reports its stream's own (exact) bound.
+    Honest,
+    /// Each source reports no bound: the forced-serial reference.
+    Unknown,
+    /// Each source reports this bound, whatever it yields.
+    Claimed(u64),
+}
+
+/// One run's inputs.
+#[derive(Debug, Clone, Copy)]
+struct Layout {
+    sockets: u16,
+    per_socket: usize,
+    mitosis: bool,
+    thp: bool,
+    write_fraction: f64,
+    sampling: bool,
+    pause: Option<u64>,
+    seed: u64,
+}
+
+impl Layout {
+    fn new(sockets: u16, per_socket: usize) -> Self {
+        Layout {
+            sockets,
+            per_socket,
+            mitosis: false,
+            thp: false,
+            write_fraction: 0.5,
+            sampling: false,
+            pause: None,
+            seed: 11,
+        }
+    }
+}
+
+/// A built system before its measured phase.
+struct Built {
+    system: System,
+    mitosis: Mitosis,
+    pid: Pid,
+    region: VirtAddr,
+    spec: WorkloadSpec,
+    threads: Vec<ThreadPlacement>,
+}
+
+/// Builds the layout's system; `populate` fills the region (or leaves it
+/// lazy), and `mutate` runs last, before the measured phase.
+fn build(layout: &Layout, populate: bool, mutate: impl FnOnce(&mut Built)) -> Built {
+    let params = SimParams::quick_test();
+    let mitosis = Mitosis::new();
+    let mut system = if layout.mitosis {
+        mitosis.install(params.machine())
+    } else {
+        System::new(params.machine())
+    };
+    let sockets: Vec<SocketId> = (0..layout.sockets).map(SocketId::new).collect();
+    let flags = if layout.thp {
+        system.set_thp(ThpMode::Always);
+        MmapFlags::lazy()
+    } else {
+        MmapFlags::lazy().without_thp()
+    };
+    let pid = system.create_process(sockets[0]).expect("create process");
+    let spec = workload(layout.write_fraction);
+    let region = system.mmap(pid, FOOTPRINT, flags).expect("mmap");
+    if populate {
+        ExecutionEngine::populate(
+            &mut system,
+            pid,
+            region,
+            FOOTPRINT,
+            InitPattern::Parallel,
+            &sockets,
+        )
+        .expect("populate");
+    }
+    let mut mitosis = mitosis;
+    if layout.mitosis {
+        mitosis
+            .enable_for_process(&mut system, pid, None)
+            .expect("replicate");
+    }
+    let threads = ExecutionEngine::threads_for(&system, &sockets, layout.per_socket);
+    let mut built = Built {
+        system,
+        mitosis,
+        pid,
+        region,
+        spec,
+        threads,
+    };
+    mutate(&mut built);
+    built
+}
+
+/// Everything a run leaves behind that the split path could perturb.
+#[derive(Debug, PartialEq)]
+struct Outcome {
+    metrics: RunMetrics,
+    intervals: Vec<IntervalSample>,
+    leaves: Vec<(FrameId, Vec<LeafMapping>)>,
+    pte_cache_counts: Vec<(u64, u64)>,
+}
+
+/// Runs `built` under `schedule` with every source reporting `bound`,
+/// pausing and resuming at `layout.pause`; returns the outcome and the
+/// engine's split report, or the run's error.
+fn run(
+    layout: &Layout,
+    built: &mut Built,
+    schedule: &PhaseSchedule,
+    bound: Bound,
+) -> Result<(Outcome, SplitStats), MitosisError> {
+    let memory = Arc::new(MemoryRecorder::new());
+    let mut engine = ExecutionEngine::new(&built.system);
+    if layout.sampling {
+        engine.set_observer(Observer::with_recorder(memory.clone()).interval_every(97));
+    }
+    let mut sources: Vec<Bounded> = (0..built.threads.len())
+        .map(|thread| {
+            let inner = AccessStream::new(&built.spec, layout.seed + thread as u64);
+            let bound = match bound {
+                Bound::Honest => inner.offset_bound(),
+                Bound::Unknown => None,
+                Bound::Claimed(claimed) => Some(claimed),
+            };
+            Bounded { inner, bound }
+        })
+        .collect();
+    let mut span = |resume, stop_at| {
+        let run = RunSpec {
+            spec: &built.spec,
+            threads: &built.threads,
+            accesses_per_thread: ACCESSES,
+            sources: &mut sources,
+            schedule,
+            resume,
+            stop_at,
+        };
+        engine.execute(
+            &mut built.system,
+            &mut built.mitosis,
+            built.pid,
+            built.region,
+            run,
+        )
+    };
+    let metrics = match layout.pause {
+        Some(pause) => {
+            let SpanOutcome::Paused(checkpoint) = span(None, Some(pause))? else {
+                panic!("a stop inside the run pauses it");
+            };
+            span(Some(&checkpoint), None)?
+        }
+        None => span(None, None)?,
+    };
+    let SpanOutcome::Completed(metrics) = metrics else {
+        panic!("an unbounded span completes");
+    };
+    let split = engine.last_split();
+    let store = &built.system.pt_env().store;
+    let mut roots: Vec<FrameId> = (0..built.system.machine().sockets() as u16)
+        .map(|socket| {
+            built
+                .system
+                .cr3_for(built.pid, SocketId::new(socket))
+                .expect("root")
+        })
+        .collect();
+    roots.sort_unstable();
+    roots.dedup();
+    let leaves = roots
+        .into_iter()
+        .map(|root| (root, iter_leaf_mappings(store, root)))
+        .collect();
+    let caches = engine.pte_caches();
+    let pte_cache_counts = (0..caches.sockets() as u16)
+        .map(|socket| {
+            let cache = caches.socket_ref(SocketId::new(socket));
+            (cache.hits(), cache.misses())
+        })
+        .collect();
+    Ok((
+        Outcome {
+            metrics,
+            intervals: memory.intervals_for_track(0),
+            leaves,
+            pte_cache_counts,
+        },
+        split,
+    ))
+}
+
+/// Runs `layout` twice from identical builds — sources bounded honestly,
+/// then unbounded — and returns both outcomes and split reports.
+fn split_and_reference(
+    layout: &Layout,
+    schedule: &PhaseSchedule,
+    populate: bool,
+    mutate: impl Fn(&mut Built),
+) -> ((Outcome, SplitStats), (Outcome, SplitStats)) {
+    let mut built = build(layout, populate, &mutate);
+    let split = run(layout, &mut built, schedule, Bound::Honest).expect("bounded run");
+    let mut built = build(layout, populate, &mutate);
+    let serial = run(layout, &mut built, schedule, Bound::Unknown).expect("reference run");
+    (split, serial)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn split_segments_equal_the_forced_serial_reference(
+        sockets in 2u16..5,
+        per_socket in 1usize..4,
+        flags in (any::<bool>(), any::<bool>(), any::<bool>(), any::<bool>()),
+        pause in 1u64..ACCESSES,
+        target in 0u16..4,
+        seed in 0u64..1_000,
+    ) {
+        let (mitosis, thp, writes, sampling) = flags;
+        let layout = Layout {
+            mitosis,
+            thp,
+            write_fraction: if writes { 0.5 } else { 0.0 },
+            sampling,
+            pause: Some(pause),
+            seed,
+            ..Layout::new(sockets, per_socket)
+        };
+        let schedule = PhaseSchedule::new().at(
+            ACCESSES / 2,
+            PhaseChange::MigrateData { target: SocketId::new(target % sockets) },
+        );
+        let ((split, split_stats), (serial, serial_stats)) =
+            split_and_reference(&layout, &schedule, true, |_| {});
+        prop_assert_eq!(&split.metrics, &serial.metrics);
+        prop_assert_eq!(&split.intervals, &serial.intervals);
+        prop_assert_eq!(&split.leaves, &serial.leaves);
+        prop_assert_eq!(&split.pte_cache_counts, &serial.pte_cache_counts);
+        prop_assert_eq!(split.intervals.is_empty(), !sampling);
+
+        // Every segment of the premapped region splits; the reference never.
+        prop_assert_eq!(split_stats.serial_segments, 0);
+        prop_assert!(split_stats.split_segments >= 2);
+        prop_assert_eq!(
+            split_stats.threads_spawned,
+            split_stats.split_segments * (u64::from(sockets) - 1)
+        );
+        prop_assert_eq!(split_stats.last_serial_reason, None);
+        prop_assert_eq!(serial_stats.split_segments, 0);
+        prop_assert_eq!(serial_stats.serial_segments, split_stats.split_segments);
+        prop_assert_eq!(
+            serial_stats.last_serial_reason,
+            Some(SerialReason::UnboundedSource { thread: 0 })
+        );
+    }
+}
+
+/// Runs a 2-socket layout that must stay serial, checks it matched the
+/// forced-serial reference, and returns why it did not split.
+fn serial_reason(populate: bool, mutate: impl Fn(&mut Built)) -> SerialReason {
+    let layout = Layout::new(2, 1);
+    let ((outcome, stats), (reference, _)) =
+        split_and_reference(&layout, &PhaseSchedule::new(), populate, mutate);
+    assert_eq!(outcome, reference);
+    assert_eq!(stats.split_segments, 0);
+    assert_eq!(stats.serial_segments, 1);
+    assert_eq!(stats.threads_spawned, 0);
+    stats
+        .last_serial_reason
+        .expect("a two-group segment that ran serially says why")
+}
+
+/// The address of 4 KiB page `index` of the region every layout maps.
+fn page(index: u64) -> VirtAddr {
+    let built = build(&Layout::new(2, 1), false, |_| {});
+    built.region.add(index * PageSize::Base4K.bytes())
+}
+
+#[test]
+fn a_lazy_region_runs_serially() {
+    assert_eq!(
+        serial_reason(false, |_| {}),
+        SerialReason::NotPresent { addr: page(0) }
+    );
+}
+
+#[test]
+fn one_unpopulated_page_runs_serially() {
+    // Populate everything, then punch one page out and map it back lazily.
+    let hole = page(FOOTPRINT / PageSize::Base4K.bytes() / 2 + 3);
+    let reason = serial_reason(true, |built| {
+        let len = PageSize::Base4K.bytes();
+        built.system.munmap(built.pid, hole, len).expect("munmap");
+        built
+            .system
+            .mmap_at(built.pid, hole, len, MmapFlags::lazy())
+            .expect("mmap_at");
+    });
+    assert_eq!(reason, SerialReason::NotPresent { addr: hole });
+}
+
+#[test]
+fn a_read_only_page_runs_serially() {
+    let protected = page(17);
+    let reason = serial_reason(true, |built| {
+        built
+            .system
+            .mprotect(
+                built.pid,
+                protected,
+                PageSize::Base4K.bytes(),
+                Protection::ReadOnly,
+            )
+            .expect("mprotect");
+    });
+    assert_eq!(reason, SerialReason::NotWritable { addr: protected });
+}
+
+#[test]
+fn a_forked_region_runs_serially() {
+    // Fork downgrades every writable leaf of the parent to copy-on-write.
+    let reason = serial_reason(true, |built| {
+        built.system.fork(built.pid).expect("fork");
+    });
+    assert_eq!(reason, SerialReason::NotWritable { addr: page(0) });
+}
+
+#[test]
+fn a_source_under_reporting_its_bound_fails_with_a_typed_error() {
+    // Only the first half of the region is populated, and each source
+    // claims to stay inside it while drawing from the whole region.
+    let layout = Layout::new(2, 1);
+    let half = FOOTPRINT / 2;
+    let mut built = build(&layout, false, |built| {
+        built
+            .system
+            .populate_region(built.pid, built.region, half, SocketId::new(0))
+            .expect("populate half");
+    });
+    let err = run(
+        &layout,
+        &mut built,
+        &PhaseSchedule::new(),
+        Bound::Claimed(half),
+    )
+    .expect_err("an access past the claimed bound faults");
+    let MitosisError::SplitFault {
+        thread,
+        access,
+        addr,
+    } = err
+    else {
+        panic!("expected a split fault, got {err}");
+    };
+    assert!(thread < 2);
+    assert!(access < ACCESSES);
+    assert!(addr.as_u64() >= built.region.as_u64() + half);
+    assert!(err.to_string().contains("under-reported"));
+}

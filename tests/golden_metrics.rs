@@ -12,11 +12,22 @@
 //! The snapshots were captured from the tree *before* the hot-path overhaul
 //! (PR 2) and must never be edited to make a refactor pass; a mismatch
 //! means the model changed, not the snapshot.
+//!
+//! Two dynamic multi-socket runs are pinned beside them: a 4-socket,
+//! 2-threads-per-socket premapped run under a schedule of data migration,
+//! replica add and drop, a staggered AutoNUMA rebalance and page-table
+//! migration, and a small-scale `F+M` [`MultiSocketScenario`] run.  Their
+//! snapshots were captured from the tree before the engine began running a
+//! fault-free segment's socket groups on separate host threads, so they
+//! pin that split (and every boundary around it) to the serial results.
 
 use mitosis::Mitosis;
-use mitosis_numa::SocketId;
+use mitosis_numa::{NodeMask, SocketId};
 use mitosis_obs::{IntervalAccumulator, MemoryRecorder, Observer};
-use mitosis_sim::{ExecutionEngine, RunMetrics, SimParams};
+use mitosis_sim::{
+    ExecutionEngine, MultiSocketConfig, MultiSocketScenario, PhaseChange, PhaseSchedule,
+    RunMetrics, SimParams,
+};
 use mitosis_vmm::{MmapFlags, PtPlacement, System};
 use mitosis_workloads::{suite, InitPattern, WorkloadSpec};
 use std::sync::Arc;
@@ -129,6 +140,66 @@ fn run_replicated_observed(spec: &WorkloadSpec, observer: &Observer) -> RunMetri
         .expect("run")
 }
 
+/// Four sockets, two threads each, over a premapped region with Mitosis
+/// installed, under a schedule that moves the data, grows the replica set
+/// to every socket and drops it again, rebalances the data with AutoNUMA as
+/// seen by thread 1 alone (a staggered boundary), and finally migrates the
+/// page tables.
+fn run_dynamic_multisocket() -> RunMetrics {
+    let params = params();
+    let scaled = params.scale_workload(&suite::gups());
+    let mitosis = Mitosis::new();
+    let mut system = mitosis.install(params.machine());
+    let sockets: Vec<SocketId> = system.machine().socket_ids().collect();
+    let pid = system.create_process(sockets[0]).expect("create process");
+    let region = system
+        .mmap(pid, scaled.footprint(), MmapFlags::lazy().without_thp())
+        .expect("mmap");
+    ExecutionEngine::populate(
+        &mut system,
+        pid,
+        region,
+        scaled.footprint(),
+        InitPattern::Parallel,
+        &sockets,
+    )
+    .expect("populate");
+    let n = params.accesses_per_thread;
+    let all = NodeMask::all(sockets.len());
+    let schedule = PhaseSchedule::new()
+        .at(n / 5, PhaseChange::MigrateData { target: sockets[1] })
+        .at(2 * n / 5, PhaseChange::SetReplicas { sockets: all })
+        .at_thread(
+            3 * n / 5,
+            1,
+            PhaseChange::AutoNumaRebalance { sockets: all },
+        )
+        .at(
+            7 * n / 10,
+            PhaseChange::SetReplicas {
+                sockets: NodeMask::EMPTY,
+            },
+        )
+        .at(
+            4 * n / 5,
+            PhaseChange::MigratePageTable { target: sockets[2] },
+        );
+    let threads = ExecutionEngine::threads_for(&system, &sockets, 2);
+    let mut mitosis = mitosis;
+    ExecutionEngine::new(&system)
+        .run_dynamic(
+            &mut system,
+            &mut mitosis,
+            pid,
+            &scaled,
+            region,
+            &threads,
+            &params,
+            &schedule,
+        )
+        .expect("dynamic run")
+}
+
 fn check(label: &str, expected: &str, metrics: RunMetrics) {
     let actual = snapshot(&metrics);
     if std::env::var("GOLDEN_PRINT").is_ok() {
@@ -215,4 +286,27 @@ fn memcached_metrics_are_bit_identical() {
         GOLD_MEMCACHED_REPL,
         run_replicated(&spec),
     );
+}
+
+const GOLD_DYNAMIC_MULTISOCKET: &str = "RunMetrics { total_cycles: 3446441, compute_cycles: 80000, data_cycles: 17858095, translation_cycles: 7252807, threads: 8, accesses: 16000, mmu: MmuStats { accesses: 16000, tlb_l1_hits: 40, tlb_l2_hits: 69, tlb_misses: 15891, translation_cycles: 7252807, walk: WalkStats { walks: 15891, faults: 0, walk_cycles: 7252324, levels_accessed: 24328, local_dram_accesses: 7112, remote_dram_accesses: 7844, pte_cache_hits: 9372, interfered_accesses: 0 } }, demand_faults: 0 }";
+const GOLD_CANNEAL_FM: &str = "RunMetrics { total_cycles: 2656402, compute_cycles: 40000, data_cycles: 7275542, translation_cycles: 2702020, threads: 4, accesses: 8000, mmu: MmuStats { accesses: 8000, tlb_l1_hits: 5, tlb_l2_hits: 28, tlb_misses: 7967, translation_cycles: 2702020, walk: WalkStats { walks: 7967, faults: 0, walk_cycles: 2701824, levels_accessed: 15202, local_dram_accesses: 8000, remote_dram_accesses: 0, pte_cache_hits: 7202, interfered_accesses: 0 } }, demand_faults: 0 }";
+
+#[test]
+fn dynamic_multisocket_metrics_are_bit_identical() {
+    check(
+        "GUPS/dynamic-4x2",
+        GOLD_DYNAMIC_MULTISOCKET,
+        run_dynamic_multisocket(),
+    );
+}
+
+#[test]
+fn multisocket_scenario_metrics_are_bit_identical() {
+    let result = MultiSocketScenario::run(
+        &suite::canneal(),
+        MultiSocketConfig::first_touch().with_mitosis(),
+        &params(),
+    )
+    .expect("F+M scenario");
+    check("Canneal/F+M", GOLD_CANNEAL_FM, result.metrics);
 }

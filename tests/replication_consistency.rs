@@ -113,12 +113,12 @@ fn accessed_and_dirty_bits_are_visible_from_any_replica() {
     let mut mmu = Mmu::new(system.machine().first_core_of_socket(socket), socket);
     let mut caches = PteCacheSet::for_machine(system.machine());
     {
-        let env = system.pt_env_mut();
+        let env = system.pt_env();
         let outcome = mmu.access(
             addr,
             true,
             cr3,
-            &mut env.store,
+            &env.store,
             &env.frames,
             &cost,
             caches.socket(socket),
