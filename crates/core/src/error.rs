@@ -38,6 +38,15 @@ pub enum MitosisError {
         /// The faulting virtual address.
         addr: VirtAddr,
     },
+    /// A scenario's setup-step list cannot be applied as written (a step
+    /// out of order, or one the system cannot take).
+    InvalidSetup {
+        /// Index of the offending step; the list's length when a required
+        /// step is missing.
+        step: usize,
+        /// What is wrong with it.
+        reason: &'static str,
+    },
 }
 
 impl fmt::Display for MitosisError {
@@ -62,6 +71,9 @@ impl fmt::Display for MitosisError {
                 "access {access} of thread {thread} faulted at {addr} in a segment proven \
                  fault-free: its access source under-reported its offset bound"
             ),
+            MitosisError::InvalidSetup { step, reason } => {
+                write!(f, "setup step {step} is invalid: {reason}")
+            }
         }
     }
 }

@@ -37,4 +37,4 @@ pub use pte_cache::{PteCache, PteCacheSet};
 pub use pwc::PagingStructureCache;
 pub use stats::{MmuStats, WalkStats};
 pub use tlb::{Tlb, TlbHierarchy, TlbLevel};
-pub use walker::{HardwareWalker, WalkOutcome, WalkerConfig};
+pub use walker::{HardwareWalker, WalkOutcome};

@@ -4,7 +4,7 @@ use crate::pte_cache::PteCache;
 use crate::pwc::PagingStructureCache;
 use crate::stats::MmuStats;
 use crate::tlb::{TlbHierarchy, TlbLevel};
-use crate::walker::{HardwareWalker, WalkerConfig};
+use crate::walker::HardwareWalker;
 use mitosis_mem::{FrameId, FrameTable};
 use mitosis_numa::{CoreId, CostModel, Cycles, SocketId};
 use mitosis_pt::{PageSize, PtStore, ShootdownPlan, VirtAddr};
@@ -56,12 +56,6 @@ impl Mmu {
             walker: HardwareWalker::new(),
             stats: MmuStats::default(),
         }
-    }
-
-    /// Overrides the walker configuration.
-    pub fn with_walker_config(mut self, config: WalkerConfig) -> Self {
-        self.walker = HardwareWalker::with_config(config);
-        self
     }
 
     /// The core this MMU belongs to.

@@ -19,24 +19,8 @@ use mitosis_mem::{FrameId, FrameTable};
 use mitosis_numa::{AccessKind, CostModel, Cycles, SocketId};
 use mitosis_pt::{Level, PageSize, PtStore, Translation, VirtAddr};
 
-/// Tuning knobs for the walker model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WalkerConfig {
-    /// Whether the walker sets accessed/dirty bits (x86 does; some RISC
-    /// implementations fault to software instead).
-    pub set_access_dirty: bool,
-    /// Fixed pipeline overhead charged per walk, on top of memory accesses.
-    pub walk_setup_cycles: Cycles,
-}
-
-impl Default for WalkerConfig {
-    fn default() -> Self {
-        WalkerConfig {
-            set_access_dirty: true,
-            walk_setup_cycles: 20,
-        }
-    }
-}
+/// Fixed pipeline overhead charged per walk, on top of its memory accesses.
+const WALK_SETUP_CYCLES: Cycles = 20;
 
 /// Result of one hardware page walk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,24 +36,12 @@ pub struct WalkOutcome {
 
 /// The hardware page walker of one core.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct HardwareWalker {
-    config: WalkerConfig,
-}
+pub struct HardwareWalker;
 
 impl HardwareWalker {
-    /// Creates a walker with the default configuration.
+    /// Creates a walker.
     pub fn new() -> Self {
-        HardwareWalker::default()
-    }
-
-    /// Creates a walker with an explicit configuration.
-    pub fn with_config(config: WalkerConfig) -> Self {
-        HardwareWalker { config }
-    }
-
-    /// The walker's configuration.
-    pub fn config(&self) -> WalkerConfig {
-        self.config
+        HardwareWalker
     }
 
     /// Performs a page walk for `addr` starting at the page table rooted at
@@ -93,7 +65,7 @@ impl HardwareWalker {
         pte_cache: &mut PteCache,
         stats: &mut WalkStats,
     ) -> WalkOutcome {
-        let mut cycles: Cycles = self.config.walk_setup_cycles;
+        let mut cycles: Cycles = WALK_SETUP_CYCLES;
         let mut levels_read: u8 = 0;
         stats.walks += 1;
 
@@ -168,9 +140,7 @@ impl HardwareWalker {
                         levels_read,
                     };
                 }
-                if self.config.set_access_dirty {
-                    store.mark_accessed_at(slot, index, is_write);
-                }
+                store.mark_accessed_at(slot, index, is_write);
                 stats.walk_cycles += cycles;
                 return WalkOutcome {
                     translation: Some(Translation {

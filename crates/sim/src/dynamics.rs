@@ -129,6 +129,16 @@ impl PhaseChange {
         )
     }
 
+    /// Whether this change operates on page tables through the Mitosis
+    /// backend (page-table migration, replica resizing), which the system
+    /// must have been built with.
+    pub fn needs_mitosis(&self) -> bool {
+        matches!(
+            self,
+            PhaseChange::MigratePageTable { .. } | PhaseChange::SetReplicas { .. }
+        )
+    }
+
     /// Whether ranged-shootdown mode can satisfy this change with the exact
     /// ranges its [`MappingTx`](mitosis_pt::MappingTx) records.
     ///

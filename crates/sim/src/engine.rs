@@ -24,32 +24,6 @@ pub struct ThreadPlacement {
     pub socket: SocketId,
 }
 
-/// A fully prepared simulated system: setup executed (process created,
-/// region mapped, data populated, placement/replication applied), measured
-/// phase not yet run.
-///
-/// This is the engine's prepare/run split: build the system once — by
-/// scenario code, or by replaying a trace's setup events — wrap it in a
-/// `PreparedSystem`, and run the measured phase from it as many times as
-/// needed.  Cloning is a deep copy of the whole simulated state (page
-/// tables, frame allocator, frame metadata, processes, Mitosis policy), so
-/// every clone starts the measured phase from bit-identical state; running
-/// from a clone is indistinguishable from re-executing the setup.  That
-/// makes the clone the cheap unit of fan-out for parallel replay: workers
-/// copy the snapshot instead of re-deriving it from events.
-#[derive(Debug, Clone)]
-pub struct PreparedSystem {
-    /// The system with every setup step applied.
-    pub system: System,
-    /// The Mitosis controller paired with the system (policy state used by
-    /// mid-run replica/page-table events).
-    pub mitosis: Mitosis,
-    /// The prepared workload process.
-    pub pid: Pid,
-    /// Start of the workload's memory region.
-    pub region: VirtAddr,
-}
-
 /// Cycles charged for one data access, given where the data lives and how
 /// bandwidth-hungry the workload is.
 ///
@@ -679,7 +653,8 @@ impl ExecutionEngine {
     ///
     /// # Errors
     ///
-    /// Propagates fault-handling errors.
+    /// Returns [`VmError::InvalidArgument`] for an empty `sockets` and
+    /// propagates fault-handling errors.
     pub fn populate(
         system: &mut System,
         pid: Pid,
@@ -688,9 +663,9 @@ impl ExecutionEngine {
         init: InitPattern,
         sockets: &[SocketId],
     ) -> Result<(), VmError> {
-        assert!(!sockets.is_empty(), "populate needs at least one socket");
+        let &first = sockets.first().ok_or(VmError::InvalidArgument)?;
         match init {
-            InitPattern::SingleThread => system.populate_region(pid, region, footprint, sockets[0]),
+            InitPattern::SingleThread => system.populate_region(pid, region, footprint, first),
             InitPattern::Parallel => {
                 let chunk = (footprint / sockets.len() as u64)
                     .max(PageSize::Base4K.bytes())
@@ -705,12 +680,7 @@ impl ExecutionEngine {
                     offset += len;
                 }
                 if offset < footprint {
-                    system.populate_region(
-                        pid,
-                        region.add(offset),
-                        footprint - offset,
-                        sockets[0],
-                    )?;
+                    system.populate_region(pid, region.add(offset), footprint - offset, first)?;
                 }
                 Ok(())
             }
@@ -1315,6 +1285,7 @@ impl ExecutionEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PreparedSystem;
     use mitosis_numa::{Interference, MachineConfig};
     use mitosis_vmm::MmapFlags;
     use mitosis_workloads::suite;

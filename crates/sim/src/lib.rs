@@ -50,13 +50,14 @@ mod migration;
 mod multisocket;
 mod params;
 mod report;
+mod setup;
 mod shootdown;
 
 pub use configs::{DataPolicyChoice, MigrationConfig, MigrationRun, MultiSocketConfig};
 pub use dynamics::{apply_phase_change, PhaseChange, PhaseEvent, PhaseSchedule};
 pub use engine::{
-    data_access_cycles, EngineCheckpoint, ExecutionEngine, PreparedSystem, RunSpec, SerialReason,
-    SpanOutcome, SplitStats, ThreadPlacement,
+    data_access_cycles, EngineCheckpoint, ExecutionEngine, RunSpec, SerialReason, SpanOutcome,
+    SplitStats, ThreadPlacement,
 };
 pub use metrics::RunMetrics;
 pub use migration::WorkloadMigrationScenario;
@@ -65,4 +66,5 @@ pub use mitosis_vmm::ShootdownMode;
 pub use multisocket::MultiSocketScenario;
 pub use params::SimParams;
 pub use report::{format_normalized_table, render_rows, NormalizedRow, ScenarioResult};
+pub use setup::{PreparedSystem, SetupStep};
 pub use shootdown::{BoundaryFlush, ShootdownStats};

@@ -8,13 +8,14 @@
 //! the page tables back to socket A before the measured phase.
 
 use crate::configs::MigrationRun;
-use crate::engine::ExecutionEngine;
+use crate::dynamics::PhaseChange;
+use crate::engine::{ExecutionEngine, ThreadPlacement};
 use crate::params::SimParams;
 use crate::report::ScenarioResult;
-use mitosis::{Mitosis, MitosisError};
-use mitosis_mem::{FragmentationModel, PlacementPolicy};
-use mitosis_numa::{Interference, SocketId};
-use mitosis_vmm::{MmapFlags, PtPlacement, System, ThpMode};
+use crate::setup::{PreparedSystem, SetupStep};
+use mitosis::MitosisError;
+use mitosis_numa::{NodeMask, SocketId};
+use mitosis_vmm::{System, ThpMode};
 use mitosis_workloads::{InitPattern, WorkloadSpec};
 
 /// Runner for the workload-migration scenario.
@@ -28,6 +29,60 @@ impl WorkloadMigrationScenario {
     /// data and/or the interfering process.
     pub const REMOTE_SOCKET: SocketId = SocketId::new(1);
 
+    /// The setup of `spec` under `run`, per Table 2: page tables forced
+    /// onto B for the RP* configurations, data bound to A or B, the
+    /// process initialising its memory from A, then Mitosis migrating the
+    /// page tables back to A and a bandwidth hog loading B when `run` asks
+    /// for them.
+    pub fn setup(spec: &WorkloadSpec, run: MigrationRun, params: &SimParams) -> Vec<SetupStep> {
+        let a = Self::RUN_SOCKET;
+        let b = Self::REMOTE_SOCKET;
+        let data = if run.config.data_remote() { b } else { a };
+        let len = params.scale_workload(spec).footprint();
+        let mut steps = Vec::new();
+        if run.mitosis {
+            steps.push(SetupStep::InstallMitosis);
+        }
+        if run.thp {
+            steps.push(SetupStep::SetThp(ThpMode::Always));
+        }
+        if run.config.pt_remote() {
+            steps.push(SetupStep::PtPlacement(b));
+        }
+        steps.push(SetupStep::CreateProcess(a));
+        steps.push(SetupStep::BindData(data));
+        steps.push(SetupStep::Mmap {
+            len,
+            populate: false,
+            thp: true,
+        });
+        // These are single-socket workloads; the process itself initialises
+        // its memory from socket A.
+        steps.push(SetupStep::Populate {
+            len,
+            init: InitPattern::SingleThread,
+            sockets: NodeMask::single(a),
+        });
+        // Mitosis repairs the placement by migrating the page tables to the
+        // socket the process actually runs on (paper §5.5, §8.2).
+        if run.mitosis {
+            steps.push(SetupStep::Change(PhaseChange::MigratePageTable {
+                target: a,
+            }));
+        }
+        if run.config.interference() {
+            steps.push(SetupStep::Change(PhaseChange::SetInterference {
+                sockets: NodeMask::single(b),
+            }));
+        }
+        steps
+    }
+
+    /// The measured phase's thread: one, on socket A.
+    pub fn threads(system: &System) -> Vec<ThreadPlacement> {
+        ExecutionEngine::one_thread_per_socket(system, &[Self::RUN_SOCKET])
+    }
+
     /// Runs `spec` under `run` and returns the scenario result.
     ///
     /// # Errors
@@ -38,66 +93,13 @@ impl WorkloadMigrationScenario {
         run: MigrationRun,
         params: &SimParams,
     ) -> Result<ScenarioResult, MitosisError> {
-        let machine = params.machine();
-        let mitosis = Mitosis::new();
-        let mut system = if run.mitosis {
-            mitosis.install(machine)
-        } else {
-            System::new(machine)
-        };
-        if run.thp {
-            system.set_thp(ThpMode::Always);
-        }
-        if let Some(probability) = params.fragmentation {
-            system
-                .pt_env_mut()
-                .alloc
-                .set_fragmentation(FragmentationModel::with_probability(probability));
-        }
-        system.set_shootdown_mode(params.shootdown_mode);
-
-        let a = Self::RUN_SOCKET;
-        let b = Self::REMOTE_SOCKET;
-
-        // Placement per Table 2: page tables forced onto B for RP*
-        // configurations, data bound to A or B.
-        if run.config.pt_remote() {
-            system.set_pt_placement(PtPlacement::Fixed(b));
-        }
-        let pid = system.create_process(a)?;
-        let data_socket = if run.config.data_remote() { b } else { a };
-        system
-            .process_mut(pid)?
-            .set_data_policy(PlacementPolicy::Bind(data_socket));
-
-        let scaled = params.scale_workload(spec);
-        let region = system.mmap(pid, scaled.footprint(), MmapFlags::lazy())?;
-        // These are single-socket workloads; the process itself initialises
-        // its memory from socket A.
-        ExecutionEngine::populate(
-            &mut system,
+        let PreparedSystem {
+            mut system,
             pid,
             region,
-            scaled.footprint(),
-            InitPattern::SingleThread,
-            &[a],
-        )?;
-
-        // Mitosis repairs the placement by migrating the page tables to the
-        // socket the process actually runs on (paper §5.5, §8.2).
-        if run.mitosis {
-            mitosis.migrate_page_table(&mut system, pid, a, true)?;
-        }
-
-        // Interference: a bandwidth hog pinned to socket B.
-        if run.config.interference() {
-            system
-                .machine_mut()
-                .cost_model_mut()
-                .set_interference(Interference::on([b]));
-        }
-
-        let dump = system.page_table_dump_for_socket(pid, a)?;
+            ..
+        } = PreparedSystem::build(params, &Self::setup(spec, run, params))?;
+        let dump = system.page_table_dump_for_socket(pid, Self::RUN_SOCKET)?;
         let remote_leaf_fractions: Vec<f64> = system
             .machine()
             .socket_ids()
@@ -106,7 +108,8 @@ impl WorkloadMigrationScenario {
         let footprint = system.footprint(pid)?;
 
         let mut engine = ExecutionEngine::new(&system);
-        let threads = ExecutionEngine::one_thread_per_socket(&system, &[a]);
+        let threads = Self::threads(&system);
+        let scaled = params.scale_workload(spec);
         let metrics = engine.run(&mut system, pid, &scaled, region, &threads, params)?;
 
         Ok(ScenarioResult {

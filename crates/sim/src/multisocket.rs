@@ -7,13 +7,14 @@
 //! page tables onto every socket before the measured phase.
 
 use crate::configs::{DataPolicyChoice, MultiSocketConfig};
-use crate::engine::ExecutionEngine;
+use crate::dynamics::PhaseChange;
+use crate::engine::{ExecutionEngine, ThreadPlacement};
 use crate::params::SimParams;
 use crate::report::ScenarioResult;
-use mitosis::{Mitosis, MitosisError};
-use mitosis_mem::{FragmentationModel, PlacementPolicy};
+use crate::setup::{PreparedSystem, SetupStep};
+use mitosis::MitosisError;
 use mitosis_numa::SocketId;
-use mitosis_vmm::{AutoNuma, MmapFlags, System, ThpMode};
+use mitosis_vmm::{System, ThpMode};
 use mitosis_workloads::WorkloadSpec;
 
 /// Runner for the multi-socket scenario.
@@ -21,6 +22,56 @@ use mitosis_workloads::WorkloadSpec;
 pub struct MultiSocketScenario;
 
 impl MultiSocketScenario {
+    /// The setup of `spec` under `config`: the process lives on socket 0,
+    /// every socket initialises its share of the data, then AutoNUMA
+    /// rebalances it and Mitosis replicates the page tables onto every
+    /// socket when `config` asks for them.
+    pub fn setup(
+        spec: &WorkloadSpec,
+        config: MultiSocketConfig,
+        params: &SimParams,
+    ) -> Vec<SetupStep> {
+        let all = params.machine().all_sockets();
+        let scaled = params.scale_workload(spec);
+        let mut steps = Vec::new();
+        if config.mitosis {
+            steps.push(SetupStep::InstallMitosis);
+        }
+        if config.thp {
+            steps.push(SetupStep::SetThp(ThpMode::Always));
+        }
+        steps.push(SetupStep::CreateProcess(SocketId::new(0)));
+        if config.data_policy == DataPolicyChoice::Interleave {
+            steps.push(SetupStep::InterleaveData(all));
+        }
+        steps.push(SetupStep::Mmap {
+            len: scaled.footprint(),
+            populate: false,
+            thp: true,
+        });
+        steps.push(SetupStep::Populate {
+            len: scaled.footprint(),
+            init: scaled.init(),
+            sockets: all,
+        });
+        if config.autonuma {
+            steps.push(SetupStep::Change(PhaseChange::AutoNumaRebalance {
+                sockets: all,
+            }));
+        }
+        if config.mitosis {
+            steps.push(SetupStep::Change(PhaseChange::SetReplicas { sockets: all }));
+        }
+        steps
+    }
+
+    /// The measured phase's threads: `params.threads_per_socket` on every
+    /// socket, grouped per socket.
+    pub fn threads(system: &System, params: &SimParams) -> Vec<ThreadPlacement> {
+        let sockets: Vec<SocketId> = system.machine().socket_ids().collect();
+        ExecutionEngine::threads_for(system, &sockets, params.threads_per_socket)
+    }
+
     /// Runs `spec` under `config` and returns the scenario result.
     ///
     /// # Errors
@@ -31,72 +82,37 @@ impl MultiSocketScenario {
         config: MultiSocketConfig,
         params: &SimParams,
     ) -> Result<ScenarioResult, MitosisError> {
-        let machine = params.machine();
-        let sockets: Vec<SocketId> = machine.socket_ids().collect();
-        let mut mitosis = Mitosis::new();
-        let mut system = if config.mitosis {
-            mitosis.install(machine)
-        } else {
-            System::new(machine)
-        };
-        if config.thp {
-            system.set_thp(ThpMode::Always);
-        }
-        if let Some(probability) = params.fragmentation {
-            system
-                .pt_env_mut()
-                .alloc
-                .set_fragmentation(FragmentationModel::with_probability(probability));
-        }
-        system.set_shootdown_mode(params.shootdown_mode);
-
-        let pid = system.create_process(sockets[0])?;
-        if config.data_policy == DataPolicyChoice::Interleave {
-            system
-                .process_mut(pid)?
-                .set_data_policy(PlacementPolicy::interleave_all(sockets.len()));
-        }
-
-        let scaled = params.scale_workload(spec);
-        let region = system.mmap(pid, scaled.footprint(), MmapFlags::lazy())?;
-        ExecutionEngine::populate(
-            &mut system,
+        let PreparedSystem {
+            mut system,
             pid,
             region,
-            scaled.footprint(),
-            scaled.init(),
-            &sockets,
-        )?;
-
-        if config.autonuma {
-            AutoNuma::new().rebalance(&mut system, pid, &sockets)?;
-        }
-        if config.mitosis {
-            mitosis.enable_for_process(&mut system, pid, None)?;
-        }
+            ..
+        } = PreparedSystem::build(params, &Self::setup(spec, config, params))?;
 
         // Placement analysis before the measured phase (Figures 3 and 4 use
         // the non-replicated tree; with Mitosis each socket would see its
         // own local replica instead).
         let dump = system.page_table_dump(pid)?;
-        let remote_leaf_fractions: Vec<f64> = sockets
-            .iter()
+        let remote_leaf_fractions: Vec<f64> = system
+            .machine()
+            .socket_ids()
             .map(|s| {
                 if config.mitosis {
                     // Each socket walks its local replica.
                     system
-                        .page_table_dump_for_socket(pid, *s)
-                        .map(|d| d.leaf_locality_from(*s).remote_fraction())
+                        .page_table_dump_for_socket(pid, s)
+                        .map(|d| d.leaf_locality_from(s).remote_fraction())
                         .unwrap_or(0.0)
                 } else {
-                    dump.leaf_locality_from(*s).remote_fraction()
+                    dump.leaf_locality_from(s).remote_fraction()
                 }
             })
             .collect();
         let footprint = system.footprint(pid)?;
 
         let mut engine = ExecutionEngine::new(&system);
-        let threads = ExecutionEngine::one_thread_per_socket(&system, &sockets);
+        let threads = Self::threads(&system, params);
+        let scaled = params.scale_workload(spec);
         let metrics = engine.run(&mut system, pid, &scaled, region, &threads, params)?;
 
         Ok(ScenarioResult {

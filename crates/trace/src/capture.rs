@@ -7,10 +7,12 @@
 //!   hands out into a buffer — the building block for capturing whatever
 //!   actually fed the engine;
 //! * [`capture_engine_run`], [`capture_migration_scenario`] and
-//!   [`capture_multisocket_scenario`] run a full experiment (the scenario
-//!   captures mirror `mitosis-sim`'s runners, including their setup events)
-//!   while recording it, returning both the live metrics and the trace
-//!   whose replay reproduces them bit-for-bit;
+//!   [`capture_multisocket_scenario`] run a full experiment while recording
+//!   it, returning both the live metrics and the trace whose replay
+//!   reproduces them bit-for-bit.  Each builds its system from a list of
+//!   [`SetupStep`]s through [`PreparedSystem::build`] — for the scenarios,
+//!   the runner's own `setup` — and writes the same steps as the trace's
+//!   setup events, which replay maps back to steps and builds again;
 //! * [`capture_engine_run_dynamic`] additionally threads a
 //!   [`PhaseSchedule`] of mid-run phase-change events through the run and
 //!   records each fired event as a mid-lane marker at the exact access
@@ -18,14 +20,13 @@
 
 use crate::format::{socket_index_u16, Trace, TraceError, TraceEvent, TraceLane, TraceMeta};
 use crate::replay::ReplayError;
-use mitosis::Mitosis;
-use mitosis_mem::{FragmentationModel, PlacementPolicy};
-use mitosis_numa::{Interference, NodeMask, SocketId};
+use mitosis_numa::SocketId;
 use mitosis_sim::{
-    ExecutionEngine, MigrationRun, MultiSocketConfig, PhaseChange, PhaseEvent, PhaseSchedule,
-    RunMetrics, RunSpec, SimParams, SpanOutcome, ThreadPlacement,
+    ExecutionEngine, MigrationRun, MultiSocketConfig, MultiSocketScenario, PhaseChange, PhaseEvent,
+    PhaseSchedule, PreparedSystem, RunMetrics, RunSpec, SetupStep, SimParams, SpanOutcome,
+    ThreadPlacement, WorkloadMigrationScenario,
 };
-use mitosis_vmm::{AutoNuma, MmapFlags, PtPlacement, System, ThpMode};
+use mitosis_vmm::System;
 use mitosis_workloads::{Access, AccessSource, AccessStream, InitPattern, WorkloadSpec};
 
 /// An [`AccessSource`] adaptor that records every access it forwards.
@@ -84,10 +85,6 @@ pub struct CapturedRun {
     /// Metrics of the live run that produced the trace; replaying the trace
     /// reproduces exactly these.
     pub live_metrics: RunMetrics,
-}
-
-fn socket_mask(sockets: &[SocketId]) -> u64 {
-    sockets.iter().fold(0u64, |mask, s| mask | 1 << s.index())
 }
 
 /// The mid-lane marker a fired phase change is recorded as; `staggered` is
@@ -154,17 +151,51 @@ pub fn trace_event_of_change(
     })
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_and_record(
-    system: &mut System,
-    mitosis: &mut Mitosis,
-    pid: mitosis_vmm::Pid,
+/// The setup event a setup step is recorded as.  [`crate::replay`]
+/// inverts this mapping to rebuild the steps from a trace.
+fn trace_event_of_step(step: SetupStep) -> Result<TraceEvent, TraceError> {
+    Ok(match step {
+        SetupStep::InstallMitosis => TraceEvent::InstallMitosis,
+        SetupStep::SetThp(mode) => TraceEvent::SetThp(mode.is_enabled()),
+        SetupStep::PtPlacement(socket) => TraceEvent::PtPlacement {
+            socket: socket_index_u16(socket)?,
+        },
+        SetupStep::CreateProcess(socket) => TraceEvent::CreateProcess {
+            socket: socket_index_u16(socket)?,
+        },
+        SetupStep::BindData(socket) => TraceEvent::BindData {
+            socket: socket_index_u16(socket)?,
+        },
+        SetupStep::InterleaveData(sockets) => TraceEvent::InterleaveData {
+            sockets: sockets.bits(),
+        },
+        SetupStep::Mmap { len, populate, thp } => TraceEvent::Mmap { len, populate, thp },
+        SetupStep::Populate { len, init, sockets } => TraceEvent::Populate {
+            len,
+            parallel: init == InitPattern::Parallel,
+            sockets: sockets.bits(),
+        },
+        SetupStep::Change(change) => trace_event_of_change(change, false)?,
+    })
+}
+
+/// Builds `steps`, runs `spec` (already scaled) live on the threads
+/// `threads` places, with recording sources and `schedule`, and returns
+/// the live metrics with a trace whose setup events are `steps`.
+fn capture_steps(
     spec: &WorkloadSpec,
-    region: mitosis_pt::VirtAddr,
-    threads: &[ThreadPlacement],
     params: &SimParams,
+    steps: &[SetupStep],
+    threads: impl FnOnce(&System) -> Vec<ThreadPlacement>,
     schedule: &PhaseSchedule,
-) -> Result<(RunMetrics, Vec<TraceLane>), ReplayError> {
+) -> Result<CapturedRun, ReplayError> {
+    let PreparedSystem {
+        mut system,
+        mut mitosis,
+        pid,
+        region,
+    } = PreparedSystem::build(params, steps).map_err(ReplayError::of_setup)?;
+    let threads = threads(&system);
     if let Some(event) = schedule
         .events()
         .iter()
@@ -188,17 +219,18 @@ fn run_and_record(
             .collect();
     let run = RunSpec {
         spec,
-        threads,
+        threads: &threads,
         accesses_per_thread: params.accesses_per_thread,
         sources: &mut sources,
         schedule,
         resume: None,
         stop_at: None,
     };
-    let metrics = match ExecutionEngine::new(system).execute(system, mitosis, pid, region, run)? {
-        SpanOutcome::Completed(metrics) => metrics,
-        SpanOutcome::Paused(_) => unreachable!("no stop boundary was requested"),
-    };
+    let live_metrics =
+        match ExecutionEngine::new(&system).execute(&mut system, &mut mitosis, pid, region, run)? {
+            SpanOutcome::Completed(metrics) => metrics,
+            SpanOutcome::Paused(_) => unreachable!("no stop boundary was requested"),
+        };
     // Global phase changes fire at the same access boundary on every
     // thread, so every lane carries their markers — replay cross-checks
     // them as an integrity guard.  Staggered (thread-filtered) changes are
@@ -225,7 +257,17 @@ fn run_and_record(
                 .collect::<Result<_, _>>()?,
         });
     }
-    Ok((metrics, lanes))
+    Ok(CapturedRun {
+        trace: Trace {
+            meta: TraceMeta::for_spec(spec, params)?,
+            setup_events: steps
+                .iter()
+                .map(|&step| trace_event_of_step(step))
+                .collect::<Result<_, _>>()?,
+            lanes,
+        },
+        live_metrics,
+    })
 }
 
 /// Runs `spec` live with one thread per socket in `sockets` (the
@@ -257,9 +299,14 @@ pub fn capture_engine_run(
 /// migration), the capture installs the Mitosis backend and records that
 /// as a setup event.
 ///
+/// The process lives on `sockets[0]`, the threads keep the caller's order
+/// and duplicates, and the distinct sockets initialise the region in
+/// ascending order — the order the recorded socket mask replays in.
+///
 /// # Errors
 ///
-/// Propagates VM and Mitosis errors from setup, the measured run and event
+/// Returns [`ReplayError::Mismatch`] for an empty `sockets`, and
+/// propagates VM and Mitosis errors from setup, the measured run and event
 /// application.
 pub fn capture_engine_run_dynamic(
     spec: &WorkloadSpec,
@@ -267,99 +314,51 @@ pub fn capture_engine_run_dynamic(
     sockets: &[SocketId],
     schedule: &PhaseSchedule,
 ) -> Result<CapturedRun, ReplayError> {
-    assert!(!sockets.is_empty(), "capture needs at least one socket");
+    let &home = sockets
+        .first()
+        .ok_or_else(|| ReplayError::Mismatch("capture needs at least one socket".into()))?;
     let scaled = params.scale_workload(spec);
-    let needs_mitosis = schedule.events().iter().any(|event| {
-        matches!(
-            event.change,
-            PhaseChange::MigratePageTable { .. } | PhaseChange::SetReplicas { .. }
-        )
-    });
-    let mut mitosis = Mitosis::new();
-    let mut events = Vec::new();
-    let mut system = if needs_mitosis {
-        events.push(TraceEvent::InstallMitosis);
-        mitosis.install(params.machine())
-    } else {
-        System::new(params.machine())
-    };
-    if let Some(probability) = params.fragmentation {
-        system
-            .pt_env_mut()
-            .alloc
-            .set_fragmentation(FragmentationModel::with_probability(probability));
+    let mut steps = Vec::new();
+    if schedule
+        .events()
+        .iter()
+        .any(|event| event.change.needs_mitosis())
+    {
+        steps.push(SetupStep::InstallMitosis);
     }
-    system.set_shootdown_mode(params.shootdown_mode);
-
-    let home = sockets[0];
-    let pid = system.create_process(home)?;
-    events.push(TraceEvent::CreateProcess {
-        socket: socket_index_u16(home)?,
-    });
-
-    let region = system.mmap(pid, scaled.footprint(), MmapFlags::lazy().without_thp())?;
-    events.push(TraceEvent::Mmap {
-        len: scaled.footprint(),
-        populate: false,
-        thp: false,
-    });
-
-    // The Populate event records a socket *bitmask*, which replay expands
-    // into the distinct sockets in ascending order — so the live populate
-    // must run in exactly that canonical order, or parallel first-touch
-    // chunking would land on different sockets than the replay reconstructs
-    // (duplicate or unsorted `sockets` lists would silently break
-    // bit-identical replay).  Thread placements below keep the caller's
-    // order and duplicates; only the one-off initialisation is canonical.
-    let mut populate_sockets = sockets.to_vec();
-    populate_sockets.sort_by_key(|socket| socket.index());
-    populate_sockets.dedup();
-    ExecutionEngine::populate(
-        &mut system,
-        pid,
-        region,
-        scaled.footprint(),
-        scaled.init(),
-        &populate_sockets,
-    )?;
-    events.push(TraceEvent::Populate {
-        len: scaled.footprint(),
-        parallel: scaled.init() == InitPattern::Parallel,
-        sockets: socket_mask(sockets),
-    });
-
-    let threads = ExecutionEngine::one_thread_per_socket(&system, sockets);
-    let (live_metrics, lanes) = run_and_record(
-        &mut system,
-        &mut mitosis,
-        pid,
-        &scaled,
-        region,
-        &threads,
-        params,
-        schedule,
-    )?;
-    Ok(CapturedRun {
-        trace: Trace {
-            meta: TraceMeta::for_spec(&scaled, params)?,
-            setup_events: events,
-            lanes,
+    steps.extend([
+        SetupStep::CreateProcess(home),
+        SetupStep::Mmap {
+            len: scaled.footprint(),
+            populate: false,
+            thp: false,
         },
-        live_metrics,
-    })
+        SetupStep::Populate {
+            len: scaled.footprint(),
+            init: scaled.init(),
+            sockets: sockets.iter().copied().collect(),
+        },
+    ]);
+    capture_steps(
+        &scaled,
+        params,
+        &steps,
+        |system| ExecutionEngine::one_thread_per_socket(system, sockets),
+        schedule,
+    )
 }
 
 /// Runs the paper's multi-socket scenario (`mitosis-sim`'s
-/// `MultiSocketScenario`: one thread per socket over a shared region, with
-/// first-touch or interleaved data placement, optionally AutoNUMA data
-/// rebalancing and optionally Mitosis page-table replication) while
+/// [`MultiSocketScenario`]: threads on every socket over a shared region,
+/// with first-touch or interleaved data placement, optionally AutoNUMA
+/// data rebalancing and optionally Mitosis page-table replication) while
 /// capturing its setup events and access streams.
 ///
-/// This closes the last uncapturable scenario: the AutoNUMA and interleave
-/// placement steps are recorded as [`TraceEvent::AutoNumaRebalance`] and
-/// [`TraceEvent::InterleaveData`] setup events, replication as
-/// [`TraceEvent::Replicate`], so replay reconstructs the exact Figure 9
-/// system state before feeding the lanes back.
+/// The setup is the runner's own [`MultiSocketScenario::setup`]; its
+/// AutoNUMA, interleave and replication steps are recorded as
+/// [`TraceEvent::AutoNumaRebalance`], [`TraceEvent::InterleaveData`] and
+/// [`TraceEvent::Replicate`] setup events, so replay reconstructs the
+/// exact Figure 9 system state before feeding the lanes back.
 ///
 /// `params.threads_per_socket` threads run on every socket (the paper's
 /// machines run many threads per socket, not one), so the captured trace
@@ -375,104 +374,23 @@ pub fn capture_multisocket_scenario(
     config: MultiSocketConfig,
     params: &SimParams,
 ) -> Result<CapturedRun, ReplayError> {
-    let machine = params.machine();
-    let sockets: Vec<SocketId> = machine.socket_ids().collect();
-    let mut mitosis = Mitosis::new();
-    let mut events = Vec::new();
-    let mut system = if config.mitosis {
-        events.push(TraceEvent::InstallMitosis);
-        mitosis.install(machine)
-    } else {
-        System::new(machine)
-    };
-    if config.thp {
-        system.set_thp(ThpMode::Always);
-        events.push(TraceEvent::SetThp(true));
-    }
-    if let Some(probability) = params.fragmentation {
-        system
-            .pt_env_mut()
-            .alloc
-            .set_fragmentation(FragmentationModel::with_probability(probability));
-    }
-    system.set_shootdown_mode(params.shootdown_mode);
-
-    let pid = system.create_process(sockets[0])?;
-    events.push(TraceEvent::CreateProcess {
-        socket: socket_index_u16(sockets[0])?,
-    });
-    if config.data_policy == mitosis_sim::DataPolicyChoice::Interleave {
-        system
-            .process_mut(pid)?
-            .set_data_policy(PlacementPolicy::interleave_all(sockets.len()));
-        events.push(TraceEvent::InterleaveData {
-            sockets: socket_mask(&sockets),
-        });
-    }
-
-    let scaled = params.scale_workload(spec);
-    let region = system.mmap(pid, scaled.footprint(), MmapFlags::lazy())?;
-    events.push(TraceEvent::Mmap {
-        len: scaled.footprint(),
-        populate: false,
-        thp: true,
-    });
-    ExecutionEngine::populate(
-        &mut system,
-        pid,
-        region,
-        scaled.footprint(),
-        scaled.init(),
-        &sockets,
-    )?;
-    events.push(TraceEvent::Populate {
-        len: scaled.footprint(),
-        parallel: scaled.init() == InitPattern::Parallel,
-        sockets: socket_mask(&sockets),
-    });
-
-    if config.autonuma {
-        AutoNuma::new().rebalance(&mut system, pid, &sockets)?;
-        events.push(TraceEvent::AutoNumaRebalance {
-            sockets: socket_mask(&sockets),
-            staggered: false,
-        });
-    }
-    if config.mitosis {
-        mitosis.enable_for_process(&mut system, pid, None)?;
-        events.push(TraceEvent::Replicate {
-            sockets: system.machine().all_sockets().bits(),
-        });
-    }
-
-    let threads = ExecutionEngine::threads_for(&system, &sockets, params.threads_per_socket);
-    let (live_metrics, lanes) = run_and_record(
-        &mut system,
-        &mut mitosis,
-        pid,
-        &scaled,
-        region,
-        &threads,
+    capture_steps(
+        &params.scale_workload(spec),
         params,
+        &MultiSocketScenario::setup(spec, config, params),
+        |system| MultiSocketScenario::threads(system, params),
         &PhaseSchedule::new(),
-    )?;
-    Ok(CapturedRun {
-        trace: Trace {
-            meta: TraceMeta::for_spec(&scaled, params)?,
-            setup_events: events,
-            lanes,
-        },
-        live_metrics,
-    })
+    )
 }
 
 /// Runs the paper's workload-migration scenario (`mitosis-sim`'s
-/// `WorkloadMigrationScenario`) while capturing its setup events and access
-/// stream.
+/// [`WorkloadMigrationScenario`]) while capturing its setup events and
+/// access stream.
 ///
-/// The trace records the scenario's placement dance — remote page tables,
-/// data binding, the optional Mitosis page-table migration and interference
-/// — as setup events, so the replay reconstructs the exact same system
+/// The setup is the runner's own [`WorkloadMigrationScenario::setup`]:
+/// the trace records its placement dance — remote page tables, data
+/// binding, the optional Mitosis page-table migration and interference —
+/// as setup events, so the replay reconstructs the exact same system
 /// state the live run measured.
 ///
 /// # Errors
@@ -483,107 +401,13 @@ pub fn capture_migration_scenario(
     run: MigrationRun,
     params: &SimParams,
 ) -> Result<CapturedRun, ReplayError> {
-    let machine = params.machine();
-    let mut mitosis = Mitosis::new();
-    let mut events = Vec::new();
-    let mut system = if run.mitosis {
-        events.push(TraceEvent::InstallMitosis);
-        mitosis.install(machine)
-    } else {
-        System::new(machine)
-    };
-    if run.thp {
-        system.set_thp(ThpMode::Always);
-        events.push(TraceEvent::SetThp(true));
-    }
-    if let Some(probability) = params.fragmentation {
-        system
-            .pt_env_mut()
-            .alloc
-            .set_fragmentation(FragmentationModel::with_probability(probability));
-    }
-    system.set_shootdown_mode(params.shootdown_mode);
-
-    // Mirrors WorkloadMigrationScenario: the workload runs on socket 0
-    // ("A"), everything left behind lives on socket 1 ("B").
-    let a = SocketId::new(0);
-    let b = SocketId::new(1);
-
-    if run.config.pt_remote() {
-        system.set_pt_placement(PtPlacement::Fixed(b));
-        events.push(TraceEvent::PtPlacement {
-            socket: socket_index_u16(b)?,
-        });
-    }
-    let pid = system.create_process(a)?;
-    events.push(TraceEvent::CreateProcess {
-        socket: socket_index_u16(a)?,
-    });
-    let data_socket = if run.config.data_remote() { b } else { a };
-    system
-        .process_mut(pid)?
-        .set_data_policy(PlacementPolicy::Bind(data_socket));
-    events.push(TraceEvent::BindData {
-        socket: socket_index_u16(data_socket)?,
-    });
-
-    let scaled = params.scale_workload(spec);
-    let region = system.mmap(pid, scaled.footprint(), MmapFlags::lazy())?;
-    events.push(TraceEvent::Mmap {
-        len: scaled.footprint(),
-        populate: false,
-        thp: true,
-    });
-    ExecutionEngine::populate(
-        &mut system,
-        pid,
-        region,
-        scaled.footprint(),
-        InitPattern::SingleThread,
-        &[a],
-    )?;
-    events.push(TraceEvent::Populate {
-        len: scaled.footprint(),
-        parallel: false,
-        sockets: socket_mask(&[a]),
-    });
-
-    if run.mitosis {
-        mitosis.migrate_page_table(&mut system, pid, a, true)?;
-        events.push(TraceEvent::MigratePageTable {
-            socket: socket_index_u16(a)?,
-        });
-    }
-    if run.config.interference() {
-        system
-            .machine_mut()
-            .cost_model_mut()
-            .set_interference(Interference::on([b]));
-        events.push(TraceEvent::Interference {
-            sockets: NodeMask::from_bits(1 << b.index()).bits(),
-            staggered: false,
-        });
-    }
-
-    let threads = ExecutionEngine::one_thread_per_socket(&system, &[a]);
-    let (live_metrics, lanes) = run_and_record(
-        &mut system,
-        &mut mitosis,
-        pid,
-        &scaled,
-        region,
-        &threads,
+    capture_steps(
+        &params.scale_workload(spec),
         params,
+        &WorkloadMigrationScenario::setup(spec, run, params),
+        WorkloadMigrationScenario::threads,
         &PhaseSchedule::new(),
-    )?;
-    Ok(CapturedRun {
-        trace: Trace {
-            meta: TraceMeta::for_spec(&scaled, params)?,
-            setup_events: events,
-            lanes,
-        },
-        live_metrics,
-    })
+    )
 }
 
 #[cfg(test)]

@@ -307,9 +307,14 @@ pub struct LaneReplayReport {
     /// Number of distinct per-socket lane groups the selected lanes
     /// partition into (informative even when the replay went serial).
     pub groups: usize,
-    /// Worker threads the replay actually used (1 for a serial replay).
-    /// Pool threads persist across calls, so this counts the workers that
-    /// participated, not threads spawned by this call.
+    /// Pool workers the replay used, counting the driver as the one worker
+    /// of a serial replay.  Pool threads persist across calls, so this
+    /// counts the workers that participated, not threads spawned by this
+    /// call.  It does not count the scoped threads the engine may split a
+    /// segment's socket groups across, in a serial replay too
+    /// ([`ExecutionEngine::last_split`]).
+    ///
+    /// [`ExecutionEngine::last_split`]: mitosis_sim::ExecutionEngine::last_split
     pub workers: usize,
     /// Whether the lanes sharded, and if not, why.
     pub decision: ShardDecision,

@@ -1,12 +1,13 @@
 //! Deterministic trace replay: the layer [`ReplaySession`](crate::ReplaySession)
 //! drives.
 //!
-//! Replay rebuilds the captured experiment from scratch — a fresh
-//! [`System`], the recorded setup events applied in order, one
-//! [`LaneCursor`] per captured thread — and drives the existing
-//! [`ExecutionEngine`] with it.  Mid-lane phase-change markers are lifted
-//! back into a [`PhaseSchedule`] and re-applied at the same access-count
-//! boundaries.  Because the engine is fed the exact access sequence the
+//! Replay rebuilds the captured experiment from scratch: it maps the
+//! recorded setup events back to the [`SetupStep`]s they stand for, builds
+//! them with [`PreparedSystem::build`] — the interpreter the live run and
+//! its capture used — and drives the existing [`ExecutionEngine`] with one
+//! [`LaneCursor`] per captured thread.  Mid-lane phase-change markers are
+//! lifted back into a [`PhaseSchedule`] and re-applied at the same
+//! access-count boundaries.  Because the engine is fed the exact access sequence the
 //! capture recorded (and the substrate is fully deterministic), the
 //! replayed [`RunMetrics`] are bit-identical to the live run's — for
 //! static *and* dynamic captures.
@@ -24,15 +25,14 @@
 //! dominates for short traces.
 
 use crate::format::{MachineFingerprint, Trace, TraceError, TraceEvent, TraceLane};
-use mitosis::{Mitosis, MitosisError};
-use mitosis_mem::{FragmentationModel, PlacementPolicy};
-use mitosis_numa::{Interference, NodeMask, SocketId};
+use mitosis::MitosisError;
+use mitosis_numa::{NodeMask, SocketId};
 use mitosis_pt::VirtAddr;
 use mitosis_sim::{
     EngineCheckpoint, ExecutionEngine, Observer, PhaseChange, PhaseEvent, PhaseSchedule,
-    PreparedSystem, RunMetrics, RunSpec, SimParams, SpanOutcome, ThreadPlacement,
+    PreparedSystem, RunMetrics, RunSpec, SetupStep, SimParams, SpanOutcome, ThreadPlacement,
 };
-use mitosis_vmm::{AutoNuma, MmapFlags, PtPlacement, System, ThpMode, VmError};
+use mitosis_vmm::{ThpMode, VmError};
 use mitosis_workloads::{Access, AccessSource, InitPattern, WorkloadSpec};
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -74,6 +74,20 @@ impl std::error::Error for ReplayError {
             ReplayError::Vm(e) => Some(e),
             ReplayError::Mitosis(e) => Some(e),
             ReplayError::Mismatch(_) | ReplayError::Panic(_) => None,
+        }
+    }
+}
+
+impl ReplayError {
+    /// The error for a failed [`PreparedSystem::build`]: a malformed step
+    /// list is a [`ReplayError::Mismatch`], a failed VM operation a
+    /// [`ReplayError::Vm`], and any other failure a
+    /// [`ReplayError::Mitosis`].
+    pub(crate) fn of_setup(err: MitosisError) -> Self {
+        match err {
+            MitosisError::InvalidSetup { .. } => ReplayError::Mismatch(err.to_string()),
+            MitosisError::Vm(vm) => ReplayError::Vm(vm),
+            other => ReplayError::Mitosis(other),
         }
     }
 }
@@ -238,13 +252,6 @@ pub struct ReplayOutcome {
     pub completeness: ReplayCompleteness,
 }
 
-fn sockets_of_mask(mask: u64) -> Vec<SocketId> {
-    (0u16..64)
-        .filter(|&bit| mask & (1u64 << bit) != 0)
-        .map(SocketId::new)
-        .collect()
-}
-
 /// The phase change a mid-lane marker stands for, or `None` for events
 /// that are only meaningful as setup (or the free-form [`TraceEvent::Marker`]).
 fn phase_change_of_event(event: TraceEvent) -> Option<PhaseChange> {
@@ -281,6 +288,68 @@ fn phase_change_of_event(event: TraceEvent) -> Option<PhaseChange> {
         }),
         _ => None,
     }
+}
+
+/// The setup step a setup event stands for — the inverse of
+/// [`crate::capture`]'s step-to-event map — or `None` for a free-form
+/// [`TraceEvent::Marker`].
+///
+/// # Errors
+///
+/// Returns [`ReplayError::Mismatch`] for a staggered or churn event: no
+/// capture records either as setup, because both only make sense inside
+/// the measured phase.
+fn step_of_event(event: TraceEvent) -> Result<Option<SetupStep>, ReplayError> {
+    Ok(Some(match event {
+        TraceEvent::InstallMitosis => SetupStep::InstallMitosis,
+        TraceEvent::SetThp(always) => SetupStep::SetThp(if always {
+            ThpMode::Always
+        } else {
+            ThpMode::Never
+        }),
+        TraceEvent::PtPlacement { socket } => SetupStep::PtPlacement(SocketId::new(socket)),
+        TraceEvent::CreateProcess { socket } => SetupStep::CreateProcess(SocketId::new(socket)),
+        TraceEvent::BindData { socket } => SetupStep::BindData(SocketId::new(socket)),
+        TraceEvent::InterleaveData { sockets } => {
+            SetupStep::InterleaveData(NodeMask::from_bits(sockets))
+        }
+        TraceEvent::Mmap { len, populate, thp } => SetupStep::Mmap { len, populate, thp },
+        TraceEvent::Populate {
+            len,
+            parallel,
+            sockets,
+        } => SetupStep::Populate {
+            len,
+            init: if parallel {
+                InitPattern::Parallel
+            } else {
+                InitPattern::SingleThread
+            },
+            sockets: NodeMask::from_bits(sockets),
+        },
+        TraceEvent::Marker(_) => return Ok(None),
+        _ if event.staggered() => {
+            return Err(ReplayError::Mismatch(format!(
+                "staggered {event:?} recorded as a setup event"
+            )))
+        }
+        TraceEvent::Fork
+        | TraceEvent::MmapAt { .. }
+        | TraceEvent::MunmapAt { .. }
+        | TraceEvent::PromoteHuge { .. }
+        | TraceEvent::DemoteHuge { .. } => {
+            return Err(ReplayError::Mismatch(format!(
+                "churn event {event:?} recorded as a setup event"
+            )))
+        }
+        TraceEvent::MigrateData { .. }
+        | TraceEvent::MigratePageTable { .. }
+        | TraceEvent::Replicate { .. }
+        | TraceEvent::AutoNumaRebalance { .. }
+        | TraceEvent::Interference { .. } => SetupStep::Change(
+            phase_change_of_event(event).expect("every arm above is a phase change"),
+        ),
+    }))
 }
 
 /// Rebuilds the phase-change schedule from the mid-lane markers — a
@@ -790,9 +859,9 @@ fn clone_snapshot(snapshot: &ReplaySnapshot) -> ReplaySnapshot {
     copy
 }
 
-/// Applies the header checks and setup events of `trace` to a fresh
-/// system, returning a cloneable [`ReplaySnapshot`] ready for the measured
-/// phase.
+/// Checks `trace`'s header and builds its setup events, mapped back to
+/// [`SetupStep`]s, with [`PreparedSystem::build`], returning a cloneable
+/// [`ReplaySnapshot`] ready for the measured phase.
 ///
 /// This is the *prepare* half of replay's prepare/run split: every replay
 /// path (serial, lane-granular, lane-grouped parallel) goes through one
@@ -803,8 +872,9 @@ fn clone_snapshot(snapshot: &ReplaySnapshot) -> ReplaySnapshot {
 ///
 /// Fails if the machine fingerprint does not match (unless
 /// `options.force_machine`), the trace references an unknown workload, its
-/// events cannot be applied, its lanes are missing or unequal, or a VM /
-/// Mitosis operation fails.
+/// setup events are malformed (a [`ReplayError::Mismatch`]), its lanes are
+/// missing or unequal, or a VM ([`ReplayError::Vm`]) or Mitosis operation
+/// fails.
 pub fn prepare_replay(
     trace: &Trace,
     params: &SimParams,
@@ -837,181 +907,11 @@ pub fn prepare_replay(
         ))
     })?;
 
-    let machine = params.machine();
-    let mut mitosis = Mitosis::new();
-    let install = trace.setup_events.contains(&TraceEvent::InstallMitosis);
-    let mut system = if install {
-        mitosis.install(machine)
-    } else {
-        System::new(machine)
-    };
-    if let Some(probability) = params.fragmentation {
-        system
-            .pt_env_mut()
-            .alloc
-            .set_fragmentation(FragmentationModel::with_probability(probability));
+    let mut steps = Vec::with_capacity(trace.setup_events.len());
+    for &event in &trace.setup_events {
+        steps.extend(step_of_event(event)?);
     }
-    system.set_shootdown_mode(params.shootdown_mode);
-
-    let mut pid = None;
-    let mut region = None;
-    for event in &trace.setup_events {
-        match *event {
-            TraceEvent::InstallMitosis => {
-                if pid.is_some() {
-                    return Err(ReplayError::Mismatch(
-                        "InstallMitosis recorded after process creation".into(),
-                    ));
-                }
-            }
-            TraceEvent::SetThp(always) => {
-                system.set_thp(if always {
-                    ThpMode::Always
-                } else {
-                    ThpMode::Never
-                });
-            }
-            TraceEvent::PtPlacement { socket } => {
-                system.set_pt_placement(PtPlacement::Fixed(SocketId::new(socket)));
-            }
-            TraceEvent::CreateProcess { socket } => {
-                pid = Some(system.create_process(SocketId::new(socket))?);
-            }
-            TraceEvent::BindData { socket } => {
-                let pid = pid
-                    .ok_or_else(|| ReplayError::Mismatch("BindData before CreateProcess".into()))?;
-                system
-                    .process_mut(pid)?
-                    .set_data_policy(PlacementPolicy::Bind(SocketId::new(socket)));
-            }
-            TraceEvent::Mmap { len, populate, thp } => {
-                let pid =
-                    pid.ok_or_else(|| ReplayError::Mismatch("Mmap before CreateProcess".into()))?;
-                let mut flags = if populate {
-                    MmapFlags::populate()
-                } else {
-                    MmapFlags::lazy()
-                };
-                if !thp {
-                    flags = flags.without_thp();
-                }
-                region = Some(system.mmap(pid, len, flags)?);
-            }
-            TraceEvent::Populate {
-                len,
-                parallel,
-                sockets,
-            } => {
-                let pid = pid
-                    .ok_or_else(|| ReplayError::Mismatch("Populate before CreateProcess".into()))?;
-                let region =
-                    region.ok_or_else(|| ReplayError::Mismatch("Populate before Mmap".into()))?;
-                let init = if parallel {
-                    InitPattern::Parallel
-                } else {
-                    InitPattern::SingleThread
-                };
-                ExecutionEngine::populate(
-                    &mut system,
-                    pid,
-                    region,
-                    len,
-                    init,
-                    &sockets_of_mask(sockets),
-                )?;
-            }
-            TraceEvent::MigratePageTable { socket } => {
-                let pid = pid.ok_or_else(|| {
-                    ReplayError::Mismatch("MigratePageTable before CreateProcess".into())
-                })?;
-                if !install {
-                    return Err(ReplayError::Mismatch(
-                        "MigratePageTable without InstallMitosis".into(),
-                    ));
-                }
-                mitosis.migrate_page_table(&mut system, pid, SocketId::new(socket), true)?;
-            }
-            TraceEvent::Interference { sockets, staggered } => {
-                if staggered {
-                    return Err(ReplayError::Mismatch(
-                        "staggered Interference recorded as a setup event".into(),
-                    ));
-                }
-                let interference = if sockets == 0 {
-                    Interference::none()
-                } else {
-                    Interference::on(sockets_of_mask(sockets))
-                };
-                system
-                    .machine_mut()
-                    .cost_model_mut()
-                    .set_interference(interference);
-            }
-            TraceEvent::MigrateData { socket, staggered } => {
-                if staggered {
-                    return Err(ReplayError::Mismatch(
-                        "staggered MigrateData recorded as a setup event".into(),
-                    ));
-                }
-                let pid = pid.ok_or_else(|| {
-                    ReplayError::Mismatch("MigrateData before CreateProcess".into())
-                })?;
-                system.migrate_data(pid, SocketId::new(socket))?;
-            }
-            TraceEvent::Replicate { sockets } => {
-                let pid = pid.ok_or_else(|| {
-                    ReplayError::Mismatch("Replicate before CreateProcess".into())
-                })?;
-                if !install {
-                    // Without the Mitosis backend the replicas would exist
-                    // but never be selected (and the page-cache reserve
-                    // would be missing), so the replayed metrics could not
-                    // match any live capture: reject, like MigratePageTable.
-                    return Err(ReplayError::Mismatch(
-                        "Replicate without InstallMitosis".into(),
-                    ));
-                }
-                mitosis.resize_replicas(&mut system, pid, NodeMask::from_bits(sockets))?;
-            }
-            TraceEvent::AutoNumaRebalance { sockets, staggered } => {
-                if staggered {
-                    return Err(ReplayError::Mismatch(
-                        "staggered AutoNumaRebalance recorded as a setup event".into(),
-                    ));
-                }
-                let pid = pid.ok_or_else(|| {
-                    ReplayError::Mismatch("AutoNumaRebalance before CreateProcess".into())
-                })?;
-                AutoNuma::new().rebalance(&mut system, pid, &sockets_of_mask(sockets))?;
-            }
-            TraceEvent::InterleaveData { sockets } => {
-                let pid = pid.ok_or_else(|| {
-                    ReplayError::Mismatch("InterleaveData before CreateProcess".into())
-                })?;
-                system
-                    .process_mut(pid)?
-                    .set_data_policy(PlacementPolicy::Interleave(NodeMask::from_bits(sockets)));
-            }
-            TraceEvent::Marker(_) => {}
-            TraceEvent::Fork
-            | TraceEvent::MmapAt { .. }
-            | TraceEvent::MunmapAt { .. }
-            | TraceEvent::PromoteHuge { .. }
-            | TraceEvent::DemoteHuge { .. } => {
-                // Captures record address-space churn only as mid-lane
-                // phase-change markers; as setup events they would mutate a
-                // system no lane has touched yet, which no live run produces.
-                return Err(ReplayError::Mismatch(format!(
-                    "churn event {event:?} recorded as a setup event"
-                )));
-            }
-        }
-    }
-
-    let pid =
-        pid.ok_or_else(|| ReplayError::Mismatch("trace has no CreateProcess setup event".into()))?;
-    let region =
-        region.ok_or_else(|| ReplayError::Mismatch("trace has no Mmap setup event".into()))?;
+    let prepared = PreparedSystem::build(params, &steps).map_err(ReplayError::of_setup)?;
     if trace.lanes.is_empty() {
         return Err(ReplayError::Mismatch("trace has no access lanes".into()));
     }
@@ -1027,13 +927,12 @@ pub fn prepare_replay(
     }
 
     let schedule = schedule_of_lanes(&trace.lanes)?;
-    let needs_mitosis = schedule.events().iter().any(|event| {
-        matches!(
-            event.change,
-            PhaseChange::MigratePageTable { .. } | PhaseChange::SetReplicas { .. }
-        )
-    });
-    if needs_mitosis && !install {
+    if schedule
+        .events()
+        .iter()
+        .any(|event| event.change.needs_mitosis())
+        && !steps.contains(&SetupStep::InstallMitosis)
+    {
         // The capture side always records InstallMitosis when the schedule
         // carries page-table operations; a trace violating that cannot have
         // come from a live run.
@@ -1042,12 +941,7 @@ pub fn prepare_replay(
         ));
     }
     Ok(ReplaySnapshot {
-        prepared: PreparedSystem {
-            system,
-            mitosis,
-            pid,
-            region,
-        },
+        prepared,
         spec,
         lanes: trace.lanes.len(),
         accesses_per_thread,

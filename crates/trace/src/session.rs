@@ -68,7 +68,13 @@ use std::time::{Duration, Instant};
 /// How a [`ReplayRequest`] executes the selected lanes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReplayMode {
-    /// All selected lanes replay on the calling thread against one system.
+    /// All selected lanes replay against one system, driven from the
+    /// calling thread with no pool worker.  The engine may still run the
+    /// socket groups of a segment it proves fault-free on scoped host
+    /// threads ([`ExecutionEngine::last_split`]); the metrics are the same
+    /// either way.
+    ///
+    /// [`ExecutionEngine::last_split`]: mitosis_sim::ExecutionEngine::last_split
     #[default]
     Serial,
     /// Per-socket lane groups fan out across up to `workers` pool threads,
@@ -119,7 +125,8 @@ impl ReplayRequest {
         self.lanes(vec![lane])
     }
 
-    /// Serial execution on the calling thread (the default).
+    /// Serial execution, driven from the calling thread (the default; see
+    /// [`ReplayMode::Serial`]).
     pub fn serial(mut self) -> Self {
         self.mode = ReplayMode::Serial;
         self
@@ -596,8 +603,10 @@ impl ReplaySession {
         Ok((cache, false))
     }
 
-    /// The serial path: all selected lanes on the driver thread, one
-    /// system cloned from the cached snapshot.
+    /// The serial path: all selected lanes driven from the driver thread,
+    /// one system cloned from the cached snapshot, no pool worker (the
+    /// engine may still split a segment's socket groups across scoped
+    /// threads).
     #[allow(clippy::too_many_arguments)]
     fn run_serial(
         &mut self,

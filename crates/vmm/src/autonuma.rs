@@ -16,6 +16,7 @@
 use crate::error::VmError;
 use crate::process::Pid;
 use crate::system::System;
+use mitosis_mem::MemError;
 use mitosis_numa::SocketId;
 use mitosis_pt::VirtAddr;
 
@@ -73,13 +74,20 @@ impl AutoNuma {
     ///
     /// # Errors
     ///
-    /// Propagates allocation and page-table errors.
+    /// Returns [`MemError::OutOfMemory`] (as [`VmError::Mem`]) for a socket
+    /// the machine lacks, and propagates allocation and page-table errors.
     pub fn rebalance(
         &self,
         system: &mut System,
         pid: Pid,
         sockets: &[SocketId],
     ) -> Result<u64, VmError> {
+        if let Some(&socket) = sockets
+            .iter()
+            .find(|socket| socket.index() >= system.machine().sockets())
+        {
+            return Err(MemError::OutOfMemory { socket }.into());
+        }
         if sockets.is_empty() {
             return Ok(0);
         }

@@ -583,3 +583,45 @@ fn tampered_staggered_markers_in_setup_are_rejected() {
         "unexpected error: {err}"
     );
 }
+
+#[test]
+fn autonuma_on_a_socket_the_machine_lacks_is_an_error_not_a_panic() {
+    let params = SimParams::quick_test().with_accesses(100);
+    let missing = 1u64 << 9;
+    let captured = capture_engine_run(&suite::gups(), &params, &[SocketId::new(0)]).unwrap();
+
+    let mut setup = captured.trace.clone();
+    setup.setup_events.push(TraceEvent::AutoNumaRebalance {
+        sockets: 0b1 | missing,
+        staggered: false,
+    });
+    let err = try_serial(&setup, &params).unwrap_err();
+    assert!(matches!(err, ReplayError::Vm(_)), "unexpected error: {err}");
+
+    // The same socket as a mid-lane marker, decoded from bytes.
+    let mut marked = captured.trace;
+    marked.lanes[0].events.push((
+        50,
+        TraceEvent::AutoNumaRebalance {
+            sockets: missing,
+            staggered: false,
+        },
+    ));
+    let decoded = Trace::from_bytes(&marked.to_bytes().unwrap()).unwrap();
+    assert!(try_serial(&decoded, &params).is_err());
+}
+
+#[test]
+fn populate_with_no_socket_is_an_error_not_a_panic() {
+    let params = SimParams::quick_test().with_accesses(100);
+    let mut trace = capture_engine_run(&suite::gups(), &params, &[SocketId::new(0)])
+        .unwrap()
+        .trace;
+    for event in &mut trace.setup_events {
+        if let TraceEvent::Populate { sockets, .. } = event {
+            *sockets = 0;
+        }
+    }
+    let err = try_serial(&trace, &params).unwrap_err();
+    assert!(matches!(err, ReplayError::Vm(_)), "unexpected error: {err}");
+}
