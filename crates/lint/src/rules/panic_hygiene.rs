@@ -1,12 +1,12 @@
 //! `panic-hygiene`: panics in worker-thread code stay behind the
 //! `catch_unwind` isolation boundary.
 //!
-//! PR 7 made the lane-group driver survive worker panics: a panic is
-//! caught at the pool boundary, recorded on the report, and the request
-//! degrades to a serial re-run with metrics still bit-identical.  That
-//! only holds for panics *inside* the `catch_unwind` scope — an
-//! `unwrap()` on the dispatch side of a worker file kills the whole
-//! session instead of one job.  The rule finds files that spawn worker
+//! The replay pool runs every job under one `catch_unwind`: a panic in a
+//! lane-group or batch job is caught on the worker, which survives, and
+//! becomes the call's `ReplayError::Panic` naming the unit.  That only
+//! holds for panics *inside* the `catch_unwind` scope — an `unwrap()` on
+//! the dispatch side of a worker file kills the whole session instead of
+//! failing one call.  The rule finds files that spawn worker
 //! threads (plus explicitly configured dispatch modules) and requires
 //! every panic site in them to sit inside a `catch_unwind(...)` argument
 //! or carry a reasoned `allow`; a worker file with no `catch_unwind` at
@@ -110,7 +110,7 @@ impl Rule for PanicHygiene {
                     token.line,
                     format!(
                         "`{}{}` in worker-thread code outside catch_unwind isolation: a panic \
-                         here escapes the PR 7 recovery path — return an error, or allow with \
+                         here escapes the pool's catch_unwind — return an error, or allow with \
                          a reason proving unreachability",
                         token.text,
                         if is_macro_panic { "!" } else { "()" },

@@ -2,60 +2,38 @@
 //!
 //! A [`FaultPlan`] decides — reproducibly, from a seed — where faults
 //! strike: I/O errors and short reads while decoding a trace, bit flips in
-//! the bytes read, injected panics and delays in parallel replay workers.
-//! Decisions are pure functions of `(seed, site, index)`, so the same plan
-//! injects the same faults regardless of call order, thread timing or how
-//! many other sites consulted the plan in between; a failure found under
-//! `MITOSIS_FAULT_SEED=7` reproduces under `MITOSIS_FAULT_SEED=7`.
+//! the bytes read, injected panics and delays in grouped replay's lane-group
+//! jobs.  Decisions are pure functions of `(seed, site, index)`, so the
+//! same plan injects the same faults regardless of call order, thread
+//! timing or how many other sites consulted the plan in between; a failure
+//! found under `FaultPlan::seeded(7)` reproduces under `FaultPlan::seeded(7)`.
 //!
-//! Nothing is injected unless asked: the disabled plan (the default, and
-//! the result of [`FaultPlan::from_env`] with no `MITOSIS_FAULT_*`
-//! variables set) answers "no fault" from a single branch, which keeps the
-//! production paths that consult it effectively free.
+//! Nothing is injected unless asked: the disabled plan (the default)
+//! answers "no fault" from a single branch.
 //!
 //! Wiring:
-//! * [`FaultyReader`]/[`FaultyWriter`] wrap any `Read`/`Write` and inject
-//!   the I/O-level faults; [`TraceReader::with_faults`] /
-//!   [`TraceWriter::with_faults`](crate::TraceWriter::with_faults) build
-//!   codecs over them directly.
-//! * The parallel lane driver consults the process-wide
-//!   [`env_plan`] for worker panics and delays (see
-//!   [`ReplaySession::replay`](crate::ReplaySession::replay)); injected
-//!   worker faults exercise the catch-unwind/retry/serial-degradation
-//!   machinery end to end.
+//! * [`FaultPlan::reader`] wraps any `Read` in a [`FaultyReader`] that
+//!   injects the I/O-level faults; decoding through it (for example
+//!   [`Trace::read_from`](crate::Trace::read_from)) surfaces them as
+//!   ordinary [`TraceError`](crate::TraceError)s.
+//! * [`ReplayRequest::fault_plan`](crate::ReplayRequest::fault_plan) hands
+//!   a plan to grouped replay, whose lane-group jobs consult it for worker
+//!   panics and delays.  An injected panic is caught by the pool and
+//!   becomes the call's [`ReplayError::Panic`](crate::ReplayError::Panic)
+//!   naming the group, exactly as a real one would.
 //!
 //! Every injected fault is counted on the observer (`fault.*` counters),
 //! so an observed run shows exactly which faults fired.
 
-use crate::format::{TraceError, TraceMeta, TraceReader, TraceWriter};
 use mitosis_sim::Observer;
-use std::io::{self, Read, Write};
-use std::sync::OnceLock;
+use std::io::{self, Read};
 use std::time::Duration;
-
-/// Seed of the deterministic fault stream.
-pub const ENV_FAULT_SEED: &str = "MITOSIS_FAULT_SEED";
-/// Probability (0–1) of an injected I/O error per read call.
-pub const ENV_FAULT_READ_IO: &str = "MITOSIS_FAULT_READ_IO";
-/// Probability (0–1) of a flipped bit per byte read.
-pub const ENV_FAULT_FLIP: &str = "MITOSIS_FAULT_FLIP";
-/// Probability (0–1) of a spurious end-of-file per read call.
-pub const ENV_FAULT_TRUNCATE: &str = "MITOSIS_FAULT_TRUNCATE";
-/// Probability (0–1) of an injected I/O error per write call.
-pub const ENV_FAULT_WRITE_IO: &str = "MITOSIS_FAULT_WRITE_IO";
-/// Probability (0–1) that a lane-group worker attempt panics.
-pub const ENV_FAULT_WORKER_PANIC: &str = "MITOSIS_FAULT_WORKER_PANIC";
-/// Probability (0–1) that a lane-group worker is delayed before running.
-pub const ENV_FAULT_WORKER_SLOW: &str = "MITOSIS_FAULT_WORKER_SLOW";
-/// Delay in milliseconds for a slow worker (default 10).
-pub const ENV_FAULT_WORKER_SLOW_MS: &str = "MITOSIS_FAULT_WORKER_SLOW_MS";
 
 // Decision domains: every fault site hashes with its own constant so the
 // per-site decision streams are independent.
 const SITE_READ_IO: u64 = 1;
 const SITE_TRUNCATE: u64 = 2;
 const SITE_FLIP: u64 = 3;
-const SITE_WRITE_IO: u64 = 4;
 const SITE_WORKER_PANIC: u64 = 5;
 const SITE_WORKER_SLOW: u64 = 6;
 
@@ -70,7 +48,6 @@ pub struct FaultPlan {
     read_io: f64,
     flip: f64,
     truncate: f64,
-    write_io: f64,
     worker_panic: f64,
     worker_slow: f64,
     slow_ms: u64,
@@ -90,7 +67,6 @@ impl FaultPlan {
             read_io: 0.0,
             flip: 0.0,
             truncate: 0.0,
-            write_io: 0.0,
             worker_panic: 0.0,
             worker_slow: 0.0,
             slow_ms: 10,
@@ -125,65 +101,27 @@ impl FaultPlan {
         self
     }
 
-    /// Arms injected I/O errors on writes with the given per-call
-    /// probability.
-    pub fn with_write_io(mut self, probability: f64) -> Self {
-        self.write_io = probability.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Arms injected panics in lane-group workers with the given
-    /// per-attempt probability.  The decision is keyed on `(group,
-    /// attempt)`, so a group that panics on its first attempt may succeed
-    /// on a retry under a probabilistic seed (and always re-panics under
-    /// probability 1).
+    /// Arms injected panics in lane-group jobs with the given per-group
+    /// probability.  The decision is keyed on the group alone, so a plan
+    /// panics the same groups on every replay.
     pub fn with_worker_panic(mut self, probability: f64) -> Self {
         self.worker_panic = probability.clamp(0.0, 1.0);
         self
     }
 
-    /// Arms injected delays in lane-group workers.
+    /// Arms injected delays in lane-group jobs with the given per-group
+    /// probability.
     pub fn with_worker_slow(mut self, probability: f64, delay: Duration) -> Self {
         self.worker_slow = probability.clamp(0.0, 1.0);
         self.slow_ms = delay.as_millis() as u64;
         self
     }
 
-    /// Builds the plan the `MITOSIS_FAULT_*` environment variables
-    /// describe; with none set, the disabled plan.
-    pub fn from_env() -> Self {
-        fn prob(name: &str) -> f64 {
-            std::env::var(name)
-                .ok()
-                .and_then(|v| v.parse::<f64>().ok())
-                .map_or(0.0, |p| p.clamp(0.0, 1.0))
-        }
-        let slow_ms = std::env::var(ENV_FAULT_WORKER_SLOW_MS)
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .unwrap_or(10);
-        FaultPlan {
-            seed: std::env::var(ENV_FAULT_SEED)
-                .ok()
-                .and_then(|v| v.parse::<u64>().ok())
-                .unwrap_or(0),
-            read_io: prob(ENV_FAULT_READ_IO),
-            flip: prob(ENV_FAULT_FLIP),
-            truncate: prob(ENV_FAULT_TRUNCATE),
-            write_io: prob(ENV_FAULT_WRITE_IO),
-            worker_panic: prob(ENV_FAULT_WORKER_PANIC),
-            worker_slow: prob(ENV_FAULT_WORKER_SLOW),
-            slow_ms,
-        }
-    }
-
-    /// Whether any fault class is armed.  The hot-path check production
-    /// code performs before consulting specific decisions.
+    /// Whether any fault class is armed.
     pub fn is_enabled(&self) -> bool {
         self.read_io > 0.0
             || self.flip > 0.0
             || self.truncate > 0.0
-            || self.write_io > 0.0
             || self.worker_panic > 0.0
             || self.worker_slow > 0.0
     }
@@ -228,19 +166,12 @@ impl FaultPlan {
         }
     }
 
-    /// Whether the `op`-th write call fails.
-    fn write_fault(&self, op: u64) -> bool {
-        self.write_io > 0.0 && self.chance(SITE_WRITE_IO, op) < self.write_io
+    /// Whether the job of lane group `group` panics.
+    pub fn worker_panics(&self, group: usize) -> bool {
+        self.worker_panic > 0.0 && self.chance(SITE_WORKER_PANIC, group as u64) < self.worker_panic
     }
 
-    /// Whether lane-group worker `group` panics on its `attempt`-th try.
-    pub fn worker_panics(&self, group: usize, attempt: u32) -> bool {
-        self.worker_panic > 0.0
-            && self.chance(SITE_WORKER_PANIC, ((group as u64) << 32) | attempt as u64)
-                < self.worker_panic
-    }
-
-    /// The delay injected into lane-group worker `group`, if any.
+    /// The delay injected into the job of lane group `group`, if any.
     pub fn worker_delay(&self, group: usize) -> Option<Duration> {
         (self.worker_slow > 0.0 && self.chance(SITE_WORKER_SLOW, group as u64) < self.worker_slow)
             .then(|| Duration::from_millis(self.slow_ms))
@@ -257,17 +188,6 @@ impl FaultPlan {
             injected: 0,
         }
     }
-
-    /// Wraps `sink` in a fault-injecting writer driven by this plan.
-    pub fn writer<W: Write>(&self, sink: W, observer: &Observer) -> FaultyWriter<W> {
-        FaultyWriter {
-            inner: sink,
-            plan: *self,
-            observer: observer.clone(),
-            ops: 0,
-            injected: 0,
-        }
-    }
 }
 
 /// What a read call was made to do instead of reading.
@@ -277,15 +197,6 @@ enum ReadFault {
     Io,
     /// Report a spurious end-of-file (reads 0 bytes).
     Truncate,
-}
-
-/// The process-wide plan described by the `MITOSIS_FAULT_*` environment,
-/// parsed once.  This is what the parallel replay driver consults for
-/// worker faults; with no variables set it is the disabled plan and the
-/// consultation is one boolean check.
-pub fn env_plan() -> &'static FaultPlan {
-    static PLAN: OnceLock<FaultPlan> = OnceLock::new();
-    PLAN.get_or_init(FaultPlan::from_env)
 }
 
 /// A `Read` adaptor injecting the plan's I/O faults: per-call errors and
@@ -340,82 +251,6 @@ impl<R: Read> Read for FaultyReader<R> {
     }
 }
 
-/// A `Write` adaptor injecting per-call I/O errors (`fault.write_io`).
-pub struct FaultyWriter<W> {
-    inner: W,
-    plan: FaultPlan,
-    observer: Observer,
-    ops: u64,
-    injected: u64,
-}
-
-impl<W> FaultyWriter<W> {
-    /// Number of faults injected so far.
-    pub fn injected(&self) -> u64 {
-        self.injected
-    }
-
-    /// Unwraps the inner sink.
-    pub fn into_inner(self) -> W {
-        self.inner
-    }
-}
-
-impl<W: Write> Write for FaultyWriter<W> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        let op = self.ops;
-        self.ops += 1;
-        if self.plan.write_fault(op) {
-            self.injected += 1;
-            self.observer.counter("fault.write_io", 1);
-            return Err(io::Error::other("injected write fault"));
-        }
-        self.inner.write(buf)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
-    }
-}
-
-impl<R: Read> TraceReader<FaultyReader<R>> {
-    /// Opens a trace over a fault-injecting source: every byte the codec
-    /// reads passes through `plan`'s I/O fault decisions.  Injected faults
-    /// surface as ordinary [`TraceError`]s — this constructor is how the
-    /// resilience tests prove the decode path never panics and never
-    /// silently accepts corrupted data.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`TraceReader::new`], plus whatever faults the
-    /// plan injects into the header bytes.
-    pub fn with_faults(
-        source: R,
-        plan: &FaultPlan,
-        observer: &Observer,
-    ) -> Result<Self, TraceError> {
-        TraceReader::new(plan.reader(source, observer))
-    }
-}
-
-impl<W: Write> TraceWriter<FaultyWriter<W>> {
-    /// Starts a trace over a fault-injecting sink (the write-side
-    /// counterpart of [`TraceReader::with_faults`]).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`TraceWriter::new`], plus whatever faults the
-    /// plan injects into the header writes.
-    pub fn with_faults(
-        sink: W,
-        meta: &TraceMeta,
-        plan: &FaultPlan,
-        observer: &Observer,
-    ) -> Result<Self, TraceError> {
-        TraceWriter::new(plan.writer(sink, observer), meta)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -447,8 +282,7 @@ mod tests {
         for i in 0..1000 {
             assert!(plan.read_fault(i).is_none());
             assert_eq!(plan.flip_mask(i), 0);
-            assert!(!plan.write_fault(i));
-            assert!(!plan.worker_panics(i as usize, 0));
+            assert!(!plan.worker_panics(i as usize));
             assert!(plan.worker_delay(i as usize).is_none());
         }
     }
@@ -477,29 +311,25 @@ mod tests {
     }
 
     #[test]
-    fn worker_panic_decisions_vary_by_attempt() {
-        // Keyed on (group, attempt): under a mid-range probability some
-        // group that panics on attempt 0 must succeed on a later attempt —
-        // that is what makes bounded retries meaningful.
+    fn worker_panic_decisions_vary_by_group() {
+        // Keyed on the group: under a mid-range probability some groups
+        // panic and some do not, and each decision is the same every time
+        // it is asked.
         let plan = FaultPlan::seeded(3).with_worker_panic(0.5);
-        let recovers = (0..64).any(|group| {
-            plan.worker_panics(group, 0)
-                && !(0..3).all(|attempt| plan.worker_panics(group, attempt))
-        });
-        assert!(recovers);
-        // And probability 1 always panics, on every attempt.
+        let decisions: Vec<bool> = (0..64).map(|group| plan.worker_panics(group)).collect();
+        assert!(decisions.iter().any(|&panics| panics));
+        assert!(decisions.iter().any(|&panics| !panics));
+        let again: Vec<bool> = (0..64).map(|group| plan.worker_panics(group)).collect();
+        assert_eq!(decisions, again);
+        // Probability 1 panics every group; probability 0 none.
         let always = FaultPlan::seeded(3).with_worker_panic(1.0);
-        assert!((0..8).all(|g| (0..4).all(|a| always.worker_panics(g, a))));
+        assert!((0..8).all(|group| always.worker_panics(group)));
+        let never = FaultPlan::seeded(3).with_worker_panic(0.0);
+        assert!((0..8).all(|group| !never.worker_panics(group)));
     }
 
     #[test]
-    fn env_parsing_clamps_and_defaults() {
-        // from_env with nothing set: disabled (the test environment must
-        // not leak MITOSIS_FAULT_* into unit tests; CI sets them only for
-        // the dedicated resilience leg which runs integration tests).
-        if std::env::var(ENV_FAULT_SEED).is_err() && std::env::var(ENV_FAULT_READ_IO).is_err() {
-            assert!(!FaultPlan::from_env().is_enabled());
-        }
+    fn probabilities_are_clamped() {
         let plan = FaultPlan::seeded(1).with_read_io(7.5).with_flip(-2.0);
         assert!(plan.is_enabled());
         assert!(plan.read_fault(0).is_some(), "clamped to probability 1");

@@ -22,9 +22,14 @@
 //!   executes builder-style [`ReplayRequest`]s — serial, lane-selected, or
 //!   sharded as per-socket lane groups across a **persistent worker pool**
 //!   — with a snapshot cache making repeated and grouped replays cheaper
-//!   than one-shot serial replay, bit-identically;
+//!   than one-shot serial replay, bit-identically.  A grouped or batch
+//!   call returns serial replay's metrics or a typed [`ReplayError`]: the
+//!   first failed unit, in unit order, with a panic caught as
+//!   [`ReplayError::Panic`] naming the unit;
 //! * [`parallel`] holds the report types ([`LaneReplayReport`],
-//!   [`ReplayReport`], [`ShardDecision`]) and the shardability analysis.
+//!   [`ReplayReport`], [`ShardDecision`]) and the shardability analysis;
+//! * [`faultinject`] makes decode faults and lane-group panics and delays
+//!   reproducible from a seed, for the resilience tests.
 //!
 //! # Example
 //!
@@ -70,15 +75,13 @@ pub use capture::{
     capture_multisocket_scenario, capture_stream, trace_event_of_change, CapturedRun,
     RecordingSource,
 };
-pub use faultinject::{env_plan, FaultPlan, FaultyReader, FaultyWriter};
+pub use faultinject::{FaultPlan, FaultyReader};
 pub use format::{
     checked_socket_u16, socket_index_u16, MachineFingerprint, SalvagedTrace, Trace,
     TraceCheckpoint, TraceError, TraceEvent, TraceItem, TraceLane, TraceMeta, TraceReader,
     TraceWriter, DEFAULT_CHECKPOINT_INTERVAL, TRACE_MAGIC, TRACE_VERSION,
 };
-pub use parallel::{
-    GroupFailure, GroupFailureKind, LaneReplayReport, ReplayAggregate, ReplayReport, ShardDecision,
-};
+pub use parallel::{LaneReplayReport, ReplayAggregate, ReplayReport, ShardDecision};
 pub use replay::{
     prepare_replay, LaneCursor, MachineMismatch, ReplayCompleteness, ReplayError, ReplayOptions,
     ReplayOutcome, ReplaySnapshot, TraceReplayer,

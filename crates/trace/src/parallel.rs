@@ -27,7 +27,10 @@
 //! premap every page the lanes touch, no demand fault is possible and the
 //! groups shard; otherwise the replay goes serial *before* any worker is
 //! spawned.  [`LaneReplayReport::decision`] records which way it went and
-//! why.
+//! why.  A group that takes a demand fault anyway fails the call with a
+//! [`ReplayError::Mismatch`](crate::ReplayError::Mismatch) naming the
+//! group, as a fault inside an engine split segment is
+//! `MitosisError::SplitFault`: the proof was wrong.
 //!
 //! The driver itself lives in [`ReplaySession`] (persistent worker pool,
 //! snapshot cache).
@@ -35,26 +38,10 @@
 //! [`ReplaySession`]: crate::ReplaySession
 
 use crate::format::{Trace, TraceEvent};
-use crate::replay::{ReplayError, ReplayOutcome};
+use crate::replay::ReplayOutcome;
 use mitosis_sim::RunMetrics;
 use std::fmt;
 use std::time::Duration;
-
-/// Attempts a failed lane group is given before the driver degrades it to a
-/// serial replay: the first run plus two backed-off retries.
-pub(crate) const MAX_GROUP_ATTEMPTS: u32 = 3;
-
-/// Extracts a human-readable message from a caught panic payload (panics
-/// almost always carry `&str` or `String`).
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(message) = payload.downcast_ref::<&str>() {
-        (*message).to_string()
-    } else if let Some(message) = payload.downcast_ref::<String>() {
-        message.clone()
-    } else {
-        "non-string panic payload".into()
-    }
-}
 
 /// Cross-trace aggregate of a batch replay.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -132,18 +119,9 @@ impl ReplayReport {
         self.to_string()
     }
 
-    pub(crate) fn collect(
-        results: Vec<Option<Result<ReplayOutcome, ReplayError>>>,
-        wall: Duration,
-    ) -> Result<ReplayReport, ReplayError> {
-        let mut outcomes = Vec::with_capacity(results.len());
-        for (index, result) in results.into_iter().enumerate() {
-            outcomes.push(result.ok_or_else(|| {
-                ReplayError::Mismatch(format!(
-                    "trace {index} was never claimed by a replay worker"
-                ))
-            })??);
-        }
+    /// The report of a batch whose traces replayed to `outcomes`, in input
+    /// order, in `wall` of host time.
+    pub(crate) fn of_outcomes(outcomes: Vec<ReplayOutcome>, wall: Duration) -> ReplayReport {
         let mut aggregate = ReplayAggregate::default();
         let mut setup_wall = Duration::ZERO;
         let mut measured_wall = Duration::ZERO;
@@ -152,13 +130,13 @@ impl ReplayReport {
             setup_wall += outcome.setup_wall;
             measured_wall += outcome.measured_wall;
         }
-        Ok(ReplayReport {
+        ReplayReport {
             outcomes,
             aggregate,
             wall,
             setup_wall,
             measured_wall,
-        })
+        }
     }
 }
 
@@ -188,12 +166,6 @@ pub enum ShardDecision {
     /// The lanes were partitioned into per-socket groups and replayed in
     /// parallel.
     Sharded,
-    /// The lanes sharded, but at least one group's worker failed (panicked
-    /// or errored) past its retry budget and was replayed serially on the
-    /// driver thread instead — the merged metrics are still bit-identical
-    /// to a serial replay; see [`LaneReplayReport::failures`] for what
-    /// went wrong.
-    ShardedDegraded,
     /// The trace has a single lane: nothing to shard.
     SingleLane,
     /// Fewer than two workers were requested.
@@ -206,21 +178,12 @@ pub enum ShardDecision {
     /// lanes interact through the frame allocator and cannot shard.  The
     /// replay went serial *before* any worker was spawned.
     DemandFaultRisk,
-    /// Defensive fallback: a group replay took a demand fault the up-front
-    /// analysis did not predict (this indicates an analysis bug and cannot
-    /// happen for captured traces); the driver re-ran serially so the
-    /// metrics stay bit-identical to a serial replay.
-    DemandFaultsObserved,
 }
 
 impl ShardDecision {
-    /// `true` when the lanes were actually replayed in parallel (including
-    /// a degraded shard where some groups fell back to the driver thread).
+    /// `true` when the lanes were actually replayed in parallel.
     pub fn sharded(&self) -> bool {
-        matches!(
-            self,
-            ShardDecision::Sharded | ShardDecision::ShardedDegraded
-        )
+        *self == ShardDecision::Sharded
     }
 }
 
@@ -228,69 +191,14 @@ impl fmt::Display for ShardDecision {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let what = match self {
             ShardDecision::Sharded => "sharded into per-socket lane groups",
-            ShardDecision::ShardedDegraded => {
-                "sharded, with failed group(s) degraded to serial replay"
-            }
             ShardDecision::SingleLane => "serial: single-lane trace",
             ShardDecision::SingleWorker => "serial: one worker requested",
             ShardDecision::SingleSocketGroup => "serial: all lanes on one socket",
             ShardDecision::DemandFaultRisk => {
                 "serial: premapped footprint does not cover the lanes (demand-fault risk)"
             }
-            ShardDecision::DemandFaultsObserved => {
-                "serial: unpredicted demand faults observed during group replay"
-            }
         };
         f.write_str(what)
-    }
-}
-
-/// How a lane-group worker failed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GroupFailureKind {
-    /// The worker panicked; the panic was caught at the group boundary.
-    Panicked,
-    /// The group replay returned a [`ReplayError`].
-    Errored,
-}
-
-/// One lane group's worker failure, recorded on
-/// [`LaneReplayReport::failures`] instead of unwinding the driver.
-#[derive(Debug, Clone)]
-pub struct GroupFailure {
-    /// Index of the failed lane group (see [`LaneReplayReport::groups`]).
-    pub group: usize,
-    /// Whether the worker panicked or returned an error.
-    pub kind: GroupFailureKind,
-    /// The panic message or error text of the *last* failed attempt.
-    pub error: String,
-    /// Attempts the group was given on its worker before the driver gave
-    /// up on it (the first run plus backed-off retries; retries stop early
-    /// only on success).
-    pub attempts: u32,
-    /// `true` when the driver's serial degradation replayed the group
-    /// successfully, keeping the merged metrics complete and correct.
-    pub recovered: bool,
-}
-
-impl fmt::Display for GroupFailure {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "group {} {} after {} attempt(s) ({}){}",
-            self.group,
-            match self.kind {
-                GroupFailureKind::Panicked => "panicked",
-                GroupFailureKind::Errored => "errored",
-            },
-            self.attempts,
-            self.error,
-            if self.recovered {
-                "; recovered by serial replay"
-            } else {
-                ""
-            },
-        )
     }
 }
 
@@ -318,18 +226,10 @@ pub struct LaneReplayReport {
     pub workers: usize,
     /// Whether the lanes sharded, and if not, why.
     pub decision: ShardDecision,
-    /// Worker failures (panics or errors) that were isolated and recovered
-    /// from instead of unwinding the driver; empty on a clean replay.  A
-    /// failure with `recovered == true` did not affect the merged metrics
-    /// — its group was replayed serially on the driver thread.
-    pub failures: Vec<GroupFailure>,
     /// Wall-clock time of the replay on the host, setup included.  On a
     /// serial fallback this is the fallback's own cost: the shardability
     /// analysis runs before any replay, so a declined shard never pays for
-    /// a discarded parallel attempt.  The one exception is the defensive
-    /// [`ShardDecision::DemandFaultsObserved`] path, where a parallel
-    /// replay really did run and really was discarded — its cost is
-    /// included, because it was paid.
+    /// a discarded parallel attempt.
     pub wall: Duration,
     /// Host time reported as setup.  A sharded call reports the time it
     /// spent preparing the shared snapshot — the one setup-event
@@ -397,11 +297,7 @@ impl fmt::Display for LaneReplayReport {
             self.measured_wall.as_secs_f64() * 1e3,
             self.outcome.metrics.total_cycles,
             self.outcome.metrics.demand_faults,
-        )?;
-        for failure in &self.failures {
-            write!(f, " | {failure}")?;
-        }
-        Ok(())
+        )
     }
 }
 

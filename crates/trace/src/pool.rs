@@ -1,31 +1,30 @@
 //! Persistent worker pool for replay fan-out.
 //!
 //! [`ReplayPool`] owns a set of lazily spawned worker threads that live for
-//! the pool's lifetime — across replay calls — instead of being re-spawned
-//! per grouped replay the way the scoped-thread driver used to be.  Each
-//! worker owns one [`TraceReplayer`], so the pooled execution engines (MMU
-//! models, per-socket page-table-line caches) stay warm across jobs: a
-//! replay dispatched to a warm pool pays neither thread spawn nor engine
-//! construction.
+//! the pool's lifetime — across replay calls — instead of being spawned per
+//! grouped replay.  Each worker owns one [`TraceReplayer`], so the pooled
+//! execution engines (MMU models, per-socket page-table-line caches) stay
+//! warm across jobs: a replay dispatched to a warm pool pays neither thread
+//! spawn nor engine construction.
 //!
-//! Jobs are boxed closures over `Arc`-shared state (the crate forbids
-//! `unsafe`, so there are no borrowed scoped jobs); a job receives the
-//! worker's replayer by `&mut` and communicates results back through
-//! whatever channel it captured.  A panicking job is caught at the worker
-//! boundary: the worker survives and keeps serving jobs, and the caller
-//! observes the loss through its result channel closing without a send.
+//! [`ReplayPool::run`] is the one fan-out: it runs N indexed jobs under one
+//! `catch_unwind` and returns their results in job order.  A job that
+//! panics yields [`ReplayError::Panic`] for its own index; the worker
+//! survives and keeps serving jobs, and the other jobs' results are
+//! untouched.  Jobs share one closure over `Arc`-held state (the crate
+//! forbids `unsafe`, so there are no borrowed scoped jobs).
 
-use crate::replay::TraceReplayer;
+use crate::replay::{ReplayError, TraceReplayer};
 use mitosis_sim::Observer;
 use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
-/// A unit of work dispatched to a pool worker, run with the worker's
-/// persistent [`TraceReplayer`].
-pub(crate) type PoolJob = Box<dyn FnOnce(&mut TraceReplayer) + Send + 'static>;
+/// A queued job: one index of a [`ReplayPool::run`] fan-out, run with the
+/// worker's persistent [`TraceReplayer`].
+type PoolJob = Box<dyn FnOnce(&mut TraceReplayer) + Send + 'static>;
 
 /// The queue the workers drain, behind one mutex with a condvar.
 #[derive(Default)]
@@ -38,6 +37,16 @@ struct PoolQueue {
 struct PoolShared {
     queue: Mutex<PoolQueue>,
     available: Condvar,
+}
+
+impl PoolShared {
+    /// The queue, even if a thread panicked while holding the lock: the
+    /// queue is only ever pushed to and popped from, so it stays valid.
+    fn lock(&self) -> MutexGuard<'_, PoolQueue> {
+        self.queue
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
 }
 
 /// A persistent, lazily grown pool of replay worker threads.
@@ -58,17 +67,6 @@ impl ReplayPool {
         }
     }
 
-    /// Ensures at least `target` worker threads exist.  The pool never
-    /// shrinks: a later smaller request leaves the extra workers idle on
-    /// the condvar, where they cost nothing.
-    pub(crate) fn ensure_workers(&mut self, target: usize) {
-        while self.workers.len() < target {
-            let shared = Arc::clone(&self.shared);
-            self.workers
-                .push(std::thread::spawn(move || worker_loop(&shared)));
-        }
-    }
-
     /// Total worker threads spawned over the pool's lifetime.  Repeated
     /// replays on a warm pool leave this constant — the no-per-call-spawn
     /// property the API tests pin.
@@ -76,16 +74,68 @@ impl ReplayPool {
         self.workers.len()
     }
 
-    /// Enqueues `job` for the next free worker.
-    pub(crate) fn submit(&self, job: PoolJob) {
-        let mut queue = self
-            .shared
-            .queue
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        queue.jobs.push_back(job);
-        drop(queue);
-        self.shared.available.notify_one();
+    /// Runs `job(index, replayer)` for every index in `0..jobs` on the
+    /// pool, with at least `workers` threads (and at least one) alive, and
+    /// returns the results in job order.  A job that panics yields
+    /// [`ReplayError::Panic`] naming `unit` and its index
+    /// (`"lane group 2: ..."`); the other jobs still run and their results
+    /// come back in their slots.
+    ///
+    /// The pool never shrinks: a later smaller request leaves the extra
+    /// workers idle on the condvar, where they cost nothing.
+    pub(crate) fn run<T, F>(
+        &mut self,
+        workers: usize,
+        jobs: usize,
+        unit: &'static str,
+        job: F,
+    ) -> Vec<Result<T, ReplayError>>
+    where
+        T: Send + 'static,
+        F: Fn(usize, &mut TraceReplayer) -> Result<T, ReplayError> + Send + Sync + 'static,
+    {
+        while self.workers.len() < workers.max(1) {
+            let shared = Arc::clone(&self.shared);
+            self.workers
+                .push(std::thread::spawn(move || worker_loop(&shared)));
+        }
+        let job = Arc::new(job);
+        let (sender, receiver) = mpsc::channel();
+        {
+            let mut queue = self.shared.lock();
+            for index in 0..jobs {
+                let job = Arc::clone(&job);
+                let sender = sender.clone();
+                queue.jobs.push_back(Box::new(move |replayer| {
+                    let result = catch_unwind(AssertUnwindSafe(|| job(index, replayer)))
+                        .unwrap_or_else(|payload| {
+                            Err(ReplayError::Panic(format!(
+                                "{unit} {index}: {}",
+                                panic_message(payload.as_ref())
+                            )))
+                        });
+                    let _ = sender.send((index, result));
+                }));
+            }
+        }
+        self.shared.available.notify_all();
+        drop(sender);
+
+        let mut results: Vec<Option<Result<T, ReplayError>>> = (0..jobs).map(|_| None).collect();
+        for (index, result) in receiver {
+            results[index] = Some(result);
+        }
+        results
+            .into_iter()
+            .enumerate()
+            .map(|(index, result)| {
+                result.unwrap_or_else(|| {
+                    Err(ReplayError::Panic(format!(
+                        "{unit} {index}: worker exited before reporting a result"
+                    )))
+                })
+            })
+            .collect()
     }
 }
 
@@ -106,14 +156,7 @@ impl fmt::Debug for ReplayPool {
 
 impl Drop for ReplayPool {
     fn drop(&mut self) {
-        {
-            let mut queue = self
-                .shared
-                .queue
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            queue.shutdown = true;
-        }
+        self.shared.lock().shutdown = true;
         self.shared.available.notify_all();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
@@ -123,15 +166,14 @@ impl Drop for ReplayPool {
 
 /// The worker body: drain jobs until shutdown, keeping one warm
 /// [`TraceReplayer`] (and hence one pooled engine) for the thread's whole
-/// life.
+/// life.  Every job catches its own panic ([`ReplayPool::run`]), and every
+/// replay starts with an engine reset, so a job that panicked leaves the
+/// replayer fit for the next one.
 fn worker_loop(shared: &PoolShared) {
     let mut replayer = TraceReplayer::new();
     loop {
         let job = {
-            let mut queue = shared
-                .queue
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
+            let mut queue = shared.lock();
             loop {
                 if let Some(job) = queue.jobs.pop_front() {
                     break job;
@@ -145,14 +187,57 @@ fn worker_loop(shared: &PoolShared) {
                     .unwrap_or_else(|poisoned| poisoned.into_inner());
             }
         };
-        // A panicking job must not take the worker (and its warm engine)
-        // down with it; the caller observes the loss through its result
-        // channel.  Retrying with the surviving replayer is safe: every
-        // replay starts with an engine reset.
-        let _ = catch_unwind(AssertUnwindSafe(|| job(&mut replayer)));
+        job(&mut replayer);
         // Drop whatever observer the job installed so recorders are not
         // kept alive (and unflushed) by an idle worker.
         replayer.set_observer(Observer::none());
         replayer.set_observer_track(0);
+    }
+}
+
+/// Extracts a human-readable message from a caught panic payload (panics
+/// almost always carry `&str` or `String`).
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(message) = payload.downcast_ref::<&str>() {
+        (*message).to_string()
+    } else if let Some(message) = payload.downcast_ref::<String>() {
+        message.clone()
+    } else {
+        "non-string panic payload".into()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_panicking_job_fails_alone_and_results_keep_job_order() {
+        let mut pool = ReplayPool::new();
+        let results = pool.run(2, 5, "job", |index, _replayer| {
+            if index == 2 {
+                panic!("boom");
+            }
+            Ok(index * 10)
+        });
+        assert_eq!(results.len(), 5);
+        for (index, result) in results.iter().enumerate() {
+            match result {
+                Ok(value) => assert_eq!(*value, index * 10),
+                Err(ReplayError::Panic(message)) => {
+                    assert_eq!(index, 2);
+                    assert_eq!(message, "job 2: boom");
+                }
+                Err(other) => panic!("job {index}: unexpected error {other}"),
+            }
+        }
+        assert!(results[2].is_err());
+        // The worker that caught the panic keeps serving jobs.
+        let again = pool.run(2, 3, "job", |index, _replayer| Ok(index));
+        assert_eq!(
+            again.into_iter().collect::<Result<Vec<_>, _>>().unwrap(),
+            vec![0, 1, 2]
+        );
+        assert_eq!(pool.threads_spawned(), 2);
     }
 }

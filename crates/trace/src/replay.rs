@@ -49,8 +49,9 @@ pub enum ReplayError {
     /// The trace is inconsistent with the replay request (unknown workload,
     /// missing events, mismatched lane lengths, ...).
     Mismatch(String),
-    /// A replay worker panicked and the panic was caught at the worker
-    /// boundary instead of unwinding into the caller.  Carries the panic
+    /// A pool job panicked and the panic was caught on the worker instead
+    /// of unwinding into the caller.  Names the unit the job replayed
+    /// (`lane group 2: ...`, `trace 0: ...`), followed by the panic
     /// payload's message when it was a string.
     Panic(String),
 }
@@ -873,8 +874,9 @@ fn clone_snapshot(snapshot: &ReplaySnapshot) -> ReplaySnapshot {
 /// Fails if the machine fingerprint does not match (unless
 /// `options.force_machine`), the trace references an unknown workload, its
 /// setup events are malformed (a [`ReplayError::Mismatch`]), its lanes are
-/// missing or unequal, or a VM ([`ReplayError::Vm`]) or Mitosis operation
-/// fails.
+/// missing or unequal or a lane runs on a socket the replay machine lacks
+/// (a [`ReplayError::Mismatch`] naming the lane and the socket), or a VM
+/// ([`ReplayError::Vm`]) or Mitosis operation fails.
 pub fn prepare_replay(
     trace: &Trace,
     params: &SimParams,
@@ -924,6 +926,19 @@ pub fn prepare_replay(
         return Err(ReplayError::Mismatch(
             "trace lanes have unequal lengths".into(),
         ));
+    }
+    // The engine indexes per-socket tables by a lane's socket, so a lane
+    // the machine cannot place is refused here, not found out of bounds.
+    if let Some((index, lane)) = trace
+        .lanes
+        .iter()
+        .enumerate()
+        .find(|(_, lane)| lane.socket >= expected.sockets)
+    {
+        return Err(ReplayError::Mismatch(format!(
+            "lane {index} runs on socket {}, but the replay machine has {} sockets",
+            lane.socket, expected.sockets
+        )));
     }
 
     let schedule = schedule_of_lanes(&trace.lanes)?;

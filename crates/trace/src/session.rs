@@ -13,16 +13,25 @@
 //! * a **snapshot cache** — the prepared post-setup
 //!   [`ReplaySnapshot`] of the last trace is kept (verified against the
 //!   request's trace by full equality on every hit) so a warm session skips
-//!   setup-event reconstruction entirely;
-//! * **adaptive group sizing** — [`ReplayMode::Auto`] merges per-socket
-//!   lane groups down to the host's available parallelism (largest group
-//!   first onto the least-loaded unit, never splitting a socket group), so
-//!   a 2-core host is not asked to juggle 8 groups.
+//!   setup-event reconstruction entirely.
 //!
 //! Every grouped unit replays from its own full clone of the session's
-//! snapshot, just as serial replay and serial degradation do.  Replayed
-//! metrics are bit-identical across every request shape — serial, grouped,
-//! merged, warm or cold pool.
+//! snapshot, just as serial replay does.  Replayed metrics are
+//! bit-identical across every request shape — serial, grouped, warm or
+//! cold pool.
+//!
+//! # Failures
+//!
+//! A grouped replay and a parallel [`ReplaySession::replay_batch`] fan out
+//! through one pool call that runs one job per unit (a lane group, or a
+//! trace) and collects the results in unit order.  The first failed unit
+//! in unit order is the call's [`ReplayError`]: a panic is
+//! [`ReplayError::Panic`] naming the unit, and a demand fault in a lane
+//! group the premapped analysis ruled out is [`ReplayError::Mismatch`]
+//! naming the group.  Nothing is retried or re-run serially — a
+//! deterministic replay that failed once fails again — so a call returns
+//! serial replay's metrics or an error, never anything else.  The session
+//! stays usable after a failed call.
 //!
 //! # Example
 //!
@@ -33,35 +42,33 @@
 //! use mitosis_workloads::suite;
 //!
 //! let params = SimParams::quick_test().with_accesses(200);
-//! let captured = capture_engine_run(&suite::gups(), &params, &[SocketId::new(0)]).unwrap();
+//! let sockets = [SocketId::new(0), SocketId::new(1)];
+//! let captured = capture_engine_run(&suite::gups(), &params, &sockets).unwrap();
 //!
 //! let mut session = ReplaySession::new(&params);
 //! let report = session.replay(&captured.trace, &ReplayRequest::new()).unwrap();
 //! assert_eq!(report.outcome.metrics, captured.live_metrics);
 //!
-//! // The same session replays again from its cached snapshot and warm
-//! // pool; a grouped request shards across per-socket lane groups.
+//! // The same session replays again from its cached snapshot; a grouped
+//! // request shards the two per-socket lane groups across its pool.
 //! let again = session
-//!     .replay(&captured.trace, &ReplayRequest::new().auto_grouped())
+//!     .replay(&captured.trace, &ReplayRequest::new().grouped(2))
 //!     .unwrap();
+//! assert!(again.sharded());
 //! assert_eq!(again.outcome.metrics, captured.live_metrics);
 //! ```
 
-use crate::faultinject::{env_plan, FaultPlan};
+use crate::faultinject::FaultPlan;
 use crate::format::Trace;
-use crate::parallel::{
-    lanes_fully_premapped, panic_message, GroupFailure, GroupFailureKind, LaneReplayReport,
-    ReplayReport, ShardDecision, MAX_GROUP_ATTEMPTS,
-};
-use crate::pool::{PoolJob, ReplayPool};
+use crate::parallel::{lanes_fully_premapped, LaneReplayReport, ReplayReport, ShardDecision};
+use crate::pool::ReplayPool;
 use crate::replay::{
     prepare_replay, validate_lane_selection, ReplayCompleteness, ReplayError, ReplayOptions,
     ReplayOutcome, ReplaySnapshot, TraceReplayer,
 };
 use mitosis_sim::{Observer, RunMetrics, SimParams};
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -84,12 +91,6 @@ pub enum ReplayMode {
         /// rejected as a [`ReplayError::Mismatch`]).
         workers: usize,
     },
-    /// Like [`ReplayMode::Grouped`], with the worker count taken from
-    /// [`std::thread::available_parallelism`] and the per-socket groups
-    /// *merged* down to at most that many units (largest group first onto
-    /// the least-loaded unit, never splitting a socket group), so small
-    /// hosts run few big units instead of many tiny ones.
-    Auto,
 }
 
 /// A builder-style description of one replay: which lanes, serial or
@@ -103,12 +104,12 @@ pub struct ReplayRequest {
     mode: ReplayMode,
     salvage: bool,
     force_machine: bool,
-    fault_plan: Option<FaultPlan>,
+    fault_plan: FaultPlan,
 }
 
 impl ReplayRequest {
     /// The default request: every lane, serial, strict machine check, no
-    /// salvage, fault plan from the environment.
+    /// salvage, no fault injection.
     pub fn new() -> Self {
         ReplayRequest::default()
     }
@@ -139,12 +140,6 @@ impl ReplayRequest {
         self
     }
 
-    /// Grouped execution sized to the host (see [`ReplayMode::Auto`]).
-    pub fn auto_grouped(mut self) -> Self {
-        self.mode = ReplayMode::Auto;
-        self
-    }
-
     /// For [`ReplaySession::replay_bytes`]: recover a damaged stream to its
     /// longest checkpoint-attested prefix instead of failing (the outcome
     /// is then marked [`ReplayCompleteness::Salvaged`]).
@@ -161,11 +156,12 @@ impl ReplayRequest {
         self
     }
 
-    /// Injects worker faults from an explicit plan instead of the
-    /// `MITOSIS_FAULT_*` environment — how the resilience tests drive the
-    /// panic-isolation machinery deterministically.
+    /// Injects the plan's worker panics and delays into the lane-group
+    /// jobs of a grouped replay — how the resilience tests drive the pool's
+    /// panic isolation deterministically.  The default plan injects
+    /// nothing.
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = Some(plan);
+        self.fault_plan = plan;
         self
     }
 
@@ -260,9 +256,11 @@ impl ReplaySession {
     /// # Errors
     ///
     /// Fails when the trace cannot be prepared (machine mismatch, unknown
-    /// workload, malformed setup events — see [`prepare_replay`]), when the
-    /// lane selection is invalid or the request asks for zero workers, or
-    /// when a lane group fails even its serial degradation replay.
+    /// workload, malformed setup events, a lane on a socket the machine
+    /// lacks — see [`prepare_replay`]), when the lane selection is invalid
+    /// or the request asks for zero workers, or when a lane group fails:
+    /// the first failed group in group order is the error (see the
+    /// [module docs](self#failures)).
     pub fn replay(
         &mut self,
         trace: &Trace,
@@ -299,9 +297,8 @@ impl ReplaySession {
         };
         let groups = socket_groups(trace, &selected);
 
-        // Up-front shardability decision, exactly as the old driver made
-        // it: every reason to go serial is known before any job is
-        // submitted.
+        // Up-front shardability decision: every reason to go serial is
+        // known before any job is submitted.
         let serial_reason = if selected.len() < 2 {
             Some(ShardDecision::SingleLane)
         } else if workers < 2 {
@@ -320,115 +317,35 @@ impl ReplaySession {
                 request.lanes.as_deref(),
                 decision,
                 groups.len(),
-                1,
-                Vec::new(),
                 start,
             );
         }
 
-        // The units of fan-out: per-socket groups verbatim for an explicit
-        // worker count (preserving the old driver's group indexing for
-        // fault injection and observability tracks), merged down to the
-        // host's parallelism for Auto.
-        let units = match request.mode {
-            ReplayMode::Auto => merge_groups(&groups, workers),
-            _ => groups.clone(),
-        };
-        let spawned = workers.min(units.len());
+        // One unit per per-socket group, in group order: the group index
+        // keys the fault plan's decisions and the observability track.
+        let group_count = groups.len();
+        let spawned = workers.min(group_count);
         let measured_start = Instant::now();
-        self.pool.ensure_workers(spawned);
-        let plan = request.fault_plan.unwrap_or(*env_plan());
-
-        let (sender, results) = mpsc::channel();
-        for (index, unit) in units.iter().enumerate() {
-            self.pool.submit(unit_job(
-                Arc::clone(&shared_trace),
-                Arc::clone(&snapshot),
-                unit.clone(),
-                index,
-                self.observer.clone(),
-                plan,
-                sender.clone(),
-            ));
-        }
-        drop(sender);
-
-        let mut slots: Vec<Option<ReplayOutcome>> = (0..units.len()).map(|_| None).collect();
-        let mut failures: Vec<GroupFailure> = Vec::new();
-        let mut received = 0;
-        while received < units.len() {
-            match results.recv() {
-                Ok((index, Ok(outcome))) => {
-                    slots[index] = Some(outcome);
-                    received += 1;
-                }
-                Ok((_, Err(failure))) => {
-                    failures.push(failure);
-                    received += 1;
-                }
-                // All senders gone with results outstanding: a job was lost
-                // past even its catch_unwind (worker died).  The missing
-                // units are synthesised as failures and serially degraded.
-                Err(_) => break,
-            }
-        }
-        for (index, slot) in slots.iter().enumerate() {
-            if slot.is_none() && !failures.iter().any(|failure| failure.group == index) {
-                failures.push(GroupFailure {
-                    group: index,
-                    kind: GroupFailureKind::Panicked,
-                    error: "worker lost before reporting a result".into(),
-                    attempts: MAX_GROUP_ATTEMPTS,
-                    recovered: false,
-                });
-            }
-        }
-        failures.sort_by_key(|failure| failure.group);
-        if !failures.is_empty() {
-            self.observer
-                .counter("replay.group_failures", failures.len() as u64);
-        }
-
-        // Graceful degradation, unchanged from the old driver: every unit
-        // whose worker gave up replays serially on the driver thread from
-        // the shared snapshot, keeping the merged metrics complete.
-        self.driver.set_observer(self.observer.clone());
-        self.driver.set_observer_track(0);
-        for failure in &mut failures {
-            let _span = self.observer.span("serial_degradation", 0);
-            let outcome =
-                self.driver
-                    .replay_snapshot_lanes(&snapshot, trace, &units[failure.group])?;
-            slots[failure.group] = Some(outcome);
-            failure.recovered = true;
-            self.observer.counter("replay.serial_degradations", 1);
-        }
-
-        let mut outcomes = Vec::with_capacity(units.len());
-        for (index, slot) in slots.into_iter().enumerate() {
-            outcomes.push(slot.ok_or_else(|| {
-                ReplayError::Mismatch(format!("lane group {index} was never replayed"))
-            })?);
-        }
-        if outcomes
-            .iter()
-            .any(|outcome| outcome.metrics.demand_faults > 0)
-        {
-            // The analysis proved this impossible; if it fires anyway,
-            // favour correctness and eat the extra serial replay.  The
-            // report stays honest: the discarded parallel attempt's cost
-            // and any worker failures are included.
-            return self.run_serial(
-                trace,
-                &snapshot,
-                request.lanes.as_deref(),
-                ShardDecision::DemandFaultsObserved,
-                groups.len(),
-                spawned,
-                failures,
-                start,
-            );
-        }
+        let observer = self.observer.clone();
+        let plan = request.fault_plan;
+        let job_snapshot = Arc::clone(&snapshot);
+        let results = self.pool.run(
+            spawned,
+            group_count,
+            "lane group",
+            move |index, replayer| {
+                replay_group(
+                    replayer,
+                    index,
+                    &shared_trace,
+                    &job_snapshot,
+                    &groups[index],
+                    &observer,
+                    plan,
+                )
+            },
+        );
+        let outcomes = results.into_iter().collect::<Result<Vec<_>, _>>()?;
 
         let mut merged = RunMetrics::default();
         let mut clone_wall = Duration::ZERO;
@@ -443,11 +360,6 @@ impl ReplaySession {
                 "sharded replay produced no group outcomes".into(),
             ));
         };
-        let decision = if failures.is_empty() {
-            ShardDecision::Sharded
-        } else {
-            ShardDecision::ShardedDegraded
-        };
         Ok(LaneReplayReport {
             outcome: ReplayOutcome {
                 metrics: merged,
@@ -461,10 +373,9 @@ impl ReplaySession {
                 completeness: ReplayCompleteness::Complete,
             },
             lanes: selected.len(),
-            groups: groups.len(),
+            groups: group_count,
             workers: spawned,
-            decision,
-            failures,
+            decision: ShardDecision::Sharded,
             wall: start.elapsed(),
             setup_wall: prepare_wall,
             measured_wall: measured_start.elapsed(),
@@ -505,7 +416,7 @@ impl ReplaySession {
     }
 
     /// Replays a batch of traces — serially in input order for
-    /// [`ReplayMode::Serial`], sharded across the pool otherwise.  Each
+    /// [`ReplayMode::Serial`], one pool job per trace otherwise.  Each
     /// trace replays whole, from its own freshly prepared system.
     ///
     /// # Errors
@@ -513,7 +424,8 @@ impl ReplaySession {
     /// Fails if the request selects lanes (a batch replays every lane of
     /// every trace, so a selection would be silently ignored) or asks for
     /// zero workers, or if any trace does not replay; the first error in
-    /// input order is returned.
+    /// input order is returned (a panic on a pool worker is
+    /// [`ReplayError::Panic`] naming the trace).
     pub fn replay_batch(
         &mut self,
         traces: &[Trace],
@@ -529,47 +441,29 @@ impl ReplaySession {
         let options = request.options();
         let start = Instant::now();
 
-        if workers < 2 {
+        let outcomes = if workers < 2 {
             self.driver.set_observer(self.observer.clone());
             self.driver.set_observer_track(0);
-            let results = traces
+            traces
                 .iter()
-                .map(|trace| Some(self.driver.replay_full(trace, &self.params, options)))
-                .collect();
-            return ReplayReport::collect(results, start.elapsed());
-        }
-
-        self.pool.ensure_workers(workers);
-        let (sender, receiver) = mpsc::channel();
-        for (index, trace) in traces.iter().enumerate() {
-            // Jobs outlive the borrow of `traces`, so each trace crosses
-            // into the pool as its own Arc (one deep copy per trace).
-            let trace = Arc::new(trace.clone());
+                .map(|trace| self.driver.replay_full(trace, &self.params, options))
+                .collect::<Result<Vec<_>, _>>()?
+        } else {
+            // Jobs outlive the borrow of `traces`, so the batch crosses
+            // into the pool as one Arc (one deep copy per trace).
+            let shared: Arc<[Trace]> = traces.into();
             let params = self.params.clone();
             let observer = self.observer.clone();
-            let sender = sender.clone();
-            let job: PoolJob = Box::new(move |replayer| {
-                replayer.set_observer(observer);
-                replayer.set_observer_track(0);
-                // A panicking replay is caught at the worker boundary and
-                // surfaced as a structured error for its trace; the other
-                // traces keep replaying.
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    replayer.replay_full(&trace, &params, options)
-                }))
-                .unwrap_or_else(|payload| Err(ReplayError::Panic(panic_message(payload.as_ref()))));
-                let _ = sender.send((index, outcome));
-            });
-            self.pool.submit(job);
-        }
-        drop(sender);
-
-        let mut results: Vec<Option<Result<ReplayOutcome, ReplayError>>> =
-            (0..traces.len()).map(|_| None).collect();
-        while let Ok((index, outcome)) = receiver.recv() {
-            results[index] = Some(outcome);
-        }
-        ReplayReport::collect(results, start.elapsed())
+            self.pool
+                .run(workers, traces.len(), "trace", move |index, replayer| {
+                    replayer.set_observer(observer.clone());
+                    replayer.set_observer_track(0);
+                    replayer.replay_full(&shared[index], &params, options)
+                })
+                .into_iter()
+                .collect::<Result<Vec<_>, _>>()?
+        };
+        Ok(ReplayReport::of_outcomes(outcomes, start.elapsed()))
     }
 
     /// Resolves the prepared snapshot for `trace`: the cached one when the
@@ -607,7 +501,6 @@ impl ReplaySession {
     /// one system cloned from the cached snapshot, no pool worker (the
     /// engine may still split a segment's socket groups across scoped
     /// threads).
-    #[allow(clippy::too_many_arguments)]
     fn run_serial(
         &mut self,
         trace: &Trace,
@@ -615,8 +508,6 @@ impl ReplaySession {
         selection: Option<&[usize]>,
         decision: ShardDecision,
         groups: usize,
-        workers: usize,
-        failures: Vec<GroupFailure>,
         start: Instant,
     ) -> Result<LaneReplayReport, ReplayError> {
         self.driver.set_observer(self.observer.clone());
@@ -631,19 +522,13 @@ impl ReplaySession {
             lanes: selection.map_or(trace.lanes.len(), <[usize]>::len),
             outcome,
             groups,
-            workers,
+            workers: 1,
             decision,
-            failures,
             wall: start.elapsed(),
             setup_wall,
             measured_wall,
         })
     }
-}
-
-/// The host's available parallelism, 1 when unknown.
-fn host_parallelism() -> usize {
-    thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// The upper bound on working threads a request's mode asks for; a
@@ -655,7 +540,6 @@ fn requested_workers(mode: ReplayMode) -> Result<usize, ReplayError> {
             "request `grouped(0)` asks for zero workers; grouped replay needs at least one".into(),
         )),
         ReplayMode::Grouped { workers } => Ok(workers),
-        ReplayMode::Auto => Ok(host_parallelism()),
     }
 }
 
@@ -687,161 +571,86 @@ pub(crate) fn socket_groups(trace: &Trace, selection: &[usize]) -> Vec<Vec<usize
     groups
 }
 
-/// Merges per-socket groups down to at most `target` units: groups are
-/// placed largest-first onto the least-loaded unit (LPT scheduling, load =
-/// lane count), socket groups are never split, and each unit's lanes are
-/// sorted ascending (group replay is order-sensitive).  Deterministic:
-/// ties break towards the lower group / unit index, and the returned units
-/// are ordered by their first lane.
-fn merge_groups(groups: &[Vec<usize>], target: usize) -> Vec<Vec<usize>> {
-    if groups.len() <= target {
-        return groups.to_vec();
-    }
-    let mut order: Vec<usize> = (0..groups.len()).collect();
-    order.sort_by_key(|&group| (std::cmp::Reverse(groups[group].len()), group));
-    let mut loads = vec![0usize; target];
-    let mut members: Vec<Vec<usize>> = vec![Vec::new(); target];
-    for group in order {
-        let unit = (0..target).min_by_key(|&unit| loads[unit]).unwrap_or(0);
-        loads[unit] += groups[group].len();
-        members[unit].push(group);
-    }
-    let mut units: Vec<Vec<usize>> = members
-        .into_iter()
-        .filter(|member_groups| !member_groups.is_empty())
-        .map(|member_groups| {
-            let mut lanes: Vec<usize> = member_groups
-                .into_iter()
-                .flat_map(|group| groups[group].iter().copied())
-                .collect();
-            lanes.sort_unstable();
-            lanes
-        })
-        .collect();
-    units.sort_by_key(|unit| unit.first().copied());
-    units
-}
-
-/// Builds the pool job replaying one unit: fault-injection consultation,
-/// bounded retries with backoff, panic isolation — the worker body of the
-/// old scoped-thread driver, now dispatched to a persistent worker.
-fn unit_job(
-    trace: Arc<Trace>,
-    snapshot: Arc<ReplaySnapshot>,
-    unit: Vec<usize>,
+/// Replays lane group `index` on a pool worker: the fault plan's injected
+/// delay and panic first, then the group's lanes from a clone of the
+/// snapshot.  A demand fault is an error: the premapped analysis ruled it
+/// out before sharding, and a faulting group would draw frames its
+/// siblings' clones never see, so its metrics could differ from serial
+/// replay's.
+fn replay_group(
+    replayer: &mut TraceReplayer,
     index: usize,
-    observer: Observer,
+    trace: &Trace,
+    snapshot: &ReplaySnapshot,
+    lanes: &[usize],
+    observer: &Observer,
     plan: FaultPlan,
-    results: mpsc::Sender<(usize, Result<ReplayOutcome, GroupFailure>)>,
-) -> PoolJob {
-    Box::new(move |replayer| {
-        // Track 0 belongs to the driving thread; unit U reports on track
-        // U + 1, so concurrent units render as parallel rows.
-        let track = index as u64 + 1;
-        replayer.set_observer(observer.clone());
-        replayer.set_observer_track(track);
-        if let Some(delay) = plan.worker_delay(index) {
-            observer.counter("fault.worker_slow", 1);
-            thread::sleep(delay);
-        }
-        let mut last_failure: Option<GroupFailure> = None;
-        let mut completed = None;
-        for attempt in 0..MAX_GROUP_ATTEMPTS {
-            if attempt > 0 {
-                // Brief exponential backoff before a retry: a transient
-                // host condition (the only way a deterministic replay
-                // fails intermittently) gets a moment to clear.
-                thread::sleep(Duration::from_millis(1 << attempt));
-            }
-            // A panic anywhere in the unit replay, injected or real, is
-            // caught at the unit boundary instead of unwinding into the pool
-            // worker.
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                if plan.worker_panics(index, attempt) {
-                    observer.counter("fault.worker_panic", 1);
-                    panic!("injected worker panic (group {index}, attempt {attempt})");
-                }
-                let _span = observer.span("group_replay", track);
-                replayer.replay_snapshot_lanes(&snapshot, &trace, &unit)
-            }));
-            match result {
-                Ok(Ok(outcome)) => {
-                    completed = Some(outcome);
-                    break;
-                }
-                Ok(Err(error)) => {
-                    observer.counter("replay.group_attempt_failed", 1);
-                    last_failure = Some(GroupFailure {
-                        group: index,
-                        kind: GroupFailureKind::Errored,
-                        error: error.to_string(),
-                        attempts: attempt + 1,
-                        recovered: false,
-                    });
-                }
-                Err(payload) => {
-                    observer.counter("replay.group_attempt_failed", 1);
-                    last_failure = Some(GroupFailure {
-                        group: index,
-                        kind: GroupFailureKind::Panicked,
-                        error: panic_message(payload.as_ref()),
-                        attempts: attempt + 1,
-                        recovered: false,
-                    });
-                }
-            }
-        }
-        let report = match (completed, last_failure) {
-            (Some(outcome), _) => Ok(outcome),
-            (None, Some(failure)) => Err(failure),
-            // mitosis-lint: allow(panic-hygiene, reason = "MAX_GROUP_ATTEMPTS is a nonzero const, so the attempt loop always sets completed or last_failure before reaching this match")
-            (None, None) => unreachable!("MAX_GROUP_ATTEMPTS is nonzero"),
-        };
-        let _ = results.send((index, report));
-    })
+) -> Result<ReplayOutcome, ReplayError> {
+    // Track 0 belongs to the driving thread; group G reports on track
+    // G + 1, so concurrent groups render as parallel rows.
+    let track = index as u64 + 1;
+    replayer.set_observer(observer.clone());
+    replayer.set_observer_track(track);
+    if let Some(delay) = plan.worker_delay(index) {
+        observer.counter("fault.worker_slow", 1);
+        thread::sleep(delay);
+    }
+    if plan.worker_panics(index) {
+        observer.counter("fault.worker_panic", 1);
+        // mitosis-lint: allow(panic-hygiene, reason = "runs only as a ReplayPool::run job, inside its catch_unwind; the injected panic is what the resilience tests catch there")
+        panic!("injected worker panic");
+    }
+    let outcome = {
+        let _span = observer.span("group_replay", track);
+        replayer.replay_snapshot_lanes(snapshot, trace, lanes)?
+    };
+    if outcome.metrics.demand_faults > 0 {
+        return Err(ReplayError::Mismatch(format!(
+            "lane group {index} took {} demand fault(s) that the premapped \
+             analysis ruled out",
+            outcome.metrics.demand_faults
+        )));
+    }
+    Ok(outcome)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::capture::capture_engine_run;
+    use crate::format::TraceEvent;
+    use mitosis_numa::SocketId;
+    use mitosis_workloads::suite;
 
     #[test]
-    fn merge_groups_respects_target_and_sorts_lanes() {
-        // 4 socket groups onto 2 units: LPT pairs the largest with the
-        // smallest; lanes within each unit come out ascending.
-        let groups = vec![vec![0, 4, 5], vec![1], vec![2, 6], vec![3]];
-        let units = merge_groups(&groups, 2);
-        assert_eq!(units.len(), 2);
-        let mut all: Vec<usize> = units.iter().flatten().copied().collect();
-        all.sort_unstable();
-        assert_eq!(all, vec![0, 1, 2, 3, 4, 5, 6]);
-        for unit in &units {
-            assert!(unit.windows(2).all(|pair| pair[0] < pair[1]));
-        }
-        // Largest group (3 lanes) sits alone-ish: its unit has 4 lanes,
-        // the other 3 — the balanced LPT split.
-        let mut sizes: Vec<usize> = units.iter().map(Vec::len).collect();
-        sizes.sort_unstable();
-        assert_eq!(sizes, vec![3, 4]);
-    }
-
-    #[test]
-    fn merge_groups_is_identity_at_or_above_group_count() {
-        let groups = vec![vec![0, 2], vec![1, 3]];
-        assert_eq!(merge_groups(&groups, 2), groups);
-        assert_eq!(merge_groups(&groups, 8), groups);
-    }
-
-    #[test]
-    fn merge_groups_never_splits_a_socket_group() {
-        let groups = vec![vec![0, 3], vec![1, 4], vec![2, 5]];
-        let units = merge_groups(&groups, 2);
-        for group in &groups {
-            let holder = units
-                .iter()
-                .filter(|unit| group.iter().any(|lane| unit.contains(lane)))
-                .count();
-            assert_eq!(holder, 1, "group {group:?} split across units");
+    fn a_demand_fault_in_a_group_is_a_mismatch_naming_it() {
+        // Without its Populate event the trace demand-faults, so the
+        // session's analysis keeps it serial; run one group job directly,
+        // as if the analysis had wrongly ruled the faults out.
+        let params = SimParams::quick_test().with_accesses(100);
+        let sockets = [SocketId::new(0), SocketId::new(1)];
+        let mut trace = capture_engine_run(&suite::gups(), &params, &sockets)
+            .unwrap()
+            .trace;
+        trace
+            .setup_events
+            .retain(|event| !matches!(event, TraceEvent::Populate { .. }));
+        let snapshot = prepare_replay(&trace, &params, ReplayOptions::new()).unwrap();
+        let err = replay_group(
+            &mut TraceReplayer::new(),
+            1,
+            &trace,
+            &snapshot,
+            &[1],
+            &Observer::none(),
+            FaultPlan::disabled(),
+        )
+        .unwrap_err();
+        match err {
+            ReplayError::Mismatch(message) => {
+                assert!(message.starts_with("lane group 1 took"), "{message}")
+            }
+            other => panic!("expected a Mismatch, got {other}"),
         }
     }
 }

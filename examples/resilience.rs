@@ -1,5 +1,5 @@
 //! Resilient replay walkthrough: fault injection, salvage, worker panic
-//! degradation and mid-lane checkpoint/resume.
+//! isolation and mid-lane checkpoint/resume.
 //!
 //! Captures a multi-socket workload, then demonstrates the four failure
 //! paths the trace layer survives:
@@ -8,9 +8,10 @@
 //!    prefix (explicitly marked, never silently wrong);
 //! 2. decoding through a seeded fault-injecting reader, with injected
 //!    faults surfacing as structured errors;
-//! 3. lane-parallel replay under injected worker panics — failed groups
-//!    are retried, then degraded to serial replay, and the merged metrics
-//!    stay bit-identical;
+//! 3. lane-parallel replay under injected worker panics — the panic is
+//!    caught on the pool and comes back as a typed error naming the first
+//!    failed group, and the same session then replays cleanly,
+//!    bit-identical to serial replay;
 //! 4. pausing a replay mid-lane and resuming it from the snapshot,
 //!    bit-identical to the uninterrupted run.
 //!
@@ -22,8 +23,8 @@ use mitosis_numa::SocketId;
 use mitosis_obs::{MemoryRecorder, Observer};
 use mitosis_sim::SimParams;
 use mitosis_trace::{
-    capture_engine_run, FaultPlan, ReplayCompleteness, ReplayOptions, ReplayRequest, ReplaySession,
-    Trace, TraceReplayer, TraceWriter,
+    capture_engine_run, FaultPlan, ReplayCompleteness, ReplayError, ReplayOptions, ReplayRequest,
+    ReplaySession, Trace, TraceReplayer, TraceWriter,
 };
 use mitosis_workloads::suite;
 
@@ -90,19 +91,29 @@ fn main() {
         ),
     }
 
-    // 3. Worker panics: every group's worker panics on every attempt; the
-    //    driver retries, degrades each group to serial replay, and the
-    //    merged metrics still equal the serial replay bit-for-bit.
+    // 3. Worker panics: every group's job panics.  The pool catches each
+    //    panic, and the call fails with a typed error naming the first
+    //    failed group instead of unwinding this thread.  The same session
+    //    (same pool threads) then replays cleanly, bit-identical to serial.
     let chaos = FaultPlan::seeded(11).with_worker_panic(1.0);
     session.set_observer(observer.clone());
-    let report = session
+    let error = session
         .replay(
             &captured.trace,
             &ReplayRequest::new().grouped(4).fault_plan(chaos),
         )
-        .expect("degraded replay");
+        .expect_err("every group panics");
+    assert!(matches!(error, ReplayError::Panic(_)), "{error}");
+    println!(
+        "under injected worker panics: {error} ({} panics injected)",
+        memory.counter_value("fault.worker_panic")
+    );
+    let report = session
+        .replay(&captured.trace, &ReplayRequest::new().grouped(4))
+        .expect("clean grouped replay");
+    assert!(report.sharded());
     assert_eq!(report.outcome.metrics, serial.metrics);
-    println!("under injected worker panics: {report}");
+    println!("the same session, no faults: {report}");
 
     // 4. Checkpoint/resume: pause halfway, resume, bit-identical.
     let mut replayer = TraceReplayer::new();

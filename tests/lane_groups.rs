@@ -203,33 +203,13 @@ proptest! {
         prop_assert_eq!(report.workers, 1);
         prop_assert_eq!(report.outcome.metrics, serial.metrics);
     }
-
-    /// Adaptive (merged) grouping is bit-identical too: for any layout,
-    /// an auto-sized request — whatever unit count the host's parallelism
-    /// merges the socket groups down to — reproduces the serial metrics.
-    #[test]
-    fn auto_grouping_is_bit_identical_to_serial_replay(
-        sockets in prop::collection::vec(0u16..4, 1..7),
-    ) {
-        let params = quick(200);
-        let placements: Vec<SocketId> =
-            sockets.iter().copied().map(SocketId::new).collect();
-        let captured = capture_engine_run(&suite::gups(), &params, &placements)
-            .expect("capture");
-        let report = ReplaySession::new(&params)
-            .replay(&captured.trace, &ReplayRequest::new().auto_grouped())
-            .expect("auto-grouped replay");
-        prop_assert_eq!(report.outcome.metrics, captured.live_metrics);
-    }
 }
 
 #[test]
 fn merged_units_replay_bit_identically_for_small_worker_counts() {
-    // Eight lanes over four sockets; explicit Grouped keeps four units,
-    // while restricting workers via lane selection exercises the group
-    // order.  The adaptive merge itself is unit-tested in-crate; here we
-    // pin that every grouped worker count from 1 to 4 merges to the same
-    // metrics on a multi-thread-per-socket capture.
+    // Eight lanes over four sockets, one unit per socket group: every
+    // grouped worker count from 1 to 4 merges the group metrics to the
+    // same totals on a multi-thread-per-socket capture.
     let params = quick(300).with_threads_per_socket(2);
     let captured = capture_multisocket_scenario(
         &suite::memcached(),

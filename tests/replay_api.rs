@@ -11,12 +11,16 @@
 //! * **Snapshot cache** — switching traces invalidates the cache, and
 //!   clearing it forces the next replay to re-prepare.
 //! * **Bad requests are errors** — a request the session cannot execute
-//!   (zero workers, a lane selection on a batch) returns a `ReplayError`,
+//!   (zero workers, a lane selection on a batch) or a trace the machine
+//!   cannot place (a lane on a socket it lacks) returns a `ReplayError`,
 //!   never a panic inside the library and never silently ignored.
 
 use mitosis_numa::SocketId;
 use mitosis_sim::SimParams;
-use mitosis_trace::{capture_engine_run, ReplayError, ReplayRequest, ReplaySession, Trace};
+use mitosis_trace::{
+    capture_engine_run, ReplayError, ReplayOptions, ReplayRequest, ReplaySession, Trace,
+    TraceReplayer,
+};
 use mitosis_workloads::suite;
 
 fn quick(accesses: u64) -> SimParams {
@@ -232,4 +236,36 @@ fn batch_requests_with_a_lane_selection_are_mismatches() {
         .replay_batch(&traces, &ReplayRequest::new().grouped(2))
         .expect("a whole-trace batch");
     assert_eq!(report.aggregate.traces, 2);
+}
+
+#[test]
+fn a_lane_on_a_socket_the_machine_lacks_is_a_mismatch_not_a_panic() {
+    let params = quick(100);
+    let mut trace = capture(&params, &[0, 1]);
+    // Keep the machine fingerprint, move lane 1 one socket past the end.
+    let missing = trace.meta.machine.sockets;
+    trace.lanes[1].socket = missing;
+    let expect_mismatch = |err: ReplayError, path: &str| {
+        assert!(matches!(err, ReplayError::Mismatch(_)), "{path}: {err}");
+        let text = err.to_string();
+        assert!(text.contains("lane 1"), "{path}: {text}");
+        assert!(
+            text.contains(&format!("socket {missing}")),
+            "{path}: {text}"
+        );
+    };
+
+    let mut session = ReplaySession::new(&params);
+    let err = session
+        .replay(&trace, &ReplayRequest::new())
+        .expect_err("serial replay must refuse the lane");
+    expect_mismatch(err, "serial");
+    let err = session
+        .replay(&trace, &ReplayRequest::new().grouped(2))
+        .expect_err("grouped replay must refuse the lane");
+    expect_mismatch(err, "grouped(2)");
+    let err = TraceReplayer::new()
+        .checkpoint_at(&trace, &params, ReplayOptions::default(), 50)
+        .expect_err("checkpoint_at must refuse the lane");
+    expect_mismatch(err, "checkpoint_at");
 }

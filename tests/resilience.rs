@@ -1,6 +1,6 @@
 //! Integration tests for the resilience machinery: deterministic fault
-//! injection, worker panic isolation with serial degradation, trace
-//! salvage, and mid-lane checkpoint/resume.
+//! injection, worker panic isolation, trace salvage, and mid-lane
+//! checkpoint/resume.
 //!
 //! Four guarantees under test:
 //!
@@ -14,17 +14,17 @@
 //! * **Checkpoint/resume fidelity** — pausing a replay at any access
 //!   boundary and resuming from the snapshot is bit-identical to the
 //!   uninterrupted run, including across mid-lane phase changes.
-//! * **Worker failure isolation** — injected worker panics in the
-//!   lane-group driver are caught, retried, and degraded to serial replay
-//!   on the driver thread; the merged metrics stay bit-identical to serial
-//!   replay and the report records what happened instead of the process
-//!   dying.
+//! * **Worker failure isolation** — an injected panic in a lane-group job
+//!   is caught by the pool and returned as `ReplayError::Panic` naming the
+//!   first failed group, instead of unwinding the caller; a grouped replay
+//!   yields serial replay's metrics or that error, never other metrics,
+//!   and the session replays cleanly afterwards.
 
 use mitosis_numa::SocketId;
 use mitosis_obs::{MemoryRecorder, Observer};
 use mitosis_sim::{PhaseChange, PhaseSchedule, SimParams};
 use mitosis_trace::{
-    capture_engine_run, capture_engine_run_dynamic, FaultPlan, GroupFailureKind, LaneReplayReport,
+    capture_engine_run, capture_engine_run_dynamic, FaultPlan, LaneReplayReport,
     ReplayCompleteness, ReplayError, ReplayOptions, ReplayOutcome, ReplayRequest, ReplaySession,
     ShardDecision, Trace, TraceError, TraceReader, TraceReplayer, TraceWriter,
 };
@@ -376,59 +376,84 @@ fn four_socket_capture(accesses: u64) -> (Trace, SimParams) {
 }
 
 #[test]
-fn injected_worker_panics_degrade_to_serial_and_stay_bit_identical() {
+fn an_injected_worker_panic_is_a_typed_error_naming_group_0() {
     let (trace, params) = four_socket_capture(400);
-    let serial = serial_replay(&trace, &params);
-
-    // Probability 1: every attempt of every group panics, so every group
-    // must exhaust its retries and be recovered by serial degradation.
+    // Probability 1: every group's job panics, so the first failed group
+    // in group order is group 0.
     let plan = FaultPlan::seeded(5).with_worker_panic(1.0);
     let (observer, memory) = observed();
-    let report = faulted_grouped(&trace, &params, 4, &observer, &plan);
-    assert_eq!(report.decision, ShardDecision::ShardedDegraded);
-    assert!(report.sharded(), "a degraded shard still counts as sharded");
-    assert_eq!(report.failures.len(), 4);
-    for failure in &report.failures {
-        assert_eq!(failure.kind, GroupFailureKind::Panicked);
-        assert!(failure.recovered, "{failure}");
-        assert!(failure.attempts > 1, "retries must have been attempted");
-        assert!(failure.error.contains("injected worker panic"), "{failure}");
+    let mut session = ReplaySession::new(&params);
+    session.set_observer(observer);
+    let err = session
+        .replay(&trace, &ReplayRequest::new().grouped(4).fault_plan(plan))
+        .expect_err("every group panics");
+    match &err {
+        ReplayError::Panic(message) => {
+            assert!(message.starts_with("lane group 0:"), "{message}");
+            assert!(message.contains("injected worker panic"), "{message}");
+        }
+        other => panic!("expected a Panic error, got {other}"),
     }
-    assert_eq!(
-        report.outcome.metrics, serial.metrics,
-        "degraded replay must stay bit-identical to serial replay"
-    );
-    assert_eq!(memory.counter_value("replay.serial_degradations"), 4);
-    assert_eq!(memory.counter_value("replay.group_failures"), 4);
-    assert!(memory.counter_value("fault.worker_panic") >= 4);
-    assert!(!memory.spans_named("serial_degradation").is_empty());
-    // The report's Display carries the failure story.
-    assert!(report.to_string().contains("recovered by serial replay"));
+    // Every job ran once: no retry, no serial re-run.
+    assert_eq!(memory.counter_value("fault.worker_panic"), 4);
+    assert!(memory.spans_named("group_replay").is_empty());
 }
 
 #[test]
-fn probabilistic_worker_panics_recover_via_retry_or_degradation() {
+fn a_session_replays_cleanly_after_a_worker_panic() {
+    let (trace, params) = four_socket_capture(400);
+    let serial = serial_replay(&trace, &params);
+    let mut session = ReplaySession::new(&params);
+    let plan = FaultPlan::seeded(5).with_worker_panic(1.0);
+    let err = session
+        .replay(&trace, &ReplayRequest::new().grouped(4).fault_plan(plan))
+        .expect_err("every group panics");
+    assert!(matches!(err, ReplayError::Panic(_)), "{err}");
+    let spawned = session.threads_spawned();
+    assert!(spawned >= 2, "the failed call ran on the pool");
+
+    // The workers caught their panics and keep serving: the next grouped
+    // replay shards on the same threads and equals serial replay.
+    let report = session
+        .replay(&trace, &ReplayRequest::new().grouped(4))
+        .expect("grouped replay after the failed one");
+    assert_eq!(report.decision, ShardDecision::Sharded);
+    assert_eq!(report.outcome.metrics, serial.metrics);
+    assert_eq!(session.threads_spawned(), spawned);
+}
+
+#[test]
+fn probabilistic_worker_panics_give_serial_metrics_or_a_panic_error() {
     let (trace, params) = four_socket_capture(400);
     let serial = serial_replay(&trace, &params);
     for seed in 0..4 {
         let plan = FaultPlan::seeded(seed).with_worker_panic(0.5);
-        let report = faulted_grouped(&trace, &params, 4, &Observer::none(), &plan);
-        // Whatever mix of clean runs, retries and degradations the seed
-        // produces, the metrics are non-negotiable.
-        assert_eq!(
-            report.outcome.metrics, serial.metrics,
-            "seed {seed}: metrics diverged under injected panics"
-        );
-        assert!(report.sharded(), "seed {seed}");
-        if report.failures.is_empty() {
-            assert_eq!(report.decision, ShardDecision::Sharded, "seed {seed}");
-        } else {
-            assert_eq!(
-                report.decision,
-                ShardDecision::ShardedDegraded,
-                "seed {seed}"
-            );
-            assert!(report.failures.iter().all(|f| f.recovered), "seed {seed}");
+        let result = ReplaySession::new(&params)
+            .replay(&trace, &ReplayRequest::new().grouped(4).fault_plan(plan));
+        // The two allowed outcomes of a grouped replay: serial replay's
+        // metrics, or a typed error naming the first group that panicked.
+        match result {
+            Ok(report) => {
+                assert_eq!(report.decision, ShardDecision::Sharded, "seed {seed}");
+                assert_eq!(
+                    report.outcome.metrics, serial.metrics,
+                    "seed {seed}: metrics diverged"
+                );
+                assert!(
+                    (0..4).all(|group| !plan.worker_panics(group)),
+                    "seed {seed}"
+                );
+            }
+            Err(ReplayError::Panic(message)) => {
+                let first = (0..4)
+                    .find(|&group| plan.worker_panics(group))
+                    .expect("a Panic error means some group's plan panics");
+                assert!(
+                    message.starts_with(&format!("lane group {first}:")),
+                    "seed {seed}: {message}"
+                );
+            }
+            Err(other) => panic!("seed {seed}: unexpected error {other}"),
         }
     }
 }
@@ -441,26 +466,8 @@ fn slow_workers_change_timing_but_not_metrics() {
     let (observer, memory) = observed();
     let report = faulted_grouped(&trace, &params, 4, &observer, &plan);
     assert_eq!(report.decision, ShardDecision::Sharded);
-    assert!(report.failures.is_empty());
     assert_eq!(report.outcome.metrics, serial.metrics);
     assert_eq!(memory.counter_value("fault.worker_slow"), 4);
-}
-
-#[test]
-fn lane_parallel_replay_survives_the_environment_fault_plan() {
-    // This test goes through the production entry point, which reads
-    // MITOSIS_FAULT_* from the environment.  Locally the plan is disabled
-    // and this is a plain equivalence check; under the CI fault-injection
-    // matrix leg (panic/slow probabilities set) it proves the driver
-    // tolerates whatever the seeded plan throws at it.
-    let (trace, params) = four_socket_capture(300);
-    let serial = serial_replay(&trace, &params);
-    let report = ReplaySession::new(&params)
-        .replay(&trace, &ReplayRequest::new().grouped(4))
-        .expect("lane-parallel replay");
-    assert!(report.sharded());
-    assert_eq!(report.outcome.metrics, serial.metrics);
-    assert!(report.failures.iter().all(|f| f.recovered));
 }
 
 #[test]
