@@ -27,8 +27,8 @@ pub enum MitosisError {
     /// A physical-memory operation failed.
     Mem(MemError),
     /// An access faulted inside a segment the execution engine had proven
-    /// fault-free and was running split across socket groups — the
-    /// thread's access source yielded an offset past the bound it
+    /// fault-free and was running split across socket groups or pipelined
+    /// — the thread's access source yielded an offset past the bound it
     /// reported.  Nothing was demand-paged; the run stopped.
     SplitFault {
         /// Index of the faulting thread in the run's placements.
@@ -37,6 +37,14 @@ pub enum MitosisError {
         access: u64,
         /// The faulting virtual address.
         addr: VirtAddr,
+    },
+    /// A run handed to the execution engine is malformed: a source count
+    /// that differs from the thread placements, a checkpoint taken with
+    /// another thread count, or a stop outside the span it bounds.  Nothing
+    /// ran.
+    InvalidRun {
+        /// What is wrong with it.
+        reason: &'static str,
     },
     /// A scenario's setup-step list cannot be applied as written (a step
     /// out of order, or one the system cannot take).
@@ -71,6 +79,7 @@ impl fmt::Display for MitosisError {
                 "access {access} of thread {thread} faulted at {addr} in a segment proven \
                  fault-free: its access source under-reported its offset bound"
             ),
+            MitosisError::InvalidRun { reason } => write!(f, "invalid engine run: {reason}"),
             MitosisError::InvalidSetup { step, reason } => {
                 write!(f, "setup step {step} is invalid: {reason}")
             }

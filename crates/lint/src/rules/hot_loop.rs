@@ -1,15 +1,16 @@
 //! `observer-in-hot-loop`: no `Observer` call inside the engine's
-//! per-access function.
+//! per-access functions.
 //!
 //! The observability layer is provably non-perturbing only where it is
 //! proven: at interval edges and around segments, outside the access
-//! loops.  The execution engine funnels every simulated access of both of
-//! its paths — serial and split across socket groups — through one
-//! per-access function, so keeping that function observer-free keeps
-//! every access observer-free.  An observer call there would also put a
-//! shared recorder on the split path's host threads.  The rule names that
-//! function in its configuration, the way `panic-hygiene` names its worker
-//! files, and flags any mention of an observer (`observer`, `Observer`,
+//! loops.  The execution engine funnels every simulated access through a
+//! few per-access functions — one the serial and split schedules share,
+//! and the pipelined schedule's TLB-stage and walk-stage steps — so
+//! keeping those functions observer-free keeps every access
+//! observer-free.  An observer call there would also put a shared recorder
+//! on the split and pipelined schedules' host threads.  The rule names
+//! the functions in its configuration, the way `panic-hygiene` names its
+//! worker files, and flags any mention of an observer (`observer`, `Observer`,
 //! `mitosis_obs`) or call of the observer API (`.span(`, `.counter(`,
 //! `.log2(`, `.emit_interval(`, `.is_enabled(`) inside its body.  A
 //! configured function the rule cannot find is flagged too, so a rename
@@ -43,9 +44,15 @@ impl ObserverInHotLoop {
     }
 
     /// The shipped configuration: the execution engine's per-access
-    /// function.
+    /// functions — the serial and split schedules' `step_access`, and the
+    /// pipelined schedule's `tlb_step` and `walk_step`.
     pub fn workspace_default() -> Self {
-        ObserverInHotLoop::new(&[("crates/sim/src/engine.rs", "step_access")])
+        let engine = "crates/sim/src/engine.rs";
+        ObserverInHotLoop::new(&[
+            (engine, "step_access"),
+            (engine, "tlb_step"),
+            (engine, "walk_step"),
+        ])
     }
 }
 

@@ -353,6 +353,30 @@ fn hot_loop_rule_fires_inside_the_configured_function_only() {
 }
 
 #[test]
+fn hot_loop_rule_checks_the_pipeline_steps_it_ships_with() {
+    // The shipped configuration covers the pipelined schedule's two
+    // per-access functions beside step_access: an observer call in the
+    // walk stage's step is flagged, the clean steps are not.
+    let fx = Fixture::new();
+    fx.write(
+        "crates/sim/src/engine.rs",
+        "fn step_access(mmu: &mut Mmu) { mmu.access(); }\n\
+         fn tlb_step(tlbs: &mut TlbHalf) { tlbs.probe(); }\n\
+         fn walk_step(walks: &mut WalkHalf, obs: &Recorder) {\n\
+         \x20   walks.walk();\n\
+         \x20   obs.counter(\"engine.walks\", 1);\n\
+         }\n",
+    );
+    let report = fx.run(Box::new(ObserverInHotLoop::workspace_default()));
+    assert_eq!(
+        lines_flagged(&report, "observer-in-hot-loop", "crates/sim/src/engine.rs"),
+        vec![5],
+        "only the observer call in walk_step's body is flagged:\n{}",
+        report.render_text()
+    );
+}
+
+#[test]
 fn hot_loop_rule_reports_a_missing_function() {
     let fx = Fixture::new();
     fx.write(

@@ -16,7 +16,10 @@
 //! * [`HardwareWalker`] — the walker itself: consults the paging-structure
 //!   caches, charges local/remote DRAM latency per level, sets
 //!   accessed/dirty bits in the replica it walks, and reports statistics;
-//! * [`Mmu`] — the per-core front end combining the TLBs and the walker.
+//! * [`Mmu`] — the per-core front end, split into a [`TlbHalf`] (the TLBs)
+//!   and a [`WalkHalf`] (paging-structure caches and walker) that
+//!   [`Mmu::access`] composes and the execution engine can run on separate
+//!   host threads.
 //!
 //! See [`Mmu::access`] for the per-access flow and the `mitosis-sim` crate
 //! for full end-to-end examples of driving the MMU against a real page table.
@@ -32,7 +35,7 @@ mod stats;
 mod tlb;
 mod walker;
 
-pub use mmu::{AccessOutcome, Mmu};
+pub use mmu::{AccessOutcome, Mmu, TlbHalf, TlbHit, WalkHalf};
 pub use pte_cache::{PteCache, PteCacheSet};
 pub use pwc::PagingStructureCache;
 pub use stats::{MmuStats, WalkStats};

@@ -303,6 +303,16 @@ impl<V> LruMap<V> {
         true
     }
 
+    /// The resident entries, most recently used first.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, &V)> + '_ {
+        let mut cursor = self.head;
+        std::iter::from_fn(move || {
+            let slot = self.slots.get(cursor as usize)?;
+            cursor = slot.next;
+            Some((slot.key, &slot.value))
+        })
+    }
+
     /// Removes every entry whose key fails `keep`, preserving the recency
     /// order of the survivors.  O(len) — meant for rare invalidations
     /// (table freed or migrated), not the access path.

@@ -1,13 +1,27 @@
-//! The per-core MMU front end: TLB hierarchy plus page walker.
+//! The per-core MMU: a TLB half and a walk half.
+//!
+//! [`Mmu::access`] translates one access in two steps.  The [`TlbHalf`]
+//! counts the access and probes the TLB hierarchy; on a miss the
+//! [`WalkHalf`] walks the page table through its paging-structure caches,
+//! the socket's page-table-line cache and the cost model, and the TLB half
+//! installs the translation the walk found.  The TLB half needs nothing
+//! from the walk half but that translation, and the walk half nothing from
+//! the TLB half but the ordered stream of misses.  While the page tables
+//! stay fixed a walk's translation is a pure function of them, so the
+//! halves can run apart: the execution engine's pipelined schedule probes
+//! the TLBs on one host thread and fills them from a software lookup of the
+//! same tables, which also sets the leaf's accessed/dirty bits, and walks
+//! the misses on another ([`WalkHalf::walk_known_leaf`]).  Each half owns
+//! its own counters; [`Mmu::stats`] joins them.
 
 use crate::pte_cache::PteCache;
 use crate::pwc::PagingStructureCache;
-use crate::stats::MmuStats;
+use crate::stats::{MmuStats, WalkStats};
 use crate::tlb::{TlbHierarchy, TlbLevel};
-use crate::walker::HardwareWalker;
+use crate::walker::{HardwareWalker, WalkOutcome};
 use mitosis_mem::{FrameId, FrameTable};
 use mitosis_numa::{CoreId, CostModel, Cycles, SocketId};
-use mitosis_pt::{PageSize, PtStore, ShootdownPlan, VirtAddr};
+use mitosis_pt::{PageSize, PtStore, ShootdownPlan, Translation, VirtAddr};
 
 /// Result of one memory access' address translation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,13 +38,23 @@ pub struct AccessOutcome {
     pub fault: bool,
 }
 
-/// A core's memory management unit.
-///
-/// The MMU owns the core-private structures (TLBs, paging-structure caches,
-/// statistics); machine-level state (the page tables themselves, per-socket
-/// page-table-line caches, the NUMA cost model) is passed in per access.
+/// A translation the TLBs served, as [`TlbHalf::probe`] reports it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TlbHit {
+    /// The TLB level that served the access.
+    pub level: TlbLevel,
+    /// The 4 KiB frame backing the accessed address.
+    pub frame: FrameId,
+    /// Page size of the cached mapping.
+    pub size: PageSize,
+    /// Cycles the hit costs (zero for an L1 hit).
+    pub penalty: Cycles,
+}
+
+/// The TLB half of a core's MMU: the TLB hierarchy, the loaded ASID and the
+/// counters the TLBs keep.
 #[derive(Debug, Clone)]
-pub struct Mmu {
+pub struct TlbHalf {
     core: CoreId,
     socket: SocketId,
     /// Address-space identifier of the process currently loaded on this
@@ -38,9 +62,156 @@ pub struct Mmu {
     /// single-process runs identical to the untagged model.
     asid: u16,
     tlb: TlbHierarchy,
+    /// Accesses, hits and misses; `translation_cycles` holds the TLB
+    /// penalties only and `walk` stays zero.
+    stats: MmuStats,
+}
+
+impl TlbHalf {
+    /// Counts one access to `addr` and probes the TLBs for each translation
+    /// granularity.  Returns the hit, or `None` after counting a miss: the
+    /// caller walks and then [`fill`](TlbHalf::fill)s.
+    #[inline]
+    pub fn probe(&mut self, addr: VirtAddr, is_write: bool) -> Option<TlbHit> {
+        self.stats.accesses += 1;
+        for size in [PageSize::Base4K, PageSize::Huge2M, PageSize::Giant1G] {
+            if let Some((level, frame, penalty)) = self.tlb.lookup(self.asid, addr, size, is_write)
+            {
+                match level {
+                    TlbLevel::L1 => self.stats.tlb_l1_hits += 1,
+                    TlbLevel::L2 => self.stats.tlb_l2_hits += 1,
+                }
+                self.stats.translation_cycles += penalty;
+                let offset_frames = addr.page_offset(size) / PageSize::Base4K.bytes();
+                return Some(TlbHit {
+                    level,
+                    frame: frame.offset(offset_frames),
+                    size,
+                    penalty,
+                });
+            }
+        }
+        self.stats.tlb_misses += 1;
+        None
+    }
+
+    /// Installs `translation`, the one a walk of `addr` found after
+    /// [`probe`](TlbHalf::probe) missed.
+    #[inline]
+    pub fn fill(&mut self, addr: VirtAddr, translation: &Translation) {
+        self.tlb.insert(
+            self.asid,
+            addr.align_down(translation.size),
+            translation.size,
+            translation.frame,
+            translation.pte.flags().writable,
+        );
+    }
+
+    /// The TLB half's counters: `translation_cycles` holds the TLB
+    /// penalties only and `walk` is zero ([`MmuStats::joined`] adds the
+    /// walk half's).
+    pub fn stats(&self) -> &MmuStats {
+        &self.stats
+    }
+}
+
+/// The walk half of a core's MMU: the paging-structure caches, the walker
+/// and the walk counters.
+#[derive(Debug, Clone)]
+pub struct WalkHalf {
+    socket: SocketId,
     pwc: PagingStructureCache,
     walker: HardwareWalker,
-    stats: MmuStats,
+    stats: WalkStats,
+}
+
+impl WalkHalf {
+    /// Walks the page table rooted at `root` for `addr`, after the TLB half
+    /// missed.  `pte_cache` must be the cache of **this core's socket**.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    pub fn walk(
+        &mut self,
+        addr: VirtAddr,
+        is_write: bool,
+        root: FrameId,
+        store: &PtStore,
+        frames: &FrameTable,
+        cost: &CostModel,
+        pte_cache: &mut PteCache,
+    ) -> WalkOutcome {
+        self.walker.walk(
+            self.socket,
+            root,
+            addr,
+            is_write,
+            store,
+            frames,
+            cost,
+            &mut self.pwc,
+            pte_cache,
+            &mut self.stats,
+        )
+    }
+
+    /// [`walk`](WalkHalf::walk) for a miss whose leaf entry the caller has
+    /// already looked up in the tree rooted at `root`, and whose
+    /// accessed/dirty bits it has already set, to fill the TLB half:
+    /// `leaf` is the translation it found
+    /// ([`HardwareWalker::walk_known_leaf`]).
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    pub fn walk_known_leaf(
+        &mut self,
+        addr: VirtAddr,
+        is_write: bool,
+        leaf: &Translation,
+        root: FrameId,
+        store: &PtStore,
+        frames: &FrameTable,
+        cost: &CostModel,
+        pte_cache: &mut PteCache,
+    ) -> WalkOutcome {
+        self.walker.walk_known_leaf(
+            self.socket,
+            root,
+            addr,
+            is_write,
+            leaf,
+            store,
+            frames,
+            cost,
+            &mut self.pwc,
+            pte_cache,
+            &mut self.stats,
+        )
+    }
+
+    /// Whether every paging-structure-cache entry names the table a walk
+    /// from `root` reaches, so that every walk translates exactly as a
+    /// software lookup of the tables from `root` does
+    /// ([`PagingStructureCache::agrees_with`]).
+    pub fn agrees_with(&self, store: &PtStore, root: FrameId) -> bool {
+        self.pwc.agrees_with(store, root)
+    }
+
+    /// The walk counters.
+    pub fn stats(&self) -> &WalkStats {
+        &self.stats
+    }
+}
+
+/// A core's memory management unit.
+///
+/// The MMU owns the core-private structures (TLBs, paging-structure caches,
+/// statistics), split into a [`TlbHalf`] and a [`WalkHalf`]; machine-level
+/// state (the page tables themselves, per-socket page-table-line caches,
+/// the NUMA cost model) is passed in per access.
+#[derive(Debug, Clone)]
+pub struct Mmu {
+    tlbs: TlbHalf,
+    walks: WalkHalf,
 }
 
 impl Mmu {
@@ -48,39 +219,46 @@ impl Mmu {
     /// paper-testbed TLB and MMU-cache sizes.
     pub fn new(core: CoreId, socket: SocketId) -> Self {
         Mmu {
-            core,
-            socket,
-            asid: 0,
-            tlb: TlbHierarchy::paper_testbed(),
-            pwc: PagingStructureCache::paper_testbed(),
-            walker: HardwareWalker::new(),
-            stats: MmuStats::default(),
+            tlbs: TlbHalf {
+                core,
+                socket,
+                asid: 0,
+                tlb: TlbHierarchy::paper_testbed(),
+                stats: MmuStats::default(),
+            },
+            walks: WalkHalf {
+                socket,
+                pwc: PagingStructureCache::paper_testbed(),
+                walker: HardwareWalker::new(),
+                stats: WalkStats::default(),
+            },
         }
     }
 
     /// The core this MMU belongs to.
     pub fn core(&self) -> CoreId {
-        self.core
+        self.tlbs.core
     }
 
     /// The socket this MMU's core belongs to.
     pub fn socket(&self) -> SocketId {
-        self.socket
+        self.tlbs.socket
     }
 
     /// The address-space identifier currently loaded on this core.
     pub fn asid(&self) -> u16 {
-        self.asid
+        self.tlbs.asid
     }
 
     /// Loads `asid` without flushing (a PCID-tagged CR3 write): TLB entries
     /// of other address spaces stay resident but cannot hit.
     pub fn set_asid(&mut self, asid: u16) {
-        self.asid = asid;
+        self.tlbs.asid = asid;
     }
 
     /// Translates one access to `addr` using the page table rooted at `root`
-    /// (the CR3 value currently loaded on this core).
+    /// (the CR3 value currently loaded on this core): the TLB half's probe,
+    /// then on a miss the walk half's walk and the TLB half's fill.
     ///
     /// `pte_cache` must be the cache of **this core's socket**.
     #[allow(clippy::too_many_arguments)]
@@ -94,75 +272,59 @@ impl Mmu {
         cost: &CostModel,
         pte_cache: &mut PteCache,
     ) -> AccessOutcome {
-        self.stats.accesses += 1;
-
-        // Probe the TLBs for each translation granularity.
-        for size in [PageSize::Base4K, PageSize::Huge2M, PageSize::Giant1G] {
-            if let Some((level, frame, penalty)) = self.tlb.lookup(self.asid, addr, size, is_write)
-            {
-                match level {
-                    TlbLevel::L1 => self.stats.tlb_l1_hits += 1,
-                    TlbLevel::L2 => self.stats.tlb_l2_hits += 1,
-                }
-                self.stats.translation_cycles += penalty;
-                let offset_frames = addr.page_offset(size) / PageSize::Base4K.bytes();
-                return AccessOutcome {
-                    frame: Some(frame.offset(offset_frames)),
-                    translation_cycles: penalty,
-                    tlb_hit: Some(level),
-                    page_size: Some(size),
-                    fault: false,
-                };
-            }
+        if let Some(hit) = self.tlbs.probe(addr, is_write) {
+            return AccessOutcome {
+                frame: Some(hit.frame),
+                translation_cycles: hit.penalty,
+                tlb_hit: Some(hit.level),
+                page_size: Some(hit.size),
+                fault: false,
+            };
         }
-
-        // TLB miss: walk the page table.
-        self.stats.tlb_misses += 1;
-        let outcome = self.walker.walk(
-            self.socket,
-            root,
-            addr,
-            is_write,
-            store,
-            frames,
-            cost,
-            &mut self.pwc,
-            pte_cache,
-            &mut self.stats.walk,
-        );
-        self.stats.translation_cycles += outcome.cycles;
-        match outcome.translation {
-            Some(t) => {
-                self.tlb.insert(
-                    self.asid,
-                    addr.align_down(t.size),
-                    t.size,
-                    t.frame,
-                    t.pte.flags().writable,
-                );
-                AccessOutcome {
-                    frame: Some(t.frame_for(addr)),
-                    translation_cycles: outcome.cycles,
-                    tlb_hit: None,
-                    page_size: Some(t.size),
-                    fault: false,
-                }
-            }
-            None => AccessOutcome {
+        let walk = self
+            .walks
+            .walk(addr, is_write, root, store, frames, cost, pte_cache);
+        let Some(translation) = walk.translation else {
+            return AccessOutcome {
                 frame: None,
-                translation_cycles: outcome.cycles,
+                translation_cycles: walk.cycles,
                 tlb_hit: None,
                 page_size: None,
                 fault: true,
-            },
+            };
+        };
+        self.tlbs.fill(addr, &translation);
+        AccessOutcome {
+            frame: Some(translation.frame_for(addr)),
+            translation_cycles: walk.cycles,
+            tlb_hit: None,
+            page_size: Some(translation.size),
+            fault: false,
         }
+    }
+
+    /// Splits the MMU into its two halves, so each can run on its own host
+    /// thread; [`Mmu::from_halves`] puts them back together.
+    pub fn into_halves(self) -> (TlbHalf, WalkHalf) {
+        (self.tlbs, self.walks)
+    }
+
+    /// Reassembles an MMU from the halves [`Mmu::into_halves`] split off.
+    pub fn from_halves(tlbs: TlbHalf, walks: WalkHalf) -> Self {
+        debug_assert_eq!(tlbs.socket, walks.socket, "halves of one MMU");
+        Mmu { tlbs, walks }
+    }
+
+    /// The walk half (see [`WalkHalf::agrees_with`]).
+    pub fn walks(&self) -> &WalkHalf {
+        &self.walks
     }
 
     /// Models a context switch (CR3 write): flushes the TLBs and
     /// paging-structure caches.
     pub fn context_switch(&mut self) {
-        self.tlb.flush();
-        self.pwc.flush();
+        self.tlbs.tlb.flush();
+        self.walks.pwc.flush();
     }
 
     /// Prepares a pooled MMU for a fresh run: flushes every cached
@@ -174,14 +336,13 @@ impl Mmu {
     /// reallocating the TLB arrays each time — the win is per-run setup
     /// cost for short traces.
     pub fn reset_for_run(&mut self) {
-        self.tlb.flush();
-        self.pwc.flush();
-        self.stats = MmuStats::default();
+        self.context_switch();
+        self.reset_stats();
     }
 
     /// Models a TLB shootdown of a single page in address space `asid`.
     pub fn shootdown_page(&mut self, asid: u16, addr: VirtAddr, size: PageSize) {
-        self.tlb.flush_page(asid, addr.align_down(size), size);
+        self.tlbs.tlb.flush_page(asid, addr.align_down(size), size);
     }
 
     /// Models a broadcast full-flush shootdown.
@@ -198,34 +359,37 @@ impl Mmu {
     /// shootdown work.
     pub fn apply_shootdown(&mut self, plan: &ShootdownPlan) -> u64 {
         if plan.full_flush {
-            let resident = self.tlb.occupancy() as u64;
+            let resident = self.tlbs.tlb.occupancy() as u64;
             self.shootdown_all();
             return resident;
         }
         let mut removed = 0u64;
         for range in &plan.ranges {
             removed +=
-                self.tlb
+                self.tlbs
+                    .tlb
                     .invalidate_range(range.asid, range.vpn_start, range.pages, range.size)
                     as u64;
-            self.pwc.invalidate_range(range.start(), range.end());
+            self.walks.pwc.invalidate_range(range.start(), range.end());
         }
         removed
     }
 
-    /// Accumulated statistics.
-    pub fn stats(&self) -> &MmuStats {
-        &self.stats
+    /// Accumulated statistics: the TLB half's counters joined with the walk
+    /// half's.
+    pub fn stats(&self) -> MmuStats {
+        self.tlbs.stats.joined(&self.walks.stats)
     }
 
     /// Resets the statistics.
     pub fn reset_stats(&mut self) {
-        self.stats = MmuStats::default();
+        self.tlbs.stats = MmuStats::default();
+        self.walks.stats = WalkStats::default();
     }
 
     /// The TLB hierarchy (for tests and reach calculations).
     pub fn tlb(&self) -> &TlbHierarchy {
-        &self.tlb
+        &self.tlbs.tlb
     }
 }
 

@@ -8,7 +8,7 @@
 
 use crate::lru::LruMap;
 use mitosis_mem::FrameId;
-use mitosis_pt::{Level, VirtAddr};
+use mitosis_pt::{table_at, Level, PtStore, VirtAddr};
 
 /// One exact-LRU cache of upper-level entries, keyed by the virtual-address
 /// bits that select the entry.  Lookup, insert and eviction are all O(1)
@@ -127,6 +127,28 @@ impl PagingStructureCache {
             Level::L2 => self.pde.insert(Self::key(addr, Level::L2), next_table),
             Level::L1 => {}
         }
+    }
+
+    /// Whether every cached entry names the table a walk from `root`
+    /// reaches for the addresses it serves.  When they all do, a walk
+    /// through these caches reads the same leaf entry as a walk from
+    /// `root` alone, so its translation is a pure function of the tables.
+    /// An entry left behind by a mutation no shootdown reached (a stale
+    /// root, a freed or replaced table) makes this `false`.
+    pub fn agrees_with(&self, store: &PtStore, root: FrameId) -> bool {
+        let caches = [
+            (&self.pml4e, Level::L4),
+            (&self.pdpte, Level::L3),
+            (&self.pde, Level::L2),
+        ];
+        store.contains(root)
+            && caches.into_iter().all(|(cache, level)| {
+                let child = level.next_lower().expect("cached entries sit above L1");
+                cache.entries.iter().all(|(key, &table)| {
+                    let addr = VirtAddr::new(key << level.index_shift());
+                    table_at(store, root, addr, child) == Some(table)
+                })
+            })
     }
 
     /// Flushes all cached entries (CR3 write / full shootdown).

@@ -113,6 +113,17 @@ impl MmuStats {
         }
     }
 
+    /// A TLB half's counters joined with a walk half's (see
+    /// [`Mmu`](crate::Mmu)): the walk counters added to `walk`, and their
+    /// walk cycles to `translation_cycles`, which the TLB half keeps as
+    /// penalties only.  Integer sums, so the result is exact whichever host
+    /// thread counted which half.
+    pub fn joined(mut self, walk: &WalkStats) -> MmuStats {
+        self.translation_cycles += walk.walk_cycles;
+        self.walk.merge(walk);
+        self
+    }
+
     /// Merges another set of counters into this one.
     pub fn merge(&mut self, other: &MmuStats) {
         self.accesses += other.accesses;

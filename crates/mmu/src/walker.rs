@@ -11,13 +11,26 @@
 //! ([`PtStore::mark_accessed_at`]), so walkers on several host threads may
 //! share one store: the bits end up the same whatever order they ran in,
 //! and no translation depends on them.
+//!
+//! A core's walker, with its paging-structure caches and walk counters, is
+//! the MMU's [`WalkHalf`](crate::WalkHalf); the TLBs are the other half.
+//! The walk half consumes TLB misses in order and owns everything it
+//! writes except that accessed/dirty OR, so it can run on a host thread of
+//! its own while the TLB half runs ahead on another (the execution engine's
+//! pipelined schedule).  There the TLB side has already looked the leaf
+//! entry up in software, and set its accessed/dirty bits, to fill its
+//! TLBs: [`HardwareWalker::walk_known_leaf`] takes that entry instead of
+//! reading it again, and charges and counts the walk exactly as
+//! [`HardwareWalker::walk`] would.  That holds as long as the walk reaches
+//! the same leaf, which it does while its paging-structure caches agree
+//! with the tables ([`PagingStructureCache::agrees_with`]).
 
 use crate::pte_cache::PteCache;
 use crate::pwc::PagingStructureCache;
 use crate::stats::WalkStats;
 use mitosis_mem::{FrameId, FrameTable};
 use mitosis_numa::{AccessKind, CostModel, Cycles, SocketId};
-use mitosis_pt::{Level, PageSize, PtStore, Translation, VirtAddr};
+use mitosis_pt::{Level, PageSize, PtStore, Pte, Translation, VirtAddr};
 
 /// Fixed pipeline overhead charged per walk, on top of its memory accesses.
 const WALK_SETUP_CYCLES: Cycles = 20;
@@ -65,6 +78,57 @@ impl HardwareWalker {
         pte_cache: &mut PteCache,
         stats: &mut WalkStats,
     ) -> WalkOutcome {
+        self.walk_from(
+            socket, root, addr, is_write, None, store, frames, cost, pwc, pte_cache, stats,
+        )
+    }
+
+    /// [`walk`](HardwareWalker::walk) for a walk whose leaf entry the caller
+    /// has already read from the tree rooted at `root`, and whose
+    /// accessed/dirty bits it has already set: `leaf` is the translation
+    /// that entry gives.  Every level is charged, cached and counted as in
+    /// `walk`, and the entries above the leaf are read from `store`; the
+    /// leaf entry is taken from `leaf` and not written.
+    #[allow(clippy::too_many_arguments)]
+    pub fn walk_known_leaf(
+        &self,
+        socket: SocketId,
+        root: FrameId,
+        addr: VirtAddr,
+        is_write: bool,
+        leaf: &Translation,
+        store: &PtStore,
+        frames: &FrameTable,
+        cost: &CostModel,
+        pwc: &mut PagingStructureCache,
+        pte_cache: &mut PteCache,
+        stats: &mut WalkStats,
+    ) -> WalkOutcome {
+        let known_leaf = Some((leaf.level, leaf.pte));
+        self.walk_from(
+            socket, root, addr, is_write, known_leaf, store, frames, cost, pwc, pte_cache, stats,
+        )
+    }
+
+    /// The walk both entry points share.  `known_leaf` is the level and
+    /// entry of a leaf the caller has already read and marked; the walk
+    /// takes that entry instead of reading and marking it.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    fn walk_from(
+        &self,
+        socket: SocketId,
+        root: FrameId,
+        addr: VirtAddr,
+        is_write: bool,
+        known_leaf: Option<(Level, Pte)>,
+        store: &PtStore,
+        frames: &FrameTable,
+        cost: &CostModel,
+        pwc: &mut PagingStructureCache,
+        pte_cache: &mut PteCache,
+        stats: &mut WalkStats,
+    ) -> WalkOutcome {
         let mut cycles: Cycles = WALK_SETUP_CYCLES;
         let mut levels_read: u8 = 0;
         stats.walks += 1;
@@ -76,9 +140,7 @@ impl HardwareWalker {
 
         loop {
             let index = addr.index_at(level);
-            // One directory resolution per level; the slot handle serves
-            // both the entry read and the accessed/dirty write below.
-            let slot = store.slot(table);
+            let known = known_leaf.filter(|&(leaf_level, _)| leaf_level == level);
             // Charge the memory access for reading this entry.
             let cached = pte_cache.access(table, index);
             if cached {
@@ -100,7 +162,15 @@ impl HardwareWalker {
             levels_read += 1;
             stats.levels_accessed += 1;
 
-            let pte = store.read_at(slot, index);
+            // One directory resolution per level read; the slot handle
+            // serves both the entry read and the accessed/dirty write below.
+            let (slot, pte) = match known {
+                Some((_, pte)) => (None, pte),
+                None => {
+                    let slot = store.slot(table);
+                    (Some(slot), store.read_at(slot, index))
+                }
+            };
             if !pte.is_present() {
                 stats.faults += 1;
                 stats.walk_cycles += cycles;
@@ -140,7 +210,9 @@ impl HardwareWalker {
                         levels_read,
                     };
                 }
-                store.mark_accessed_at(slot, index, is_write);
+                if let Some(slot) = slot {
+                    store.mark_accessed_at(slot, index, is_write);
+                }
                 stats.walk_cycles += cycles;
                 return WalkOutcome {
                     translation: Some(Translation {

@@ -7,13 +7,17 @@ use crate::params::SimParams;
 use crate::shootdown::{self, BoundaryFlush, ShootdownStats};
 use mitosis::{Mitosis, MitosisError};
 use mitosis_mem::{FrameId, FrameSpace, FrameTable};
-use mitosis_mmu::{Mmu, MmuStats, PteCache, PteCacheSet};
+use mitosis_mmu::{Mmu, MmuStats, PteCache, PteCacheSet, TlbHalf, WalkHalf, WalkStats};
 use mitosis_numa::{AccessKind, CoreId, CostModel, Cycles, SocketId};
 use mitosis_obs::{IntervalSample, Observer};
-use mitosis_pt::{check_writable_range, PageSize, PtStore, RangeGap, VirtAddr};
+use mitosis_pt::{
+    check_writable_range, translate_entry, Level, PageSize, PtSlot, PtStore, RangeGap, Translation,
+    VirtAddr,
+};
 use mitosis_vmm::{Pid, System, VmError};
 use mitosis_workloads::{Access, AccessSource, AccessStream, InitPattern, WorkloadSpec};
-use std::sync::Arc;
+use std::collections::VecDeque;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Placement of one simulated thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -172,12 +176,13 @@ pub struct RunSpec<'a, S> {
     /// Pause once every thread has executed exactly this many accesses,
     /// *before* applying any phase-change events scheduled at that
     /// boundary (the resumed run fires them exactly once).  Must lie inside
-    /// `[start, accesses_per_thread)`; with `None` the run completes.
+    /// `[start, accesses_per_thread)` ([`MitosisError::InvalidRun`]
+    /// otherwise); with `None` the run completes.
     pub stop_at: Option<u64>,
 }
 
-/// Why a segment with two or more socket groups ran serially instead of
-/// split across host threads (see [`ExecutionEngine::execute`]).
+/// Why a segment ran serially instead of split across socket groups or
+/// pipelined (see [`ExecutionEngine::execute`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SerialReason {
     /// The access source of `thread` reports no offset bound
@@ -198,6 +203,23 @@ pub enum SerialReason {
         /// The lowest such page.
         addr: VirtAddr,
     },
+    /// The paging-structure caches of `thread` hold an entry the tables
+    /// from its CR3 no longer reach, so its walks need not translate as the
+    /// tables do ([`PagingStructureCache::agrees_with`]).
+    ///
+    /// [`PagingStructureCache::agrees_with`]: mitosis_mmu::PagingStructureCache::agrees_with
+    StaleWalkCache {
+        /// Index of the thread in the run's placements.
+        thread: usize,
+    },
+    /// The segment's one socket group has several threads, and only a lone
+    /// thread pipelines.  One-socket runs of several threads are what
+    /// pooled replay hands its workers, and a walk-stage thread under each
+    /// worker oversubscribes the host.
+    SharedSocket {
+        /// Number of threads in the group.
+        threads: usize,
+    },
 }
 
 impl From<RangeGap> for SerialReason {
@@ -209,21 +231,24 @@ impl From<RangeGap> for SerialReason {
     }
 }
 
-/// How the segments of the most recent run executed: split across host
-/// threads or serially, and why the last serial one with several socket
-/// groups did not split.  Advisory, like [`ShootdownStats`]: not part of
+/// How the segments of the most recent run executed: split across socket
+/// groups, pipelined or serially, and why the last serial one did not run
+/// on several host threads.  Advisory, like [`ShootdownStats`]: not part of
 /// [`RunMetrics`], which are bit-identical either way.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SplitStats {
     /// Segments whose socket groups ran on separate host threads.
     pub split_segments: u64,
+    /// One-thread segments that ran as a two-stage pipeline: TLBs on the
+    /// calling host thread, page walks on a second.
+    pub pipelined_segments: u64,
     /// Segments that ran every thread on the calling host thread.
     pub serial_segments: u64,
     /// Scoped host threads spawned: one per socket group past the first,
-    /// per split segment.
+    /// per split segment, and one walk stage per pipelined segment.
     pub threads_spawned: u64,
-    /// Why the last serially-run segment that had two or more socket
-    /// groups could not split; `None` if there was no such segment.
+    /// Why the last serially-run segment could not split or pipeline;
+    /// `None` if every segment did.
     pub last_serial_reason: Option<SerialReason>,
 }
 
@@ -252,13 +277,13 @@ struct AccessCtx<'a> {
     frame_space: &'a FrameSpace,
 }
 
-/// The per-access function both execution paths share: translates one
-/// access of a thread, charging its compute and translation cycles, and on
-/// success its data access.  A fault returns the faulting address with no
-/// data charged: the serial path handles it (demand paging, copy-on-write)
-/// and retries, a split socket group reports it as
-/// [`MitosisError::SplitFault`].  It touches no observer — the lint rule
-/// `observer-in-hot-loop` holds it to that.
+/// The per-access function the serial and split schedules share: translates
+/// one access of a thread through [`Mmu::access`], charging its compute and
+/// translation cycles, and on success its data access.  A fault returns the
+/// faulting address with no data charged: the serial path handles it
+/// (demand paging, copy-on-write) and retries, a split socket group reports
+/// it as [`MitosisError::SplitFault`].  It touches no observer — the lint
+/// rule `observer-in-hot-loop` holds it to that.
 #[inline(always)]
 fn step_access(
     access: Access,
@@ -346,7 +371,7 @@ impl<S: AccessSource> SocketGroup<'_, S> {
                 }
                 chunk_start = edge;
                 if sampling {
-                    member.snaps.push((member.totals, *member.mmu.stats()));
+                    member.snaps.push((member.totals, member.mmu.stats()));
                 }
             }
         }
@@ -370,15 +395,19 @@ fn socket_groups(threads: &[ThreadPlacement]) -> Vec<Vec<usize>> {
     groups
 }
 
-/// Proves that the segment about to run cannot fault: every source reports
-/// an offset bound, and every CR3 a thread loads maps `[region, region +
-/// bound)` — the largest bound among the threads loading it — with present,
-/// writable leaves.  Reads only the sources' bounds and the tables.
+/// Proves that the segment about to run cannot fault and that each of its
+/// walks translates as the tables do: every source reports an offset
+/// bound, every CR3 a thread loads maps `[region, region + bound)` — the
+/// largest bound among the threads loading it — with present, writable
+/// leaves, and every thread's paging-structure caches agree with the tables
+/// from its CR3.  Reads only the sources' bounds, the tables and those
+/// caches.
 fn prove_fault_free<S: AccessSource>(
     store: &PtStore,
     region: VirtAddr,
     sources: &[S],
     phases: &[Option<ThreadPhase>],
+    mmus: &[Mmu],
 ) -> Result<(), SerialReason> {
     let mut spans: Vec<(FrameId, u64)> = Vec::with_capacity(sources.len());
     for (thread, (source, phase)) in sources.iter().zip(phases).enumerate() {
@@ -394,11 +423,18 @@ fn prove_fault_free<S: AccessSource>(
     for (cr3, bound) in spans {
         check_writable_range(store, cr3, region, bound)?;
     }
+    for (thread, (mmu, phase)) in mmus.iter().zip(phases).enumerate() {
+        let cr3 = phase.as_ref().expect("phases are derived first").cr3;
+        if !mmu.walks().agrees_with(store, cr3) {
+            return Err(SerialReason::StaleWalkCache { thread });
+        }
+    }
     Ok(())
 }
 
-/// What a split segment hands out to its socket groups and collects back.
-struct SplitSegment<'a, S> {
+/// What a split or pipelined segment hands out to its host threads and
+/// collects back.
+struct ParallelSegment<'a, S> {
     groups: &'a [Vec<usize>],
     threads: &'a [ThreadPlacement],
     sources: &'a mut [S],
@@ -422,9 +458,9 @@ fn run_split<S: AccessSource + Send>(
     pte_caches: &mut PteCacheSet,
     tables: Tables<'_>,
     ctx: AccessCtx<'_>,
-    segment: SplitSegment<'_, S>,
+    segment: ParallelSegment<'_, S>,
 ) -> Result<(), MitosisError> {
-    let SplitSegment {
+    let ParallelSegment {
         groups,
         threads,
         sources,
@@ -506,6 +542,505 @@ fn run_split<S: AccessSource + Send>(
         .map(|mmu| mmu.expect("every thread ran in one group"))
         .collect();
     outcome
+}
+
+/// TLB misses per batch the pipelined schedule's TLB stage hands its walk
+/// stage: enough that the handoff costs nothing per miss, few enough that
+/// the batches in flight stay in cache.
+const MISS_BATCH: usize = 1024;
+
+/// Batch buffers circulating between the two stages, which bounds how far
+/// the TLB stage runs ahead of the walk stage.
+const BATCH_BUFFERS: usize = 5;
+
+/// Times the TLB stage yields its core, waiting for an emptied buffer,
+/// before it sleeps.  The walk stage is the slower one, so the TLB stage
+/// waits for a buffer about once per batch, for less than a batch's walks,
+/// and once more at the end for the batches still in flight.  A thread
+/// woken from sleep is often moved to the waker's core, and the calling
+/// thread would end each run on either core; the setup that follows, which
+/// faults in fresh memory, then ran up to a third slower.
+const YIELDS_BEFORE_SLEEP: u32 = 2_000;
+
+/// A TLB miss as the walk stage receives it.
+#[derive(Debug, Clone, Copy)]
+struct Miss {
+    addr: VirtAddr,
+    is_write: bool,
+    /// The translation the TLB stage filled, from the leaf entry it read
+    /// and marked accessed (and dirty, for a store).
+    leaf: Translation,
+}
+
+/// Consecutive TLB misses of one thread of a pipelined segment, in access
+/// order.
+struct MissBatch {
+    thread: usize,
+    misses: Vec<Miss>,
+    /// The batch ends one of the thread's chunks (see
+    /// [`ExecutionEngine::execute`]'s interval edges).
+    chunk_end: bool,
+}
+
+/// The two stages' handoff: filled batches flow from the TLB stage to the
+/// walk stage, emptied buffers flow back.  The TLB stage allocates every
+/// buffer before the walk stage starts and frees them after it ends, and
+/// the lock and condition variables block without allocating, so the walk
+/// stage's host thread calls the allocator only as the standard library
+/// starts and ends it.  Batches that crossed in a channel would have the
+/// walk stage allocate and free in an arena it then keeps for later
+/// threads.
+struct Handoff {
+    queues: Mutex<Queues>,
+    filled: Condvar,
+    emptied: Condvar,
+}
+
+struct Queues {
+    filled: VecDeque<MissBatch>,
+    emptied: Vec<Vec<Miss>>,
+    /// The TLB stage sends no more batches: it finished, faulted or
+    /// panicked.
+    tlb_done: bool,
+    /// The walk stage takes no more batches: it panicked.
+    walk_done: bool,
+}
+
+impl Handoff {
+    fn new() -> Self {
+        Handoff {
+            queues: Mutex::new(Queues {
+                filled: VecDeque::with_capacity(BATCH_BUFFERS),
+                emptied: (0..BATCH_BUFFERS)
+                    .map(|_| Vec::with_capacity(MISS_BATCH))
+                    .collect(),
+                tlb_done: false,
+                walk_done: false,
+            }),
+            filled: Condvar::new(),
+            emptied: Condvar::new(),
+        }
+    }
+
+    /// Every critical section leaves the queues consistent, so a stage that
+    /// panicked elsewhere leaves nothing to repair.
+    fn lock(&self) -> MutexGuard<'_, Queues> {
+        self.queues.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// An empty buffer for the TLB stage, or `None` once the walk stage is
+    /// gone.  Yields the core to the walk stage while it waits, and sleeps
+    /// only after [`YIELDS_BEFORE_SLEEP`] yields.
+    fn take_empty(&self) -> Option<Vec<Miss>> {
+        let mut yields = 0;
+        let mut queues = self.lock();
+        loop {
+            if queues.walk_done {
+                return None;
+            }
+            if let Some(buffer) = queues.emptied.pop() {
+                return Some(buffer);
+            }
+            if yields < YIELDS_BEFORE_SLEEP {
+                yields += 1;
+                drop(queues);
+                std::thread::yield_now();
+                queues = self.lock();
+            } else {
+                queues = self
+                    .emptied
+                    .wait(queues)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+        }
+    }
+
+    fn send(&self, batch: MissBatch) {
+        self.lock().filled.push_back(batch);
+        self.filled.notify_one();
+    }
+
+    /// The next batch for the walk stage, or `None` once the TLB stage is
+    /// done and every batch it sent is taken.
+    fn recv(&self) -> Option<MissBatch> {
+        let mut queues = self.lock();
+        loop {
+            if let Some(batch) = queues.filled.pop_front() {
+                return Some(batch);
+            }
+            if queues.tlb_done {
+                return None;
+            }
+            queues = self
+                .filled
+                .wait(queues)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    fn give_back(&self, mut misses: Vec<Miss>) {
+        misses.clear();
+        self.lock().emptied.push(misses);
+        self.emptied.notify_one();
+    }
+}
+
+/// Marks one stage done when dropped, also while its thread unwinds, so
+/// the other stage never waits on it forever.
+struct Hangup<'a> {
+    handoff: &'a Handoff,
+    tlb_stage: bool,
+}
+
+impl Drop for Hangup<'_> {
+    fn drop(&mut self) {
+        let mut queues = self.handoff.lock();
+        if self.tlb_stage {
+            queues.tlb_done = true;
+        } else {
+            queues.walk_done = true;
+        }
+        drop(queues);
+        self.handoff.filled.notify_all();
+        self.handoff.emptied.notify_all();
+    }
+}
+
+/// Where a 2 MiB region's leaf entries live, as [`LeafTables`] remembers it.
+#[derive(Debug, Clone, Copy)]
+struct Leaf {
+    slot: PtSlot,
+    level: Level,
+    size: PageSize,
+}
+
+/// The pipelined TLB stage's page-table lookups.  A proven segment's
+/// tables stay fixed, so the table holding each 2 MiB region's leaf entries
+/// is found by one full lookup and remembered for the rest of the segment;
+/// later fills in the region read one entry.  The lookup also sets the
+/// entry's accessed/dirty bits, while its cache line is at hand, so the
+/// walk stage need not touch the leaf at all.
+struct LeafTables<'a> {
+    store: &'a PtStore,
+    /// The CR3 the remembered tables hang off.
+    root: Option<FrameId>,
+    /// Index of the first remembered 2 MiB region of the address space.
+    first: u64,
+    leaves: Vec<Option<Leaf>>,
+}
+
+impl<'a> LeafTables<'a> {
+    /// Lookups that remember the regions of `[region, region + bound)`.
+    fn new(store: &'a PtStore, region: VirtAddr, bound: u64) -> Self {
+        let shift = Level::L2.index_shift();
+        let first = region.as_u64() >> shift;
+        let last = (region.as_u64() + bound.max(1) - 1) >> shift;
+        LeafTables {
+            store,
+            root: None,
+            first,
+            leaves: vec![None; (last - first + 1) as usize],
+        }
+    }
+
+    /// The translation a walk of `addr` from `root` finds, or `None` where
+    /// that walk faults: what [`Mmu::access`] fills the TLBs with when the
+    /// paging-structure caches agree with the tables.  Like that walk, a
+    /// lookup that translates sets the leaf's accessed bit, and for a store
+    /// its dirty bit.
+    #[inline]
+    fn lookup_and_mark(
+        &mut self,
+        root: FrameId,
+        addr: VirtAddr,
+        is_write: bool,
+    ) -> Option<Translation> {
+        if self.root != Some(root) {
+            self.root = Some(root);
+            self.leaves.fill(None);
+        }
+        let region = (addr.as_u64() >> Level::L2.index_shift()).wrapping_sub(self.first);
+        let remembered = usize::try_from(region)
+            .ok()
+            .and_then(|index| self.leaves.get_mut(index));
+        let (slot, translation) = match remembered {
+            Some(Some(Leaf { slot, level, size })) => {
+                let pte = self.store.read_at(*slot, addr.index_at(*level));
+                if !pte.is_present() {
+                    return None;
+                }
+                let translation = Translation {
+                    frame: pte.frame()?,
+                    size: *size,
+                    pte,
+                    level: *level,
+                };
+                (*slot, translation)
+            }
+            unknown => {
+                let (table, translation) = translate_entry(self.store, root, addr)?;
+                let slot = self.store.slot(table);
+                if let Some(leaf) = unknown {
+                    *leaf = Some(Leaf {
+                        slot,
+                        level: translation.level,
+                        size: translation.size,
+                    });
+                }
+                (slot, translation)
+            }
+        };
+        if is_write && !translation.pte.flags().writable {
+            return None;
+        }
+        let index = addr.index_at(translation.level);
+        self.store.mark_accessed_at(slot, index, is_write);
+        Some(translation)
+    }
+}
+
+/// The pipelined schedule's per-access function on the TLB stage: charges
+/// one access's compute cycles, probes the thread's TLBs, and on a miss
+/// fills them from [`LeafTables`] and queues the miss for the walk stage;
+/// then charges the data access.  A fault returns the faulting address.
+/// It touches no observer — the lint rule `observer-in-hot-loop` holds it
+/// to that.
+#[inline(always)]
+fn tlb_step(
+    access: Access,
+    tlbs: &mut TlbHalf,
+    totals: &mut ThreadTotals,
+    leaves: &mut LeafTables<'_>,
+    phase: &ThreadPhase,
+    ctx: AccessCtx<'_>,
+    misses: &mut Vec<Miss>,
+) -> Result<(), VirtAddr> {
+    let addr = VirtAddr::new(ctx.region + (access.offset & !0x7));
+    totals.compute += ctx.compute_cycles;
+    let frame = match tlbs.probe(addr, access.is_write) {
+        Some(hit) => {
+            totals.translation += hit.penalty;
+            hit.frame
+        }
+        None => {
+            let leaf = leaves
+                .lookup_and_mark(phase.cr3, addr, access.is_write)
+                .ok_or(addr)?;
+            tlbs.fill(addr, &leaf);
+            misses.push(Miss {
+                addr,
+                is_write: access.is_write,
+                leaf,
+            });
+            leaf.frame_for(addr)
+        }
+    };
+    totals.data += phase.data_cost[ctx.frame_space.socket_of(frame).index()];
+    Ok(())
+}
+
+/// The pipelined schedule's per-miss function on the walk stage: walks one
+/// TLB miss through the thread's paging-structure caches, the socket's
+/// page-table-line cache and the cost model, down to the leaf entry the
+/// TLB stage already read and marked ([`WalkHalf::walk_known_leaf`]).  The
+/// walk's cycles and counters stay in its walk half.  It touches no
+/// observer — the lint rule `observer-in-hot-loop` holds it to that.
+#[inline(always)]
+fn walk_step(
+    miss: Miss,
+    walks: &mut WalkHalf,
+    pte_cache: &mut PteCache,
+    phase: &ThreadPhase,
+    tables: Tables<'_>,
+) {
+    let walk = walks.walk_known_leaf(
+        miss.addr,
+        miss.is_write,
+        &miss.leaf,
+        phase.cr3,
+        tables.store,
+        tables.frames,
+        &phase.cost,
+        pte_cache,
+    );
+    debug_assert_eq!(walk.translation, Some(miss.leaf), "a proven walk diverged");
+}
+
+/// The walk stage of a pipelined segment: every thread's walk half and the
+/// socket's page-table-line cache, owned by the stage's host thread while
+/// the segment runs.
+struct WalkStage {
+    walks: Vec<WalkHalf>,
+    pte_cache: PteCache,
+    /// Per thread, its walk counters at each of its chunk ends (sampling
+    /// only), with room for every edge reserved up front.
+    snaps: Vec<Vec<WalkStats>>,
+}
+
+impl WalkStage {
+    /// Walks every batch the TLB stage sends, in order, until it is done,
+    /// and hands each emptied buffer back.
+    fn run(
+        &mut self,
+        handoff: &Handoff,
+        tables: Tables<'_>,
+        states: &[Option<ThreadPhase>],
+        sampling: bool,
+    ) {
+        let _hangup = Hangup {
+            handoff,
+            tlb_stage: false,
+        };
+        while let Some(batch) = handoff.recv() {
+            let walks = &mut self.walks[batch.thread];
+            let phase = states[batch.thread].as_ref().expect("phases derived first");
+            for &miss in &batch.misses {
+                walk_step(miss, walks, &mut self.pte_cache, phase, tables);
+            }
+            if sampling && batch.chunk_end {
+                self.snaps[batch.thread].push(*walks.stats());
+            }
+            handoff.give_back(batch.misses);
+        }
+    }
+}
+
+/// Runs the TLB stage of a pipelined segment on the calling thread: every
+/// thread in thread order over the segment's chunks, exactly as the serial
+/// path would, sending each thread's misses to the walk stage in batches
+/// that end at its chunk ends.  Returns early, without error, if the walk
+/// stage is gone: it panicked, and joining it re-raises the panic.
+fn run_tlb_stage<S: AccessSource>(
+    segment: &mut ParallelSegment<'_, S>,
+    tlbs: &mut [TlbHalf],
+    leaves: &mut LeafTables<'_>,
+    ctx: AccessCtx<'_>,
+    handoff: &Handoff,
+) -> Result<(), MitosisError> {
+    let _hangup = Hangup {
+        handoff,
+        tlb_stage: true,
+    };
+    let sources = segment.sources.iter_mut();
+    for (thread, (source, tlbs)) in sources.zip(tlbs.iter_mut()).enumerate() {
+        let totals = &mut segment.totals[thread];
+        let phase = segment.states[thread]
+            .as_ref()
+            .expect("phases derived first");
+        let mut chunk_start = segment.segment_start;
+        for (edge_index, &edge) in segment.edges.iter().enumerate() {
+            let Some(mut misses) = handoff.take_empty() else {
+                return Ok(());
+            };
+            for index in chunk_start..edge {
+                let access = source.next_access();
+                if let Err(addr) = tlb_step(access, tlbs, totals, leaves, phase, ctx, &mut misses) {
+                    return Err(MitosisError::SplitFault {
+                        thread,
+                        access: index,
+                        addr,
+                    });
+                }
+                if misses.len() == MISS_BATCH {
+                    let Some(next) = handoff.take_empty() else {
+                        return Ok(());
+                    };
+                    handoff.send(MissBatch {
+                        thread,
+                        misses: std::mem::replace(&mut misses, next),
+                        chunk_end: false,
+                    });
+                }
+            }
+            handoff.send(MissBatch {
+                thread,
+                misses,
+                chunk_end: true,
+            });
+            chunk_start = edge;
+            if let Some(snaps) = segment.edge_snaps.get_mut(edge_index) {
+                snaps[thread] = (*totals, *tlbs.stats());
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Runs a one-thread segment proven fault-free as a two-stage pipeline: the
+/// calling thread probes and fills the TLBs and charges data cycles
+/// ([`run_tlb_stage`]), one scoped thread walks the misses in order
+/// ([`WalkStage`]).  Each stage owns its half of every MMU for the segment
+/// — the walk stage also the socket's page-table-line cache — and the
+/// halves rejoin when the segment ends, also when the TLB stage faults, so
+/// the caller can return every MMU to the pool.  The walk cycles then merge
+/// into the threads' totals and interval snapshots.
+fn run_pipelined<S: AccessSource>(
+    pte_caches: &mut PteCacheSet,
+    tables: Tables<'_>,
+    ctx: AccessCtx<'_>,
+    region: VirtAddr,
+    mut segment: ParallelSegment<'_, S>,
+) -> Result<(), MitosisError> {
+    let socket = segment.threads[0].socket;
+    let bound = segment
+        .sources
+        .iter()
+        .filter_map(AccessSource::offset_bound)
+        .max()
+        .unwrap_or(0);
+    let mut leaves = LeafTables::new(tables.store, region, bound);
+    let sampling = !segment.edge_snaps.is_empty();
+    let (mut tlbs, walks): (Vec<TlbHalf>, Vec<WalkHalf>) = std::mem::take(segment.mmus)
+        .into_iter()
+        .map(Mmu::into_halves)
+        .unzip();
+    // Walk cycles the threads had already spent before this segment.
+    let walked: Vec<Cycles> = walks
+        .iter()
+        .map(|walks| walks.stats().walk_cycles)
+        .collect();
+    let mut stage = WalkStage {
+        snaps: (0..walks.len())
+            .map(|_| Vec::with_capacity(segment.edge_snaps.len()))
+            .collect(),
+        walks,
+        pte_cache: std::mem::replace(pte_caches.socket(socket), PteCache::new(0)),
+    };
+    let states = segment.states;
+    let handoff = Handoff::new();
+    let result = std::thread::scope(|scope| {
+        let walk_stage = &mut stage;
+        let handoff = &handoff;
+        let walker = scope.spawn(move || walk_stage.run(handoff, tables, states, sampling));
+        let result = run_tlb_stage(&mut segment, &mut tlbs, &mut leaves, ctx, handoff);
+        // The walk stage still drains the batches in flight.  Yield until it
+        // is done rather than sleep in `join` (see `YIELDS_BEFORE_SLEEP`).
+        while !walker.is_finished() {
+            std::thread::yield_now();
+        }
+        walker
+            .join()
+            .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+        result
+    });
+    *pte_caches.socket(socket) = stage.pte_cache;
+    *segment.mmus = tlbs
+        .into_iter()
+        .zip(stage.walks)
+        .map(|(tlbs, walks)| Mmu::from_halves(tlbs, walks))
+        .collect();
+    result?;
+    for (thread, totals) in segment.totals.iter_mut().enumerate() {
+        totals.translation += segment.mmus[thread].walks().stats().walk_cycles - walked[thread];
+    }
+    for (edge_index, snaps) in segment.edge_snaps.iter_mut().enumerate() {
+        for (thread, (totals, mmu)) in snaps.iter_mut().enumerate() {
+            let walk = &stage.snaps[thread][edge_index];
+            totals.translation += walk.walk_cycles - walked[thread];
+            *mmu = mmu.joined(walk);
+        }
+    }
+    Ok(())
 }
 
 /// Replays workload access streams against a [`System`].
@@ -717,8 +1252,8 @@ impl ExecutionEngine {
         match self.execute(system, &mut Mitosis::new(), pid, region, run) {
             Ok(outcome) => Ok(outcome.completed()),
             Err(MitosisError::Vm(vm)) => Err(vm),
-            // Live streams report exact offset bounds, so a split segment
-            // cannot fault either.
+            // Live streams report exact offset bounds, so a split or
+            // pipelined segment cannot fault either.
             Err(other) => {
                 unreachable!("an empty schedule over live streams raises only VM errors: {other}")
             }
@@ -808,27 +1343,49 @@ impl ExecutionEngine {
     /// cache, so within a group a segment runs thread by thread in thread
     /// order (lowest index first).  Groups share only the page tables'
     /// accessed/dirty bits, which the walker sets with an order-independent
-    /// atomic OR, as long as nothing faults.  So at each segment start with
-    /// two or more socket groups the engine tries to prove the segment
-    /// fault-free:
+    /// atomic OR, as long as nothing faults.  So at each segment start the
+    /// engine tries to prove the segment fault-free:
     ///
     /// * every source reports an upper bound on the offsets it can still
-    ///   yield ([`AccessSource::offset_bound`]), and
+    ///   yield ([`AccessSource::offset_bound`]),
     /// * every CR3 the threads load maps `[region, region + bound)` with
     ///   present, writable leaves — checked table by table from the page
-    ///   tables' entry bitmaps ([`check_writable_range`]).
+    ///   tables' entry bitmaps ([`check_writable_range`]) — and
+    /// * every thread's paging-structure caches agree with the tables from
+    ///   its CR3 ([`WalkHalf::agrees_with`]), so each walk translates as a
+    ///   software lookup of the tables does.
     ///
-    /// A proven segment runs each socket group on its own host thread:
-    /// the calling thread runs the first group, one scoped thread runs each
-    /// further group, and each group owns its MMUs, cycle totals and its
-    /// socket's page-table-line cache while it runs.  Every other segment
-    /// runs serially on the calling thread.  Either way the metrics are
-    /// bit-identical; the choice depends only on the socket groups, the
-    /// sources' bounds and the page tables, never on the host.
+    /// A proven segment runs on several host threads, in one of two
+    /// schedules:
+    ///
+    /// * **Split**, with two or more socket groups: the calling thread runs
+    ///   the first group, one scoped thread runs each further group, and
+    ///   each group owns its MMUs, cycle totals and its socket's
+    ///   page-table-line cache while it runs.
+    /// * **Pipelined**, with one thread: the calling thread draws
+    ///   every access, probes and fills the TLBs and charges compute and
+    ///   data cycles; one scoped thread walks the TLB misses in order
+    ///   through the paging-structure caches, the socket's page-table-line
+    ///   cache and the cost model.  A fill comes from a software lookup of
+    ///   the fixed tables (each 2 MiB region's leaf table remembered for
+    ///   the segment), which also sets the leaf's accessed/dirty bits; the
+    ///   misses cross to the walk stage in bounded batches.  Each stage
+    ///   owns its half of every MMU ([`Mmu::into_halves`]) and its
+    ///   counters, which join when the segment ends.
+    ///
+    /// Every other segment runs serially on the calling thread, among them
+    /// one socket group of several threads
+    /// ([`SerialReason::SharedSocket`]).  In every
+    /// schedule the metrics, interval samples, accessed/dirty bits and
+    /// page-table-line cache counters are bit-identical; the choice depends
+    /// only on the socket groups, the sources' bounds, the page tables and
+    /// the MMUs' cached entries, never on the host.
     /// [`ExecutionEngine::last_split`] reports what happened.  A fault in a
-    /// split segment — possible only if a source under-reports its bound —
-    /// stops the run with [`MitosisError::SplitFault`] naming the thread,
-    /// access index and address; the serial path demand-pages instead.
+    /// split or pipelined segment — possible only if a source under-reports
+    /// its bound — stops the run with [`MitosisError::SplitFault`] naming
+    /// the thread, access index and address; the serial path demand-pages
+    /// instead.  A source that panics mid-segment re-raises on the calling
+    /// thread once the segment's other host threads have stopped.
     ///
     /// A thread filter at or beyond `threads.len()` applies the change to
     /// the system without any local thread observing it (see
@@ -849,9 +1406,13 @@ impl ExecutionEngine {
     ///
     /// # Errors
     ///
-    /// Propagates page-fault handling errors (demand paging during the
-    /// measured phase is allowed and counted) and event application errors;
-    /// returns [`MitosisError::SplitFault`] as described above.
+    /// Returns [`MitosisError::InvalidRun`], before anything runs, for a
+    /// source count other than the placements', a `resume` checkpoint taken
+    /// with another thread count, or a `stop_at` before the resume point or
+    /// at or past `accesses_per_thread`.  Propagates page-fault handling
+    /// errors (demand paging during the measured phase is allowed and
+    /// counted) and event application errors; returns
+    /// [`MitosisError::SplitFault`] as described above.
     pub fn execute<S: AccessSource + Send>(
         &mut self,
         system: &mut System,
@@ -869,35 +1430,31 @@ impl ExecutionEngine {
             resume,
             stop_at,
         } = run;
-        assert_eq!(
-            threads.len(),
-            sources.len(),
-            "one access source per thread placement"
-        );
-        let start_access = resume.map_or(0, |checkpoint| checkpoint.at);
-        if resume.is_none() {
-            self.shootdowns = ShootdownStats::default();
-            self.split = SplitStats::default();
+        let invalid = |reason| Err(MitosisError::InvalidRun { reason });
+        if threads.len() != sources.len() {
+            return invalid("one access source per thread placement");
         }
-        if let Some(checkpoint) = resume {
-            assert_eq!(
-                checkpoint.mmus.len(),
-                threads.len(),
-                "checkpoint was taken with a different thread count"
-            );
+        if resume.is_some_and(|checkpoint| checkpoint.mmus.len() != threads.len()) {
+            return invalid("the checkpoint was taken with a different thread count");
+        }
+        let start_access = resume.map_or(0, |checkpoint| checkpoint.at);
+        match stop_at {
+            Some(stop) if stop < start_access => {
+                return invalid("the stop boundary precedes the resume point")
+            }
+            Some(stop) if stop >= accesses_per_thread => {
+                return invalid("the stop boundary must lie strictly inside the run")
+            }
+            _ => {}
+        }
+        match resume {
             // Machine-level cache state is part of the checkpoint: restore
             // the per-socket page-table-line caches the paused run warmed.
-            self.pte_caches = checkpoint.pte_caches.clone();
-        }
-        if let Some(stop) = stop_at {
-            assert!(
-                stop >= start_access,
-                "stop boundary precedes the resume point"
-            );
-            assert!(
-                stop < accesses_per_thread,
-                "stop boundary must lie strictly inside the run"
-            );
+            Some(checkpoint) => self.pte_caches = checkpoint.pte_caches.clone(),
+            None => {
+                self.shootdowns = ShootdownStats::default();
+                self.split = SplitStats::default();
+            }
         }
         let frame_space = system.pt_env().alloc.frame_space().clone();
         let ctx = AccessCtx {
@@ -947,7 +1504,7 @@ impl ExecutionEngine {
                         prev: totals
                             .iter()
                             .zip(&mmus)
-                            .map(|(thread_totals, mmu)| (*thread_totals, *mmu.stats()))
+                            .map(|(thread_totals, mmu)| (*thread_totals, mmu.stats()))
                             .collect(),
                         next_index: 0,
                         start: start_access,
@@ -1039,30 +1596,41 @@ impl ExecutionEngine {
                         });
                     }
 
-                    let proof = (groups.len() >= 2).then(|| {
-                        prove_fault_free(&system.pt_env().store, region, sources, &states)
-                    });
-                    if let Some(Err(reason)) = proof {
+                    let proof =
+                        prove_fault_free(&system.pt_env().store, region, sources, &states, &mmus)
+                            .and(match groups.as_slice() {
+                                [group] if group.len() > 1 => Err(SerialReason::SharedSocket {
+                                    threads: group.len(),
+                                }),
+                                _ => Ok(()),
+                            });
+                    if let Err(reason) = proof {
                         self.split.last_serial_reason = Some(reason);
                     }
-                    if proof == Some(Ok(())) {
+                    let segment = ParallelSegment {
+                        groups: &groups,
+                        threads,
+                        sources: &mut *sources,
+                        states: &states,
+                        mmus: &mut mmus,
+                        totals: &mut totals,
+                        segment_start,
+                        edges: &edges,
+                        edge_snaps: &mut edge_snaps,
+                    };
+                    if proof.is_ok() && groups.len() >= 2 {
                         self.split.split_segments += 1;
                         self.split.threads_spawned += groups.len() as u64 - 1;
-                        run_split(
+                        run_split(&mut self.pte_caches, Tables::of(system), ctx, segment)?;
+                    } else if proof.is_ok() && groups.len() == 1 {
+                        self.split.pipelined_segments += 1;
+                        self.split.threads_spawned += 1;
+                        run_pipelined(
                             &mut self.pte_caches,
                             Tables::of(system),
                             ctx,
-                            SplitSegment {
-                                groups: &groups,
-                                threads,
-                                sources: &mut *sources,
-                                states: &states,
-                                mmus: &mut mmus,
-                                totals: &mut totals,
-                                segment_start,
-                                edges: &edges,
-                                edge_snaps: &mut edge_snaps,
-                            },
+                            region,
+                            segment,
                         )?;
                     } else {
                         self.split.serial_segments += 1;
@@ -1125,7 +1693,7 @@ impl ExecutionEngine {
                                 }
                                 chunk_start = edge;
                                 if sampling {
-                                    edge_snaps[edge_index][index] = (*totals, *mmu.stats());
+                                    edge_snaps[edge_index][index] = (*totals, mmu.stats());
                                 }
                             }
                         }
@@ -1261,7 +1829,7 @@ impl ExecutionEngine {
                 totals.data,
                 totals.translation,
                 accesses_per_thread,
-                mmu.stats(),
+                &mmu.stats(),
                 totals.demand_faults,
             );
         }
@@ -1501,6 +2069,133 @@ mod tests {
             2,
             "a failing split run must return every MMU to the pool"
         );
+
+        // So does a pipelined one: a single socket's lying source faults
+        // in the TLB stage, and both halves of its MMU come back.
+        let single = ExecutionEngine::one_thread_per_socket(&system, &[SocketId::new(0)]);
+        let mut sources: Vec<Lying> = ExecutionEngine::thread_streams(&spec, &params, 1)
+            .into_iter()
+            .map(Lying)
+            .collect();
+        let run = RunSpec {
+            spec: &spec,
+            threads: &single,
+            accesses_per_thread: params.accesses_per_thread,
+            sources: &mut sources,
+            schedule: &PhaseSchedule::new(),
+            resume: None,
+            stop_at: None,
+        };
+        let mut engine = ExecutionEngine::new(&system);
+        let err = engine
+            .execute(&mut system, &mut Mitosis::new(), pid, region, run)
+            .unwrap_err();
+        assert!(
+            matches!(err, MitosisError::SplitFault { thread: 0, .. }),
+            "{err}"
+        );
+        assert_eq!(engine.last_split().pipelined_segments, 1);
+        assert_eq!(
+            engine.mmu_pool.len(),
+            1,
+            "a failing pipelined run must return its MMU to the pool"
+        );
+        engine.reset();
+        let (mut system, pid, region, spec) = setup(&params);
+        let after = engine
+            .run(&mut system, pid, &spec, region, &single, &params)
+            .unwrap();
+        assert_eq!(after, baseline, "the rejoined MMU reproduces a fresh one");
+    }
+
+    /// Runs a one-thread span over `sources` bounded by `resume` and
+    /// `stop_at`, and returns the reason the engine refused it.
+    fn invalid_run(
+        sources: usize,
+        resume: Option<&EngineCheckpoint>,
+        stop_at: Option<u64>,
+    ) -> &'static str {
+        let params = quick();
+        let (mut system, pid, region, spec) = setup(&params);
+        let threads = ExecutionEngine::one_thread_per_socket(&system, &[SocketId::new(0)]);
+        let mut streams = ExecutionEngine::thread_streams(&spec, &params, sources);
+        let run = RunSpec {
+            spec: &spec,
+            threads: &threads,
+            accesses_per_thread: params.accesses_per_thread,
+            sources: &mut streams,
+            schedule: &PhaseSchedule::new(),
+            resume,
+            stop_at,
+        };
+        let mut engine = ExecutionEngine::new(&system);
+        match engine.execute(&mut system, &mut Mitosis::new(), pid, region, run) {
+            Err(MitosisError::InvalidRun { reason }) => reason,
+            other => panic!("expected an invalid run, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_source_count_other_than_the_placements_is_an_invalid_run() {
+        assert!(invalid_run(2, None, None).contains("one access source per thread"));
+    }
+
+    #[test]
+    fn a_checkpoint_of_another_thread_count_is_an_invalid_run() {
+        let params = quick();
+        let (mut system, pid, region, spec) = setup(&params);
+        let pair =
+            ExecutionEngine::one_thread_per_socket(&system, &[SocketId::new(0), SocketId::new(1)]);
+        let mut streams = ExecutionEngine::thread_streams(&spec, &params, 2);
+        let run = RunSpec {
+            spec: &spec,
+            threads: &pair,
+            accesses_per_thread: params.accesses_per_thread,
+            sources: &mut streams,
+            schedule: &PhaseSchedule::new(),
+            resume: None,
+            stop_at: Some(10),
+        };
+        let mut engine = ExecutionEngine::new(&system);
+        let SpanOutcome::Paused(checkpoint) = engine
+            .execute(&mut system, &mut Mitosis::new(), pid, region, run)
+            .unwrap()
+        else {
+            panic!("a stop inside the run pauses it");
+        };
+        assert!(invalid_run(1, Some(&checkpoint), None).contains("different thread count"));
+    }
+
+    #[test]
+    fn a_stop_before_the_resume_point_is_an_invalid_run() {
+        let params = quick();
+        let (mut system, pid, region, spec) = setup(&params);
+        let threads = ExecutionEngine::one_thread_per_socket(&system, &[SocketId::new(0)]);
+        let mut streams = ExecutionEngine::thread_streams(&spec, &params, 1);
+        let run = RunSpec {
+            spec: &spec,
+            threads: &threads,
+            accesses_per_thread: params.accesses_per_thread,
+            sources: &mut streams,
+            schedule: &PhaseSchedule::new(),
+            resume: None,
+            stop_at: Some(10),
+        };
+        let SpanOutcome::Paused(checkpoint) = ExecutionEngine::new(&system)
+            .execute(&mut system, &mut Mitosis::new(), pid, region, run)
+            .unwrap()
+        else {
+            panic!("a stop inside the run pauses it");
+        };
+        assert!(invalid_run(1, Some(&checkpoint), Some(9)).contains("precedes the resume point"));
+    }
+
+    #[test]
+    fn a_stop_at_or_past_the_end_is_an_invalid_run() {
+        let end = quick().accesses_per_thread;
+        for stop in [end, end + 1] {
+            assert!(invalid_run(1, None, Some(stop)).contains("strictly inside the run"));
+        }
     }
 
     #[test]

@@ -112,7 +112,14 @@ impl From<MitosisError> for ReplayError {
 }
 
 /// An [`AccessSource`] feeding a captured lane to the execution engine.
+///
+/// Aligned to 128 bytes for the reason [`AccessStream`] is: replay keeps
+/// its cursors side by side, and a split segment advances them on
+/// different host threads.
+///
+/// [`AccessStream`]: mitosis_workloads::AccessStream
 #[derive(Debug, Clone)]
+#[repr(align(128))]
 pub struct LaneCursor<'a> {
     accesses: &'a [Access],
     position: usize,

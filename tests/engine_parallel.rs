@@ -1,17 +1,19 @@
-//! A segment split across socket groups equals the same segment run
-//! serially.
+//! A segment split across socket groups, or pipelined, equals the same
+//! segment run serially.
 //!
 //! `ExecutionEngine::execute` runs each socket group of a segment it has
-//! proven fault-free on its own host thread.  The reference for every run
-//! here is the same run with each access source wrapped so that it reports
-//! no offset bound, which forces the serial path.  The property test
-//! sweeps socket and thread layouts, replication, THP, write fractions,
-//! interval sampling and a pause/resume at an arbitrary access, and
-//! compares everything a run leaves behind: metrics, interval samples,
-//! every root's leaf entries (accessed and dirty bits included) and the
-//! per-socket page-table-line cache counters.  The adversarial tests pin
-//! the layouts that must stay serial and the typed error a lying source
-//! produces.
+//! proven fault-free on its own host thread, and a proven segment with one
+//! thread as a pipeline: TLBs on the calling thread, page walks on a
+//! second; several threads on one socket stay serial.  The reference for every run here is the same run with each
+//! access source wrapped so that it reports no offset bound, which forces
+//! the serial path.  The property test sweeps socket and thread layouts
+//! (one socket included), replication, THP, write fractions, interval
+//! sampling and a pause/resume at an arbitrary access, and compares
+//! everything a run leaves behind: metrics, interval samples, every root's
+//! leaf entries (accessed and dirty bits included) and the per-socket
+//! page-table-line cache counters.  The adversarial tests pin the layouts
+//! that must stay serial, the typed error a lying source produces and the
+//! panic a failing source raises.
 
 use mitosis::{Mitosis, MitosisError};
 use mitosis_mem::FrameId;
@@ -27,6 +29,7 @@ use mitosis_workloads::{
     Access, AccessPattern, AccessSource, AccessStream, InitPattern, Scenario, WorkloadSpec,
 };
 use proptest::prelude::*;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 const FOOTPRINT: u64 = 16 << 20;
@@ -277,11 +280,11 @@ fn split_and_reference(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+    #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
     fn split_segments_equal_the_forced_serial_reference(
-        sockets in 2u16..5,
+        sockets in 1u16..5,
         per_socket in 1usize..4,
         flags in (any::<bool>(), any::<bool>(), any::<bool>(), any::<bool>()),
         pause in 1u64..ACCESSES,
@@ -310,16 +313,30 @@ proptest! {
         prop_assert_eq!(&split.pte_cache_counts, &serial.pte_cache_counts);
         prop_assert_eq!(split.intervals.is_empty(), !sampling);
 
-        // Every segment of the premapped region splits; the reference never.
-        prop_assert_eq!(split_stats.serial_segments, 0);
-        prop_assert!(split_stats.split_segments >= 2);
-        prop_assert_eq!(
-            split_stats.threads_spawned,
-            split_stats.split_segments * (u64::from(sockets) - 1)
-        );
-        prop_assert_eq!(split_stats.last_serial_reason, None);
+        // Every segment of the premapped region splits, or with one thread
+        // on one socket pipelines; several threads on one socket stay
+        // serial, and the reference never leaves the calling thread.
         prop_assert_eq!(serial_stats.split_segments, 0);
-        prop_assert_eq!(serial_stats.serial_segments, split_stats.split_segments);
+        prop_assert_eq!(serial_stats.pipelined_segments, 0);
+        prop_assert_eq!(serial_stats.threads_spawned, 0);
+        if sockets == 1 && per_socket > 1 {
+            prop_assert_eq!(split_stats, serial_stats_with(
+                serial_stats.serial_segments,
+                SerialReason::SharedSocket { threads: per_socket },
+            ));
+        } else {
+            let (parallel, other, spawned_each) = if sockets == 1 {
+                (split_stats.pipelined_segments, split_stats.split_segments, 1)
+            } else {
+                (split_stats.split_segments, split_stats.pipelined_segments, u64::from(sockets) - 1)
+            };
+            prop_assert_eq!(split_stats.serial_segments, 0);
+            prop_assert_eq!(other, 0);
+            prop_assert!(parallel >= 2);
+            prop_assert_eq!(split_stats.threads_spawned, parallel * spawned_each);
+            prop_assert_eq!(split_stats.last_serial_reason, None);
+            prop_assert_eq!(serial_stats.serial_segments, parallel);
+        }
         prop_assert_eq!(
             serial_stats.last_serial_reason,
             Some(SerialReason::UnboundedSource { thread: 0 })
@@ -327,19 +344,31 @@ proptest! {
     }
 }
 
-/// Runs a 2-socket layout that must stay serial, checks it matched the
-/// forced-serial reference, and returns why it did not split.
-fn serial_reason(populate: bool, mutate: impl Fn(&mut Built)) -> SerialReason {
-    let layout = Layout::new(2, 1);
+/// The report of a run whose `segments` segments all ran serially, the
+/// last for `reason`.
+fn serial_stats_with(segments: u64, reason: SerialReason) -> SplitStats {
+    SplitStats {
+        serial_segments: segments,
+        last_serial_reason: Some(reason),
+        ..SplitStats::default()
+    }
+}
+
+/// Runs a layout of `sockets` sockets, one thread each, that must stay
+/// serial, checks it matched the forced-serial reference, and returns why
+/// it did not split or pipeline.
+fn serial_reason(sockets: u16, populate: bool, mutate: impl Fn(&mut Built)) -> SerialReason {
+    let layout = Layout::new(sockets, 1);
     let ((outcome, stats), (reference, _)) =
         split_and_reference(&layout, &PhaseSchedule::new(), populate, mutate);
     assert_eq!(outcome, reference);
     assert_eq!(stats.split_segments, 0);
+    assert_eq!(stats.pipelined_segments, 0);
     assert_eq!(stats.serial_segments, 1);
     assert_eq!(stats.threads_spawned, 0);
     stats
         .last_serial_reason
-        .expect("a two-group segment that ran serially says why")
+        .expect("a segment that ran serially says why")
 }
 
 /// The address of 4 KiB page `index` of the region every layout maps.
@@ -350,17 +379,19 @@ fn page(index: u64) -> VirtAddr {
 
 #[test]
 fn a_lazy_region_runs_serially() {
-    assert_eq!(
-        serial_reason(false, |_| {}),
-        SerialReason::NotPresent { addr: page(0) }
-    );
+    for sockets in [1, 2] {
+        assert_eq!(
+            serial_reason(sockets, false, |_| {}),
+            SerialReason::NotPresent { addr: page(0) }
+        );
+    }
 }
 
 #[test]
 fn one_unpopulated_page_runs_serially() {
     // Populate everything, then punch one page out and map it back lazily.
     let hole = page(FOOTPRINT / PageSize::Base4K.bytes() / 2 + 3);
-    let reason = serial_reason(true, |built| {
+    let reason = serial_reason(2, true, |built| {
         let len = PageSize::Base4K.bytes();
         built.system.munmap(built.pid, hole, len).expect("munmap");
         built
@@ -374,7 +405,7 @@ fn one_unpopulated_page_runs_serially() {
 #[test]
 fn a_read_only_page_runs_serially() {
     let protected = page(17);
-    let reason = serial_reason(true, |built| {
+    let reason = serial_reason(2, true, |built| {
         built
             .system
             .mprotect(
@@ -391,41 +422,115 @@ fn a_read_only_page_runs_serially() {
 #[test]
 fn a_forked_region_runs_serially() {
     // Fork downgrades every writable leaf of the parent to copy-on-write.
-    let reason = serial_reason(true, |built| {
-        built.system.fork(built.pid).expect("fork");
-    });
-    assert_eq!(reason, SerialReason::NotWritable { addr: page(0) });
+    for sockets in [1, 2] {
+        let reason = serial_reason(sockets, true, |built| {
+            built.system.fork(built.pid).expect("fork");
+        });
+        assert_eq!(reason, SerialReason::NotWritable { addr: page(0) });
+    }
 }
 
 #[test]
 fn a_source_under_reporting_its_bound_fails_with_a_typed_error() {
     // Only the first half of the region is populated, and each source
-    // claims to stay inside it while drawing from the whole region.
-    let layout = Layout::new(2, 1);
-    let half = FOOTPRINT / 2;
-    let mut built = build(&layout, false, |built| {
-        built
-            .system
-            .populate_region(built.pid, built.region, half, SocketId::new(0))
-            .expect("populate half");
-    });
-    let err = run(
-        &layout,
-        &mut built,
-        &PhaseSchedule::new(),
-        Bound::Claimed(half),
-    )
-    .expect_err("an access past the claimed bound faults");
-    let MitosisError::SplitFault {
-        thread,
-        access,
-        addr,
-    } = err
-    else {
-        panic!("expected a split fault, got {err}");
-    };
-    assert!(thread < 2);
-    assert!(access < ACCESSES);
-    assert!(addr.as_u64() >= built.region.as_u64() + half);
-    assert!(err.to_string().contains("under-reported"));
+    // claims to stay inside it while drawing from the whole region: split
+    // across two sockets, and pipelined on one.
+    for sockets in [2, 1] {
+        let layout = Layout::new(sockets, 1);
+        let half = FOOTPRINT / 2;
+        let mut built = build(&layout, false, |built| {
+            built
+                .system
+                .populate_region(built.pid, built.region, half, SocketId::new(0))
+                .expect("populate half");
+        });
+        let err = run(
+            &layout,
+            &mut built,
+            &PhaseSchedule::new(),
+            Bound::Claimed(half),
+        )
+        .expect_err("an access past the claimed bound faults");
+        let MitosisError::SplitFault {
+            thread,
+            access,
+            addr,
+        } = err
+        else {
+            panic!("expected a split fault, got {err}");
+        };
+        assert!(thread < usize::from(sockets));
+        assert!(access < ACCESSES);
+        assert!(addr.as_u64() >= built.region.as_u64() + half);
+        assert!(err.to_string().contains("under-reported"));
+    }
+}
+
+/// An access stream that panics once it has yielded `left` accesses.
+struct GivesOut {
+    inner: AccessStream,
+    left: u64,
+}
+
+impl AccessSource for GivesOut {
+    fn next_access(&mut self) -> Access {
+        assert!(self.left > 0, "the access source gave out");
+        self.left -= 1;
+        self.inner.next_access()
+    }
+
+    fn offset_bound(&self) -> Option<u64> {
+        self.inner.offset_bound()
+    }
+}
+
+#[test]
+fn a_source_panicking_mid_segment_re_raises_on_the_caller() {
+    // The last thread's source panics halfway through a proven segment:
+    // on the pipeline's TLB stage with one socket, on a group's scoped
+    // thread with two.  Either way the panic reaches the caller, and no
+    // stage is left waiting for the other.
+    for sockets in [1, 2] {
+        let layout = Layout::new(sockets, 1);
+        let mut built = build(&layout, true, |_| {});
+        let threads = built.threads.len();
+        let mut sources: Vec<GivesOut> = (0..threads)
+            .map(|thread| GivesOut {
+                inner: AccessStream::new(&built.spec, layout.seed + thread as u64),
+                left: if thread + 1 == threads {
+                    ACCESSES / 2
+                } else {
+                    ACCESSES
+                },
+            })
+            .collect();
+        let mut engine = ExecutionEngine::new(&built.system);
+        let run = RunSpec {
+            spec: &built.spec,
+            threads: &built.threads,
+            accesses_per_thread: ACCESSES,
+            sources: &mut sources,
+            schedule: &PhaseSchedule::new(),
+            resume: None,
+            stop_at: None,
+        };
+        let payload = catch_unwind(AssertUnwindSafe(|| {
+            engine.execute(
+                &mut built.system,
+                &mut built.mitosis,
+                built.pid,
+                built.region,
+                run,
+            )
+        }))
+        .expect_err("the source's panic re-raises on the caller");
+        let message = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied())
+            .unwrap_or_default();
+        assert!(message.contains("gave out"), "{message}");
+        let stats = engine.last_split();
+        assert_eq!(stats.pipelined_segments + stats.split_segments, 1);
+    }
 }
