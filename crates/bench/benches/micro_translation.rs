@@ -217,6 +217,7 @@ fn bench_translation_throughput(c: &mut Criterion) {
     let mut mmu = Mmu::new(CoreId::new(0), SocketId::new(0));
     let mut caches = PteCacheSet::for_machine(&machine);
     let mut state = 0x9E3779B97F4A7C15u64;
+    #[expect(clippy::disallowed_methods, reason = "host throughput, not a metric")]
     let start = std::time::Instant::now();
     for _ in 0..accesses {
         state ^= state << 13;

@@ -487,12 +487,14 @@ fn report_throughput(_c: &mut Criterion) {
     // One round suffices for the CI smoke step; five for quotable numbers.
     let quick = std::env::var("MITOSIS_BENCH_QUICK").is_ok_and(|v| !v.is_empty());
     let rounds: u32 = if quick { 1 } else { 5 };
+    #[expect(clippy::disallowed_methods, reason = "host throughput, not a metric")]
     let start = std::time::Instant::now();
     for _ in 0..rounds {
         criterion::black_box(run_live());
     }
     let live = (rounds as u64 * ACCESSES) as f64 / start.elapsed().as_secs_f64();
 
+    #[expect(clippy::disallowed_methods, reason = "host throughput, not a metric")]
     let start = std::time::Instant::now();
     for _ in 0..rounds {
         criterion::black_box(cold_serial(&captured.trace, &params));

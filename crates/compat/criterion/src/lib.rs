@@ -218,6 +218,7 @@ pub struct Bencher {
 
 impl Bencher {
     /// Times `routine` called in a loop.
+    #[expect(clippy::disallowed_methods, reason = "a bench harness times the host")]
     pub fn iter<O, F: FnMut() -> O>(&mut self, mut routine: F) {
         // Warm-up: run until the warm-up budget elapses, counting
         // iterations to size the measurement batches.
@@ -245,6 +246,7 @@ impl Bencher {
 
     /// Times `routine` on inputs produced by `setup`; only `routine` is
     /// measured.
+    #[expect(clippy::disallowed_methods, reason = "a bench harness times the host")]
     pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
     where
         S: FnMut() -> I,

@@ -19,7 +19,9 @@
 //! * [`Mmu`] — the per-core front end, split into a [`TlbHalf`] (the TLBs)
 //!   and a [`WalkHalf`] (paging-structure caches and walker) that
 //!   [`Mmu::access`] composes and the execution engine can run on separate
-//!   host threads.
+//!   host threads;
+//! * [`step`] — the execution engine's per-access steps over those parts,
+//!   below the observability layer (`mitosis-obs` depends on this crate).
 //!
 //! See [`Mmu::access`] for the per-access flow and the `mitosis-sim` crate
 //! for full end-to-end examples of driving the MMU against a real page table.
@@ -32,6 +34,7 @@ mod mmu;
 mod pte_cache;
 mod pwc;
 mod stats;
+pub mod step;
 mod tlb;
 mod walker;
 

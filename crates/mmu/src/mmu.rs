@@ -360,6 +360,7 @@ impl Mmu {
     pub fn apply_shootdown(&mut self, plan: &ShootdownPlan) -> u64 {
         if plan.full_flush {
             let resident = self.tlbs.tlb.occupancy() as u64;
+            #[expect(clippy::disallowed_methods, reason = "applying a full-flush plan")]
             self.shootdown_all();
             return resident;
         }

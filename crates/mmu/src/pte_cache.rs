@@ -172,6 +172,7 @@ impl PteCacheSet {
 
     /// Resets every socket's cache between runs (engine reset).
     pub fn reset_for_run(&mut self) {
+        #[expect(clippy::disallowed_methods, reason = "a run reset, not a shootdown")]
         self.flush_all();
     }
 
@@ -180,6 +181,7 @@ impl PteCacheSet {
     /// when the plan escalated to a full flush.
     pub fn apply_shootdown(&mut self, plan: &mitosis_pt::ShootdownPlan) {
         if plan.full_flush {
+            #[expect(clippy::disallowed_methods, reason = "applying a full-flush plan")]
             self.flush_all();
             return;
         }

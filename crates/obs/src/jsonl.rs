@@ -26,6 +26,7 @@ pub struct JsonlRecorder {
 
 impl JsonlRecorder {
     /// Creates (truncating) `path` and returns a recorder streaming to it.
+    #[expect(clippy::disallowed_methods, reason = "span stamps are wall time")]
     pub fn create(path: impl AsRef<Path>) -> std::io::Result<Self> {
         let file = std::fs::File::create(path.as_ref())?;
         Ok(JsonlRecorder {

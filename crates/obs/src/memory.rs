@@ -49,6 +49,7 @@ impl Default for MemoryRecorder {
 
 impl MemoryRecorder {
     /// An empty recorder whose span timestamps are relative to now.
+    #[expect(clippy::disallowed_methods, reason = "span stamps are wall time")]
     pub fn new() -> Self {
         MemoryRecorder {
             epoch: Instant::now(),

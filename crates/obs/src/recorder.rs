@@ -130,6 +130,7 @@ pub struct SpanGuard {
 
 impl SpanGuard {
     /// A live guard reporting to `recorder` on drop.
+    #[expect(clippy::disallowed_methods, reason = "a span is wall time by design")]
     pub fn start(recorder: Arc<dyn Recorder>, name: &'static str, track: u64) -> Self {
         SpanGuard {
             inner: Some((recorder, name, track, Instant::now())),
@@ -143,6 +144,7 @@ impl SpanGuard {
 }
 
 impl Drop for SpanGuard {
+    #[expect(clippy::disallowed_methods, reason = "a span is wall time by design")]
     fn drop(&mut self) {
         if let Some((recorder, name, track, start)) = self.inner.take() {
             recorder.span(&Span {

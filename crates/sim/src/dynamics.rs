@@ -27,9 +27,10 @@
 //! not a modelling choice.
 
 use mitosis::{Mitosis, MitosisError};
+use mitosis_mem::MemError;
 use mitosis_numa::{Interference, NodeMask, SocketId};
 use mitosis_pt::VirtAddr;
-use mitosis_vmm::{AutoNuma, MmapFlags, Pid, System};
+use mitosis_vmm::{AutoNuma, MmapFlags, Pid, System, VmError};
 
 /// One kind of mid-run scenario mutation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -332,6 +333,21 @@ impl PhaseSchedule {
     }
 }
 
+/// Fails with the frame allocator's error for a socket it lacks,
+/// [`MemError::OutOfMemory`], when `sockets` names a socket beyond
+/// `system`'s machine: a step or change naming one would otherwise fall
+/// back to another socket, or apply to nothing, without a word.
+pub(crate) fn check_sockets(
+    system: &System,
+    sockets: impl IntoIterator<Item = SocketId>,
+) -> Result<(), VmError> {
+    let count = system.machine().sockets();
+    match sockets.into_iter().find(|socket| socket.index() >= count) {
+        Some(socket) => Err(VmError::Mem(MemError::OutOfMemory { socket })),
+        None => Ok(()),
+    }
+}
+
 /// Applies one phase change to a live system.
 ///
 /// This is the single point both the live engine and trace replay funnel
@@ -340,7 +356,9 @@ impl PhaseSchedule {
 ///
 /// # Errors
 ///
-/// Propagates VM, allocation and Mitosis policy errors.
+/// Returns [`VmError::Mem`] with [`MemError::OutOfMemory`] for a socket the
+/// machine lacks, before anything changes.  Propagates VM, allocation and
+/// Mitosis policy errors.
 pub fn apply_phase_change(
     system: &mut System,
     mitosis: &mut Mitosis,
@@ -349,19 +367,24 @@ pub fn apply_phase_change(
 ) -> Result<(), MitosisError> {
     match change {
         PhaseChange::MigrateData { target } => {
+            check_sockets(system, [target])?;
             system.migrate_data(pid, target)?;
         }
         PhaseChange::MigratePageTable { target } => {
+            check_sockets(system, [target])?;
             mitosis.migrate_page_table(system, pid, target, true)?;
         }
         PhaseChange::SetReplicas { sockets } => {
+            check_sockets(system, sockets.iter())?;
             mitosis.resize_replicas(system, pid, sockets)?;
         }
         PhaseChange::AutoNumaRebalance { sockets } => {
+            check_sockets(system, sockets.iter())?;
             let sockets: Vec<SocketId> = sockets.iter().collect();
             AutoNuma::new().rebalance(system, pid, &sockets)?;
         }
         PhaseChange::SetInterference { sockets } => {
+            check_sockets(system, sockets.iter())?;
             let interference = if sockets.is_empty() {
                 Interference::none()
             } else {

@@ -6,16 +6,17 @@ use crate::metrics::RunMetrics;
 use crate::params::SimParams;
 use crate::shootdown::{self, BoundaryFlush, ShootdownStats};
 use mitosis::{Mitosis, MitosisError};
-use mitosis_mem::{FrameId, FrameSpace, FrameTable};
+use mitosis_mem::FrameId;
+use mitosis_mmu::step::{
+    step_access, tlb_step, walk_step, AccessCtx, LeafTables, Miss, Tables, ThreadPhase,
+    ThreadTotals,
+};
 use mitosis_mmu::{Mmu, MmuStats, PteCache, PteCacheSet, TlbHalf, WalkHalf, WalkStats};
 use mitosis_numa::{AccessKind, CoreId, CostModel, Cycles, SocketId};
 use mitosis_obs::{IntervalSample, Observer};
-use mitosis_pt::{
-    check_writable_range, translate_entry, Level, PageSize, PtSlot, PtStore, RangeGap, Translation,
-    VirtAddr,
-};
+use mitosis_pt::{check_writable_range, PageSize, PtStore, RangeGap, VirtAddr};
 use mitosis_vmm::{Pid, System, VmError};
-use mitosis_workloads::{Access, AccessSource, AccessStream, InitPattern, WorkloadSpec};
+use mitosis_workloads::{AccessSource, AccessStream, InitPattern, WorkloadSpec};
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
@@ -50,15 +51,6 @@ pub fn data_access_cycles(
     (access.cycles as f64 * queueing).round() as Cycles
 }
 
-/// Per-thread cycle accumulators, carried across run segments.
-#[derive(Debug, Default, Clone, Copy)]
-struct ThreadTotals {
-    compute: Cycles,
-    data: Cycles,
-    translation: Cycles,
-    demand_faults: u64,
-}
-
 /// Bookkeeping of the interval metrics stream across a run: the cumulative
 /// per-thread counters at the last emitted interval edge, plus the running
 /// interval index and start access.
@@ -66,20 +58,6 @@ struct IntervalState {
     prev: Vec<(ThreadTotals, MmuStats)>,
     next_index: u64,
     start: u64,
-}
-
-/// Per-thread translation state, refreshed lazily at each thread's own
-/// boundaries (its per-thread segment list): the cost-model view an
-/// interference toggle rewrites, the per-target-socket data-cost table
-/// derived from it, and the CR3 that replica add/drop or page-table
-/// migration retargets.  Threads refreshing at the same segment start share
-/// one cost-model clone behind the `Arc`, which also lets a checkpoint carry
-/// the state across host threads as it is.
-#[derive(Debug, Clone)]
-struct ThreadPhase {
-    cost: Arc<CostModel>,
-    data_cost: Vec<Cycles>,
-    cr3: FrameId,
 }
 
 /// Saved interval-stream bookkeeping inside a checkpoint, so a resumed run
@@ -252,69 +230,6 @@ pub struct SplitStats {
     pub last_serial_reason: Option<SerialReason>,
 }
 
-/// The page-table state a walk reads: the tables and the frame metadata.
-#[derive(Clone, Copy)]
-struct Tables<'a> {
-    store: &'a PtStore,
-    frames: &'a FrameTable,
-}
-
-impl<'a> Tables<'a> {
-    fn of(system: &'a System) -> Self {
-        let env = system.pt_env();
-        Tables {
-            store: &env.store,
-            frames: &env.frames,
-        }
-    }
-}
-
-/// What every access of a run reads and none writes, beyond the tables.
-#[derive(Clone, Copy)]
-struct AccessCtx<'a> {
-    region: u64,
-    compute_cycles: Cycles,
-    frame_space: &'a FrameSpace,
-}
-
-/// The per-access function the serial and split schedules share: translates
-/// one access of a thread through [`Mmu::access`], charging its compute and
-/// translation cycles, and on success its data access.  A fault returns the
-/// faulting address with no data charged: the serial path handles it
-/// (demand paging, copy-on-write) and retries, a split socket group reports
-/// it as [`MitosisError::SplitFault`].  It touches no observer — the lint
-/// rule `observer-in-hot-loop` holds it to that.
-#[inline(always)]
-fn step_access(
-    access: Access,
-    mmu: &mut Mmu,
-    totals: &mut ThreadTotals,
-    pte_cache: &mut PteCache,
-    phase: &ThreadPhase,
-    tables: Tables<'_>,
-    ctx: AccessCtx<'_>,
-) -> Result<(), VirtAddr> {
-    // Accesses are 8-byte word granular within the footprint.
-    let addr = VirtAddr::new(ctx.region + (access.offset & !0x7));
-    totals.compute += ctx.compute_cycles;
-    let outcome = mmu.access(
-        addr,
-        access.is_write,
-        phase.cr3,
-        tables.store,
-        tables.frames,
-        &phase.cost,
-        pte_cache,
-    );
-    totals.translation += outcome.translation_cycles;
-    if outcome.fault {
-        return Err(addr);
-    }
-    let frame = outcome.frame.expect("non-faulting access yields a frame");
-    totals.data += phase.data_cost[ctx.frame_space.socket_of(frame).index()];
-    Ok(())
-}
-
 /// One thread of a split segment, owned by the host thread running its
 /// socket group.
 struct GroupThread<'s, S> {
@@ -353,7 +268,8 @@ impl<S: AccessSource> SocketGroup<'_, S> {
                 for index in chunk_start..edge {
                     let access = member.source.next_access();
                     let stepped = step_access(
-                        access,
+                        access.offset,
+                        access.is_write,
                         &mut member.mmu,
                         &mut member.totals,
                         &mut self.pte_cache,
@@ -562,16 +478,6 @@ const BATCH_BUFFERS: usize = 5;
 /// faults in fresh memory, then ran up to a third slower.
 const YIELDS_BEFORE_SLEEP: u32 = 2_000;
 
-/// A TLB miss as the walk stage receives it.
-#[derive(Debug, Clone, Copy)]
-struct Miss {
-    addr: VirtAddr,
-    is_write: bool,
-    /// The translation the TLB stage filled, from the leaf entry it read
-    /// and marked accessed (and dirty, for a store).
-    leaf: Translation,
-}
-
 /// Consecutive TLB misses of one thread of a pipelined segment, in access
 /// order.
 struct MissBatch {
@@ -706,166 +612,6 @@ impl Drop for Hangup<'_> {
     }
 }
 
-/// Where a 2 MiB region's leaf entries live, as [`LeafTables`] remembers it.
-#[derive(Debug, Clone, Copy)]
-struct Leaf {
-    slot: PtSlot,
-    level: Level,
-    size: PageSize,
-}
-
-/// The pipelined TLB stage's page-table lookups.  A proven segment's
-/// tables stay fixed, so the table holding each 2 MiB region's leaf entries
-/// is found by one full lookup and remembered for the rest of the segment;
-/// later fills in the region read one entry.  The lookup also sets the
-/// entry's accessed/dirty bits, while its cache line is at hand, so the
-/// walk stage need not touch the leaf at all.
-struct LeafTables<'a> {
-    store: &'a PtStore,
-    /// The CR3 the remembered tables hang off.
-    root: Option<FrameId>,
-    /// Index of the first remembered 2 MiB region of the address space.
-    first: u64,
-    leaves: Vec<Option<Leaf>>,
-}
-
-impl<'a> LeafTables<'a> {
-    /// Lookups that remember the regions of `[region, region + bound)`.
-    fn new(store: &'a PtStore, region: VirtAddr, bound: u64) -> Self {
-        let shift = Level::L2.index_shift();
-        let first = region.as_u64() >> shift;
-        let last = (region.as_u64() + bound.max(1) - 1) >> shift;
-        LeafTables {
-            store,
-            root: None,
-            first,
-            leaves: vec![None; (last - first + 1) as usize],
-        }
-    }
-
-    /// The translation a walk of `addr` from `root` finds, or `None` where
-    /// that walk faults: what [`Mmu::access`] fills the TLBs with when the
-    /// paging-structure caches agree with the tables.  Like that walk, a
-    /// lookup that translates sets the leaf's accessed bit, and for a store
-    /// its dirty bit.
-    #[inline]
-    fn lookup_and_mark(
-        &mut self,
-        root: FrameId,
-        addr: VirtAddr,
-        is_write: bool,
-    ) -> Option<Translation> {
-        if self.root != Some(root) {
-            self.root = Some(root);
-            self.leaves.fill(None);
-        }
-        let region = (addr.as_u64() >> Level::L2.index_shift()).wrapping_sub(self.first);
-        let remembered = usize::try_from(region)
-            .ok()
-            .and_then(|index| self.leaves.get_mut(index));
-        let (slot, translation) = match remembered {
-            Some(Some(Leaf { slot, level, size })) => {
-                let pte = self.store.read_at(*slot, addr.index_at(*level));
-                if !pte.is_present() {
-                    return None;
-                }
-                let translation = Translation {
-                    frame: pte.frame()?,
-                    size: *size,
-                    pte,
-                    level: *level,
-                };
-                (*slot, translation)
-            }
-            unknown => {
-                let (table, translation) = translate_entry(self.store, root, addr)?;
-                let slot = self.store.slot(table);
-                if let Some(leaf) = unknown {
-                    *leaf = Some(Leaf {
-                        slot,
-                        level: translation.level,
-                        size: translation.size,
-                    });
-                }
-                (slot, translation)
-            }
-        };
-        if is_write && !translation.pte.flags().writable {
-            return None;
-        }
-        let index = addr.index_at(translation.level);
-        self.store.mark_accessed_at(slot, index, is_write);
-        Some(translation)
-    }
-}
-
-/// The pipelined schedule's per-access function on the TLB stage: charges
-/// one access's compute cycles, probes the thread's TLBs, and on a miss
-/// fills them from [`LeafTables`] and queues the miss for the walk stage;
-/// then charges the data access.  A fault returns the faulting address.
-/// It touches no observer — the lint rule `observer-in-hot-loop` holds it
-/// to that.
-#[inline(always)]
-fn tlb_step(
-    access: Access,
-    tlbs: &mut TlbHalf,
-    totals: &mut ThreadTotals,
-    leaves: &mut LeafTables<'_>,
-    phase: &ThreadPhase,
-    ctx: AccessCtx<'_>,
-    misses: &mut Vec<Miss>,
-) -> Result<(), VirtAddr> {
-    let addr = VirtAddr::new(ctx.region + (access.offset & !0x7));
-    totals.compute += ctx.compute_cycles;
-    let frame = match tlbs.probe(addr, access.is_write) {
-        Some(hit) => {
-            totals.translation += hit.penalty;
-            hit.frame
-        }
-        None => {
-            let leaf = leaves
-                .lookup_and_mark(phase.cr3, addr, access.is_write)
-                .ok_or(addr)?;
-            tlbs.fill(addr, &leaf);
-            misses.push(Miss {
-                addr,
-                is_write: access.is_write,
-                leaf,
-            });
-            leaf.frame_for(addr)
-        }
-    };
-    totals.data += phase.data_cost[ctx.frame_space.socket_of(frame).index()];
-    Ok(())
-}
-
-/// The pipelined schedule's per-miss function on the walk stage: walks one
-/// TLB miss through the thread's paging-structure caches, the socket's
-/// page-table-line cache and the cost model, down to the leaf entry the
-/// TLB stage already read and marked ([`WalkHalf::walk_known_leaf`]).  The
-/// walk's cycles and counters stay in its walk half.  It touches no
-/// observer — the lint rule `observer-in-hot-loop` holds it to that.
-#[inline(always)]
-fn walk_step(
-    miss: Miss,
-    walks: &mut WalkHalf,
-    pte_cache: &mut PteCache,
-    phase: &ThreadPhase,
-    tables: Tables<'_>,
-) {
-    let walk = walks.walk_known_leaf(
-        miss.addr,
-        miss.is_write,
-        &miss.leaf,
-        phase.cr3,
-        tables.store,
-        tables.frames,
-        &phase.cost,
-        pte_cache,
-    );
-    debug_assert_eq!(walk.translation, Some(miss.leaf), "a proven walk diverged");
-}
-
 /// The walk stage of a pipelined segment: every thread's walk half and the
 /// socket's page-table-line cache, owned by the stage's host thread while
 /// the segment runs.
@@ -934,7 +680,17 @@ fn run_tlb_stage<S: AccessSource>(
             };
             for index in chunk_start..edge {
                 let access = source.next_access();
-                if let Err(addr) = tlb_step(access, tlbs, totals, leaves, phase, ctx, &mut misses) {
+                let stepped = tlb_step(
+                    access.offset,
+                    access.is_write,
+                    tlbs,
+                    totals,
+                    leaves,
+                    phase,
+                    ctx,
+                    &mut misses,
+                );
+                if let Err(addr) = stepped {
                     return Err(MitosisError::SplitFault {
                         thread,
                         access: index,
@@ -1621,13 +1377,18 @@ impl ExecutionEngine {
                     if proof.is_ok() && groups.len() >= 2 {
                         self.split.split_segments += 1;
                         self.split.threads_spawned += groups.len() as u64 - 1;
-                        run_split(&mut self.pte_caches, Tables::of(system), ctx, segment)?;
+                        run_split(
+                            &mut self.pte_caches,
+                            Tables::of(system.pt_env()),
+                            ctx,
+                            segment,
+                        )?;
                     } else if proof.is_ok() && groups.len() == 1 {
                         self.split.pipelined_segments += 1;
                         self.split.threads_spawned += 1;
                         run_pipelined(
                             &mut self.pte_caches,
-                            Tables::of(system),
+                            Tables::of(system.pt_env()),
                             ctx,
                             region,
                             segment,
@@ -1645,12 +1406,13 @@ impl ExecutionEngine {
                                 for _ in chunk_start..edge {
                                     let access = source.next_access();
                                     let Err(addr) = step_access(
-                                        access,
+                                        access.offset,
+                                        access.is_write,
                                         mmu,
                                         totals,
                                         self.pte_caches.socket(placement.socket),
                                         phase,
-                                        Tables::of(system),
+                                        Tables::of(system.pt_env()),
                                         ctx,
                                     ) else {
                                         continue;
@@ -1676,7 +1438,7 @@ impl ExecutionEngine {
                                             &mut self.pte_caches,
                                         ));
                                     }
-                                    let tables = Tables::of(system);
+                                    let tables = Tables::of(system.pt_env());
                                     let retry = mmu.access(
                                         addr,
                                         access.is_write,

@@ -13,7 +13,7 @@
 //! [`MultiSocketScenario`]: crate::MultiSocketScenario
 //! [`WorkloadMigrationScenario`]: crate::WorkloadMigrationScenario
 
-use crate::dynamics::{apply_phase_change, PhaseChange};
+use crate::dynamics::{apply_phase_change, check_sockets, PhaseChange};
 use crate::engine::ExecutionEngine;
 use crate::params::SimParams;
 use mitosis::{Mitosis, MitosisError};
@@ -111,8 +111,13 @@ impl PreparedSystem {
     /// [`SetupStep::CreateProcess`], a populate before
     /// [`SetupStep::Mmap`], page-table migration or replicas without
     /// [`SetupStep::InstallMitosis`], or a list that never creates the
-    /// process or maps its region.  Propagates the VM and Mitosis errors of
-    /// the steps themselves.
+    /// process or maps its region.  A step naming a socket the machine
+    /// lacks fails as the allocator does, with [`MemError::OutOfMemory`]
+    /// in a [`VmError::Mem`].  Propagates the VM and Mitosis errors of the
+    /// steps themselves.
+    ///
+    /// [`MemError::OutOfMemory`]: mitosis_mem::MemError::OutOfMemory
+    /// [`VmError::Mem`]: mitosis_vmm::VmError::Mem
     pub fn build(params: &SimParams, steps: &[SetupStep]) -> Result<Self, MitosisError> {
         let mut mitosis = Mitosis::new();
         let installed = steps.contains(&SetupStep::InstallMitosis);
@@ -142,15 +147,21 @@ impl PreparedSystem {
                 }
                 SetupStep::SetThp(mode) => system.set_thp(mode),
                 SetupStep::PtPlacement(socket) => {
+                    check_sockets(&system, [socket])?;
                     system.set_pt_placement(PtPlacement::Fixed(socket));
                 }
-                SetupStep::CreateProcess(socket) => pid = Some(system.create_process(socket)?),
+                SetupStep::CreateProcess(socket) => {
+                    check_sockets(&system, [socket])?;
+                    pid = Some(system.create_process(socket)?);
+                }
                 SetupStep::BindData(socket) => {
+                    check_sockets(&system, [socket])?;
                     system
                         .process_mut(process?)?
                         .set_data_policy(PlacementPolicy::Bind(socket));
                 }
                 SetupStep::InterleaveData(sockets) => {
+                    check_sockets(&system, sockets.iter())?;
                     system
                         .process_mut(process?)?
                         .set_data_policy(PlacementPolicy::Interleave(sockets));
@@ -165,6 +176,7 @@ impl PreparedSystem {
                     region = Some(system.mmap(process?, len, flags)?);
                 }
                 SetupStep::Populate { len, init, sockets } => {
+                    check_sockets(&system, sockets.iter())?;
                     let pid = process?;
                     let region = region.ok_or(invalid("Populate before Mmap"))?;
                     let sockets: Vec<SocketId> = sockets.iter().collect();

@@ -153,7 +153,7 @@ pub fn trace_event_of_change(
 
 /// The setup event a setup step is recorded as.  [`crate::replay`]
 /// inverts this mapping to rebuild the steps from a trace.
-fn trace_event_of_step(step: SetupStep) -> Result<TraceEvent, TraceError> {
+pub(crate) fn trace_event_of_step(step: SetupStep) -> Result<TraceEvent, TraceError> {
     Ok(match step {
         SetupStep::InstallMitosis => TraceEvent::InstallMitosis,
         SetupStep::SetThp(mode) => TraceEvent::SetThp(mode.is_enabled()),

@@ -113,7 +113,8 @@ impl FaultPlan {
     /// probability.
     pub fn with_worker_slow(mut self, probability: f64, delay: Duration) -> Self {
         self.worker_slow = probability.clamp(0.0, 1.0);
-        self.slow_ms = delay.as_millis() as u64;
+        // Saturates: a delay past `u64::MAX` milliseconds never ends either way.
+        self.slow_ms = u64::try_from(delay.as_millis()).unwrap_or(u64::MAX);
         self
     }
 
@@ -159,8 +160,9 @@ impl FaultPlan {
     fn flip_mask(&self, index: u64) -> u8 {
         if self.flip > 0.0 && self.chance(SITE_FLIP, index) < self.flip {
             // Derive the flipped bit from the same decision stream.
-            // mitosis-lint: allow(truncating-cast-in-encoding, reason = "chance() is in [0,1) so the operand is a float in [0,8), not a wire value; the cast picks a bit index")
-            1 << ((self.chance(SITE_FLIP, index.wrapping_add(1) << 32) * 8.0) as u32 & 7)
+            #[expect(clippy::cast_possible_truncation, reason = "a bit index in [0, 8)")]
+            let bit = (self.chance(SITE_FLIP, index.wrapping_add(1) << 32) * 8.0) as u32 & 7;
+            1 << bit
         } else {
             0
         }
@@ -279,11 +281,11 @@ mod tests {
     fn disabled_plan_injects_nothing() {
         let plan = FaultPlan::disabled();
         assert!(!plan.is_enabled());
-        for i in 0..1000 {
-            assert!(plan.read_fault(i).is_none());
-            assert_eq!(plan.flip_mask(i), 0);
-            assert!(!plan.worker_panics(i as usize));
-            assert!(plan.worker_delay(i as usize).is_none());
+        for i in 0..1000usize {
+            assert!(plan.read_fault(i as u64).is_none());
+            assert_eq!(plan.flip_mask(i as u64), 0);
+            assert!(!plan.worker_panics(i));
+            assert!(plan.worker_delay(i).is_none());
         }
     }
 

@@ -115,9 +115,9 @@ const TAG_END: u64 = 0b11;
 /// Wire code of every event in the stream: one named constant per
 /// [`TraceEvent`] variant plus the internal per-lane checkpoint marker.
 /// `encode`/`decode` and the checkpoint writer/reader paths match on
-/// these names, never on bare literals — the `trace-event-exhaustiveness`
-/// lint checks the table stays in sync with capture and replay, and that
-/// no constant here goes unused.
+/// these names, never on bare literals.  The round-trip proptests in
+/// `replay.rs` check that the table stays in sync with capture and
+/// replay, and a constant here that goes unused is a `dead_code` warning.
 pub(crate) mod event_code {
     /// [`super::TraceEvent::InstallMitosis`].
     pub const INSTALL_MITOSIS: u64 = 1;
@@ -497,8 +497,8 @@ pub enum TraceEvent {
         /// Always `false` for setup events.
         staggered: bool,
     },
-    /// Free-form positional marker (also usable inside lanes).
-    // mitosis-lint: allow(trace-event-exhaustiveness, reason = "Marker is a user-annotated event written by trace authors, not emitted by the capture engine; replay still applies it")
+    /// Free-form positional marker (also usable inside lanes), written by
+    /// trace authors rather than by capture; replay skips it.
     Marker(u64),
     /// Every data page of the process was migrated to a socket (the NUMA
     /// balancer following a scheduler migration).  Mid-lane phase-change
@@ -914,10 +914,10 @@ impl<R: Read> TraceReader<R> {
         if version != TRACE_VERSION {
             return Err(TraceError::UnsupportedVersion(version));
         }
-        let name_len = source.varint()? as usize;
-        if name_len > 4096 {
-            return Err(TraceError::Corrupt("implausible workload name length"));
-        }
+        let name_len = usize::try_from(source.varint()?)
+            .ok()
+            .filter(|&len| len <= 4096)
+            .ok_or(TraceError::Corrupt("implausible workload name length"))?;
         let mut name = vec![0u8; name_len];
         source.read_exact(&mut name)?;
         let workload = String::from_utf8(name)
@@ -996,10 +996,10 @@ impl<R: Read> TraceReader<R> {
                     }));
                 }
                 TAG_EVENT => {
-                    let argc = self.source.varint()? as usize;
-                    if argc > 16 {
-                        return Err(TraceError::Corrupt("implausible event argument count"));
-                    }
+                    let argc = usize::try_from(self.source.varint()?)
+                        .ok()
+                        .filter(|&argc| argc <= 16)
+                        .ok_or(TraceError::Corrupt("implausible event argument count"))?;
                     let mut args = [0u64; 16];
                     for slot in args.iter_mut().take(argc) {
                         *slot = self.source.varint()?;
@@ -1266,10 +1266,13 @@ impl Trace {
         };
         let keep = checkpoint.lane_accesses;
         trace.lanes.truncate(checkpoint.lane + 1);
+        let Ok(keep_len) = usize::try_from(keep) else {
+            return Err(damage);
+        };
         if trace
             .lanes
             .iter()
-            .any(|lane| (lane.accesses.len() as u64) < keep)
+            .any(|lane| lane.accesses.len() < keep_len)
         {
             // A validated checkpoint promises `keep` accesses in its own
             // lane and full earlier lanes; a shorter lane means the stream
@@ -1278,7 +1281,7 @@ impl Trace {
         }
         let mut valid_accesses = 0u64;
         for lane in &mut trace.lanes {
-            lane.accesses.truncate(keep as usize);
+            lane.accesses.truncate(keep_len);
             lane.events.retain(|&(pos, _)| pos <= keep);
             valid_accesses += lane.accesses.len() as u64;
         }

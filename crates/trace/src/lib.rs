@@ -56,6 +56,9 @@
 //! ```
 
 #![forbid(unsafe_code)]
+// A wire value truncated before encoding still checksums: narrowing goes
+// through `try_from` (`socket_index_u16`, `checked_socket_u16`).
+#![deny(clippy::cast_possible_truncation)]
 #![warn(missing_docs)]
 // Failure handling is a first-class feature of this crate: fallible paths
 // return TraceError/ReplayError instead of unwrapping.  Unit tests are

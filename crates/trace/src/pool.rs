@@ -14,6 +14,13 @@
 //! untouched.  Jobs share one closure over `Arc`-held state (the crate
 //! forbids `unsafe`, so there are no borrowed scoped jobs).
 
+// Dispatch code here runs outside the pool's `catch_unwind`, where a panic
+// would kill the session instead of failing one call: it returns a
+// `ReplayError` instead.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 use crate::replay::{ReplayError, TraceReplayer};
 use mitosis_sim::Observer;
 use std::collections::VecDeque;

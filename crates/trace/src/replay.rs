@@ -294,7 +294,15 @@ fn phase_change_of_event(event: TraceEvent) -> Option<PhaseChange> {
         TraceEvent::DemoteHuge { addr } => Some(PhaseChange::DemoteHuge {
             addr: VirtAddr::new(addr),
         }),
-        _ => None,
+        TraceEvent::InstallMitosis
+        | TraceEvent::SetThp(_)
+        | TraceEvent::PtPlacement { .. }
+        | TraceEvent::CreateProcess { .. }
+        | TraceEvent::BindData { .. }
+        | TraceEvent::Mmap { .. }
+        | TraceEvent::Populate { .. }
+        | TraceEvent::Marker(_)
+        | TraceEvent::InterleaveData { .. } => None,
     }
 }
 
@@ -757,9 +765,14 @@ impl TraceReplayer {
                 }
             })
             .collect();
+        let position = usize::try_from(at_access).map_err(|_| {
+            ReplayError::Mismatch(format!(
+                "mid-run snapshot at access {at_access} is past any lane this host can hold"
+            ))
+        })?;
         let mut cursors: Vec<LaneCursor> = selected
             .iter()
-            .map(|lane| LaneCursor::at(&lane.accesses, at_access as usize))
+            .map(|lane| LaneCursor::at(&lane.accesses, position))
             .collect();
         let lane_count = cursors.len() as u64;
 
@@ -775,6 +788,7 @@ impl TraceReplayer {
         };
         engine.set_observer(self.observer.clone());
         engine.set_observer_track(self.track);
+        #[expect(clippy::disallowed_methods, reason = "measured wall, not a metric")]
         let measured_start = Instant::now();
         let span_outcome = {
             let _span = self.observer.span("replay.measured", self.track);
@@ -861,6 +875,7 @@ pub(crate) fn validate_lane_selection(trace: &Trace, lanes: &[usize]) -> Result<
 /// clone cost: the run it feeds did not pay for setup reconstruction, only
 /// for the copy.
 fn clone_snapshot(snapshot: &ReplaySnapshot) -> ReplaySnapshot {
+    #[expect(clippy::disallowed_methods, reason = "clone cost is setup_wall")]
     let clone_start = Instant::now();
     let mut copy = snapshot.clone();
     copy.setup_wall = clone_start.elapsed();
@@ -889,6 +904,7 @@ pub fn prepare_replay(
     params: &SimParams,
     options: ReplayOptions,
 ) -> Result<ReplaySnapshot, ReplayError> {
+    #[expect(clippy::disallowed_methods, reason = "setup wall, not a metric")]
     let setup_start = Instant::now();
     let expected = MachineFingerprint::for_params(params)?;
     let mut machine_mismatch = None;
@@ -1083,5 +1099,213 @@ mod tests {
         };
         let err = replay_via_session(&trace, &params).unwrap_err();
         assert!(matches!(err, ReplayError::Mismatch(_)), "{err}");
+    }
+
+    /// Field values for one round-trip case; each variant takes the ones
+    /// it needs.
+    #[derive(Debug, Clone, Copy)]
+    struct Fields {
+        socket: SocketId,
+        mask: NodeMask,
+        addr: VirtAddr,
+        len: u64,
+        flag: bool,
+        other_flag: bool,
+    }
+
+    impl Fields {
+        fn new(socket: u16, mask: u64, addr: u64, len: u64, flags: (bool, bool)) -> Self {
+            Fields {
+                socket: SocketId::new(socket),
+                mask: NodeMask::from_bits(mask),
+                addr: VirtAddr::new(addr % (1 << 48)),
+                len,
+                flag: flags.0,
+                other_flag: flags.1,
+            }
+        }
+    }
+
+    /// The `SetupStep` variant after `step`'s, filled from `fields`, or
+    /// `None` after the last.  The match has no wildcard, so a new variant
+    /// does not compile until it joins this chain, which the round-trip
+    /// tests walk whole.
+    fn next_step(step: SetupStep, fields: Fields) -> Option<SetupStep> {
+        Some(match step {
+            SetupStep::InstallMitosis => SetupStep::SetThp(if fields.flag {
+                ThpMode::Always
+            } else {
+                ThpMode::Never
+            }),
+            SetupStep::SetThp(_) => SetupStep::PtPlacement(fields.socket),
+            SetupStep::PtPlacement(_) => SetupStep::CreateProcess(fields.socket),
+            SetupStep::CreateProcess(_) => SetupStep::BindData(fields.socket),
+            SetupStep::BindData(_) => SetupStep::InterleaveData(fields.mask),
+            SetupStep::InterleaveData(_) => SetupStep::Mmap {
+                len: fields.len,
+                populate: fields.flag,
+                thp: fields.other_flag,
+            },
+            SetupStep::Mmap { .. } => SetupStep::Populate {
+                len: fields.len,
+                init: if fields.flag {
+                    InitPattern::Parallel
+                } else {
+                    InitPattern::SingleThread
+                },
+                sockets: fields.mask,
+            },
+            SetupStep::Populate { .. } => SetupStep::Change(first_change(fields)),
+            SetupStep::Change(_) => return None,
+        })
+    }
+
+    fn first_change(fields: Fields) -> PhaseChange {
+        PhaseChange::MigrateData {
+            target: fields.socket,
+        }
+    }
+
+    /// [`next_step`] for `PhaseChange`.
+    fn next_change(change: PhaseChange, fields: Fields) -> Option<PhaseChange> {
+        let Fields {
+            socket, mask, addr, ..
+        } = fields;
+        Some(match change {
+            PhaseChange::MigrateData { .. } => PhaseChange::MigratePageTable { target: socket },
+            PhaseChange::MigratePageTable { .. } => PhaseChange::SetReplicas { sockets: mask },
+            PhaseChange::SetReplicas { .. } => PhaseChange::AutoNumaRebalance { sockets: mask },
+            PhaseChange::AutoNumaRebalance { .. } => PhaseChange::SetInterference { sockets: mask },
+            PhaseChange::SetInterference { .. } => PhaseChange::Fork,
+            PhaseChange::Fork => PhaseChange::MmapAt {
+                addr,
+                length: fields.len,
+            },
+            PhaseChange::MmapAt { .. } => PhaseChange::MunmapAt {
+                addr,
+                length: fields.len,
+            },
+            PhaseChange::MunmapAt { .. } => PhaseChange::PromoteHuge { addr },
+            PhaseChange::PromoteHuge { .. } => PhaseChange::DemoteHuge { addr },
+            PhaseChange::DemoteHuge { .. } => return None,
+        })
+    }
+
+    /// Every `SetupStep`, with a `SetupStep::Change` for every phase change.
+    fn every_step(fields: Fields) -> Vec<SetupStep> {
+        let steps = std::iter::successors(Some(SetupStep::InstallMitosis), |&step| {
+            next_step(step, fields)
+        });
+        let changes = every_change(fields).into_iter().map(SetupStep::Change);
+        steps.chain(changes).collect()
+    }
+
+    fn every_change(fields: Fields) -> Vec<PhaseChange> {
+        std::iter::successors(Some(first_change(fields)), |&change| {
+            next_change(change, fields)
+        })
+        .collect()
+    }
+
+    /// A trace with these setup events and one empty lane carrying these
+    /// markers, written to bytes and read back.
+    fn through_the_codec(setup_events: Vec<TraceEvent>, markers: &[TraceEvent]) -> Trace {
+        let params = SimParams::quick_test();
+        let spec = params.scale_workload(&suite::gups());
+        let mut lane = TraceLane::new(0);
+        lane.events = markers.iter().map(|&event| (0, event)).collect();
+        let trace = Trace {
+            meta: TraceMeta::for_spec(&spec, &params).unwrap(),
+            setup_events,
+            lanes: vec![lane],
+        };
+        Trace::from_bytes(&trace.to_bytes().unwrap()).unwrap()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// Every setup step survives capture's map, the codec and replay's
+        /// map, except a churn change, which no capture records as setup
+        /// and replay refuses there.
+        #[test]
+        fn every_setup_step_round_trips_through_a_trace(
+            socket in proptest::any::<u16>(),
+            mask in proptest::any::<u64>(),
+            addr in proptest::any::<u64>(),
+            len in proptest::any::<u64>(),
+            flags in (proptest::any::<bool>(), proptest::any::<bool>()),
+        ) {
+            let steps = every_step(Fields::new(socket, mask, addr, len, flags));
+            let events: Vec<TraceEvent> = steps
+                .iter()
+                .map(|&step| crate::capture::trace_event_of_step(step).unwrap())
+                .collect();
+            let decoded = through_the_codec(events.clone(), &[]).setup_events;
+            proptest::prop_assert_eq!(&decoded, &events);
+            for (&step, &event) in steps.iter().zip(&decoded) {
+                let change = match step {
+                    SetupStep::Change(change) => Some(change),
+                    _ => None,
+                };
+                proptest::prop_assert_eq!(phase_change_of_event(event), change);
+                let churn = change.is_some_and(|change| {
+                    matches!(
+                        change,
+                        PhaseChange::Fork
+                            | PhaseChange::MmapAt { .. }
+                            | PhaseChange::MunmapAt { .. }
+                            | PhaseChange::PromoteHuge { .. }
+                            | PhaseChange::DemoteHuge { .. }
+                    )
+                });
+                match step_of_event(event) {
+                    Ok(mapped) => proptest::prop_assert!(
+                        !churn && mapped == Some(step),
+                        "{step:?} came back as {mapped:?}"
+                    ),
+                    Err(err) => proptest::prop_assert!(
+                        churn && matches!(err, ReplayError::Mismatch(_)),
+                        "{step:?} was refused: {err}"
+                    ),
+                }
+            }
+        }
+
+        /// Every phase change, staggered where it may be, survives capture's
+        /// map, the codec and replay's map as a mid-lane marker; a staggered
+        /// one is refused as setup.
+        #[test]
+        fn every_phase_change_round_trips_through_a_lane(
+            socket in proptest::any::<u16>(),
+            mask in proptest::any::<u64>(),
+            addr in proptest::any::<u64>(),
+            len in proptest::any::<u64>(),
+            flags in (proptest::any::<bool>(), proptest::any::<bool>()),
+        ) {
+            let markers: Vec<(PhaseChange, bool)> = every_change(Fields::new(socket, mask, addr, len, flags))
+                .into_iter()
+                .flat_map(|change| {
+                    let staggered = change.supports_thread_filter().then_some((change, true));
+                    std::iter::once((change, false)).chain(staggered)
+                })
+                .collect();
+            let events: Vec<TraceEvent> = markers
+                .iter()
+                .map(|&(change, staggered)| {
+                    crate::capture::trace_event_of_change(change, staggered).unwrap()
+                })
+                .collect();
+            let lane = &through_the_codec(Vec::new(), &events).lanes[0];
+            let decoded: Vec<TraceEvent> = lane.events.iter().map(|&(_, event)| event).collect();
+            proptest::prop_assert_eq!(&decoded, &events);
+            for (&(change, staggered), &event) in markers.iter().zip(&decoded) {
+                proptest::prop_assert_eq!(event.staggered(), staggered);
+                proptest::prop_assert_eq!(phase_change_of_event(event), Some(change));
+                if staggered {
+                    proptest::prop_assert!(matches!(step_of_event(event), Err(ReplayError::Mismatch(_))));
+                }
+            }
+        }
     }
 }

@@ -58,6 +58,13 @@
 //! assert_eq!(again.outcome.metrics, captured.live_metrics);
 //! ```
 
+// Dispatch code here runs outside the pool's `catch_unwind`, where a panic
+// would kill the session instead of failing one call: it returns a
+// `ReplayError` instead.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 use crate::faultinject::FaultPlan;
 use crate::format::Trace;
 use crate::parallel::{lanes_fully_premapped, LaneReplayReport, ReplayReport, ShardDecision};
@@ -266,12 +273,14 @@ impl ReplaySession {
         trace: &Trace,
         request: &ReplayRequest,
     ) -> Result<LaneReplayReport, ReplayError> {
+        #[expect(clippy::disallowed_methods, reason = "report wall time, not a metric")]
         let start = Instant::now();
         let workers = requested_workers(request.mode)?;
         if let Some(lanes) = &request.lanes {
             validate_lane_selection(trace, lanes)?;
         }
 
+        #[expect(clippy::disallowed_methods, reason = "report setup wall, not a metric")]
         let prepare_start = Instant::now();
         let (
             SessionCache {
@@ -325,6 +334,7 @@ impl ReplaySession {
         // keys the fault plan's decisions and the observability track.
         let group_count = groups.len();
         let spawned = workers.min(group_count);
+        #[expect(clippy::disallowed_methods, reason = "measured wall, not a metric")]
         let measured_start = Instant::now();
         let observer = self.observer.clone();
         let plan = request.fault_plan;
@@ -439,6 +449,7 @@ impl ReplaySession {
         }
         let workers = requested_workers(request.mode)?.min(traces.len()).max(1);
         let options = request.options();
+        #[expect(clippy::disallowed_methods, reason = "batch wall time, not a metric")]
         let start = Instant::now();
 
         let outcomes = if workers < 2 {
@@ -595,9 +606,9 @@ fn replay_group(
         observer.counter("fault.worker_slow", 1);
         thread::sleep(delay);
     }
+    #[expect(clippy::panic, reason = "injected; pool jobs run in catch_unwind")]
     if plan.worker_panics(index) {
         observer.counter("fault.worker_panic", 1);
-        // mitosis-lint: allow(panic-hygiene, reason = "runs only as a ReplayPool::run job, inside its catch_unwind; the injected panic is what the resilience tests catch there")
         panic!("injected worker panic");
     }
     let outcome = {

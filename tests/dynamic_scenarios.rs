@@ -9,13 +9,16 @@
 //! single trace produces identical merged metrics while sharding across
 //! host threads.
 
+use mitosis::MitosisError;
+use mitosis_mem::MemError;
 use mitosis_numa::{NodeMask, SocketId};
 use mitosis_sim::{MultiSocketConfig, PhaseChange, PhaseSchedule, SimParams};
 use mitosis_trace::{
-    capture_engine_run, capture_engine_run_dynamic, capture_multisocket_scenario, LaneReplayReport,
-    ReplayError, ReplayOutcome, ReplayRequest, ReplaySession, Trace, TraceEvent, TraceLane,
-    TraceMeta,
+    capture_engine_run, capture_engine_run_dynamic, capture_multisocket_scenario,
+    trace_event_of_change, LaneReplayReport, ReplayError, ReplayOutcome, ReplayRequest,
+    ReplaySession, Trace, TraceEvent, TraceLane, TraceMeta,
 };
+use mitosis_vmm::VmError;
 use mitosis_workloads::{suite, Access};
 
 fn try_serial(trace: &Trace, params: &SimParams) -> Result<ReplayOutcome, ReplayError> {
@@ -235,6 +238,7 @@ fn lane_parallel_replay_matches_serial_and_shards() {
     // hiccup on a loaded shared runner cannot flip the outcome.
     let serial_wall = (0..2)
         .map(|_| {
+            #[expect(clippy::disallowed_methods, reason = "host timing only")]
             let start = std::time::Instant::now();
             let _ = serial_replay(&trace, &params);
             start.elapsed()
@@ -609,6 +613,87 @@ fn autonuma_on_a_socket_the_machine_lacks_is_an_error_not_a_panic() {
     ));
     let decoded = Trace::from_bytes(&marked.to_bytes().unwrap()).unwrap();
     assert!(try_serial(&decoded, &params).is_err());
+}
+
+/// Every setup step and phase change that names a socket the machine
+/// lacks fails with the allocator's error for that socket, wherever it is
+/// named: as a setup event, in a live schedule, and as a mid-lane marker
+/// read back from bytes.  None may fall back to another socket or apply to
+/// nothing.
+#[test]
+fn a_socket_the_machine_lacks_is_a_typed_error_wherever_it_is_named() {
+    let params = SimParams::quick_test().with_accesses(100);
+    let (home, missing) = (SocketId::new(0), SocketId::new(9));
+    assert!(params.machine().sockets() <= missing.index());
+    let with_missing = NodeMask::from_sockets([home, missing]);
+    let lacks_missing = |err: &ReplayError| {
+        let expected = MemError::OutOfMemory { socket: missing };
+        matches!(
+            err,
+            ReplayError::Vm(VmError::Mem(mem))
+                | ReplayError::Mitosis(MitosisError::Vm(VmError::Mem(mem))) if *mem == expected
+        )
+    };
+    let changes = [
+        PhaseChange::MigrateData { target: missing },
+        PhaseChange::MigratePageTable { target: missing },
+        PhaseChange::SetReplicas {
+            sockets: with_missing,
+        },
+        PhaseChange::AutoNumaRebalance {
+            sockets: with_missing,
+        },
+        PhaseChange::SetInterference {
+            sockets: with_missing,
+        },
+    ];
+    let mut setup_events = vec![
+        TraceEvent::PtPlacement { socket: 9 },
+        TraceEvent::CreateProcess { socket: 9 },
+        TraceEvent::BindData { socket: 9 },
+        TraceEvent::InterleaveData {
+            sockets: with_missing.bits(),
+        },
+        TraceEvent::Populate {
+            len: 1 << 21,
+            parallel: false,
+            sockets: with_missing.bits(),
+        },
+    ];
+    for change in changes {
+        setup_events.push(trace_event_of_change(change, false).unwrap());
+    }
+
+    // The Mitosis backend makes page-table changes legal anywhere.
+    let mut base = capture_engine_run(&suite::gups(), &params, &[home])
+        .unwrap()
+        .trace;
+    base.setup_events.insert(0, TraceEvent::InstallMitosis);
+    serial_replay(&base, &params);
+
+    for event in setup_events {
+        let mut trace = base.clone();
+        trace.setup_events.push(event);
+        let err = try_serial(&trace, &params).unwrap_err();
+        assert!(lacks_missing(&err), "{event:?} as a setup event: {err}");
+    }
+    for change in changes {
+        let schedule = PhaseSchedule::new().at(50, change);
+        let err = capture_engine_run_dynamic(&suite::gups(), &params, &[home], &schedule)
+            .err()
+            .unwrap_or_else(|| panic!("{change:?} in a live schedule ran"));
+        assert!(lacks_missing(&err), "{change:?} in a live schedule: {err}");
+
+        let mut marked = base.clone();
+        let marker = trace_event_of_change(change, false).unwrap();
+        marked.lanes[0].events.push((50, marker));
+        let decoded = Trace::from_bytes(&marked.to_bytes().unwrap()).unwrap();
+        let err = try_serial(&decoded, &params).unwrap_err();
+        assert!(
+            lacks_missing(&err),
+            "{change:?} as a mid-lane marker: {err}"
+        );
+    }
 }
 
 #[test]

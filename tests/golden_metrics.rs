@@ -20,13 +20,19 @@
 //! snapshots were captured from the tree before the engine began running a
 //! fault-free segment's socket groups on separate host threads, so they
 //! pin that split (and every boundary around it) to the serial results.
+//!
+//! A churn run under ranged shootdowns is pinned too, with the shootdown
+//! work it did: replicas, a fork, mmap/munmap, a huge-page promotion and
+//! demotion and a page-table migration, captured before the copy-on-write
+//! shootdown was reworked, so that rework states what it moves.
 
 use mitosis::Mitosis;
 use mitosis_numa::{NodeMask, SocketId};
 use mitosis_obs::{IntervalAccumulator, MemoryRecorder, Observer};
+use mitosis_pt::VirtAddr;
 use mitosis_sim::{
     ExecutionEngine, MultiSocketConfig, MultiSocketScenario, PhaseChange, PhaseSchedule,
-    RunMetrics, SimParams,
+    PreparedSystem, RunMetrics, SetupStep, ShootdownStats, SimParams,
 };
 use mitosis_vmm::{MmapFlags, PtPlacement, System};
 use mitosis_workloads::{suite, InitPattern, WorkloadSpec};
@@ -309,4 +315,99 @@ fn multisocket_scenario_metrics_are_bit_identical() {
     )
     .expect("F+M scenario");
     check("Canneal/F+M", GOLD_CANNEAL_FM, result.metrics);
+}
+
+/// Two sockets, one thread each, over a lazily mapped region with Mitosis
+/// installed and ranged shootdowns, under a schedule that replicates the
+/// page tables on both sockets, maps a region away from the workload's and
+/// punches a hole in it, promotes a 2 MiB chunk of the workload region and
+/// splits it again, forks (every later write breaks copy-on-write), and
+/// migrates the page tables.  Returns the run's shootdown work with its
+/// metrics.
+fn run_churn() -> (RunMetrics, ShootdownStats) {
+    /// Where the workload region's `mmap` lands.
+    const REGION_BASE: u64 = 0x2000_0000_0000;
+    /// Far above the workload region.
+    const CHURN_BASE: u64 = 0x7000_0000_0000;
+    let params = params().with_ranged_shootdowns();
+    let scaled = params.scale_workload(&suite::gups());
+    let sockets = [SocketId::new(0), SocketId::new(1)];
+    let steps = [
+        SetupStep::InstallMitosis,
+        SetupStep::CreateProcess(sockets[0]),
+        SetupStep::Mmap {
+            len: scaled.footprint(),
+            populate: false,
+            thp: false,
+        },
+        SetupStep::Populate {
+            len: scaled.footprint(),
+            init: scaled.init(),
+            sockets: NodeMask::from_sockets(sockets),
+        },
+    ];
+    let PreparedSystem {
+        mut system,
+        mut mitosis,
+        pid,
+        region,
+    } = PreparedSystem::build(&params, &steps).expect("setup");
+    assert_eq!(region.as_u64(), REGION_BASE);
+    let huge = VirtAddr::new(REGION_BASE + (8 << 20));
+    let schedule = PhaseSchedule::new()
+        .at(
+            200,
+            PhaseChange::SetReplicas {
+                sockets: NodeMask::from_sockets(sockets),
+            },
+        )
+        .at(
+            400,
+            PhaseChange::MmapAt {
+                addr: VirtAddr::new(CHURN_BASE),
+                length: 64 << 12,
+            },
+        )
+        .at(
+            600,
+            PhaseChange::MunmapAt {
+                addr: VirtAddr::new(CHURN_BASE + (16 << 12)),
+                length: 32 << 12,
+            },
+        )
+        .at(800, PhaseChange::PromoteHuge { addr: huge })
+        .at(1000, PhaseChange::DemoteHuge { addr: huge })
+        .at(1200, PhaseChange::Fork)
+        .at(1600, PhaseChange::MigratePageTable { target: sockets[1] });
+    let threads = ExecutionEngine::one_thread_per_socket(&system, &sockets);
+    let mut engine = ExecutionEngine::new(&system);
+    let metrics = engine
+        .run_dynamic(
+            &mut system,
+            &mut mitosis,
+            pid,
+            &scaled,
+            region,
+            &threads,
+            &params,
+            &schedule,
+        )
+        .expect("churn run");
+    (metrics, engine.last_shootdowns())
+}
+
+const GOLD_CHURN: &str = "RunMetrics { total_cycles: 3079013, compute_cycles: 20000, data_cycles: 2883451, translation_cycles: 1547923, threads: 2, accesses: 4000, mmu: MmuStats { accesses: 4791, tlb_l1_hits: 19, tlb_l2_hits: 27, tlb_misses: 4745, translation_cycles: 1547923, walk: WalkStats { walks: 4745, faults: 791, walk_cycles: 1547734, levels_accessed: 9231, local_dram_accesses: 3110, remote_dram_accesses: 604, pte_cache_hits: 5517, interfered_accesses: 0 } }, demand_faults: 791 }";
+const GOLD_CHURN_SHOOTDOWNS: &str =
+    "ShootdownStats { full_flushes: 4, ranged_ranges: 794, entries_invalidated: 3302 }";
+
+#[test]
+fn churn_metrics_and_shootdowns_are_bit_identical() {
+    let (metrics, shootdowns) = run_churn();
+    check("GUPS/churn-2x1", GOLD_CHURN, metrics);
+    let actual = format!("{shootdowns:?}");
+    if std::env::var("GOLDEN_PRINT").is_ok() {
+        println!("GOLD GUPS/churn-2x1/shootdowns {actual}");
+        return;
+    }
+    assert_eq!(actual, GOLD_CHURN_SHOOTDOWNS, "shootdown work changed");
 }

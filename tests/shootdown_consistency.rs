@@ -5,13 +5,11 @@
 //! name exactly the pages the mutations invalidated, they do not alter
 //! what the mutations map.
 //!
-//! The layering rule — no `shootdown_all`/`flush_all` call sites outside
-//! the `Mmu`/`PteCacheSet` primitives themselves and the `mitosis-sim`
-//! shootdown module that owns the Broadcast-mode flush path — is enforced
-//! by running the `mitosis-lint` shootdown-layering rule through the lint
-//! engine, so this test, the `mitosis-lint` binary, and CI all share one
-//! token-stream-based implementation (no string-literal false positives,
-//! same suppression semantics).
+//! The layering rule — no `shootdown_all`/`flush_all` call outside the
+//! `Mmu`/`PteCacheSet` primitives themselves — is clippy configuration:
+//! both are `disallowed-methods` in `clippy.toml`, and each call the
+//! primitives make carries a reasoned `#[expect]` (`tests/lint_clean.rs`
+//! runs clippy).
 
 use mitosis_numa::{MachineConfig, SocketId};
 use mitosis_pt::{PageSize, VirtAddr};
@@ -91,26 +89,4 @@ proptest! {
             );
         }
     }
-}
-
-/// `shootdown_all` and `flush_all` may only be *defined* (and used
-/// internally) by the MMU primitives, and *called* by the one sim module
-/// that implements both flush policies.  Everything else must route
-/// through `MappingTx`/`ShootdownPlan`.  This runs the shootdown-layering
-/// rule alone — the same configuration the `mitosis-lint` binary ships —
-/// through the shared engine, replacing the ad-hoc line scan this test
-/// used before the lint crate existed.
-#[test]
-fn no_stray_shootdown_call_sites() {
-    use mitosis_lint::rules::shootdown::ShootdownLayering;
-    use mitosis_lint::LintEngine;
-
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-    let engine = LintEngine::new(root, vec![Box::new(ShootdownLayering::workspace_default())]);
-    let report = engine.run();
-    assert!(
-        report.is_clean(),
-        "shootdown_all/flush_all called outside the consistency layer:\n{}",
-        report.render_text()
-    );
 }

@@ -13,7 +13,7 @@ use mitosis_mmu::{PagingStructureCache, Tlb, TlbHierarchy, TlbLevel};
 use mitosis_numa::{NodeMask, SocketId};
 use mitosis_pt::{Level, PageSize, Pte, PteFlags, VirtAddr};
 use proptest::prelude::*;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -28,7 +28,7 @@ proptest! {
         let mut alloc = FrameAllocator::with_frame_space(space.clone());
         let mut live: Vec<FrameId> = Vec::new();
         let mut huge: Vec<FrameId> = Vec::new();
-        let mut model = HashSet::new();
+        let mut model = BTreeSet::new();
         for (socket, op) in ops {
             let socket = SocketId::new(socket);
             match op {
