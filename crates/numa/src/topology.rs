@@ -32,6 +32,12 @@ impl From<u16> for SocketId {
     }
 }
 
+impl From<SocketId> for u16 {
+    fn from(socket: SocketId) -> Self {
+        socket.0
+    }
+}
+
 /// Identifier of a logical core (hardware thread).
 ///
 /// Cores are numbered densely across the machine, socket-major: core `c`

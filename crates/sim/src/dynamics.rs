@@ -140,6 +140,25 @@ impl PhaseChange {
         )
     }
 
+    /// Whether this change is address-space churn: a fork, an mmap or
+    /// munmap at a fixed address, or a huge-page promotion or demotion.
+    ///
+    /// Churn happens only in the measured phase:
+    /// [`PreparedSystem::build`](crate::PreparedSystem::build) refuses it
+    /// as a setup step, so a setup never unmaps.  Mid-run it punches holes
+    /// into the premapped footprint or allocates and frees frames, which is
+    /// why replay does not shard a trace whose lanes carry it.
+    pub fn is_churn(&self) -> bool {
+        matches!(
+            self,
+            PhaseChange::Fork
+                | PhaseChange::MmapAt { .. }
+                | PhaseChange::MunmapAt { .. }
+                | PhaseChange::PromoteHuge { .. }
+                | PhaseChange::DemoteHuge { .. }
+        )
+    }
+
     /// Whether ranged-shootdown mode can satisfy this change with the exact
     /// ranges its [`MappingTx`](mitosis_pt::MappingTx) records.
     ///

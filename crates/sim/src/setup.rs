@@ -5,10 +5,11 @@
 //! 2's local or remote page tables and data, first-touch, interleave,
 //! AutoNUMA, replication.  The runners ([`MultiSocketScenario`],
 //! [`WorkloadMigrationScenario`]) describe their setup as a list of
-//! [`SetupStep`]s, trace capture records that list as setup events, and
-//! replay maps the events back to steps; all three then call
-//! [`PreparedSystem::build`].  One interpreter means a live run, its
-//! capture and its replay cannot disagree about what the setup did.
+//! [`SetupStep`]s, and a trace carries that same list: capture writes the
+//! steps themselves as the trace's setup events and replay reads them
+//! back.  All three then call [`PreparedSystem::build`].  One vocabulary
+//! and one interpreter mean a live run, its capture and its replay cannot
+//! disagree about what the setup did.
 //!
 //! [`MultiSocketScenario`]: crate::MultiSocketScenario
 //! [`WorkloadMigrationScenario`]: crate::WorkloadMigrationScenario
@@ -25,10 +26,9 @@ use mitosis_workloads::InitPattern;
 
 /// One step of a scenario's setup, applied by [`PreparedSystem::build`].
 ///
-/// Each step is recorded as one trace setup event — a
-/// [`SetupStep::Change`] as the event of its phase change — so a capture
-/// writes its step list as the trace's setup events and replay maps them
-/// back.
+/// A trace records each step as one setup event — a [`SetupStep::Change`]
+/// with the wire code of its phase change — and decodes it back to the
+/// same step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SetupStep {
     /// Build the system with the Mitosis PV-Ops backend.  Anywhere before
@@ -66,7 +66,8 @@ pub enum SetupStep {
         sockets: NodeMask,
     },
     /// Apply a phase change before the measured phase: data or page-table
-    /// migration, the replica set, AutoNUMA or interference.
+    /// migration, the replica set, AutoNUMA or interference.  Address-space
+    /// churn ([`PhaseChange::is_churn`]) is refused.
     Change(PhaseChange),
 }
 
@@ -107,14 +108,14 @@ impl PreparedSystem {
     ///
     /// Returns [`MitosisError::InvalidSetup`] naming the first step that
     /// cannot apply: [`SetupStep::InstallMitosis`] after the process
-    /// exists, a step that needs the process before
-    /// [`SetupStep::CreateProcess`], a populate before
-    /// [`SetupStep::Mmap`], page-table migration or replicas without
-    /// [`SetupStep::InstallMitosis`], or a list that never creates the
-    /// process or maps its region.  A step naming a socket the machine
-    /// lacks fails as the allocator does, with [`MemError::OutOfMemory`]
-    /// in a [`VmError::Mem`].  Propagates the VM and Mitosis errors of the
-    /// steps themselves.
+    /// exists, a second [`SetupStep::CreateProcess`], a step that needs the
+    /// process before the first, a populate before [`SetupStep::Mmap`],
+    /// page-table migration or replicas without
+    /// [`SetupStep::InstallMitosis`], address-space churn, or a list that
+    /// never creates the process or maps its region.  A step naming a
+    /// socket the machine lacks fails as the allocator does, with
+    /// [`MemError::OutOfMemory`] in a [`VmError::Mem`].  Propagates the VM
+    /// and Mitosis errors of the steps themselves.
     ///
     /// [`MemError::OutOfMemory`]: mitosis_mem::MemError::OutOfMemory
     /// [`VmError::Mem`]: mitosis_vmm::VmError::Mem
@@ -151,6 +152,9 @@ impl PreparedSystem {
                     system.set_pt_placement(PtPlacement::Fixed(socket));
                 }
                 SetupStep::CreateProcess(socket) => {
+                    if pid.is_some() {
+                        return Err(invalid("a second CreateProcess"));
+                    }
                     check_sockets(&system, [socket])?;
                     pid = Some(system.create_process(socket)?);
                 }
@@ -184,6 +188,9 @@ impl PreparedSystem {
                 }
                 SetupStep::Change(change) => {
                     let pid = process?;
+                    if change.is_churn() {
+                        return Err(invalid("address-space churn is not a setup step"));
+                    }
                     // Without the backend, replicas would exist but never be
                     // selected and the page-table reserve would be missing,
                     // so no live run could produce this list.
@@ -231,13 +238,32 @@ mod tests {
         let replicate = SetupStep::Change(PhaseChange::SetReplicas {
             sockets: NodeMask::all(2),
         });
-        let cases = [
+        let second_create = SetupStep::CreateProcess(SocketId::new(1));
+        let huge = VirtAddr::new(1 << 41);
+        let churn = [
+            PhaseChange::Fork,
+            PhaseChange::MmapAt {
+                addr: huge,
+                length: 1 << 21,
+            },
+            PhaseChange::MunmapAt {
+                addr: huge,
+                length: 1 << 12,
+            },
+            PhaseChange::PromoteHuge { addr: huge },
+            PhaseChange::DemoteHuge { addr: huge },
+        ];
+        let mut cases = vec![
             (vec![mmap], 0),
             (vec![create, SetupStep::InstallMitosis, mmap], 1),
             (vec![create, populate, mmap], 1),
             (vec![create, mmap, populate, replicate], 3),
             (vec![create], 1),
+            (vec![create, mmap, second_create, populate], 2),
         ];
+        for change in churn {
+            cases.push((vec![create, mmap, populate, SetupStep::Change(change)], 3));
+        }
         for (steps, expected) in cases {
             match PreparedSystem::build(&params, &steps) {
                 Err(MitosisError::InvalidSetup { step, .. }) => {

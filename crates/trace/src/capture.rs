@@ -11,23 +11,24 @@
 //!   it, returning both the live metrics and the trace whose replay
 //!   reproduces them bit-for-bit.  Each builds its system from a list of
 //!   [`SetupStep`]s through [`PreparedSystem::build`] — for the scenarios,
-//!   the runner's own `setup` — and writes the same steps as the trace's
-//!   setup events, which replay maps back to steps and builds again;
+//!   the runner's own `setup` — and writes those steps themselves as the
+//!   trace's setup events, which replay builds again;
 //! * [`capture_engine_run_dynamic`] additionally threads a
 //!   [`PhaseSchedule`] of mid-run phase-change events through the run and
-//!   records each fired event as a mid-lane marker at the exact access
-//!   index, so the dynamic run replays bit-identically too.
+//!   records each fired [`PhaseChange`](mitosis_sim::PhaseChange) as a
+//!   mid-lane marker at the exact access index, so the dynamic run replays
+//!   bit-identically too.
 
-use crate::format::{socket_index_u16, Trace, TraceError, TraceEvent, TraceLane, TraceMeta};
+use crate::format::{Trace, TraceLane, TraceMeta};
 use crate::replay::ReplayError;
 use mitosis_numa::SocketId;
 use mitosis_sim::{
-    ExecutionEngine, MigrationRun, MultiSocketConfig, MultiSocketScenario, PhaseChange, PhaseEvent,
+    ExecutionEngine, MigrationRun, MultiSocketConfig, MultiSocketScenario, PhaseEvent,
     PhaseSchedule, PreparedSystem, RunMetrics, RunSpec, SetupStep, SimParams, SpanOutcome,
     ThreadPlacement, WorkloadMigrationScenario,
 };
 use mitosis_vmm::System;
-use mitosis_workloads::{Access, AccessSource, AccessStream, InitPattern, WorkloadSpec};
+use mitosis_workloads::{Access, AccessSource, AccessStream, WorkloadSpec};
 
 /// An [`AccessSource`] adaptor that records every access it forwards.
 #[derive(Debug, Clone)]
@@ -85,98 +86,6 @@ pub struct CapturedRun {
     /// Metrics of the live run that produced the trace; replaying the trace
     /// reproduces exactly these.
     pub live_metrics: RunMetrics,
-}
-
-/// The mid-lane marker a fired phase change is recorded as; `staggered` is
-/// set when the change carried a per-thread filter (the marker then lands
-/// only in the targeted lane).
-///
-/// [`crate::replay`] inverts this mapping to rebuild the
-/// [`PhaseSchedule`] from the decoded lanes.
-///
-/// # Errors
-///
-/// Returns [`TraceError::UnencodableSocket`] when a target socket does not
-/// fit the wire format's `u16` socket field.
-///
-/// # Panics
-///
-/// Panics if `staggered` is requested for a change that does not support a
-/// thread filter (see
-/// [`PhaseChange::supports_thread_filter`]); [`PhaseSchedule`] makes such
-/// events unrepresentable, so a panic here means the schedule was built by
-/// other means.
-pub fn trace_event_of_change(
-    change: PhaseChange,
-    staggered: bool,
-) -> Result<TraceEvent, TraceError> {
-    assert!(
-        !staggered || change.supports_thread_filter(),
-        "{change:?} cannot be staggered"
-    );
-    Ok(match change {
-        PhaseChange::MigrateData { target } => TraceEvent::MigrateData {
-            socket: socket_index_u16(target)?,
-            staggered,
-        },
-        PhaseChange::MigratePageTable { target } => TraceEvent::MigratePageTable {
-            socket: socket_index_u16(target)?,
-        },
-        PhaseChange::SetReplicas { sockets } => TraceEvent::Replicate {
-            sockets: sockets.bits(),
-        },
-        PhaseChange::AutoNumaRebalance { sockets } => TraceEvent::AutoNumaRebalance {
-            sockets: sockets.bits(),
-            staggered,
-        },
-        PhaseChange::SetInterference { sockets } => TraceEvent::Interference {
-            sockets: sockets.bits(),
-            staggered,
-        },
-        PhaseChange::Fork => TraceEvent::Fork,
-        PhaseChange::MmapAt { addr, length } => TraceEvent::MmapAt {
-            addr: addr.as_u64(),
-            len: length,
-        },
-        PhaseChange::MunmapAt { addr, length } => TraceEvent::MunmapAt {
-            addr: addr.as_u64(),
-            len: length,
-        },
-        PhaseChange::PromoteHuge { addr } => TraceEvent::PromoteHuge {
-            addr: addr.as_u64(),
-        },
-        PhaseChange::DemoteHuge { addr } => TraceEvent::DemoteHuge {
-            addr: addr.as_u64(),
-        },
-    })
-}
-
-/// The setup event a setup step is recorded as.  [`crate::replay`]
-/// inverts this mapping to rebuild the steps from a trace.
-pub(crate) fn trace_event_of_step(step: SetupStep) -> Result<TraceEvent, TraceError> {
-    Ok(match step {
-        SetupStep::InstallMitosis => TraceEvent::InstallMitosis,
-        SetupStep::SetThp(mode) => TraceEvent::SetThp(mode.is_enabled()),
-        SetupStep::PtPlacement(socket) => TraceEvent::PtPlacement {
-            socket: socket_index_u16(socket)?,
-        },
-        SetupStep::CreateProcess(socket) => TraceEvent::CreateProcess {
-            socket: socket_index_u16(socket)?,
-        },
-        SetupStep::BindData(socket) => TraceEvent::BindData {
-            socket: socket_index_u16(socket)?,
-        },
-        SetupStep::InterleaveData(sockets) => TraceEvent::InterleaveData {
-            sockets: sockets.bits(),
-        },
-        SetupStep::Mmap { len, populate, thp } => TraceEvent::Mmap { len, populate, thp },
-        SetupStep::Populate { len, init, sockets } => TraceEvent::Populate {
-            len,
-            parallel: init == InitPattern::Parallel,
-            sockets: sockets.bits(),
-        },
-        SetupStep::Change(change) => trace_event_of_change(change, false)?,
-    })
 }
 
 /// Builds `steps`, runs `spec` (already scaled) live on the threads
@@ -238,32 +147,32 @@ fn capture_steps(
     // the lanes of a staggered capture legitimately disagree (format v4).
     // Events scheduled beyond the run clamp to its end, exactly as the
     // engine fired them.
-    let marker_of = |event: &PhaseEvent| -> Result<(u64, TraceEvent), TraceError> {
-        Ok((
+    let marker_of = |event: &PhaseEvent| {
+        (
             event.at_access.min(params.accesses_per_thread),
-            trace_event_of_change(event.change, event.thread.is_some())?,
-        ))
+            event.change,
+            event.thread.is_some(),
+        )
     };
-    let mut lanes = Vec::with_capacity(threads.len());
-    for (index, (placement, source)) in threads.iter().zip(sources).enumerate() {
-        lanes.push(TraceLane {
-            socket: socket_index_u16(placement.socket)?,
+    let lanes = threads
+        .iter()
+        .zip(sources)
+        .enumerate()
+        .map(|(index, (placement, source))| TraceLane {
+            socket: u16::from(placement.socket),
             accesses: source.into_recorded(),
             events: schedule
                 .events()
                 .iter()
                 .filter(|event| event.thread.is_none() || event.thread == Some(index))
                 .map(marker_of)
-                .collect::<Result<_, _>>()?,
-        });
-    }
+                .collect(),
+        })
+        .collect();
     Ok(CapturedRun {
         trace: Trace {
             meta: TraceMeta::for_spec(spec, params)?,
-            setup_events: steps
-                .iter()
-                .map(|&step| trace_event_of_step(step))
-                .collect::<Result<_, _>>()?,
+            setup_events: steps.to_vec(),
             lanes,
         },
         live_metrics,
@@ -354,11 +263,10 @@ pub fn capture_engine_run_dynamic(
 /// data rebalancing and optionally Mitosis page-table replication) while
 /// capturing its setup events and access streams.
 ///
-/// The setup is the runner's own [`MultiSocketScenario::setup`]; its
-/// AutoNUMA, interleave and replication steps are recorded as
-/// [`TraceEvent::AutoNumaRebalance`], [`TraceEvent::InterleaveData`] and
-/// [`TraceEvent::Replicate`] setup events, so replay reconstructs the
-/// exact Figure 9 system state before feeding the lanes back.
+/// The setup is the runner's own [`MultiSocketScenario::setup`]; the trace
+/// records its AutoNUMA, interleave and replication steps as setup events,
+/// so replay reconstructs the exact Figure 9 system state before feeding
+/// the lanes back.
 ///
 /// `params.threads_per_socket` threads run on every socket (the paper's
 /// machines run many threads per socket, not one), so the captured trace

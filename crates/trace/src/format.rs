@@ -20,39 +20,31 @@
 //! Access records are delta-encoded against the previous offset in the same
 //! lane (starting from zero), so the hot encoding path is "zigzag the delta,
 //! fold in the write bit, LEB128 it" — sequential and windowed patterns
-//! compress to one or two bytes per access.  Events before the first lane
-//! describe experiment setup (process creation, mmap, placement, migration)
-//! and are replayed against a fresh [`System`](mitosis_vmm::System) by the
-//! [`replay`](crate::replay) module; events inside a lane are positional
-//! markers.
+//! compress to one or two bytes per access.
+//!
+//! Events speak `mitosis-sim`'s vocabulary directly.  An event before the
+//! first lane is a [`SetupStep`], decoded as [`TraceItem::Setup`]; replay
+//! builds the steps with
+//! [`PreparedSystem::build`](mitosis_sim::PreparedSystem::build).  An event
+//! inside a lane is a [`PhaseChange`] at that access index, decoded as
+//! [`TraceItem::Change`], optionally staggered.  The reader knows which
+//! side of the first lane it is on: a setup-only step inside a lane, a
+//! staggered flag before the first lane or on a change that cannot be
+//! staggered, and any argument count other than the code's are
+//! [`TraceError::Corrupt`].
 
 use mitosis_mem::FrameSpace;
-use mitosis_numa::SocketId;
-use mitosis_sim::SimParams;
-use mitosis_workloads::{suite, Access, WorkloadSpec};
+use mitosis_numa::{NodeMask, SocketId};
+use mitosis_pt::VirtAddr;
+use mitosis_sim::{PhaseChange, SetupStep, SimParams};
+use mitosis_vmm::ThpMode;
+use mitosis_workloads::{suite, Access, InitPattern, WorkloadSpec};
 use std::fmt;
 use std::io::{self, Read, Write};
 
-/// Checked conversion of a socket identifier to the wire format's `u16`
-/// socket field.
-///
-/// Every socket recorded in a trace — setup events, lane headers, mid-lane
-/// markers, the machine fingerprint — goes through this one helper instead
-/// of an `as u16` cast, so a capture machine with more sockets than the
-/// format can describe fails loudly with
-/// [`TraceError::UnencodableSocket`] rather than writing a truncated (but
-/// correctly checksummed) trace.
-///
-/// # Errors
-///
-/// Returns [`TraceError::UnencodableSocket`] when the index exceeds
-/// `u16::MAX`.
-pub fn socket_index_u16(socket: SocketId) -> Result<u16, TraceError> {
-    checked_socket_u16(socket.index())
-}
-
-/// [`socket_index_u16`] for a raw dense index (socket counts, fingerprint
-/// fields).
+/// Checked conversion of a dense socket index (the fingerprint's socket
+/// count) to the wire format's `u16` socket field.  A [`SocketId`] already
+/// is a `u16` and converts with `u16::from`.
 ///
 /// # Errors
 ///
@@ -70,22 +62,20 @@ pub fn checked_socket_u16(index: usize) -> Result<u16, TraceError> {
 /// * 2 — header additionally records the [`MachineFingerprint`], so replay
 ///   can refuse a trace captured on a differently sized machine instead of
 ///   silently producing different metrics.
-/// * 3 — new event codes for dynamic scenarios: mid-lane phase-change
-///   markers ([`TraceEvent::MigrateData`], [`TraceEvent::Replicate`],
-///   [`TraceEvent::AutoNumaRebalance`], plus the pre-existing
-///   [`TraceEvent::MigratePageTable`] / [`TraceEvent::Interference`] now
-///   also valid inside lanes) and the multi-socket scenario setup event
-///   [`TraceEvent::InterleaveData`].  The wire format is unchanged; the
-///   version bump marks traces that may carry the new codes.
+/// * 3 — new event codes for dynamic scenarios: the mid-lane phase-change
+///   markers `MigrateData` (11), `Replicate` (12) and `AutoNumaRebalance`
+///   (13), with `MigratePageTable` and `Interference` now also valid
+///   inside lanes, and the multi-socket scenario's setup event
+///   `InterleaveData` (14).  The wire format is unchanged; the version
+///   bump marks traces that may carry the new codes.
 /// * 4 — staggered (per-thread) phase boundaries: the mid-lane markers
-///   [`TraceEvent::MigrateData`], [`TraceEvent::AutoNumaRebalance`] and
-///   [`TraceEvent::Interference`] gain an optional trailing `staggered`
-///   argument.  A staggered marker applies only to the lane it is recorded
-///   in, so lanes of one trace may legitimately carry *different* markers
-///   (the pre-v4 invariant was all-lanes-agree).  Unstaggered events omit
-///   the argument.
+///   `MigrateData`, `AutoNumaRebalance` and `Interference` gain an optional
+///   trailing `staggered` argument.  A staggered marker applies only to the
+///   lane it is recorded in, so lanes of one trace may legitimately carry
+///   *different* markers (the pre-v4 invariant was all-lanes-agree).
+///   Unstaggered events omit the argument.
 /// * 5 — periodic per-lane checkpoint markers for trace salvage: an
-///   *internal* event (code 15, never surfaced as a [`TraceEvent`])
+///   *internal* event (code 15, never surfaced as a [`TraceItem`])
 ///   carrying `(accesses so far in this lane, running FNV-64 state of
 ///   every byte preceding the marker)`.  [`TraceWriter`] emits one every
 ///   [`DEFAULT_CHECKPOINT_INTERVAL`] accesses within a lane
@@ -95,10 +85,14 @@ pub fn checked_socket_u16(index: usize) -> Result<u16, TraceError> {
 ///   bound the blast radius of corruption or truncation:
 ///   [`Trace::recover`] trims a damaged trace to its longest
 ///   checkpoint-attested prefix instead of losing everything.
-/// * 6 — address-space-churn and fork/CoW events: [`TraceEvent::Fork`],
-///   [`TraceEvent::MmapAt`], [`TraceEvent::MunmapAt`],
-///   [`TraceEvent::PromoteHuge`] and [`TraceEvent::DemoteHuge`] (codes
-///   16–20), valid as mid-lane phase-change markers.
+/// * 6 — address-space-churn and fork/CoW events: `Fork`, `MmapAt`,
+///   `MunmapAt`, `PromoteHuge` and `DemoteHuge` (codes 16–20), valid as
+///   mid-lane phase-change markers.
+///
+/// Within version 6 the reader has grown stricter about bytes no capture
+/// writes.  Code 10, a free-form positional marker, is no longer read: it
+/// is [`TraceError::UnknownEvent`].  Each code must carry exactly its own
+/// arguments, and the staggered flag only where a change can be staggered.
 ///
 /// The reader decodes this version only: any other version word is
 /// [`TraceError::UnsupportedVersion`].
@@ -113,58 +107,53 @@ const TAG_LANE: u64 = 0b10;
 const TAG_END: u64 = 0b11;
 
 /// Wire code of every event in the stream: one named constant per
-/// [`TraceEvent`] variant plus the internal per-lane checkpoint marker.
-/// `encode`/`decode` and the checkpoint writer/reader paths match on
-/// these names, never on bare literals.  The round-trip proptests in
-/// `replay.rs` check that the table stays in sync with capture and
-/// replay, and a constant here that goes unused is a `dead_code` warning.
+/// [`SetupStep`] and [`PhaseChange`] variant plus the internal per-lane
+/// checkpoint marker.  The encoders, `decode_event` and the checkpoint
+/// writer and reader match on these names, never on bare literals.  The
+/// round-trip proptests in `replay.rs` walk every variant through the
+/// codec, and a constant here that goes unused is a `dead_code` warning.
 pub(crate) mod event_code {
-    /// [`super::TraceEvent::InstallMitosis`].
+    /// `SetupStep::InstallMitosis`.
     pub const INSTALL_MITOSIS: u64 = 1;
-    /// [`super::TraceEvent::SetThp`].
+    /// `SetupStep::SetThp`.
     pub const SET_THP: u64 = 2;
-    /// [`super::TraceEvent::PtPlacement`].
+    /// `SetupStep::PtPlacement`.
     pub const PT_PLACEMENT: u64 = 3;
-    /// [`super::TraceEvent::CreateProcess`].
+    /// `SetupStep::CreateProcess`.
     pub const CREATE_PROCESS: u64 = 4;
-    /// [`super::TraceEvent::BindData`].
+    /// `SetupStep::BindData`.
     pub const BIND_DATA: u64 = 5;
-    /// [`super::TraceEvent::Mmap`].
+    /// `SetupStep::Mmap`.
     pub const MMAP: u64 = 6;
-    /// [`super::TraceEvent::Populate`].
+    /// `SetupStep::Populate`.
     pub const POPULATE: u64 = 7;
-    /// [`super::TraceEvent::MigratePageTable`].
+    /// `PhaseChange::MigratePageTable`.
     pub const MIGRATE_PAGE_TABLE: u64 = 8;
-    /// [`super::TraceEvent::Interference`].
+    /// `PhaseChange::SetInterference`.
     pub const INTERFERENCE: u64 = 9;
-    /// [`super::TraceEvent::Marker`].
-    pub const MARKER: u64 = 10;
-    /// [`super::TraceEvent::MigrateData`].
+    // Code 10 is retired: the reader reports it as an unknown event.
+    /// `PhaseChange::MigrateData`.
     pub const MIGRATE_DATA: u64 = 11;
-    /// [`super::TraceEvent::Replicate`].
+    /// `PhaseChange::SetReplicas`.
     pub const REPLICATE: u64 = 12;
-    /// [`super::TraceEvent::AutoNumaRebalance`].
+    /// `PhaseChange::AutoNumaRebalance`.
     pub const AUTO_NUMA_REBALANCE: u64 = 13;
-    /// [`super::TraceEvent::InterleaveData`].
+    /// `SetupStep::InterleaveData`.
     pub const INTERLEAVE_DATA: u64 = 14;
-    /// The internal per-lane checkpoint marker (format v5) — never
-    /// surfaced as a [`super::TraceEvent`].
+    /// The internal per-lane checkpoint marker (format v5), never surfaced
+    /// as a [`super::TraceItem`].
     pub const CHECKPOINT: u64 = 15;
-    /// [`super::TraceEvent::Fork`].
+    /// `PhaseChange::Fork`.
     pub const FORK: u64 = 16;
-    /// [`super::TraceEvent::MmapAt`].
+    /// `PhaseChange::MmapAt`.
     pub const MMAP_AT: u64 = 17;
-    /// [`super::TraceEvent::MunmapAt`].
+    /// `PhaseChange::MunmapAt`.
     pub const MUNMAP_AT: u64 = 18;
-    /// [`super::TraceEvent::PromoteHuge`].
+    /// `PhaseChange::PromoteHuge`.
     pub const PROMOTE_HUGE: u64 = 19;
-    /// [`super::TraceEvent::DemoteHuge`].
+    /// `PhaseChange::DemoteHuge`.
     pub const DEMOTE_HUGE: u64 = 20;
 }
-
-/// The internal per-lane checkpoint marker (format v5).  Never decoded
-/// into a [`TraceEvent`]: the reader validates and swallows it.
-const CHECKPOINT_EVENT_CODE: u64 = event_code::CHECKPOINT;
 
 /// Accesses between two checkpoint markers within a lane, unless
 /// overridden via [`TraceWriter::set_checkpoint_interval`].  Dense enough
@@ -193,10 +182,9 @@ pub enum TraceError {
     Corrupt(&'static str),
     /// An event with an unknown code (written by a newer version).
     UnknownEvent(u64),
-    /// A socket index on the capture machine does not fit the wire
-    /// format's `u16`.  Raised at *capture* time: encoding it with a
-    /// silent `as u16` cast would produce a wrong-but-checksummed trace
-    /// that replays against the wrong socket.
+    /// The capture machine's socket count does not fit the wire format's
+    /// `u16`.  Raised at *capture* time: encoding it with a silent
+    /// `as u16` cast would produce a wrong-but-checksummed fingerprint.
     UnencodableSocket(usize),
 }
 
@@ -436,271 +424,159 @@ impl TraceMeta {
     }
 }
 
-/// A setup or marker event recorded alongside the access stream.
-///
-/// Events before the first lane describe the experiment setup in execution
-/// order; the replay interpreter applies them to a fresh system to
-/// reconstruct the captured placement (page tables, data, interference)
-/// before feeding the lanes to the execution engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceEvent {
-    /// The Mitosis PV-Ops backend was installed before process creation.
-    InstallMitosis,
-    /// Transparent huge pages were switched on (`true`) or off.
-    SetThp(bool),
-    /// Page-table allocation was pinned to a socket (the "left behind"
-    /// placement of the migration scenario).
-    PtPlacement {
-        /// Socket page tables are allocated on.
-        socket: u16,
-    },
-    /// The workload process was created with the given home socket.
-    CreateProcess {
-        /// Home socket of the process.
-        socket: u16,
-    },
-    /// Data placement was bound to a socket.
-    BindData {
-        /// Socket data pages are bound to.
-        socket: u16,
-    },
-    /// The workload region was mmapped.
-    Mmap {
-        /// Length of the region in bytes.
-        len: u64,
-        /// Whether the mapping was eagerly populated (`MAP_POPULATE`).
-        populate: bool,
-        /// Whether the area was THP-eligible.
-        thp: bool,
-    },
-    /// The region was populated (first-touch initialisation).
-    Populate {
-        /// Number of bytes populated from the region start.
-        len: u64,
-        /// `true` for parallel per-socket initialisation, `false` for
-        /// single-threaded.
-        parallel: bool,
-        /// Bit mask of participating sockets (bit *i* = socket *i*).
-        sockets: u64,
-    },
-    /// Mitosis migrated the process's page tables to a socket.
-    MigratePageTable {
-        /// Destination socket.
-        socket: u16,
-    },
-    /// An interfering memory hog loads the masked sockets.
-    Interference {
-        /// Bit mask of interfered sockets.
-        sockets: u64,
-        /// Mid-lane only (format v4): the toggle was observed only by the
-        /// lane carrying this marker (a staggered per-thread boundary).
-        /// Always `false` for setup events.
-        staggered: bool,
-    },
-    /// Free-form positional marker (also usable inside lanes), written by
-    /// trace authors rather than by capture; replay skips it.
-    Marker(u64),
-    /// Every data page of the process was migrated to a socket (the NUMA
-    /// balancer following a scheduler migration).  Mid-lane phase-change
-    /// marker.
-    MigrateData {
-        /// Destination socket of the data pages.
-        socket: u16,
-        /// Format v4: the migration was observed only by the lane carrying
-        /// this marker (a staggered per-thread boundary); the other lanes
-        /// kept translating through their warm TLBs until a boundary of
-        /// their own.
-        staggered: bool,
-    },
-    /// The page-table replica set was set to exactly the masked sockets
-    /// (empty mask = every replica dropped).  Setup event when Mitosis
-    /// replicates before the measured phase; mid-lane phase-change marker
-    /// when replicas are added or dropped during it.
-    Replicate {
-        /// Bit mask of sockets holding a replica afterwards.
-        sockets: u64,
-    },
-    /// AutoNUMA rebalanced data pages across the masked sockets.  Setup
-    /// event or mid-lane phase-change marker.
-    AutoNumaRebalance {
-        /// Bit mask of participating sockets.
-        sockets: u64,
-        /// Format v4: the rebalance was observed only by the lane carrying
-        /// this marker (a staggered per-thread boundary).  Always `false`
-        /// for setup events.
-        staggered: bool,
-    },
-    /// Data placement was interleaved across the masked sockets (the
-    /// multi-socket scenario's `I` configurations).
-    InterleaveData {
-        /// Bit mask of sockets the interleave rotates over.
-        sockets: u64,
-    },
-    /// The workload process forked: the child shares every data frame
-    /// copy-on-write and the parent's writable mappings were downgraded to
-    /// read-only.  Mid-lane phase-change marker (format v6).
-    Fork,
-    /// `len` bytes of populated anonymous memory were mapped at the fixed
-    /// address `addr` (format v6).
-    MmapAt {
-        /// Fixed start address of the new region.
-        addr: u64,
-        /// Length of the region in bytes.
-        len: u64,
-    },
-    /// `[addr, addr + len)` was unmapped, splitting any VMAs the range cut
-    /// through (format v6).
-    MunmapAt {
-        /// Start address of the hole.
-        addr: u64,
-        /// Length of the hole in bytes.
-        len: u64,
-    },
-    /// The 512 base pages at `addr` were collapsed into one 2 MiB mapping
-    /// (format v6).
-    PromoteHuge {
-        /// 2 MiB-aligned start address of the promoted region.
-        addr: u64,
-    },
-    /// The 2 MiB mapping at `addr` was split back into base pages
-    /// (format v6).
-    DemoteHuge {
-        /// 2 MiB-aligned start address of the demoted mapping.
-        addr: u64,
-    },
+/// The wire code and arguments of a setup step: a phase change is written
+/// as its unstaggered mid-lane marker.
+fn encode_step(step: SetupStep) -> (u64, [u64; 3], usize) {
+    let socket = |socket: SocketId| u64::from(u16::from(socket));
+    match step {
+        SetupStep::InstallMitosis => (event_code::INSTALL_MITOSIS, [0; 3], 0),
+        SetupStep::SetThp(mode) => (event_code::SET_THP, [u64::from(mode.is_enabled()), 0, 0], 1),
+        SetupStep::PtPlacement(target) => (event_code::PT_PLACEMENT, [socket(target), 0, 0], 1),
+        SetupStep::CreateProcess(home) => (event_code::CREATE_PROCESS, [socket(home), 0, 0], 1),
+        SetupStep::BindData(target) => (event_code::BIND_DATA, [socket(target), 0, 0], 1),
+        SetupStep::InterleaveData(sockets) => {
+            (event_code::INTERLEAVE_DATA, [sockets.bits(), 0, 0], 1)
+        }
+        SetupStep::Mmap { len, populate, thp } => (
+            event_code::MMAP,
+            [len, u64::from(populate), u64::from(thp)],
+            3,
+        ),
+        SetupStep::Populate { len, init, sockets } => (
+            event_code::POPULATE,
+            [
+                len,
+                u64::from(init == InitPattern::Parallel),
+                sockets.bits(),
+            ],
+            3,
+        ),
+        SetupStep::Change(change) => encode_change(change, false),
+    }
 }
 
-impl TraceEvent {
-    fn encode(self) -> (u64, [u64; 3], usize) {
-        // Staggerable markers append their flag as an optional trailing
-        // argument (format v4): unstaggered events omit it.
-        let staggerable = |code: u64, first: u64, staggered: bool| {
-            if staggered {
-                (code, [first, 1, 0], 2)
-            } else {
-                (code, [first, 0, 0], 1)
-            }
-        };
-        match self {
-            TraceEvent::InstallMitosis => (event_code::INSTALL_MITOSIS, [0; 3], 0),
-            TraceEvent::SetThp(always) => (event_code::SET_THP, [always as u64, 0, 0], 1),
-            TraceEvent::PtPlacement { socket } => {
-                (event_code::PT_PLACEMENT, [socket as u64, 0, 0], 1)
-            }
-            TraceEvent::CreateProcess { socket } => {
-                (event_code::CREATE_PROCESS, [socket as u64, 0, 0], 1)
-            }
-            TraceEvent::BindData { socket } => (event_code::BIND_DATA, [socket as u64, 0, 0], 1),
-            TraceEvent::Mmap { len, populate, thp } => {
-                (event_code::MMAP, [len, populate as u64, thp as u64], 3)
-            }
-            TraceEvent::Populate {
-                len,
-                parallel,
-                sockets,
-            } => (event_code::POPULATE, [len, parallel as u64, sockets], 3),
-            TraceEvent::MigratePageTable { socket } => {
-                (event_code::MIGRATE_PAGE_TABLE, [socket as u64, 0, 0], 1)
-            }
-            TraceEvent::Interference { sockets, staggered } => {
-                staggerable(event_code::INTERFERENCE, sockets, staggered)
-            }
-            TraceEvent::Marker(value) => (event_code::MARKER, [value, 0, 0], 1),
-            TraceEvent::MigrateData { socket, staggered } => {
-                staggerable(event_code::MIGRATE_DATA, socket as u64, staggered)
-            }
-            TraceEvent::Replicate { sockets } => (event_code::REPLICATE, [sockets, 0, 0], 1),
-            TraceEvent::AutoNumaRebalance { sockets, staggered } => {
-                staggerable(event_code::AUTO_NUMA_REBALANCE, sockets, staggered)
-            }
-            TraceEvent::InterleaveData { sockets } => {
-                (event_code::INTERLEAVE_DATA, [sockets, 0, 0], 1)
-            }
-            // event_code::CHECKPOINT is the internal marker, not an event.
-            TraceEvent::Fork => (event_code::FORK, [0; 3], 0),
-            TraceEvent::MmapAt { addr, len } => (event_code::MMAP_AT, [addr, len, 0], 2),
-            TraceEvent::MunmapAt { addr, len } => (event_code::MUNMAP_AT, [addr, len, 0], 2),
-            TraceEvent::PromoteHuge { addr } => (event_code::PROMOTE_HUGE, [addr, 0, 0], 1),
-            TraceEvent::DemoteHuge { addr } => (event_code::DEMOTE_HUGE, [addr, 0, 0], 1),
+/// The wire code and arguments of a phase change.  A staggered one
+/// appends the flag `1` (format v4); the writer appends it to any change,
+/// and the reader refuses it on one that cannot be staggered.
+fn encode_change(change: PhaseChange, staggered: bool) -> (u64, [u64; 3], usize) {
+    let socket = |socket: SocketId| u64::from(u16::from(socket));
+    let (code, mut args, argc) = match change {
+        PhaseChange::MigrateData { target } => {
+            (event_code::MIGRATE_DATA, [socket(target), 0, 0], 1)
         }
+        PhaseChange::MigratePageTable { target } => {
+            (event_code::MIGRATE_PAGE_TABLE, [socket(target), 0, 0], 1)
+        }
+        PhaseChange::SetReplicas { sockets } => (event_code::REPLICATE, [sockets.bits(), 0, 0], 1),
+        PhaseChange::AutoNumaRebalance { sockets } => {
+            (event_code::AUTO_NUMA_REBALANCE, [sockets.bits(), 0, 0], 1)
+        }
+        PhaseChange::SetInterference { sockets } => {
+            (event_code::INTERFERENCE, [sockets.bits(), 0, 0], 1)
+        }
+        PhaseChange::Fork => (event_code::FORK, [0; 3], 0),
+        PhaseChange::MmapAt { addr, length } => {
+            (event_code::MMAP_AT, [addr.as_u64(), length, 0], 2)
+        }
+        PhaseChange::MunmapAt { addr, length } => {
+            (event_code::MUNMAP_AT, [addr.as_u64(), length, 0], 2)
+        }
+        PhaseChange::PromoteHuge { addr } => (event_code::PROMOTE_HUGE, [addr.as_u64(), 0, 0], 1),
+        PhaseChange::DemoteHuge { addr } => (event_code::DEMOTE_HUGE, [addr.as_u64(), 0, 0], 1),
+    };
+    if !staggered {
+        return (code, args, argc);
     }
+    args[argc] = 1;
+    (code, args, argc + 1)
+}
 
-    fn decode(code: u64, args: &[u64]) -> Result<TraceEvent, TraceError> {
-        let arg = |i: usize| -> Result<u64, TraceError> {
-            args.get(i)
-                .copied()
-                .ok_or(TraceError::Corrupt("event is missing arguments"))
-        };
-        // The staggered flag is an optional trailing argument: absent on
-        // unstaggered events, present only on the three staggerable
-        // mid-lane markers.
-        let staggered = |i: usize| args.get(i).copied().unwrap_or(0) != 0;
-        let socket = |i: usize| -> Result<u16, TraceError> {
-            u16::try_from(arg(i)?).map_err(|_| TraceError::Corrupt("socket index overflows u16"))
-        };
-        Ok(match code {
-            event_code::INSTALL_MITOSIS => TraceEvent::InstallMitosis,
-            event_code::SET_THP => TraceEvent::SetThp(arg(0)? != 0),
-            event_code::PT_PLACEMENT => TraceEvent::PtPlacement { socket: socket(0)? },
-            event_code::CREATE_PROCESS => TraceEvent::CreateProcess { socket: socket(0)? },
-            event_code::BIND_DATA => TraceEvent::BindData { socket: socket(0)? },
-            event_code::MMAP => TraceEvent::Mmap {
-                len: arg(0)?,
-                populate: arg(1)? != 0,
-                thp: arg(2)? != 0,
+/// Decodes one event record into the setup step it stands for — a phase
+/// change as a [`SetupStep::Change`] — and whether it carries the
+/// staggered flag.  Every code takes a fixed number of arguments, and only
+/// the flag `1` may follow them; where the event stands decides whether
+/// the step and the flag are allowed there ([`TraceReader::next_item`]).
+fn decode_event(code: u64, args: &[u64]) -> Result<(SetupStep, bool), TraceError> {
+    let mut rest = args.iter();
+    let mut arg = || {
+        rest.next()
+            .copied()
+            .ok_or(TraceError::Corrupt("event is missing arguments"))
+    };
+    let socket = |value: u64| {
+        u16::try_from(value)
+            .map(SocketId::from)
+            .map_err(|_| TraceError::Corrupt("socket index overflows u16"))
+    };
+    let addr = |value: u64| {
+        if value < 1 << 48 {
+            Ok(VirtAddr::new(value))
+        } else {
+            Err(TraceError::Corrupt("virtual address exceeds 48 bits"))
+        }
+    };
+    let change = SetupStep::Change;
+    let step = match code {
+        event_code::INSTALL_MITOSIS => SetupStep::InstallMitosis,
+        event_code::SET_THP => SetupStep::SetThp(if arg()? != 0 {
+            ThpMode::Always
+        } else {
+            ThpMode::Never
+        }),
+        event_code::PT_PLACEMENT => SetupStep::PtPlacement(socket(arg()?)?),
+        event_code::CREATE_PROCESS => SetupStep::CreateProcess(socket(arg()?)?),
+        event_code::BIND_DATA => SetupStep::BindData(socket(arg()?)?),
+        event_code::INTERLEAVE_DATA => SetupStep::InterleaveData(NodeMask::from_bits(arg()?)),
+        event_code::MMAP => SetupStep::Mmap {
+            len: arg()?,
+            populate: arg()? != 0,
+            thp: arg()? != 0,
+        },
+        event_code::POPULATE => SetupStep::Populate {
+            len: arg()?,
+            init: if arg()? != 0 {
+                InitPattern::Parallel
+            } else {
+                InitPattern::SingleThread
             },
-            event_code::POPULATE => TraceEvent::Populate {
-                len: arg(0)?,
-                parallel: arg(1)? != 0,
-                sockets: arg(2)?,
-            },
-            event_code::MIGRATE_PAGE_TABLE => TraceEvent::MigratePageTable { socket: socket(0)? },
-            event_code::INTERFERENCE => TraceEvent::Interference {
-                sockets: arg(0)?,
-                staggered: staggered(1),
-            },
-            event_code::MARKER => TraceEvent::Marker(arg(0)?),
-            event_code::MIGRATE_DATA => TraceEvent::MigrateData {
-                socket: socket(0)?,
-                staggered: staggered(1),
-            },
-            event_code::REPLICATE => TraceEvent::Replicate { sockets: arg(0)? },
-            event_code::AUTO_NUMA_REBALANCE => TraceEvent::AutoNumaRebalance {
-                sockets: arg(0)?,
-                staggered: staggered(1),
-            },
-            event_code::INTERLEAVE_DATA => TraceEvent::InterleaveData { sockets: arg(0)? },
-            event_code::FORK => TraceEvent::Fork,
-            event_code::MMAP_AT => TraceEvent::MmapAt {
-                addr: arg(0)?,
-                len: arg(1)?,
-            },
-            event_code::MUNMAP_AT => TraceEvent::MunmapAt {
-                addr: arg(0)?,
-                len: arg(1)?,
-            },
-            event_code::PROMOTE_HUGE => TraceEvent::PromoteHuge { addr: arg(0)? },
-            event_code::DEMOTE_HUGE => TraceEvent::DemoteHuge { addr: arg(0)? },
-            other => return Err(TraceError::UnknownEvent(other)),
-        })
-    }
-
-    /// Whether this event is a staggered mid-lane marker — one that applies
-    /// only to the lane it is recorded in (format v4).
-    pub fn staggered(&self) -> bool {
-        matches!(
-            self,
-            TraceEvent::Interference {
-                staggered: true,
-                ..
-            } | TraceEvent::MigrateData {
-                staggered: true,
-                ..
-            } | TraceEvent::AutoNumaRebalance {
-                staggered: true,
-                ..
-            }
-        )
+            sockets: NodeMask::from_bits(arg()?),
+        },
+        event_code::MIGRATE_DATA => change(PhaseChange::MigrateData {
+            target: socket(arg()?)?,
+        }),
+        event_code::MIGRATE_PAGE_TABLE => change(PhaseChange::MigratePageTable {
+            target: socket(arg()?)?,
+        }),
+        event_code::REPLICATE => change(PhaseChange::SetReplicas {
+            sockets: NodeMask::from_bits(arg()?),
+        }),
+        event_code::AUTO_NUMA_REBALANCE => change(PhaseChange::AutoNumaRebalance {
+            sockets: NodeMask::from_bits(arg()?),
+        }),
+        event_code::INTERFERENCE => change(PhaseChange::SetInterference {
+            sockets: NodeMask::from_bits(arg()?),
+        }),
+        event_code::FORK => change(PhaseChange::Fork),
+        event_code::MMAP_AT => change(PhaseChange::MmapAt {
+            addr: addr(arg()?)?,
+            length: arg()?,
+        }),
+        event_code::MUNMAP_AT => change(PhaseChange::MunmapAt {
+            addr: addr(arg()?)?,
+            length: arg()?,
+        }),
+        event_code::PROMOTE_HUGE => change(PhaseChange::PromoteHuge {
+            addr: addr(arg()?)?,
+        }),
+        event_code::DEMOTE_HUGE => change(PhaseChange::DemoteHuge {
+            addr: addr(arg()?)?,
+        }),
+        other => return Err(TraceError::UnknownEvent(other)),
+    };
+    match rest.as_slice() {
+        [] => Ok((step, false)),
+        [1] => Ok((step, true)),
+        _ => Err(TraceError::Corrupt("event has extra arguments")),
     }
 }
 
@@ -763,18 +639,36 @@ impl<W: Write> TraceWriter<W> {
         self.checkpoint_interval = every;
     }
 
-    /// Records an event: a setup step before the first lane, a positional
-    /// marker inside one.
+    /// Records a setup step.  It belongs before the first lane; the writer
+    /// does not check where it stands, the reader does.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors from the sink.
-    pub fn event(&mut self, event: TraceEvent) -> Result<(), TraceError> {
-        let (code, args, argc) = event.encode();
+    pub fn setup_step(&mut self, step: SetupStep) -> Result<(), TraceError> {
+        let (code, args, argc) = encode_step(step);
+        self.event(code, &args[..argc])
+    }
+
+    /// Records a phase change as a mid-lane marker before the next access,
+    /// `staggered` when only this lane's thread observed it.  Like
+    /// [`TraceWriter::setup_step`] it records what it is given; the reader
+    /// refuses a marker before the first lane and a staggered flag on a
+    /// change that cannot be staggered.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O errors from the sink.
+    pub fn phase_change(&mut self, change: PhaseChange, staggered: bool) -> Result<(), TraceError> {
+        let (code, args, argc) = encode_change(change, staggered);
+        self.event(code, &args[..argc])
+    }
+
+    fn event(&mut self, code: u64, args: &[u64]) -> Result<(), TraceError> {
         self.sink.varint((code << 2) | TAG_EVENT)?;
-        self.sink.varint(argc as u64)?;
-        for arg in &args[..argc] {
-            self.sink.varint(*arg)?;
+        self.sink.varint(args.len() as u64)?;
+        for &arg in args {
+            self.sink.varint(arg)?;
         }
         Ok(())
     }
@@ -821,10 +715,7 @@ impl<W: Write> TraceWriter<W> {
     /// matching marker attests every byte up to itself.
     fn write_checkpoint(&mut self) -> Result<(), TraceError> {
         let hash = self.sink.hash.0;
-        self.sink.varint((CHECKPOINT_EVENT_CODE << 2) | TAG_EVENT)?;
-        self.sink.varint(2)?;
-        self.sink.varint(self.lane_accesses)?;
-        self.sink.varint(hash)?;
+        self.event(event_code::CHECKPOINT, &[self.lane_accesses, hash])?;
         self.since_checkpoint = 0;
         Ok(())
     }
@@ -846,8 +737,15 @@ impl<W: Write> TraceWriter<W> {
 /// One decoded item from a trace body.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceItem {
-    /// An event record.
-    Event(TraceEvent),
+    /// A setup event: one step of the setup, before the first lane.
+    Setup(SetupStep),
+    /// A mid-lane marker: a phase change before the lane's next access.
+    Change {
+        /// The change.
+        change: PhaseChange,
+        /// Only this lane's thread observed the change (format v4).
+        staggered: bool,
+    },
     /// Start of a new lane for a thread on `socket`.
     LaneStart {
         /// Socket the lane's thread was pinned to.
@@ -1004,14 +902,11 @@ impl<R: Read> TraceReader<R> {
                     for slot in args.iter_mut().take(argc) {
                         *slot = self.source.varint()?;
                     }
-                    if payload == CHECKPOINT_EVENT_CODE {
+                    if payload == event_code::CHECKPOINT {
                         self.validate_checkpoint(stream_hash, &args[..argc])?;
                         continue;
                     }
-                    return Ok(TraceItem::Event(TraceEvent::decode(
-                        payload,
-                        &args[..argc],
-                    )?));
+                    return self.event_item(payload, &args[..argc]);
                 }
                 TAG_LANE => {
                     let socket = u16::try_from(payload)
@@ -1036,6 +931,27 @@ impl<R: Read> TraceReader<R> {
                     return Ok(TraceItem::End);
                 }
             }
+        }
+    }
+
+    /// The item an event record stands for where it stands: a setup step
+    /// before the first lane, a phase change inside one.
+    fn event_item(&self, code: u64, args: &[u64]) -> Result<TraceItem, TraceError> {
+        let (step, staggered) = decode_event(code, args)?;
+        if self.lanes_seen == 0 {
+            return match staggered {
+                false => Ok(TraceItem::Setup(step)),
+                true => Err(TraceError::Corrupt("staggered event before the first lane")),
+            };
+        }
+        match step {
+            SetupStep::Change(change) if !staggered || change.supports_thread_filter() => {
+                Ok(TraceItem::Change { change, staggered })
+            }
+            SetupStep::Change(_) => Err(TraceError::Corrupt(
+                "staggered flag on a change that cannot be staggered",
+            )),
+            _ => Err(TraceError::Corrupt("setup-only event inside a lane")),
         }
     }
 
@@ -1073,16 +989,18 @@ impl<R: Read> TraceReader<R> {
     }
 }
 
-/// One thread's captured access sequence plus its positional markers.
+/// One thread's captured access sequence plus its mid-lane markers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceLane {
     /// Socket the captured thread was pinned to.
     pub socket: u16,
     /// The access sequence, in execution order.
     pub accesses: Vec<Access>,
-    /// Markers recorded inside the lane, as `(position, event)` where
-    /// `position` is the number of accesses preceding the marker.
-    pub events: Vec<(u64, TraceEvent)>,
+    /// Phase changes recorded inside the lane, as `(position, change,
+    /// staggered)`: `position` is the number of accesses preceding the
+    /// marker, and a `staggered` change was observed by this lane's thread
+    /// alone (format v4).
+    pub events: Vec<(u64, PhaseChange, bool)>,
 }
 
 impl TraceLane {
@@ -1101,8 +1019,10 @@ impl TraceLane {
 pub struct Trace {
     /// Header metadata identifying the captured workload.
     pub meta: TraceMeta,
-    /// Setup events recorded before the first lane, in execution order.
-    pub setup_events: Vec<TraceEvent>,
+    /// Setup events recorded before the first lane: the steps
+    /// [`PreparedSystem::build`](mitosis_sim::PreparedSystem::build) ran,
+    /// in order.
+    pub setup_events: Vec<SetupStep>,
     /// Per-thread access lanes.
     pub lanes: Vec<TraceLane>,
 }
@@ -1122,8 +1042,8 @@ impl Trace {
     /// positions cannot be represented and would not round-trip).
     pub fn write_to<W: Write>(&self, sink: W) -> Result<W, TraceError> {
         let mut writer = TraceWriter::new(sink, &self.meta)?;
-        for event in &self.setup_events {
-            writer.event(*event)?;
+        for &step in &self.setup_events {
+            writer.setup_step(step)?;
         }
         for lane in &self.lanes {
             if lane.events.windows(2).any(|pair| pair[0].0 > pair[1].0) {
@@ -1132,7 +1052,7 @@ impl Trace {
             if lane
                 .events
                 .last()
-                .is_some_and(|&(pos, _)| pos > lane.accesses.len() as u64)
+                .is_some_and(|&(pos, ..)| pos > lane.accesses.len() as u64)
             {
                 return Err(TraceError::Corrupt(
                     "lane marker position beyond the lane's access count",
@@ -1143,17 +1063,17 @@ impl Trace {
             for (i, access) in lane.accesses.iter().enumerate() {
                 // The peek above proves the iterator is non-empty; `while
                 // let` re-peeks instead of unwrapping the following `next`.
-                while let Some(&&(pos, event)) = markers.peek() {
+                while let Some(&&(pos, change, staggered)) = markers.peek() {
                     if pos != i as u64 {
                         break;
                     }
-                    writer.event(event)?;
+                    writer.phase_change(change, staggered)?;
                     markers.next();
                 }
                 writer.access(*access)?;
             }
-            for (_, event) in markers {
-                writer.event(*event)?;
+            for &(_, change, staggered) in markers {
+                writer.phase_change(change, staggered)?;
             }
         }
         writer.finish()
@@ -1167,27 +1087,38 @@ impl Trace {
     /// version or a checksum mismatch.
     pub fn read_from<R: Read>(source: R) -> Result<Trace, TraceError> {
         let mut reader = TraceReader::new(source)?;
-        let mut trace = Trace {
-            meta: reader.meta().clone(),
+        let mut trace = Trace::empty(reader.meta());
+        while !trace.absorb(reader.next_item()?)? {}
+        Ok(trace)
+    }
+
+    fn empty(meta: &TraceMeta) -> Trace {
+        Trace {
+            meta: meta.clone(),
             setup_events: Vec::new(),
             lanes: Vec::new(),
-        };
-        loop {
-            match reader.next_item()? {
-                TraceItem::Event(event) => match trace.lanes.last_mut() {
-                    Some(lane) => lane.events.push((lane.accesses.len() as u64, event)),
-                    None => trace.setup_events.push(event),
-                },
-                TraceItem::LaneStart { socket } => trace.lanes.push(TraceLane::new(socket)),
-                TraceItem::Access(access) => trace
-                    .lanes
-                    .last_mut()
-                    .ok_or(TraceError::Corrupt("access before first lane"))?
-                    .accesses
-                    .push(access),
-                TraceItem::End => return Ok(trace),
-            }
         }
+    }
+
+    /// Adds one decoded item to the trace; `true` at its end.
+    // Runs once per decoded access: a call here doubles decode time.
+    #[inline(always)]
+    fn absorb(&mut self, item: TraceItem) -> Result<bool, TraceError> {
+        let lane = self.lanes.last_mut();
+        match (item, lane) {
+            (TraceItem::Setup(step), _) => self.setup_events.push(step),
+            (TraceItem::LaneStart { socket }, _) => self.lanes.push(TraceLane::new(socket)),
+            (TraceItem::Change { change, staggered }, Some(lane)) => {
+                let position = lane.accesses.len() as u64;
+                lane.events.push((position, change, staggered));
+            }
+            (TraceItem::Access(access), Some(lane)) => lane.accesses.push(access),
+            (TraceItem::Change { .. } | TraceItem::Access(_), None) => {
+                return Err(TraceError::Corrupt("access before first lane"))
+            }
+            (TraceItem::End, _) => return Ok(true),
+        }
+        Ok(false)
     }
 
     /// Serialises to an in-memory buffer.
@@ -1229,31 +1160,15 @@ impl Trace {
     /// damaged header, or damage before the first checkpoint.
     pub fn recover<R: Read>(source: R) -> Result<SalvagedTrace, TraceError> {
         let mut reader = TraceReader::new(source)?;
-        let mut trace = Trace {
-            meta: reader.meta().clone(),
-            setup_events: Vec::new(),
-            lanes: Vec::new(),
-        };
-        let mut decoded_accesses = 0u64;
+        let mut trace = Trace::empty(reader.meta());
         let damage = loop {
-            match reader.next_item() {
-                Ok(TraceItem::Event(event)) => match trace.lanes.last_mut() {
-                    Some(lane) => lane.events.push((lane.accesses.len() as u64, event)),
-                    None => trace.setup_events.push(event),
-                },
-                Ok(TraceItem::LaneStart { socket }) => trace.lanes.push(TraceLane::new(socket)),
-                Ok(TraceItem::Access(access)) => {
-                    decoded_accesses += 1;
-                    match trace.lanes.last_mut() {
-                        Some(lane) => lane.accesses.push(access),
-                        None => break TraceError::Corrupt("access before first lane"),
-                    }
-                }
-                Ok(TraceItem::End) => {
+            match reader.next_item().and_then(|item| trace.absorb(item)) {
+                Ok(false) => {}
+                Ok(true) => {
                     // Intact after all: nothing to trim, nothing lost.
                     return Ok(SalvagedTrace {
+                        valid_accesses: trace.accesses(),
                         trace,
-                        valid_accesses: decoded_accesses,
                         lost_accesses: 0,
                         damage: None,
                     });
@@ -1261,6 +1176,7 @@ impl Trace {
                 Err(error) => break error,
             }
         };
+        let decoded_accesses = trace.accesses();
         let Some(checkpoint) = reader.last_checkpoint() else {
             return Err(damage);
         };
@@ -1282,7 +1198,7 @@ impl Trace {
         let mut valid_accesses = 0u64;
         for lane in &mut trace.lanes {
             lane.accesses.truncate(keep_len);
-            lane.events.retain(|&(pos, _)| pos <= keep);
+            lane.events.retain(|&(pos, ..)| pos <= keep);
             valid_accesses += lane.accesses.len() as u64;
         }
         Ok(SalvagedTrace {
@@ -1338,8 +1254,7 @@ mod tests {
 
     #[test]
     fn socket_conversion_is_checked_not_truncating() {
-        assert_eq!(socket_index_u16(SocketId::new(0)).unwrap(), 0);
-        assert_eq!(socket_index_u16(SocketId::new(u16::MAX)).unwrap(), u16::MAX);
+        assert_eq!(checked_socket_u16(0).unwrap(), 0);
         assert_eq!(checked_socket_u16(65_535).unwrap(), 65_535);
         // One past the wire format's range: the old `as u16` cast would
         // have silently wrapped this to socket 0.
@@ -1369,32 +1284,39 @@ mod tests {
         assert_eq!(Trace::from_bytes(&bytes).unwrap(), trace);
     }
 
+    fn socket(index: u16) -> SocketId {
+        SocketId::new(index)
+    }
+
+    fn mask(bits: u64) -> NodeMask {
+        NodeMask::from_bits(bits)
+    }
+
     #[test]
     fn events_and_lanes_roundtrip() {
         let trace = Trace {
             meta: meta(),
             setup_events: vec![
-                TraceEvent::InstallMitosis,
-                TraceEvent::SetThp(true),
-                TraceEvent::PtPlacement { socket: 1 },
-                TraceEvent::CreateProcess { socket: 0 },
-                TraceEvent::BindData { socket: 1 },
-                TraceEvent::Mmap {
+                SetupStep::InstallMitosis,
+                SetupStep::SetThp(ThpMode::Always),
+                SetupStep::PtPlacement(socket(1)),
+                SetupStep::CreateProcess(socket(0)),
+                SetupStep::BindData(socket(1)),
+                SetupStep::Mmap {
                     len: 1 << 27,
                     populate: false,
                     thp: true,
                 },
-                TraceEvent::Populate {
+                SetupStep::Populate {
                     len: 1 << 27,
-                    parallel: true,
-                    sockets: 0b1111,
+                    init: InitPattern::Parallel,
+                    sockets: mask(0b1111),
                 },
-                TraceEvent::MigratePageTable { socket: 0 },
-                TraceEvent::Interference {
-                    sockets: 0b10,
-                    staggered: false,
-                },
-                TraceEvent::InterleaveData { sockets: 0b1111 },
+                SetupStep::Change(PhaseChange::MigratePageTable { target: socket(0) }),
+                SetupStep::Change(PhaseChange::SetInterference {
+                    sockets: mask(0b10),
+                }),
+                SetupStep::InterleaveData(mask(0b1111)),
             ],
             lanes: vec![
                 TraceLane {
@@ -1410,37 +1332,24 @@ mod tests {
                         },
                     ],
                     events: vec![
-                        (1, TraceEvent::Marker(42)),
+                        (1, PhaseChange::MigrateData { target: socket(1) }, false),
                         (
                             1,
-                            TraceEvent::MigrateData {
-                                socket: 1,
-                                staggered: false,
+                            PhaseChange::SetReplicas {
+                                sockets: mask(0b11),
                             },
+                            false,
                         ),
-                        (1, TraceEvent::Replicate { sockets: 0b11 }),
-                        (2, TraceEvent::Replicate { sockets: 0 }),
+                        (2, PhaseChange::SetReplicas { sockets: mask(0) }, false),
                         (
                             2,
-                            TraceEvent::AutoNumaRebalance {
-                                sockets: 0b1111,
-                                staggered: false,
+                            PhaseChange::AutoNumaRebalance {
+                                sockets: mask(0b1111),
                             },
+                            false,
                         ),
-                        (
-                            2,
-                            TraceEvent::MigrateData {
-                                socket: 2,
-                                staggered: true,
-                            },
-                        ),
-                        (
-                            2,
-                            TraceEvent::Interference {
-                                sockets: 0b1,
-                                staggered: true,
-                            },
-                        ),
+                        (2, PhaseChange::MigrateData { target: socket(2) }, true),
+                        (2, PhaseChange::SetInterference { sockets: mask(0b1) }, true),
                     ],
                 },
                 TraceLane {
@@ -1458,36 +1367,12 @@ mod tests {
     }
 
     #[test]
-    fn staggered_markers_flag_only_the_v4_variants() {
-        assert!(TraceEvent::MigrateData {
-            socket: 1,
-            staggered: true
-        }
-        .staggered());
-        assert!(TraceEvent::Interference {
-            sockets: 0b1,
-            staggered: true
-        }
-        .staggered());
-        assert!(TraceEvent::AutoNumaRebalance {
-            sockets: 0b11,
-            staggered: true
-        }
-        .staggered());
-        assert!(!TraceEvent::MigrateData {
-            socket: 1,
-            staggered: false
-        }
-        .staggered());
-        assert!(!TraceEvent::Replicate { sockets: 0b11 }.staggered());
-        assert!(!TraceEvent::Marker(7).staggered());
-    }
-
-    #[test]
     fn churn_and_fork_events_roundtrip() {
+        let region = VirtAddr::new(0x5000_0000_0000);
+        let huge = VirtAddr::new(0x5000_0010_0000);
         let trace = Trace {
             meta: meta(),
-            setup_events: vec![TraceEvent::CreateProcess { socket: 0 }],
+            setup_events: vec![SetupStep::CreateProcess(socket(0))],
             lanes: vec![TraceLane {
                 socket: 0,
                 accesses: vec![
@@ -1501,39 +1386,129 @@ mod tests {
                     },
                 ],
                 events: vec![
-                    (1, TraceEvent::Fork),
+                    (1, PhaseChange::Fork, false),
                     (
                         1,
-                        TraceEvent::MmapAt {
-                            addr: 0x5000_0000_0000,
-                            len: 1 << 21,
+                        PhaseChange::MmapAt {
+                            addr: region,
+                            length: 1 << 21,
                         },
+                        false,
                     ),
                     (
                         2,
-                        TraceEvent::MunmapAt {
-                            addr: 0x5000_0000_0000,
-                            len: 1 << 20,
+                        PhaseChange::MunmapAt {
+                            addr: region,
+                            length: 1 << 20,
                         },
+                        false,
                     ),
-                    (
-                        2,
-                        TraceEvent::PromoteHuge {
-                            addr: 0x5000_0010_0000,
-                        },
-                    ),
-                    (
-                        2,
-                        TraceEvent::DemoteHuge {
-                            addr: 0x5000_0010_0000,
-                        },
-                    ),
+                    (2, PhaseChange::PromoteHuge { addr: huge }, false),
+                    (2, PhaseChange::DemoteHuge { addr: huge }, false),
                 ],
             }],
         };
         let bytes = trace.to_bytes().unwrap();
         assert_eq!(Trace::from_bytes(&bytes).unwrap(), trace);
-        assert!(!TraceEvent::Fork.staggered());
+    }
+
+    /// The bytes of a trace with one setup event (`code`, `setup_args`),
+    /// then one lane of two accesses with one marker (`code`, `lane_args`)
+    /// between them.  `None` leaves the event out.
+    fn with_raw_events(setup: Option<(u64, &[u64])>, lane: Option<(u64, &[u64])>) -> Vec<u8> {
+        let mut writer = TraceWriter::new(Vec::new(), &meta()).unwrap();
+        writer
+            .setup_step(SetupStep::CreateProcess(socket(0)))
+            .unwrap();
+        if let Some((code, args)) = setup {
+            writer.event(code, args).unwrap();
+        }
+        writer.begin_lane(0).unwrap();
+        let access = Access {
+            offset: 0,
+            is_write: false,
+        };
+        writer.access(access).unwrap();
+        if let Some((code, args)) = lane {
+            writer.event(code, args).unwrap();
+        }
+        writer.access(access).unwrap();
+        writer.finish().unwrap()
+    }
+
+    fn corrupt(bytes: &[u8]) -> &'static str {
+        match Trace::from_bytes(bytes) {
+            Err(TraceError::Corrupt(what)) => what,
+            other => panic!("expected a corrupt trace, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn each_code_takes_exactly_its_arguments() {
+        use event_code::*;
+        // The exact counts decode, as setup events and as markers.
+        Trace::from_bytes(&with_raw_events(Some((MMAP, &[1 << 21, 0, 1])), None)).unwrap();
+        Trace::from_bytes(&with_raw_events(None, Some((MIGRATE_DATA, &[1, 1])))).unwrap();
+        Trace::from_bytes(&with_raw_events(None, Some((MUNMAP_AT, &[1 << 30, 4096])))).unwrap();
+        // Too few arguments.
+        for (code, args) in [(MMAP, &[1 << 21, 0][..]), (MMAP_AT, &[1 << 30][..])] {
+            let setup = with_raw_events(Some((code, args)), None);
+            assert_eq!(corrupt(&setup), "event is missing arguments");
+        }
+        // Too many: a staggered migration recoded as a replica change
+        // used to decode as `SetReplicas` and drop the flag.
+        let recoded = with_raw_events(None, Some((REPLICATE, &[1, 1])));
+        assert_eq!(
+            corrupt(&recoded),
+            "staggered flag on a change that cannot be staggered"
+        );
+        for (code, args) in [
+            (MIGRATE_DATA, &[1, 0][..]),
+            (MIGRATE_DATA, &[1, 1, 1][..]),
+            (FORK, &[7][..]),
+            (MMAP, &[1 << 21, 0, 1, 0][..]),
+        ] {
+            let marker = with_raw_events(None, Some((code, args)));
+            let setup = with_raw_events(Some((code, args)), None);
+            for bytes in [marker, setup] {
+                assert!(
+                    corrupt(&bytes).contains("extra arguments"),
+                    "{code} {args:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_reader_knows_which_side_of_the_first_lane_it_is_on() {
+        use event_code::*;
+        let inside = with_raw_events(None, Some((CREATE_PROCESS, &[1])));
+        assert_eq!(corrupt(&inside), "setup-only event inside a lane");
+        let staggered_setup = with_raw_events(Some((INTERFERENCE, &[0b10, 1])), None);
+        assert_eq!(
+            corrupt(&staggered_setup),
+            "staggered event before the first lane"
+        );
+        // A setup step with a trailing flag is refused on either side.
+        let flagged = with_raw_events(Some((INSTALL_MITOSIS, &[1])), None);
+        assert_eq!(corrupt(&flagged), "staggered event before the first lane");
+        let flagged = with_raw_events(None, Some((SET_THP, &[1, 1])));
+        assert_eq!(corrupt(&flagged), "setup-only event inside a lane");
+    }
+
+    #[test]
+    fn code_10_the_old_free_form_marker_is_an_unknown_event() {
+        let bytes = with_raw_events(None, Some((10, &[42])));
+        assert!(matches!(
+            Trace::from_bytes(&bytes),
+            Err(TraceError::UnknownEvent(10))
+        ));
+    }
+
+    #[test]
+    fn an_address_beyond_48_bits_is_corrupt_not_a_panic() {
+        let bytes = with_raw_events(None, Some((event_code::PROMOTE_HUGE, &[1 << 48])));
+        assert_eq!(corrupt(&bytes), "virtual address exceeds 48 bits");
     }
 
     fn lane_of(accesses: usize) -> TraceLane {
@@ -1555,15 +1530,15 @@ mod tests {
         // the reader validates and swallows every marker.
         let trace = Trace {
             meta: meta(),
-            setup_events: vec![TraceEvent::CreateProcess { socket: 0 }],
+            setup_events: vec![SetupStep::CreateProcess(socket(0))],
             lanes: vec![lane_of(300), lane_of(300)],
         };
         let mut writer = TraceWriter::new(Vec::new(), &trace.meta).unwrap();
         writer.set_checkpoint_interval(64);
         // Re-encode by hand with a dense interval (the public write path
         // uses the default, too sparse to trigger on a 300-access lane).
-        for event in &trace.setup_events {
-            writer.event(*event).unwrap();
+        for &step in &trace.setup_events {
+            writer.setup_step(step).unwrap();
         }
         for lane in &trace.lanes {
             writer.begin_lane(lane.socket).unwrap();
@@ -1575,8 +1550,8 @@ mod tests {
         let plain = {
             let mut writer = TraceWriter::new(Vec::new(), &trace.meta).unwrap();
             writer.set_checkpoint_interval(0);
-            for event in &trace.setup_events {
-                writer.event(*event).unwrap();
+            for &step in &trace.setup_events {
+                writer.setup_step(step).unwrap();
             }
             for lane in &trace.lanes {
                 writer.begin_lane(lane.socket).unwrap();
@@ -1608,8 +1583,8 @@ mod tests {
     fn encode_with_interval(trace: &Trace, every: u64) -> Vec<u8> {
         let mut writer = TraceWriter::new(Vec::new(), &trace.meta).unwrap();
         writer.set_checkpoint_interval(every);
-        for event in &trace.setup_events {
-            writer.event(*event).unwrap();
+        for &step in &trace.setup_events {
+            writer.setup_step(step).unwrap();
         }
         for lane in &trace.lanes {
             writer.begin_lane(lane.socket).unwrap();
@@ -1624,7 +1599,7 @@ mod tests {
     fn recover_trims_to_the_last_attested_checkpoint() {
         let trace = Trace {
             meta: meta(),
-            setup_events: vec![TraceEvent::CreateProcess { socket: 0 }],
+            setup_events: vec![SetupStep::CreateProcess(socket(0))],
             lanes: vec![lane_of(300), lane_of(300)],
         };
         let good = encode_with_interval(&trace, 64);
@@ -1692,7 +1667,7 @@ mod tests {
     fn corruption_is_detected() {
         let trace = Trace {
             meta: meta(),
-            setup_events: vec![TraceEvent::CreateProcess { socket: 0 }],
+            setup_events: vec![SetupStep::CreateProcess(socket(0))],
             lanes: vec![TraceLane {
                 socket: 0,
                 accesses: vec![Access {
@@ -1719,7 +1694,8 @@ mod tests {
 
     #[test]
     fn unrepresentable_marker_positions_are_rejected() {
-        let lane = |events: Vec<(u64, TraceEvent)>| TraceLane {
+        let marker = |pos| (pos, PhaseChange::Fork, false);
+        let lane = |events: Vec<(u64, PhaseChange, bool)>| TraceLane {
             socket: 0,
             accesses: vec![
                 Access {
@@ -1737,16 +1713,13 @@ mod tests {
         let ok = Trace {
             meta: meta(),
             setup_events: vec![],
-            lanes: vec![lane(vec![(2, TraceEvent::Marker(1))])],
+            lanes: vec![lane(vec![marker(2)])],
         };
         let decoded = Trace::from_bytes(&ok.to_bytes().unwrap()).unwrap();
         assert_eq!(decoded, ok);
         // ...but beyond it cannot round-trip, and out-of-order markers
         // would be silently reordered: both must be refused.
-        for events in [
-            vec![(5, TraceEvent::Marker(1))],
-            vec![(2, TraceEvent::Marker(1)), (1, TraceEvent::Marker(2))],
-        ] {
+        for events in [vec![marker(5)], vec![marker(2), marker(1)]] {
             let bad = Trace {
                 meta: meta(),
                 setup_events: vec![],

@@ -6,14 +6,16 @@
 //! live.  This crate turns those streams into first-class artifacts:
 //!
 //! * [`format`](mod@format) defines a compact binary trace format: varint-delta encoded
-//!   [`Access`](mitosis_workloads::Access) records plus VMA/migration event
-//!   markers, behind a versioned header and a trailing checksum, with
-//!   streaming [`TraceWriter`]/[`TraceReader`] codecs;
+//!   [`Access`](mitosis_workloads::Access) records plus events in
+//!   `mitosis-sim`'s own vocabulary — [`SetupStep`]s before the first
+//!   lane, [`PhaseChange`] markers inside lanes — behind a versioned
+//!   header and a trailing checksum, with streaming
+//!   [`TraceWriter`]/[`TraceReader`] codecs;
 //! * [`capture`] records any [`AccessStream`](mitosis_workloads::AccessStream)
-//!   — and the setup events of `mitosis-sim` scenarios (engine-level,
+//!   — and the setup steps of `mitosis-sim` scenarios (engine-level,
 //!   workload-migration and multi-socket) — into a [`Trace`]; dynamic runs
-//!   record their mid-run phase-change events as mid-lane markers at the
-//!   exact access index;
+//!   record their mid-run phase changes as mid-lane markers at the exact
+//!   access index;
 //! * [`replay`] feeds a captured trace back through the existing
 //!   [`ExecutionEngine`](mitosis_sim::ExecutionEngine), re-applying
 //!   mid-lane phase changes at the same boundaries and reproducing the
@@ -30,6 +32,9 @@
 //!   [`ReplayReport`], [`ShardDecision`]) and the shardability analysis;
 //! * [`faultinject`] makes decode faults and lane-group panics and delays
 //!   reproducible from a seed, for the resilience tests.
+//!
+//! [`SetupStep`]: mitosis_sim::SetupStep
+//! [`PhaseChange`]: mitosis_sim::PhaseChange
 //!
 //! # Example
 //!
@@ -57,7 +62,7 @@
 
 #![forbid(unsafe_code)]
 // A wire value truncated before encoding still checksums: narrowing goes
-// through `try_from` (`socket_index_u16`, `checked_socket_u16`).
+// through `try_from` (`checked_socket_u16`).
 #![deny(clippy::cast_possible_truncation)]
 #![warn(missing_docs)]
 // Failure handling is a first-class feature of this crate: fallible paths
@@ -75,14 +80,13 @@ pub mod session;
 
 pub use capture::{
     capture_engine_run, capture_engine_run_dynamic, capture_migration_scenario,
-    capture_multisocket_scenario, capture_stream, trace_event_of_change, CapturedRun,
-    RecordingSource,
+    capture_multisocket_scenario, capture_stream, CapturedRun, RecordingSource,
 };
 pub use faultinject::{FaultPlan, FaultyReader};
 pub use format::{
-    checked_socket_u16, socket_index_u16, MachineFingerprint, SalvagedTrace, Trace,
-    TraceCheckpoint, TraceError, TraceEvent, TraceItem, TraceLane, TraceMeta, TraceReader,
-    TraceWriter, DEFAULT_CHECKPOINT_INTERVAL, TRACE_MAGIC, TRACE_VERSION,
+    checked_socket_u16, MachineFingerprint, SalvagedTrace, Trace, TraceCheckpoint, TraceError,
+    TraceItem, TraceLane, TraceMeta, TraceReader, TraceWriter, DEFAULT_CHECKPOINT_INTERVAL,
+    TRACE_MAGIC, TRACE_VERSION,
 };
 pub use parallel::{LaneReplayReport, ReplayAggregate, ReplayReport, ShardDecision};
 pub use replay::{

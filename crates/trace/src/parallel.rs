@@ -37,9 +37,9 @@
 //!
 //! [`ReplaySession`]: crate::ReplaySession
 
-use crate::format::{Trace, TraceEvent};
+use crate::format::Trace;
 use crate::replay::ReplayOutcome;
-use mitosis_sim::RunMetrics;
+use mitosis_sim::{RunMetrics, SetupStep};
 use std::fmt;
 use std::time::Duration;
 
@@ -301,50 +301,39 @@ impl fmt::Display for LaneReplayReport {
     }
 }
 
-/// Whether any lane carries a mid-lane marker that *mutates the address
-/// space* (trace format v6: fork, mmap/munmap churn, huge-page
-/// promotion/demotion).  Such events punch holes in the premapped
-/// footprint (munmap), add lazily faulted ranges (mmap), or allocate and
-/// release frames mid-run (fork's CoW sharing, promote/demote) — so the
-/// frame allocator no longer evolves identically across lane groups and
-/// the premapped-coverage proof below does not apply.
-pub(crate) fn lanes_mutate_address_space(trace: &Trace) -> bool {
-    trace.lanes.iter().any(|lane| {
-        lane.events.iter().any(|(_, event)| {
-            matches!(
-                event,
-                TraceEvent::Fork
-                    | TraceEvent::MmapAt { .. }
-                    | TraceEvent::MunmapAt { .. }
-                    | TraceEvent::PromoteHuge { .. }
-                    | TraceEvent::DemoteHuge { .. }
-            )
-        })
-    })
-}
-
-/// The number of bytes from the region start that the setup events premap
+/// The number of bytes from the region start that the setup steps premap
 /// (populate or `MAP_POPULATE`), or `None` when the setup is too unusual to
-/// analyse (no single mmap) or a mid-lane marker mutates the address space
-/// (see [`lanes_mutate_address_space`]).  Every byte below the returned
-/// length is mapped before the measured phase begins — and no mid-lane
-/// phase change unmaps (migrations and replica changes remap pages, they
-/// never leave a hole) — so accesses within it can never demand-fault.
+/// analyse (no single mmap) or a lane carries address-space churn
+/// ([`PhaseChange::is_churn`]).  Every byte below the returned length is
+/// mapped before the measured phase begins — a setup step never unmaps
+/// ([`PreparedSystem::build`] refuses churn), and no other mid-lane phase
+/// change leaves a hole (migrations and replica changes remap pages) — so
+/// accesses within it can never demand-fault.  Churn can: a munmap punches
+/// a hole, an mmap adds a lazily faulted range, and a fork, promotion or
+/// demotion allocates and frees frames mid-run, so the frame allocator no
+/// longer evolves identically across lane groups.
+///
+/// [`PhaseChange::is_churn`]: mitosis_sim::PhaseChange::is_churn
+/// [`PreparedSystem::build`]: mitosis_sim::PreparedSystem::build
 pub(crate) fn premapped_bytes(trace: &Trace) -> Option<u64> {
-    if lanes_mutate_address_space(trace) {
+    let churn = trace
+        .lanes
+        .iter()
+        .any(|lane| lane.events.iter().any(|(_, change, _)| change.is_churn()));
+    if churn {
         return None;
     }
     let mut mmaps = 0usize;
     let mut covered = 0u64;
-    for event in &trace.setup_events {
-        match *event {
-            TraceEvent::Mmap { len, populate, .. } => {
+    for step in &trace.setup_events {
+        match *step {
+            SetupStep::Mmap { len, populate, .. } => {
                 mmaps += 1;
                 if populate {
                     covered = covered.max(len);
                 }
             }
-            TraceEvent::Populate { len, .. } => covered = covered.max(len),
+            SetupStep::Populate { len, .. } => covered = covered.max(len),
             _ => {}
         }
     }
@@ -373,9 +362,10 @@ mod tests {
     use super::*;
     use crate::capture::capture_engine_run;
     use crate::session::{socket_groups, ReplayRequest, ReplaySession};
-    use mitosis_numa::SocketId;
-    use mitosis_sim::SimParams;
-    use mitosis_workloads::suite;
+    use mitosis_numa::{NodeMask, SocketId};
+    use mitosis_pt::VirtAddr;
+    use mitosis_sim::{PhaseChange, SimParams};
+    use mitosis_workloads::{suite, Access, InitPattern};
 
     /// All-lane per-socket grouping, as the old standalone `lane_groups`
     /// helper computed it (now a selection-aware session internal).
@@ -472,10 +462,24 @@ mod tests {
         assert_eq!(lane_groups(&beyond), vec![vec![0, 1], vec![2]]);
     }
 
+    fn mmap(len: u64, populate: bool) -> SetupStep {
+        SetupStep::Mmap {
+            len,
+            populate,
+            thp: true,
+        }
+    }
+
+    fn populate(len: u64) -> SetupStep {
+        SetupStep::Populate {
+            len,
+            init: InitPattern::SingleThread,
+            sockets: NodeMask::single(SocketId::new(0)),
+        }
+    }
+
     #[test]
-    fn premapped_analysis_reads_the_setup_events() {
-        use crate::format::TraceEvent;
-        use mitosis_workloads::Access;
+    fn premapped_analysis_reads_the_setup_steps() {
         let mut trace = synthetic_trace(4, &[0, 1]);
         for lane in &mut trace.lanes {
             lane.accesses.push(Access {
@@ -487,86 +491,41 @@ mod tests {
         assert_eq!(premapped_bytes(&trace), None);
         assert!(!lanes_fully_premapped(&trace));
         // Lazy mmap without populate: nothing premapped.
-        trace.setup_events = vec![TraceEvent::Mmap {
-            len: 1 << 26,
-            populate: false,
-            thp: true,
-        }];
+        trace.setup_events = vec![mmap(1 << 26, false)];
         assert_eq!(premapped_bytes(&trace), Some(0));
         assert!(!lanes_fully_premapped(&trace));
         // A populate covers its length.
-        trace.setup_events.push(TraceEvent::Populate {
-            len: 1 << 20,
-            parallel: false,
-            sockets: 0b1,
-        });
+        trace.setup_events.push(populate(1 << 20));
         assert_eq!(premapped_bytes(&trace), Some(1 << 20));
         assert!(lanes_fully_premapped(&trace));
         // MAP_POPULATE covers the whole mapping.
-        trace.setup_events[0] = TraceEvent::Mmap {
-            len: 1 << 26,
-            populate: true,
-            thp: true,
-        };
+        trace.setup_events[0] = mmap(1 << 26, true);
         assert_eq!(premapped_bytes(&trace), Some(1 << 26));
         // Two mmaps: conservatively unanalysable.
-        trace.setup_events.push(TraceEvent::Mmap {
-            len: 1 << 10,
-            populate: true,
-            thp: true,
-        });
+        trace.setup_events.push(mmap(1 << 10, true));
         assert_eq!(premapped_bytes(&trace), None);
     }
 
     #[test]
     fn address_space_churn_defeats_the_premapped_proof() {
-        use crate::format::TraceEvent;
         let mut trace = synthetic_trace(4, &[0, 1]);
-        trace.setup_events = vec![
-            TraceEvent::Mmap {
-                len: 1 << 26,
-                populate: true,
-                thp: true,
-            },
-            TraceEvent::Populate {
-                len: 1 << 26,
-                parallel: false,
-                sockets: 0b1,
-            },
-        ];
+        trace.setup_events = vec![mmap(1 << 26, true), populate(1 << 26)];
         assert_eq!(premapped_bytes(&trace), Some(1 << 26));
-        assert!(!lanes_mutate_address_space(&trace));
         // A mid-lane munmap punches a hole the setup analysis cannot see:
         // the trace must fall back to serial replay.
-        trace.lanes[1].events.push((
-            0,
-            TraceEvent::MunmapAt {
-                addr: 0x7000_0000_0000,
-                len: 4096,
-            },
-        ));
-        assert!(lanes_mutate_address_space(&trace));
+        let hole = PhaseChange::MunmapAt {
+            addr: VirtAddr::new(0x7000_0000_0000),
+            length: 4096,
+        };
+        trace.lanes[1].events.push((0, hole, false));
         assert_eq!(premapped_bytes(&trace), None);
         assert!(!lanes_fully_premapped(&trace));
     }
 
     #[test]
     fn coverage_check_is_word_granular() {
-        use crate::format::TraceEvent;
-        use mitosis_workloads::Access;
         let mut trace = synthetic_trace(4, &[0, 1]);
-        trace.setup_events = vec![
-            TraceEvent::Mmap {
-                len: 1 << 26,
-                populate: false,
-                thp: true,
-            },
-            TraceEvent::Populate {
-                len: 4096,
-                parallel: false,
-                sockets: 0b1,
-            },
-        ];
+        trace.setup_events = vec![mmap(1 << 26, false), populate(4096)];
         // Last fully covered word starts at 4088.
         trace.lanes[0].accesses.push(Access {
             offset: 4088,

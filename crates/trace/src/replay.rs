@@ -1,12 +1,12 @@
 //! Deterministic trace replay: the layer [`ReplaySession`](crate::ReplaySession)
 //! drives.
 //!
-//! Replay rebuilds the captured experiment from scratch: it maps the
-//! recorded setup events back to the [`SetupStep`]s they stand for, builds
-//! them with [`PreparedSystem::build`] — the interpreter the live run and
-//! its capture used — and drives the existing [`ExecutionEngine`] with one
-//! [`LaneCursor`] per captured thread.  Mid-lane phase-change markers are
-//! lifted back into a [`PhaseSchedule`] and re-applied at the same
+//! Replay rebuilds the captured experiment from scratch: it builds the
+//! trace's setup events, which are the [`SetupStep`]s the capture ran, with
+//! [`PreparedSystem::build`] — the interpreter the live run and its capture
+//! used — and drives the existing [`ExecutionEngine`] with one
+//! [`LaneCursor`] per captured thread.  Mid-lane [`PhaseChange`] markers
+//! are lifted back into a [`PhaseSchedule`] and re-applied at the same
 //! access-count boundaries.  Because the engine is fed the exact access sequence the
 //! capture recorded (and the substrate is fully deterministic), the
 //! replayed [`RunMetrics`] are bit-identical to the live run's — for
@@ -24,16 +24,15 @@
 //! runs, resetting it per trace, which shaves the per-run setup cost that
 //! dominates for short traces.
 
-use crate::format::{MachineFingerprint, Trace, TraceError, TraceEvent, TraceLane};
+use crate::format::{MachineFingerprint, Trace, TraceError, TraceLane};
 use mitosis::MitosisError;
-use mitosis_numa::{NodeMask, SocketId};
-use mitosis_pt::VirtAddr;
+use mitosis_numa::SocketId;
 use mitosis_sim::{
     EngineCheckpoint, ExecutionEngine, Observer, PhaseChange, PhaseEvent, PhaseSchedule,
     PreparedSystem, RunMetrics, RunSpec, SetupStep, SimParams, SpanOutcome, ThreadPlacement,
 };
-use mitosis_vmm::{ThpMode, VmError};
-use mitosis_workloads::{Access, AccessSource, InitPattern, WorkloadSpec};
+use mitosis_vmm::VmError;
+use mitosis_workloads::{Access, AccessSource, WorkloadSpec};
 use std::fmt;
 use std::time::{Duration, Instant};
 
@@ -260,114 +259,6 @@ pub struct ReplayOutcome {
     pub completeness: ReplayCompleteness,
 }
 
-/// The phase change a mid-lane marker stands for, or `None` for events
-/// that are only meaningful as setup (or the free-form [`TraceEvent::Marker`]).
-fn phase_change_of_event(event: TraceEvent) -> Option<PhaseChange> {
-    match event {
-        TraceEvent::MigrateData { socket, .. } => Some(PhaseChange::MigrateData {
-            target: SocketId::new(socket),
-        }),
-        TraceEvent::MigratePageTable { socket } => Some(PhaseChange::MigratePageTable {
-            target: SocketId::new(socket),
-        }),
-        TraceEvent::Replicate { sockets } => Some(PhaseChange::SetReplicas {
-            sockets: NodeMask::from_bits(sockets),
-        }),
-        TraceEvent::AutoNumaRebalance { sockets, .. } => Some(PhaseChange::AutoNumaRebalance {
-            sockets: NodeMask::from_bits(sockets),
-        }),
-        TraceEvent::Interference { sockets, .. } => Some(PhaseChange::SetInterference {
-            sockets: NodeMask::from_bits(sockets),
-        }),
-        TraceEvent::Fork => Some(PhaseChange::Fork),
-        TraceEvent::MmapAt { addr, len } => Some(PhaseChange::MmapAt {
-            addr: VirtAddr::new(addr),
-            length: len,
-        }),
-        TraceEvent::MunmapAt { addr, len } => Some(PhaseChange::MunmapAt {
-            addr: VirtAddr::new(addr),
-            length: len,
-        }),
-        TraceEvent::PromoteHuge { addr } => Some(PhaseChange::PromoteHuge {
-            addr: VirtAddr::new(addr),
-        }),
-        TraceEvent::DemoteHuge { addr } => Some(PhaseChange::DemoteHuge {
-            addr: VirtAddr::new(addr),
-        }),
-        TraceEvent::InstallMitosis
-        | TraceEvent::SetThp(_)
-        | TraceEvent::PtPlacement { .. }
-        | TraceEvent::CreateProcess { .. }
-        | TraceEvent::BindData { .. }
-        | TraceEvent::Mmap { .. }
-        | TraceEvent::Populate { .. }
-        | TraceEvent::Marker(_)
-        | TraceEvent::InterleaveData { .. } => None,
-    }
-}
-
-/// The setup step a setup event stands for — the inverse of
-/// [`crate::capture`]'s step-to-event map — or `None` for a free-form
-/// [`TraceEvent::Marker`].
-///
-/// # Errors
-///
-/// Returns [`ReplayError::Mismatch`] for a staggered or churn event: no
-/// capture records either as setup, because both only make sense inside
-/// the measured phase.
-fn step_of_event(event: TraceEvent) -> Result<Option<SetupStep>, ReplayError> {
-    Ok(Some(match event {
-        TraceEvent::InstallMitosis => SetupStep::InstallMitosis,
-        TraceEvent::SetThp(always) => SetupStep::SetThp(if always {
-            ThpMode::Always
-        } else {
-            ThpMode::Never
-        }),
-        TraceEvent::PtPlacement { socket } => SetupStep::PtPlacement(SocketId::new(socket)),
-        TraceEvent::CreateProcess { socket } => SetupStep::CreateProcess(SocketId::new(socket)),
-        TraceEvent::BindData { socket } => SetupStep::BindData(SocketId::new(socket)),
-        TraceEvent::InterleaveData { sockets } => {
-            SetupStep::InterleaveData(NodeMask::from_bits(sockets))
-        }
-        TraceEvent::Mmap { len, populate, thp } => SetupStep::Mmap { len, populate, thp },
-        TraceEvent::Populate {
-            len,
-            parallel,
-            sockets,
-        } => SetupStep::Populate {
-            len,
-            init: if parallel {
-                InitPattern::Parallel
-            } else {
-                InitPattern::SingleThread
-            },
-            sockets: NodeMask::from_bits(sockets),
-        },
-        TraceEvent::Marker(_) => return Ok(None),
-        _ if event.staggered() => {
-            return Err(ReplayError::Mismatch(format!(
-                "staggered {event:?} recorded as a setup event"
-            )))
-        }
-        TraceEvent::Fork
-        | TraceEvent::MmapAt { .. }
-        | TraceEvent::MunmapAt { .. }
-        | TraceEvent::PromoteHuge { .. }
-        | TraceEvent::DemoteHuge { .. } => {
-            return Err(ReplayError::Mismatch(format!(
-                "churn event {event:?} recorded as a setup event"
-            )))
-        }
-        TraceEvent::MigrateData { .. }
-        | TraceEvent::MigratePageTable { .. }
-        | TraceEvent::Replicate { .. }
-        | TraceEvent::AutoNumaRebalance { .. }
-        | TraceEvent::Interference { .. } => SetupStep::Change(
-            phase_change_of_event(event).expect("every arm above is a phase change"),
-        ),
-    }))
-}
-
 /// Rebuilds the phase-change schedule from the mid-lane markers — a
 /// per-lane reconstruction.
 ///
@@ -378,17 +269,14 @@ fn step_of_event(event: TraceEvent) -> Result<Option<SetupStep>, ReplayError> {
 /// live in that thread's lane alone: each lane's staggered markers are
 /// lifted back into thread-filtered [`PhaseEvent`]s targeting that lane's
 /// thread index, so the lanes of a staggered capture legitimately
-/// disagree.  Free-form [`TraceEvent::Marker`]s are ignored.
+/// disagree.  A staggered marker on a change that cannot be staggered is
+/// a [`ReplayError::Mismatch`].
 fn schedule_of_lanes(lanes: &[TraceLane]) -> Result<PhaseSchedule, ReplayError> {
-    // Free-form `Marker`s are not phase changes: they may legitimately
-    // differ between lanes (and did not constrain replay before dynamic
-    // scenarios existed), so they are filtered out before the cross-lane
-    // consistency check, as are the explicitly per-lane staggered markers.
-    let global_events = |lane: &TraceLane| -> Vec<(u64, TraceEvent)> {
+    let global_events = |lane: &TraceLane| -> Vec<(u64, PhaseChange)> {
         lane.events
             .iter()
-            .filter(|(_, event)| !matches!(event, TraceEvent::Marker(_)) && !event.staggered())
-            .copied()
+            .filter(|&&(.., staggered)| !staggered)
+            .map(|&(position, change, _)| (position, change))
             .collect()
     };
     let reference = global_events(&lanes[0]);
@@ -401,27 +289,24 @@ fn schedule_of_lanes(lanes: &[TraceLane]) -> Result<PhaseSchedule, ReplayError> 
             )));
         }
     }
-    let mut events = Vec::new();
-    for (position, event) in reference {
-        match phase_change_of_event(event) {
-            Some(change) => events.push(PhaseEvent {
-                at_access: position,
-                change,
-                thread: None,
-            }),
-            None => {
-                return Err(ReplayError::Mismatch(format!(
-                    "setup-only event {event:?} recorded inside a lane"
-                )))
-            }
-        }
-    }
+    let mut events: Vec<PhaseEvent> = reference
+        .into_iter()
+        .map(|(at_access, change)| PhaseEvent {
+            at_access,
+            change,
+            thread: None,
+        })
+        .collect();
     for (thread, lane) in lanes.iter().enumerate() {
-        for &(position, event) in lane.events.iter().filter(|(_, e)| e.staggered()) {
-            let change = phase_change_of_event(event)
-                .expect("staggered markers are phase changes by construction");
+        for &(at_access, change, _) in lane.events.iter().filter(|&&(.., staggered)| staggered) {
+            if !change.supports_thread_filter() {
+                return Err(ReplayError::Mismatch(format!(
+                    "lane {thread} staggers {change:?}, which frees page tables \
+                     and fires on every thread at once"
+                )));
+            }
             events.push(PhaseEvent {
-                at_access: position,
+                at_access,
                 change,
                 thread: Some(thread),
             });
@@ -882,9 +767,9 @@ fn clone_snapshot(snapshot: &ReplaySnapshot) -> ReplaySnapshot {
     copy
 }
 
-/// Checks `trace`'s header and builds its setup events, mapped back to
-/// [`SetupStep`]s, with [`PreparedSystem::build`], returning a cloneable
-/// [`ReplaySnapshot`] ready for the measured phase.
+/// Checks `trace`'s header and builds its setup steps with
+/// [`PreparedSystem::build`], returning a cloneable [`ReplaySnapshot`]
+/// ready for the measured phase.
 ///
 /// This is the *prepare* half of replay's prepare/run split: every replay
 /// path (serial, lane-granular, lane-grouped parallel) goes through one
@@ -895,10 +780,12 @@ fn clone_snapshot(snapshot: &ReplaySnapshot) -> ReplaySnapshot {
 ///
 /// Fails if the machine fingerprint does not match (unless
 /// `options.force_machine`), the trace references an unknown workload, its
-/// setup events are malformed (a [`ReplayError::Mismatch`]), its lanes are
-/// missing or unequal or a lane runs on a socket the replay machine lacks
-/// (a [`ReplayError::Mismatch`] naming the lane and the socket), or a VM
-/// ([`ReplayError::Vm`]) or Mitosis operation fails.
+/// setup steps are malformed (a [`ReplayError::Mismatch`]), its lanes are
+/// missing or unequal, a lane runs on a socket the replay machine lacks
+/// (a [`ReplayError::Mismatch`] naming the lane and the socket), its
+/// mid-lane markers disagree or stagger a change that cannot be staggered
+/// (a [`ReplayError::Mismatch`]), or a VM ([`ReplayError::Vm`]) or Mitosis
+/// operation fails.
 pub fn prepare_replay(
     trace: &Trace,
     params: &SimParams,
@@ -932,11 +819,8 @@ pub fn prepare_replay(
         ))
     })?;
 
-    let mut steps = Vec::with_capacity(trace.setup_events.len());
-    for &event in &trace.setup_events {
-        steps.extend(step_of_event(event)?);
-    }
-    let prepared = PreparedSystem::build(params, &steps).map_err(ReplayError::of_setup)?;
+    let prepared =
+        PreparedSystem::build(params, &trace.setup_events).map_err(ReplayError::of_setup)?;
     if trace.lanes.is_empty() {
         return Err(ReplayError::Mismatch("trace has no access lanes".into()));
     }
@@ -969,7 +853,7 @@ pub fn prepare_replay(
         .events()
         .iter()
         .any(|event| event.change.needs_mitosis())
-        && !steps.contains(&SetupStep::InstallMitosis)
+        && !trace.setup_events.contains(&SetupStep::InstallMitosis)
     {
         // The capture side always records InstallMitosis when the schedule
         // carries page-table operations; a trace violating that cannot have
@@ -995,9 +879,12 @@ pub fn prepare_replay(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::format::{TraceLane, TraceMeta};
+    use crate::format::{TraceLane, TraceMeta, TraceWriter};
     use crate::session::{ReplayRequest, ReplaySession};
-    use mitosis_workloads::suite;
+    use mitosis_numa::NodeMask;
+    use mitosis_pt::VirtAddr;
+    use mitosis_vmm::ThpMode;
+    use mitosis_workloads::{suite, InitPattern};
 
     fn replay_via_session(trace: &Trace, params: &SimParams) -> Result<ReplayOutcome, ReplayError> {
         Ok(ReplaySession::new(params)
@@ -1044,23 +931,24 @@ mod tests {
         // observable through MigratePageTable succeeding.
         let params = SimParams::quick_test().with_accesses(50);
         let spec = params.scale_workload(&suite::gups());
+        let home = SocketId::new(0);
         let mut trace = Trace {
             meta: TraceMeta::for_spec(&spec, &params).unwrap(),
             setup_events: vec![
-                TraceEvent::SetThp(false),
-                TraceEvent::InstallMitosis,
-                TraceEvent::CreateProcess { socket: 0 },
-                TraceEvent::Mmap {
+                SetupStep::SetThp(ThpMode::Never),
+                SetupStep::InstallMitosis,
+                SetupStep::CreateProcess(home),
+                SetupStep::Mmap {
                     len: spec.footprint(),
                     populate: false,
                     thp: true,
                 },
-                TraceEvent::Populate {
+                SetupStep::Populate {
                     len: spec.footprint(),
-                    parallel: false,
-                    sockets: 0b1,
+                    init: InitPattern::SingleThread,
+                    sockets: NodeMask::single(home),
                 },
-                TraceEvent::MigratePageTable { socket: 0 },
+                SetupStep::Change(PhaseChange::MigratePageTable { target: home }),
             ],
             lanes: vec![crate::capture::capture_stream(&spec, params.seed, 0, 50)],
         };
@@ -1068,9 +956,9 @@ mod tests {
 
         // But after process creation it is an error, not a silent no-op.
         trace.setup_events = vec![
-            TraceEvent::CreateProcess { socket: 0 },
-            TraceEvent::InstallMitosis,
-            TraceEvent::Mmap {
+            SetupStep::CreateProcess(home),
+            SetupStep::InstallMitosis,
+            SetupStep::Mmap {
                 len: spec.footprint(),
                 populate: false,
                 thp: true,
@@ -1094,7 +982,7 @@ mod tests {
                 // Matching machine, so the failure is the unknown workload.
                 machine: MachineFingerprint::for_params(&params).unwrap(),
             },
-            setup_events: vec![TraceEvent::CreateProcess { socket: 0 }],
+            setup_events: vec![SetupStep::CreateProcess(SocketId::new(0))],
             lanes: vec![],
         };
         let err = replay_via_session(&trace, &params).unwrap_err();
@@ -1207,27 +1095,43 @@ mod tests {
         .collect()
     }
 
-    /// A trace with these setup events and one empty lane carrying these
-    /// markers, written to bytes and read back.
-    fn through_the_codec(setup_events: Vec<TraceEvent>, markers: &[TraceEvent]) -> Trace {
+    fn meta() -> TraceMeta {
         let params = SimParams::quick_test();
-        let spec = params.scale_workload(&suite::gups());
+        TraceMeta::for_spec(&params.scale_workload(&suite::gups()), &params).unwrap()
+    }
+
+    /// A trace with these setup steps and one empty lane carrying these
+    /// markers, written to bytes and read back.
+    fn through_the_codec(
+        setup_events: Vec<SetupStep>,
+        markers: &[(u64, PhaseChange, bool)],
+    ) -> Trace {
         let mut lane = TraceLane::new(0);
-        lane.events = markers.iter().map(|&event| (0, event)).collect();
+        lane.events = markers.to_vec();
         let trace = Trace {
-            meta: TraceMeta::for_spec(&spec, &params).unwrap(),
+            meta: meta(),
             setup_events,
             lanes: vec![lane],
         };
         Trace::from_bytes(&trace.to_bytes().unwrap()).unwrap()
     }
 
+    /// Decodes one staggered `change`, written before the first lane or
+    /// inside it.
+    fn staggered_marker(change: PhaseChange, in_lane: bool) -> Result<Trace, TraceError> {
+        let mut writer = TraceWriter::new(Vec::new(), &meta()).unwrap();
+        if in_lane {
+            writer.begin_lane(0).unwrap();
+        }
+        writer.phase_change(change, true).unwrap();
+        Trace::from_bytes(&writer.finish().unwrap())
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(64))]
 
-        /// Every setup step survives capture's map, the codec and replay's
-        /// map, except a churn change, which no capture records as setup
-        /// and replay refuses there.
+        /// Every setup step, a phase change of each kind included, survives
+        /// the codec as a setup event.
         #[test]
         fn every_setup_step_round_trips_through_a_trace(
             socket in proptest::any::<u16>(),
@@ -1237,44 +1141,14 @@ mod tests {
             flags in (proptest::any::<bool>(), proptest::any::<bool>()),
         ) {
             let steps = every_step(Fields::new(socket, mask, addr, len, flags));
-            let events: Vec<TraceEvent> = steps
-                .iter()
-                .map(|&step| crate::capture::trace_event_of_step(step).unwrap())
-                .collect();
-            let decoded = through_the_codec(events.clone(), &[]).setup_events;
-            proptest::prop_assert_eq!(&decoded, &events);
-            for (&step, &event) in steps.iter().zip(&decoded) {
-                let change = match step {
-                    SetupStep::Change(change) => Some(change),
-                    _ => None,
-                };
-                proptest::prop_assert_eq!(phase_change_of_event(event), change);
-                let churn = change.is_some_and(|change| {
-                    matches!(
-                        change,
-                        PhaseChange::Fork
-                            | PhaseChange::MmapAt { .. }
-                            | PhaseChange::MunmapAt { .. }
-                            | PhaseChange::PromoteHuge { .. }
-                            | PhaseChange::DemoteHuge { .. }
-                    )
-                });
-                match step_of_event(event) {
-                    Ok(mapped) => proptest::prop_assert!(
-                        !churn && mapped == Some(step),
-                        "{step:?} came back as {mapped:?}"
-                    ),
-                    Err(err) => proptest::prop_assert!(
-                        churn && matches!(err, ReplayError::Mismatch(_)),
-                        "{step:?} was refused: {err}"
-                    ),
-                }
-            }
+            let decoded = through_the_codec(steps.clone(), &[]).setup_events;
+            proptest::prop_assert_eq!(decoded, steps);
         }
 
-        /// Every phase change, staggered where it may be, survives capture's
-        /// map, the codec and replay's map as a mid-lane marker; a staggered
-        /// one is refused as setup.
+        /// Every phase change, staggered where it may be, survives the
+        /// codec as a mid-lane marker.  The reader refuses a staggered one
+        /// before the first lane, and a staggered flag on one that cannot
+        /// be staggered.
         #[test]
         fn every_phase_change_round_trips_through_a_lane(
             socket in proptest::any::<u16>(),
@@ -1283,28 +1157,25 @@ mod tests {
             len in proptest::any::<u64>(),
             flags in (proptest::any::<bool>(), proptest::any::<bool>()),
         ) {
-            let markers: Vec<(PhaseChange, bool)> = every_change(Fields::new(socket, mask, addr, len, flags))
-                .into_iter()
-                .flat_map(|change| {
-                    let staggered = change.supports_thread_filter().then_some((change, true));
-                    std::iter::once((change, false)).chain(staggered)
-                })
-                .collect();
-            let events: Vec<TraceEvent> = markers
+            let changes = every_change(Fields::new(socket, mask, addr, len, flags));
+            let markers: Vec<(u64, PhaseChange, bool)> = changes
                 .iter()
-                .map(|&(change, staggered)| {
-                    crate::capture::trace_event_of_change(change, staggered).unwrap()
+                .flat_map(|&change| {
+                    let staggered = change.supports_thread_filter().then_some((0, change, true));
+                    std::iter::once((0, change, false)).chain(staggered)
                 })
                 .collect();
-            let lane = &through_the_codec(Vec::new(), &events).lanes[0];
-            let decoded: Vec<TraceEvent> = lane.events.iter().map(|&(_, event)| event).collect();
-            proptest::prop_assert_eq!(&decoded, &events);
-            for (&(change, staggered), &event) in markers.iter().zip(&decoded) {
-                proptest::prop_assert_eq!(event.staggered(), staggered);
-                proptest::prop_assert_eq!(phase_change_of_event(event), Some(change));
-                if staggered {
-                    proptest::prop_assert!(matches!(step_of_event(event), Err(ReplayError::Mismatch(_))));
-                }
+            let lane = &through_the_codec(Vec::new(), &markers).lanes[0];
+            proptest::prop_assert_eq!(&lane.events, &markers);
+            for change in changes {
+                proptest::prop_assert!(matches!(
+                    staggered_marker(change, false),
+                    Err(TraceError::Corrupt(_))
+                ));
+                proptest::prop_assert_eq!(
+                    staggered_marker(change, true).is_ok(),
+                    change.supports_thread_filter()
+                );
             }
         }
     }

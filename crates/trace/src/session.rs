@@ -629,8 +629,8 @@ fn replay_group(
 mod tests {
     use super::*;
     use crate::capture::capture_engine_run;
-    use crate::format::TraceEvent;
     use mitosis_numa::SocketId;
+    use mitosis_sim::SetupStep;
     use mitosis_workloads::suite;
 
     #[test]
@@ -645,7 +645,7 @@ mod tests {
             .trace;
         trace
             .setup_events
-            .retain(|event| !matches!(event, TraceEvent::Populate { .. }));
+            .retain(|step| !matches!(step, SetupStep::Populate { .. }));
         let snapshot = prepare_replay(&trace, &params, ReplayOptions::new()).unwrap();
         let err = replay_group(
             &mut TraceReplayer::new(),

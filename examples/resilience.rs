@@ -49,8 +49,8 @@ fn main() {
     // 1. Salvage: encode with checkpoint markers, damage the tail, recover.
     let mut writer = TraceWriter::new(Vec::new(), &captured.trace.meta).expect("writer");
     writer.set_checkpoint_interval(1024);
-    for event in &captured.trace.setup_events {
-        writer.event(*event).expect("setup event");
+    for &step in &captured.trace.setup_events {
+        writer.setup_step(step).expect("setup step");
     }
     for lane in &captured.trace.lanes {
         writer.begin_lane(lane.socket).expect("begin lane");

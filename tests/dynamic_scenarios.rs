@@ -12,14 +12,14 @@
 use mitosis::MitosisError;
 use mitosis_mem::MemError;
 use mitosis_numa::{NodeMask, SocketId};
-use mitosis_sim::{MultiSocketConfig, PhaseChange, PhaseSchedule, SimParams};
+use mitosis_sim::{MultiSocketConfig, PhaseChange, PhaseSchedule, SetupStep, SimParams};
 use mitosis_trace::{
-    capture_engine_run, capture_engine_run_dynamic, capture_multisocket_scenario,
-    trace_event_of_change, LaneReplayReport, ReplayError, ReplayOutcome, ReplayRequest,
-    ReplaySession, Trace, TraceEvent, TraceLane, TraceMeta,
+    capture_engine_run, capture_engine_run_dynamic, capture_multisocket_scenario, prepare_replay,
+    LaneReplayReport, ReplayError, ReplayOptions, ReplayOutcome, ReplayRequest, ReplaySession,
+    Trace, TraceError, TraceLane, TraceMeta, TraceWriter,
 };
 use mitosis_vmm::VmError;
-use mitosis_workloads::{suite, Access};
+use mitosis_workloads::{suite, Access, InitPattern};
 
 fn try_serial(trace: &Trace, params: &SimParams) -> Result<ReplayOutcome, ReplayError> {
     ReplaySession::new(params)
@@ -101,25 +101,34 @@ fn dynamic_run_with_migration_and_replica_events_replays_bit_identically() {
     assert_eq!(captured.trace.lanes.len(), 4);
     for lane in &captured.trace.lanes {
         assert_eq!(lane.events.len(), 5);
-        assert_eq!(lane.events[0].0, params.accesses_per_thread / 4);
-        assert!(matches!(
-            lane.events[0].1,
-            TraceEvent::MigrateData {
-                socket: 1,
-                staggered: false
+        assert_eq!(
+            lane.events[0],
+            (
+                params.accesses_per_thread / 4,
+                PhaseChange::MigrateData {
+                    target: SocketId::new(1)
+                },
+                false
+            )
+        );
+        assert_eq!(
+            lane.events[1].1,
+            PhaseChange::SetReplicas {
+                sockets: NodeMask::all(4)
             }
-        ));
-        assert!(matches!(lane.events[1].1, TraceEvent::Replicate { sockets } if sockets == 0b1111));
-        assert!(matches!(
+        );
+        assert_eq!(
             lane.events[3].1,
-            TraceEvent::Replicate { sockets: 0 }
-        ));
+            PhaseChange::SetReplicas {
+                sockets: NodeMask::EMPTY
+            }
+        );
     }
     // The capture installed the Mitosis backend for the replica events.
     assert!(captured
         .trace
         .setup_events
-        .contains(&TraceEvent::InstallMitosis));
+        .contains(&SetupStep::InstallMitosis));
 
     // The determinism guarantee must hold for the archived artifact.
     let bytes = captured.trace.to_bytes().unwrap();
@@ -339,7 +348,7 @@ fn replica_events_without_install_mitosis_are_rejected() {
     // on a stock-kernel system, which no live run can produce.
     trace
         .setup_events
-        .retain(|event| *event != TraceEvent::InstallMitosis);
+        .retain(|step| *step != SetupStep::InstallMitosis);
     let err = try_serial(&trace, &params).unwrap_err();
     assert!(
         matches!(&err, ReplayError::Mismatch(message) if message.contains("InstallMitosis")),
@@ -356,7 +365,7 @@ fn replica_events_without_install_mitosis_are_rejected() {
     .trace;
     setup_trace
         .setup_events
-        .retain(|event| *event != TraceEvent::InstallMitosis);
+        .retain(|step| *step != SetupStep::InstallMitosis);
     let err = try_serial(&setup_trace, &params).unwrap_err();
     assert!(
         matches!(&err, ReplayError::Mismatch(message) if message.contains("InstallMitosis")),
@@ -364,39 +373,71 @@ fn replica_events_without_install_mitosis_are_rejected() {
     );
 }
 
-#[test]
-fn setup_only_events_inside_a_lane_are_rejected() {
-    let params = SimParams::quick_test().with_accesses(100);
-    let mut trace = capture_engine_run(&suite::gups(), &params, &[SocketId::new(0)])
-        .unwrap()
-        .trace;
-    for lane in &mut trace.lanes {
-        lane.events
-            .push((50, TraceEvent::CreateProcess { socket: 1 }));
+/// The bytes of `trace` with `extra` written by hand: before the first
+/// lane when `in_lane` is false, after the first access of lane 0
+/// otherwise.  The writer records whatever it is given; only the reader
+/// knows where an event may stand.
+fn with_extra_event(
+    trace: &Trace,
+    in_lane: bool,
+    extra: impl Fn(&mut TraceWriter<Vec<u8>>),
+) -> Vec<u8> {
+    let mut writer = TraceWriter::new(Vec::new(), &trace.meta).expect("writer");
+    for &step in &trace.setup_events {
+        writer.setup_step(step).expect("setup step");
     }
-    let err = try_serial(&trace, &params).unwrap_err();
-    assert!(
-        matches!(&err, ReplayError::Mismatch(message) if message.contains("setup-only")),
-        "unexpected error: {err}"
-    );
+    if !in_lane {
+        extra(&mut writer);
+    }
+    for (index, lane) in trace.lanes.iter().enumerate() {
+        writer.begin_lane(lane.socket).expect("begin lane");
+        for (position, &access) in lane.accesses.iter().enumerate() {
+            if in_lane && index == 0 && position == 1 {
+                extra(&mut writer);
+            }
+            writer.access(access).expect("access");
+        }
+    }
+    writer.finish().expect("finish")
+}
+
+fn corrupt(bytes: &[u8]) -> &'static str {
+    match Trace::from_bytes(bytes) {
+        Err(TraceError::Corrupt(what)) => what,
+        other => panic!("expected a corrupt trace, got {other:?}"),
+    }
 }
 
 #[test]
-fn free_form_markers_inside_lanes_are_ignored_by_replay() {
-    let params = SimParams::quick_test().with_accesses(120);
-    let sockets: Vec<SocketId> = (0..2).map(SocketId::new).collect();
-    let mut trace = capture_engine_run(&suite::gups(), &params, &sockets)
+fn setup_only_events_inside_a_lane_are_rejected() {
+    let params = SimParams::quick_test().with_accesses(100);
+    let trace = capture_engine_run(&suite::gups(), &params, &[SocketId::new(0)])
         .unwrap()
         .trace;
-    let reference = serial_replay(&trace, &params);
-    // Free-form markers are positional annotations, not phase changes:
-    // they may differ per lane (pre-v3 traces could carry them in any
-    // shape) and must not perturb replay.
-    trace.lanes[0].events.push((60, TraceEvent::Marker(1234)));
-    trace.lanes[1].events.push((30, TraceEvent::Marker(9)));
-    trace.lanes[1].events.push((90, TraceEvent::Marker(10)));
-    let with_markers = serial_replay(&trace, &params);
-    assert_eq!(with_markers.metrics, reference.metrics);
+    let bytes = with_extra_event(&trace, true, |writer| {
+        writer
+            .setup_step(SetupStep::CreateProcess(SocketId::new(1)))
+            .expect("setup step")
+    });
+    assert_eq!(corrupt(&bytes), "setup-only event inside a lane");
+    // A phase change is a setup step too, and fine in either place.
+    let change = SetupStep::Change(PhaseChange::SetInterference {
+        sockets: NodeMask::EMPTY,
+    });
+    let bytes = with_extra_event(&trace, true, |writer| {
+        writer.setup_step(change).expect("setup step")
+    });
+    let decoded = Trace::from_bytes(&bytes).unwrap();
+    assert_eq!(
+        decoded.lanes[0].events,
+        vec![(
+            1,
+            PhaseChange::SetInterference {
+                sockets: NodeMask::EMPTY
+            },
+            false
+        )]
+    );
 }
 
 #[test]
@@ -409,36 +450,37 @@ fn mid_lane_phase_markers_roundtrip_through_the_format() {
             is_write: i % 2 == 0,
         })
         .collect();
+    let all = NodeMask::all(4);
     let events = vec![
         (
             0,
-            TraceEvent::Interference {
-                sockets: 0b10,
-                staggered: false,
+            PhaseChange::SetInterference {
+                sockets: NodeMask::single(SocketId::new(1)),
             },
+            false,
         ),
         (
             2,
-            TraceEvent::MigrateData {
-                socket: 3,
-                staggered: false,
+            PhaseChange::MigrateData {
+                target: SocketId::new(3),
             },
+            false,
         ),
-        (2, TraceEvent::Replicate { sockets: 0b1111 }),
+        (2, PhaseChange::SetReplicas { sockets: all }, false),
+        (5, PhaseChange::AutoNumaRebalance { sockets: all }, false),
         (
-            5,
-            TraceEvent::AutoNumaRebalance {
-                sockets: 0b1111,
-                staggered: false,
+            8,
+            PhaseChange::SetReplicas {
+                sockets: NodeMask::EMPTY,
             },
+            false,
         ),
-        (8, TraceEvent::Replicate { sockets: 0 }),
     ];
     let trace = Trace {
         meta: TraceMeta::for_spec(&spec, &params).unwrap(),
         setup_events: vec![
-            TraceEvent::CreateProcess { socket: 0 },
-            TraceEvent::InterleaveData { sockets: 0b1111 },
+            SetupStep::CreateProcess(SocketId::new(0)),
+            SetupStep::InterleaveData(all),
         ],
         lanes: vec![
             TraceLane {
@@ -503,8 +545,8 @@ fn staggered_boundaries_roundtrip_bit_identically() {
     assert_eq!(captured.trace.lanes[1].events.len(), 1);
     assert_eq!(captured.trace.lanes[2].events.len(), 2);
     assert_eq!(captured.trace.lanes[3].events.len(), 2);
-    assert!(captured.trace.lanes[0].events[0].1.staggered());
-    assert!(!captured.trace.lanes[1].events[0].1.staggered());
+    assert!(captured.trace.lanes[0].events[0].2);
+    assert!(!captured.trace.lanes[1].events[0].2);
 
     let bytes = captured.trace.to_bytes().unwrap();
     let trace = Trace::from_bytes(&bytes).unwrap();
@@ -574,18 +616,65 @@ fn staggered_events_are_observed_later_than_global_ones() {
 #[test]
 fn tampered_staggered_markers_in_setup_are_rejected() {
     let params = SimParams::quick_test().with_accesses(100);
-    let mut trace = capture_engine_run(&suite::gups(), &params, &[SocketId::new(0)])
+    let trace = capture_engine_run(&suite::gups(), &params, &[SocketId::new(0)])
         .unwrap()
         .trace;
-    trace.setup_events.push(TraceEvent::Interference {
-        sockets: 0b10,
-        staggered: true,
+    let interference = PhaseChange::SetInterference {
+        sockets: NodeMask::single(SocketId::new(1)),
+    };
+    let bytes = with_extra_event(&trace, false, |writer| {
+        writer.phase_change(interference, true).expect("marker")
     });
-    let err = try_serial(&trace, &params).unwrap_err();
+    assert_eq!(corrupt(&bytes), "staggered event before the first lane");
+    let err = ReplaySession::new(&params)
+        .replay_bytes(&bytes, &ReplayRequest::new())
+        .unwrap_err();
     assert!(
-        matches!(&err, ReplayError::Mismatch(message) if message.contains("staggered")),
+        matches!(err, ReplayError::Trace(TraceError::Corrupt(_))),
         "unexpected error: {err}"
     );
+}
+
+/// Page-table migration and replica changes free page tables, so every
+/// thread must observe them at once: a staggered one is refused by the
+/// decoder from bytes and by replay preparation on an in-memory trace,
+/// never reaching the schedule's assertion.
+#[test]
+fn a_staggered_flag_on_a_change_that_cannot_be_staggered_is_rejected() {
+    let params = SimParams::quick_test().with_accesses(100);
+    let sockets = [SocketId::new(0), SocketId::new(1)];
+    let mut trace = capture_engine_run(&suite::gups(), &params, &sockets)
+        .unwrap()
+        .trace;
+    trace.setup_events.insert(0, SetupStep::InstallMitosis);
+    for change in [
+        PhaseChange::SetReplicas {
+            sockets: NodeMask::all(2),
+        },
+        PhaseChange::MigratePageTable {
+            target: SocketId::new(1),
+        },
+        PhaseChange::Fork,
+    ] {
+        assert!(!change.supports_thread_filter());
+        let bytes = with_extra_event(&trace, true, |writer| {
+            writer.phase_change(change, true).expect("marker")
+        });
+        assert_eq!(
+            corrupt(&bytes),
+            "staggered flag on a change that cannot be staggered",
+            "{change:?}"
+        );
+
+        let mut marked = trace.clone();
+        marked.lanes[1].events.push((50, change, true));
+        match prepare_replay(&marked, &params, ReplayOptions::new()) {
+            Err(ReplayError::Mismatch(message)) => {
+                assert!(message.contains("lane 1 staggers"), "{message}")
+            }
+            other => panic!("{change:?} staggered was not refused: {:?}", other.err()),
+        }
+    }
 }
 
 #[test]
@@ -595,10 +684,11 @@ fn autonuma_on_a_socket_the_machine_lacks_is_an_error_not_a_panic() {
     let captured = capture_engine_run(&suite::gups(), &params, &[SocketId::new(0)]).unwrap();
 
     let mut setup = captured.trace.clone();
-    setup.setup_events.push(TraceEvent::AutoNumaRebalance {
-        sockets: 0b1 | missing,
-        staggered: false,
-    });
+    setup
+        .setup_events
+        .push(SetupStep::Change(PhaseChange::AutoNumaRebalance {
+            sockets: NodeMask::from_bits(0b1 | missing),
+        }));
     let err = try_serial(&setup, &params).unwrap_err();
     assert!(matches!(err, ReplayError::Vm(_)), "unexpected error: {err}");
 
@@ -606,10 +696,10 @@ fn autonuma_on_a_socket_the_machine_lacks_is_an_error_not_a_panic() {
     let mut marked = captured.trace;
     marked.lanes[0].events.push((
         50,
-        TraceEvent::AutoNumaRebalance {
-            sockets: missing,
-            staggered: false,
+        PhaseChange::AutoNumaRebalance {
+            sockets: NodeMask::from_bits(missing),
         },
+        false,
     ));
     let decoded = Trace::from_bytes(&marked.to_bytes().unwrap()).unwrap();
     assert!(try_serial(&decoded, &params).is_err());
@@ -647,35 +737,40 @@ fn a_socket_the_machine_lacks_is_a_typed_error_wherever_it_is_named() {
             sockets: with_missing,
         },
     ];
-    let mut setup_events = vec![
-        TraceEvent::PtPlacement { socket: 9 },
-        TraceEvent::CreateProcess { socket: 9 },
-        TraceEvent::BindData { socket: 9 },
-        TraceEvent::InterleaveData {
-            sockets: with_missing.bits(),
-        },
-        TraceEvent::Populate {
+    let mut setup_steps = vec![
+        SetupStep::PtPlacement(missing),
+        SetupStep::BindData(missing),
+        SetupStep::InterleaveData(with_missing),
+        SetupStep::Populate {
             len: 1 << 21,
-            parallel: false,
-            sockets: with_missing.bits(),
+            init: InitPattern::SingleThread,
+            sockets: with_missing,
         },
     ];
-    for change in changes {
-        setup_events.push(trace_event_of_change(change, false).unwrap());
-    }
+    setup_steps.extend(changes.map(SetupStep::Change));
 
     // The Mitosis backend makes page-table changes legal anywhere.
     let mut base = capture_engine_run(&suite::gups(), &params, &[home])
         .unwrap()
         .trace;
-    base.setup_events.insert(0, TraceEvent::InstallMitosis);
+    base.setup_events.insert(0, SetupStep::InstallMitosis);
     serial_replay(&base, &params);
 
-    for event in setup_events {
+    // The process's home socket, in place of the one it was created on.
+    let mut created_on_missing = base.clone();
+    for step in &mut created_on_missing.setup_events {
+        if let SetupStep::CreateProcess(socket) = step {
+            *socket = missing;
+        }
+    }
+    let err = try_serial(&created_on_missing, &params).unwrap_err();
+    assert!(lacks_missing(&err), "CreateProcess on {missing}: {err}");
+
+    for step in setup_steps {
         let mut trace = base.clone();
-        trace.setup_events.push(event);
+        trace.setup_events.push(step);
         let err = try_serial(&trace, &params).unwrap_err();
-        assert!(lacks_missing(&err), "{event:?} as a setup event: {err}");
+        assert!(lacks_missing(&err), "{step:?} as a setup event: {err}");
     }
     for change in changes {
         let schedule = PhaseSchedule::new().at(50, change);
@@ -685,8 +780,7 @@ fn a_socket_the_machine_lacks_is_a_typed_error_wherever_it_is_named() {
         assert!(lacks_missing(&err), "{change:?} in a live schedule: {err}");
 
         let mut marked = base.clone();
-        let marker = trace_event_of_change(change, false).unwrap();
-        marked.lanes[0].events.push((50, marker));
+        marked.lanes[0].events.push((50, change, false));
         let decoded = Trace::from_bytes(&marked.to_bytes().unwrap()).unwrap();
         let err = try_serial(&decoded, &params).unwrap_err();
         assert!(
@@ -702,9 +796,9 @@ fn populate_with_no_socket_is_an_error_not_a_panic() {
     let mut trace = capture_engine_run(&suite::gups(), &params, &[SocketId::new(0)])
         .unwrap()
         .trace;
-    for event in &mut trace.setup_events {
-        if let TraceEvent::Populate { sockets, .. } = event {
-            *sockets = 0;
+    for step in &mut trace.setup_events {
+        if let SetupStep::Populate { sockets, .. } = step {
+            *sockets = NodeMask::EMPTY;
         }
     }
     let err = try_serial(&trace, &params).unwrap_err();

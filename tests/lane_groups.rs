@@ -11,11 +11,11 @@
 //! demand-fault-risky trace goes serial before any worker spawns.
 
 use mitosis_numa::SocketId;
-use mitosis_sim::{MultiSocketConfig, RunMetrics, SimParams};
+use mitosis_sim::{MultiSocketConfig, RunMetrics, SetupStep, SimParams};
 use mitosis_trace::{
     capture_engine_run, capture_multisocket_scenario, prepare_replay, LaneReplayReport,
     ReplayError, ReplayOptions, ReplayOutcome, ReplayRequest, ReplaySession, ShardDecision, Trace,
-    TraceEvent, TraceReplayer,
+    TraceReplayer,
 };
 use mitosis_workloads::suite;
 use proptest::prelude::*;
@@ -196,7 +196,7 @@ proptest! {
             .trace;
         trace
             .setup_events
-            .retain(|event| !matches!(event, TraceEvent::Populate { .. }));
+            .retain(|step| !matches!(step, SetupStep::Populate { .. }));
         let serial = serial_replay(&trace, &params);
         let report = grouped_replay(&trace, &params, workers);
         prop_assert_eq!(report.decision, ShardDecision::DemandFaultRisk);
@@ -270,7 +270,7 @@ fn demand_fault_risk_goes_serial_before_spawning_workers() {
     // stay at 1 and no parallel replay is paid for.
     trace
         .setup_events
-        .retain(|event| !matches!(event, TraceEvent::Populate { .. }));
+        .retain(|step| !matches!(step, SetupStep::Populate { .. }));
     let serial = serial_replay(&trace, &params);
     assert!(
         serial.metrics.demand_faults > 0,

@@ -82,8 +82,8 @@ fn observed() -> (Observer, Arc<MemoryRecorder>) {
 fn encode_with_interval(trace: &Trace, every: u64) -> Vec<u8> {
     let mut writer = TraceWriter::new(Vec::new(), &trace.meta).expect("writer");
     writer.set_checkpoint_interval(every);
-    for event in &trace.setup_events {
-        writer.event(*event).expect("setup event");
+    for &step in &trace.setup_events {
+        writer.setup_step(step).expect("setup step");
     }
     for lane in &trace.lanes {
         assert!(
@@ -247,7 +247,7 @@ fn salvage_trims_to_the_attested_prefix_and_replays_it() {
     let mut trimmed = captured.trace.clone();
     for lane in &mut trimmed.lanes {
         lane.accesses.truncate(256);
-        lane.events.retain(|&(pos, _)| pos <= 256);
+        lane.events.retain(|&(pos, ..)| pos <= 256);
     }
     let expected = serial_replay(&trimmed, &params);
     let outcome = salvaged_replay(damaged, &params).expect("salvaged replay");

@@ -19,7 +19,7 @@ use mitosis_sim::{PhaseChange, PhaseSchedule, SimParams};
 use mitosis_trace::{
     capture_engine_run, capture_engine_run_dynamic, prepare_replay, LaneReplayReport,
     ReplayOptions, ReplayOutcome, ReplayRequest, ReplaySession, ShardDecision, Trace, TraceError,
-    TraceEvent, TraceReplayer,
+    TraceReplayer,
 };
 use mitosis_workloads::suite;
 
@@ -177,10 +177,14 @@ fn trailing_markers_roundtrip_through_serial_and_grouped_replay() {
             !lane.events.is_empty(),
             "lane {index} lost its trailing markers"
         );
-        for &(pos, event) in &lane.events {
-            assert_eq!(pos, end, "lane {index}: {event:?} not at the end boundary");
+        for &(pos, change, _) in &lane.events {
+            assert_eq!(pos, end, "lane {index}: {change:?} not at the end boundary");
         }
-        let staggered = lane.events.iter().filter(|(_, e)| e.staggered()).count();
+        let staggered = lane
+            .events
+            .iter()
+            .filter(|&&(.., staggered)| staggered)
+            .count();
         assert_eq!(
             staggered,
             usize::from(index == 2),
@@ -211,13 +215,16 @@ fn trailing_markers_roundtrip_through_serial_and_grouped_replay() {
 fn marker_positions_beyond_the_lane_are_rejected_as_corrupt() {
     let (mut trace, _params) = four_socket_trace(50);
     let len = trace.lanes[0].accesses.len() as u64;
+    let marker = PhaseChange::SetInterference {
+        sockets: NodeMask::EMPTY,
+    };
     // pos == len is the legitimate trailing position...
-    trace.lanes[0].events.push((len, TraceEvent::Marker(7)));
+    trace.lanes[0].events.push((len, marker, false));
     trace.to_bytes().expect("marker at pos == len must encode");
     // ...pos > len cannot round-trip (markers are positional on the wire)
     // and must be refused, not silently clamped.
     trace.lanes[0].events.clear();
-    trace.lanes[0].events.push((len + 1, TraceEvent::Marker(7)));
+    trace.lanes[0].events.push((len + 1, marker, false));
     let err = trace.to_bytes().expect_err("pos > len must be rejected");
     assert!(
         matches!(err, TraceError::Corrupt(_)),

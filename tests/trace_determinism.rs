@@ -357,10 +357,13 @@ fn init_pattern_is_preserved_by_capture() {
     for (spec, parallel) in [(suite::gups(), false), (suite::xsbench(), true)] {
         assert_eq!(spec.init() == InitPattern::Parallel, parallel);
         let captured = capture_engine_run(&spec, &params, &sockets).unwrap();
-        let recorded_parallel = captured.trace.setup_events.iter().any(|e| {
+        let recorded_parallel = captured.trace.setup_events.iter().any(|step| {
             matches!(
-                e,
-                mitosis_trace::TraceEvent::Populate { parallel: true, .. }
+                step,
+                mitosis_sim::SetupStep::Populate {
+                    init: InitPattern::Parallel,
+                    ..
+                }
             )
         });
         assert_eq!(recorded_parallel, parallel, "{}", spec.name());
