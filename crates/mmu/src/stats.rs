@@ -41,23 +41,6 @@ impl WalkStats {
         }
     }
 
-    /// The counter deltas accumulated since `earlier` was captured.
-    ///
-    /// `earlier` must be a previous snapshot of the same monotonic counter
-    /// set; every field of the result is `self - earlier`.
-    pub fn delta_since(&self, earlier: &WalkStats) -> WalkStats {
-        WalkStats {
-            walks: self.walks - earlier.walks,
-            faults: self.faults - earlier.faults,
-            walk_cycles: self.walk_cycles - earlier.walk_cycles,
-            levels_accessed: self.levels_accessed - earlier.levels_accessed,
-            local_dram_accesses: self.local_dram_accesses - earlier.local_dram_accesses,
-            remote_dram_accesses: self.remote_dram_accesses - earlier.remote_dram_accesses,
-            pte_cache_hits: self.pte_cache_hits - earlier.pte_cache_hits,
-            interfered_accesses: self.interfered_accesses - earlier.interfered_accesses,
-        }
-    }
-
     /// Merges another set of counters into this one.
     pub fn merge(&mut self, other: &WalkStats) {
         self.walks += other.walks;
@@ -95,21 +78,6 @@ impl MmuStats {
             0.0
         } else {
             self.tlb_misses as f64 / self.accesses as f64
-        }
-    }
-
-    /// The counter deltas accumulated since `earlier` was captured.
-    ///
-    /// `earlier` must be a previous snapshot of the same monotonic counter
-    /// set; every field of the result is `self - earlier`.
-    pub fn delta_since(&self, earlier: &MmuStats) -> MmuStats {
-        MmuStats {
-            accesses: self.accesses - earlier.accesses,
-            tlb_l1_hits: self.tlb_l1_hits - earlier.tlb_l1_hits,
-            tlb_l2_hits: self.tlb_l2_hits - earlier.tlb_l2_hits,
-            tlb_misses: self.tlb_misses - earlier.tlb_misses,
-            translation_cycles: self.translation_cycles - earlier.translation_cycles,
-            walk: self.walk.delta_since(&earlier.walk),
         }
     }
 
@@ -171,47 +139,5 @@ mod tests {
         assert_eq!(a.walk.total_reads(), 14);
         assert!((a.walk.remote_dram_fraction() - 8.0 / 12.0).abs() < 1e-9);
         assert!((a.tlb_miss_ratio() - 0.3).abs() < 1e-9);
-    }
-
-    #[test]
-    fn delta_since_inverts_merge() {
-        let earlier = MmuStats {
-            accesses: 10,
-            tlb_l1_hits: 5,
-            tlb_l2_hits: 2,
-            tlb_misses: 3,
-            translation_cycles: 100,
-            walk: WalkStats {
-                walks: 3,
-                faults: 1,
-                walk_cycles: 90,
-                levels_accessed: 6,
-                local_dram_accesses: 2,
-                remote_dram_accesses: 4,
-                pte_cache_hits: 1,
-                interfered_accesses: 2,
-            },
-        };
-        let delta = MmuStats {
-            accesses: 7,
-            tlb_l1_hits: 4,
-            tlb_l2_hits: 1,
-            tlb_misses: 2,
-            translation_cycles: 55,
-            walk: WalkStats {
-                walks: 2,
-                faults: 0,
-                walk_cycles: 40,
-                levels_accessed: 4,
-                local_dram_accesses: 1,
-                remote_dram_accesses: 2,
-                pte_cache_hits: 1,
-                interfered_accesses: 0,
-            },
-        };
-        let mut later = earlier;
-        later.merge(&delta);
-        assert_eq!(later.delta_since(&earlier), delta);
-        assert_eq!(later.delta_since(&later), MmuStats::default());
     }
 }

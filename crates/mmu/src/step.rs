@@ -3,10 +3,10 @@
 //! [`tlb_step`] and [`walk_step`], with the state they read and write.
 //!
 //! They live in this crate so that no simulated access can reach an
-//! observer: `mitosis-obs` depends on `mitosis-mmu`, so nothing here can
-//! name it, and the observer's non-perturbation stays a fact of the
-//! dependency graph.  The engine observes at interval edges and around
-//! segments, outside these functions.
+//! observer: `mitosis-obs` declares a dependency on `mitosis-mmu`, so
+//! nothing here can name it, and the observer's non-perturbation stays a
+//! fact of the dependency graph.  The engine observes around segments and
+//! after a run, outside these functions.
 
 use crate::mmu::{Mmu, TlbHalf, WalkHalf};
 use crate::pte_cache::PteCache;

@@ -403,11 +403,6 @@ impl TlbHierarchy {
         self.l1_4k.hits() + self.l1_2m.hits() + self.l2.hits()
     }
 
-    /// Misses of the last level (i.e. accesses that required a page walk).
-    pub fn walk_triggering_misses(&self) -> u64 {
-        self.l2.misses()
-    }
-
     /// Approximate total reach of the hierarchy in bytes for a page size.
     pub fn reach(&self, size: PageSize) -> u64 {
         let entries = match size {

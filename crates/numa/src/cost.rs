@@ -63,11 +63,6 @@ impl Interference {
     pub fn is_loaded(&self, socket: SocketId) -> bool {
         self.loaded.contains(&socket)
     }
-
-    /// Returns the sockets that host an interfering process.
-    pub fn loaded_sockets(&self) -> &[SocketId] {
-        &self.loaded
-    }
 }
 
 impl Default for Interference {

@@ -51,9 +51,8 @@ pub(crate) fn json_string(value: &str) -> String {
 /// A recorder that buffers spans in memory and writes a chrome://tracing
 /// JSON file when dropped.
 ///
-/// Counters, histograms and interval samples are ignored — pair it with a
-/// [`crate::JsonlRecorder`] through a [`crate::FanoutRecorder`] when those
-/// are wanted too.
+/// Counters are ignored — pair it with a [`crate::JsonlRecorder`] through a
+/// [`crate::FanoutRecorder`] when those are wanted too.
 #[derive(Debug)]
 pub struct ChromeTraceRecorder {
     path: PathBuf,
@@ -61,12 +60,15 @@ pub struct ChromeTraceRecorder {
 }
 
 impl ChromeTraceRecorder {
-    /// A recorder that will write `path` when dropped.
-    pub fn new(path: impl AsRef<Path>) -> Self {
-        ChromeTraceRecorder {
+    /// Creates (truncating) `path` and returns a recorder that writes the
+    /// trace there when dropped, so an unwritable path fails here rather
+    /// than at the end of the run.
+    pub fn create(path: impl AsRef<Path>) -> std::io::Result<Self> {
+        std::fs::File::create(path.as_ref())?;
+        Ok(ChromeTraceRecorder {
             path: path.as_ref().to_path_buf(),
             memory: MemoryRecorder::new(),
-        }
+        })
     }
 
     /// Writes the trace collected so far to the configured path.

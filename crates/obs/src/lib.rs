@@ -1,21 +1,18 @@
-//! Observability layer for the Mitosis simulator: deterministic interval
-//! metrics streams, span tracing, and profile export.
+//! Observability layer for the Mitosis simulator: span tracing, counters
+//! and profile export of the *host-side* work of a run.
 //!
-//! The layer has three moving parts:
+//! The layer has two moving parts:
 //!
-//! - **[`IntervalSample`] stream** — the engine emits the *delta* of its
-//!   run metrics every N accesses, with interval edges aligned to the
-//!   dynamic schedule's phase boundaries.  Every field derives from
-//!   simulated cycle and access counts, so the stream is bit-identical
-//!   across a live run and its trace replay, and summing the deltas
-//!   ([`IntervalAccumulator`]) reproduces the final aggregate exactly.
-//! - **Spans, counters, histograms** — the [`Recorder`] trait with RAII
-//!   [`SpanGuard`]s times the *host-side* phases (trace preparation,
-//!   snapshot cloning, per-group replay, per-segment execution) without
-//!   touching simulated results.
+//! - **Spans and counters** — the [`Recorder`] trait with RAII
+//!   [`SpanGuard`]s times the host-side phases (trace preparation,
+//!   snapshot cloning, per-group replay, per-segment execution) and sums
+//!   named counters, without touching simulated results.
 //! - **Sinks** — [`MemoryRecorder`] for tests and programmatic export,
 //!   [`JsonlRecorder`] for streaming to a file, and
 //!   [`ChromeTraceRecorder`] / [`chrome_trace_json`] for chrome://tracing.
+//!
+//! Simulated metrics do not travel through this layer: a run returns them
+//! in its result (`RunMetrics` in `mitosis-sim`).
 //!
 //! The whole layer is opt-in through the [`Observer`] handle; the default
 //! ([`Observer::none`]) records nothing and keeps instrumented code on a
@@ -26,17 +23,13 @@
 #![warn(missing_docs)]
 
 mod chrome;
-mod hist;
-mod interval;
 mod jsonl;
 mod memory;
 mod observer;
 mod recorder;
 
 pub use chrome::{chrome_trace_json, ChromeTraceRecorder};
-pub use hist::Log2Histogram;
-pub use interval::{IntervalAccumulator, IntervalSample, FEATURE_NAMES};
-pub use jsonl::{interval_json, JsonlRecorder};
+pub use jsonl::JsonlRecorder;
 pub use memory::{MemoryRecorder, RecordedSpan};
-pub use observer::{Observer, ENV_INTERVAL, ENV_JSONL, ENV_TRACE_JSON};
+pub use observer::{Observer, ENV_JSONL, ENV_TRACE_JSON};
 pub use recorder::{FanoutRecorder, NoopRecorder, Recorder, Span, SpanGuard};

@@ -1,7 +1,5 @@
 //! In-memory recorder for tests and programmatic export.
 
-use crate::hist::Log2Histogram;
-use crate::interval::IntervalSample;
 use crate::recorder::{Recorder, Span};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -26,15 +24,12 @@ pub struct RecordedSpan {
 struct MemoryStore {
     spans: Vec<RecordedSpan>,
     counters: BTreeMap<&'static str, u64>,
-    histograms: BTreeMap<&'static str, Log2Histogram>,
-    intervals: Vec<IntervalSample>,
 }
 
 /// A recorder that stores everything in memory.
 ///
-/// This is the sink tests assert against (spans present, counters exact,
-/// interval sums reproducing the aggregate) and the staging buffer of the
-/// chrome://tracing exporter.
+/// This is the sink tests assert against (spans present, counters exact)
+/// and the staging buffer of the chrome://tracing exporter.
 #[derive(Debug)]
 pub struct MemoryRecorder {
     epoch: Instant,
@@ -90,46 +85,6 @@ impl MemoryRecorder {
             .collect()
     }
 
-    /// A histogram by name, if any sample was recorded into it.
-    pub fn histogram(&self, name: &str) -> Option<Log2Histogram> {
-        self.store().histograms.get(name).cloned()
-    }
-
-    /// Every interval sample recorded so far, in recording order.
-    ///
-    /// With parallel replay the samples of different tracks interleave in
-    /// recording order; filter by [`IntervalSample::track`] (or use
-    /// [`MemoryRecorder::intervals_for_track`]) before accumulating.
-    pub fn intervals(&self) -> Vec<IntervalSample> {
-        self.store().intervals.clone()
-    }
-
-    /// The interval samples of one track, in interval order.
-    pub fn intervals_for_track(&self, track: u64) -> Vec<IntervalSample> {
-        let mut samples: Vec<IntervalSample> = self
-            .store()
-            .intervals
-            .iter()
-            .filter(|sample| sample.track == track)
-            .cloned()
-            .collect();
-        samples.sort_by_key(|sample| sample.index);
-        samples
-    }
-
-    /// The distinct tracks interval samples were recorded on, ascending.
-    pub fn interval_tracks(&self) -> Vec<u64> {
-        let mut tracks: Vec<u64> = self
-            .store()
-            .intervals
-            .iter()
-            .map(|sample| sample.track)
-            .collect();
-        tracks.sort_unstable();
-        tracks.dedup();
-        tracks
-    }
-
     /// Exports the recorded spans as chrome://tracing `trace_event` JSON
     /// (load via `chrome://tracing` or <https://ui.perfetto.dev>).
     pub fn to_chrome_trace(&self) -> String {
@@ -151,17 +106,5 @@ impl Recorder for MemoryRecorder {
 
     fn counter(&self, name: &'static str, value: u64) {
         *self.store().counters.entry(name).or_insert(0) += value;
-    }
-
-    fn log2(&self, name: &'static str, value: u64) {
-        self.store()
-            .histograms
-            .entry(name)
-            .or_default()
-            .record(value);
-    }
-
-    fn interval(&self, sample: &IntervalSample) {
-        self.store().intervals.push(sample.clone());
     }
 }

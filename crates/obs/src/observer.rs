@@ -1,11 +1,9 @@
 //! The [`Observer`] handle the engine and replay drivers carry.
 //!
-//! An observer bundles the optional recorder with the interval-sampling
-//! configuration.  The disabled observer ([`Observer::none`]) is the
-//! default everywhere: no recorder, no interval, no clock reads — the
-//! instrumented code paths reduce to a `None` check.
+//! An observer wraps the optional recorder.  The disabled observer
+//! ([`Observer::none`]) is the default everywhere: no recorder, no clock
+//! reads — the instrumented code paths reduce to a `None` check.
 
-use crate::interval::IntervalSample;
 use crate::recorder::{FanoutRecorder, Recorder, SpanGuard};
 use std::sync::Arc;
 
@@ -13,38 +11,26 @@ use std::sync::Arc;
 pub const ENV_JSONL: &str = "MITOSIS_OBS_JSONL";
 /// Environment variable naming a chrome://tracing JSON file for spans.
 pub const ENV_TRACE_JSON: &str = "MITOSIS_OBS_TRACE_JSON";
-/// Environment variable setting the interval length in accesses.
-pub const ENV_INTERVAL: &str = "MITOSIS_OBS_INTERVAL";
 
-/// Handle bundling a recorder with interval-sampling configuration.
+/// Handle to the recorder a run reports spans and counters to.
 ///
 /// Cloning an observer shares the underlying recorder.
 #[derive(Debug, Clone, Default)]
 pub struct Observer {
     recorder: Option<Arc<dyn Recorder>>,
-    interval: Option<u64>,
 }
 
 impl Observer {
-    /// The disabled observer: no recorder, no interval stream.
+    /// The disabled observer: no recorder.
     pub fn none() -> Self {
         Observer::default()
     }
 
-    /// An observer reporting to `recorder` (interval streaming still off
-    /// until [`Observer::interval_every`] enables it).
+    /// An observer reporting to `recorder`.
     pub fn with_recorder(recorder: Arc<dyn Recorder>) -> Self {
         Observer {
             recorder: Some(recorder),
-            interval: None,
         }
-    }
-
-    /// Returns the observer with interval streaming every `accesses`
-    /// accesses (per thread). `0` disables streaming.
-    pub fn interval_every(mut self, accesses: u64) -> Self {
-        self.interval = if accesses == 0 { None } else { Some(accesses) };
-        self
     }
 
     /// Returns the observer with `recorder` added alongside any existing
@@ -58,10 +44,9 @@ impl Observer {
     }
 
     /// Builds an observer from the `MITOSIS_OBS_*` environment variables:
-    /// [`ENV_JSONL`] and [`ENV_TRACE_JSON`] attach sinks, [`ENV_INTERVAL`]
-    /// sets the interval length.  Unset variables leave the corresponding
-    /// feature off; an unwritable sink path is reported to stderr and
-    /// skipped.
+    /// [`ENV_JSONL`] and [`ENV_TRACE_JSON`] attach sinks.  Unset variables
+    /// leave the corresponding sink off; an unwritable sink path is
+    /// reported to stderr and skipped.
     pub fn from_env() -> Self {
         let mut observer = Observer::none();
         if let Ok(path) = std::env::var(ENV_JSONL) {
@@ -74,13 +59,10 @@ impl Observer {
         }
         if let Ok(path) = std::env::var(ENV_TRACE_JSON) {
             if !path.is_empty() {
-                observer = observer.also_record(Arc::new(crate::ChromeTraceRecorder::new(&path)));
-            }
-        }
-        if let Ok(value) = std::env::var(ENV_INTERVAL) {
-            match value.parse::<u64>() {
-                Ok(accesses) => observer = observer.interval_every(accesses),
-                Err(_) => eprintln!("{ENV_INTERVAL}: ignoring non-numeric value {value:?}"),
+                match crate::ChromeTraceRecorder::create(&path) {
+                    Ok(recorder) => observer = observer.also_record(Arc::new(recorder)),
+                    Err(error) => eprintln!("{ENV_TRACE_JSON}: cannot create {path}: {error}"),
+                }
             }
         }
         observer
@@ -89,16 +71,6 @@ impl Observer {
     /// The installed recorder, if any.
     pub fn recorder(&self) -> Option<&Arc<dyn Recorder>> {
         self.recorder.as_ref()
-    }
-
-    /// The configured interval length in accesses, if streaming is on.
-    pub fn interval(&self) -> Option<u64> {
-        // The stream needs a sink: an interval without a recorder is off.
-        if self.recorder.is_some() {
-            self.interval
-        } else {
-            None
-        }
     }
 
     /// Whether any recorder is installed.
@@ -120,20 +92,6 @@ impl Observer {
             recorder.counter(name, value);
         }
     }
-
-    /// Records a log2-histogram sample (no-op when disabled).
-    pub fn log2(&self, name: &'static str, value: u64) {
-        if let Some(recorder) = &self.recorder {
-            recorder.log2(name, value);
-        }
-    }
-
-    /// Emits one interval sample (no-op when disabled).
-    pub fn emit_interval(&self, sample: &IntervalSample) {
-        if let Some(recorder) = &self.recorder {
-            recorder.interval(sample);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -145,19 +103,8 @@ mod tests {
     fn disabled_observer_is_inert() {
         let observer = Observer::none();
         assert!(!observer.is_enabled());
-        assert_eq!(observer.interval(), None);
         observer.counter("c", 1);
-        observer.log2("h", 2);
         let _span = observer.span("s", 0);
-    }
-
-    #[test]
-    fn interval_without_recorder_stays_off() {
-        let observer = Observer::none().interval_every(256);
-        assert_eq!(observer.interval(), None);
-        let memory = Arc::new(MemoryRecorder::new());
-        let observer = observer.also_record(memory);
-        assert_eq!(observer.interval(), Some(256));
     }
 
     #[test]
@@ -171,11 +118,16 @@ mod tests {
     }
 
     #[test]
-    fn zero_interval_disables_streaming() {
-        let memory = Arc::new(MemoryRecorder::new());
-        let observer = Observer::with_recorder(memory)
-            .interval_every(128)
-            .interval_every(0);
-        assert_eq!(observer.interval(), None);
+    fn an_unwritable_trace_json_path_is_skipped() {
+        // The only test in this crate that touches the environment.
+        let missing = std::env::temp_dir()
+            .join(format!("mitosis-obs-missing-{}", std::process::id()))
+            .join("trace.json");
+        std::env::remove_var(ENV_JSONL);
+        std::env::set_var(ENV_TRACE_JSON, &missing);
+        let observer = Observer::from_env();
+        std::env::remove_var(ENV_TRACE_JSON);
+        assert!(!observer.is_enabled(), "{missing:?} cannot be created");
+        assert!(!missing.exists());
     }
 }

@@ -1,15 +1,11 @@
 //! The [`Recorder`] trait and its zero-cost no-op default.
 //!
 //! A recorder is the sink side of the observability layer: the engine and
-//! the replay drivers hand it *spans* (wall-clock timed phases), *counters*
-//! (monotonic sums), *log2 histogram* samples, and [`IntervalSample`]s (the
-//! deterministic per-interval metrics stream).  All simulated quantities —
-//! everything inside an [`IntervalSample`], every counter the engine emits —
-//! derive from simulated cycle and access counts; wall-clock time appears
-//! only in span timing, which exists to profile the *host* cost of a run,
-//! never its simulated outcome.
+//! the replay drivers hand it *spans* (wall-clock timed phases) and
+//! *counters* (monotonic sums).  Wall-clock time appears only in span
+//! timing, which exists to profile the *host* cost of a run, never its
+//! simulated outcome; the simulated metrics are the run's result.
 
-use crate::interval::IntervalSample;
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -54,16 +50,6 @@ pub trait Recorder: Send + Sync + fmt::Debug {
     fn counter(&self, name: &'static str, value: u64) {
         let _ = (name, value);
     }
-
-    /// Records one sample into the named log2 histogram.
-    fn log2(&self, name: &'static str, value: u64) {
-        let _ = (name, value);
-    }
-
-    /// Records one interval of the deterministic metrics stream.
-    fn interval(&self, sample: &IntervalSample) {
-        let _ = sample;
-    }
 }
 
 /// The recorder that records nothing.
@@ -101,18 +87,6 @@ impl Recorder for FanoutRecorder {
     fn counter(&self, name: &'static str, value: u64) {
         for sink in &self.sinks {
             sink.counter(name, value);
-        }
-    }
-
-    fn log2(&self, name: &'static str, value: u64) {
-        for sink in &self.sinks {
-            sink.log2(name, value);
-        }
-    }
-
-    fn interval(&self, sample: &IntervalSample) {
-        for sink in &self.sinks {
-            sink.interval(sample);
         }
     }
 }
@@ -186,9 +160,7 @@ mod tests {
         let fan = FanoutRecorder::new(vec![a.clone(), b.clone()]);
         fan.counter("c", 2);
         fan.counter("c", 3);
-        fan.log2("h", 9);
         assert_eq!(a.counter_value("c"), 5);
         assert_eq!(b.counter_value("c"), 5);
-        assert_eq!(b.histogram("h").expect("histogram").count(), 1);
     }
 }

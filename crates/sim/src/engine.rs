@@ -11,9 +11,9 @@ use mitosis_mmu::step::{
     step_access, tlb_step, walk_step, AccessCtx, LeafTables, Miss, Tables, ThreadPhase,
     ThreadTotals,
 };
-use mitosis_mmu::{Mmu, MmuStats, PteCache, PteCacheSet, TlbHalf, WalkHalf, WalkStats};
+use mitosis_mmu::{Mmu, PteCache, PteCacheSet, TlbHalf, WalkHalf};
 use mitosis_numa::{AccessKind, CoreId, CostModel, Cycles, SocketId};
-use mitosis_obs::{IntervalSample, Observer};
+use mitosis_obs::Observer;
 use mitosis_pt::{check_writable_range, PageSize, PtStore, RangeGap, VirtAddr};
 use mitosis_vmm::{Pid, System, VmError};
 use mitosis_workloads::{AccessSource, AccessStream, InitPattern, WorkloadSpec};
@@ -51,30 +51,11 @@ pub fn data_access_cycles(
     (access.cycles as f64 * queueing).round() as Cycles
 }
 
-/// Bookkeeping of the interval metrics stream across a run: the cumulative
-/// per-thread counters at the last emitted interval edge, plus the running
-/// interval index and start access.
-struct IntervalState {
-    prev: Vec<(ThreadTotals, MmuStats)>,
-    next_index: u64,
-    start: u64,
-}
-
-/// Saved interval-stream bookkeeping inside a checkpoint, so a resumed run
-/// continues the sample sequence where the paused run left off.
-#[derive(Debug, Clone)]
-struct IntervalCheckpoint {
-    prev: Vec<(ThreadTotals, MmuStats)>,
-    next_index: u64,
-    start: u64,
-}
-
 /// Mid-run engine state captured at an access-count boundary by
 /// [`ExecutionEngine::execute`]: everything the
 /// engine itself carries between accesses — per-thread MMUs (TLBs, paging
 /// structure caches, statistics), cycle accumulators, lazily-derived
-/// translation state, the per-socket page-table-line caches, and the
-/// interval-stream position.
+/// translation state and the per-socket page-table-line caches.
 ///
 /// A checkpoint does *not* include the simulated [`System`]/
 /// [`Mitosis`](mitosis::Mitosis) state: the caller pauses a run it owns and
@@ -88,7 +69,6 @@ pub struct EngineCheckpoint {
     totals: Vec<ThreadTotals>,
     states: Vec<Option<ThreadPhase>>,
     pte_caches: PteCacheSet,
-    interval: Option<IntervalCheckpoint>,
 }
 
 impl EngineCheckpoint {
@@ -238,8 +218,6 @@ struct GroupThread<'s, S> {
     totals: ThreadTotals,
     source: &'s mut S,
     phase: &'s ThreadPhase,
-    /// Counter snapshots at each interval edge (sampling only).
-    snaps: Vec<(ThreadTotals, MmuStats)>,
 }
 
 /// One socket's threads and page-table-line cache while a split segment
@@ -252,42 +230,34 @@ struct SocketGroup<'s, S> {
 }
 
 impl<S: AccessSource> SocketGroup<'_, S> {
-    /// Runs the group's threads in thread order over the segment's chunks
-    /// (`edges` ends each chunk), exactly as the serial path would.
+    /// Runs the group's threads in thread order over accesses
+    /// `segment_start..run_to`, exactly as the serial path would.
     fn run(
         &mut self,
         tables: Tables<'_>,
         ctx: AccessCtx<'_>,
         segment_start: u64,
-        edges: &[u64],
-        sampling: bool,
+        run_to: u64,
     ) -> Result<(), MitosisError> {
         for member in &mut self.threads {
-            let mut chunk_start = segment_start;
-            for &edge in edges {
-                for index in chunk_start..edge {
-                    let access = member.source.next_access();
-                    let stepped = step_access(
-                        access.offset,
-                        access.is_write,
-                        &mut member.mmu,
-                        &mut member.totals,
-                        &mut self.pte_cache,
-                        member.phase,
-                        tables,
-                        ctx,
-                    );
-                    if let Err(addr) = stepped {
-                        return Err(MitosisError::SplitFault {
-                            thread: member.thread,
-                            access: index,
-                            addr,
-                        });
-                    }
-                }
-                chunk_start = edge;
-                if sampling {
-                    member.snaps.push((member.totals, member.mmu.stats()));
+            for index in segment_start..run_to {
+                let access = member.source.next_access();
+                let stepped = step_access(
+                    access.offset,
+                    access.is_write,
+                    &mut member.mmu,
+                    &mut member.totals,
+                    &mut self.pte_cache,
+                    member.phase,
+                    tables,
+                    ctx,
+                );
+                if let Err(addr) = stepped {
+                    return Err(MitosisError::SplitFault {
+                        thread: member.thread,
+                        access: index,
+                        addr,
+                    });
                 }
             }
         }
@@ -358,9 +328,7 @@ struct ParallelSegment<'a, S> {
     mmus: &'a mut Vec<Mmu>,
     totals: &'a mut [ThreadTotals],
     segment_start: u64,
-    edges: &'a [u64],
-    /// Per edge, per thread (empty when not sampling).
-    edge_snaps: &'a mut [Vec<(ThreadTotals, MmuStats)>],
+    run_to: u64,
 }
 
 /// Runs a segment proven fault-free with each socket group on its own host
@@ -384,10 +352,8 @@ fn run_split<S: AccessSource + Send>(
         mmus,
         totals,
         segment_start,
-        edges,
-        edge_snaps,
+        run_to,
     } = segment;
-    let sampling = !edge_snaps.is_empty();
     let mut lanes: Vec<Option<(Mmu, &mut S)>> = std::mem::take(mmus)
         .into_iter()
         .zip(sources.iter_mut())
@@ -410,7 +376,6 @@ fn run_split<S: AccessSource + Send>(
                             totals: totals[thread],
                             source,
                             phase: states[thread].as_ref().expect("phases derived first"),
-                            snaps: Vec::new(),
                         }
                     })
                     .collect(),
@@ -423,12 +388,12 @@ fn run_split<S: AccessSource + Send>(
         let spawned: Vec<_> = rest
             .map(|mut group| {
                 scope.spawn(move || {
-                    let result = group.run(tables, ctx, segment_start, edges, sampling);
+                    let result = group.run(tables, ctx, segment_start, run_to);
                     (group, result)
                 })
             })
             .collect();
-        let result = first.run(tables, ctx, segment_start, edges, sampling);
+        let result = first.run(tables, ctx, segment_start, run_to);
         let mut finished = vec![(first, result)];
         for handle in spawned {
             // A panicking group re-raises here, as it would have serially.
@@ -446,9 +411,6 @@ fn run_split<S: AccessSource + Send>(
         *pte_caches.socket(group.socket) = group.pte_cache;
         for member in group.threads {
             totals[member.thread] = member.totals;
-            for (snaps, snap) in edge_snaps.iter_mut().zip(member.snaps) {
-                snaps[member.thread] = snap;
-            }
             returned[member.thread] = Some(member.mmu);
         }
         outcome = outcome.and(result);
@@ -483,9 +445,6 @@ const YIELDS_BEFORE_SLEEP: u32 = 2_000;
 struct MissBatch {
     thread: usize,
     misses: Vec<Miss>,
-    /// The batch ends one of the thread's chunks (see
-    /// [`ExecutionEngine::execute`]'s interval edges).
-    chunk_end: bool,
 }
 
 /// The two stages' handoff: filled batches flow from the TLB stage to the
@@ -618,21 +577,12 @@ impl Drop for Hangup<'_> {
 struct WalkStage {
     walks: Vec<WalkHalf>,
     pte_cache: PteCache,
-    /// Per thread, its walk counters at each of its chunk ends (sampling
-    /// only), with room for every edge reserved up front.
-    snaps: Vec<Vec<WalkStats>>,
 }
 
 impl WalkStage {
     /// Walks every batch the TLB stage sends, in order, until it is done,
     /// and hands each emptied buffer back.
-    fn run(
-        &mut self,
-        handoff: &Handoff,
-        tables: Tables<'_>,
-        states: &[Option<ThreadPhase>],
-        sampling: bool,
-    ) {
+    fn run(&mut self, handoff: &Handoff, tables: Tables<'_>, states: &[Option<ThreadPhase>]) {
         let _hangup = Hangup {
             handoff,
             tlb_stage: false,
@@ -643,19 +593,16 @@ impl WalkStage {
             for &miss in &batch.misses {
                 walk_step(miss, walks, &mut self.pte_cache, phase, tables);
             }
-            if sampling && batch.chunk_end {
-                self.snaps[batch.thread].push(*walks.stats());
-            }
             handoff.give_back(batch.misses);
         }
     }
 }
 
 /// Runs the TLB stage of a pipelined segment on the calling thread: every
-/// thread in thread order over the segment's chunks, exactly as the serial
-/// path would, sending each thread's misses to the walk stage in batches
-/// that end at its chunk ends.  Returns early, without error, if the walk
-/// stage is gone: it panicked, and joining it re-raises the panic.
+/// thread in thread order over the segment's accesses, exactly as the
+/// serial path would, sending each thread's misses to the walk stage in
+/// batches.  Returns early, without error, if the walk stage is gone: it
+/// panicked, and joining it re-raises the panic.
 fn run_tlb_stage<S: AccessSource>(
     segment: &mut ParallelSegment<'_, S>,
     tlbs: &mut [TlbHalf],
@@ -673,51 +620,39 @@ fn run_tlb_stage<S: AccessSource>(
         let phase = segment.states[thread]
             .as_ref()
             .expect("phases derived first");
-        let mut chunk_start = segment.segment_start;
-        for (edge_index, &edge) in segment.edges.iter().enumerate() {
-            let Some(mut misses) = handoff.take_empty() else {
-                return Ok(());
-            };
-            for index in chunk_start..edge {
-                let access = source.next_access();
-                let stepped = tlb_step(
-                    access.offset,
-                    access.is_write,
-                    tlbs,
-                    totals,
-                    leaves,
-                    phase,
-                    ctx,
-                    &mut misses,
-                );
-                if let Err(addr) = stepped {
-                    return Err(MitosisError::SplitFault {
-                        thread,
-                        access: index,
-                        addr,
-                    });
-                }
-                if misses.len() == MISS_BATCH {
-                    let Some(next) = handoff.take_empty() else {
-                        return Ok(());
-                    };
-                    handoff.send(MissBatch {
-                        thread,
-                        misses: std::mem::replace(&mut misses, next),
-                        chunk_end: false,
-                    });
-                }
+        let Some(mut misses) = handoff.take_empty() else {
+            return Ok(());
+        };
+        for index in segment.segment_start..segment.run_to {
+            let access = source.next_access();
+            let stepped = tlb_step(
+                access.offset,
+                access.is_write,
+                tlbs,
+                totals,
+                leaves,
+                phase,
+                ctx,
+                &mut misses,
+            );
+            if let Err(addr) = stepped {
+                return Err(MitosisError::SplitFault {
+                    thread,
+                    access: index,
+                    addr,
+                });
             }
-            handoff.send(MissBatch {
-                thread,
-                misses,
-                chunk_end: true,
-            });
-            chunk_start = edge;
-            if let Some(snaps) = segment.edge_snaps.get_mut(edge_index) {
-                snaps[thread] = (*totals, *tlbs.stats());
+            if misses.len() == MISS_BATCH {
+                let Some(next) = handoff.take_empty() else {
+                    return Ok(());
+                };
+                handoff.send(MissBatch {
+                    thread,
+                    misses: std::mem::replace(&mut misses, next),
+                });
             }
         }
+        handoff.send(MissBatch { thread, misses });
     }
     Ok(())
 }
@@ -729,7 +664,7 @@ fn run_tlb_stage<S: AccessSource>(
 /// — the walk stage also the socket's page-table-line cache — and the
 /// halves rejoin when the segment ends, also when the TLB stage faults, so
 /// the caller can return every MMU to the pool.  The walk cycles then merge
-/// into the threads' totals and interval snapshots.
+/// into the threads' totals.
 fn run_pipelined<S: AccessSource>(
     pte_caches: &mut PteCacheSet,
     tables: Tables<'_>,
@@ -745,7 +680,6 @@ fn run_pipelined<S: AccessSource>(
         .max()
         .unwrap_or(0);
     let mut leaves = LeafTables::new(tables.store, region, bound);
-    let sampling = !segment.edge_snaps.is_empty();
     let (mut tlbs, walks): (Vec<TlbHalf>, Vec<WalkHalf>) = std::mem::take(segment.mmus)
         .into_iter()
         .map(Mmu::into_halves)
@@ -756,9 +690,6 @@ fn run_pipelined<S: AccessSource>(
         .map(|walks| walks.stats().walk_cycles)
         .collect();
     let mut stage = WalkStage {
-        snaps: (0..walks.len())
-            .map(|_| Vec::with_capacity(segment.edge_snaps.len()))
-            .collect(),
         walks,
         pte_cache: std::mem::replace(pte_caches.socket(socket), PteCache::new(0)),
     };
@@ -767,7 +698,7 @@ fn run_pipelined<S: AccessSource>(
     let result = std::thread::scope(|scope| {
         let walk_stage = &mut stage;
         let handoff = &handoff;
-        let walker = scope.spawn(move || walk_stage.run(handoff, tables, states, sampling));
+        let walker = scope.spawn(move || walk_stage.run(handoff, tables, states));
         let result = run_tlb_stage(&mut segment, &mut tlbs, &mut leaves, ctx, handoff);
         // The walk stage still drains the batches in flight.  Yield until it
         // is done rather than sleep in `join` (see `YIELDS_BEFORE_SLEEP`).
@@ -789,13 +720,6 @@ fn run_pipelined<S: AccessSource>(
     for (thread, totals) in segment.totals.iter_mut().enumerate() {
         totals.translation += segment.mmus[thread].walks().stats().walk_cycles - walked[thread];
     }
-    for (edge_index, snaps) in segment.edge_snaps.iter_mut().enumerate() {
-        for (thread, (totals, mmu)) in snaps.iter_mut().enumerate() {
-            let walk = &stage.snaps[thread][edge_index];
-            totals.translation += walk.walk_cycles - walked[thread];
-            *mmu = mmu.joined(walk);
-        }
-    }
     Ok(())
 }
 
@@ -807,12 +731,12 @@ pub struct ExecutionEngine {
     /// fresh one, so pooling shaves the per-run TLB/PWC allocation cost —
     /// which dominates for short traces.
     mmu_pool: Vec<Mmu>,
-    /// Observability sink: spans, counters and the interval metrics stream.
-    /// The default ([`Observer::none`]) records nothing and keeps every
-    /// instrumented path on a `None` check.
+    /// Observability sink for spans and counters.  The default
+    /// ([`Observer::none`]) records nothing and keeps every instrumented
+    /// path on a `None` check.
     observer: Observer,
-    /// Track (timeline) the engine's spans and interval samples carry —
-    /// the lane-group index in parallel replay, 0 otherwise.
+    /// Track (timeline) the engine's spans carry — the lane-group index in
+    /// parallel replay, 0 otherwise.
     obs_track: u64,
     /// TLB-consistency work the most recent run performed (advisory; not
     /// part of [`RunMetrics`] and not carried across checkpoints).
@@ -859,15 +783,16 @@ impl ExecutionEngine {
         &self.pte_caches
     }
 
-    /// Installs the observer later runs report spans, counters and interval
-    /// samples to.  The observer never changes simulated results: metrics
-    /// are bit-identical with any observer installed or none.
+    /// Installs the observer later runs report spans and counters to.  The
+    /// observer never changes simulated results: metrics are bit-identical
+    /// with any observer installed or none, and reach the caller only as
+    /// the run's [`RunMetrics`].
     pub fn set_observer(&mut self, observer: Observer) {
         self.observer = observer;
     }
 
-    /// Sets the track (timeline) the engine's spans and interval samples
-    /// are tagged with — parallel replay gives each lane group its own.
+    /// Sets the track (timeline) the engine's spans are tagged with —
+    /// parallel replay gives each lane group its own.
     pub fn set_observer_track(&mut self, track: u64) {
         self.obs_track = track;
     }
@@ -1131,11 +1056,11 @@ impl ExecutionEngine {
     ///
     /// Every other segment runs serially on the calling thread, among them
     /// one socket group of several threads
-    /// ([`SerialReason::SharedSocket`]).  In every
-    /// schedule the metrics, interval samples, accessed/dirty bits and
-    /// page-table-line cache counters are bit-identical; the choice depends
-    /// only on the socket groups, the sources' bounds, the page tables and
-    /// the MMUs' cached entries, never on the host.
+    /// ([`SerialReason::SharedSocket`]).  In every schedule the metrics,
+    /// accessed/dirty bits and page-table-line cache counters are
+    /// bit-identical; the choice depends only on the socket groups, the
+    /// sources' bounds, the page tables and the MMUs' cached entries, never
+    /// on the host.
     /// [`ExecutionEngine::last_split`] reports what happened.  A fault in a
     /// split or pipelined segment — possible only if a source under-reports
     /// its bound — stops the run with [`MitosisError::SplitFault`] naming
@@ -1241,33 +1166,6 @@ impl ExecutionEngine {
             None => vec![None; threads.len()],
         };
 
-        // Interval metrics streaming (off unless the observer asks for it):
-        // cumulative per-thread counters at the last emitted edge, so each
-        // sample is an exact delta.  A resumed run continues the saved
-        // sample sequence; resuming with sampling newly enabled baselines
-        // `prev` at the carried totals so the first sample covers only the
-        // resumed portion.
-        let interval = self.observer.interval();
-        let mut interval_state =
-            interval.map(
-                |_| match resume.and_then(|checkpoint| checkpoint.interval.as_ref()) {
-                    Some(saved) => IntervalState {
-                        prev: saved.prev.clone(),
-                        next_index: saved.next_index,
-                        start: saved.start,
-                    },
-                    None => IntervalState {
-                        prev: totals
-                            .iter()
-                            .zip(&mmus)
-                            .map(|(thread_totals, mmu)| (*thread_totals, mmu.stats()))
-                            .collect(),
-                        next_index: 0,
-                        start: start_access,
-                    },
-                },
-            );
-
         // The fallible measured phase runs inside a closure so the
         // checked-out MMUs return to the pool on *every* exit path — an
         // error mid-run (a failing phase change, a fault-handling error, a
@@ -1290,32 +1188,6 @@ impl ExecutionEngine {
                 };
                 if run_to > segment_start {
                     let _segment_span = self.observer.span("engine.segment", self.obs_track);
-                    // Interval sampling splits each thread's run of the
-                    // segment into chunks at the interval edges: every
-                    // multiple of the interval length inside the segment,
-                    // plus the segment boundary itself — which is what pins
-                    // phase-change events to interval edges.  The chunks
-                    // execute back to back in the same order as the
-                    // undivided loop and only *read* the counters at each
-                    // edge, so simulated results are bit-identical with
-                    // sampling on or off.  With sampling off the segment is
-                    // a single chunk.
-                    let edges: Vec<u64> = match interval {
-                        Some(every) => (segment_start / every + 1..)
-                            .map(|multiple| multiple * every)
-                            .take_while(|edge| *edge < run_to)
-                            .chain(std::iter::once(run_to))
-                            .collect(),
-                        None => vec![run_to],
-                    };
-                    let sampling = interval_state.is_some();
-                    // Per edge, per thread: cumulative counters at the edge.
-                    let mut edge_snaps: Vec<Vec<(ThreadTotals, MmuStats)>> = if sampling {
-                        vec![vec![Default::default(); threads.len()]; edges.len()]
-                    } else {
-                        Vec::new()
-                    };
-
                     // Threads refreshing at the same segment start snapshot
                     // the same cost-model state: share one clone (it holds
                     // the dense precomputed cycle matrix) instead of paying
@@ -1371,8 +1243,7 @@ impl ExecutionEngine {
                         mmus: &mut mmus,
                         totals: &mut totals,
                         segment_start,
-                        edges: &edges,
-                        edge_snaps: &mut edge_snaps,
+                        run_to,
                     };
                     if proof.is_ok() && groups.len() >= 2 {
                         self.split.split_segments += 1;
@@ -1401,104 +1272,55 @@ impl ExecutionEngine {
                             let phase = states[index].as_ref().expect("phases derived above");
                             let mmu = &mut mmus[index];
                             let totals = &mut totals[index];
-                            let mut chunk_start = segment_start;
-                            for (edge_index, &edge) in edges.iter().enumerate() {
-                                for _ in chunk_start..edge {
-                                    let access = source.next_access();
-                                    let Err(addr) = step_access(
-                                        access.offset,
-                                        access.is_write,
+                            for _ in segment_start..run_to {
+                                let access = source.next_access();
+                                let Err(addr) = step_access(
+                                    access.offset,
+                                    access.is_write,
+                                    mmu,
+                                    totals,
+                                    self.pte_caches.socket(placement.socket),
+                                    phase,
+                                    Tables::of(system.pt_env()),
+                                    ctx,
+                                ) else {
+                                    continue;
+                                };
+                                // Demand paging: fault into the kernel, then
+                                // retry.
+                                totals.demand_faults += 1;
+                                let fault = system.handle_fault_access(
+                                    pid,
+                                    addr,
+                                    placement.socket,
+                                    access.is_write,
+                                )?;
+                                if !system.pending_shootdown().is_empty() {
+                                    // A copy-on-write break remapped the page
+                                    // (ranged mode records it): invalidate
+                                    // locally before the retry.
+                                    let plan = system.take_shootdown_plan();
+                                    self.shootdowns.merge(&shootdown::apply_local(
+                                        &plan,
                                         mmu,
-                                        totals,
-                                        self.pte_caches.socket(placement.socket),
-                                        phase,
-                                        Tables::of(system.pt_env()),
-                                        ctx,
-                                    ) else {
-                                        continue;
-                                    };
-                                    // Demand paging: fault into the
-                                    // kernel, then retry.
-                                    totals.demand_faults += 1;
-                                    let fault = system.handle_fault_access(
-                                        pid,
-                                        addr,
-                                        placement.socket,
-                                        access.is_write,
-                                    )?;
-                                    if !system.pending_shootdown().is_empty() {
-                                        // A copy-on-write break remapped
-                                        // the page (ranged mode records
-                                        // it): invalidate locally before
-                                        // the retry.
-                                        let plan = system.take_shootdown_plan();
-                                        self.shootdowns.merge(&shootdown::apply_local(
-                                            &plan,
-                                            mmu,
-                                            &mut self.pte_caches,
-                                        ));
-                                    }
-                                    let tables = Tables::of(system.pt_env());
-                                    let retry = mmu.access(
-                                        addr,
-                                        access.is_write,
-                                        phase.cr3,
-                                        tables.store,
-                                        tables.frames,
-                                        &phase.cost,
-                                        self.pte_caches.socket(placement.socket),
-                                    );
-                                    totals.translation += retry.translation_cycles;
-                                    let frame = retry.frame.unwrap_or(fault.frame);
-                                    totals.data +=
-                                        phase.data_cost[frame_space.socket_of(frame).index()];
+                                        &mut self.pte_caches,
+                                    ));
                                 }
-                                chunk_start = edge;
-                                if sampling {
-                                    edge_snaps[edge_index][index] = (*totals, mmu.stats());
-                                }
+                                let tables = Tables::of(system.pt_env());
+                                let retry = mmu.access(
+                                    addr,
+                                    access.is_write,
+                                    phase.cr3,
+                                    tables.store,
+                                    tables.frames,
+                                    &phase.cost,
+                                    self.pte_caches.socket(placement.socket),
+                                );
+                                totals.translation += retry.translation_cycles;
+                                let frame = retry.frame.unwrap_or(fault.frame);
+                                totals.data +=
+                                    phase.data_cost[frame_space.socket_of(frame).index()];
                             }
-                        }
-                    }
-
-                    // Assemble and emit the segment's interval samples from
-                    // the per-thread counter snapshots (outside the access
-                    // loops: emission never interleaves with execution).
-                    if let Some(state) = interval_state.as_mut() {
-                        for (edge_index, &edge) in edges.iter().enumerate() {
-                            let mut sample = IntervalSample {
-                                track: self.obs_track,
-                                index: state.next_index,
-                                start_access: state.start,
-                                end_access: edge,
-                                accesses: 0,
-                                compute_cycles: 0,
-                                data_cycles: 0,
-                                translation_cycles: 0,
-                                demand_faults: 0,
-                                mmu: MmuStats::default(),
-                                per_thread_cycles: Vec::with_capacity(threads.len()),
-                            };
-                            for (thread, (cum_totals, cum_mmu)) in
-                                edge_snaps[edge_index].iter().enumerate()
-                            {
-                                let (prev_totals, prev_mmu) = state.prev[thread];
-                                let compute = cum_totals.compute - prev_totals.compute;
-                                let data = cum_totals.data - prev_totals.data;
-                                let translation = cum_totals.translation - prev_totals.translation;
-                                sample.accesses += edge - state.start;
-                                sample.compute_cycles += compute;
-                                sample.data_cycles += data;
-                                sample.translation_cycles += translation;
-                                sample.demand_faults +=
-                                    cum_totals.demand_faults - prev_totals.demand_faults;
-                                sample.mmu.merge(&cum_mmu.delta_since(&prev_mmu));
-                                sample.per_thread_cycles.push(compute + data + translation);
-                                state.prev[thread] = (*cum_totals, *cum_mmu);
-                            }
-                            state.next_index += 1;
-                            state.start = edge;
-                            self.observer.emit_interval(&sample);
                         }
                     }
                 }
@@ -1514,11 +1336,6 @@ impl ExecutionEngine {
                         totals: totals.clone(),
                         states: states.clone(),
                         pte_caches: self.pte_caches.clone(),
-                        interval: interval_state.as_ref().map(|state| IntervalCheckpoint {
-                            prev: state.prev.clone(),
-                            next_index: state.next_index,
-                            start: state.start,
-                        }),
                     }));
                 }
 
@@ -1600,12 +1417,6 @@ impl ExecutionEngine {
             self.observer.counter("engine.accesses", metrics.accesses);
             self.observer
                 .counter("engine.demand_faults", metrics.demand_faults);
-            for totals in &totals {
-                self.observer.log2(
-                    "engine.thread_cycles",
-                    totals.compute + totals.data + totals.translation,
-                );
-            }
         }
         self.mmu_pool = mmus;
         Ok(SpanOutcome::Completed(metrics))

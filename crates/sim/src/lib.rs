@@ -61,7 +61,7 @@ pub use engine::{
 };
 pub use metrics::RunMetrics;
 pub use migration::WorkloadMigrationScenario;
-pub use mitosis_obs::{IntervalAccumulator, IntervalSample, Observer};
+pub use mitosis_obs::Observer;
 pub use mitosis_vmm::ShootdownMode;
 pub use multisocket::MultiSocketScenario;
 pub use params::SimParams;

@@ -2,7 +2,6 @@
 
 use mitosis_mmu::MmuStats;
 use mitosis_numa::Cycles;
-use mitosis_obs::IntervalAccumulator;
 use std::fmt;
 
 /// Aggregated result of executing a workload phase.
@@ -28,24 +27,6 @@ pub struct RunMetrics {
 }
 
 impl RunMetrics {
-    /// Reconstructs the aggregate run metrics from an accumulated interval
-    /// stream — exactly, not approximately: every summable field is the sum
-    /// of its deltas and the wall-clock proxy is the max over the per-thread
-    /// cycle totals the accumulator keeps, so the result is bit-identical to
-    /// the metrics the run itself returned.
-    pub fn from_intervals(intervals: &IntervalAccumulator) -> RunMetrics {
-        RunMetrics {
-            total_cycles: intervals.total_cycles(),
-            compute_cycles: intervals.compute_cycles,
-            data_cycles: intervals.data_cycles,
-            translation_cycles: intervals.translation_cycles,
-            threads: intervals.threads(),
-            accesses: intervals.accesses,
-            mmu: intervals.mmu,
-            demand_faults: intervals.demand_faults,
-        }
-    }
-
     /// The one-line human-readable summary ([`RunMetrics`] also implements
     /// [`std::fmt::Display`] with the same text).
     pub fn summary(&self) -> String {

@@ -417,12 +417,12 @@ pub struct TraceReplayer {
     /// engine's cache capacities are machine-derived, so a replayer used
     /// across differently scaled machines rebuilds instead of reusing).
     engine: Option<(MachineFingerprint, ExecutionEngine)>,
-    /// Observer handed to the engine on every run (spans, counters and the
-    /// interval metrics stream).  Defaults to [`Observer::none`], which
-    /// records nothing; replayed metrics are bit-identical either way.
+    /// Observer handed to the engine on every run (spans and counters).
+    /// Defaults to [`Observer::none`], which records nothing; replayed
+    /// metrics are bit-identical either way.
     observer: Observer,
-    /// Track (timeline) this replayer's spans and interval samples carry —
-    /// the lane-group track in parallel replay, 0 otherwise.
+    /// Track (timeline) this replayer's spans carry — the lane-group track
+    /// in parallel replay, 0 otherwise.
     track: u64,
 }
 
@@ -432,15 +432,14 @@ impl TraceReplayer {
         TraceReplayer::default()
     }
 
-    /// Installs the observer later replays report spans, counters and the
-    /// interval metrics stream to.  Observing never changes replayed
-    /// metrics.
+    /// Installs the observer later replays report spans and counters to.
+    /// Observing never changes replayed metrics, which reach the caller only
+    /// in the replay's outcome.
     pub fn set_observer(&mut self, observer: Observer) {
         self.observer = observer;
     }
 
-    /// Sets the track (timeline) this replayer's spans and interval samples
-    /// are tagged with.
+    /// Sets the track (timeline) this replayer's spans are tagged with.
     pub fn set_observer_track(&mut self, track: u64) {
         self.track = track;
     }

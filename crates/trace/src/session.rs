@@ -229,8 +229,9 @@ impl ReplaySession {
         }
     }
 
-    /// Installs the observer all subsequent replays report spans, counters
-    /// and interval samples to.  Observing never changes replayed metrics.
+    /// Installs the observer all subsequent replays report spans and
+    /// counters to.  Observing never changes replayed metrics, which reach
+    /// the caller only in the replay's report.
     pub fn set_observer(&mut self, observer: Observer) {
         self.observer = observer;
     }

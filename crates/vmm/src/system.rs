@@ -228,11 +228,6 @@ impl System {
         self.ops.as_ref()
     }
 
-    /// Mutable access to the PV-Ops backend (statistics reset etc.).
-    pub fn pvops_mut(&mut self) -> &mut dyn PvOps {
-        self.ops.as_mut()
-    }
-
     /// Borrows the PV-Ops backend together with a page-table context, for OS
     /// code paths that read entries *through* the backend (e.g. consolidated
     /// accessed/dirty reads across replicas).

@@ -184,11 +184,6 @@ impl VmaSet {
         self.areas.iter().find(|v| v.contains(addr))
     }
 
-    /// Finds the VMA containing `addr`, mutably.
-    pub fn find_mut(&mut self, addr: VirtAddr) -> Option<&mut Vma> {
-        self.areas.iter_mut().find(|v| v.contains(addr))
-    }
-
     /// Iterates over the areas in address order.
     pub fn iter(&self) -> impl Iterator<Item = &Vma> {
         self.areas.iter()

@@ -1,28 +1,25 @@
 //! Observability demo: a grouped snapshot replay under a live recorder.
 //!
 //! Captures a 4-socket GUPS run, replays it with lane-granular parallel
-//! sharding while an [`Observer`] records spans, counters and the
-//! deterministic interval metrics stream, then:
+//! sharding while an [`Observer`] records spans and counters, then:
 //!
-//! * proves the interval streams are *exact*: summing each lane group's
-//!   interval deltas and merging the per-group aggregates reproduces the
-//!   replay's `RunMetrics` bit-for-bit;
-//! * prints the per-interval feature vectors (the fingerprint SimPoint-style
-//!   phase clustering consumes);
+//! * checks the observed replay's `RunMetrics` equal the live run's — the
+//!   simulated metrics come back in the replay's report, never through the
+//!   recorder;
+//! * prints the counters the engine and the replay driver kept;
 //! * exports the span timeline as chrome://tracing JSON.
 //!
 //! Environment sinks compose: set `MITOSIS_OBS_JSONL=/path/events.jsonl`
 //! and/or `MITOSIS_OBS_TRACE_JSON=/path/trace.json` to stream the same
-//! events to files, and `MITOSIS_OBS_INTERVAL=n` to override the interval
-//! length.
+//! events to files.
 //!
 //! ```sh
 //! cargo run --release --example observability
 //! ```
 
 use mitosis_numa::SocketId;
-use mitosis_obs::{IntervalAccumulator, MemoryRecorder, Observer, FEATURE_NAMES};
-use mitosis_sim::{RunMetrics, SimParams};
+use mitosis_obs::{MemoryRecorder, Observer};
+use mitosis_sim::SimParams;
 use mitosis_trace::{capture_engine_run, ReplayRequest, ReplaySession};
 use mitosis_workloads::suite;
 use std::sync::Arc;
@@ -38,20 +35,16 @@ fn main() {
 
     // The observer fans out to an in-memory recorder (for the programmatic
     // export below) plus whatever sinks MITOSIS_OBS_JSONL /
-    // MITOSIS_OBS_TRACE_JSON configure; MITOSIS_OBS_INTERVAL, when set,
-    // wins over the demo default of 2000 accesses.
+    // MITOSIS_OBS_TRACE_JSON configure.
     let memory = Arc::new(MemoryRecorder::new());
-    let mut observer = Observer::from_env().also_record(memory.clone());
-    if std::env::var_os(mitosis_obs::ENV_INTERVAL).is_none() {
-        observer = observer.interval_every(2_000);
-    }
+    let observer = Observer::from_env().also_record(memory.clone());
 
     // Request one worker per socket so the replay takes the grouped
     // snapshot path (per-group clone + measured spans) even on small hosts;
     // the simulation is deterministic either way.
     let workers = sockets.len();
     let mut session = ReplaySession::new(&params);
-    session.set_observer(observer.clone());
+    session.set_observer(observer);
     let report = session
         .replay(&captured.trace, &ReplayRequest::new().grouped(workers))
         .expect("lane-parallel replay");
@@ -61,46 +54,16 @@ fn main() {
     );
     println!("{report}");
 
-    // Interval streams accumulate per track (one track per lane group, or
-    // track 0 for a serial replay); merging the per-track aggregates must
-    // reproduce the replay's own metrics exactly.
-    let mut merged = RunMetrics::default();
-    println!("\ninterval streams:");
-    for track in memory.interval_tracks() {
-        let mut accumulator = IntervalAccumulator::new();
-        for sample in memory.intervals_for_track(track) {
-            accumulator.absorb(&sample);
-        }
-        let from_stream = RunMetrics::from_intervals(&accumulator);
-        println!(
-            "  track {track}: {} interval(s) -> {from_stream}",
-            accumulator.samples
-        );
-        merged.merge(&from_stream);
-    }
+    // Counters sum across the lane groups: every access the groups ran is
+    // counted once.
     assert_eq!(
-        merged, report.outcome.metrics,
-        "summed interval deltas must reproduce the aggregate metrics"
+        memory.counter_value("engine.accesses"),
+        report.outcome.metrics.accesses,
+        "engine.accesses must count every replayed access"
     );
-    println!("  sum of interval deltas == replay metrics: exact");
-
-    // The per-interval feature vectors, one line per interval of the first
-    // track — the fingerprint phase clustering consumes.
-    if let Some(&track) = memory.interval_tracks().first() {
-        println!("\nfeature vectors of track {track} ({FEATURE_NAMES:?}):");
-        for sample in memory.intervals_for_track(track) {
-            let features: Vec<String> = sample
-                .features()
-                .iter()
-                .map(|value| format!("{value:.3}"))
-                .collect();
-            println!(
-                "  [{:>6}..{:>6}) {}",
-                sample.start_access,
-                sample.end_access,
-                features.join(" ")
-            );
-        }
+    println!("\ncounters:");
+    for (name, value) in memory.counters() {
+        println!("  {name:<22} {value}");
     }
 
     // Span timeline: prepare + per-group clone/measured phases, exported as

@@ -11,8 +11,8 @@
 //!   evaluation scenario runners,
 //! * [`mitosis_trace`] — trace capture, deterministic replay and the
 //!   parallel replay driver,
-//! * [`mitosis_obs`] — deterministic interval metrics streams, span tracing
-//!   and profile export across run and replay.
+//! * [`mitosis_obs`] — span tracing, counters and profile export of the
+//!   host-side work across run and replay.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

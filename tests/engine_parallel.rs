@@ -7,18 +7,20 @@
 //! second; several threads on one socket stay serial.  The reference for every run here is the same run with each
 //! access source wrapped so that it reports no offset bound, which forces
 //! the serial path.  The property test sweeps socket and thread layouts
-//! (one socket included), replication, THP, write fractions, interval
-//! sampling and a pause/resume at an arbitrary access, and compares
-//! everything a run leaves behind: metrics, interval samples, every root's
-//! leaf entries (accessed and dirty bits included) and the per-socket
-//! page-table-line cache counters.  The adversarial tests pin the layouts
-//! that must stay serial, the typed error a lying source produces and the
-//! panic a failing source raises.
+//! (one socket included), replication, THP, write fractions, a live
+//! recorder and a pause/resume at an arbitrary access, and compares
+//! everything a run leaves behind: metrics, every root's leaf entries
+//! (accessed and dirty bits included) and the per-socket page-table-line
+//! cache counters.  With the recorder on, it also checks that
+//! `SplitStats` accounts for every segment the engine ran: one
+//! `engine.segment` span per split, pipelined or serial segment.  The
+//! adversarial tests pin the layouts that must stay serial, the typed error
+//! a lying source produces and the panic a failing source raises.
 
 use mitosis::{Mitosis, MitosisError};
 use mitosis_mem::FrameId;
 use mitosis_numa::SocketId;
-use mitosis_obs::{IntervalSample, MemoryRecorder, Observer};
+use mitosis_obs::{MemoryRecorder, Observer};
 use mitosis_pt::{iter_leaf_mappings, LeafMapping, PageSize, VirtAddr};
 use mitosis_sim::{
     ExecutionEngine, PhaseChange, PhaseSchedule, RunMetrics, RunSpec, SerialReason, SimParams,
@@ -86,7 +88,7 @@ struct Layout {
     mitosis: bool,
     thp: bool,
     write_fraction: f64,
-    sampling: bool,
+    observed: bool,
     pause: Option<u64>,
     seed: u64,
 }
@@ -99,7 +101,7 @@ impl Layout {
             mitosis: false,
             thp: false,
             write_fraction: 0.5,
-            sampling: false,
+            observed: false,
             pause: None,
             seed: 11,
         }
@@ -166,13 +168,14 @@ fn build(layout: &Layout, populate: bool, mutate: impl FnOnce(&mut Built)) -> Bu
     built
 }
 
-/// Everything a run leaves behind that the split path could perturb.
+/// Everything a run leaves behind that the split path could perturb, and
+/// the `engine.segment` spans its recorder saw (0 when unobserved).
 #[derive(Debug, PartialEq)]
 struct Outcome {
     metrics: RunMetrics,
-    intervals: Vec<IntervalSample>,
     leaves: Vec<(FrameId, Vec<LeafMapping>)>,
     pte_cache_counts: Vec<(u64, u64)>,
+    segment_spans: u64,
 }
 
 /// Runs `built` under `schedule` with every source reporting `bound`,
@@ -186,8 +189,8 @@ fn run(
 ) -> Result<(Outcome, SplitStats), MitosisError> {
     let memory = Arc::new(MemoryRecorder::new());
     let mut engine = ExecutionEngine::new(&built.system);
-    if layout.sampling {
-        engine.set_observer(Observer::with_recorder(memory.clone()).interval_every(97));
+    if layout.observed {
+        engine.set_observer(Observer::with_recorder(memory.clone()));
     }
     let mut sources: Vec<Bounded> = (0..built.threads.len())
         .map(|thread| {
@@ -256,9 +259,9 @@ fn run(
     Ok((
         Outcome {
             metrics,
-            intervals: memory.intervals_for_track(0),
             leaves,
             pte_cache_counts,
+            segment_spans: memory.spans_named("engine.segment").len() as u64,
         },
         split,
     ))
@@ -291,12 +294,12 @@ proptest! {
         target in 0u16..4,
         seed in 0u64..1_000,
     ) {
-        let (mitosis, thp, writes, sampling) = flags;
+        let (mitosis, thp, writes, observed) = flags;
         let layout = Layout {
             mitosis,
             thp,
             write_fraction: if writes { 0.5 } else { 0.0 },
-            sampling,
+            observed,
             pause: Some(pause),
             seed,
             ..Layout::new(sockets, per_socket)
@@ -308,10 +311,24 @@ proptest! {
         let ((split, split_stats), (serial, serial_stats)) =
             split_and_reference(&layout, &schedule, true, |_| {});
         prop_assert_eq!(&split.metrics, &serial.metrics);
-        prop_assert_eq!(&split.intervals, &serial.intervals);
         prop_assert_eq!(&split.leaves, &serial.leaves);
         prop_assert_eq!(&split.pte_cache_counts, &serial.pte_cache_counts);
-        prop_assert_eq!(split.intervals.is_empty(), !sampling);
+        if observed {
+            // The recorder changes nothing: both runs equal the unobserved
+            // reference.
+            let unobserved = Layout { observed: false, ..layout };
+            let mut built = build(&unobserved, true, |_| {});
+            let (reference, _) = run(&unobserved, &mut built, &schedule, Bound::Unknown)
+                .expect("unobserved reference run");
+            prop_assert_eq!(&split.metrics, &reference.metrics);
+            prop_assert_eq!(&serial.metrics, &reference.metrics);
+        }
+        // One `engine.segment` span per segment each schedule counts; the
+        // pause clips one segment in two, and both sides count each piece.
+        for (outcome, stats) in [(&split, &split_stats), (&serial, &serial_stats)] {
+            let segments = stats.split_segments + stats.pipelined_segments + stats.serial_segments;
+            prop_assert_eq!(outcome.segment_spans, if observed { segments } else { 0 });
+        }
 
         // Every segment of the premapped region splits, or with one thread
         // on one socket pipelines; several threads on one socket stay

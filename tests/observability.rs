@@ -1,23 +1,18 @@
 //! Integration tests for the `mitosis-obs` layer.
 //!
-//! Three guarantees under test:
+//! Two guarantees under test:
 //!
-//! * **Non-perturbation** — enabling a recorder and the interval stream
-//!   never changes [`RunMetrics`]: an observed replay still reproduces the
-//!   live run bit-for-bit.
-//! * **Exactness** — the interval stream is a lossless decomposition:
-//!   summing the streamed deltas ([`IntervalAccumulator`] +
-//!   [`RunMetrics::from_intervals`]) reproduces the final metrics
-//!   bit-for-bit, for static, dynamic (global events), staggered
-//!   (per-thread events) schedules, lane subsets and grouped parallel
-//!   replay; phase changes always land on interval edges.
+//! * **Non-perturbation** — enabling a recorder never changes
+//!   [`RunMetrics`]: an observed replay still reproduces the live run
+//!   bit-for-bit, under static, dynamic (global events) and staggered
+//!   (per-thread events) schedules and in grouped parallel replay.
 //! * **Span coverage** — a grouped snapshot replay records one
 //!   `prepare_replay` span on the driver track plus per-group
 //!   `snapshot_clone`/`group_replay`/`replay.measured` spans whose nesting
 //!   and ordering match the report's setup/measured wall split.
 
 use mitosis_numa::{NodeMask, SocketId};
-use mitosis_obs::{IntervalAccumulator, MemoryRecorder, Observer};
+use mitosis_obs::{MemoryRecorder, Observer};
 use mitosis_sim::{PhaseChange, PhaseSchedule, RunMetrics, SimParams};
 use mitosis_trace::{
     capture_engine_run, capture_engine_run_dynamic, LaneReplayReport, ReplayOutcome, ReplayRequest,
@@ -63,24 +58,10 @@ fn observed_grouped(
         .expect("observed grouped replay")
 }
 
-/// A live observer over a fresh in-memory recorder, streaming every
-/// `interval` accesses (0 = spans/counters only).
-fn observed(interval: u64) -> (Observer, Arc<MemoryRecorder>) {
+/// A live observer over a fresh in-memory recorder.
+fn observed() -> (Observer, Arc<MemoryRecorder>) {
     let memory = Arc::new(MemoryRecorder::new());
-    let observer = Observer::with_recorder(memory.clone()).interval_every(interval);
-    (observer, memory)
-}
-
-/// Reconstructs `RunMetrics` from the interval stream of one track.
-fn stream_metrics(memory: &MemoryRecorder, track: u64) -> (RunMetrics, u64) {
-    let mut accumulator = IntervalAccumulator::new();
-    for sample in memory.intervals_for_track(track) {
-        accumulator.absorb(&sample);
-    }
-    (
-        RunMetrics::from_intervals(&accumulator),
-        accumulator.samples,
-    )
+    (Observer::with_recorder(memory.clone()), memory)
 }
 
 fn four_socket_capture(accesses: u64) -> (Trace, RunMetrics, SimParams) {
@@ -93,13 +74,10 @@ fn four_socket_capture(accesses: u64) -> (Trace, RunMetrics, SimParams) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Static schedule: an observed replay is non-perturbing, the interval
-    /// deltas sum to the final metrics bit-for-bit, and the sample count is
-    /// exactly ceil(accesses / interval).
+    /// Static schedule: an observed replay equals the live run.
     #[test]
-    fn interval_sums_reproduce_static_replay_metrics(
+    fn observed_replay_equals_live_under_static_schedules(
         accesses in 40u64..240,
-        interval in 1u64..97,
         sockets in 1u16..4,
     ) {
         let params = quick(accesses);
@@ -107,21 +85,17 @@ proptest! {
         let captured =
             capture_engine_run(&suite::gups(), &params, &socket_ids).expect("capture");
 
-        let (observer, memory) = observed(interval);
+        let (observer, memory) = observed();
         let outcome = observed_serial(&captured.trace, &params, &observer);
 
         prop_assert_eq!(outcome.metrics, captured.live_metrics);
-        let (from_stream, samples) = stream_metrics(&memory, 0);
-        prop_assert_eq!(from_stream, outcome.metrics);
-        prop_assert_eq!(samples, accesses.div_ceil(interval));
+        prop_assert_eq!(memory.counter_value("engine.accesses"), outcome.metrics.accesses);
     }
 
     /// Dynamic schedule mixing a global migration with a staggered
-    /// per-thread event: the stream stays exact and every phase change
-    /// lands exactly on an interval edge.
+    /// per-thread event: an observed replay still equals the live run.
     #[test]
-    fn interval_sums_hold_under_dynamic_and_staggered_schedules(
-        interval in 1u64..97,
+    fn observed_replay_equals_live_under_dynamic_and_staggered_schedules(
         migrate_at in 1u64..300,
         stagger_at in 1u64..300,
         stagger_thread in 0usize..4,
@@ -146,68 +120,27 @@ proptest! {
             capture_engine_run_dynamic(&suite::gups(), &params, &sockets, &schedule)
                 .expect("dynamic capture");
 
-        let (observer, memory) = observed(interval);
+        let (observer, memory) = observed();
         let outcome = observed_serial(&captured.trace, &params, &observer);
 
         prop_assert_eq!(outcome.metrics, captured.live_metrics);
-        let (from_stream, _) = stream_metrics(&memory, 0);
-        prop_assert_eq!(from_stream, outcome.metrics);
-
-        // Phase boundaries are interval edges: some sample ends exactly at
-        // each event position (never straddles it).
-        let edges: BTreeSet<u64> = memory
-            .intervals_for_track(0)
-            .iter()
-            .map(|sample| sample.end_access)
-            .collect();
-        prop_assert!(edges.contains(&migrate_at));
-        prop_assert!(edges.contains(&stagger_at));
+        prop_assert_eq!(memory.counter_value("engine.accesses"), outcome.metrics.accesses);
     }
 }
 
 #[test]
-fn lane_subset_interval_streams_are_exact() {
-    let (trace, _, params) = four_socket_capture(300);
-    for lanes in [&[0usize][..], &[1, 3][..], &[0, 1, 2, 3][..]] {
-        let (observer, memory) = observed(64);
-        let mut session = ReplaySession::new(&params);
-        session.set_observer(observer);
-        let outcome = session
-            .replay(&trace, &ReplayRequest::new().lanes(lanes.to_vec()))
-            .expect("lane replay")
-            .outcome;
-        let (from_stream, _) = stream_metrics(&memory, 0);
-        assert_eq!(
-            from_stream, outcome.metrics,
-            "lanes {lanes:?}: interval sums diverged from the replay metrics"
-        );
-    }
-}
-
-#[test]
-fn grouped_replay_streams_per_track_and_merges_exactly() {
+fn grouped_observed_replay_shards_and_equals_live() {
     let (trace, live, params) = four_socket_capture(400);
-    let (observer, memory) = observed(128);
+    let (observer, _memory) = observed();
     let report = observed_grouped(&trace, &params, 4, &observer);
     assert_eq!(report.decision, ShardDecision::Sharded);
     assert_eq!(report.outcome.metrics, live);
-
-    // One interval stream per lane group, on tracks 1..=groups; merging
-    // the per-track aggregates reproduces the merged metrics exactly.
-    let tracks = memory.interval_tracks();
-    let expected: Vec<u64> = (1..=report.groups as u64).collect();
-    assert_eq!(tracks, expected);
-    let mut merged = RunMetrics::default();
-    for track in tracks {
-        merged.merge(&stream_metrics(&memory, track).0);
-    }
-    assert_eq!(merged, report.outcome.metrics);
 }
 
 #[test]
 fn grouped_replay_spans_cover_prepare_clone_and_measured_phases() {
     let (trace, _, params) = four_socket_capture(300);
-    let (observer, memory) = observed(0);
+    let (observer, memory) = observed();
     let report = observed_grouped(&trace, &params, 4, &observer);
     assert_eq!(report.decision, ShardDecision::Sharded);
 
@@ -260,14 +193,13 @@ fn grouped_replay_spans_cover_prepare_clone_and_measured_phases() {
 fn disabled_observer_records_nothing_and_changes_nothing() {
     let (trace, live, params) = four_socket_capture(300);
     // A session with the default (disabled) observer must reproduce the
-    // live metrics — the zero-cost path — and a live recorder with the
-    // interval stream off must record spans but no samples.
+    // live metrics — the zero-cost path — and so must one with a live
+    // recorder, which records spans.
     let outcome = serial_replay(&trace, &params);
     assert_eq!(outcome.metrics, live);
 
-    let (observer, memory) = observed(0);
+    let (observer, memory) = observed();
     let outcome = observed_serial(&trace, &params, &observer);
     assert_eq!(outcome.metrics, live, "recorder perturbed the metrics");
-    assert!(memory.intervals().is_empty());
     assert!(!memory.spans().is_empty());
 }
