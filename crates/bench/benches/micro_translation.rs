@@ -1,5 +1,6 @@
 //! Micro-benchmarks (ablation) of the core mechanisms: TLB hits, local vs.
-//! remote page walks, native vs. replicated PTE updates, whole-tree
+//! remote page walks, the two stages of the engine's pipelined schedule at
+//! a Figure 10 footprint, native vs. replicated PTE updates, whole-tree
 //! replication, the setup layer (populate, footprint) and the
 //! copy-on-write path (one-page ranged shootdown, fork).
 //!
@@ -11,13 +12,22 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use mitosis::{replicate_tree, Mitosis, MitosisPvOps};
 use mitosis_mem::FrameKind;
+use mitosis_mmu::step::{
+    tlb_step, walk_step, AccessCtx, LeafTables, Miss, Tables, ThreadPhase, ThreadTotals,
+};
 use mitosis_mmu::{Mmu, PteCacheSet};
 use mitosis_numa::{CoreId, Machine, MachineConfig, NodeMask, SocketId};
 use mitosis_pt::{
     Mapper, NativePvOps, PageSize, PtEnv, Pte, PteFlags, PvOps, ReplicationSpec, ShootdownPlan,
     ShootdownRange, VirtAddr,
 };
+use mitosis_sim::{
+    data_access_cycles, ExecutionEngine, MigrationConfig, MigrationRun, PreparedSystem, SimParams,
+    WorkloadMigrationScenario,
+};
 use mitosis_vmm::{MmapFlags, Pid, System};
+use mitosis_workloads::{suite, Access};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Builds a native page table with `pages` 4 KiB mappings on socket 0.
@@ -241,6 +251,115 @@ fn bench_translation_throughput(c: &mut Criterion) {
     );
 }
 
+/// The pipelined schedule's two stages at the footprint of a Figure 10
+/// run: GUPS at machine scale 128 — a 512 MiB region of 131,072 4 KiB
+/// pages, populated by one thread with its data bound to socket 0 (the
+/// LP-LD setup) — and the access stream `ExecutionEngine::run` feeds its
+/// thread at seed 42.
+///
+/// `tlb_stage` drives `tlb_step` as the engine's TLB stage does: probe,
+/// fill from the tables on a miss, queue the miss.  `walk_stage` drives
+/// `walk_step` over the misses a first pass of the TLB stage queued, as the
+/// walk stage does, through the socket's L3-sized page-table-line cache.
+/// Both report host ns per access of the stream (an access the TLBs served
+/// costs the walk stage nothing), so whichever row is larger bounds a
+/// pipelined segment.  Quick mode keeps the footprint and draws fewer
+/// accesses.
+fn bench_pipeline_stages(c: &mut Criterion) {
+    let quick = std::env::var("MITOSIS_BENCH_QUICK").is_ok_and(|v| !v.is_empty());
+    let params = SimParams::new().with_machine_scale(128).with_seed(42);
+    let spec = suite::gups();
+    let run = MigrationRun::new(MigrationConfig::LpLd);
+    let setup = WorkloadMigrationScenario::setup(&spec, run, &params);
+    let PreparedSystem {
+        system,
+        pid,
+        region,
+        ..
+    } = PreparedSystem::build(&params, &setup).expect("fig10 LP-LD setup");
+    let scaled = params.scale_workload(&spec);
+    let socket = SocketId::new(0);
+    let mut stream = ExecutionEngine::thread_streams(&scaled, &params, 1).remove(0);
+    let drawn = if quick { 50_000 } else { 400_000 };
+    let accesses: Vec<Access> = (0..drawn).map(|_| stream.next_access()).collect();
+
+    let env = system.pt_env();
+    let tables = Tables::of(env);
+    let frame_space = env.alloc.frame_space().clone();
+    let ctx = AccessCtx {
+        region: region.as_u64(),
+        compute_cycles: scaled.compute_cycles_per_access(),
+        frame_space: &frame_space,
+    };
+    let cost = Arc::new(system.machine().cost_model().clone());
+    let data_cost = (0..system.machine().sockets())
+        .map(|to| {
+            let to = SocketId::new(to as u16);
+            data_access_cycles(&cost, socket, to, scaled.bandwidth_intensity())
+        })
+        .collect();
+    let phase = ThreadPhase {
+        cost,
+        data_cost,
+        cr3: system.cr3_for(pid, socket).expect("cr3"),
+    };
+    let (mut tlbs, mut walks) = Mmu::new(CoreId::new(0), socket).into_halves();
+    let mut leaves = LeafTables::new(tables.store, region, scaled.footprint());
+    let mut totals = ThreadTotals::default();
+    let mut tlb_access = |access: Access, misses: &mut Vec<Miss>| {
+        tlb_step(
+            access.offset,
+            access.is_write,
+            &mut tlbs,
+            &mut totals,
+            &mut leaves,
+            &phase,
+            ctx,
+            misses,
+        )
+        .expect("a populated region does not fault")
+    };
+
+    // The first pass records each access's miss for the walk stage.
+    let mut misses = Vec::with_capacity(1);
+    let recorded: Vec<Option<Miss>> = accesses
+        .iter()
+        .map(|&access| {
+            tlb_access(access, &mut misses);
+            misses.pop()
+        })
+        .collect();
+
+    let mut group = c.benchmark_group("micro/pipeline");
+    group
+        .sample_size(20)
+        .warm_up_time(Duration::from_millis(300))
+        .measurement_time(Duration::from_secs(2));
+    group.bench_function("tlb_stage", |b| {
+        let mut next = accesses.iter().cycle();
+        let mut batch = Vec::with_capacity(1024);
+        b.iter(|| {
+            let access = *next.next().expect("a cycle never ends");
+            tlb_access(access, &mut batch);
+            if batch.len() == batch.capacity() {
+                batch.clear();
+            }
+        });
+    });
+    group.bench_function("walk_stage", |b| {
+        let mut pte_cache = PteCacheSet::for_machine(system.machine())
+            .socket(socket)
+            .clone();
+        let mut next = recorded.iter().cycle();
+        b.iter(|| {
+            if let Some(miss) = *next.next().expect("a cycle never ends") {
+                walk_step(miss, &mut walks, &mut pte_cache, &phase, tables);
+            }
+        });
+    });
+    group.finish();
+}
+
 fn bench_tree_replication(c: &mut Criterion) {
     let mut group = c.benchmark_group("micro/replicate_tree");
     group
@@ -395,6 +514,7 @@ criterion_group!(
     micro,
     bench_walks,
     bench_translation_throughput,
+    bench_pipeline_stages,
     bench_pte_updates,
     bench_tree_replication,
     bench_setup,

@@ -38,9 +38,9 @@ pub mod step;
 mod tlb;
 mod walker;
 
-pub use mmu::{AccessOutcome, Mmu, TlbHalf, TlbHit, WalkHalf};
+pub use mmu::{AccessOutcome, Mmu, TlbHalf, WalkHalf};
 pub use pte_cache::{PteCache, PteCacheSet};
 pub use pwc::PagingStructureCache;
 pub use stats::{MmuStats, WalkStats};
-pub use tlb::{Tlb, TlbHierarchy, TlbLevel};
+pub use tlb::{Tlb, TlbHierarchy, TlbHit, TlbLevel};
 pub use walker::{HardwareWalker, WalkOutcome};

@@ -1,12 +1,12 @@
 //! A bounded, exact-LRU map with O(1) access and O(1) eviction.
 //!
-//! The MMU models (PTE-line cache, paging-structure caches) are all
-//! "bounded map with exact LRU replacement".  The original implementations
-//! used a `HashMap` plus a per-entry tick and found the victim with a full
-//! `min_by_key` scan on every miss — O(capacity) on exactly the miss path
-//! that dominates cache-thrashing workloads.  [`LruMap`] replaces both: an
-//! open-addressed index (linear probing, backward-shift deletion, ≤50% load
-//! factor, Fibonacci hashing — no `SipHash`, no `std::collections::HashMap`)
+//! The PTE-line cache is a "bounded map with exact LRU replacement" of
+//! thousands of lines.  Its original implementation used a `HashMap` plus
+//! a per-entry tick and found the victim with a full `min_by_key` scan on
+//! every miss — O(capacity) on exactly the miss path that dominates
+//! cache-thrashing workloads.  [`LruMap`] replaces both: an open-addressed
+//! index (linear probing, backward-shift deletion, ≤50% load factor,
+//! Fibonacci hashing — no `SipHash`, no `std::collections::HashMap`)
 //! resolves keys to slots, and an index-linked doubly-linked list over the
 //! slots keeps exact recency order, so hit, miss and eviction are all O(1).
 //!
@@ -175,18 +175,6 @@ impl<V> LruMap<V> {
         }
     }
 
-    /// Looks `key` up and, on a hit, marks it most recently used.
-    #[inline]
-    pub fn get(&mut self, key: u64) -> Option<&V> {
-        let pos = self.probe(key)?;
-        let slot = self.index[pos];
-        if self.head != slot {
-            self.unlink(slot);
-            self.push_front(slot);
-        }
-        Some(&self.slots[slot as usize].value)
-    }
-
     /// Returns `true` if `key` is resident, without touching recency.
     #[cfg(test)]
     pub fn contains(&self, key: u64) -> bool {
@@ -197,8 +185,8 @@ impl<V> LruMap<V> {
     /// `key` is resident it is touched and `true` returned; otherwise it is
     /// inserted (evicting the LRU entry if full) and `false` returned.
     ///
-    /// Equivalent to `get` + `insert` on miss, but with a single index
-    /// probe — this is the hot call of the PTE-line cache.
+    /// One index probe serves both the hit and the fill — this is the hot
+    /// call of the PTE-line cache.
     #[inline]
     pub fn touch_or_insert(&mut self, key: u64, value: V) -> bool {
         let mask = self.mask();
@@ -267,52 +255,6 @@ impl<V> LruMap<V> {
         }
     }
 
-    /// Inserts or refreshes `key`, evicting the least recently used entry
-    /// if the map is full.  The inserted entry becomes most recently used.
-    pub fn insert(&mut self, key: u64, value: V) {
-        if let Some(pos) = self.probe(key) {
-            let slot = self.index[pos];
-            self.slots[slot as usize].value = value;
-            if self.head != slot {
-                self.unlink(slot);
-                self.push_front(slot);
-            }
-            return;
-        }
-        if self.len == self.capacity {
-            self.evict_and_replace(key, value);
-            return;
-        }
-        let slot = self.alloc_slot(key, value);
-        self.index_insert(slot);
-        self.push_front(slot);
-        self.len += 1;
-    }
-
-    /// Removes `key` if resident, preserving the recency order of the other
-    /// entries.  Returns `true` when an entry was removed.
-    pub fn remove(&mut self, key: u64) -> bool {
-        let Some(pos) = self.probe(key) else {
-            return false;
-        };
-        let slot = self.index[pos];
-        self.index_remove(pos);
-        self.unlink(slot);
-        self.free.push(slot);
-        self.len -= 1;
-        true
-    }
-
-    /// The resident entries, most recently used first.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &V)> + '_ {
-        let mut cursor = self.head;
-        std::iter::from_fn(move || {
-            let slot = self.slots.get(cursor as usize)?;
-            cursor = slot.next;
-            Some((slot.key, &slot.value))
-        })
-    }
-
     /// Removes every entry whose key fails `keep`, preserving the recency
     /// order of the survivors.  O(len) — meant for rare invalidations
     /// (table freed or migrated), not the access path.
@@ -348,12 +290,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn get_touches_and_insert_evicts_exact_lru() {
+    fn touch_refreshes_and_a_miss_evicts_exact_lru() {
         let mut map = LruMap::new(2);
-        map.insert(1, "a");
-        map.insert(2, "b");
-        assert_eq!(map.get(1), Some(&"a")); // 2 becomes LRU
-        map.insert(3, "c"); // evicts 2
+        assert!(!map.touch_or_insert(1, "a"));
+        assert!(!map.touch_or_insert(2, "b"));
+        assert!(map.touch_or_insert(1, "a")); // 2 becomes LRU
+        assert!(!map.touch_or_insert(3, "c")); // evicts 2
         assert!(map.contains(1));
         assert!(!map.contains(2));
         assert!(map.contains(3));
@@ -361,21 +303,10 @@ mod tests {
     }
 
     #[test]
-    fn reinserting_updates_value_and_recency() {
-        let mut map = LruMap::new(2);
-        map.insert(1, 10);
-        map.insert(2, 20);
-        map.insert(1, 11); // refresh: 2 becomes LRU
-        map.insert(3, 30); // evicts 2
-        assert_eq!(map.get(1), Some(&11));
-        assert!(!map.contains(2));
-    }
-
-    #[test]
     fn retain_removes_matching_entries_and_keeps_order() {
         let mut map = LruMap::new(8);
         for key in 0..6u64 {
-            map.insert(key, key * 10);
+            map.touch_or_insert(key, key * 10);
         }
         map.retain(|key, _| key % 2 == 0);
         assert_eq!(map.len(), 3);
@@ -383,60 +314,47 @@ mod tests {
         // LRU order preserved: filling past capacity evicts the oldest
         // survivor (key 0) first.
         for key in 10..16u64 {
-            map.insert(key, 0);
+            map.touch_or_insert(key, 0);
         }
         assert!(!map.contains(0));
         assert!(map.contains(2) && map.contains(4));
     }
 
     #[test]
-    fn remove_drops_one_key_and_keeps_order() {
+    fn retain_of_head_and_tail_keeps_the_list_consistent() {
         let mut map = LruMap::new(4);
         for key in 0..4u64 {
-            map.insert(key, key * 10);
+            map.touch_or_insert(key, key * 10);
         }
-        assert!(map.remove(1));
-        assert!(!map.remove(1), "already gone");
-        assert!(!map.remove(99), "never resident");
-        assert_eq!(map.len(), 3);
-        assert!(!map.contains(1));
-        assert_eq!(map.get(2), Some(&20));
-        // Recency is now 2, 3, 0 (most recent first): one insert fits, and
-        // each insert past capacity evicts the oldest survivor.
-        map.insert(4, 40);
-        assert_eq!(map.len(), 4);
-        map.insert(5, 50);
-        assert!(!map.contains(0));
-        map.insert(6, 60);
-        assert!(!map.contains(3));
-        assert!(map.contains(2) && map.contains(4) && map.contains(5) && map.contains(6));
-        // Removing the head and the tail keeps the list consistent.
-        assert!(map.remove(6));
-        assert!(map.remove(2));
-        map.insert(7, 70);
-        map.insert(8, 80);
-        map.insert(9, 90);
-        assert!(!map.contains(4), "oldest survivor evicted first");
-        assert!(map.contains(5) && map.contains(7) && map.contains(8) && map.contains(9));
+        // Recency is 3, 2, 1, 0 (most recent first): drop the head and the
+        // tail, then refill past capacity.
+        map.retain(|key, _| key != 3 && key != 0);
+        assert_eq!(map.len(), 2);
+        assert!(map.touch_or_insert(1, 10)); // recency 1, 2
+        map.touch_or_insert(7, 70);
+        map.touch_or_insert(8, 80);
+        map.touch_or_insert(9, 90);
+        assert!(!map.contains(2), "oldest survivor evicted first");
+        assert!(map.contains(1) && map.contains(7) && map.contains(8) && map.contains(9));
     }
 
     #[test]
     fn clear_resets_everything() {
         let mut map = LruMap::new(4);
-        map.insert(1, ());
-        map.insert(2, ());
+        map.touch_or_insert(1, ());
+        map.touch_or_insert(2, ());
         map.clear();
         assert!(map.is_empty());
         assert!(!map.contains(1));
-        map.insert(3, ());
+        map.touch_or_insert(3, ());
         assert_eq!(map.len(), 1);
     }
 
     #[test]
     fn capacity_one_works() {
         let mut map = LruMap::new(1);
-        map.insert(1, ());
-        map.insert(2, ());
+        map.touch_or_insert(1, ());
+        map.touch_or_insert(2, ());
         assert!(!map.contains(1));
         assert!(map.contains(2));
         assert_eq!(map.capacity(), 1);
@@ -444,37 +362,26 @@ mod tests {
 
     /// Cross-check against a naive tick-based reference model (the old
     /// implementation) over a long pseudo-random workload with heavy
-    /// collisions and evictions.
+    /// collisions, evictions and occasional `retain`s.
     #[test]
     fn matches_tick_based_reference_model() {
         use std::collections::BTreeMap;
 
         struct Reference {
-            map: BTreeMap<u64, (u64, u64)>, // key -> (value, tick)
+            map: BTreeMap<u64, u64>, // key -> tick
             capacity: usize,
             tick: u64,
         }
         impl Reference {
-            fn get(&mut self, key: u64) -> Option<u64> {
+            fn touch_or_insert(&mut self, key: u64) -> bool {
                 self.tick += 1;
-                let tick = self.tick;
-                self.map.get_mut(&key).map(|(v, t)| {
-                    *t = tick;
-                    *v
-                })
-            }
-            fn insert(&mut self, key: u64, value: u64) {
-                self.tick += 1;
-                if !self.map.contains_key(&key) && self.map.len() >= self.capacity {
-                    let victim = *self
-                        .map
-                        .iter()
-                        .min_by_key(|(_, (_, t))| *t)
-                        .map(|(k, _)| k)
-                        .unwrap();
+                let resident = self.map.contains_key(&key);
+                if !resident && self.map.len() >= self.capacity {
+                    let victim = *self.map.iter().min_by_key(|(_, t)| **t).unwrap().0;
                     self.map.remove(&victim);
                 }
-                self.map.insert(key, (value, self.tick));
+                self.map.insert(key, self.tick);
+                resident
             }
         }
 
@@ -491,19 +398,24 @@ mod tests {
             state ^= state >> 7;
             state ^= state << 17;
             let key = state % 37; // heavy key reuse
-            match state % 3 {
-                0 => assert_eq!(lru.get(key).copied(), reference.get(key), "step {step}"),
-                1 => {
-                    lru.insert(key, step);
-                    reference.insert(key, step);
-                }
-                _ => {
-                    let was_resident = reference.map.contains_key(&key);
-                    reference.insert(key, step);
-                    assert_eq!(lru.touch_or_insert(key, step), was_resident, "step {step}");
-                }
+            if state.is_multiple_of(64) {
+                let modulus = 2 + (state >> 8) % 5;
+                lru.retain(|k, _| k % modulus != key % modulus);
+                reference.map.retain(|k, _| k % modulus != key % modulus);
+            } else if state % 1000 == 1 {
+                lru.clear();
+                reference.map.clear();
+            } else {
+                assert_eq!(
+                    lru.touch_or_insert(key, step),
+                    reference.touch_or_insert(key),
+                    "step {step}"
+                );
             }
-            assert_eq!(lru.len(), reference.map.len());
+            assert_eq!(lru.len(), reference.map.len(), "step {step}");
+        }
+        for key in 0..37 {
+            assert_eq!(lru.contains(key), reference.map.contains_key(&key));
         }
     }
 }

@@ -17,7 +17,7 @@
 use crate::pte_cache::PteCache;
 use crate::pwc::PagingStructureCache;
 use crate::stats::{MmuStats, WalkStats};
-use crate::tlb::{TlbHierarchy, TlbLevel};
+use crate::tlb::{TlbHierarchy, TlbHit, TlbLevel};
 use crate::walker::{HardwareWalker, WalkOutcome};
 use mitosis_mem::{FrameId, FrameTable};
 use mitosis_numa::{CoreId, CostModel, Cycles, SocketId};
@@ -38,19 +38,6 @@ pub struct AccessOutcome {
     pub fault: bool,
 }
 
-/// A translation the TLBs served, as [`TlbHalf::probe`] reports it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TlbHit {
-    /// The TLB level that served the access.
-    pub level: TlbLevel,
-    /// The 4 KiB frame backing the accessed address.
-    pub frame: FrameId,
-    /// Page size of the cached mapping.
-    pub size: PageSize,
-    /// Cycles the hit costs (zero for an L1 hit).
-    pub penalty: Cycles,
-}
-
 /// The TLB half of a core's MMU: the TLB hierarchy, the loaded ASID and the
 /// counters the TLBs keep.
 #[derive(Debug, Clone)]
@@ -69,30 +56,22 @@ pub struct TlbHalf {
 
 impl TlbHalf {
     /// Counts one access to `addr` and probes the TLBs for each translation
-    /// granularity.  Returns the hit, or `None` after counting a miss: the
-    /// caller walks and then [`fill`](TlbHalf::fill)s.
+    /// granularity ([`TlbHierarchy::probe`]).  Returns the hit, or `None`
+    /// after counting a miss: the caller walks and then
+    /// [`fill`](TlbHalf::fill)s.
     #[inline]
     pub fn probe(&mut self, addr: VirtAddr, is_write: bool) -> Option<TlbHit> {
         self.stats.accesses += 1;
-        for size in [PageSize::Base4K, PageSize::Huge2M, PageSize::Giant1G] {
-            if let Some((level, frame, penalty)) = self.tlb.lookup(self.asid, addr, size, is_write)
-            {
-                match level {
-                    TlbLevel::L1 => self.stats.tlb_l1_hits += 1,
-                    TlbLevel::L2 => self.stats.tlb_l2_hits += 1,
-                }
-                self.stats.translation_cycles += penalty;
-                let offset_frames = addr.page_offset(size) / PageSize::Base4K.bytes();
-                return Some(TlbHit {
-                    level,
-                    frame: frame.offset(offset_frames),
-                    size,
-                    penalty,
-                });
-            }
+        let Some(hit) = self.tlb.probe(self.asid, addr, is_write) else {
+            self.stats.tlb_misses += 1;
+            return None;
+        };
+        match hit.level {
+            TlbLevel::L1 => self.stats.tlb_l1_hits += 1,
+            TlbLevel::L2 => self.stats.tlb_l2_hits += 1,
         }
-        self.stats.tlb_misses += 1;
-        None
+        self.stats.translation_cycles += hit.penalty;
+        Some(hit)
     }
 
     /// Installs `translation`, the one a walk of `addr` found after

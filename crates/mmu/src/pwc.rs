@@ -6,57 +6,185 @@
 //! fetched.  The paper leans on this ("at least leaf-level PTEs have to be
 //! accessed", §3.1), so the walker model includes it.
 
-use crate::lru::LruMap;
 use mitosis_mem::FrameId;
 use mitosis_pt::{table_at, Level, PtStore, VirtAddr};
 
+/// The most entries one level's cache may hold.
+const MAX_ENTRIES: usize = 32;
+
+/// The key of an empty slot.  Keys are the bits of a 48-bit virtual
+/// address above bit 21 at most, so they fit in 27 bits and no address
+/// produces this one.
+const EMPTY: u32 = u32::MAX;
+
+/// The rank of an empty slot: behind every resident entry, so re-ranking
+/// never moves it.
+const UNRANKED: u8 = MAX_ENTRIES as u8;
+
+/// The filter bucket of `key`: its low byte.
+#[inline(always)]
+fn bucket(key: u32) -> usize {
+    (key & 0xff) as usize
+}
+
+/// The slots of `lanes` holding `value`, as a bit mask, comparing every
+/// slot.
+#[inline(always)]
+fn matching<T: Copy + PartialEq>(lanes: &[T; MAX_ENTRIES], value: T) -> u32 {
+    let mut matches = 0u32;
+    for (slot, &held) in lanes.iter().enumerate() {
+        matches |= u32::from(held == value) << slot;
+    }
+    matches
+}
+
 /// One exact-LRU cache of upper-level entries, keyed by the virtual-address
-/// bits that select the entry.  Lookup, insert and eviction are all O(1)
-/// ([`LruMap`]); these caches sit on every page walk, and the old
-/// `min_by_key` eviction scanned the whole cache on each conflict miss.
+/// bits that select the entry: fixed arrays of at most [`MAX_ENTRIES`]
+/// entries, each with a recency rank.
+///
+/// A lookup first asks a 256-bucket count of the resident keys' low bytes,
+/// which rejects most misses without a scan; otherwise it compares every
+/// slot.  A hit ranks its entry first, and an insert of a new key into a
+/// full cache replaces the entry ranked last: the least recently used one,
+/// the victim a recency list's tail names.  A hit or an insert moves no
+/// entry: it rewrites at most one slot and the 32 rank bytes, and every
+/// loop on that path runs over all the slots, with a bound fixed at compile
+/// time.
 #[derive(Debug, Clone)]
 struct LevelCache {
-    entries: LruMap<FrameId>,
+    /// Resident keys in slots `0..len`; the other slots hold [`EMPTY`].
+    keys: [u32; MAX_ENTRIES],
+    /// The table frame of the key in the same slot.
+    frames: [FrameId; MAX_ENTRIES],
+    /// Recency rank per slot, 0 for the most recently used: the resident
+    /// slots' ranks are a permutation of `0..len`, the others
+    /// [`UNRANKED`].
+    ranks: [u8; MAX_ENTRIES],
+    len: usize,
+    capacity: usize,
+    /// Resident keys per [`bucket`].
+    filter: [u8; 256],
 }
 
 impl LevelCache {
     fn new(capacity: usize) -> Self {
+        assert!(
+            capacity <= MAX_ENTRIES,
+            "a paging-structure cache level holds at most 32 entries"
+        );
         LevelCache {
-            entries: LruMap::new(capacity),
+            keys: [EMPTY; MAX_ENTRIES],
+            frames: [FrameId::new(0); MAX_ENTRIES],
+            ranks: [UNRANKED; MAX_ENTRIES],
+            len: 0,
+            capacity: capacity.max(1),
+            filter: [0; 256],
         }
     }
 
-    fn lookup(&mut self, key: u64) -> Option<FrameId> {
-        self.entries.get(key).copied()
+    /// The slot holding `key`: a key sits in at most one.
+    #[inline(always)]
+    fn position(&self, key: u32) -> Option<usize> {
+        if self.filter[bucket(key)] == 0 {
+            return None;
+        }
+        let matches = matching(&self.keys, key);
+        (matches != 0).then(|| matches.trailing_zeros() as usize)
     }
 
-    fn insert(&mut self, key: u64, frame: FrameId) {
-        self.entries.insert(key, frame);
+    /// Ranks `slot` first: every entry ranked ahead of it moves back one.
+    #[inline(always)]
+    fn promote(&mut self, slot: usize) {
+        let rank = self.ranks[slot];
+        if rank == 0 {
+            return;
+        }
+        for other in &mut self.ranks {
+            *other += u8::from(*other < rank);
+        }
+        self.ranks[slot] = 0;
+    }
+
+    #[inline]
+    fn lookup(&mut self, key: u32) -> Option<FrameId> {
+        let slot = self.position(key)?;
+        self.promote(slot);
+        Some(self.frames[slot])
+    }
+
+    #[inline]
+    fn insert(&mut self, key: u32, frame: FrameId) {
+        let slot = self.position(key).unwrap_or_else(|| self.claim(key));
+        self.frames[slot] = frame;
+        self.promote(slot);
+    }
+
+    /// Puts `key`, which is not resident, in a slot ranked behind every
+    /// resident entry: the next empty slot, or in a full cache the slot of
+    /// the entry ranked last, which it evicts.
+    #[inline(always)]
+    fn claim(&mut self, key: u32) -> usize {
+        let slot = if self.len == self.capacity {
+            let last = matching(&self.ranks, self.len as u8 - 1);
+            let slot = last.trailing_zeros() as usize;
+            self.filter[bucket(self.keys[slot])] -= 1;
+            slot
+        } else {
+            self.ranks[self.len] = self.len as u8;
+            self.len += 1;
+            self.len - 1
+        };
+        self.filter[bucket(key)] += 1;
+        self.keys[slot] = key;
+        slot
+    }
+
+    /// The resident entries, in slot order.
+    fn iter(&self) -> impl Iterator<Item = (u32, FrameId)> + '_ {
+        self.keys[..self.len]
+            .iter()
+            .copied()
+            .zip(self.frames[..self.len].iter().copied())
     }
 
     fn flush(&mut self) {
-        self.entries.clear();
+        self.keys = [EMPTY; MAX_ENTRIES];
+        self.ranks = [UNRANKED; MAX_ENTRIES];
+        self.filter = [0; 256];
+        self.len = 0;
     }
 
-    /// Drops every entry whose key falls in `[key_start, key_end]`.
-    /// Returns the number of entries removed.
-    ///
-    /// A range naming fewer keys than are resident removes each key
-    /// directly; a wider one scans the residents.  Both leave the same
-    /// survivors in the same recency order.
-    fn invalidate_keys(&mut self, key_start: u64, key_end: u64) -> usize {
-        if key_end - key_start + 1 < self.entries.len() as u64 {
-            return (key_start..=key_end)
-                .filter(|&key| self.entries.remove(key))
-                .count();
+    /// Drops every entry whose key falls in `[key_start, key_end]`, keeping
+    /// the survivors in recency order.  Returns the number of entries
+    /// removed.
+    fn invalidate_keys(&mut self, key_start: u32, key_end: u32) -> usize {
+        let resident = self.len;
+        let mut slot = 0;
+        while slot < self.len {
+            if (key_start..=key_end).contains(&self.keys[slot]) {
+                self.remove(slot);
+            } else {
+                slot += 1;
+            }
         }
-        let mut removed = 0;
-        self.entries.retain(|key, _| {
-            let dead = key >= key_start && key <= key_end;
-            removed += usize::from(dead);
-            !dead
-        });
-        removed
+        resident - self.len
+    }
+
+    /// Removes the entry in `slot`: every entry ranked behind it moves
+    /// forward one, and the last resident slot's entry moves into the hole.
+    fn remove(&mut self, slot: usize) {
+        let rank = self.ranks[slot];
+        for other in &mut self.ranks {
+            *other -= u8::from(*other > rank && *other != UNRANKED);
+        }
+        self.filter[bucket(self.keys[slot])] -= 1;
+        self.len -= 1;
+        let last = self.len;
+        self.keys[slot] = self.keys[last];
+        self.frames[slot] = self.frames[last];
+        self.ranks[slot] = self.ranks[last];
+        self.keys[last] = EMPTY;
+        self.ranks[last] = UNRANKED;
     }
 }
 
@@ -81,7 +209,12 @@ impl PagingStructureCache {
         PagingStructureCache::new(32, 16, 16)
     }
 
-    /// Creates the caches with explicit entry counts.
+    /// Creates the caches with explicit entry counts.  A count of zero
+    /// holds one entry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any count is more than 32.
     pub fn new(pde_entries: usize, pdpte_entries: usize, pml4e_entries: usize) -> Self {
         PagingStructureCache {
             pde: LevelCache::new(pde_entries),
@@ -90,8 +223,10 @@ impl PagingStructureCache {
         }
     }
 
-    fn key(addr: VirtAddr, level: Level) -> u64 {
-        addr.as_u64() >> level.index_shift()
+    /// The key of `addr` in the cache of entries read at `level`: the
+    /// address bits above that level's index.
+    fn key(addr: VirtAddr, level: Level) -> u32 {
+        (addr.as_u64() >> level.index_shift()) as u32
     }
 
     /// Returns the deepest cached starting point for a walk of `addr`:
@@ -144,8 +279,8 @@ impl PagingStructureCache {
         store.contains(root)
             && caches.into_iter().all(|(cache, level)| {
                 let child = level.next_lower().expect("cached entries sit above L1");
-                cache.entries.iter().all(|(key, &table)| {
-                    let addr = VirtAddr::new(key << level.index_shift());
+                cache.iter().all(|(key, table)| {
+                    let addr = VirtAddr::new(u64::from(key) << level.index_shift());
                     table_at(store, root, addr, child) == Some(table)
                 })
             })
@@ -260,6 +395,12 @@ mod tests {
         assert!(pwc.walk_start(outside).is_some());
         // An empty range removes nothing.
         assert_eq!(pwc.invalidate_range(outside, outside), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 32 entries")]
+    fn more_than_32_entries_per_level_panics() {
+        let _ = PagingStructureCache::new(32, 33, 16);
     }
 
     #[test]

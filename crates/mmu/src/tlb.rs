@@ -1,6 +1,7 @@
 //! Translation lookaside buffers.
 
 use mitosis_mem::FrameId;
+use mitosis_numa::Cycles;
 use mitosis_pt::{PageSize, VirtAddr};
 
 /// Which level of the TLB hierarchy served a lookup.
@@ -12,40 +13,69 @@ pub enum TlbLevel {
     L2,
 }
 
-/// A set-associative TLB with LRU replacement.
+/// A translation the TLBs served, as [`TlbHierarchy::probe`] reports it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TlbHit {
+    /// The TLB level that served the access.
+    pub level: TlbLevel,
+    /// The 4 KiB frame backing the accessed address.
+    pub frame: FrameId,
+    /// Page size of the cached mapping.
+    pub size: PageSize,
+    /// Cycles the hit costs (zero for an L1 hit).
+    pub penalty: Cycles,
+}
+
+/// Lanes per set: the most ways a [`Tlb`] may have.  Every set has all of
+/// them, so every per-set loop has a bound fixed at compile time; the lanes
+/// past a TLB's way count hold [`INVALID_TAG`] and never fill.
+const LANES: usize = 8;
+
+/// One set's eight lanes of tags or payloads: one 64-byte host cache line.
+#[derive(Debug, Clone, Copy)]
+#[repr(align(64))]
+struct Lanes([u64; LANES]);
+
+/// A set-associative TLB with exact LRU replacement.
 ///
 /// Entries are tagged by address-space identifier and virtual page number
 /// and store the translation's first frame plus its writability; the page
 /// size is a property of the TLB instance (the split L1 design) or recorded
 /// per entry (unified L2).
 ///
-/// Storage is struct-of-arrays with the ways of each set inline
-/// (set-major): a probe scans a contiguous run of `u64` tags — one or two
-/// cache lines — and touches the frame/recency payload only on a hit.  The
-/// tag folds the ASID, virtual page number and page size together
-/// (`asid << 48 | vpn << 2 | size code`, codes 1-3) with tag 0 meaning
-/// "invalid", so a probe is a single word comparison per way.  ASID 0 —
-/// the only ASID in single-process runs — leaves the tag identical to the
-/// untagged layout.
+/// Each set is three fixed-size parts, so a set touches at most three host
+/// cache lines and every loop over it has a compile-time bound:
+///
+/// * eight tag lanes on one line.  The tag folds the ASID, virtual page
+///   number and page size together (`asid << 48 | vpn << 2 | size code`,
+///   codes 1-3) with tag 0 meaning "invalid", so a probe compares every
+///   lane with one word.  ASID 0 — the only ASID in single-process runs —
+///   leaves the tag identical to the untagged layout;
+/// * eight payload lanes on another, each the frame number shifted left
+///   once with the writable bit below it;
+/// * one metadata word: byte `w` holds way `w`'s valid bit (bit 7) and its
+///   recency rank (bits 0-2, 0 = most recently used).  The ranks are a
+///   permutation of `0..8` with the valid ways first, in recency order, so
+///   a hit re-ranks its way with one word-wide compare and add, and the
+///   LRU victim of a full set is the way of rank `ways - 1`.  Lanes past
+///   the way count keep their own index as rank and are never re-ranked.
+///
+/// Replacement is exactly the per-way-tick LRU it replaces: ticks were
+/// unique, so ordering ways by rank orders them by tick.
 #[derive(Debug, Clone)]
 pub struct Tlb {
-    /// `sets * ways` tags; set `s` occupies `[s * ways, (s + 1) * ways)`.
-    tags: Box<[u64]>,
-    /// Frame payload, same layout as `tags`.
-    frames: Box<[FrameId]>,
-    /// Writability payload, same layout as `tags`.  A write probe hitting a
+    tags: Box<[Lanes]>,
+    /// Frame number `<< 1 | writable`, per lane.  A write probe hitting a
     /// read-only entry is a miss: the walker re-walks and faults, which is
     /// how copy-on-write resolution is reached.
-    writable: Box<[bool]>,
-    /// LRU recency payload, same layout as `tags`.
-    last_used: Box<[u64]>,
+    payloads: Box<[Lanes]>,
+    /// Valid bits and recency ranks, one word per set.
+    meta: Box<[u64]>,
     sets: usize,
     ways: usize,
     /// `sets - 1` when the set count is a power of two (every real TLB
     /// geometry), letting the set index be a mask instead of a division.
     set_mask: Option<u64>,
-    /// Monotonic counter used for LRU ordering.
-    tick: u64,
     hits: u64,
     misses: u64,
     /// Resident entries per size code (index = code - 1).  A probe for a
@@ -62,6 +92,18 @@ const INVALID_TAG: u64 = 0;
 /// leaving the top 16 bits free for the ASID.
 const ASID_SHIFT: u32 = 48;
 
+/// The writable bit of a payload.
+const WRITABLE: u64 = 1;
+
+/// One in every byte of a metadata word.
+const BYTE_ONES: u64 = 0x0101_0101_0101_0101;
+/// The valid bit of every byte of a metadata word.
+const VALID_BITS: u64 = 0x8080_8080_8080_8080;
+/// The rank bits of every byte of a metadata word.
+const RANK_BITS: u64 = 0x0707_0707_0707_0707;
+/// The metadata of an empty set: no way valid, lane `w` ranked `w`.
+const EMPTY_META: u64 = 0x0706_0504_0302_0100;
+
 #[inline]
 fn size_code(size: PageSize) -> u64 {
     match size {
@@ -76,28 +118,76 @@ fn tag_of(asid: u16, vpn: u64, size: PageSize) -> u64 {
     (vpn << 2) | size_code(size) | ((asid as u64) << ASID_SHIFT)
 }
 
+/// The lane of `lanes` holding `tag`, comparing every lane: a tag sits in
+/// at most one lane of its set.
+#[inline(always)]
+fn lane_of(lanes: &Lanes, tag: u64) -> Option<usize> {
+    let mut matches = 0u32;
+    for (lane, &held) in lanes.0.iter().enumerate() {
+        matches |= u32::from(held == tag) << lane;
+    }
+    (matches != 0).then(|| matches.trailing_zeros() as usize)
+}
+
+/// The valid-bit positions of the bytes of `meta` whose rank lies in
+/// `lo..hi` (`hi <= 8`).  Per byte, `0x80 | rank` less a constant of at
+/// most 8 borrows nothing from the next byte and keeps bit 7 exactly when
+/// the rank is at least that constant.
+#[inline(always)]
+fn ranked(meta: u64, lo: u64, hi: u64) -> u64 {
+    let ranks = (meta & RANK_BITS) | VALID_BITS;
+    (ranks - lo * BYTE_ONES) & !(ranks - hi * BYTE_ONES) & VALID_BITS
+}
+
+/// The valid bit of way `way`.
+#[inline(always)]
+fn valid_bit(way: usize) -> u64 {
+    0x80 << (8 * way)
+}
+
+/// The rank of way `way`.
+#[inline(always)]
+fn rank_of(meta: u64, way: usize) -> u64 {
+    (meta >> (8 * way)) & 7
+}
+
+/// Ranks `way` first: every way ranked ahead of it moves back one.
+#[inline(always)]
+fn promote(meta: u64, way: usize) -> u64 {
+    let ahead = ranked(meta, 0, rank_of(meta, way));
+    (meta + (ahead >> 7)) & !(7 << (8 * way))
+}
+
+/// Ranks `way` last of the `ways` ways: every way ranked behind it moves
+/// forward one.
+#[inline]
+fn demote(meta: u64, way: usize, ways: usize) -> u64 {
+    let behind = ranked(meta, rank_of(meta, way) + 1, ways as u64);
+    (meta - (behind >> 7)) & !(7 << (8 * way)) | ((ways as u64 - 1) << (8 * way))
+}
+
 impl Tlb {
     /// Creates a TLB with `entries` total entries and `ways` ways per set.
     ///
     /// # Panics
     ///
-    /// Panics if `entries` is not a multiple of `ways` or either is zero.
+    /// Panics if either is zero, if `ways` is more than 8, or if `entries`
+    /// is not a multiple of `ways`.
     pub fn new(entries: usize, ways: usize) -> Self {
         assert!(entries > 0 && ways > 0, "TLB dimensions must be positive");
+        assert!(ways <= LANES, "a TLB set has at most 8 ways");
         assert!(
             entries.is_multiple_of(ways),
             "entries must be a multiple of ways"
         );
         let sets = entries / ways;
         Tlb {
-            tags: vec![INVALID_TAG; entries].into_boxed_slice(),
-            frames: vec![FrameId::new(0); entries].into_boxed_slice(),
-            writable: vec![false; entries].into_boxed_slice(),
-            last_used: vec![0; entries].into_boxed_slice(),
+            tags: vec![Lanes([INVALID_TAG; LANES]); sets].into_boxed_slice(),
+            payloads: vec![Lanes([0; LANES]); sets].into_boxed_slice(),
+            meta: vec![EMPTY_META; sets].into_boxed_slice(),
             sets,
             ways,
             set_mask: sets.is_power_of_two().then_some(sets as u64 - 1),
-            tick: 0,
             hits: 0,
             misses: 0,
             per_size: [0; 3],
@@ -112,16 +202,15 @@ impl Tlb {
 
     /// Total capacity in entries.
     pub fn capacity(&self) -> usize {
-        self.tags.len()
+        self.sets * self.ways
     }
 
     #[inline]
-    fn set_start(&self, vpn: u64) -> usize {
-        let set = match self.set_mask {
+    fn set_of(&self, vpn: u64) -> usize {
+        match self.set_mask {
             Some(mask) => (vpn & mask) as usize,
             None => (vpn % self.sets as u64) as usize,
-        };
-        set * self.ways
+        }
     }
 
     /// Looks up the translation of `addr` at page size `size` in address
@@ -129,7 +218,7 @@ impl Tlb {
     /// misses, forcing a re-walk (and, for copy-on-write pages, a fault).
     ///
     /// On a hit, returns the frame and whether the entry is writable.
-    #[inline]
+    #[inline(always)]
     pub fn lookup(
         &mut self,
         asid: u16,
@@ -137,17 +226,18 @@ impl Tlb {
         size: PageSize,
         is_write: bool,
     ) -> Option<(FrameId, bool)> {
-        self.tick += 1;
         let vpn = addr.page_number(size);
-        let tag = tag_of(asid, vpn, size);
-        let start = self.set_start(vpn);
-        let set_tags = &self.tags[start..start + self.ways];
-        if let Some(way) = set_tags.iter().position(|&t| t == tag) {
-            let writable = self.writable[start + way];
+        let set = self.set_of(vpn);
+        if let Some(way) = lane_of(&self.tags[set], tag_of(asid, vpn, size)) {
+            let payload = self.payloads[set].0[way];
+            let writable = payload & WRITABLE != 0;
             if !is_write || writable {
-                self.last_used[start + way] = self.tick;
+                let meta = self.meta[set];
+                if rank_of(meta, way) != 0 {
+                    self.meta[set] = promote(meta, way);
+                }
                 self.hits += 1;
-                return Some((self.frames[start + way], writable));
+                return Some((FrameId::new(payload >> 1), writable));
             }
         }
         self.misses += 1;
@@ -155,6 +245,10 @@ impl Tlb {
     }
 
     /// Inserts a translation, evicting the LRU entry of the set if full.
+    ///
+    /// The entry takes the way already holding its tag, else the lowest
+    /// invalid way, else the least recently used one.
+    #[inline]
     pub fn insert(
         &mut self,
         asid: u16,
@@ -163,48 +257,43 @@ impl Tlb {
         frame: FrameId,
         writable: bool,
     ) {
-        self.tick += 1;
+        debug_assert!(frame.pfn() >> 63 == 0, "frame numbers fit in 63 bits");
         let vpn = addr.page_number(size);
         let tag = tag_of(asid, vpn, size);
-        let start = self.set_start(vpn);
-        // Refresh an existing entry, else fill the first invalid way, else
-        // evict the least recently used way — one pass over the set (ticks
-        // are unique, so the victim is the same one a full tick-scan picks;
-        // an existing tag is unique in its set, so breaking early is safe).
-        let mut matched = None;
-        let mut first_invalid = None;
-        let mut lru = 0;
-        let mut lru_tick = u64::MAX;
-        for (i, &t) in self.tags[start..start + self.ways].iter().enumerate() {
-            if t == tag {
-                matched = Some(i);
-                break;
-            }
-            if t == INVALID_TAG {
-                if first_invalid.is_none() {
-                    first_invalid = Some(i);
-                }
-            } else if self.last_used[start + i] < lru_tick {
-                lru_tick = self.last_used[start + i];
-                lru = i;
-            }
-        }
-        let way = start + matched.or(first_invalid).unwrap_or(lru);
-        let old = self.tags[way];
+        let set = self.set_of(vpn);
+        let meta = self.meta[set];
+        let way = lane_of(&self.tags[set], tag).unwrap_or_else(|| {
+            // The valid bits of lanes `0..ways` that are clear.
+            let free = !meta & (VALID_BITS >> (8 * (LANES - self.ways)));
+            let way = if free != 0 {
+                free
+            } else {
+                ranked(meta, self.ways as u64 - 1, self.ways as u64)
+            };
+            way.trailing_zeros() as usize / 8
+        });
+        let old = self.tags[set].0[way];
         if old != INVALID_TAG {
             self.per_size[(old & 3) as usize - 1] -= 1;
         }
         self.per_size[(tag & 3) as usize - 1] += 1;
-        self.tags[way] = tag;
-        self.frames[way] = frame;
-        self.writable[way] = writable;
-        self.last_used[way] = self.tick;
+        self.tags[set].0[way] = tag;
+        self.payloads[set].0[way] = frame.pfn() << 1 | u64::from(writable);
+        self.meta[set] = promote(meta | valid_bit(way), way);
+    }
+
+    /// Invalidates way `way` of set `set`, which holds a valid entry, and
+    /// ranks it last.
+    fn invalidate(&mut self, set: usize, way: usize) {
+        let tag = std::mem::replace(&mut self.tags[set].0[way], INVALID_TAG);
+        self.per_size[(tag & 3) as usize - 1] -= 1;
+        self.meta[set] = demote(self.meta[set] & !valid_bit(way), way, self.ways);
     }
 
     /// Invalidates every entry (a full TLB flush, e.g. on CR3 write).
     pub fn flush(&mut self) {
-        self.tags.fill(INVALID_TAG);
-        self.last_used.fill(0);
+        self.tags.fill(Lanes([INVALID_TAG; LANES]));
+        self.meta.fill(EMPTY_META);
         self.per_size = [0; 3];
     }
 
@@ -212,14 +301,9 @@ impl Tlb {
     /// `asid`, if present (`invlpg`).
     pub fn flush_page(&mut self, asid: u16, addr: VirtAddr, size: PageSize) {
         let vpn = addr.page_number(size);
-        let tag = tag_of(asid, vpn, size);
-        let start = self.set_start(vpn);
-        for way in start..start + self.ways {
-            if self.tags[way] == tag {
-                self.tags[way] = INVALID_TAG;
-                self.last_used[way] = 0;
-                self.per_size[(tag & 3) as usize - 1] -= 1;
-            }
+        let set = self.set_of(vpn);
+        if let Some(way) = lane_of(&self.tags[set], tag_of(asid, vpn, size)) {
+            self.invalidate(set, way);
         }
     }
 
@@ -245,12 +329,12 @@ impl Tlb {
         let asid_bits = (asid as u64) << ASID_SHIFT;
         let vpn_end = vpn_start.saturating_add(pages);
         let sets = (vpn_end - vpn_start).min(self.sets as u64) as usize;
-        let first_set = self.set_start(vpn_start) / self.ways;
+        let first_set = self.set_of(vpn_start);
         let mut removed = 0;
         for i in 0..sets {
-            let start = (first_set + i) % self.sets * self.ways;
-            for way in start..start + self.ways {
-                let tag = self.tags[way];
+            let set = (first_set + i) % self.sets;
+            for way in 0..LANES {
+                let tag = self.tags[set].0[way];
                 if tag == INVALID_TAG
                     || (tag & 3) != code
                     || (tag >> ASID_SHIFT) << ASID_SHIFT != asid_bits
@@ -259,9 +343,7 @@ impl Tlb {
                 }
                 let vpn = (tag >> 2) & ((1u64 << (ASID_SHIFT - 2)) - 1);
                 if vpn >= vpn_start && vpn < vpn_end {
-                    self.tags[way] = INVALID_TAG;
-                    self.last_used[way] = 0;
-                    self.per_size[code as usize - 1] -= 1;
+                    self.invalidate(set, way);
                     removed += 1;
                 }
             }
@@ -281,7 +363,10 @@ impl Tlb {
 
     /// Number of currently valid entries.
     pub fn occupancy(&self) -> usize {
-        self.tags.iter().filter(|&&t| t != INVALID_TAG).count()
+        self.meta
+            .iter()
+            .map(|&meta| (meta & VALID_BITS).count_ones() as usize)
+            .sum()
     }
 }
 
@@ -312,11 +397,42 @@ impl TlbHierarchy {
         }
     }
 
+    /// Probes for `addr` at each page size in turn — 4 KiB, 2 MiB, 1 GiB —
+    /// as [`lookup`](TlbHierarchy::lookup) does, and returns the first hit
+    /// with the 4 KiB frame backing `addr`.
+    #[inline]
+    pub fn probe(&mut self, asid: u16, addr: VirtAddr, is_write: bool) -> Option<TlbHit> {
+        // Spelled out, not looped, so that each size class compiles with
+        // its size a constant.
+        self.probe_size(asid, addr, PageSize::Base4K, is_write)
+            .or_else(|| self.probe_size(asid, addr, PageSize::Huge2M, is_write))
+            .or_else(|| self.probe_size(asid, addr, PageSize::Giant1G, is_write))
+    }
+
+    #[inline(always)]
+    fn probe_size(
+        &mut self,
+        asid: u16,
+        addr: VirtAddr,
+        size: PageSize,
+        is_write: bool,
+    ) -> Option<TlbHit> {
+        let (level, frame, penalty) = self.lookup(asid, addr, size, is_write)?;
+        let offset_frames = addr.page_offset(size) / PageSize::Base4K.bytes();
+        Some(TlbHit {
+            level,
+            frame: frame.offset(offset_frames),
+            size,
+            penalty,
+        })
+    }
+
     /// Looks up `addr`; returns the serving level, frame and extra cycles.
     ///
     /// Levels holding no entry of `size` are skipped without probing (a
     /// probe of an empty size class can never hit, so residency and
     /// promotion behaviour are unchanged).
+    #[inline(always)]
     pub fn lookup(
         &mut self,
         asid: u16,
@@ -348,6 +464,7 @@ impl TlbHierarchy {
     }
 
     /// Installs a translation into both levels (as a walk completion does).
+    #[inline]
     pub fn insert(
         &mut self,
         asid: u16,
@@ -524,6 +641,24 @@ mod tests {
     #[should_panic(expected = "multiple of ways")]
     fn invalid_geometry_panics() {
         let _ = Tlb::new(10, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 8 ways")]
+    fn more_than_eight_ways_panics() {
+        let _ = Tlb::new(32, 16);
+    }
+
+    #[test]
+    fn probe_serves_the_frame_inside_a_huge_page() {
+        let mut h = TlbHierarchy::paper_testbed();
+        let addr = VirtAddr::new(0x4000_0000);
+        h.insert(0, addr, PageSize::Huge2M, FrameId::new(512), true);
+        let hit = h.probe(0, addr.add(5 * 4096 + 8), false).unwrap();
+        assert_eq!(hit.level, TlbLevel::L1);
+        assert_eq!(hit.size, PageSize::Huge2M);
+        assert_eq!(hit.frame, FrameId::new(517));
+        assert_eq!(h.probe(0, VirtAddr::new(0x1000), false), None);
     }
 
     #[test]

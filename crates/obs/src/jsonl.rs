@@ -7,7 +7,7 @@
 use crate::chrome::json_string;
 use crate::recorder::{Recorder, Span};
 use std::io::{BufWriter, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -18,7 +18,6 @@ use std::time::Instant;
 /// recorder's construction instant.
 #[derive(Debug)]
 pub struct JsonlRecorder {
-    path: PathBuf,
     epoch: Instant,
     writer: Mutex<BufWriter<std::fs::File>>,
 }
@@ -27,17 +26,11 @@ impl JsonlRecorder {
     /// Creates (truncating) `path` and returns a recorder streaming to it.
     #[expect(clippy::disallowed_methods, reason = "span stamps are wall time")]
     pub fn create(path: impl AsRef<Path>) -> std::io::Result<Self> {
-        let file = std::fs::File::create(path.as_ref())?;
+        let file = std::fs::File::create(path)?;
         Ok(JsonlRecorder {
-            path: path.as_ref().to_path_buf(),
             epoch: Instant::now(),
             writer: Mutex::new(BufWriter::new(file)),
         })
-    }
-
-    /// The path the recorder streams to.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Flushes buffered lines to the file.

@@ -32,4 +32,4 @@ pub use chrome::{chrome_trace_json, ChromeTraceRecorder};
 pub use jsonl::JsonlRecorder;
 pub use memory::{MemoryRecorder, RecordedSpan};
 pub use observer::{Observer, ENV_JSONL, ENV_TRACE_JSON};
-pub use recorder::{FanoutRecorder, NoopRecorder, Recorder, Span, SpanGuard};
+pub use recorder::{FanoutRecorder, Recorder, Span, SpanGuard};

@@ -68,11 +68,6 @@ impl Observer {
         observer
     }
 
-    /// The installed recorder, if any.
-    pub fn recorder(&self) -> Option<&Arc<dyn Recorder>> {
-        self.recorder.as_ref()
-    }
-
     /// Whether any recorder is installed.
     pub fn is_enabled(&self) -> bool {
         self.recorder.is_some()

@@ -1,4 +1,4 @@
-//! The [`Recorder`] trait and its zero-cost no-op default.
+//! The [`Recorder`] trait, the fan-out sink and the RAII span guard.
 //!
 //! A recorder is the sink side of the observability layer: the engine and
 //! the replay drivers hand it *spans* (wall-clock timed phases) and
@@ -51,17 +51,6 @@ pub trait Recorder: Send + Sync + fmt::Debug {
         let _ = (name, value);
     }
 }
-
-/// The recorder that records nothing.
-///
-/// This is the static default behind a disabled [`Observer`](crate::Observer):
-/// every method body is empty, so instrumentation
-/// sites guarded by "is a recorder installed?" checks cost nothing when
-/// observability is off.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopRecorder;
-
-impl Recorder for NoopRecorder {}
 
 /// A recorder that forwards every event to several sinks (e.g. a JSONL
 /// stream *and* an in-memory store in the same run).

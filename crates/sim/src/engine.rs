@@ -797,11 +797,6 @@ impl ExecutionEngine {
         self.obs_track = track;
     }
 
-    /// The installed observer.
-    pub fn observer(&self) -> &Observer {
-        &self.observer
-    }
-
     /// Resets machine-level cache state so the next run behaves exactly as
     /// on a freshly built engine: the per-socket page-table-line caches are
     /// flushed (pooled MMUs are always reset at checkout).

@@ -444,11 +444,6 @@ impl TraceReplayer {
         self.track = track;
     }
 
-    /// The installed observer.
-    pub fn observer(&self) -> &Observer {
-        &self.observer
-    }
-
     /// Prepare + run in one call — the per-trace unit of
     /// [`ReplaySession::replay_batch`](crate::ReplaySession::replay_batch).
     pub(crate) fn replay_full(

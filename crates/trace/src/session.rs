@@ -236,11 +236,6 @@ impl ReplaySession {
         self.observer = observer;
     }
 
-    /// The installed observer.
-    pub fn observer(&self) -> &Observer {
-        &self.observer
-    }
-
     /// The simulation parameters the session replays against.
     pub fn params(&self) -> &SimParams {
         &self.params

@@ -9,7 +9,7 @@ use mitosis_mem::{
     CowRefCounts, FrameAllocator, FrameId, FrameSpace, MemError, PlacementPolicy, PolicyEngine,
     FRAMES_PER_HUGE_PAGE,
 };
-use mitosis_mmu::{PagingStructureCache, Tlb, TlbHierarchy, TlbLevel};
+use mitosis_mmu::{PagingStructureCache, Tlb, TlbHierarchy, TlbHit, TlbLevel};
 use mitosis_numa::{NodeMask, SocketId};
 use mitosis_pt::{Level, PageSize, Pte, PteFlags, VirtAddr};
 use proptest::prelude::*;
@@ -324,6 +324,20 @@ impl ModelHierarchy {
         Some((TlbLevel::L2, frame, 7))
     }
 
+    /// Every size class in turn, 4 KiB first, as `TlbHalf::probe` asks.
+    fn probe(&mut self, asid: u16, addr: VirtAddr, is_write: bool) -> Option<TlbHit> {
+        SIZES.into_iter().find_map(|size| {
+            let (level, frame, penalty) = self.lookup(asid, addr, size, is_write)?;
+            let frame = frame.offset(addr.page_offset(size) / PageSize::Base4K.bytes());
+            Some(TlbHit {
+                level,
+                frame,
+                size,
+                penalty,
+            })
+        })
+    }
+
     fn insert(
         &mut self,
         asid: u16,
@@ -498,12 +512,14 @@ proptest! {
     }
 
     /// `TlbHierarchy` — lookups with L2-to-L1 promotion, inserts into both
-    /// levels and ranged invalidation summed over the levels — matches the
-    /// model hierarchy, on a small geometry (six L2 sets) and the paper's.
+    /// levels, ranged invalidation summed over the levels, and the probe of
+    /// every size class that `TlbHalf::probe` makes — matches the model
+    /// hierarchy, on a small geometry (six L2 sets) and the paper's.  The
+    /// probes land where 4 KiB, 2 MiB and 1 GiB entries overlap.
     #[test]
     fn tlb_hierarchy_matches_the_full_scan_model(
         geometry in 0usize..2,
-        ops in prop::collection::vec((0u8..4, 0u16..3, 0u64..96, 0u8..3, 0u64..64), 1..300),
+        ops in prop::collection::vec((0u8..5, 0u16..3, 0u64..96, 0u8..3, 0u64..64), 1..300),
     ) {
         let (l1_4k, l1_2m, l2) = [(8, 8, 48), (64, 32, 1024)][geometry];
         let mut tlb = TlbHierarchy::new(l1_4k, l1_2m, l2);
@@ -527,7 +543,7 @@ proptest! {
                     model.lookup(asid, addr, size, aux % 2 == 1),
                     "step {}", step
                 ),
-                _ => {
+                3 => {
                     let pages = range_pages(sets, aux);
                     prop_assert_eq!(
                         tlb.invalidate_range(asid, vpn, pages, size),
@@ -535,8 +551,20 @@ proptest! {
                         "step {}: {} pages from {}", step, pages, vpn
                     );
                 }
+                _ => {
+                    let addr = addr.add((aux * 4096) % size.bytes());
+                    prop_assert_eq!(
+                        tlb.probe(asid, addr, aux % 2 == 1),
+                        model.probe(asid, addr, aux % 2 == 1),
+                        "step {}", step
+                    );
+                }
             }
             prop_assert_eq!(tlb.occupancy(), model.occupancy(), "step {}", step);
+        }
+        for (asid, page) in (0..3u16).flat_map(|a| (0..96u64).map(move |p| (a, p))) {
+            let addr = VirtAddr::new(page * 4096);
+            prop_assert_eq!(tlb.probe(asid, addr, false), model.probe(asid, addr, false));
         }
     }
 
