@@ -1,6 +1,7 @@
 //! Micro-benchmarks (ablation) of the core mechanisms: TLB hits, local vs.
 //! remote page walks, the two stages of the engine's pipelined schedule at
-//! a Figure 10 footprint, native vs. replicated PTE updates, whole-tree
+//! a Figure 10 footprint, a split segment at a Figure 9 footprint, native
+//! vs. replicated PTE updates, whole-tree
 //! replication, the setup layer (populate, footprint) and the
 //! copy-on-write path (one-page ranged shootdown, fork).
 //!
@@ -22,8 +23,8 @@ use mitosis_pt::{
     ShootdownRange, VirtAddr,
 };
 use mitosis_sim::{
-    data_access_cycles, ExecutionEngine, MigrationConfig, MigrationRun, PreparedSystem, SimParams,
-    WorkloadMigrationScenario,
+    data_access_cycles, ExecutionEngine, MigrationConfig, MigrationRun, MultiSocketConfig,
+    MultiSocketScenario, PreparedSystem, SimParams, WorkloadMigrationScenario,
 };
 use mitosis_vmm::{MmapFlags, Pid, System};
 use mitosis_workloads::{suite, Access};
@@ -360,6 +361,59 @@ fn bench_pipeline_stages(c: &mut Criterion) {
     group.finish();
 }
 
+/// A split segment at the footprint of a Figure 9 run: Canneal under F+M
+/// at machine scale 128, built by the scenario's own setup — populated by
+/// every socket, then replicated onto all four — and run with one thread
+/// per socket from seed 42.  Each of the four page-table trees has about
+/// 1,500 leaf tables (6 MiB), so nearly every leaf-entry read misses the
+/// host's L2, as in the benchmark's `fig9_multisocket`.
+///
+/// One iteration is one `ExecutionEngine::run` of the whole measured
+/// phase, from page-table-line caches reset as on a fresh engine: 60,000
+/// accesses per thread, as Figure 9 runs, or 5,000 in quick mode.
+fn bench_split_segment(c: &mut Criterion) {
+    let quick = std::env::var("MITOSIS_BENCH_QUICK").is_ok_and(|v| !v.is_empty());
+    let params = SimParams::new()
+        .with_machine_scale(128)
+        .with_seed(42)
+        .with_accesses(if quick { 5_000 } else { 60_000 });
+    let spec = suite::canneal();
+    let config = MultiSocketConfig::first_touch().with_mitosis();
+    let setup = MultiSocketScenario::setup(&spec, config, &params);
+    let PreparedSystem {
+        mut system,
+        pid,
+        region,
+        ..
+    } = PreparedSystem::build(&params, &setup).expect("fig9 Canneal F+M setup");
+    let scaled = params.scale_workload(&spec);
+    let sockets: Vec<SocketId> = system.machine().socket_ids().collect();
+    let threads = ExecutionEngine::one_thread_per_socket(&system, &sockets);
+    let mut engine = ExecutionEngine::new(&system);
+    let mut run = |system: &mut System| {
+        engine.reset();
+        let metrics = engine
+            .run(system, pid, &scaled, region, &threads, &params)
+            .expect("a populated region runs");
+        let split = engine.last_split();
+        assert_eq!(
+            (split.split_segments, split.serial_segments),
+            (1, 0),
+            "the run is one split segment"
+        );
+        metrics
+    };
+    run(&mut system);
+
+    let mut group = c.benchmark_group("micro/split");
+    group
+        .sample_size(10)
+        .warm_up_time(Duration::from_millis(300))
+        .measurement_time(Duration::from_secs(2));
+    group.bench_function("canneal_fm", |b| b.iter(|| run(&mut system)));
+    group.finish();
+}
+
 fn bench_tree_replication(c: &mut Criterion) {
     let mut group = c.benchmark_group("micro/replicate_tree");
     group
@@ -515,6 +569,7 @@ criterion_group!(
     bench_walks,
     bench_translation_throughput,
     bench_pipeline_stages,
+    bench_split_segment,
     bench_pte_updates,
     bench_tree_replication,
     bench_setup,

@@ -48,9 +48,9 @@ fn hash(key: u64) -> u64 {
 }
 
 impl<V> LruMap<V> {
-    /// Creates a map holding at most `capacity` entries.
+    /// Creates a map holding at most `capacity` entries; a map of capacity
+    /// zero holds none.
     pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
         let index_len = (capacity * 2).next_power_of_two().max(4);
         LruMap {
             slots: Vec::with_capacity(capacity.min(1 << 20)),
@@ -183,7 +183,8 @@ impl<V> LruMap<V> {
 
     /// Combined lookup-and-fill for "access a cache line" semantics: if
     /// `key` is resident it is touched and `true` returned; otherwise it is
-    /// inserted (evicting the LRU entry if full) and `false` returned.
+    /// inserted (evicting the LRU entry if full, keeping nothing at
+    /// capacity zero) and `false` returned.
     ///
     /// One index probe serves both the hit and the fill — this is the hot
     /// call of the PTE-line cache.
@@ -206,14 +207,14 @@ impl<V> LruMap<V> {
             }
             pos = (pos + 1) & mask;
         }
-        if self.len == self.capacity {
-            self.evict_and_replace(key, value);
-        } else {
+        if self.len < self.capacity {
             // `pos` still names the empty index position the probe found.
             let slot = self.alloc_slot(key, value);
             self.index[pos] = slot;
             self.push_front(slot);
             self.len += 1;
+        } else if self.len > 0 {
+            self.evict_and_replace(key, value);
         }
         false
     }
@@ -348,6 +349,16 @@ mod tests {
         assert!(!map.contains(1));
         map.touch_or_insert(3, ());
         assert_eq!(map.len(), 1);
+    }
+
+    #[test]
+    fn capacity_zero_holds_nothing() {
+        let mut map = LruMap::new(0);
+        assert!(!map.touch_or_insert(1, ()));
+        assert!(!map.touch_or_insert(1, ()));
+        assert!(map.is_empty());
+        assert!(!map.contains(1));
+        assert_eq!(map.capacity(), 0);
     }
 
     #[test]

@@ -37,10 +37,11 @@ pub struct PteCache {
 }
 
 impl PteCache {
-    /// Creates a cache holding `capacity_lines` page-table lines.
+    /// Creates a cache holding `capacity_lines` page-table lines.  A cache
+    /// of zero lines never hits and keeps nothing.
     pub fn new(capacity_lines: usize) -> Self {
         PteCache {
-            lines: LruMap::new(capacity_lines.max(1)),
+            lines: LruMap::new(capacity_lines),
             hits: 0,
             misses: 0,
         }
@@ -206,6 +207,20 @@ mod tests {
         assert!(!cache.access(FrameId::new(1), 8));
         assert_eq!(cache.hits(), 2);
         assert_eq!(cache.misses(), 2);
+    }
+
+    #[test]
+    fn a_zero_line_cache_misses_every_access() {
+        let mut cache = PteCache::new(0);
+        for _ in 0..3 {
+            assert!(!cache.access(FrameId::new(1), 0));
+        }
+        assert_eq!((cache.hits(), cache.misses()), (0, 3));
+        assert_eq!(cache.occupancy(), 0);
+        assert_eq!(cache.capacity_lines(), 0);
+        cache.invalidate_table(FrameId::new(1));
+        cache.flush();
+        assert!(!cache.access(FrameId::new(1), 0));
     }
 
     #[test]

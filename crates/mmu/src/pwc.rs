@@ -77,7 +77,7 @@ impl LevelCache {
             frames: [FrameId::new(0); MAX_ENTRIES],
             ranks: [UNRANKED; MAX_ENTRIES],
             len: 0,
-            capacity: capacity.max(1),
+            capacity,
             filter: [0; 256],
         }
     }
@@ -112,8 +112,12 @@ impl LevelCache {
         Some(self.frames[slot])
     }
 
+    /// Records `key`; a level of no entries records nothing.
     #[inline]
     fn insert(&mut self, key: u32, frame: FrameId) {
+        if self.capacity == 0 {
+            return;
+        }
         let slot = self.position(key).unwrap_or_else(|| self.claim(key));
         self.frames[slot] = frame;
         self.promote(slot);
@@ -209,8 +213,8 @@ impl PagingStructureCache {
         PagingStructureCache::new(32, 16, 16)
     }
 
-    /// Creates the caches with explicit entry counts.  A count of zero
-    /// holds one entry.
+    /// Creates the caches with explicit entry counts.  A level of zero
+    /// entries never hits and records nothing.
     ///
     /// # Panics
     ///
@@ -395,6 +399,23 @@ mod tests {
         assert!(pwc.walk_start(outside).is_some());
         // An empty range removes nothing.
         assert_eq!(pwc.invalidate_range(outside, outside), 0);
+    }
+
+    #[test]
+    fn a_zero_entry_level_never_hits() {
+        let mut pwc = PagingStructureCache::new(0, 2, 2);
+        let addr = VirtAddr::new(0x4000_3000);
+        pwc.record(addr, Level::L2, FrameId::new(1));
+        pwc.record(addr, Level::L3, FrameId::new(2));
+        // The PDE level keeps nothing; the PDPTE level still serves.
+        assert_eq!(pwc.walk_start(addr), Some((Level::L2, FrameId::new(2))));
+        assert_eq!(pwc.invalidate_range(addr, addr.add(1 << 30)), 1);
+        assert_eq!(pwc.walk_start(addr), None);
+        let mut none = PagingStructureCache::new(0, 0, 0);
+        for level in [Level::L4, Level::L3, Level::L2] {
+            none.record(addr, level, FrameId::new(3));
+        }
+        assert_eq!(none.walk_start(addr), None);
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! The execution engine's per-access steps: [`step_access`], which the
 //! serial and split schedules share, and the pipelined schedule's
 //! [`tlb_step`] and [`walk_step`], with the state they read and write.
+//! Both proven schedules read each block of accesses' leaf entries ahead
+//! of stepping it through [`LeafTables::touch`].
 //!
 //! They live in this crate so that no simulated access can reach an
 //! observer: `mitosis-obs` declares a dependency on `mitosis-mmu`, so
@@ -16,7 +18,7 @@ use mitosis_pt::{translate_entry, Level, PageSize, PtEnv, PtSlot, PtStore, Trans
 use std::sync::Arc;
 
 /// One thread's cycle and fault accumulators, carried across run segments.
-#[derive(Debug, Default, Clone, Copy)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ThreadTotals {
     /// Compute cycles charged per access.
     pub compute: Cycles,
@@ -78,7 +80,7 @@ impl AccessCtx<'_> {
     /// The address an access at `offset` touches: accesses are 8-byte word
     /// granular within the region.
     #[inline(always)]
-    fn addr(&self, offset: u64) -> VirtAddr {
+    pub fn addr(&self, offset: u64) -> VirtAddr {
         VirtAddr::new(self.region + (offset & !0x7))
     }
 }
@@ -121,7 +123,7 @@ pub fn step_access(
 }
 
 /// A TLB miss as the pipelined schedule's walk stage receives it.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Miss {
     addr: VirtAddr,
     is_write: bool,
@@ -138,12 +140,15 @@ struct Leaf {
     size: PageSize,
 }
 
-/// The pipelined TLB stage's page-table lookups.  A proven segment's
-/// tables stay fixed, so the table holding each 2 MiB region's leaf entries
-/// is found by one full lookup and remembered for the rest of the segment;
-/// later fills in the region read one entry.  The lookup also sets the
-/// entry's accessed/dirty bits, while its cache line is at hand, so the
-/// walk stage need not touch the leaf at all.
+/// A proven segment's page-table lookups.  A proven segment's tables stay
+/// fixed, so the table holding each 2 MiB region's leaf entries is found
+/// by one full lookup and remembered for the rest of the segment; later
+/// lookups in the region read one entry.
+///
+/// The pipelined TLB stage fills its TLBs from a lookup that also sets the
+/// entry's accessed/dirty bits while its cache line is at hand, so the walk
+/// stage need not touch the leaf at all.  Both proven schedules read ahead
+/// with [`LeafTables::touch`], which writes nothing.
 pub struct LeafTables<'a> {
     store: &'a PtStore,
     /// The CR3 the remembered tables hang off.
@@ -167,6 +172,59 @@ impl<'a> LeafTables<'a> {
         }
     }
 
+    /// The index in `leaves` of the 2 MiB region holding `addr`, if the
+    /// remembered span covers it.
+    #[inline(always)]
+    fn region_of(&self, addr: VirtAddr) -> Option<usize> {
+        let region = (addr.as_u64() >> Level::L2.index_shift()).wrapping_sub(self.first);
+        usize::try_from(region)
+            .ok()
+            .filter(|&index| index < self.leaves.len())
+    }
+
+    /// Where the leaf entry of `addr` lives in the tree at `root`, or `None`
+    /// where a walk of `addr` from `root` meets a non-present entry first.
+    /// Remembered for the regions of the span; a lookup outside it is not.
+    #[inline(always)]
+    fn leaf_of(&mut self, root: FrameId, addr: VirtAddr) -> Option<Leaf> {
+        if self.root != Some(root) {
+            self.root = Some(root);
+            self.leaves.fill(None);
+        }
+        let region = self.region_of(addr);
+        if let Some(leaf) = region.and_then(|index| self.leaves[index]) {
+            return Some(leaf);
+        }
+        let (table, translation) = translate_entry(self.store, root, addr)?;
+        let leaf = Leaf {
+            slot: self.store.slot(table),
+            level: translation.level,
+            size: translation.size,
+        };
+        if let Some(index) = region {
+            self.leaves[index] = Some(leaf);
+        }
+        Some(leaf)
+    }
+
+    /// Reads the leaf entry of `addr` in the tree at `root` and returns its
+    /// bits: those of the entry [`translate_entry`] returns, or 0 where
+    /// `addr` is unmapped or outside the remembered span.  Writes no entry.
+    ///
+    /// A proven schedule touches a block of accesses before it steps them,
+    /// so that the host's cache misses on their leaf entries overlap.
+    #[inline]
+    pub fn touch(&mut self, root: FrameId, addr: VirtAddr) -> u64 {
+        if self.region_of(addr).is_none() {
+            return 0;
+        }
+        self.leaf_of(root, addr).map_or(0, |leaf| {
+            self.store
+                .read_at(leaf.slot, addr.index_at(leaf.level))
+                .to_bits()
+        })
+    }
+
     /// The translation a walk of `addr` from `root` finds, or `None` where
     /// that walk faults: what [`Mmu::access`] fills the TLBs with when the
     /// paging-structure caches agree with the tables.  Like that walk, a
@@ -179,45 +237,18 @@ impl<'a> LeafTables<'a> {
         addr: VirtAddr,
         is_write: bool,
     ) -> Option<Translation> {
-        if self.root != Some(root) {
-            self.root = Some(root);
-            self.leaves.fill(None);
-        }
-        let region = (addr.as_u64() >> Level::L2.index_shift()).wrapping_sub(self.first);
-        let remembered = usize::try_from(region)
-            .ok()
-            .and_then(|index| self.leaves.get_mut(index));
-        let (slot, translation) = match remembered {
-            Some(Some(Leaf { slot, level, size })) => {
-                let pte = self.store.read_at(*slot, addr.index_at(*level));
-                if !pte.is_present() {
-                    return None;
-                }
-                let translation = Translation {
-                    frame: pte.frame()?,
-                    size: *size,
-                    pte,
-                    level: *level,
-                };
-                (*slot, translation)
-            }
-            unknown => {
-                let (table, translation) = translate_entry(self.store, root, addr)?;
-                let slot = self.store.slot(table);
-                if let Some(leaf) = unknown {
-                    *leaf = Some(Leaf {
-                        slot,
-                        level: translation.level,
-                        size: translation.size,
-                    });
-                }
-                (slot, translation)
-            }
-        };
-        if is_write && !translation.pte.flags().writable {
+        let Leaf { slot, level, size } = self.leaf_of(root, addr)?;
+        let index = addr.index_at(level);
+        let pte = self.store.read_at(slot, index);
+        if !pte.is_present() || (is_write && !pte.flags().writable) {
             return None;
         }
-        let index = addr.index_at(translation.level);
+        let translation = Translation {
+            frame: pte.frame()?,
+            size,
+            pte,
+            level,
+        };
         self.store.mark_accessed_at(slot, index, is_write);
         Some(translation)
     }

@@ -76,8 +76,6 @@ pub struct Tlb {
     /// `sets - 1` when the set count is a power of two (every real TLB
     /// geometry), letting the set index be a mask instead of a division.
     set_mask: Option<u64>,
-    hits: u64,
-    misses: u64,
     /// Resident entries per size code (index = code - 1).  A probe for a
     /// size with zero resident entries cannot hit, so the hierarchy skips
     /// it — the common pure-4K access then pays two probes, not six.
@@ -188,8 +186,6 @@ impl Tlb {
             sets,
             ways,
             set_mask: sets.is_power_of_two().then_some(sets as u64 - 1),
-            hits: 0,
-            misses: 0,
             per_size: [0; 3],
         }
     }
@@ -198,11 +194,6 @@ impl Tlb {
     #[inline]
     pub fn holds(&self, size: PageSize) -> bool {
         self.per_size[size_code(size) as usize - 1] > 0
-    }
-
-    /// Total capacity in entries.
-    pub fn capacity(&self) -> usize {
-        self.sets * self.ways
     }
 
     #[inline]
@@ -236,11 +227,9 @@ impl Tlb {
                 if rank_of(meta, way) != 0 {
                     self.meta[set] = promote(meta, way);
                 }
-                self.hits += 1;
                 return Some((FrameId::new(payload >> 1), writable));
             }
         }
-        self.misses += 1;
         None
     }
 
@@ -349,16 +338,6 @@ impl Tlb {
             }
         }
         removed
-    }
-
-    /// Number of lookups that hit.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Number of lookups that missed.
-    pub fn misses(&self) -> u64 {
-        self.misses
     }
 
     /// Number of currently valid entries.
@@ -514,20 +493,6 @@ impl TlbHierarchy {
     pub fn occupancy(&self) -> usize {
         self.l1_4k.occupancy() + self.l1_2m.occupancy() + self.l2.occupancy()
     }
-
-    /// Combined hit count across levels.
-    pub fn hits(&self) -> u64 {
-        self.l1_4k.hits() + self.l1_2m.hits() + self.l2.hits()
-    }
-
-    /// Approximate total reach of the hierarchy in bytes for a page size.
-    pub fn reach(&self, size: PageSize) -> u64 {
-        let entries = match size {
-            PageSize::Base4K => self.l1_4k.capacity() + self.l2.capacity(),
-            PageSize::Huge2M | PageSize::Giant1G => self.l1_2m.capacity() + self.l2.capacity(),
-        };
-        entries as u64 * size.bytes()
-    }
 }
 
 impl Default for TlbHierarchy {
@@ -558,21 +523,19 @@ mod tests {
         let mut tlb = Tlb::new(64, 4);
         put(&mut tlb, va(5), PageSize::Base4K, FrameId::new(50));
         assert_eq!(
-            get(&mut tlb, va(5), PageSize::Base4K),
-            Some(FrameId::new(50))
+            tlb.lookup(0, va(5), PageSize::Base4K, false),
+            Some((FrameId::new(50), true))
         );
-        assert_eq!(tlb.hits(), 1);
-        assert_eq!(tlb.misses(), 0);
     }
 
     #[test]
     fn miss_on_empty_and_after_flush() {
         let mut tlb = Tlb::new(64, 4);
-        assert_eq!(get(&mut tlb, va(1), PageSize::Base4K), None);
+        assert_eq!(tlb.lookup(0, va(1), PageSize::Base4K, false), None);
         put(&mut tlb, va(1), PageSize::Base4K, FrameId::new(10));
         tlb.flush();
-        assert_eq!(get(&mut tlb, va(1), PageSize::Base4K), None);
-        assert_eq!(tlb.misses(), 2);
+        assert_eq!(tlb.lookup(0, va(1), PageSize::Base4K, false), None);
+        assert_eq!(tlb.occupancy(), 0);
     }
 
     #[test]
@@ -628,13 +591,6 @@ mod tests {
         h.insert(0, addr, PageSize::Huge2M, FrameId::new(512), true);
         assert!(h.lookup(0, addr, PageSize::Huge2M, false).is_some());
         assert_eq!(h.lookup(0, addr, PageSize::Base4K, false), None);
-    }
-
-    #[test]
-    fn reach_scales_with_page_size() {
-        let h = TlbHierarchy::paper_testbed();
-        assert!(h.reach(PageSize::Huge2M) > 100 * h.reach(PageSize::Base4K));
-        assert_eq!(h.reach(PageSize::Base4K), (64 + 1024) * 4096);
     }
 
     #[test]
@@ -741,9 +697,13 @@ mod tests {
             tlb.lookup(0, va(7), PageSize::Base4K, false),
             Some((FrameId::new(70), false))
         );
-        // A write probe misses (forcing a walk, and a fault for CoW pages).
+        // A write probe misses (forcing a walk, and a fault for CoW pages)
+        // and leaves the entry resident for reads.
         assert_eq!(tlb.lookup(0, va(7), PageSize::Base4K, true), None);
-        assert_eq!(tlb.misses(), 1);
+        assert_eq!(
+            tlb.lookup(0, va(7), PageSize::Base4K, false),
+            Some((FrameId::new(70), false))
+        );
         // Re-inserting after CoW resolution upgrades the entry in place.
         tlb.insert(0, va(7), PageSize::Base4K, FrameId::new(71), true);
         assert_eq!(

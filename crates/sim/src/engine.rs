@@ -16,7 +16,7 @@ use mitosis_numa::{AccessKind, CoreId, CostModel, Cycles, SocketId};
 use mitosis_obs::Observer;
 use mitosis_pt::{check_writable_range, PageSize, PtStore, RangeGap, VirtAddr};
 use mitosis_vmm::{Pid, System, VmError};
-use mitosis_workloads::{AccessSource, AccessStream, InitPattern, WorkloadSpec};
+use mitosis_workloads::{Access, AccessSource, AccessStream, InitPattern, WorkloadSpec};
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
@@ -231,7 +231,9 @@ struct SocketGroup<'s, S> {
 
 impl<S: AccessSource> SocketGroup<'_, S> {
     /// Runs the group's threads in thread order over accesses
-    /// `segment_start..run_to`, exactly as the serial path would.
+    /// `segment_start..run_to`, exactly as the serial path would, drawing
+    /// and touching each thread's accesses a block at a time
+    /// ([`draw_block`]) before stepping them.
     fn run(
         &mut self,
         tables: Tables<'_>,
@@ -239,30 +241,93 @@ impl<S: AccessSource> SocketGroup<'_, S> {
         segment_start: u64,
         run_to: u64,
     ) -> Result<(), MitosisError> {
+        let bounds = self
+            .threads
+            .iter()
+            .map(|member| member.source.offset_bound());
+        let mut leaves = segment_leaves(tables.store, ctx, bounds);
+        let mut block = [NO_ACCESS; LOOKAHEAD];
         for member in &mut self.threads {
-            for index in segment_start..run_to {
-                let access = member.source.next_access();
-                let stepped = step_access(
-                    access.offset,
-                    access.is_write,
-                    &mut member.mmu,
-                    &mut member.totals,
-                    &mut self.pte_cache,
-                    member.phase,
-                    tables,
+            for start in (segment_start..run_to).step_by(LOOKAHEAD) {
+                let drawn = draw_block(
+                    &mut block,
+                    run_to - start,
+                    member.source,
+                    &mut leaves,
+                    member.phase.cr3,
                     ctx,
                 );
-                if let Err(addr) = stepped {
-                    return Err(MitosisError::SplitFault {
-                        thread: member.thread,
-                        access: index,
-                        addr,
-                    });
+                for (index, access) in (start..).zip(drawn) {
+                    let stepped = step_access(
+                        access.offset,
+                        access.is_write,
+                        &mut member.mmu,
+                        &mut member.totals,
+                        &mut self.pte_cache,
+                        member.phase,
+                        tables,
+                        ctx,
+                    );
+                    if let Err(addr) = stepped {
+                        return Err(MitosisError::SplitFault {
+                            thread: member.thread,
+                            access: index,
+                            addr,
+                        });
+                    }
                 }
             }
         }
         Ok(())
     }
+}
+
+/// Accesses a proven schedule draws from one source before it steps any of
+/// them.  Each block's leaf entries are read first, back to back, so the
+/// host's cache misses on them overlap instead of stalling one step each.
+const LOOKAHEAD: usize = 16;
+
+/// The placeholder an unfilled block slot holds.
+const NO_ACCESS: Access = Access {
+    offset: 0,
+    is_write: false,
+};
+
+/// Draws the next `remaining.min(LOOKAHEAD)` accesses of `source` into
+/// `block` and returns them, after reading the leaf entry of each in the
+/// tree at `root` ([`LeafTables::touch`]).  The touch writes nothing and
+/// the segment's tables are fixed, so stepping the block afterwards gives
+/// exactly what stepping each access as it is drawn gives.  The entries
+/// read feed [`std::hint::black_box`], so the reads are not elided.
+fn draw_block<'b, S: AccessSource>(
+    block: &'b mut [Access; LOOKAHEAD],
+    remaining: u64,
+    source: &mut S,
+    leaves: &mut LeafTables<'_>,
+    root: FrameId,
+    ctx: AccessCtx<'_>,
+) -> &'b [Access] {
+    let block = &mut block[..remaining.min(LOOKAHEAD as u64) as usize];
+    for access in block.iter_mut() {
+        *access = source.next_access();
+    }
+    let mut touched = 0;
+    for access in block.iter() {
+        touched ^= leaves.touch(root, ctx.addr(access.offset));
+    }
+    std::hint::black_box(touched);
+    block
+}
+
+/// The leaf-table memo of a proven segment: the 2 MiB regions of the
+/// accessed region up to the largest of the sources' `bounds`.
+fn segment_leaves<'t>(
+    store: &'t PtStore,
+    ctx: AccessCtx<'_>,
+    bounds: impl Iterator<Item = Option<u64>>,
+) -> LeafTables<'t> {
+    let bound = bounds.flatten().max().unwrap_or(0);
+    LeafTables::new(store, VirtAddr::new(ctx.region), bound)
 }
 
 /// The run's socket groups: each distinct socket's thread indices in
@@ -600,9 +665,11 @@ impl WalkStage {
 
 /// Runs the TLB stage of a pipelined segment on the calling thread: every
 /// thread in thread order over the segment's accesses, exactly as the
-/// serial path would, sending each thread's misses to the walk stage in
-/// batches.  Returns early, without error, if the walk stage is gone: it
-/// panicked, and joining it re-raises the panic.
+/// serial path would, drawing and touching each thread's accesses a block
+/// at a time ([`draw_block`]) before stepping them, and sending each
+/// thread's misses to the walk stage in batches.  Returns early, without
+/// error, if the walk stage is gone: it panicked, and joining it re-raises
+/// the panic.
 fn run_tlb_stage<S: AccessSource>(
     segment: &mut ParallelSegment<'_, S>,
     tlbs: &mut [TlbHalf],
@@ -614,6 +681,8 @@ fn run_tlb_stage<S: AccessSource>(
         handoff,
         tlb_stage: true,
     };
+    let (segment_start, run_to) = (segment.segment_start, segment.run_to);
+    let mut block = [NO_ACCESS; LOOKAHEAD];
     let sources = segment.sources.iter_mut();
     for (thread, (source, tlbs)) in sources.zip(tlbs.iter_mut()).enumerate() {
         let totals = &mut segment.totals[thread];
@@ -623,33 +692,35 @@ fn run_tlb_stage<S: AccessSource>(
         let Some(mut misses) = handoff.take_empty() else {
             return Ok(());
         };
-        for index in segment.segment_start..segment.run_to {
-            let access = source.next_access();
-            let stepped = tlb_step(
-                access.offset,
-                access.is_write,
-                tlbs,
-                totals,
-                leaves,
-                phase,
-                ctx,
-                &mut misses,
-            );
-            if let Err(addr) = stepped {
-                return Err(MitosisError::SplitFault {
-                    thread,
-                    access: index,
-                    addr,
-                });
-            }
-            if misses.len() == MISS_BATCH {
-                let Some(next) = handoff.take_empty() else {
-                    return Ok(());
-                };
-                handoff.send(MissBatch {
-                    thread,
-                    misses: std::mem::replace(&mut misses, next),
-                });
+        for start in (segment_start..run_to).step_by(LOOKAHEAD) {
+            let drawn = draw_block(&mut block, run_to - start, source, leaves, phase.cr3, ctx);
+            for (index, access) in (start..).zip(drawn) {
+                let stepped = tlb_step(
+                    access.offset,
+                    access.is_write,
+                    tlbs,
+                    totals,
+                    leaves,
+                    phase,
+                    ctx,
+                    &mut misses,
+                );
+                if let Err(addr) = stepped {
+                    return Err(MitosisError::SplitFault {
+                        thread,
+                        access: index,
+                        addr,
+                    });
+                }
+                if misses.len() == MISS_BATCH {
+                    let Some(next) = handoff.take_empty() else {
+                        return Ok(());
+                    };
+                    handoff.send(MissBatch {
+                        thread,
+                        misses: std::mem::replace(&mut misses, next),
+                    });
+                }
             }
         }
         handoff.send(MissBatch { thread, misses });
@@ -669,17 +740,11 @@ fn run_pipelined<S: AccessSource>(
     pte_caches: &mut PteCacheSet,
     tables: Tables<'_>,
     ctx: AccessCtx<'_>,
-    region: VirtAddr,
     mut segment: ParallelSegment<'_, S>,
 ) -> Result<(), MitosisError> {
     let socket = segment.threads[0].socket;
-    let bound = segment
-        .sources
-        .iter()
-        .filter_map(AccessSource::offset_bound)
-        .max()
-        .unwrap_or(0);
-    let mut leaves = LeafTables::new(tables.store, region, bound);
+    let bounds = segment.sources.iter().map(AccessSource::offset_bound);
+    let mut leaves = segment_leaves(tables.store, ctx, bounds);
     let (mut tlbs, walks): (Vec<TlbHalf>, Vec<WalkHalf>) = std::mem::take(segment.mmus)
         .into_iter()
         .map(Mmu::into_halves)
@@ -1049,6 +1114,14 @@ impl ExecutionEngine {
     ///   owns its half of every MMU ([`Mmu::into_halves`]) and its
     ///   counters, which join when the segment ends.
     ///
+    /// Both schedules draw each thread's accesses in blocks of 16, and
+    /// read the leaf entry of every access in a block
+    /// ([`LeafTables::touch`]) before stepping any of them, so the host's
+    /// cache misses on those entries overlap instead of stalling one step
+    /// each.  A block never crosses the end of a segment or a pause, and
+    /// the read writes nothing, so each access steps exactly as it would
+    /// as soon as it was drawn.
+    ///
     /// Every other segment runs serially on the calling thread, among them
     /// one socket group of several threads
     /// ([`SerialReason::SharedSocket`]).  In every schedule the metrics,
@@ -1256,7 +1329,6 @@ impl ExecutionEngine {
                             &mut self.pte_caches,
                             Tables::of(system.pt_env()),
                             ctx,
-                            region,
                             segment,
                         )?;
                     } else {

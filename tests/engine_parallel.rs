@@ -451,7 +451,10 @@ fn a_forked_region_runs_serially() {
 fn a_source_under_reporting_its_bound_fails_with_a_typed_error() {
     // Only the first half of the region is populated, and each source
     // claims to stay inside it while drawing from the whole region: split
-    // across two sockets, and pipelined on one.
+    // across two sockets, and pipelined on one.  Thread 0 runs first in
+    // either schedule, so the fault names its first access past the half,
+    // found by drawing the same stream again: its own index, whatever
+    // block of accesses the engine drew it in.
     for sockets in [2, 1] {
         let layout = Layout::new(sockets, 1);
         let half = FOOTPRINT / 2;
@@ -476,9 +479,14 @@ fn a_source_under_reporting_its_bound_fails_with_a_typed_error() {
         else {
             panic!("expected a split fault, got {err}");
         };
-        assert!(thread < usize::from(sockets));
-        assert!(access < ACCESSES);
-        assert!(addr.as_u64() >= built.region.as_u64() + half);
+        let mut stream = AccessStream::new(&built.spec, layout.seed);
+        let (first, offset) = (0..ACCESSES)
+            .map(|index| (index, stream.next_access().offset & !0x7))
+            .find(|&(_, offset)| offset >= half)
+            .expect("a uniform stream leaves the first half");
+        assert_eq!(thread, 0);
+        assert_eq!(access, first);
+        assert_eq!(addr, built.region.add(offset));
         assert!(err.to_string().contains("under-reported"));
     }
 }

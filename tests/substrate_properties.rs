@@ -386,6 +386,9 @@ impl ModelLru {
     }
 
     fn insert(&mut self, key: u64, frame: FrameId) {
+        if self.capacity == 0 {
+            return;
+        }
         if let Some(i) = self.entries.iter().position(|&(k, _)| k == key) {
             self.entries.remove(i);
         } else if self.entries.len() == self.capacity {
@@ -571,12 +574,13 @@ proptest! {
     /// `PagingStructureCache` — keyed or scanning ranged eviction — leaves
     /// the same residents in the same recency order as a `retain`-only
     /// model: every later walk start, and so every later eviction, agrees.
+    /// One geometry has a PDE level of zero entries, which keeps nothing.
     #[test]
     fn paging_structure_cache_matches_the_retain_model(
-        geometry in 0usize..2,
+        geometry in 0usize..3,
         ops in prop::collection::vec((0u8..9, 0u64..2, 0u64..3, 0u64..6, 0u64..512), 1..300),
     ) {
-        let (pde, pdpte, pml4e) = [(4, 3, 2), (32, 16, 16)][geometry];
+        let (pde, pdpte, pml4e) = [(4, 3, 2), (32, 16, 16), (0, 3, 2)][geometry];
         let mut pwc = PagingStructureCache::new(pde, pdpte, pml4e);
         let mut model = ModelPwc::new(pde, pdpte, pml4e);
         for (step, &(kind, l4, l3, l2, aux)) in ops.iter().enumerate() {
