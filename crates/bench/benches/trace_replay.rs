@@ -1,4 +1,4 @@
-//! Throughput of live generation vs. trace replay vs. parallel replay.
+//! Throughput of live generation vs. trace replay vs. lane-group replay.
 //!
 //! Live generation pays the access-pattern RNG on every access; replay
 //! reads a pre-captured lane; a [`ReplaySession`] owns the persistent
@@ -85,49 +85,6 @@ fn bench_single(c: &mut Criterion) {
     group.bench_function("decode_from_bytes", |b| {
         let bytes = trace.to_bytes().expect("encode");
         b.iter(|| Trace::from_bytes(&bytes).expect("decode"));
-    });
-    group.finish();
-}
-
-fn bench_batch(c: &mut Criterion) {
-    let params = params();
-    let traces: Vec<Trace> = [
-        suite::gups(),
-        suite::btree(),
-        suite::memcached(),
-        suite::redis(),
-    ]
-    .iter()
-    .map(|spec| {
-        capture_engine_run(spec, &params, &[SocketId::new(0)])
-            .expect("capture")
-            .trace
-    })
-    .collect();
-
-    let mut group = c.benchmark_group("trace_replay/batch4");
-    group
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(300))
-        .measurement_time(Duration::from_secs(3));
-
-    // One warm session for the whole batch family: batch replays never hit
-    // the snapshot cache (each trace differs), but they do reuse the pool.
-    let mut session = ReplaySession::new(&params);
-    group.bench_function("sequential", |b| {
-        b.iter(|| {
-            session
-                .replay_batch(&traces, &ReplayRequest::new())
-                .expect("sequential")
-        });
-    });
-
-    // Fixed worker count: a host-core-derived count would change the bench
-    // id between runners (unbaselinable) and silently degrade to fewer
-    // workers on small hosts.
-    let grouped = ReplayRequest::new().grouped(4);
-    group.bench_function("parallel", |b| {
-        b.iter(|| session.replay_batch(&traces, &grouped).expect("parallel"));
     });
     group.finish();
 }
@@ -511,7 +468,6 @@ fn report_throughput(_c: &mut Criterion) {
 criterion_group!(
     trace_replay,
     bench_single,
-    bench_batch,
     bench_lane_parallel,
     bench_lane_groups,
     bench_lane_groups_snapshot,

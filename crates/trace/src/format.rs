@@ -74,25 +74,24 @@ pub fn checked_socket_u16(index: usize) -> Result<u16, TraceError> {
 ///   lane it is recorded in, so lanes of one trace may legitimately carry
 ///   *different* markers (the pre-v4 invariant was all-lanes-agree).
 ///   Unstaggered events omit the argument.
-/// * 5 — periodic per-lane checkpoint markers for trace salvage: an
-///   *internal* event (code 15, never surfaced as a [`TraceItem`])
-///   carrying `(accesses so far in this lane, running FNV-64 state of
-///   every byte preceding the marker)`.  [`TraceWriter`] emits one every
-///   [`DEFAULT_CHECKPOINT_INTERVAL`] accesses within a lane
-///   (configurable); [`TraceReader`] validates each marker against the
-///   stream it actually read, then swallows it, so decoded traces are
-///   unchanged and small traces carry no markers at all.  The markers
-///   bound the blast radius of corruption or truncation:
-///   [`Trace::recover`] trims a damaged trace to its longest
-///   checkpoint-attested prefix instead of losing everything.
+/// * 5 — periodic per-lane checkpoint markers: an *internal* event (code
+///   15, never surfaced as a [`TraceItem`]) carrying `(accesses so far in
+///   this lane, running FNV-64 state of every byte preceding the
+///   marker)`.  [`TraceWriter`] emits one every 4,096 accesses within a
+///   lane; [`TraceReader`] validates each marker against the stream it
+///   actually read, then swallows it, so decoded traces are unchanged and
+///   small traces carry no markers at all.  A marker that does not match
+///   is a decode error like any other damage.
 /// * 6 — address-space-churn and fork/CoW events: `Fork`, `MmapAt`,
 ///   `MunmapAt`, `PromoteHuge` and `DemoteHuge` (codes 16–20), valid as
 ///   mid-lane phase-change markers.
 ///
 /// Within version 6 the reader has grown stricter about bytes no capture
 /// writes.  Code 10, a free-form positional marker, is no longer read: it
-/// is [`TraceError::UnknownEvent`].  Each code must carry exactly its own
-/// arguments, and the staggered flag only where a change can be staggered.
+/// is [`TraceError::UnknownEvent`].  Each code, the checkpoint marker
+/// included, must carry exactly its own arguments, and the staggered flag
+/// only where a change can be staggered.  A varint whose tenth byte is
+/// above 1 does not fit 64 bits and is [`TraceError::Corrupt`].
 ///
 /// The reader decodes this version only: any other version word is
 /// [`TraceError::UnsupportedVersion`].
@@ -155,12 +154,10 @@ pub(crate) mod event_code {
     pub const DEMOTE_HUGE: u64 = 20;
 }
 
-/// Accesses between two checkpoint markers within a lane, unless
-/// overridden via [`TraceWriter::set_checkpoint_interval`].  Dense enough
-/// that a damaged multi-thousand-access lane salvages most of its prefix,
-/// sparse enough that the marker overhead (~4–12 bytes each) stays under a
-/// fraction of a percent of the encoded stream.
-pub const DEFAULT_CHECKPOINT_INTERVAL: u64 = 4096;
+/// Accesses between two checkpoint markers within a lane.  The markers
+/// (~4–12 bytes each) are part of every capture's bytes, so the interval
+/// is part of the format.
+const CHECKPOINT_INTERVAL: u64 = 4096;
 
 /// Errors produced while encoding or decoding a trace.
 #[derive(Debug)]
@@ -186,6 +183,16 @@ pub enum TraceError {
     /// `u16`.  Raised at *capture* time: encoding it with a silent
     /// `as u16` cast would produce a wrong-but-checksummed fingerprint.
     UnencodableSocket(usize),
+    /// Decoding stopped at byte `offset` of the stream because of `error`.
+    /// Every error [`TraceReader`] and [`Trace::read_from`] return has this
+    /// shape; the encoding side never does.
+    Decode {
+        /// Bytes read from the stream when decoding stopped, the partial
+        /// bytes of a failed read included.
+        offset: u64,
+        /// Why decoding stopped.
+        error: Box<TraceError>,
+    },
 }
 
 impl fmt::Display for TraceError {
@@ -210,17 +217,32 @@ impl fmt::Display for TraceError {
                 "socket index {index} does not fit the trace format's u16 \
                  socket field (capture machine too large to describe)"
             ),
+            TraceError::Decode { offset, error } => {
+                write!(f, "{error} (decoding stopped at byte {offset})")
+            }
         }
     }
 }
 
 impl std::error::Error for TraceError {
     /// Exposes the underlying [`io::Error`] of [`TraceError::Io`] so
-    /// callers can walk the chain (the previous blanket impl dropped it).
+    /// callers can walk the chain.  [`TraceError::Decode`] only adds a
+    /// position, so its source is its error's.
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             TraceError::Io(e) => Some(e),
+            TraceError::Decode { error, .. } => error.source(),
             _ => None,
+        }
+    }
+}
+
+impl TraceError {
+    /// This error, as found at byte `offset` of the stream being decoded.
+    fn at(self, offset: u64) -> TraceError {
+        TraceError::Decode {
+            offset,
+            error: Box::new(self),
         }
     }
 }
@@ -284,15 +306,37 @@ impl<W: Write> HashingWriter<W> {
     }
 }
 
-/// Read half: counts bytes through the checksum.
+/// Read half: counts bytes through the checksum and keeps the offset
+/// decoding has reached.
 struct HashingReader<R: Read> {
     inner: R,
     hash: Fnv64,
+    /// Bytes read from `inner` so far, the partial bytes of a failed read
+    /// included.
+    offset: u64,
 }
 
 impl<R: Read> HashingReader<R> {
+    /// Fills `buf` from the stream, counting every byte read, without
+    /// hashing it (the trailing checksum is not part of what it covers).
+    fn read_unhashed(&mut self, buf: &mut [u8]) -> io::Result<()> {
+        let mut filled = 0;
+        while filled < buf.len() {
+            match self.inner.read(&mut buf[filled..]) {
+                Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+                Ok(n) => {
+                    filled += n;
+                    self.offset += n as u64;
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
+    }
+
     fn read_exact(&mut self, buf: &mut [u8]) -> io::Result<()> {
-        self.inner.read_exact(buf)?;
+        self.read_unhashed(buf)?;
         self.hash.update(buf);
         Ok(())
     }
@@ -309,6 +353,11 @@ impl<R: Read> HashingReader<R> {
             let byte = self.byte()?;
             v |= ((byte & 0x7f) as u64) << shift;
             if byte & 0x80 == 0 {
+                // The tenth byte (shift 63) holds bit 63 alone: the shift
+                // would drop any higher bit.
+                if shift == 63 && byte > 1 {
+                    break;
+                }
                 return Ok(v);
             }
         }
@@ -589,11 +638,7 @@ pub struct TraceWriter<W: Write> {
     prev_offset: u64,
     in_lane: bool,
     total_accesses: u64,
-    /// Accesses between two checkpoint markers within a lane; 0 disables
-    /// marker emission.
-    checkpoint_interval: u64,
     lane_accesses: u64,
-    since_checkpoint: u64,
 }
 
 impl<W: Write> TraceWriter<W> {
@@ -624,19 +669,8 @@ impl<W: Write> TraceWriter<W> {
             prev_offset: 0,
             in_lane: false,
             total_accesses: 0,
-            checkpoint_interval: DEFAULT_CHECKPOINT_INTERVAL,
             lane_accesses: 0,
-            since_checkpoint: 0,
         })
-    }
-
-    /// Overrides how many accesses a lane runs between two checkpoint
-    /// markers (default [`DEFAULT_CHECKPOINT_INTERVAL`]); `0` disables the
-    /// markers entirely.  Denser markers lose less of a damaged trace at
-    /// the cost of a few bytes per marker; the decoded trace is identical
-    /// either way.
-    pub fn set_checkpoint_interval(&mut self, every: u64) {
-        self.checkpoint_interval = every;
     }
 
     /// Records a setup step.  It belongs before the first lane; the writer
@@ -683,7 +717,6 @@ impl<W: Write> TraceWriter<W> {
         self.prev_offset = 0;
         self.in_lane = true;
         self.lane_accesses = 0;
-        self.since_checkpoint = 0;
         Ok(())
     }
 
@@ -702,8 +735,7 @@ impl<W: Write> TraceWriter<W> {
         self.sink.varint((payload << 2) | TAG_ACCESS)?;
         self.total_accesses += 1;
         self.lane_accesses += 1;
-        self.since_checkpoint += 1;
-        if self.checkpoint_interval != 0 && self.since_checkpoint >= self.checkpoint_interval {
+        if self.lane_accesses.is_multiple_of(CHECKPOINT_INTERVAL) {
             self.write_checkpoint()?;
         }
         Ok(())
@@ -715,9 +747,7 @@ impl<W: Write> TraceWriter<W> {
     /// matching marker attests every byte up to itself.
     fn write_checkpoint(&mut self) -> Result<(), TraceError> {
         let hash = self.sink.hash.0;
-        self.event(event_code::CHECKPOINT, &[self.lane_accesses, hash])?;
-        self.since_checkpoint = 0;
-        Ok(())
+        self.event(event_code::CHECKPOINT, &[self.lane_accesses, hash])
     }
 
     /// Terminates the trace, writing the end marker and checksum, and
@@ -757,26 +787,14 @@ pub enum TraceItem {
     End,
 }
 
-/// A checkpoint marker that validated while reading: every byte up to the
-/// marker — header, events, lane starts, the first `lane_accesses` accesses
-/// of lane `lane` — matched the hash the writer recorded, so that prefix is
-/// trustworthy even if the stream fails later.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceCheckpoint {
-    /// Index of the lane the marker was recorded in (0-based).
-    pub lane: usize,
-    /// Accesses of that lane preceding the marker.
-    pub lane_accesses: u64,
-}
-
 /// Streaming trace decoder.
 ///
 /// Wrap the source in a `BufReader` for file input; bytes are consumed
 /// record by record and the checksum is verified when [`TraceItem::End`] is
 /// reached.  Format-v5 checkpoint markers are validated against the bytes
-/// actually read and swallowed (never surfaced as a [`TraceItem`]); the
-/// last one that validated is available via
-/// [`TraceReader::last_checkpoint`] for salvage after a decode error.
+/// actually read and swallowed (never surfaced as a [`TraceItem`]).  Every
+/// error is a [`TraceError::Decode`] naming the byte offset where decoding
+/// stopped.
 pub struct TraceReader<R: Read> {
     source: HashingReader<R>,
     meta: TraceMeta,
@@ -787,7 +805,6 @@ pub struct TraceReader<R: Read> {
     lanes_seen: usize,
     /// Accesses decoded in the current lane.
     lane_accesses: u64,
-    last_checkpoint: Option<TraceCheckpoint>,
 }
 
 impl<R: Read> TraceReader<R> {
@@ -795,12 +812,30 @@ impl<R: Read> TraceReader<R> {
     ///
     /// # Errors
     ///
-    /// Fails on I/O errors, a bad magic or an unsupported version.
+    /// Fails on I/O errors, a bad magic or an unsupported version, as a
+    /// [`TraceError::Decode`] naming the byte offset where decoding
+    /// stopped.
     pub fn new(source: R) -> Result<Self, TraceError> {
         let mut source = HashingReader {
             inner: source,
             hash: Fnv64::new(),
+            offset: 0,
         };
+        match Self::read_meta(&mut source) {
+            Ok(meta) => Ok(TraceReader {
+                source,
+                meta,
+                prev_offset: 0,
+                accesses_seen: 0,
+                finished: false,
+                lanes_seen: 0,
+                lane_accesses: 0,
+            }),
+            Err(error) => Err(error.at(source.offset)),
+        }
+    }
+
+    fn read_meta(source: &mut HashingReader<R>) -> Result<TraceMeta, TraceError> {
         let mut magic = [0u8; 4];
         source.read_exact(&mut magic)?;
         if magic != TRACE_MAGIC {
@@ -831,23 +866,14 @@ impl<R: Read> TraceReader<R> {
                 .map_err(|_| TraceError::Corrupt("socket count overflows u16"))?,
             frames_per_socket: source.varint()?,
         };
-        Ok(TraceReader {
-            source,
-            meta: TraceMeta {
-                workload,
-                footprint,
-                seed,
-                write_fraction,
-                compute_cycles_per_access,
-                bandwidth_intensity,
-                machine,
-            },
-            prev_offset: 0,
-            accesses_seen: 0,
-            finished: false,
-            lanes_seen: 0,
-            lane_accesses: 0,
-            last_checkpoint: None,
+        Ok(TraceMeta {
+            workload,
+            footprint,
+            seed,
+            write_fraction,
+            compute_cycles_per_access,
+            bandwidth_intensity,
+            machine,
         })
     }
 
@@ -856,20 +882,20 @@ impl<R: Read> TraceReader<R> {
         &self.meta
     }
 
-    /// The most recent checkpoint marker that validated, if any.  After a
-    /// decode error this names the longest prefix of the stream attested by
-    /// the writer's running hash — the basis of [`Trace::recover`].
-    pub fn last_checkpoint(&self) -> Option<TraceCheckpoint> {
-        self.last_checkpoint
-    }
-
     /// Decodes the next item; [`TraceItem::End`] is returned exactly once,
     /// after which further calls fail.
     ///
     /// # Errors
     ///
-    /// Fails on I/O errors, corrupt records or a checksum mismatch.
+    /// Fails on I/O errors, corrupt records or a checksum mismatch, as a
+    /// [`TraceError::Decode`] naming the byte offset where decoding
+    /// stopped.
     pub fn next_item(&mut self) -> Result<TraceItem, TraceError> {
+        self.decode_item()
+            .map_err(|error| error.at(self.source.offset))
+    }
+
+    fn decode_item(&mut self) -> Result<TraceItem, TraceError> {
         if self.finished {
             return Err(TraceError::Corrupt("read past end of trace"));
         }
@@ -922,7 +948,7 @@ impl<R: Read> TraceReader<R> {
                     }
                     let computed = self.source.hash.0;
                     let mut stored = [0u8; 8];
-                    self.source.inner.read_exact(&mut stored)?;
+                    self.source.read_unhashed(&mut stored)?;
                     let stored = u64::from_le_bytes(stored);
                     if stored != computed {
                         return Err(TraceError::ChecksumMismatch { stored, computed });
@@ -965,9 +991,11 @@ impl<R: Read> TraceReader<R> {
                 "checkpoint marker before the first lane",
             ));
         }
-        let (Some(&count), Some(&stored)) = (args.first(), args.get(1)) else {
+        // Like every event code, the marker carries exactly its own
+        // arguments: the lane's access count and the running hash.
+        let &[count, stored] = args else {
             return Err(TraceError::Corrupt(
-                "checkpoint marker is missing arguments",
+                "checkpoint marker must carry exactly two arguments",
             ));
         };
         if count != self.lane_accesses {
@@ -981,10 +1009,6 @@ impl<R: Read> TraceReader<R> {
                 computed: stream_hash,
             });
         }
-        self.last_checkpoint = Some(TraceCheckpoint {
-            lane: self.lanes_seen - 1,
-            lane_accesses: count,
-        });
         Ok(())
     }
 }
@@ -1084,12 +1108,18 @@ impl Trace {
     /// # Errors
     ///
     /// Fails on I/O errors, corrupt or truncated data, an unsupported
-    /// version or a checksum mismatch.
+    /// version or a checksum mismatch, as a [`TraceError::Decode`] naming
+    /// the byte offset where decoding stopped.
     pub fn read_from<R: Read>(source: R) -> Result<Trace, TraceError> {
         let mut reader = TraceReader::new(source)?;
         let mut trace = Trace::empty(reader.meta());
-        while !trace.absorb(reader.next_item()?)? {}
-        Ok(trace)
+        loop {
+            match trace.absorb(reader.next_item()?) {
+                Ok(false) => {}
+                Ok(true) => return Ok(trace),
+                Err(error) => return Err(error.at(reader.source.offset)),
+            }
+        }
     }
 
     fn empty(meta: &TraceMeta) -> Trace {
@@ -1138,94 +1168,6 @@ impl Trace {
     pub fn from_bytes(bytes: &[u8]) -> Result<Trace, TraceError> {
         Trace::read_from(bytes)
     }
-
-    /// Salvages a damaged trace: decodes as far as the stream allows, then
-    /// trims to the longest prefix attested by a validated checkpoint
-    /// marker (format v5).
-    ///
-    /// The result keeps the lanes up to and including the checkpoint's
-    /// lane, each trimmed to the checkpoint's access count (mid-lane
-    /// markers past the cut are dropped with it).  Trimming *every* kept
-    /// lane to the same count preserves the equal-lane-length and
-    /// marker-agreement invariants replay requires, so the salvaged trace
-    /// replays like any intact trace — it is simply a shorter run.
-    /// Anything decoded beyond the last checkpoint is discarded even if it
-    /// looked plausible: only hash-attested data is trusted.
-    ///
-    /// An intact stream salvages losslessly (`lost_accesses == 0`).
-    ///
-    /// # Errors
-    ///
-    /// Returns the original decode error when nothing is attested: a
-    /// damaged header, or damage before the first checkpoint.
-    pub fn recover<R: Read>(source: R) -> Result<SalvagedTrace, TraceError> {
-        let mut reader = TraceReader::new(source)?;
-        let mut trace = Trace::empty(reader.meta());
-        let damage = loop {
-            match reader.next_item().and_then(|item| trace.absorb(item)) {
-                Ok(false) => {}
-                Ok(true) => {
-                    // Intact after all: nothing to trim, nothing lost.
-                    return Ok(SalvagedTrace {
-                        valid_accesses: trace.accesses(),
-                        trace,
-                        lost_accesses: 0,
-                        damage: None,
-                    });
-                }
-                Err(error) => break error,
-            }
-        };
-        let decoded_accesses = trace.accesses();
-        let Some(checkpoint) = reader.last_checkpoint() else {
-            return Err(damage);
-        };
-        let keep = checkpoint.lane_accesses;
-        trace.lanes.truncate(checkpoint.lane + 1);
-        let Ok(keep_len) = usize::try_from(keep) else {
-            return Err(damage);
-        };
-        if trace
-            .lanes
-            .iter()
-            .any(|lane| lane.accesses.len() < keep_len)
-        {
-            // A validated checkpoint promises `keep` accesses in its own
-            // lane and full earlier lanes; a shorter lane means the stream
-            // lied about its own structure — don't trust any of it.
-            return Err(damage);
-        }
-        let mut valid_accesses = 0u64;
-        for lane in &mut trace.lanes {
-            lane.accesses.truncate(keep_len);
-            lane.events.retain(|&(pos, ..)| pos <= keep);
-            valid_accesses += lane.accesses.len() as u64;
-        }
-        Ok(SalvagedTrace {
-            trace,
-            valid_accesses,
-            lost_accesses: decoded_accesses - valid_accesses,
-            damage: Some(damage),
-        })
-    }
-}
-
-/// A trace recovered from damaged bytes by [`Trace::recover`]: the longest
-/// checkpoint-attested prefix, trimmed so it replays like an intact (but
-/// shorter) capture.
-#[derive(Debug)]
-pub struct SalvagedTrace {
-    /// The recovered trace.
-    pub trace: Trace,
-    /// Accesses retained across all lanes.
-    pub valid_accesses: u64,
-    /// Accesses decoded from the damaged stream but dropped because no
-    /// checkpoint attested them (whatever the damage destroyed outright is
-    /// not decodable and not counted).
-    pub lost_accesses: u64,
-    /// The decode error that forced the salvage; `None` when the stream
-    /// turned out to be intact.
-    pub damage: Option<TraceError>,
 }
 
 #[cfg(test)]
@@ -1436,9 +1378,17 @@ mod tests {
         writer.finish().unwrap()
     }
 
-    fn corrupt(bytes: &[u8]) -> &'static str {
+    /// The error decoding `bytes` stopped with, without its position.
+    fn decode_error(bytes: &[u8]) -> TraceError {
         match Trace::from_bytes(bytes) {
-            Err(TraceError::Corrupt(what)) => what,
+            Err(TraceError::Decode { error, .. }) => *error,
+            other => panic!("expected a decode error, got {other:?}"),
+        }
+    }
+
+    fn corrupt(bytes: &[u8]) -> &'static str {
+        match decode_error(bytes) {
+            TraceError::Corrupt(what) => what,
             other => panic!("expected a corrupt trace, got {other:?}"),
         }
     }
@@ -1499,10 +1449,7 @@ mod tests {
     #[test]
     fn code_10_the_old_free_form_marker_is_an_unknown_event() {
         let bytes = with_raw_events(None, Some((10, &[42])));
-        assert!(matches!(
-            Trace::from_bytes(&bytes),
-            Err(TraceError::UnknownEvent(10))
-        ));
+        assert!(matches!(decode_error(&bytes), TraceError::UnknownEvent(10)));
     }
 
     #[test]
@@ -1526,131 +1473,89 @@ mod tests {
 
     #[test]
     fn checkpoint_markers_are_transparent_to_decoding() {
-        // A lane long enough to carry markers must round-trip unchanged:
-        // the reader validates and swallows every marker.
+        // The writer emits a marker after every 4,096th access of a lane;
+        // the reader validates and swallows each, so lanes that carry
+        // markers round-trip unchanged.
+        let encoded_len = |accesses: usize| {
+            let trace = Trace {
+                meta: meta(),
+                setup_events: vec![],
+                lanes: vec![lane_of(accesses)],
+            };
+            let bytes = trace.to_bytes().unwrap();
+            assert_eq!(Trace::from_bytes(&bytes).unwrap(), trace);
+            bytes.len()
+        };
+        // Access 4,096 costs at most two bytes; its marker (tag, argument
+        // count, lane count and running hash) at least ten more.
+        assert!(encoded_len(4096) > encoded_len(4095) + 10);
         let trace = Trace {
             meta: meta(),
             setup_events: vec![SetupStep::CreateProcess(socket(0))],
-            lanes: vec![lane_of(300), lane_of(300)],
+            lanes: vec![lane_of(9000), lane_of(9000)],
         };
-        let mut writer = TraceWriter::new(Vec::new(), &trace.meta).unwrap();
-        writer.set_checkpoint_interval(64);
-        // Re-encode by hand with a dense interval (the public write path
-        // uses the default, too sparse to trigger on a 300-access lane).
-        for &step in &trace.setup_events {
-            writer.setup_step(step).unwrap();
-        }
-        for lane in &trace.lanes {
-            writer.begin_lane(lane.socket).unwrap();
-            for access in &lane.accesses {
-                writer.access(*access).unwrap();
-            }
-        }
-        let with_markers = writer.finish().unwrap();
-        let plain = {
-            let mut writer = TraceWriter::new(Vec::new(), &trace.meta).unwrap();
-            writer.set_checkpoint_interval(0);
-            for &step in &trace.setup_events {
-                writer.setup_step(step).unwrap();
-            }
-            for lane in &trace.lanes {
-                writer.begin_lane(lane.socket).unwrap();
-                for access in &lane.accesses {
-                    writer.access(*access).unwrap();
-                }
-            }
+        assert_eq!(
+            Trace::from_bytes(&trace.to_bytes().unwrap()).unwrap(),
+            trace
+        );
+    }
+
+    #[test]
+    fn a_checkpoint_marker_takes_exactly_its_two_arguments() {
+        // A marker after the first access with the true count and running
+        // hash, and `extra` appended.
+        let marked = |extra: &[u64]| {
+            let mut writer = TraceWriter::new(Vec::new(), &meta()).unwrap();
+            writer.begin_lane(0).unwrap();
+            let access = Access {
+                offset: 0,
+                is_write: false,
+            };
+            writer.access(access).unwrap();
+            let mut args = vec![1, writer.sink.hash.0];
+            args.extend_from_slice(extra);
+            writer.event(event_code::CHECKPOINT, &args).unwrap();
+            writer.access(access).unwrap();
             writer.finish().unwrap()
         };
-        assert!(
-            with_markers.len() > plain.len(),
-            "expected checkpoint markers on the wire"
-        );
-        assert_eq!(Trace::from_bytes(&with_markers).unwrap(), trace);
-        assert_eq!(Trace::from_bytes(&plain).unwrap(), trace);
-
-        // And the reader tracked the last marker of the second lane.
-        let mut reader = TraceReader::new(with_markers.as_slice()).unwrap();
-        while !matches!(reader.next_item().unwrap(), TraceItem::End) {}
+        assert_eq!(Trace::from_bytes(&marked(&[])).unwrap().accesses(), 2);
         assert_eq!(
-            reader.last_checkpoint(),
-            Some(TraceCheckpoint {
-                lane: 1,
-                lane_accesses: 256,
-            })
+            corrupt(&marked(&[7])),
+            "checkpoint marker must carry exactly two arguments"
         );
     }
 
-    fn encode_with_interval(trace: &Trace, every: u64) -> Vec<u8> {
-        let mut writer = TraceWriter::new(Vec::new(), &trace.meta).unwrap();
-        writer.set_checkpoint_interval(every);
-        for &step in &trace.setup_events {
-            writer.setup_step(step).unwrap();
-        }
-        for lane in &trace.lanes {
-            writer.begin_lane(lane.socket).unwrap();
-            for access in &lane.accesses {
-                writer.access(*access).unwrap();
+    #[test]
+    fn an_overlong_varint_is_corrupt_even_under_a_matching_checksum() {
+        // Lane tag 0b110 (socket 1) as ten bytes whose tenth is 2: bit 64
+        // of the value, which a u64 cannot hold.  The writer hashes the raw
+        // bytes, so the trailing checksum matches them.
+        let overlong = [0x86, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02];
+        let mut writer = TraceWriter::new(Vec::new(), &meta()).unwrap();
+        let header_len = writer.sink.inner.len();
+        writer.sink.write_all(&overlong).unwrap();
+        let bytes = writer.finish().unwrap();
+        match Trace::from_bytes(&bytes) {
+            Err(TraceError::Decode { offset, error }) => {
+                assert!(
+                    matches!(*error, TraceError::Corrupt("varint longer than 64 bits")),
+                    "{error}"
+                );
+                assert_eq!(offset, (header_len + overlong.len()) as u64);
             }
+            other => panic!("an overlong varint must be corrupt, got {other:?}"),
         }
-        writer.finish().unwrap()
-    }
-
-    #[test]
-    fn recover_trims_to_the_last_attested_checkpoint() {
-        let trace = Trace {
-            meta: meta(),
-            setup_events: vec![SetupStep::CreateProcess(socket(0))],
-            lanes: vec![lane_of(300), lane_of(300)],
-        };
-        let good = encode_with_interval(&trace, 64);
-
-        // Truncation mid-stream: the salvage keeps both lanes, trimmed to
-        // the last checkpoint that fit in the remaining bytes.
-        let truncated = &good[..good.len() - 20];
-        assert!(Trace::from_bytes(truncated).is_err());
-        let salvaged = Trace::recover(truncated).unwrap();
-        assert_eq!(salvaged.trace.lanes.len(), 2);
-        assert_eq!(salvaged.trace.lanes[0].accesses.len(), 256);
-        assert_eq!(salvaged.trace.lanes[1].accesses.len(), 256);
-        assert_eq!(salvaged.valid_accesses, 512);
-        assert!(salvaged.damage.is_some());
-        assert_eq!(
-            salvaged.trace.lanes[0].accesses[..],
-            trace.lanes[0].accesses[..256],
-            "salvaged prefix must be the original data"
-        );
-        // The salvaged trace is a valid trace in its own right.
-        let reencoded = salvaged.trace.to_bytes().unwrap();
-        assert_eq!(Trace::from_bytes(&reencoded).unwrap(), salvaged.trace);
-
-        // A corrupted byte late in the stream: same salvage.
-        let mut corrupt = good.clone();
-        let position = good.len() - 30;
-        corrupt[position] ^= 0x55;
-        assert!(Trace::from_bytes(&corrupt).is_err());
-        let salvaged = Trace::recover(corrupt.as_slice()).unwrap();
-        assert_eq!(salvaged.trace.lanes[1].accesses.len(), 256);
-
-        // An intact stream salvages losslessly.
-        let intact = Trace::recover(good.as_slice()).unwrap();
-        assert_eq!(intact.trace, trace);
-        assert_eq!(intact.lost_accesses, 0);
-        assert!(intact.damage.is_none());
-    }
-
-    #[test]
-    fn recover_without_an_attested_prefix_returns_the_error() {
-        let trace = Trace {
-            meta: meta(),
-            setup_events: vec![],
-            lanes: vec![lane_of(40)],
-        };
-        // No markers (lane shorter than the interval): nothing to salvage.
-        let good = encode_with_interval(&trace, 64);
-        let truncated = &good[..good.len() - 10];
-        assert!(Trace::recover(truncated).is_err());
-        // Damaged header: not even the meta is trustworthy.
-        assert!(Trace::recover(&good[..6]).is_err());
+        // Tenth bytes 0 and 1 are the values that fit.
+        for last in [0x00, 0x01] {
+            let mut bytes = overlong;
+            bytes[9] = last;
+            let mut source = HashingReader {
+                inner: &bytes[..],
+                hash: Fnv64::new(),
+                offset: 0,
+            };
+            assert_eq!(source.varint().unwrap(), 6 | u64::from(last) << 63);
+        }
     }
 
     #[test]
@@ -1661,6 +1566,12 @@ mod tests {
         let source = err.source().expect("Io carries a source");
         assert!(source.to_string().contains("short read"));
         assert!(TraceError::BadMagic.source().is_none());
+        // A position adds no link to the chain.
+        let located = err.at(12);
+        let source = located.source().expect("Decode keeps its error's source");
+        assert!(source.to_string().contains("short read"));
+        assert!(located.to_string().contains("at byte 12"), "{located}");
+        assert!(TraceError::BadMagic.at(4).source().is_none());
     }
 
     #[test]
@@ -1731,10 +1642,12 @@ mod tests {
 
     #[test]
     fn header_validation_rejects_garbage() {
-        assert!(matches!(
-            Trace::from_bytes(b"NOPE"),
-            Err(TraceError::BadMagic) | Err(TraceError::Io(_))
-        ));
+        let located = |bytes: &[u8]| match Trace::from_bytes(bytes) {
+            Err(TraceError::Decode { offset, error }) => (offset, *error),
+            other => panic!("expected a decode error, got {other:?}"),
+        };
+        assert!(matches!(located(b"NOPE"), (4, TraceError::BadMagic)));
+        assert!(matches!(located(b"MT"), (2, TraceError::Io(_))));
         let mut future = Trace {
             meta: meta(),
             setup_events: vec![],
@@ -1744,8 +1657,8 @@ mod tests {
         .unwrap();
         future[4] = 99; // bump version
         assert!(matches!(
-            Trace::from_bytes(&future),
-            Err(TraceError::UnsupportedVersion(99))
+            located(&future),
+            (8, TraceError::UnsupportedVersion(99))
         ));
         // Older version words are refused too: the reader decodes exactly
         // the current format.
@@ -1754,8 +1667,8 @@ mod tests {
             old[4..8].copy_from_slice(&version.to_le_bytes());
             assert!(
                 matches!(
-                    Trace::from_bytes(&old),
-                    Err(TraceError::UnsupportedVersion(v)) if v == version
+                    decode_error(&old),
+                    TraceError::UnsupportedVersion(v) if v == version
                 ),
                 "version {version} must be unsupported"
             );

@@ -24,14 +24,18 @@
 //!   executes builder-style [`ReplayRequest`]s — serial, lane-selected, or
 //!   sharded as per-socket lane groups across a **persistent worker pool**
 //!   — with a snapshot cache making repeated and grouped replays cheaper
-//!   than one-shot serial replay, bit-identically.  A grouped or batch
-//!   call returns serial replay's metrics or a typed [`ReplayError`]: the
-//!   first failed unit, in unit order, with a panic caught as
-//!   [`ReplayError::Panic`] naming the unit;
+//!   than one-shot serial replay, bit-identically.  A grouped call returns
+//!   serial replay's metrics or a typed [`ReplayError`]: the first failed
+//!   lane group, in group order, with a panic caught as
+//!   [`ReplayError::Panic`] naming the group;
 //! * [`parallel`] holds the report types ([`LaneReplayReport`],
-//!   [`ReplayReport`], [`ShardDecision`]) and the shardability analysis;
-//! * [`faultinject`] makes decode faults and lane-group panics and delays
-//!   reproducible from a seed, for the resilience tests.
+//!   [`ShardDecision`]) and the shardability analysis;
+//! * [`faultinject`] makes lane-group panics and delays reproducible from
+//!   a seed, for the resilience tests.
+//!
+//! Bad bytes are an error, never a salvaged prefix: every decode failure
+//! is a [`TraceError::Decode`] naming the byte offset where decoding
+//! stopped.
 //!
 //! [`SetupStep`]: mitosis_sim::SetupStep
 //! [`PhaseChange`]: mitosis_sim::PhaseChange
@@ -82,15 +86,14 @@ pub use capture::{
     capture_engine_run, capture_engine_run_dynamic, capture_migration_scenario,
     capture_multisocket_scenario, capture_stream, CapturedRun, RecordingSource,
 };
-pub use faultinject::{FaultPlan, FaultyReader};
+pub use faultinject::FaultPlan;
 pub use format::{
-    checked_socket_u16, MachineFingerprint, SalvagedTrace, Trace, TraceCheckpoint, TraceError,
-    TraceItem, TraceLane, TraceMeta, TraceReader, TraceWriter, DEFAULT_CHECKPOINT_INTERVAL,
-    TRACE_MAGIC, TRACE_VERSION,
+    checked_socket_u16, MachineFingerprint, Trace, TraceError, TraceItem, TraceLane, TraceMeta,
+    TraceReader, TraceWriter, TRACE_MAGIC, TRACE_VERSION,
 };
-pub use parallel::{LaneReplayReport, ReplayAggregate, ReplayReport, ShardDecision};
+pub use parallel::{LaneReplayReport, ShardDecision};
 pub use replay::{
-    prepare_replay, LaneCursor, MachineMismatch, ReplayCompleteness, ReplayError, ReplayOptions,
-    ReplayOutcome, ReplaySnapshot, TraceReplayer,
+    prepare_replay, LaneCursor, MachineMismatch, ReplayError, ReplayOptions, ReplayOutcome,
+    ReplaySnapshot, TraceReplayer,
 };
 pub use session::{ReplayMode, ReplayRequest, ReplaySession};

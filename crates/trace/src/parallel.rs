@@ -1,16 +1,7 @@
-//! Report and decision types of parallel trace replay, and the up-front
+//! Report and decision types of grouped trace replay, and the up-front
 //! shardability analysis [`ReplaySession`] runs before sharding.
 //!
-//! Each trace in a batch describes one captured process (workload), and
-//! replaying it is embarrassingly parallel: every replay builds its own
-//! fresh [`System`](mitosis_vmm::System) and
-//! [`ExecutionEngine`](mitosis_sim::ExecutionEngine) — hence
-//! its own per-core MMU models, page tables and allocator — so N traces
-//! shard cleanly across worker threads with no shared mutable state.  The
-//! per-trace metrics are bit-identical to sequential replay (and to the
-//! live runs); only wall-clock time changes.
-//!
-//! Lane-granular replay shards *within* one trace, at the granularity of
+//! Grouped replay shards *within* one trace, at the granularity of
 //! **per-socket lane groups**: lanes are partitioned by the socket their
 //! thread ran on, each group replays its lanes in lane order against its
 //! own clone of a single prepared-system snapshot (the setup events are
@@ -33,132 +24,17 @@
 //! `MitosisError::SplitFault`: the proof was wrong.
 //!
 //! The driver itself lives in [`ReplaySession`] (persistent worker pool,
-//! snapshot cache).
+//! snapshot cache).  A caller with many traces replays them one
+//! [`ReplaySession::replay`] call at a time.
 //!
 //! [`ReplaySession`]: crate::ReplaySession
+//! [`ReplaySession::replay`]: crate::ReplaySession::replay
 
 use crate::format::Trace;
 use crate::replay::ReplayOutcome;
-use mitosis_sim::{RunMetrics, SetupStep};
+use mitosis_sim::SetupStep;
 use std::fmt;
 use std::time::Duration;
-
-/// Cross-trace aggregate of a batch replay.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ReplayAggregate {
-    /// Number of traces replayed.
-    pub traces: usize,
-    /// Total accesses replayed across all traces and threads.
-    pub accesses: u64,
-    /// Sum of per-trace runtimes (total simulated work).
-    pub total_cycles_sum: u64,
-    /// Slowest per-trace runtime (simulated makespan if the simulated
-    /// processes ran concurrently on disjoint machines).
-    pub total_cycles_max: u64,
-    /// Summed translation cycles.
-    pub translation_cycles: u64,
-    /// Summed demand faults taken during the measured phases.
-    pub demand_faults: u64,
-}
-
-impl ReplayAggregate {
-    fn absorb(&mut self, metrics: &RunMetrics) {
-        self.traces += 1;
-        self.accesses += metrics.accesses;
-        self.total_cycles_sum += metrics.total_cycles;
-        self.total_cycles_max = self.total_cycles_max.max(metrics.total_cycles);
-        self.translation_cycles += metrics.translation_cycles;
-        self.demand_faults += metrics.demand_faults;
-    }
-}
-
-/// Result of replaying a batch of traces
-/// ([`ReplaySession::replay_batch`](crate::ReplaySession::replay_batch)).
-#[derive(Debug, Clone)]
-pub struct ReplayReport {
-    /// Per-trace outcomes, in input order.
-    pub outcomes: Vec<ReplayOutcome>,
-    /// Cross-trace aggregate.
-    pub aggregate: ReplayAggregate,
-    /// Wall-clock time the batch took on the host, setup included.
-    pub wall: Duration,
-    /// Summed host time the per-trace setup reconstructions took.  For the
-    /// parallel driver the phases of different traces overlap, so this is
-    /// aggregate worker time, not elapsed time — it can exceed `wall`.
-    pub setup_wall: Duration,
-    /// Summed host time of the measured phases alone (same aggregation
-    /// caveat as `setup_wall`).
-    pub measured_wall: Duration,
-}
-
-impl ReplayReport {
-    /// Replayed accesses per host second of total elapsed time — the
-    /// headline number the parallel driver improves (it includes setup, so
-    /// sharding setup across workers shows up here).
-    pub fn accesses_per_second(&self) -> f64 {
-        if self.wall.is_zero() {
-            return 0.0;
-        }
-        self.aggregate.accesses as f64 / self.wall.as_secs_f64()
-    }
-
-    /// Measured-phase replay rate: accesses per host second of
-    /// measured-phase time, *excluding* setup reconstruction.  This is the
-    /// number to compare against live-run engine throughput — folding the
-    /// setup in (as the old single `wall` did) understates it.
-    pub fn throughput(&self) -> f64 {
-        if self.measured_wall.is_zero() {
-            return 0.0;
-        }
-        self.aggregate.accesses as f64 / self.measured_wall.as_secs_f64()
-    }
-
-    /// The one-line human-readable summary ([`ReplayReport`] also
-    /// implements [`std::fmt::Display`] with the same text).
-    pub fn summary(&self) -> String {
-        self.to_string()
-    }
-
-    /// The report of a batch whose traces replayed to `outcomes`, in input
-    /// order, in `wall` of host time.
-    pub(crate) fn of_outcomes(outcomes: Vec<ReplayOutcome>, wall: Duration) -> ReplayReport {
-        let mut aggregate = ReplayAggregate::default();
-        let mut setup_wall = Duration::ZERO;
-        let mut measured_wall = Duration::ZERO;
-        for outcome in &outcomes {
-            aggregate.absorb(&outcome.metrics);
-            setup_wall += outcome.setup_wall;
-            measured_wall += outcome.measured_wall;
-        }
-        ReplayReport {
-            outcomes,
-            aggregate,
-            wall,
-            setup_wall,
-            measured_wall,
-        }
-    }
-}
-
-impl fmt::Display for ReplayReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} trace(s), {} accesses in {:.1} ms ({:.2} M accesses/s) | \
-             setup {:.1} ms, measured {:.1} ms (measured-phase rate {:.2} M accesses/s) | \
-             slowest trace {} cycles, {} demand faults",
-            self.aggregate.traces,
-            self.aggregate.accesses,
-            self.wall.as_secs_f64() * 1e3,
-            self.accesses_per_second() / 1e6,
-            self.setup_wall.as_secs_f64() * 1e3,
-            self.measured_wall.as_secs_f64() * 1e3,
-            self.throughput() / 1e6,
-            self.aggregate.total_cycles_max,
-            self.aggregate.demand_faults,
-        )
-    }
-}
 
 /// Why a lane-granular replay did — or did not — shard a trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -360,65 +236,17 @@ pub(crate) fn lanes_fully_premapped(trace: &Trace) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::capture::capture_engine_run;
-    use crate::session::{socket_groups, ReplayRequest, ReplaySession};
+    use crate::session::socket_groups;
     use mitosis_numa::{NodeMask, SocketId};
     use mitosis_pt::VirtAddr;
-    use mitosis_sim::{PhaseChange, SimParams};
-    use mitosis_workloads::{suite, Access, InitPattern};
+    use mitosis_sim::PhaseChange;
+    use mitosis_workloads::{Access, InitPattern};
 
     /// All-lane per-socket grouping, as the old standalone `lane_groups`
     /// helper computed it (now a selection-aware session internal).
     fn lane_groups(trace: &Trace) -> Vec<Vec<usize>> {
         let all: Vec<usize> = (0..trace.lanes.len()).collect();
         socket_groups(trace, &all)
-    }
-
-    fn small_traces(n: usize) -> (Vec<Trace>, SimParams) {
-        let params = SimParams::quick_test().with_accesses(300);
-        let traces = (0..n)
-            .map(|i| {
-                let spec = if i % 2 == 0 {
-                    suite::gups()
-                } else {
-                    suite::btree()
-                };
-                let socket = crate::format::checked_socket_u16(i % 4).expect("socket fits u16");
-                capture_engine_run(&spec, &params, &[SocketId::new(socket)])
-                    .unwrap()
-                    .trace
-            })
-            .collect();
-        (traces, params)
-    }
-
-    #[test]
-    fn parallel_matches_sequential_per_trace() {
-        let (traces, params) = small_traces(5);
-        let mut session = ReplaySession::new(&params);
-        let sequential = session
-            .replay_batch(&traces, &ReplayRequest::new())
-            .unwrap();
-        let parallel = session
-            .replay_batch(&traces, &ReplayRequest::new().grouped(4))
-            .unwrap();
-        assert_eq!(sequential.outcomes.len(), 5);
-        for (s, p) in sequential.outcomes.iter().zip(&parallel.outcomes) {
-            assert_eq!(s.metrics, p.metrics);
-        }
-        assert_eq!(sequential.aggregate, parallel.aggregate);
-        assert_eq!(parallel.aggregate.traces, 5);
-        assert_eq!(parallel.aggregate.accesses, 5 * 300);
-    }
-
-    #[test]
-    fn worker_count_is_clamped_to_the_batch() {
-        let (traces, params) = small_traces(2);
-        let report = ReplaySession::new(&params)
-            .replay_batch(&traces, &ReplayRequest::new().grouped(64))
-            .unwrap();
-        assert_eq!(report.aggregate.traces, 2);
-        assert!(report.accesses_per_second() > 0.0);
     }
 
     fn synthetic_trace(fingerprint_sockets: u16, lane_sockets: &[u16]) -> Trace {

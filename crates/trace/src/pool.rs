@@ -7,10 +7,10 @@
 //! warm across jobs: a replay dispatched to a warm pool pays neither thread
 //! spawn nor engine construction.
 //!
-//! [`ReplayPool::run`] is the one fan-out: it runs N indexed jobs under one
-//! `catch_unwind` and returns their results in job order.  A job that
-//! panics yields [`ReplayError::Panic`] for its own index; the worker
-//! survives and keeps serving jobs, and the other jobs' results are
+//! [`ReplayPool::run`] is the one fan-out: it runs one job per lane group
+//! under one `catch_unwind` and returns their results in group order.  A
+//! job that panics yields [`ReplayError::Panic`] for its own group; the
+//! worker survives and keeps serving jobs, and the other jobs' results are
 //! untouched.  Jobs share one closure over `Arc`-held state (the crate
 //! forbids `unsafe`, so there are no borrowed scoped jobs).
 
@@ -29,8 +29,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
-/// A queued job: one index of a [`ReplayPool::run`] fan-out, run with the
-/// worker's persistent [`TraceReplayer`].
+/// A queued job: one lane group of a [`ReplayPool::run`] fan-out, run with
+/// the worker's persistent [`TraceReplayer`].
 type PoolJob = Box<dyn FnOnce(&mut TraceReplayer) + Send + 'static>;
 
 /// The queue the workers drain, behind one mutex with a condvar.
@@ -81,20 +81,19 @@ impl ReplayPool {
         self.workers.len()
     }
 
-    /// Runs `job(index, replayer)` for every index in `0..jobs` on the
-    /// pool, with at least `workers` threads (and at least one) alive, and
-    /// returns the results in job order.  A job that panics yields
-    /// [`ReplayError::Panic`] naming `unit` and its index
-    /// (`"lane group 2: ..."`); the other jobs still run and their results
-    /// come back in their slots.
+    /// Runs `job(group, replayer)` for every lane group in `0..groups` on
+    /// the pool, with at least `workers` threads (and at least one) alive,
+    /// and returns the results in group order.  A job that panics yields
+    /// [`ReplayError::Panic`] naming its group (`"lane group 2: ..."`);
+    /// the other jobs still run and their results come back in their
+    /// slots.
     ///
     /// The pool never shrinks: a later smaller request leaves the extra
     /// workers idle on the condvar, where they cost nothing.
     pub(crate) fn run<T, F>(
         &mut self,
         workers: usize,
-        jobs: usize,
-        unit: &'static str,
+        groups: usize,
         job: F,
     ) -> Vec<Result<T, ReplayError>>
     where
@@ -110,35 +109,35 @@ impl ReplayPool {
         let (sender, receiver) = mpsc::channel();
         {
             let mut queue = self.shared.lock();
-            for index in 0..jobs {
+            for group in 0..groups {
                 let job = Arc::clone(&job);
                 let sender = sender.clone();
                 queue.jobs.push_back(Box::new(move |replayer| {
-                    let result = catch_unwind(AssertUnwindSafe(|| job(index, replayer)))
+                    let result = catch_unwind(AssertUnwindSafe(|| job(group, replayer)))
                         .unwrap_or_else(|payload| {
                             Err(ReplayError::Panic(format!(
-                                "{unit} {index}: {}",
+                                "lane group {group}: {}",
                                 panic_message(payload.as_ref())
                             )))
                         });
-                    let _ = sender.send((index, result));
+                    let _ = sender.send((group, result));
                 }));
             }
         }
         self.shared.available.notify_all();
         drop(sender);
 
-        let mut results: Vec<Option<Result<T, ReplayError>>> = (0..jobs).map(|_| None).collect();
-        for (index, result) in receiver {
-            results[index] = Some(result);
+        let mut results: Vec<Option<Result<T, ReplayError>>> = (0..groups).map(|_| None).collect();
+        for (group, result) in receiver {
+            results[group] = Some(result);
         }
         results
             .into_iter()
             .enumerate()
-            .map(|(index, result)| {
+            .map(|(group, result)| {
                 result.unwrap_or_else(|| {
                     Err(ReplayError::Panic(format!(
-                        "{unit} {index}: worker exited before reporting a result"
+                        "lane group {group}: worker exited before reporting a result"
                     )))
                 })
             })
@@ -221,26 +220,26 @@ mod tests {
     #[test]
     fn a_panicking_job_fails_alone_and_results_keep_job_order() {
         let mut pool = ReplayPool::new();
-        let results = pool.run(2, 5, "job", |index, _replayer| {
-            if index == 2 {
+        let results = pool.run(2, 5, |group, _replayer| {
+            if group == 2 {
                 panic!("boom");
             }
-            Ok(index * 10)
+            Ok(group * 10)
         });
         assert_eq!(results.len(), 5);
-        for (index, result) in results.iter().enumerate() {
+        for (group, result) in results.iter().enumerate() {
             match result {
-                Ok(value) => assert_eq!(*value, index * 10),
+                Ok(value) => assert_eq!(*value, group * 10),
                 Err(ReplayError::Panic(message)) => {
-                    assert_eq!(index, 2);
-                    assert_eq!(message, "job 2: boom");
+                    assert_eq!(group, 2);
+                    assert_eq!(message, "lane group 2: boom");
                 }
-                Err(other) => panic!("job {index}: unexpected error {other}"),
+                Err(other) => panic!("group {group}: unexpected error {other}"),
             }
         }
         assert!(results[2].is_err());
         // The worker that caught the panic keeps serving jobs.
-        let again = pool.run(2, 3, "job", |index, _replayer| Ok(index));
+        let again = pool.run(2, 3, |group, _replayer| Ok(group));
         assert_eq!(
             again.into_iter().collect::<Result<Vec<_>, _>>().unwrap(),
             vec![0, 1, 2]

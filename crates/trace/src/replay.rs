@@ -48,10 +48,10 @@ pub enum ReplayError {
     /// The trace is inconsistent with the replay request (unknown workload,
     /// missing events, mismatched lane lengths, ...).
     Mismatch(String),
-    /// A pool job panicked and the panic was caught on the worker instead
-    /// of unwinding into the caller.  Names the unit the job replayed
-    /// (`lane group 2: ...`, `trace 0: ...`), followed by the panic
-    /// payload's message when it was a string.
+    /// A lane-group job panicked and the panic was caught on the pool
+    /// worker instead of unwinding into the caller.  Names the group
+    /// (`lane group 2: ...`), followed by the panic payload's message when
+    /// it was a string.
     Panic(String),
 }
 
@@ -212,23 +212,6 @@ impl fmt::Display for MachineMismatch {
     }
 }
 
-/// Whether a replay ran the whole captured trace or a salvaged prefix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplayCompleteness {
-    /// The full trace was replayed.
-    Complete,
-    /// The trace bytes were damaged and the replay ran the longest
-    /// checkpoint-attested prefix instead (see
-    /// [`Trace::recover`]); the metrics cover only that prefix.
-    Salvaged {
-        /// Accesses (per lane) that survived salvage and were replayed.
-        valid_accesses: u64,
-        /// Decoded accesses discarded because they were past the last
-        /// attested checkpoint.
-        lost_accesses: u64,
-    },
-}
-
 /// Result of replaying one trace.
 #[derive(Debug, Clone)]
 pub struct ReplayOutcome {
@@ -253,10 +236,6 @@ pub struct ReplayOutcome {
     /// `setup_wall + measured_wall`, so they no longer understate the
     /// measured-phase rate by folding setup reconstruction in.
     pub measured_wall: Duration,
-    /// Whether the whole trace ran, or only a salvaged prefix of a damaged
-    /// one ([`ReplaySession::replay_bytes`](crate::ReplaySession::replay_bytes)
-    /// with [`ReplayRequest::salvage`](crate::ReplayRequest::salvage)).
-    pub completeness: ReplayCompleteness,
 }
 
 /// Rebuilds the phase-change schedule from the mid-lane markers — a
@@ -407,7 +386,7 @@ impl ReplaySnapshot {
 
 /// A reusable replay driver: keeps one [`ExecutionEngine`] (pooled MMUs,
 /// allocated per-socket caches) across replays and resets it per trace, so
-/// batch replay does not pay the engine construction cost per trace.
+/// repeated replays do not pay the engine construction cost each time.
 ///
 /// Metrics are bit-identical to a fresh replayer's: a reset engine is
 /// indistinguishable from a fresh one.
@@ -442,21 +421,6 @@ impl TraceReplayer {
     /// Sets the track (timeline) this replayer's spans are tagged with.
     pub fn set_observer_track(&mut self, track: u64) {
         self.track = track;
-    }
-
-    /// Prepare + run in one call — the per-trace unit of
-    /// [`ReplaySession::replay_batch`](crate::ReplaySession::replay_batch).
-    pub(crate) fn replay_full(
-        &mut self,
-        trace: &Trace,
-        params: &SimParams,
-        options: ReplayOptions,
-    ) -> Result<ReplayOutcome, ReplayError> {
-        let prepared = {
-            let _span = self.observer.span("prepare_replay", self.track);
-            prepare_replay(trace, params, options)?
-        };
-        self.run_lanes(prepared, trace, None)
     }
 
     /// Replays all lanes of `trace` from a shared [`ReplaySnapshot`]: the
@@ -692,7 +656,6 @@ impl TraceReplayer {
                     machine_mismatch,
                     setup_wall,
                     measured_wall: measured_start.elapsed(),
-                    completeness: ReplayCompleteness::Complete,
                 })))
             }
             SpanOutcome::Paused(checkpoint) => {
@@ -1164,7 +1127,7 @@ mod tests {
             for change in changes {
                 proptest::prop_assert!(matches!(
                     staggered_marker(change, false),
-                    Err(TraceError::Corrupt(_))
+                    Err(TraceError::Decode { error, .. }) if matches!(*error, TraceError::Corrupt(_))
                 ));
                 proptest::prop_assert_eq!(
                     staggered_marker(change, true).is_ok(),

@@ -2,8 +2,8 @@
 //!
 //! Every replay is a point in one configuration space — which lanes,
 //! serial or grouped, how many workers, observed or not, fault-injected or
-//! not, salvage or strict — so a session takes one builder-described
-//! request and executes it against persistent state:
+//! not — so a session takes one builder-described request and executes it
+//! against persistent state:
 //!
 //! * a **persistent worker pool** — threads are spawned lazily, once, and
 //!   live across replay calls, each keeping a warm
@@ -15,23 +15,27 @@
 //!   request's trace by full equality on every hit) so a warm session skips
 //!   setup-event reconstruction entirely.
 //!
-//! Every grouped unit replays from its own full clone of the session's
+//! Every lane group replays from its own full clone of the session's
 //! snapshot, just as serial replay does.  Replayed metrics are
 //! bit-identical across every request shape — serial, grouped, warm or
 //! cold pool.
 //!
 //! # Failures
 //!
-//! A grouped replay and a parallel [`ReplaySession::replay_batch`] fan out
-//! through one pool call that runs one job per unit (a lane group, or a
-//! trace) and collects the results in unit order.  The first failed unit
-//! in unit order is the call's [`ReplayError`]: a panic is
-//! [`ReplayError::Panic`] naming the unit, and a demand fault in a lane
-//! group the premapped analysis ruled out is [`ReplayError::Mismatch`]
-//! naming the group.  Nothing is retried or re-run serially — a
-//! deterministic replay that failed once fails again — so a call returns
-//! serial replay's metrics or an error, never anything else.  The session
-//! stays usable after a failed call.
+//! A grouped replay fans out through one pool call that runs one job per
+//! lane group and collects the results in group order.  The first failed
+//! group in group order is the call's [`ReplayError`]: a panic is
+//! [`ReplayError::Panic`] naming the group, and a demand fault the
+//! premapped analysis ruled out is [`ReplayError::Mismatch`] naming the
+//! group.  Nothing is retried or re-run serially — a deterministic replay
+//! that failed once fails again — so a call returns serial replay's
+//! metrics or an error, never anything else.  The session stays usable
+//! after a failed call.
+//!
+//! A session replays one decoded [`Trace`] per call: bytes are decoded
+//! first ([`Trace::from_bytes`], which refuses damaged bytes with a typed
+//! [`TraceError`](crate::TraceError)), and a caller with many traces loops
+//! over [`ReplaySession::replay`].
 //!
 //! # Example
 //!
@@ -67,11 +71,11 @@
 
 use crate::faultinject::FaultPlan;
 use crate::format::Trace;
-use crate::parallel::{lanes_fully_premapped, LaneReplayReport, ReplayReport, ShardDecision};
+use crate::parallel::{lanes_fully_premapped, LaneReplayReport, ShardDecision};
 use crate::pool::ReplayPool;
 use crate::replay::{
-    prepare_replay, validate_lane_selection, ReplayCompleteness, ReplayError, ReplayOptions,
-    ReplayOutcome, ReplaySnapshot, TraceReplayer,
+    prepare_replay, validate_lane_selection, ReplayError, ReplayOptions, ReplayOutcome,
+    ReplaySnapshot, TraceReplayer,
 };
 use mitosis_sim::{Observer, RunMetrics, SimParams};
 use std::fmt;
@@ -92,7 +96,7 @@ pub enum ReplayMode {
     #[default]
     Serial,
     /// Per-socket lane groups fan out across up to `workers` pool threads,
-    /// one unit per socket group.
+    /// one job per socket group.
     Grouped {
         /// Upper bound on concurrently working pool threads (zero is
         /// rejected as a [`ReplayError::Mismatch`]).
@@ -101,7 +105,7 @@ pub enum ReplayMode {
 }
 
 /// A builder-style description of one replay: which lanes, serial or
-/// grouped, salvage and machine-check behaviour, fault injection.
+/// grouped, machine-check behaviour, fault injection.
 ///
 /// The default request replays every lane serially with strict machine
 /// checking.
@@ -109,14 +113,13 @@ pub enum ReplayMode {
 pub struct ReplayRequest {
     lanes: Option<Vec<usize>>,
     mode: ReplayMode,
-    salvage: bool,
     force_machine: bool,
     fault_plan: FaultPlan,
 }
 
 impl ReplayRequest {
     /// The default request: every lane, serial, strict machine check, no
-    /// salvage, no fault injection.
+    /// fault injection.
     pub fn new() -> Self {
         ReplayRequest::default()
     }
@@ -140,18 +143,10 @@ impl ReplayRequest {
         self
     }
 
-    /// Grouped execution across up to `workers` pool threads, one unit per
+    /// Grouped execution across up to `workers` pool threads, one job per
     /// per-socket lane group.
     pub fn grouped(mut self, workers: usize) -> Self {
         self.mode = ReplayMode::Grouped { workers };
-        self
-    }
-
-    /// For [`ReplaySession::replay_bytes`]: recover a damaged stream to its
-    /// longest checkpoint-attested prefix instead of failing (the outcome
-    /// is then marked [`ReplayCompleteness::Salvaged`]).
-    pub fn salvage(mut self) -> Self {
-        self.salvage = true;
         self
     }
 
@@ -326,7 +321,7 @@ impl ReplaySession {
             );
         }
 
-        // One unit per per-socket group, in group order: the group index
+        // One job per per-socket group, in group order: the group index
         // keys the fault plan's decisions and the observability track.
         let group_count = groups.len();
         let spawned = workers.min(group_count);
@@ -335,22 +330,17 @@ impl ReplaySession {
         let observer = self.observer.clone();
         let plan = request.fault_plan;
         let job_snapshot = Arc::clone(&snapshot);
-        let results = self.pool.run(
-            spawned,
-            group_count,
-            "lane group",
-            move |index, replayer| {
-                replay_group(
-                    replayer,
-                    index,
-                    &shared_trace,
-                    &job_snapshot,
-                    &groups[index],
-                    &observer,
-                    plan,
-                )
-            },
-        );
+        let results = self.pool.run(spawned, group_count, move |index, replayer| {
+            replay_group(
+                replayer,
+                index,
+                &shared_trace,
+                &job_snapshot,
+                &groups[index],
+                &observer,
+                plan,
+            )
+        });
         let outcomes = results.into_iter().collect::<Result<Vec<_>, _>>()?;
 
         let mut merged = RunMetrics::default();
@@ -371,12 +361,11 @@ impl ReplaySession {
                 metrics: merged,
                 spec: first.spec,
                 machine_mismatch: snapshot.machine_mismatch(),
-                // Aggregate accounting across the units: what this call
+                // Aggregate accounting across the groups: what this call
                 // paid for preparation (zero on a snapshot-cache hit) plus
-                // every unit's clone, vs. total measured-phase worker time.
+                // every group's clone, vs. total measured-phase worker time.
                 setup_wall: prepare_wall + clone_wall,
                 measured_wall: group_measured_wall,
-                completeness: ReplayCompleteness::Complete,
             },
             lanes: selected.len(),
             groups: group_count,
@@ -386,91 +375,6 @@ impl ReplaySession {
             setup_wall: prepare_wall,
             measured_wall: measured_start.elapsed(),
         })
-    }
-
-    /// Replays encoded trace `bytes`: intact bytes decode and replay
-    /// normally; with [`ReplayRequest::salvage`], a damaged stream is
-    /// recovered to its longest checkpoint-attested prefix and that prefix
-    /// replays, marked [`ReplayCompleteness::Salvaged`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ReplaySession::replay`]; additionally the
-    /// decode error of `bytes` when salvage is off (or no
-    /// checkpoint-attested prefix survives).
-    pub fn replay_bytes(
-        &mut self,
-        bytes: &[u8],
-        request: &ReplayRequest,
-    ) -> Result<LaneReplayReport, ReplayError> {
-        match Trace::from_bytes(bytes) {
-            Ok(trace) => self.replay(&trace, request),
-            Err(error) if !request.salvage => Err(error.into()),
-            Err(_) => {
-                let salvaged = Trace::recover(bytes)?;
-                let mut report = self.replay(&salvaged.trace, request)?;
-                report.outcome.completeness = ReplayCompleteness::Salvaged {
-                    valid_accesses: salvaged.valid_accesses,
-                    lost_accesses: salvaged.lost_accesses,
-                };
-                self.observer.counter("replay.salvaged", 1);
-                self.observer
-                    .counter("replay.salvaged_lost_accesses", salvaged.lost_accesses);
-                Ok(report)
-            }
-        }
-    }
-
-    /// Replays a batch of traces — serially in input order for
-    /// [`ReplayMode::Serial`], one pool job per trace otherwise.  Each
-    /// trace replays whole, from its own freshly prepared system.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the request selects lanes (a batch replays every lane of
-    /// every trace, so a selection would be silently ignored) or asks for
-    /// zero workers, or if any trace does not replay; the first error in
-    /// input order is returned (a panic on a pool worker is
-    /// [`ReplayError::Panic`] naming the trace).
-    pub fn replay_batch(
-        &mut self,
-        traces: &[Trace],
-        request: &ReplayRequest,
-    ) -> Result<ReplayReport, ReplayError> {
-        if let Some(lanes) = &request.lanes {
-            return Err(ReplayError::Mismatch(format!(
-                "request selects lanes {lanes:?}, but a batch replays every lane \
-                 of every trace; replay a lane subset with `replay`"
-            )));
-        }
-        let workers = requested_workers(request.mode)?.min(traces.len()).max(1);
-        let options = request.options();
-        #[expect(clippy::disallowed_methods, reason = "batch wall time, not a metric")]
-        let start = Instant::now();
-
-        let outcomes = if workers < 2 {
-            self.driver.set_observer(self.observer.clone());
-            self.driver.set_observer_track(0);
-            traces
-                .iter()
-                .map(|trace| self.driver.replay_full(trace, &self.params, options))
-                .collect::<Result<Vec<_>, _>>()?
-        } else {
-            // Jobs outlive the borrow of `traces`, so the batch crosses
-            // into the pool as one Arc (one deep copy per trace).
-            let shared: Arc<[Trace]> = traces.into();
-            let params = self.params.clone();
-            let observer = self.observer.clone();
-            self.pool
-                .run(workers, traces.len(), "trace", move |index, replayer| {
-                    replayer.set_observer(observer.clone());
-                    replayer.set_observer_track(0);
-                    replayer.replay_full(&shared[index], &params, options)
-                })
-                .into_iter()
-                .collect::<Result<Vec<_>, _>>()?
-        };
-        Ok(ReplayReport::of_outcomes(outcomes, start.elapsed()))
     }
 
     /// Resolves the prepared snapshot for `trace`: the cached one when the

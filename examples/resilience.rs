@@ -1,18 +1,17 @@
-//! Resilient replay walkthrough: fault injection, salvage, worker panic
+//! Resilient replay walkthrough: typed decode errors, worker panic
 //! isolation and mid-lane checkpoint/resume.
 //!
-//! Captures a multi-socket workload, then demonstrates the four failure
-//! paths the trace layer survives:
+//! Captures a multi-socket workload, then demonstrates the three failure
+//! paths the trace layer handles:
 //!
-//! 1. a damaged trace file salvaged to its longest checkpoint-attested
-//!    prefix (explicitly marked, never silently wrong);
-//! 2. decoding through a seeded fault-injecting reader, with injected
-//!    faults surfacing as structured errors;
-//! 3. lane-parallel replay under injected worker panics — the panic is
+//! 1. damaged trace bytes — a flipped byte and a truncation — refused as
+//!    typed errors naming the byte offset where decoding stopped (never a
+//!    salvaged prefix, never silently wrong);
+//! 2. lane-parallel replay under injected worker panics — the panic is
 //!    caught on the pool and comes back as a typed error naming the first
 //!    failed group, and the same session then replays cleanly,
 //!    bit-identical to serial replay;
-//! 4. pausing a replay mid-lane and resuming it from the snapshot,
+//! 3. pausing a replay mid-lane and resuming it from the snapshot,
 //!    bit-identical to the uninterrupted run.
 //!
 //! ```text
@@ -23,8 +22,8 @@ use mitosis_numa::SocketId;
 use mitosis_obs::{MemoryRecorder, Observer};
 use mitosis_sim::SimParams;
 use mitosis_trace::{
-    capture_engine_run, FaultPlan, ReplayCompleteness, ReplayError, ReplayOptions, ReplayRequest,
-    ReplaySession, Trace, TraceReplayer, TraceWriter,
+    capture_engine_run, FaultPlan, ReplayError, ReplayOptions, ReplayRequest, ReplaySession, Trace,
+    TraceError, TraceReplayer,
 };
 use mitosis_workloads::suite;
 
@@ -46,57 +45,30 @@ fn main() {
         serial.metrics.total_cycles
     );
 
-    // 1. Salvage: encode with checkpoint markers, damage the tail, recover.
-    let mut writer = TraceWriter::new(Vec::new(), &captured.trace.meta).expect("writer");
-    writer.set_checkpoint_interval(1024);
-    for &step in &captured.trace.setup_events {
-        writer.setup_step(step).expect("setup step");
-    }
-    for lane in &captured.trace.lanes {
-        writer.begin_lane(lane.socket).expect("begin lane");
-        for &access in &lane.accesses {
-            writer.access(access).expect("access");
+    // 1. Damaged bytes: every decode failure is a typed error that names
+    //    where decoding stopped.
+    let bytes = captured.trace.to_bytes().expect("encode");
+    let mut flipped = bytes.clone();
+    flipped[bytes.len() / 2] ^= 0x10;
+    let truncated = &bytes[..bytes.len() - 64];
+    for (what, damaged) in [
+        ("flipped byte", flipped.as_slice()),
+        ("truncation", truncated),
+    ] {
+        match Trace::from_bytes(damaged) {
+            Err(error @ TraceError::Decode { .. }) => println!("{what}: {error}"),
+            other => panic!("{what}: expected a decode error, got {other:?}"),
         }
     }
-    let bytes = writer.finish().expect("finish");
-    let damaged = &bytes[..bytes.len() - 64];
-    assert!(Trace::from_bytes(damaged).is_err(), "strict decode rejects");
-    let outcome = session
-        .replay_bytes(damaged, &ReplayRequest::new().salvage())
-        .expect("salvaged replay")
-        .outcome;
-    match outcome.completeness {
-        ReplayCompleteness::Salvaged {
-            valid_accesses,
-            lost_accesses,
-        } => println!(
-            "salvaged a truncated trace: replayed {valid_accesses} attested \
-             accesses, lost {lost_accesses} past the last checkpoint"
-        ),
-        ReplayCompleteness::Complete => unreachable!("damaged bytes cannot be complete"),
-    }
 
-    // 2. Fault-injecting reader: a seeded plan makes decode failures
-    //    reproducible, structured, and counted on the observer.
-    let plan = FaultPlan::seeded(7).with_read_io(0.001).with_flip(0.0001);
-    let memory = std::sync::Arc::new(MemoryRecorder::new());
-    let observer = Observer::with_recorder(memory.clone());
-    match Trace::read_from(plan.reader(bytes.as_slice(), &observer)) {
-        Ok(_) => println!("fault plan (seed 7): no fault hit this stream"),
-        Err(error) => println!(
-            "fault plan (seed 7): decode failed as a structured error ({error}); \
-             injected: {} read faults, {} flips",
-            memory.counter_value("fault.read_io"),
-            memory.counter_value("fault.bit_flip"),
-        ),
-    }
-
-    // 3. Worker panics: every group's job panics.  The pool catches each
+    // 2. Worker panics: every group's job panics.  The pool catches each
     //    panic, and the call fails with a typed error naming the first
     //    failed group instead of unwinding this thread.  The same session
     //    (same pool threads) then replays cleanly, bit-identical to serial.
+    let memory = std::sync::Arc::new(MemoryRecorder::new());
+    let observer = Observer::with_recorder(memory.clone());
     let chaos = FaultPlan::seeded(11).with_worker_panic(1.0);
-    session.set_observer(observer.clone());
+    session.set_observer(observer);
     let error = session
         .replay(
             &captured.trace,
@@ -115,7 +87,7 @@ fn main() {
     assert_eq!(report.outcome.metrics, serial.metrics);
     println!("the same session, no faults: {report}");
 
-    // 4. Checkpoint/resume: pause halfway, resume, bit-identical.
+    // 3. Checkpoint/resume: pause halfway, resume, bit-identical.
     let mut replayer = TraceReplayer::new();
     let halfway = params.accesses_per_thread / 2;
     let snapshot = replayer

@@ -2,7 +2,7 @@
 //!
 //! Captures a handful of paper workloads into binary trace files, replays
 //! one deterministically (verifying the metrics are bit-identical to the
-//! live run), then replays the whole batch through the parallel driver.
+//! live run), then replays every file, one session call per trace.
 //!
 //! ```text
 //! cargo run --release --example trace_replay
@@ -65,32 +65,20 @@ fn main() {
         trace.meta.workload, replayed.outcome.metrics
     );
 
-    // 3. Parallel replay of the whole batch.
-    let batch: Vec<Trace> = traces
-        .iter()
-        .map(|(path, _)| {
-            Trace::read_from(BufReader::new(File::open(path).expect("open trace")))
-                .expect("read trace")
-        })
-        .collect();
-    let sequential = session
-        .replay_batch(&batch, &ReplayRequest::new())
-        .expect("sequential replay");
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let parallel = session
-        .replay_batch(&batch, &ReplayRequest::new().grouped(workers))
-        .expect("parallel replay");
-    for (s, p) in sequential.outcomes.iter().zip(&parallel.outcomes) {
+    // 3. Many traces: decode each file and replay it on the same session.
+    //    Each report splits setup reconstruction from the measured phase,
+    //    so the replay rate is not diluted by setup cost.
+    println!("\nreplaying every trace file:");
+    for (path, live) in &traces {
+        let trace = Trace::read_from(BufReader::new(File::open(path).expect("open trace")))
+            .expect("read trace");
+        let report = session
+            .replay(&trace, &ReplayRequest::new())
+            .expect("replay trace");
         assert_eq!(
-            s.metrics, p.metrics,
-            "parallel replay must match sequential"
+            report.outcome.metrics, *live,
+            "every replay must reproduce its live run"
         );
+        println!("  {:<10} {report}", trace.meta.workload);
     }
-    // The report summaries split setup reconstruction from the measured
-    // phase, so the replay rate is not diluted by setup cost.
-    println!("\nbatch replay:");
-    println!("  sequential:             {sequential}");
-    println!("  parallel ({workers} workers): {parallel}");
 }

@@ -403,8 +403,11 @@ fn with_extra_event(
 
 fn corrupt(bytes: &[u8]) -> &'static str {
     match Trace::from_bytes(bytes) {
-        Err(TraceError::Corrupt(what)) => what,
-        other => panic!("expected a corrupt trace, got {other:?}"),
+        Err(TraceError::Decode { error, .. }) => match *error {
+            TraceError::Corrupt(what) => what,
+            other => panic!("expected a corrupt trace, got {other:?}"),
+        },
+        other => panic!("expected a decode error, got {other:?}"),
     }
 }
 
@@ -626,11 +629,18 @@ fn tampered_staggered_markers_in_setup_are_rejected() {
         writer.phase_change(interference, true).expect("marker")
     });
     assert_eq!(corrupt(&bytes), "staggered event before the first lane");
-    let err = ReplaySession::new(&params)
-        .replay_bytes(&bytes, &ReplayRequest::new())
-        .unwrap_err();
+    // Bytes reach a replay only through the decoder, so its refusal is the
+    // replay's error.
+    let decode_and_replay = |bytes: &[u8]| -> Result<ReplayOutcome, ReplayError> {
+        try_serial(&Trace::from_bytes(bytes)?, &params)
+    };
+    let err = decode_and_replay(&bytes).unwrap_err();
     assert!(
-        matches!(err, ReplayError::Trace(TraceError::Corrupt(_))),
+        matches!(
+            &err,
+            ReplayError::Trace(TraceError::Decode { error, .. })
+                if matches!(**error, TraceError::Corrupt(_))
+        ),
         "unexpected error: {err}"
     );
 }

@@ -198,44 +198,10 @@ fn zero_worker_requests_are_mismatches_not_panics() {
     assert!(matches!(err, ReplayError::Mismatch(_)), "{err}");
     assert!(err.to_string().contains("grouped(0)"), "{err}");
 
-    let err = session
-        .replay_batch(std::slice::from_ref(&trace), &request)
-        .expect_err("grouped(0) batch must be rejected");
-    assert!(matches!(err, ReplayError::Mismatch(_)), "{err}");
-    assert!(err.to_string().contains("grouped(0)"), "{err}");
-
     // The rejection leaves the session usable.
     session
         .replay(&trace, &ReplayRequest::new().grouped(2))
         .expect("a valid request after the rejected one");
-}
-
-#[test]
-fn batch_requests_with_a_lane_selection_are_mismatches() {
-    // A batch replays every lane of every trace; a lane selection it would
-    // ignore must be refused up front, not answered with metrics for work
-    // the caller did not ask for.
-    let params = quick(100);
-    let trace = capture(&params, &[0, 1]);
-    let traces = [trace.clone(), trace];
-    let mut session = ReplaySession::new(&params);
-    for request in [
-        ReplayRequest::new().lane(0),
-        ReplayRequest::new().lanes(vec![0, 1]),
-        ReplayRequest::new().lane(1).grouped(2),
-    ] {
-        let err = session
-            .replay_batch(&traces, &request)
-            .expect_err("a lane selection must be rejected");
-        assert!(matches!(err, ReplayError::Mismatch(_)), "{err}");
-        assert!(err.to_string().contains("selects lanes"), "{err}");
-    }
-
-    // Without a selection the same batch replays.
-    let report = session
-        .replay_batch(&traces, &ReplayRequest::new().grouped(2))
-        .expect("a whole-trace batch");
-    assert_eq!(report.aggregate.traces, 2);
 }
 
 #[test]

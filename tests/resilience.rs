@@ -1,16 +1,12 @@
-//! Integration tests for the resilience machinery: deterministic fault
-//! injection, worker panic isolation, trace salvage, and mid-lane
-//! checkpoint/resume.
+//! Integration tests for the resilience machinery: typed decode errors,
+//! worker panic isolation, and mid-lane checkpoint/resume.
 //!
-//! Four guarantees under test:
+//! Three guarantees under test:
 //!
-//! * **No panic, no silent damage** — arbitrarily corrupted or truncated
-//!   trace bytes produce structured [`TraceError`]s (or a salvage outcome
-//!   explicitly marked [`ReplayCompleteness::Salvaged`]); they never panic
-//!   the decoder and never replay to silently wrong whole-trace metrics.
-//! * **Salvage exactness** — recovery trims a damaged stream to the
-//!   longest checkpoint-attested prefix, and replaying the salvaged trace
-//!   equals replaying an in-memory trace trimmed to the same boundary.
+//! * **No panic, no silent damage** — arbitrarily corrupted, truncated or
+//!   unreadable trace bytes produce a typed [`TraceError::Decode`] naming
+//!   the byte offset where decoding stopped; they never panic the decoder
+//!   and never decode to a trace.
 //! * **Checkpoint/resume fidelity** — pausing a replay at any access
 //!   boundary and resuming from the snapshot is bit-identical to the
 //!   uninterrupted run, including across mid-lane phase changes.
@@ -24,31 +20,29 @@ use mitosis_numa::SocketId;
 use mitosis_obs::{MemoryRecorder, Observer};
 use mitosis_sim::{PhaseChange, PhaseSchedule, SimParams};
 use mitosis_trace::{
-    capture_engine_run, capture_engine_run_dynamic, FaultPlan, LaneReplayReport,
-    ReplayCompleteness, ReplayError, ReplayOptions, ReplayOutcome, ReplayRequest, ReplaySession,
-    ShardDecision, Trace, TraceError, TraceReader, TraceReplayer, TraceWriter,
+    capture_engine_run, capture_engine_run_dynamic, FaultPlan, LaneReplayReport, ReplayError,
+    ReplayOptions, ReplayOutcome, ReplayRequest, ReplaySession, ShardDecision, Trace, TraceError,
+    TraceItem, TraceReader, TraceReplayer,
 };
 use mitosis_workloads::suite;
 use proptest::prelude::*;
 use std::error::Error as _;
+use std::io::{self, Read};
 use std::sync::Arc;
 
 fn quick(accesses: u64) -> SimParams {
     SimParams::quick_test().with_accesses(accesses)
 }
 
+/// Lanes this long carry a checkpoint marker: the writer emits one after
+/// every 4,096th access of a lane.
+const MARKED_LANE: u64 = 4_500;
+
 fn serial_replay(trace: &Trace, params: &SimParams) -> ReplayOutcome {
     ReplaySession::new(params)
         .replay(trace, &ReplayRequest::new())
         .expect("serial replay")
         .outcome
-}
-
-/// A salvaging decode + serial replay through a fresh session.
-fn salvaged_replay(bytes: &[u8], params: &SimParams) -> Result<ReplayOutcome, ReplayError> {
-    ReplaySession::new(params)
-        .replay_bytes(bytes, &ReplayRequest::new().salvage())
-        .map(|report| report.outcome)
 }
 
 /// A grouped replay under an explicit fault plan and observer.
@@ -75,60 +69,113 @@ fn observed() -> (Observer, Arc<MemoryRecorder>) {
     (observer, memory)
 }
 
-/// Encodes `trace` with checkpoint markers every `every` accesses.  Only
-/// for traces without mid-lane markers (engine captures with a static
-/// schedule) — the positional marker interleaving of `Trace::write_to` is
-/// not replicated here.
-fn encode_with_interval(trace: &Trace, every: u64) -> Vec<u8> {
-    let mut writer = TraceWriter::new(Vec::new(), &trace.meta).expect("writer");
-    writer.set_checkpoint_interval(every);
-    for &step in &trace.setup_events {
-        writer.setup_step(step).expect("setup step");
+/// The encoded bytes of a two-socket GUPS capture whose lanes carry
+/// checkpoint markers.
+fn marked_capture_bytes() -> (Trace, Vec<u8>) {
+    let captured = capture_engine_run(
+        &suite::gups(),
+        &quick(MARKED_LANE),
+        &[SocketId::new(0), SocketId::new(1)],
+    )
+    .expect("capture");
+    let bytes = captured.trace.to_bytes().expect("encode");
+    (captured.trace, bytes)
+}
+
+/// Where decoding `source` stopped, and why.
+fn decode_failure(source: impl Read) -> (u64, TraceError) {
+    match Trace::read_from(source) {
+        Err(TraceError::Decode { offset, error }) => (offset, *error),
+        Err(other) => panic!("a decode error must name its offset, got {other}"),
+        Ok(_) => panic!("damaged bytes decoded cleanly"),
     }
-    for lane in &trace.lanes {
-        assert!(
-            lane.events.is_empty(),
-            "helper only handles markerless lanes"
-        );
-        writer.begin_lane(lane.socket).expect("begin lane");
-        for &access in &lane.accesses {
-            writer.access(access).expect("access");
+}
+
+const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// One byte of FNV-1a 64, the trace's running hash and trailing checksum.
+fn fnv_step(hash: u64, byte: u8) -> u64 {
+    (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+}
+
+fn fnv64(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(FNV_OFFSET_BASIS, |hash, &byte| fnv_step(hash, byte))
+}
+
+fn varint(mut value: u64) -> Vec<u8> {
+    let mut out = Vec::new();
+    loop {
+        let byte = (value & 0x7f) as u8;
+        value >>= 7;
+        if value == 0 {
+            out.push(byte);
+            return out;
         }
+        out.push(byte | 0x80);
     }
-    writer.finish().expect("finish")
+}
+
+/// Start and end of the first lane's checkpoint marker: event code 15
+/// (tag `0x3d`), two arguments, lane count 4,096 and the running hash of
+/// every byte before the marker.
+fn first_checkpoint_marker(bytes: &[u8]) -> (usize, usize) {
+    let mut hash = FNV_OFFSET_BASIS;
+    for (start, &byte) in bytes.iter().enumerate() {
+        let mut marker = vec![0x3d, 0x02];
+        marker.extend(varint(4096));
+        marker.extend(varint(hash));
+        if bytes[start..].starts_with(&marker) {
+            return (start, start + marker.len());
+        }
+        hash = fnv_step(hash, byte);
+    }
+    panic!("a lane of more than 4,096 accesses carries a marker");
+}
+
+/// A `Read` that serves `limit` bytes of `bytes`, then fails.
+struct FailingReader<'a> {
+    bytes: &'a [u8],
+    limit: usize,
+}
+
+impl Read for FailingReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        if self.limit == 0 {
+            return Err(io::Error::other("disk on fire"));
+        }
+        let n = buf.len().min(self.limit).min(self.bytes.len());
+        buf[..n].copy_from_slice(&self.bytes[..n]);
+        self.bytes = &self.bytes[n..];
+        self.limit -= n;
+        Ok(n)
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Flipping any byte or truncating at any point must surface as a
-    /// structured error or an explicitly marked salvage — never a panic,
-    /// never silently wrong whole-trace metrics.
+    /// typed error naming where decoding stopped — never a panic, never a
+    /// decoded trace.
     #[test]
     fn corrupted_bytes_never_panic_and_never_pass_silently(
         raw_position in any::<u64>(),
         flip_bit in 0u32..8,
         truncate in any::<bool>(),
     ) {
-        let params = quick(150);
-        let captured = capture_engine_run(
-            &suite::gups(),
-            &params,
-            &[SocketId::new(0), SocketId::new(1)],
-        )
-        .expect("capture");
-        let serial = serial_replay(&captured.trace, &params);
-        let bytes = encode_with_interval(&captured.trace, 32);
+        let (_, bytes) = marked_capture_bytes();
 
-        let damaged = if truncate {
+        let (damaged, damage_at) = if truncate {
             // Cut somewhere strictly inside the stream.
             let keep = 1 + (raw_position as usize) % (bytes.len() - 1);
-            bytes[..keep].to_vec()
+            (bytes[..keep].to_vec(), keep)
         } else {
             let mut copy = bytes.clone();
             let position = (raw_position as usize) % copy.len();
             copy[position] ^= 1 << flip_bit;
-            copy
+            (copy, position)
         };
 
         // The strict decoder must reject the damage (a flipped byte always
@@ -137,53 +184,13 @@ proptest! {
         let strict = Trace::from_bytes(&damaged);
         prop_assert!(strict.is_err(), "damaged stream decoded cleanly");
 
-        // The salvaging replay either recovers an attested prefix —
-        // explicitly marked, with metrics covering exactly the salvaged
-        // accesses — or reports a structured error.  It never panics.
-        match salvaged_replay(&damaged, &params) {
-            Ok(outcome) => match outcome.completeness {
-                ReplayCompleteness::Salvaged { valid_accesses, lost_accesses: _ } => {
-                    prop_assert_eq!(outcome.metrics.accesses, valid_accesses);
-                    prop_assert!(valid_accesses < serial.metrics.accesses);
-                }
-                ReplayCompleteness::Complete => {
-                    prop_assert!(false, "damaged bytes cannot replay as Complete");
-                }
-            },
-            Err(error) => {
-                // Structured and displayable, with the decode failure as
-                // the error source where one exists.
-                let _ = error.to_string();
-            }
-        }
-    }
-
-    /// Fault-injecting readers built from arbitrary seeds surface injected
-    /// I/O errors, truncations and bit flips as structured `TraceError`s;
-    /// a decode that completes anyway decoded the true bytes.
-    #[test]
-    fn injected_read_faults_are_structured_errors(seed in any::<u64>()) {
-        let params = quick(100);
-        let captured = capture_engine_run(&suite::gups(), &params, &[SocketId::new(0)])
-            .expect("capture");
-        let bytes = captured.trace.to_bytes().expect("encode");
-        let plan = FaultPlan::seeded(seed)
-            .with_read_io(0.02)
-            .with_truncate(0.02)
-            .with_flip(0.005);
-        let (observer, memory) = observed();
-        match Trace::read_from(plan.reader(bytes.as_slice(), &observer)) {
-            Ok(decoded) => prop_assert_eq!(decoded, captured.trace),
-            Err(error) => {
-                let _ = error.to_string();
-                prop_assert!(
-                    memory.counter_value("fault.read_io")
-                        + memory.counter_value("fault.truncate")
-                        + memory.counter_value("fault.bit_flip")
-                        > 0,
-                    "a failed decode under fault injection must have injected something"
-                );
-            }
+        // It stops no earlier than the damage: at the cut of a truncation,
+        // past the flipped byte otherwise.
+        let (offset, _) = decode_failure(damaged.as_slice());
+        if truncate {
+            prop_assert_eq!(offset, damage_at as u64);
+        } else {
+            prop_assert!(offset > damage_at as u64, "stopped at {} before the flip at {}", offset, damage_at);
         }
     }
 
@@ -214,71 +221,7 @@ proptest! {
             .expect("resume");
         prop_assert_eq!(resumed.metrics, serial.metrics);
         prop_assert_eq!(resumed.metrics, captured.live_metrics);
-        prop_assert_eq!(resumed.completeness, ReplayCompleteness::Complete);
     }
-}
-
-#[test]
-fn salvage_trims_to_the_attested_prefix_and_replays_it() {
-    let params = quick(300);
-    let captured = capture_engine_run(
-        &suite::gups(),
-        &params,
-        &[SocketId::new(0), SocketId::new(1)],
-    )
-    .expect("capture");
-    let bytes = encode_with_interval(&captured.trace, 64);
-
-    // Truncate into lane 1, past its checkpoint at access 256: the salvage
-    // must keep exactly 256 accesses of *both* lanes (lanes stay equal
-    // length) and replay them.
-    let damaged = &bytes[..bytes.len() - 20];
-    let salvaged = Trace::recover(damaged).expect("recover");
-    assert_eq!(salvaged.trace.lanes.len(), 2);
-    for lane in &salvaged.trace.lanes {
-        assert_eq!(lane.accesses.len(), 256);
-    }
-    assert_eq!(salvaged.valid_accesses, 512);
-    assert!(salvaged.lost_accesses > 0);
-    assert!(salvaged.damage.is_some());
-
-    // Replaying the salvaged trace equals replaying an in-memory trace
-    // trimmed to the same boundary — salvage loses the tail, nothing else.
-    let mut trimmed = captured.trace.clone();
-    for lane in &mut trimmed.lanes {
-        lane.accesses.truncate(256);
-        lane.events.retain(|&(pos, ..)| pos <= 256);
-    }
-    let expected = serial_replay(&trimmed, &params);
-    let outcome = salvaged_replay(damaged, &params).expect("salvaged replay");
-    assert_eq!(outcome.metrics, expected.metrics);
-    assert_eq!(
-        outcome.completeness,
-        ReplayCompleteness::Salvaged {
-            valid_accesses: 512,
-            lost_accesses: salvaged.lost_accesses,
-        }
-    );
-
-    // Intact bytes replay as Complete through the same entry point.
-    let intact = salvaged_replay(&bytes, &params).expect("intact replay");
-    assert_eq!(intact.completeness, ReplayCompleteness::Complete);
-    assert_eq!(intact.metrics, captured.live_metrics);
-}
-
-#[test]
-fn salvage_without_an_attested_prefix_is_a_structured_error() {
-    let params = quick(40);
-    let captured =
-        capture_engine_run(&suite::gups(), &params, &[SocketId::new(0)]).expect("capture");
-    // Checkpoint interval larger than the lane: no marker ever validates,
-    // so a truncated stream has no attested prefix to salvage.
-    let bytes = encode_with_interval(&captured.trace, 1 << 20);
-    let damaged = &bytes[..bytes.len() - 10];
-    let err = salvaged_replay(damaged, &params).expect_err("nothing to salvage");
-    assert!(matches!(err, ReplayError::Trace(_)), "{err}");
-    // The source chain bottoms out in the decode failure.
-    assert!(err.source().is_some());
 }
 
 #[test]
@@ -483,22 +426,103 @@ fn replay_errors_expose_their_source_chain() {
 }
 
 #[test]
+fn decode_errors_name_the_byte_offset_where_decoding_stopped() {
+    let (_, bytes) = marked_capture_bytes();
+    let (marker_start, marker_end) = first_checkpoint_marker(&bytes);
+
+    // A flipped access byte before the first marker: the marker's running
+    // hash no longer matches, and decoding stops at the marker's end.
+    let mut flipped = bytes.clone();
+    flipped[marker_start - 1] ^= 0x04;
+    let (offset, error) = decode_failure(flipped.as_slice());
+    assert_eq!(offset, marker_end as u64);
+    assert!(
+        matches!(error, TraceError::ChecksumMismatch { .. }),
+        "{error}"
+    );
+
+    // A truncation: decoding stops where the bytes run out, inside the
+    // access records or inside a multi-byte read (the trailing checksum).
+    let cut = bytes.len() / 2;
+    for keep in [cut, bytes.len() - 3] {
+        let (offset, error) = decode_failure(&bytes[..keep]);
+        assert_eq!(offset, keep as u64);
+        assert!(
+            matches!(&error, TraceError::Io(io) if io.kind() == io::ErrorKind::UnexpectedEof),
+            "{error}"
+        );
+    }
+
+    // A reader that fails after N bytes: decoding stops at byte N, and the
+    // reader's own error is at the bottom of the chain.  Byte 6 falls
+    // inside the version word.
+    for limit in [bytes.len() / 3, 6] {
+        let failing = FailingReader {
+            bytes: &bytes,
+            limit,
+        };
+        let err = Trace::read_from(failing).expect_err("the reader fails");
+        let text = err.to_string();
+        assert!(text.contains(&format!("byte {limit}")), "{text}");
+        assert!(text.contains("disk on fire"), "{text}");
+        let replay_error = ReplayError::from(err);
+        let io = replay_error
+            .source()
+            .and_then(|trace| trace.source())
+            .expect("the reader's error is in the chain");
+        assert_eq!(io.to_string(), "disk on fire");
+    }
+
+    // The streaming reader names the offset too.
+    let mut reader = TraceReader::new(&bytes[..cut]).expect("the header is intact");
+    let err = loop {
+        match reader.next_item() {
+            Ok(TraceItem::End) => panic!("a truncated stream has no end"),
+            Ok(_) => {}
+            Err(err) => break err,
+        }
+    };
+    assert!(
+        matches!(err, TraceError::Decode { offset, .. } if offset == cut as u64),
+        "{err}"
+    );
+}
+
+#[test]
 fn checkpoint_markers_roundtrip_through_the_streaming_reader() {
-    let params = quick(200);
-    let captured =
-        capture_engine_run(&suite::gups(), &params, &[SocketId::new(0)]).expect("capture");
-    let bytes = encode_with_interval(&captured.trace, 50);
-    // Markers are transparent: the decoded trace equals the original, and
-    // the reader reports the last validated checkpoint.
+    let (trace, bytes) = marked_capture_bytes();
+    // Markers are transparent: the streaming reader yields the original
+    // trace's items and swallows every marker.
     let mut reader = TraceReader::new(bytes.as_slice()).expect("reader");
+    let mut accesses = 0u64;
     loop {
         match reader.next_item().expect("decode") {
-            mitosis_trace::TraceItem::End => break,
-            _ => continue,
+            TraceItem::End => break,
+            TraceItem::Access(_) => accesses += 1,
+            _ => {}
         }
     }
-    let checkpoint = reader.last_checkpoint().expect("markers were emitted");
-    assert_eq!(checkpoint.lane, 0);
-    assert_eq!(checkpoint.lane_accesses, 200);
-    assert_eq!(Trace::from_bytes(&bytes).expect("decode"), captured.trace);
+    assert_eq!(accesses, trace.accesses());
+    assert_eq!(Trace::from_bytes(&bytes).expect("decode"), trace);
+
+    // A marker whose hash argument was altered is refused, even when the
+    // trailing checksum is recomputed over the altered bytes.
+    let (marker_start, marker_end) = first_checkpoint_marker(&bytes);
+    let true_hash = fnv64(&bytes[..marker_start]);
+    let mut tampered = bytes.clone();
+    // The hash varint starts after the tag, the count and two bytes of
+    // lane count; its first byte holds the hash's low seven bits.
+    tampered[marker_start + 4] ^= 0x01;
+    let body = tampered.len() - 8;
+    let checksum = fnv64(&tampered[..body]);
+    tampered[body..].copy_from_slice(&checksum.to_le_bytes());
+    let (offset, error) = decode_failure(tampered.as_slice());
+    assert_eq!(offset, marker_end as u64);
+    match error {
+        TraceError::ChecksumMismatch { stored, computed } => {
+            assert_eq!(computed, true_hash);
+            assert_eq!(stored, true_hash ^ 0x01);
+        }
+        other => panic!("expected the marker's mismatch, got {other}"),
+    }
 }

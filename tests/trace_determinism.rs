@@ -1,7 +1,7 @@
 //! Integration tests for the `mitosis-trace` subsystem: the determinism
 //! guarantee (replaying a captured trace reproduces the live run's metrics
-//! bit-for-bit, across serialisation), property-style round-trip identity
-//! of the binary format, and the parallel replay driver.
+//! bit-for-bit, across serialisation) and property-style round-trip
+//! identity of the binary format.
 
 use mitosis_numa::SocketId;
 use mitosis_sim::{ExecutionEngine, MigrationConfig, MigrationRun, SimParams};
@@ -139,90 +139,6 @@ fn migration_scenario_events_replay_identically() {
             run.label()
         );
     }
-}
-
-#[test]
-fn parallel_driver_replays_four_traces_with_identical_metrics() {
-    let params = quick(400);
-    let specs = [
-        suite::gups(),
-        suite::btree(),
-        suite::memcached(),
-        suite::redis(),
-    ];
-    let traces: Vec<Trace> = specs
-        .iter()
-        .map(|spec| {
-            capture_engine_run(spec, &params, &[SocketId::new(0)])
-                .unwrap()
-                .trace
-        })
-        .collect();
-
-    let mut session = ReplaySession::new(&params);
-    let sequential = session
-        .replay_batch(&traces, &ReplayRequest::new())
-        .unwrap();
-    let parallel = session
-        .replay_batch(&traces, &ReplayRequest::new().grouped(4))
-        .unwrap();
-
-    assert_eq!(parallel.outcomes.len(), 4);
-    for ((s, p), spec) in sequential
-        .outcomes
-        .iter()
-        .zip(&parallel.outcomes)
-        .zip(&specs)
-    {
-        assert_eq!(
-            s.metrics,
-            p.metrics,
-            "parallel replay of {} diverged from sequential",
-            spec.name()
-        );
-    }
-    assert_eq!(sequential.aggregate, parallel.aggregate);
-    assert_eq!(parallel.aggregate.traces, 4);
-    assert_eq!(parallel.aggregate.accesses, 4 * 400);
-}
-
-#[test]
-fn parallel_replay_outpaces_sequential_when_cores_allow() {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    if cores < 4 {
-        eprintln!("skipping throughput comparison: only {cores} host cores");
-        return;
-    }
-    // Enough work per trace that thread start-up cost is noise.
-    let params = quick(30_000);
-    let traces: Vec<Trace> = [
-        suite::gups(),
-        suite::btree(),
-        suite::memcached(),
-        suite::gups(),
-    ]
-    .iter()
-    .map(|spec| {
-        capture_engine_run(spec, &params, &[SocketId::new(0)])
-            .unwrap()
-            .trace
-    })
-    .collect();
-    let mut session = ReplaySession::new(&params);
-    let sequential = session
-        .replay_batch(&traces, &ReplayRequest::new())
-        .unwrap();
-    let parallel = session
-        .replay_batch(&traces, &ReplayRequest::new().grouped(4))
-        .unwrap();
-    assert!(
-        parallel.accesses_per_second() > sequential.accesses_per_second(),
-        "parallel replay should beat sequential: {:.0}/s vs {:.0}/s",
-        parallel.accesses_per_second(),
-        sequential.accesses_per_second()
-    );
 }
 
 proptest! {
