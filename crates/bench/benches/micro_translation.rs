@@ -2,8 +2,9 @@
 //! remote page walks, the two stages of the engine's pipelined schedule at
 //! a Figure 10 footprint, a split segment at a Figure 9 footprint, native
 //! vs. replicated PTE updates, whole-tree
-//! replication, the setup layer (populate, footprint) and the
-//! copy-on-write path (one-page ranged shootdown, fork).
+//! replication, the setup layer (populate, also at a Figure 10 footprint,
+//! and footprint) and the copy-on-write path (one-page ranged shootdown,
+//! fork).
 //!
 //! These are not paper figures; they quantify the paper's design choices
 //! (2N-reference eager updates, replica-ring lookups, walk cost asymmetry)
@@ -12,7 +13,6 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use mitosis::{replicate_tree, Mitosis, MitosisPvOps};
-use mitosis_mem::FrameKind;
 use mitosis_mmu::step::{
     tlb_step, walk_step, AccessCtx, LeafTables, Miss, Tables, ThreadPhase, ThreadTotals,
 };
@@ -49,7 +49,6 @@ fn build_tree(pages: u64) -> (PtEnv, mitosis_pt::PtRoots, Vec<VirtAddr>) {
     for i in 0..pages {
         let addr = VirtAddr::new(0x10_0000_0000 + i * 4096);
         let data = ctx.alloc.alloc_on(SocketId::new(0)).expect("data frame");
-        ctx.frames.insert(data, FrameKind::Data);
         mapper
             .map(
                 &mut ops,
@@ -435,24 +434,35 @@ fn bench_tree_replication(c: &mut Criterion) {
     group.finish();
 }
 
-/// Bytes of the lazily mapped region the setup benches populate: 1024
+/// Bytes of the lazily mapped region most setup benches populate: 1024
 /// base pages, two leaf tables.
 const SETUP_REGION: u64 = 4 * 1024 * 1024;
 
-/// A process with a lazily mapped [`SETUP_REGION`] on `machine`, with
-/// page-table replication on every socket when `replicated`.
-fn lazy_region(machine: &Machine, replicated: bool) -> (System, Pid, VirtAddr) {
+/// Bytes of GUPS's region at machine scale 128, a Figure 10 footprint:
+/// 131,072 base pages, 256 leaf tables.
+const GUPS_SCALE128_REGION: u64 = 512 * 1024 * 1024;
+
+/// The page-table backend of a setup bench's system.
+#[derive(Debug, Clone, Copy)]
+enum Backend {
+    /// Stock Linux: one page table per process.
+    Native,
+    /// The Mitosis backend with replication off.
+    Mitosis,
+    /// The Mitosis backend, replicating onto every socket.
+    MitosisReplicated,
+}
+
+/// A process with a lazily mapped region of `bytes` on `machine`.
+fn lazy_region(machine: &Machine, bytes: u64, backend: Backend) -> (System, Pid, VirtAddr) {
     let mut mitosis = Mitosis::new();
-    let mut system = if replicated {
-        mitosis.install(machine.clone())
-    } else {
-        System::new(machine.clone())
+    let mut system = match backend {
+        Backend::Native => System::new(machine.clone()),
+        Backend::Mitosis | Backend::MitosisReplicated => mitosis.install(machine.clone()),
     };
     let pid = system.create_process(SocketId::new(0)).expect("process");
-    let region = system
-        .mmap(pid, SETUP_REGION, MmapFlags::lazy())
-        .expect("mmap");
-    if replicated {
+    let region = system.mmap(pid, bytes, MmapFlags::lazy()).expect("mmap");
+    if let Backend::MitosisReplicated = backend {
         mitosis
             .enable_for_process(&mut system, pid, None)
             .expect("replicate");
@@ -467,13 +477,32 @@ fn bench_setup(c: &mut Criterion) {
         .sample_size(20)
         .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_secs(1));
-    for (label, replicated) in [("native", false), ("mitosis_4way", true)] {
+    // The 4 MiB rows keep every structure the populate writes in the
+    // host's caches.  `gups_scale128` populates a Figure 10 footprint on a
+    // scale-128 machine, where per-frame work misses them as it does in
+    // the benchmark's setup.
+    let scaled = SimParams::new().with_machine_scale(128).machine();
+    for (label, machine, bytes, backend) in [
+        ("native", &machine, SETUP_REGION, Backend::Native),
+        (
+            "mitosis_4way",
+            &machine,
+            SETUP_REGION,
+            Backend::MitosisReplicated,
+        ),
+        (
+            "gups_scale128",
+            &scaled,
+            GUPS_SCALE128_REGION,
+            Backend::Mitosis,
+        ),
+    ] {
         group.bench_function(label, |b| {
             b.iter_batched(
-                || lazy_region(&machine, replicated),
+                || lazy_region(machine, bytes, backend),
                 |(mut system, pid, region)| {
                     system
-                        .populate_region(pid, region, SETUP_REGION, SocketId::new(0))
+                        .populate_region(pid, region, bytes, SocketId::new(0))
                         .expect("populate");
                     system
                 },
@@ -489,7 +518,8 @@ fn bench_setup(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_secs(1));
     group.bench_function("mitosis_4way", |b| {
-        let (mut system, pid, region) = lazy_region(&machine, true);
+        let (mut system, pid, region) =
+            lazy_region(&machine, SETUP_REGION, Backend::MitosisReplicated);
         system
             .populate_region(pid, region, SETUP_REGION, SocketId::new(0))
             .expect("populate");
@@ -548,7 +578,8 @@ fn bench_cow_path(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_secs(1));
     group.bench_function("mitosis_2way", |b| {
-        let (mut system, pid, region) = lazy_region(&machine, true);
+        let (mut system, pid, region) =
+            lazy_region(&machine, SETUP_REGION, Backend::MitosisReplicated);
         system
             .populate_region(pid, region, SETUP_REGION, SocketId::new(0))
             .expect("populate");

@@ -90,7 +90,6 @@ pub fn migrate_page_table(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mitosis_mem::FrameKind;
     use mitosis_numa::MachineConfig;
     use mitosis_pt::{Mapper, NativePvOps, PageSize, PtEnv, PteFlags, ReplicationSpec, VirtAddr};
 
@@ -111,7 +110,6 @@ mod tests {
         for i in 0..pages {
             let addr = VirtAddr::new(0x2_0000_0000 + i * 4096);
             let data = ctx.alloc.alloc_on(SocketId::new(0)).unwrap();
-            ctx.frames.insert(data, FrameKind::Data);
             mapper
                 .map(
                     &mut ops,

@@ -3,8 +3,9 @@
 //! Every page-table mutation the virtual memory subsystem performs is
 //! intercepted here and propagated to all replicas of the written page-table
 //! page.  Replicas are located through the circular linked list threaded
-//! through per-frame metadata (Figure 8), so an update touches `2N` memory
-//! locations for `N` replicas instead of walking `N` page tables.
+//! through the metadata of page-table pages (Figure 8), so an update
+//! touches `2N` memory locations for `N` replicas instead of walking `N`
+//! page tables.
 //!
 //! Two details need care:
 //!
@@ -17,7 +18,7 @@
 //!   walker used, so reads consolidate them with a logical OR across the
 //!   ring and clears reset every replica (paper §5.4).
 
-use mitosis_mem::{FrameId, FrameKind, FrameTable};
+use mitosis_mem::{FrameId, FrameTable};
 use mitosis_numa::SocketId;
 use mitosis_pt::{Level, PtContext, PtError, PtOpStats, Pte, PvOps, ReplicationSpec};
 
@@ -46,12 +47,7 @@ impl MitosisPvOps {
         socket: SocketId,
     ) -> Result<FrameId, PtError> {
         let frame = ctx.page_cache.alloc_pagetable_frame(ctx.alloc, socket)?;
-        ctx.frames.insert(
-            frame,
-            FrameKind::PageTable {
-                level: level.number(),
-            },
-        );
+        ctx.frames.insert(frame, level.number());
         ctx.store.insert_table(frame);
         self.stats.tables_allocated += 1;
         Ok(frame)
@@ -68,7 +64,9 @@ impl MitosisPvOps {
 
     /// Translates `pte` for the replica living on `replica_socket`: entries
     /// pointing at page-table pages are redirected to the same-socket child
-    /// replica (when one exists); leaf/data entries are copied verbatim.
+    /// replica (when one exists); leaf/data entries are copied verbatim.  A
+    /// target the frame table does not track is a data frame, since only
+    /// page-table pages have entries there.
     fn pte_for_replica(&mut self, frames: &FrameTable, pte: Pte, replica_socket: SocketId) -> Pte {
         if !pte.is_present() || pte.is_huge() {
             return pte;
@@ -77,15 +75,13 @@ impl MitosisPvOps {
             Some(frame) => frame,
             None => return pte,
         };
-        match frames.kind(target) {
-            Some(FrameKind::PageTable { .. }) => {
-                self.stats.replica_ring_reads += 1;
-                match frames.replica_on_socket(target, replica_socket) {
-                    Some(replica_child) => pte.with_frame(replica_child),
-                    None => pte,
-                }
-            }
-            _ => pte,
+        if frames.level(target).is_none() {
+            return pte;
+        }
+        self.stats.replica_ring_reads += 1;
+        match frames.replica_on_socket(target, replica_socket) {
+            Some(replica_child) => pte.with_frame(replica_child),
+            None => pte,
         }
     }
 }
@@ -151,6 +147,27 @@ impl PvOps for MitosisPvOps {
             let translated = self.pte_for_replica(frames, pte, frames.socket_of(replica));
             ctx.store.write(replica, index, translated);
             self.stats.replica_pte_writes += 1;
+        }
+    }
+
+    fn set_leaf_ptes(&mut self, ctx: &mut PtContext<'_>, table: FrameId, entries: &[(usize, Pte)]) {
+        // Leaf entries point at data frames, which `pte_for_replica` copies
+        // verbatim, so every ring member gets the same entries.
+        debug_assert!(entries.iter().all(|(_, pte)| pte
+            .frame()
+            .is_none_or(|frame| ctx.frames.level(frame).is_none())));
+        let writes = entries.len() as u64;
+        for member in ctx.frames.ring(table) {
+            let slot = ctx.store.slot(member);
+            for &(index, pte) in entries {
+                ctx.store.write_at(slot, index, pte);
+            }
+            if member == table {
+                self.stats.pte_writes += writes;
+            } else {
+                self.stats.replica_ring_reads += writes;
+                self.stats.replica_pte_writes += writes;
+            }
         }
     }
 
@@ -259,13 +276,81 @@ mod tests {
             .alloc_table(&mut ctx, Level::L1, SocketId::new(0), &all_sockets())
             .unwrap();
         let data = ctx.alloc.alloc_on(SocketId::new(0)).unwrap();
-        ctx.frames.insert(data, FrameKind::Data);
         ops.set_pte(&mut ctx, table, 42, Pte::new(data, PteFlags::user_data()));
         for replica in ctx.frames.replicas_of(table) {
             assert_eq!(ctx.store.read(replica, 42).frame(), Some(data));
         }
         assert_eq!(ops.stats().pte_writes, 1);
         assert_eq!(ops.stats().replica_pte_writes, 1);
+    }
+
+    #[test]
+    fn set_leaf_ptes_matches_one_set_pte_per_entry() {
+        let machine = MachineConfig::new(4, 1)
+            .with_memory_per_socket(64 * 1024 * 1024)
+            .build();
+        for repl in [ReplicationSpec::none(), ReplicationSpec::all_sockets(4)] {
+            let mut env = PtEnv::new(&machine);
+            let mut ops = MitosisPvOps::new();
+            let mut ctx = env.context();
+            let table = ops
+                .alloc_table(&mut ctx, Level::L1, SocketId::new(1), &repl)
+                .unwrap();
+            let data: Vec<FrameId> = (0..4)
+                .map(|s| ctx.alloc.alloc_on(SocketId::new(s)).unwrap())
+                .collect();
+            ops.set_pte(
+                &mut ctx,
+                table,
+                300,
+                Pte::new(data[3], PteFlags::user_data()),
+            );
+            // Writable and read-only leaves, an index written twice and a
+            // present entry cleared.
+            let batch = [
+                (0, Pte::new(data[0], PteFlags::user_data())),
+                (7, Pte::new(data[1], PteFlags::user_readonly())),
+                (7, Pte::new(data[2], PteFlags::user_data())),
+                (300, Pte::EMPTY),
+                (511, Pte::new(data[3], PteFlags::user_readonly())),
+            ];
+            let ring = ctx.frames.replicas_of(table);
+            assert_eq!(ring.len(), repl.sockets().len().max(1));
+            let (mut single_env, mut single_ops) = (env.clone(), ops.clone());
+            let mut single = single_env.context();
+            for &(index, pte) in &batch {
+                single_ops.set_pte(&mut single, table, index, pte);
+            }
+            let mut batched = env.context();
+            ops.set_leaf_ptes(&mut batched, table, &batch);
+            assert_eq!(ops.stats(), single_ops.stats());
+            // One write per entry of the table, and one ring read plus one
+            // write per entry of every other member.
+            let others = ring.len() as u64 - 1;
+            assert_eq!(ops.stats().pte_writes, 6);
+            assert_eq!(ops.stats().replica_pte_writes, 6 * others);
+            assert_eq!(ops.stats().replica_ring_reads, 6 * others);
+            for &member in &ring {
+                let (a, b) = (batched.store.slot(member), single.store.slot(member));
+                for index in 0..512 {
+                    assert_eq!(
+                        batched.store.read_at(a, index),
+                        single.store.read_at(b, index)
+                    );
+                }
+                assert!(batched
+                    .store
+                    .present_indices(a)
+                    .eq(single.store.present_indices(b)));
+                assert_eq!(batched.store.read(member, 7).frame(), Some(data[2]));
+            }
+            // The debug form lists every table's writable and huge bitmaps
+            // too, which are not public.
+            assert_eq!(
+                format!("{:?}", batched.store),
+                format!("{:?}", single.store)
+            );
+        }
     }
 
     #[test]
@@ -322,7 +407,6 @@ mod tests {
             .alloc_table(&mut ctx, Level::L1, SocketId::new(0), &all_sockets())
             .unwrap();
         let data = ctx.alloc.alloc_on(SocketId::new(0)).unwrap();
-        ctx.frames.insert(data, FrameKind::Data);
         ops.set_pte(&mut ctx, table, 5, Pte::new(data, PteFlags::user_data()));
         // Hardware sets the dirty bit in the *other* replica only.
         let other = ctx
@@ -366,7 +450,7 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, PtError::Mem(_)), "{err:?}");
         assert_eq!(ctx.store.table_count(), 0);
-        assert_eq!(ctx.frames.kind(last.unwrap()), None);
+        assert_eq!(ctx.frames.level(last.unwrap()), None);
         assert_eq!(ctx.page_cache.reserved(SocketId::new(0)), 1);
         assert_eq!(ops.stats().tables_allocated, 1);
         assert_eq!(ops.stats().tables_freed, 1);
@@ -384,7 +468,7 @@ mod tests {
         ops.release_table(&mut ctx, table).unwrap();
         for member in ring {
             assert!(!ctx.store.contains(member));
-            assert_eq!(ctx.frames.kind(member), None);
+            assert_eq!(ctx.frames.level(member), None);
         }
         assert_eq!(ops.stats().tables_freed, 2);
     }
@@ -403,7 +487,6 @@ mod tests {
         let mapper = Mapper::new(&roots);
         let addr = VirtAddr::new(0x5555_0000_0000);
         let data = ctx.alloc.alloc_on(SocketId::new(1)).unwrap();
-        ctx.frames.insert(data, FrameKind::Data);
         mapper
             .map(
                 &mut ops,

@@ -8,7 +8,7 @@
 //! page-table and create replicas according to the new bitmask").
 
 use crate::error::MitosisError;
-use mitosis_mem::{FrameId, FrameKind};
+use mitosis_mem::FrameId;
 use mitosis_numa::{NodeMask, SocketId};
 use mitosis_pt::{Level, PtContext, PtRoots, PtSlot};
 
@@ -92,12 +92,7 @@ pub fn replicate_tree(
                 .page_cache
                 .alloc_pagetable_frame(ctx.alloc, *socket)
                 .map_err(MitosisError::from)?;
-            ctx.frames.insert(
-                frame,
-                FrameKind::PageTable {
-                    level: level.number(),
-                },
-            );
+            ctx.frames.insert(frame, level.number());
             ctx.store.insert_table(frame);
             ring.push(frame);
             summary.replica_tables_created += 1;
@@ -140,7 +135,7 @@ pub fn replicate_tree(
             let pte = ctx.store.read_at(source, index);
             children.clear();
             if let Some(child) = pte.frame().filter(|_| !pte.is_huge()) {
-                if let Some(FrameKind::PageTable { .. }) = ctx.frames.kind(child) {
+                if ctx.frames.level(child).is_some() {
                     children.extend(ctx.frames.ring(child));
                 }
             }
@@ -228,7 +223,6 @@ mod tests {
         for i in 0..pages {
             let addr = VirtAddr::new(0x1_0000_0000 + i * 4096);
             let data = ctx.alloc.alloc_on(SocketId::new(0)).unwrap();
-            ctx.frames.insert(data, FrameKind::Data);
             mapper
                 .map(
                     &mut ops,

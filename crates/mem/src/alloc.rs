@@ -257,9 +257,16 @@ impl FrameAllocator {
     ///
     /// # Errors
     ///
-    /// Returns [`MemError::NotAllocated`] if any frame of the run is not
-    /// currently allocated.
+    /// Returns [`MemError::NotAllocated`], naming the first such frame, if
+    /// any frame of the run is not currently allocated.  The whole run is
+    /// checked before any frame is freed, so a failed call changes nothing.
     pub fn free_huge(&mut self, first: FrameId) -> Result<(), MemError> {
+        if let Some(stray) = (0..FRAMES_PER_HUGE_PAGE)
+            .map(|i| first.offset(i))
+            .find(|frame| !self.is_allocated(*frame))
+        {
+            return Err(MemError::NotAllocated { pfn: stray.pfn() });
+        }
         for i in 0..FRAMES_PER_HUGE_PAGE {
             self.free(first.offset(i))?;
         }
@@ -404,6 +411,31 @@ mod tests {
                 Err(MemError::NotAllocated { pfn: stray.pfn() })
             );
         }
+    }
+
+    #[test]
+    fn a_failed_huge_free_frees_nothing() {
+        let mut alloc = small_allocator();
+        let huge = alloc.alloc_huge_on(SocketId::new(0)).unwrap();
+        let hole = huge.offset(300);
+        alloc.free(hole).unwrap();
+        let run = || (0..FRAMES_PER_HUGE_PAGE).map(|i| huge.offset(i));
+        let stats = alloc.stats(SocketId::new(0));
+        let allocated: Vec<bool> = run().map(|f| alloc.is_allocated(f)).collect();
+        assert_eq!(
+            alloc.free_huge(huge),
+            Err(MemError::NotAllocated { pfn: hole.pfn() })
+        );
+        assert_eq!(alloc.stats(SocketId::new(0)), stats);
+        assert_eq!(
+            run().map(|f| alloc.is_allocated(f)).collect::<Vec<_>>(),
+            allocated
+        );
+        assert_eq!(run().filter(|f| alloc.is_allocated(*f)).count(), 511);
+        // Refilling the hole makes the run whole again.
+        assert_eq!(alloc.alloc_on(SocketId::new(0)), Ok(hole));
+        alloc.free_huge(huge).unwrap();
+        assert_eq!(alloc.stats(SocketId::new(0)).allocated_frames, 0);
     }
 
     #[test]

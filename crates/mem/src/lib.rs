@@ -11,9 +11,11 @@
 //!   fail as the machine ages (paper §8.2, Figure 11).
 //! * [`PlacementPolicy`] — first-touch, interleave, fixed and preferred data
 //!   placement, mirroring Linux/numactl allocation policies.
-//! * [`FrameTable`] — per-frame metadata (`struct page` in Linux), including
-//!   the circular replica list Mitosis threads through page-table pages
-//!   (paper §5.2, Figure 8).
+//! * [`FrameTable`] — the `struct page` metadata of page-table pages: each
+//!   page's level and the circular replica list Mitosis threads through
+//!   them (paper §5.2, Figure 8).  Data frames have no entry: nothing reads
+//!   per-frame state of a data frame, whose socket follows from its frame
+//!   number.
 //! * [`PageCache`] — per-socket reserved pools of frames for page-table
 //!   allocations, sized through a sysctl-like knob (paper §5.1).
 //!
@@ -49,7 +51,7 @@ pub use fragmentation::FragmentationModel;
 pub use frame::{
     FrameId, FrameRange, FrameSpace, BASE_PAGE_SIZE, FRAMES_PER_HUGE_PAGE, HUGE_PAGE_SIZE,
 };
-pub use meta::{FrameKind, FrameTable, PageMeta};
+pub use meta::FrameTable;
 pub use page_cache::PageCache;
 pub use policy::{InterleaveState, PlacementPolicy, PolicyEngine};
 pub use refcount::CowRefCounts;

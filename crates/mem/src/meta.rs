@@ -1,59 +1,36 @@
-//! Per-frame metadata — the simulator's `struct page`.
+//! Page-table page metadata — the part of the simulator's `struct page`
+//! that Mitosis reads.
 //!
-//! Linux keeps a `struct page` for every physical frame; Mitosis augments it
-//! with a pointer that threads all replicas of a page-table page into a
-//! circular linked list (paper §5.2, Figure 8).  That list is what allows an
-//! update intercepted at the PV-Ops layer to reach every replica in 2N memory
-//! references instead of walking N page-tables.
+//! Linux keeps a `struct page` for every physical frame; Mitosis augments
+//! the one of each page-table page with a pointer that threads all replicas
+//! of that page into a circular linked list (paper §5.2, Figure 8).  That
+//! list is what allows an update intercepted at the PV-Ops layer to reach
+//! every replica in 2N memory references instead of walking N page-tables.
+//!
+//! Only page-table pages have an entry.  Nothing in the simulator reads
+//! per-frame state of a data frame: its socket follows from its frame
+//! number ([`FrameSpace::socket_of`]), whether it is allocated lives in the
+//! allocator, and a leaf entry pointing at it is copied to every replica
+//! verbatim.  An entry per data frame would cost a populate more than its
+//! page-table writes, so data frames are untracked: an untracked frame is
+//! a data frame.
 //!
 //! The table is backed by a slot slab plus a two-level directory indexed by
-//! frame number — the same handle trick `PtStore` uses for page-table pages —
-//! instead of a hash map.  Lookups hash nothing, replica-ring hops are two
-//! array indexations, and because the directory is ordered by frame number
-//! a socket's frames iterate as one contiguous range.
+//! frame number — the same handle trick `PtStore` uses for page-table
+//! contents — instead of a hash map: lookups hash nothing and replica-ring
+//! hops are two array indexations.
 
-use crate::frame::{FrameId, FrameRange, FrameSpace};
+use crate::frame::{FrameId, FrameSpace};
 use mitosis_numa::SocketId;
 
-/// What a physical frame is currently used for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FrameKind {
-    /// An application data frame.
-    Data,
-    /// A page-table page at the given level (1 = leaf/PTE level, 4 = root).
-    PageTable {
-        /// Radix-tree level of the page-table page (1..=4).
-        level: u8,
-    },
-}
-
-/// Metadata kept for one allocated physical frame.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PageMeta {
-    kind: FrameKind,
+/// Metadata kept for one page-table page.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct PageMeta {
+    /// Radix-tree level of the page (1 = leaf/PTE level, 4 = root).
+    level: u8,
     /// Next frame in the circular list of replicas of the same logical
     /// page-table page.  `None` when the page is not replicated.
     replica_next: Option<FrameId>,
-}
-
-impl PageMeta {
-    /// Creates metadata for a freshly allocated frame.
-    pub fn new(kind: FrameKind) -> Self {
-        PageMeta {
-            kind,
-            replica_next: None,
-        }
-    }
-
-    /// The frame's current use.
-    pub fn kind(&self) -> FrameKind {
-        self.kind
-    }
-
-    /// The next replica in the circular list, if the page is replicated.
-    pub fn replica_next(&self) -> Option<FrameId> {
-        self.replica_next
-    }
 }
 
 /// Frames per directory chunk (and the shift that selects the chunk).
@@ -62,23 +39,24 @@ const CHUNK_FRAMES: usize = 1 << DIR_SHIFT;
 /// Directory sentinel: "this frame has no slot".
 const NO_SLOT: u32 = u32::MAX;
 
-/// The machine-wide table of per-frame metadata.
+/// The machine-wide table of page-table page metadata: each page's level
+/// and its replica ring.
 ///
-/// Only allocated frames have entries; on a half-terabyte machine eagerly
-/// materialising 128 M `struct page`s would be wasteful for a simulator.
-/// Entries live in a slab (`slots`) reached through a two-level directory
-/// (`dir[pfn >> 12][pfn & 0xfff]`), so lookup, insert and remove are O(1)
-/// without hashing and iteration runs in frame-number order.
+/// Only page-table pages have entries (see the module documentation for
+/// why data frames have none).  Entries live in a slab (`slots`) reached
+/// through a two-level directory (`dir[pfn >> 12][pfn & 0xfff]`), so
+/// lookup, insert and remove are O(1) without hashing.
 ///
 /// # Example
 ///
 /// ```
-/// use mitosis_mem::{FrameId, FrameKind, FrameSpace, FrameTable};
+/// use mitosis_mem::{FrameId, FrameSpace, FrameTable};
 ///
 /// let space = FrameSpace::with_frames_per_socket(2, 1024);
 /// let mut table = FrameTable::new(space);
-/// table.insert(FrameId::new(3), FrameKind::PageTable { level: 1 });
-/// assert_eq!(table.kind(FrameId::new(3)), Some(FrameKind::PageTable { level: 1 }));
+/// table.insert(FrameId::new(3), 1);
+/// assert_eq!(table.level(FrameId::new(3)), Some(1));
+/// assert_eq!(table.level(FrameId::new(4)), None);
 /// ```
 #[derive(Debug, Clone)]
 pub struct FrameTable {
@@ -128,10 +106,13 @@ impl FrameTable {
         &mut chunk[frame.pfn() as usize & (CHUNK_FRAMES - 1)]
     }
 
-    /// Records metadata for a newly allocated frame, replacing any previous
-    /// entry.
-    pub fn insert(&mut self, frame: FrameId, kind: FrameKind) {
-        let meta = PageMeta::new(kind);
+    /// Records a newly allocated page-table page at `level` (1..=4),
+    /// replacing any previous entry and its replica link.
+    pub fn insert(&mut self, frame: FrameId, level: u8) {
+        let meta = PageMeta {
+            level,
+            replica_next: None,
+        };
         match self.slot_of(frame) {
             Some(slot) => self.slots[slot as usize] = meta,
             None => {
@@ -151,17 +132,17 @@ impl FrameTable {
         }
     }
 
-    /// Removes the metadata of a freed frame and returns it.
-    pub fn remove(&mut self, frame: FrameId) -> Option<PageMeta> {
+    /// Forgets a freed page-table page and returns its level, or `None` if
+    /// the frame was not tracked.
+    pub fn remove(&mut self, frame: FrameId) -> Option<u8> {
         let slot = self.slot_of(frame)?;
         *self.dir_entry_mut(frame) = NO_SLOT;
         self.free.push(slot);
         self.len -= 1;
-        Some(self.slots[slot as usize].clone())
+        Some(self.slots[slot as usize].level)
     }
 
-    /// Returns the metadata of a frame, if the frame is tracked.
-    pub fn get(&self, frame: FrameId) -> Option<&PageMeta> {
+    fn get(&self, frame: FrameId) -> Option<&PageMeta> {
         self.slot_of(frame).map(|s| &self.slots[s as usize])
     }
 
@@ -169,9 +150,9 @@ impl FrameTable {
         self.slot_of(frame).map(|s| &mut self.slots[s as usize])
     }
 
-    /// Returns the use of a frame, if tracked.
-    pub fn kind(&self, frame: FrameId) -> Option<FrameKind> {
-        self.get(frame).map(|m| m.kind)
+    /// The level of a page-table page, or `None` for any other frame.
+    pub fn level(&self, frame: FrameId) -> Option<u8> {
+        self.get(frame).map(|m| m.level)
     }
 
     /// Returns the socket that owns a frame (derived from the frame space).
@@ -179,45 +160,14 @@ impl FrameTable {
         self.space.socket_of(frame)
     }
 
-    /// Number of tracked frames.
+    /// Number of tracked page-table pages.
     pub fn len(&self) -> usize {
         self.len
     }
 
-    /// Returns `true` if no frame is tracked.
+    /// Returns `true` if no page-table page is tracked.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Iterates over tracked frames in `range`, in frame-number order.
-    pub fn iter_range(&self, range: FrameRange) -> impl Iterator<Item = (FrameId, &PageMeta)> {
-        let start = range.start.pfn();
-        let end = range.end.pfn();
-        (start >> DIR_SHIFT..=end.saturating_sub(1) >> DIR_SHIFT)
-            .filter_map(move |chunk| {
-                let entries = self.dir.get(chunk as usize)?.as_ref()?;
-                Some((chunk, entries))
-            })
-            .flat_map(move |(chunk, entries)| {
-                entries
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, slot)| **slot != NO_SLOT)
-                    .map(move |(i, slot)| {
-                        (
-                            FrameId::new((chunk << DIR_SHIFT) + i as u64),
-                            &self.slots[*slot as usize],
-                        )
-                    })
-                    .filter(move |(frame, _)| frame.pfn() >= start && frame.pfn() < end)
-            })
-    }
-
-    /// Number of tracked frames of a given kind on a given socket.
-    pub fn count_on_socket(&self, socket: SocketId, kind: FrameKind) -> usize {
-        self.iter_range(self.space.range_of(socket))
-            .filter(|(_, meta)| meta.kind == kind)
-            .count()
     }
 
     // --- Replica ring management (paper §5.2, Figure 8) -------------------
@@ -307,15 +257,15 @@ mod tests {
     }
 
     #[test]
-    fn insert_get_remove() {
+    fn insert_level_remove() {
         let mut t = table();
-        t.insert(FrameId::new(5), FrameKind::Data);
-        assert_eq!(t.kind(FrameId::new(5)), Some(FrameKind::Data));
+        t.insert(FrameId::new(5), 2);
+        assert_eq!(t.level(FrameId::new(5)), Some(2));
         assert_eq!(t.len(), 1);
-        let meta = t.remove(FrameId::new(5)).unwrap();
-        assert_eq!(meta.kind(), FrameKind::Data);
+        assert_eq!(t.remove(FrameId::new(5)), Some(2));
         assert!(t.is_empty());
-        assert_eq!(t.kind(FrameId::new(5)), None);
+        assert_eq!(t.level(FrameId::new(5)), None);
+        assert_eq!(t.remove(FrameId::new(5)), None);
     }
 
     #[test]
@@ -323,13 +273,13 @@ mod tests {
         let mut t = table();
         let frames = [FrameId::new(1), FrameId::new(1001)];
         for &f in &frames {
-            t.insert(f, FrameKind::PageTable { level: 1 });
+            t.insert(f, 1);
         }
         t.link_replicas(&frames);
         assert!(t.is_replicated(frames[0]));
         // Replacing an entry behaves like a fresh map insert: the old
         // metadata — including the ring link — is discarded.
-        t.insert(frames[0], FrameKind::PageTable { level: 1 });
+        t.insert(frames[0], 1);
         assert!(!t.is_replicated(frames[0]));
         assert_eq!(t.len(), 2);
     }
@@ -338,24 +288,24 @@ mod tests {
     fn slot_reuse_after_remove() {
         let mut t = table();
         for pfn in 0..100 {
-            t.insert(FrameId::new(pfn), FrameKind::Data);
+            t.insert(FrameId::new(pfn), 1);
         }
         for pfn in 0..50 {
             t.remove(FrameId::new(pfn));
         }
         assert_eq!(t.len(), 50);
         for pfn in 2000..2050 {
-            t.insert(FrameId::new(pfn), FrameKind::PageTable { level: 2 });
+            t.insert(FrameId::new(pfn), 2);
         }
         assert_eq!(t.len(), 100);
+        for pfn in 0..50 {
+            assert_eq!(t.level(FrameId::new(pfn)), None);
+        }
         for pfn in 50..100 {
-            assert_eq!(t.kind(FrameId::new(pfn)), Some(FrameKind::Data));
+            assert_eq!(t.level(FrameId::new(pfn)), Some(1));
         }
         for pfn in 2000..2050 {
-            assert_eq!(
-                t.kind(FrameId::new(pfn)),
-                Some(FrameKind::PageTable { level: 2 })
-            );
+            assert_eq!(t.level(FrameId::new(pfn)), Some(2));
         }
     }
 
@@ -365,7 +315,7 @@ mod tests {
         // One page-table page replica per socket: frames 10, 1010, 2010, 3010.
         let frames: Vec<FrameId> = (0..4).map(|s| FrameId::new(s * 1000 + 10)).collect();
         for &f in &frames {
-            t.insert(f, FrameKind::PageTable { level: 2 });
+            t.insert(f, 2);
         }
         t.link_replicas(&frames);
         for &f in &frames {
@@ -383,7 +333,7 @@ mod tests {
     #[test]
     fn single_frame_ring_is_not_replicated() {
         let mut t = table();
-        t.insert(FrameId::new(7), FrameKind::PageTable { level: 1 });
+        t.insert(FrameId::new(7), 1);
         t.link_replicas(&[FrameId::new(7)]);
         assert!(!t.is_replicated(FrameId::new(7)));
         assert_eq!(t.replicas_of(FrameId::new(7)), vec![FrameId::new(7)]);
@@ -394,7 +344,7 @@ mod tests {
         let mut t = table();
         let frames: Vec<FrameId> = (0..3).map(|s| FrameId::new(s * 1000 + 1)).collect();
         for &f in &frames {
-            t.insert(f, FrameKind::PageTable { level: 1 });
+            t.insert(f, 1);
         }
         t.link_replicas(&frames);
         let mut remaining = t.unlink_replica(frames[1]);
@@ -410,28 +360,11 @@ mod tests {
     }
 
     #[test]
-    fn count_on_socket_filters_by_kind_and_socket() {
-        let mut t = table();
-        t.insert(FrameId::new(0), FrameKind::Data);
-        t.insert(FrameId::new(1), FrameKind::PageTable { level: 1 });
-        t.insert(FrameId::new(1001), FrameKind::PageTable { level: 1 });
-        assert_eq!(
-            t.count_on_socket(SocketId::new(0), FrameKind::PageTable { level: 1 }),
-            1
-        );
-        assert_eq!(
-            t.count_on_socket(SocketId::new(1), FrameKind::PageTable { level: 1 }),
-            1
-        );
-        assert_eq!(t.count_on_socket(SocketId::new(0), FrameKind::Data), 1);
-    }
-
-    #[test]
     fn ring_walks_members_in_order_starting_anywhere() {
         let mut t = table();
         let frames: Vec<FrameId> = (0..4).map(|s| FrameId::new(s * 1000 + 3)).collect();
         for &f in &frames {
-            t.insert(f, FrameKind::PageTable { level: 1 });
+            t.insert(f, 1);
         }
         assert_eq!(t.ring(frames[2]).collect::<Vec<_>>(), vec![frames[2]]);
         t.link_replicas(&frames);
@@ -453,7 +386,7 @@ mod tests {
         let mut t = FrameTable::new(FrameSpace::with_frames_per_socket(1, 4096));
         let frames: Vec<FrameId> = (0..70).map(FrameId::new).collect();
         for &f in &frames {
-            t.insert(f, FrameKind::PageTable { level: 1 });
+            t.insert(f, 1);
         }
         // A 70-member ring cannot come from a machine of at most 64 sockets.
         t.link_replicas(&frames);

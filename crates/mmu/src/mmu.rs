@@ -376,7 +376,7 @@ impl Mmu {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mitosis_mem::{FrameKind, FrameSpace};
+    use mitosis_mem::FrameSpace;
     use mitosis_pt::{Level, Pte, PteFlags};
 
     fn build() -> (PtStore, FrameTable, FrameId, VirtAddr) {
@@ -390,11 +390,10 @@ mod tests {
             FrameId::new(3),
         );
         for (frame, level) in [(root, 4u8), (l3, 3), (l2, 2), (l1, 1)] {
-            frames.insert(frame, FrameKind::PageTable { level });
+            frames.insert(frame, level);
             store.insert_table(frame);
         }
         let data = FrameId::new(600);
-        frames.insert(data, FrameKind::Data);
         let addr = VirtAddr::new(0x7f00_0000_0000 & ((1 << 48) - 1));
         let addr = VirtAddr::new(addr.as_u64() % (1 << 47));
         store.write(

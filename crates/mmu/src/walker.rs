@@ -239,7 +239,7 @@ impl HardwareWalker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mitosis_mem::{FrameKind, FrameSpace};
+    use mitosis_mem::FrameSpace;
     use mitosis_numa::Interference;
     use mitosis_pt::{Pte, PteFlags};
 
@@ -258,11 +258,10 @@ mod tests {
             FrameId::new(3)
         };
         for (frame, level) in [(root, 4u8), (l3, 3), (l2, 2), (l1, 1)] {
-            frames.insert(frame, FrameKind::PageTable { level });
+            frames.insert(frame, level);
             store.insert_table(frame);
         }
         let data = FrameId::new(500);
-        frames.insert(data, FrameKind::Data);
         let addr = VirtAddr::new(0x4000_0000);
         store.write(
             root,

@@ -227,7 +227,7 @@ impl fmt::Display for PageTableDump {
 mod tests {
     use super::*;
     use crate::entry::{Pte, PteFlags};
-    use mitosis_mem::{FrameKind, FrameSpace};
+    use mitosis_mem::FrameSpace;
 
     /// Builds a two-socket page table by hand:
     /// root on socket 0, one L3/L2/L1 chain on socket 0 and another L1 table
@@ -242,7 +242,7 @@ mod tests {
         let l1_local = FrameId::new(3);
         let l1_remote = FrameId::new(10_000); // socket 1
         for (frame, level) in [(root, 4), (l3, 3), (l2, 2), (l1_local, 1), (l1_remote, 1)] {
-            frames.insert(frame, FrameKind::PageTable { level });
+            frames.insert(frame, level);
             store.insert_table(frame);
         }
         store.write(root, 0, Pte::new(l3, PteFlags::table_pointer()));
@@ -252,12 +252,10 @@ mod tests {
         // Data frames on socket 1.
         for i in 0..4u64 {
             let data = FrameId::new(10_100 + i);
-            frames.insert(data, FrameKind::Data);
             store.write(l1_local, i as usize, Pte::new(data, PteFlags::user_data()));
         }
         for i in 0..2u64 {
             let data = FrameId::new(10_200 + i);
-            frames.insert(data, FrameKind::Data);
             store.write(l1_remote, i as usize, Pte::new(data, PteFlags::user_data()));
         }
         (store, frames, root)
@@ -313,11 +311,10 @@ mod tests {
         let l3 = FrameId::new(1);
         let l2 = FrameId::new(2);
         for (frame, level) in [(root, 4), (l3, 3), (l2, 2)] {
-            frames.insert(frame, FrameKind::PageTable { level });
+            frames.insert(frame, level);
             store.insert_table(frame);
         }
         let huge_data = FrameId::new(512);
-        frames.insert(huge_data, FrameKind::Data);
         store.write(root, 0, Pte::new(l3, PteFlags::table_pointer()));
         store.write(l3, 0, Pte::new(l2, PteFlags::table_pointer()));
         store.write(

@@ -13,15 +13,16 @@
 //!   write to all replicas.
 //!
 //! [`PtEnv`]/[`PtContext`] bundle the physical-memory state every backend
-//! needs (page-table contents, frame metadata, allocator and per-socket page
-//! cache) so that backends themselves stay stateless apart from statistics.
+//! needs (page-table contents, page-table page metadata, allocator and
+//! per-socket page cache) so that backends themselves stay stateless apart
+//! from statistics.
 
 use crate::addr::Level;
 use crate::entry::Pte;
 use crate::error::PtError;
 use crate::mapper::PtRoots;
 use crate::store::PtStore;
-use mitosis_mem::{FrameAllocator, FrameId, FrameKind, FrameTable, PageCache};
+use mitosis_mem::{FrameAllocator, FrameId, FrameTable, PageCache};
 use mitosis_numa::{Machine, NodeMask, SocketId};
 
 /// Number of page-table frames each socket keeps in reserve by default.
@@ -101,13 +102,13 @@ impl PtOpStats {
     }
 }
 
-/// Owner of all physical page-table state: contents, frame metadata,
-/// allocator and the per-socket page cache.
+/// Owner of all physical page-table state: contents, page-table page
+/// metadata, allocator and the per-socket page cache.
 #[derive(Debug, Clone)]
 pub struct PtEnv {
     /// Contents of page-table pages.
     pub store: PtStore,
-    /// Per-frame metadata (`struct page`), including replica rings.
+    /// Page-table page metadata (`struct page`): levels and replica rings.
     pub frames: FrameTable,
     /// The machine's frame allocator.
     pub alloc: FrameAllocator,
@@ -145,7 +146,7 @@ impl PtEnv {
 pub struct PtContext<'a> {
     /// Contents of page-table pages.
     pub store: &'a mut PtStore,
-    /// Per-frame metadata (`struct page`), including replica rings.
+    /// Page-table page metadata (`struct page`): levels and replica rings.
     pub frames: &'a mut FrameTable,
     /// The machine's frame allocator.
     pub alloc: &'a mut FrameAllocator,
@@ -193,6 +194,13 @@ pub trait PvOps: std::fmt::Debug + Send + Sync {
 
     /// Writes the entry at `index` of `table`, propagating to replicas.
     fn set_pte(&mut self, ctx: &mut PtContext<'_>, table: FrameId, index: usize, pte: Pte);
+
+    /// Writes several entries of the leaf table `table`, each `(index,
+    /// pte)` pointing at a data frame, propagating to replicas: Linux's
+    /// `set_ptes()`.  The result and the statistics are exactly those of one
+    /// [`PvOps::set_pte`] per entry, in order, but the table and its
+    /// replica ring are resolved once for the whole batch.
+    fn set_leaf_ptes(&mut self, ctx: &mut PtContext<'_>, table: FrameId, entries: &[(usize, Pte)]);
 
     /// Reads the entry at `index` of `table`.  Accessed/dirty bits reflect
     /// every replica (logical OR), as the paper's extended PV-Ops getters do.
@@ -248,12 +256,7 @@ impl PvOps for NativePvOps {
         _repl: &ReplicationSpec,
     ) -> Result<FrameId, PtError> {
         let frame = ctx.page_cache.alloc_pagetable_frame(ctx.alloc, socket)?;
-        ctx.frames.insert(
-            frame,
-            FrameKind::PageTable {
-                level: level.number(),
-            },
-        );
+        ctx.frames.insert(frame, level.number());
         ctx.store.insert_table(frame);
         self.stats.tables_allocated += 1;
         Ok(frame)
@@ -270,6 +273,14 @@ impl PvOps for NativePvOps {
     fn set_pte(&mut self, ctx: &mut PtContext<'_>, table: FrameId, index: usize, pte: Pte) {
         ctx.store.write(table, index, pte);
         self.stats.pte_writes += 1;
+    }
+
+    fn set_leaf_ptes(&mut self, ctx: &mut PtContext<'_>, table: FrameId, entries: &[(usize, Pte)]) {
+        let slot = ctx.store.slot(table);
+        for &(index, pte) in entries {
+            ctx.store.write_at(slot, index, pte);
+        }
+        self.stats.pte_writes += entries.len() as u64;
     }
 
     fn read_pte(&self, ctx: &PtContext<'_>, table: FrameId, index: usize) -> Pte {
@@ -301,6 +312,7 @@ impl PvOps for NativePvOps {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::addr::ENTRIES_PER_TABLE;
     use crate::entry::PteFlags;
     use mitosis_numa::MachineConfig;
 
@@ -322,10 +334,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(ctx.frames.socket_of(frame), SocketId::new(1));
-        assert_eq!(
-            ctx.frames.kind(frame),
-            Some(FrameKind::PageTable { level: 4 })
-        );
+        assert_eq!(ctx.frames.level(frame), Some(4));
         assert!(ctx.store.contains(frame));
         assert_eq!(ops.stats().tables_allocated, 1);
     }
@@ -348,6 +357,74 @@ mod tests {
         assert_eq!(ops.read_pte(&ctx, table, 7).frame(), Some(data));
         assert_eq!(ops.stats().pte_writes, 1);
         assert_eq!(ops.stats().replica_pte_writes, 0);
+    }
+
+    #[test]
+    fn native_set_leaf_ptes_matches_one_set_pte_per_entry() {
+        let machine = MachineConfig::new(4, 1)
+            .with_memory_per_socket(64 * 1024 * 1024)
+            .build();
+        for members in [1, 4] {
+            // A leaf table whose ring (when 4) links a table on every
+            // socket: the native backend writes the table alone either way.
+            let mut env = PtEnv::new(&machine);
+            let mut ops = NativePvOps::new();
+            let mut ctx = env.context();
+            let ring: Vec<FrameId> = (0..members)
+                .map(|s| {
+                    ops.alloc_table(
+                        &mut ctx,
+                        Level::L1,
+                        SocketId::new(s),
+                        &ReplicationSpec::none(),
+                    )
+                    .unwrap()
+                })
+                .collect();
+            ctx.frames.link_replicas(&ring);
+            let data: Vec<FrameId> = (0..4)
+                .map(|_| ctx.alloc.alloc_on(SocketId::new(0)).unwrap())
+                .collect();
+            ops.set_pte(
+                &mut ctx,
+                ring[0],
+                300,
+                Pte::new(data[3], PteFlags::user_data()),
+            );
+            // Writable and read-only leaves, an index written twice and a
+            // present entry cleared.
+            let batch = [
+                (0, Pte::new(data[0], PteFlags::user_data())),
+                (7, Pte::new(data[1], PteFlags::user_readonly())),
+                (7, Pte::new(data[2], PteFlags::user_data())),
+                (300, Pte::EMPTY),
+                (511, Pte::new(data[3], PteFlags::user_readonly())),
+            ];
+            let (mut single_env, mut single_ops) = (env.clone(), ops.clone());
+            let mut single = single_env.context();
+            for &(index, pte) in &batch {
+                single_ops.set_pte(&mut single, ring[0], index, pte);
+            }
+            let mut batched = env.context();
+            ops.set_leaf_ptes(&mut batched, ring[0], &batch);
+            assert_eq!(ops.stats(), single_ops.stats());
+            assert_eq!(ops.stats().pte_writes, 6);
+            for &member in &ring {
+                let (a, b) = (batched.store.slot(member), single.store.slot(member));
+                for index in 0..ENTRIES_PER_TABLE {
+                    assert_eq!(
+                        batched.store.read_at(a, index),
+                        single.store.read_at(b, index)
+                    );
+                }
+                assert_eq!(batched.store.masks_at(a), single.store.masks_at(b));
+            }
+            assert_eq!(
+                batched.store.read(ring[0], 7).frame(),
+                Some(data[2]),
+                "the later write of an index wins"
+            );
+        }
     }
 
     #[test]
@@ -395,7 +472,7 @@ mod tests {
             .unwrap();
         ops.release_table(&mut ctx, table).unwrap();
         assert!(!ctx.store.contains(table));
-        assert_eq!(ctx.frames.kind(table), None);
+        assert_eq!(ctx.frames.level(table), None);
         assert_eq!(ops.stats().tables_freed, 1);
     }
 

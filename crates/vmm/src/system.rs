@@ -4,11 +4,11 @@ use crate::config::{PtPlacement, ShootdownMode, ThpMode, VmmConfig};
 use crate::error::VmError;
 use crate::process::{AddressSpace, Pid, Process};
 use crate::vma::{Protection, Vma};
-use mitosis_mem::{CowRefCounts, FrameId, FrameKind, MemError, PolicyEngine, BASE_PAGE_SIZE};
+use mitosis_mem::{CowRefCounts, FrameId, MemError, BASE_PAGE_SIZE};
 use mitosis_numa::{Machine, SocketId};
 use mitosis_pt::{
     Level, Mapper, MappingTx, NativePvOps, PageSize, PageTableDump, PtContext, PtEnv, Pte,
-    PteFlags, PvOps, ReplicationSpec, ShootdownPlan, Translation, VirtAddr,
+    PteFlags, PvOps, ReplicationSpec, ShootdownPlan, Translation, VirtAddr, ENTRIES_PER_TABLE,
 };
 use std::collections::BTreeMap;
 use std::convert::Infallible;
@@ -312,10 +312,11 @@ impl System {
     /// thread running on `socket`.
     ///
     /// The result is exactly that of calling [`System::handle_fault`] page
-    /// by page.  Once a fault maps a 4 KiB page, the rest of that leaf
-    /// table's 2 MiB window is mapped directly through the table instead of
-    /// walking from the root per page, unless a transparent huge page could
-    /// still back part of it.
+    /// by page: the same mappings, allocator state and [`PvOps`] statistics.
+    /// Once a fault maps a 4 KiB page, the rest of that leaf table's 2 MiB
+    /// window is mapped directly through the table, in one batched entry
+    /// write, instead of walking from the root per page, unless a
+    /// transparent huge page could still back part of it.
     ///
     /// # Errors
     ///
@@ -344,11 +345,18 @@ impl System {
     /// per-page [`System::handle_fault`] calls would, and returns the
     /// address where those calls would continue.
     ///
-    /// The window shares `faulted`'s leaf table, so each page costs one
-    /// entry probe plus the base-page step the fault handler runs
-    /// ([`map_base_page`]); present entries are skipped like spurious
-    /// faults.  A fault would try a transparent huge page first, though,
-    /// and a failed attempt has side effects (a fragmentation draw, frames
+    /// The window shares `faulted`'s leaf table, so no page walks from the
+    /// root: each absent entry gets a data frame from the process'
+    /// placement policy, in address order as the faults would allocate
+    /// them, and the new entries are written with one
+    /// [`PvOps::set_leaf_ptes`] call, which resolves the table and its
+    /// replica ring once for the window.  Present entries are skipped like
+    /// spurious faults.  If an allocation fails, the entries allocated
+    /// before it are written and the error is returned, which leaves the
+    /// system as the per-page faults would.
+    ///
+    /// A fault would try a transparent huge page first, though, and a
+    /// failed attempt has side effects (a fragmentation draw, frames
     /// skipped for alignment refilling the free list), so the window is
     /// left to the per-page path unless THP provably cannot take it.
     fn populate_leaf_window(
@@ -390,27 +398,26 @@ impl System {
         let leaf = mitosis_pt::table_at(store, root, faulted, Level::L1)
             .expect("the page just faulted in hangs off a leaf table");
         let slot = store.slot(leaf);
-        let mut ctx = self.env.context();
+        let policy = process.data_policy_mut();
+        let mut entries = Vec::with_capacity(ENTRIES_PER_TABLE);
+        let mut outcome = Ok(window_end);
         let mut page = from;
         while page < window_end {
-            if !ctx
-                .store
-                .read_at(slot, page.index_at(Level::L1))
-                .is_present()
-            {
-                map_base_page(
-                    self.ops.as_mut(),
-                    &mut ctx,
-                    process.data_policy_mut(),
-                    socket,
-                    page,
-                    flags,
-                    LeafPath::Table(leaf),
-                )?;
+            let index = page.index_at(Level::L1);
+            if !store.read_at(slot, index).is_present() {
+                match policy.alloc_data(&mut self.env.alloc, socket) {
+                    Ok(frame) => entries.push((index, Pte::new(frame, flags))),
+                    Err(err) => {
+                        outcome = Err(err.into());
+                        break;
+                    }
+                }
             }
             page = page.add(PageSize::Base4K.bytes());
         }
-        Ok(window_end)
+        self.ops
+            .set_leaf_ptes(&mut self.env.context(), leaf, &entries);
+        outcome
     }
 
     /// Handles a page fault at `addr` raised by a thread running on
@@ -470,7 +477,6 @@ impl System {
             let range_free = mapper.translate(&ctx, huge_addr).is_none();
             if range_free {
                 if let Ok(frame) = process.data_policy_mut().alloc_huge_data(ctx.alloc, socket) {
-                    ctx.frames.insert(frame, FrameKind::Data);
                     match mapper.map(
                         self.ops.as_mut(),
                         &mut ctx,
@@ -492,7 +498,6 @@ impl System {
                         Err(mitosis_pt::PtError::AlreadyMapped { .. }) => {
                             // Part of the range is mapped with base pages:
                             // fall back to a 4 KiB page for this fault.
-                            ctx.frames.remove(frame);
                             ctx.alloc.free_huge(frame)?;
                         }
                         Err(other) => return Err(other.into()),
@@ -503,18 +508,16 @@ impl System {
 
         // Base-page path.
         let page_addr = addr.align_down(PageSize::Base4K);
-        let frame = map_base_page(
+        let frame = process.data_policy_mut().alloc_data(ctx.alloc, socket)?;
+        mapper.map(
             self.ops.as_mut(),
             &mut ctx,
-            process.data_policy_mut(),
-            socket,
             page_addr,
+            frame,
+            PageSize::Base4K,
             flags,
-            LeafPath::Walk {
-                mapper,
-                pt_socket,
-                replication,
-            },
+            pt_socket,
+            replication,
         )?;
         Ok(FaultOutcome {
             addr: page_addr,
@@ -592,7 +595,6 @@ impl System {
                     .alloc_huge_data(ctx.alloc, socket)?,
                 PageSize::Giant1G => return Err(VmError::InvalidArgument),
             };
-            ctx.frames.insert(new_frame, FrameKind::Data);
             self.ops.set_pte(&mut ctx, table, index, Pte::EMPTY);
             self.ops.set_pte(
                 &mut ctx,
@@ -814,12 +816,10 @@ impl System {
             Err(MemError::HugeAllocationFailed { .. }) => return Ok(false),
             Err(other) => return Err(other.into()),
         };
-        ctx.frames.insert(huge, FrameKind::Data);
         for i in 0..pages {
             let page = addr.add(i * PageSize::Base4K.bytes());
             let old = mapper.unmap(self.ops.as_mut(), &mut ctx, page)?;
             let frame = old.frame().expect("mapped entry has a frame");
-            ctx.frames.remove(frame);
             ctx.alloc.free(frame)?;
         }
         // The unmaps left an empty L1 table linked at L2; unlink and
@@ -905,9 +905,6 @@ impl System {
         for i in 0..pages {
             let page = addr.add(i * PageSize::Base4K.bytes());
             let frame = t.frame.offset(i);
-            if i != 0 {
-                ctx.frames.insert(frame, FrameKind::Data);
-            }
             mapper.map(
                 self.ops.as_mut(),
                 &mut ctx,
@@ -982,7 +979,6 @@ impl System {
                             self.pending.invalidate_page(asid, aligned, t.size);
                         }
                         if self.cow.release(frame) {
-                            ctx.frames.remove(frame);
                             match t.size {
                                 PageSize::Base4K => ctx.alloc.free(frame)?,
                                 PageSize::Huge2M => ctx.alloc.free_huge(frame)?,
@@ -1155,7 +1151,6 @@ impl System {
             PageSize::Huge2M => ctx.alloc.alloc_huge_on(target)?,
             PageSize::Giant1G => return Err(VmError::InvalidArgument),
         };
-        ctx.frames.insert(new_frame, FrameKind::Data);
         let aligned = addr.align_down(t.size);
         let old = mapper.unmap(self.ops.as_mut(), &mut ctx, aligned)?;
         let old_frame = old.frame().expect("mapped entry has a frame");
@@ -1169,7 +1164,6 @@ impl System {
             pt_socket,
             replication,
         )?;
-        ctx.frames.remove(old_frame);
         match t.size {
             PageSize::Base4K => ctx.alloc.free(old_frame)?,
             PageSize::Huge2M => ctx.alloc.free_huge(old_frame)?,
@@ -1350,55 +1344,6 @@ fn leaf_flags(protection: Protection) -> PteFlags {
     } else {
         PteFlags::user_readonly()
     }
-}
-
-/// How [`map_base_page`] reaches the leaf entry of the page it maps.
-enum LeafPath<'a> {
-    /// Walk from the base root, allocating missing tables on `pt_socket`.
-    Walk {
-        mapper: Mapper<'a>,
-        pt_socket: SocketId,
-        replication: ReplicationSpec,
-    },
-    /// The page's leaf (L1) table, already resolved by the caller.
-    Table(FrameId),
-}
-
-/// The base-page step of a demand fault, shared by [`System::handle_fault`]
-/// and the leaf-table populate: allocates a data frame by the process'
-/// placement `policy` for a thread on `socket`, records it, and maps it at
-/// `page`.
-fn map_base_page(
-    ops: &mut dyn PvOps,
-    ctx: &mut PtContext<'_>,
-    policy: &mut PolicyEngine,
-    socket: SocketId,
-    page: VirtAddr,
-    flags: PteFlags,
-    leaf: LeafPath<'_>,
-) -> Result<FrameId, VmError> {
-    let frame = policy.alloc_data(ctx.alloc, socket)?;
-    ctx.frames.insert(frame, FrameKind::Data);
-    match leaf {
-        LeafPath::Walk {
-            mapper,
-            pt_socket,
-            replication,
-        } => mapper.map(
-            ops,
-            ctx,
-            page,
-            frame,
-            PageSize::Base4K,
-            flags,
-            pt_socket,
-            replication,
-        )?,
-        LeafPath::Table(table) => {
-            ops.set_pte(ctx, table, page.index_at(Level::L1), Pte::new(frame, flags));
-        }
-    }
-    Ok(frame)
 }
 
 #[cfg(test)]
@@ -1693,6 +1638,53 @@ mod tests {
         // The pid the fork would have taken is still the next one.
         sys.munmap(parent, leaves[0].addr, 64 * 4096).unwrap();
         assert_eq!(sys.create_process(SocketId::new(1)), Ok(Pid::new(2)));
+    }
+
+    #[test]
+    fn a_populate_out_of_memory_mid_window_stops_where_the_fault_loop_does() {
+        let machine = MachineConfig::new(2, 1)
+            .with_memory_per_socket(16 * 1024 * 1024)
+            .build();
+        let mut sys = System::new(machine);
+        let pid = sys.create_process(SocketId::new(0)).unwrap();
+        sys.process_mut(pid)
+            .unwrap()
+            .set_data_policy(PlacementPolicy::Bind(SocketId::new(1)));
+        // Leave 100 free frames on the data socket.
+        let alloc = &mut sys.pt_env_mut().alloc;
+        let mut taken = Vec::new();
+        while let Ok(frame) = alloc.alloc_on(SocketId::new(1)) {
+            taken.push(frame);
+        }
+        for frame in taken.drain(taken.len() - 100..) {
+            alloc.free(frame).unwrap();
+        }
+        let addr = VirtAddr::new(0x40_0000_0000);
+        sys.mmap_at(pid, addr, 2 * 1024 * 1024, MmapFlags::lazy().without_thp())
+            .unwrap();
+        let mut reference = sys.clone();
+        let populated = sys.populate_region(pid, addr, 2 * 1024 * 1024, SocketId::new(0));
+        let mut faulted = Ok(());
+        for page in 0..512 {
+            if let Err(err) = reference.handle_fault(pid, addr.add(page * 4096), SocketId::new(0)) {
+                faulted = Err(err);
+                break;
+            }
+        }
+        assert!(matches!(populated, Err(VmError::Mem(_))), "{populated:?}");
+        assert_eq!(populated, faulted);
+        let observable = |sys: &System| {
+            let env = sys.pt_env();
+            let root = sys.process(pid).unwrap().address_space().roots().base();
+            (
+                mitosis_pt::iter_leaf_mappings(&env.store, root),
+                [0, 1].map(|s| env.alloc.stats(SocketId::new(s))),
+                sys.pvops().stats(),
+                env.store.table_count(),
+            )
+        };
+        assert_eq!(observable(&sys), observable(&reference));
+        assert_eq!(observable(&sys).0.len(), 100, "the window stopped mid-way");
     }
 
     #[test]

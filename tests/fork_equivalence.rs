@@ -8,7 +8,7 @@
 //! run on owned copies of the same system's state.
 
 use mitosis::Mitosis;
-use mitosis_mem::{CowRefCounts, FrameId, FrameKind, PlacementPolicy};
+use mitosis_mem::{CowRefCounts, FrameId, PlacementPolicy};
 use mitosis_numa::{Machine, MachineConfig, SocketId, MIB};
 use mitosis_pt::{
     iter_leaf_mappings, Mapper, MappingTx, PageSize, PtEnv, PtRoots, PteFlags, PvOps, VirtAddr,
@@ -137,7 +137,6 @@ impl Reference {
                     .alloc_huge_data(ctx.alloc, socket)?,
                 PageSize::Giant1G => return Err(VmError::InvalidArgument),
             };
-            ctx.frames.insert(new_frame, FrameKind::Data);
             mapper.unmap(self.ops.as_mut(), &mut ctx, aligned)?;
             mapper.map(
                 self.ops.as_mut(),
