@@ -14,7 +14,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use mitosis::{replicate_tree, Mitosis, MitosisPvOps};
 use mitosis_mmu::step::{
-    tlb_step, walk_step, AccessCtx, LeafTables, Miss, Tables, ThreadPhase, ThreadTotals,
+    tlb_step, walk_step, AccessCtx, LeafTables, Miss, ThreadPhase, ThreadTotals,
 };
 use mitosis_mmu::{Mmu, PteCacheSet};
 use mitosis_numa::{CoreId, Machine, MachineConfig, NodeMask, SocketId};
@@ -87,7 +87,7 @@ fn bench_walks(c: &mut Criterion) {
             false,
             roots.base(),
             &env.store,
-            &env.frames,
+            env.alloc.frame_space(),
             &cost,
             caches.socket(SocketId::new(0)),
         );
@@ -97,7 +97,7 @@ fn bench_walks(c: &mut Criterion) {
                 false,
                 roots.base(),
                 &env.store,
-                &env.frames,
+                env.alloc.frame_space(),
                 &cost,
                 caches.socket(SocketId::new(0)),
             )
@@ -116,7 +116,7 @@ fn bench_walks(c: &mut Criterion) {
                     false,
                     roots.base(),
                     &env.store,
-                    &env.frames,
+                    env.alloc.frame_space(),
                     &cost,
                     caches.socket(SocketId::new(socket)),
                 )
@@ -140,12 +140,7 @@ fn bench_pte_updates(c: &mut Criterion) {
         let mut ops = NativePvOps::new();
         let mut ctx = env.context();
         let table = ops
-            .alloc_table(
-                &mut ctx,
-                mitosis_pt::Level::L1,
-                SocketId::new(0),
-                &ReplicationSpec::none(),
-            )
+            .alloc_table(&mut ctx, SocketId::new(0), &ReplicationSpec::none())
             .expect("table");
         let data = ctx.alloc.alloc_on(SocketId::new(0)).expect("frame");
         let pte = Pte::new(data, PteFlags::user_data());
@@ -162,7 +157,7 @@ fn bench_pte_updates(c: &mut Criterion) {
         let repl = ReplicationSpec::all_sockets(4);
         let mut ctx = env.context();
         let table = ops
-            .alloc_table(&mut ctx, mitosis_pt::Level::L1, SocketId::new(0), &repl)
+            .alloc_table(&mut ctx, SocketId::new(0), &repl)
             .expect("table");
         let data = ctx.alloc.alloc_on(SocketId::new(0)).expect("frame");
         let pte = Pte::new(data, PteFlags::user_data());
@@ -212,7 +207,7 @@ fn bench_translation_throughput(c: &mut Criterion) {
                 false,
                 roots.base(),
                 &env.store,
-                &env.frames,
+                env.alloc.frame_space(),
                 &cost,
                 caches.socket(SocketId::new(0)),
             )
@@ -239,7 +234,7 @@ fn bench_translation_throughput(c: &mut Criterion) {
             false,
             roots.base(),
             &env.store,
-            &env.frames,
+            env.alloc.frame_space(),
             &cost,
             caches.socket(SocketId::new(0)),
         ));
@@ -284,7 +279,6 @@ fn bench_pipeline_stages(c: &mut Criterion) {
     let accesses: Vec<Access> = (0..drawn).map(|_| stream.next_access()).collect();
 
     let env = system.pt_env();
-    let tables = Tables::of(env);
     let frame_space = env.alloc.frame_space().clone();
     let ctx = AccessCtx {
         region: region.as_u64(),
@@ -304,7 +298,7 @@ fn bench_pipeline_stages(c: &mut Criterion) {
         cr3: system.cr3_for(pid, socket).expect("cr3"),
     };
     let (mut tlbs, mut walks) = Mmu::new(CoreId::new(0), socket).into_halves();
-    let mut leaves = LeafTables::new(tables.store, region, scaled.footprint());
+    let mut leaves = LeafTables::new(&env.store, region, scaled.footprint());
     let mut totals = ThreadTotals::default();
     let mut tlb_access = |access: Access, misses: &mut Vec<Miss>| {
         tlb_step(
@@ -353,7 +347,14 @@ fn bench_pipeline_stages(c: &mut Criterion) {
         let mut next = recorded.iter().cycle();
         b.iter(|| {
             if let Some(miss) = *next.next().expect("a cycle never ends") {
-                walk_step(miss, &mut walks, &mut pte_cache, &phase, tables);
+                walk_step(
+                    miss,
+                    &mut walks,
+                    &mut pte_cache,
+                    &phase,
+                    &env.store,
+                    &frame_space,
+                );
             }
         });
     });
@@ -552,7 +553,7 @@ fn bench_cow_path(c: &mut Criterion) {
                 false,
                 roots.base(),
                 &env.store,
-                &env.frames,
+                env.alloc.frame_space(),
                 &cost,
                 caches.socket(SocketId::new(0)),
             );

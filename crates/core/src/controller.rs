@@ -249,7 +249,10 @@ mod tests {
         let cr3_0 = system.cr3_for(pid, SocketId::new(0)).unwrap();
         let cr3_1 = system.cr3_for(pid, SocketId::new(1)).unwrap();
         assert_ne!(cr3_0, cr3_1);
-        assert_eq!(system.pt_env().frames.socket_of(cr3_1), SocketId::new(1));
+        assert_eq!(
+            system.pt_env().alloc.frame_space().socket_of(cr3_1),
+            SocketId::new(1)
+        );
 
         // New mappings are reflected in both replicas.
         let addr = system.mmap(pid, 64 * 4096, MmapFlags::populate()).unwrap();

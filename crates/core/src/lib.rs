@@ -8,9 +8,10 @@
 //!
 //! * **Mechanism** (paper §5): [`MitosisPvOps`], a PV-Ops backend that keeps
 //!   all replicas consistent on every page-table write using the circular
-//!   replica list threaded through per-frame metadata; per-socket root
-//!   selection at context-switch time; OR-consolidation of accessed/dirty
-//!   bits; and replication-based page-table migration.
+//!   replica list threaded through each page-table page's store slot (its
+//!   `struct page`); per-socket root selection at context-switch time;
+//!   OR-consolidation of accessed/dirty bits; and replication-based
+//!   page-table migration.
 //! * **Policy** (paper §6): a system-wide mode (the sysctl interface) plus
 //!   per-process replication masks (the `numactl`/`libnuma` extension
 //!   `numa_set_pgtable_replication_mask`).

@@ -7,9 +7,9 @@
 //! the process migrates back (and reclaimed lazily under memory pressure).
 
 use crate::error::MitosisError;
-use crate::replication::replicate_tree;
+use crate::replication::{collect_tree, replicate_tree};
 use mitosis_numa::{NodeMask, SocketId};
-use mitosis_pt::{Level, PtContext, PtRoots};
+use mitosis_pt::{PtContext, PtRoots};
 
 /// Result of a page-table migration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -45,36 +45,21 @@ pub fn migrate_page_table(
 
     // Step 2: the target replica becomes the primary tree.
     let target_root = ctx
-        .frames
         .replica_on_socket(roots.base(), target)
         .expect("replication created a root replica on the target socket");
     new_roots.set_base(target_root);
 
     // Step 3: optionally free every non-target copy.
     if free_source {
-        let mut queue = vec![(target_root, Level::L4)];
-        let mut visited = Vec::new();
-        while let Some((table, level)) = queue.pop() {
-            visited.push((table, level));
-            if let Some(next) = level.next_lower() {
-                for (_, pte) in ctx.store.present_at(ctx.store.slot(table)) {
-                    if !pte.is_huge() {
-                        queue.push((pte.frame().expect("present entry has a frame"), next));
-                    }
-                }
-            }
-        }
-        for (table, _) in visited {
-            for replica in ctx.frames.replicas_of(table) {
-                if ctx.frames.socket_of(replica) == target {
+        let mut ring = Vec::new();
+        for (table, _) in collect_tree(ctx, target_root) {
+            ring.clear();
+            ring.extend(ctx.store.ring(table).map(|(member, _)| member));
+            for &replica in &ring {
+                if ctx.alloc.frame_space().socket_of(replica) == target {
                     continue;
                 }
-                ctx.frames.unlink_replica(replica);
-                ctx.store.remove_table(replica);
-                ctx.frames.remove(replica);
-                ctx.page_cache
-                    .release_pagetable_frame(ctx.alloc, replica)
-                    .map_err(MitosisError::from)?;
+                ctx.free_table_frame(replica)?;
                 migration.tables_freed += 1;
             }
         }
@@ -136,7 +121,10 @@ mod tests {
         assert_eq!(migration.tables_created, 4);
         assert_eq!(migration.tables_freed, 4);
         // The new base root lives on socket 1 and every socket uses it.
-        assert_eq!(ctx.frames.socket_of(new_roots.base()), SocketId::new(1));
+        assert_eq!(
+            ctx.alloc.frame_space().socket_of(new_roots.base()),
+            SocketId::new(1)
+        );
         assert_eq!(
             new_roots.root_for_socket(SocketId::new(0)),
             new_roots.base()
@@ -145,13 +133,17 @@ mod tests {
         for addr in addrs {
             let t = mitosis_pt::translate(ctx.store, new_roots.base(), addr).unwrap();
             assert_eq!(
-                ctx.frames.socket_of(t.frame),
+                ctx.alloc.frame_space().socket_of(t.frame),
                 SocketId::new(0),
                 "data did not move"
             );
         }
         // No page-table pages remain on socket 0.
-        let dump = mitosis_pt::PageTableDump::capture(ctx.store, ctx.frames, new_roots.base());
+        let dump = mitosis_pt::PageTableDump::capture(
+            ctx.store,
+            ctx.alloc.frame_space(),
+            new_roots.base(),
+        );
         for cell in dump.cells() {
             if cell.table_pages > 0 {
                 assert_eq!(cell.socket, SocketId::new(1));
@@ -167,10 +159,14 @@ mod tests {
             migrate_page_table(&mut ctx, &roots, SocketId::new(1), false).unwrap();
         assert_eq!(migration.tables_created, 4);
         assert_eq!(migration.tables_freed, 0);
-        assert_eq!(ctx.frames.socket_of(new_roots.base()), SocketId::new(1));
+        assert_eq!(
+            ctx.alloc.frame_space().socket_of(new_roots.base()),
+            SocketId::new(1)
+        );
         // The socket-0 root still exists and translates identically.
         assert_eq!(
-            ctx.frames
+            ctx.alloc
+                .frame_space()
                 .socket_of(new_roots.root_for_socket(SocketId::new(0))),
             SocketId::new(0)
         );

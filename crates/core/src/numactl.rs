@@ -184,7 +184,10 @@ mod tests {
         assert!(process.replication().is_enabled());
         // The replica root for socket 1 is local to socket 1.
         let cr3 = system.cr3_for(pid, SocketId::new(1)).unwrap();
-        assert_eq!(system.pt_env().frames.socket_of(cr3), SocketId::new(1));
+        assert_eq!(
+            system.pt_env().alloc.frame_space().socket_of(cr3),
+            SocketId::new(1)
+        );
     }
 
     #[test]

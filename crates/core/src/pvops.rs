@@ -3,9 +3,12 @@
 //! Every page-table mutation the virtual memory subsystem performs is
 //! intercepted here and propagated to all replicas of the written page-table
 //! page.  Replicas are located through the circular linked list threaded
-//! through the metadata of page-table pages (Figure 8), so an update
-//! touches `2N` memory locations for `N` replicas instead of walking `N`
-//! page tables.
+//! through the metadata of page-table pages (Figure 8): each table's
+//! `PtStore` slot names the slot of the next replica, and a
+//! [`RingWalk`](mitosis_pt::RingWalk) follows those links while the backend
+//! writes each member.  An update touches `2N` memory locations for `N`
+//! replicas instead of walking `N` page tables; [`PtOpStats`] counts those
+//! ring reads, not the host's directory probes.
 //!
 //! Two details need care:
 //!
@@ -18,9 +21,9 @@
 //!   walker used, so reads consolidate them with a logical OR across the
 //!   ring and clears reset every replica (paper §5.4).
 
-use mitosis_mem::{FrameId, FrameTable};
+use mitosis_mem::FrameId;
 use mitosis_numa::SocketId;
-use mitosis_pt::{Level, PtContext, PtError, PtOpStats, Pte, PvOps, ReplicationSpec};
+use mitosis_pt::{PtContext, PtError, PtOpStats, Pte, PvOps, ReplicationSpec};
 
 /// The replicating PV-Ops backend.
 ///
@@ -39,25 +42,9 @@ impl MitosisPvOps {
         MitosisPvOps::default()
     }
 
-    /// Allocates one page-table page on `socket` and registers it.
-    fn alloc_one(
-        &mut self,
-        ctx: &mut PtContext<'_>,
-        level: Level,
-        socket: SocketId,
-    ) -> Result<FrameId, PtError> {
-        let frame = ctx.page_cache.alloc_pagetable_frame(ctx.alloc, socket)?;
-        ctx.frames.insert(frame, level.number());
-        ctx.store.insert_table(frame);
-        self.stats.tables_allocated += 1;
-        Ok(frame)
-    }
-
-    /// Unregisters one page-table page and returns its frame.
+    /// Frees one page-table page.
     fn release_one(&mut self, ctx: &mut PtContext<'_>, frame: FrameId) -> Result<(), PtError> {
-        ctx.store.remove_table(frame);
-        ctx.frames.remove(frame);
-        ctx.page_cache.release_pagetable_frame(ctx.alloc, frame)?;
+        ctx.free_table_frame(frame)?;
         self.stats.tables_freed += 1;
         Ok(())
     }
@@ -65,9 +52,8 @@ impl MitosisPvOps {
     /// Translates `pte` for the replica living on `replica_socket`: entries
     /// pointing at page-table pages are redirected to the same-socket child
     /// replica (when one exists); leaf/data entries are copied verbatim.  A
-    /// target the frame table does not track is a data frame, since only
-    /// page-table pages have entries there.
-    fn pte_for_replica(&mut self, frames: &FrameTable, pte: Pte, replica_socket: SocketId) -> Pte {
+    /// target the store does not hold is a data frame.
+    fn pte_for_replica(&mut self, ctx: &PtContext<'_>, pte: Pte, replica_socket: SocketId) -> Pte {
         if !pte.is_present() || pte.is_huge() {
             return pte;
         }
@@ -75,11 +61,11 @@ impl MitosisPvOps {
             Some(frame) => frame,
             None => return pte,
         };
-        if frames.level(target).is_none() {
+        if !ctx.store.contains(target) {
             return pte;
         }
         self.stats.replica_ring_reads += 1;
-        match frames.replica_on_socket(target, replica_socket) {
+        match ctx.replica_on_socket(target, replica_socket) {
             Some(replica_child) => pte.with_frame(replica_child),
             None => pte,
         }
@@ -90,44 +76,43 @@ impl PvOps for MitosisPvOps {
     fn alloc_table(
         &mut self,
         ctx: &mut PtContext<'_>,
-        level: Level,
         socket: SocketId,
         repl: &ReplicationSpec,
     ) -> Result<FrameId, PtError> {
-        if !repl.is_enabled() {
-            return self.alloc_one(ctx, level, socket);
-        }
-        // One replica per socket in the mask; the primary is the requested
-        // socket's replica when the mask covers it.
+        // One replica per socket in the mask, or the requested socket alone
+        // without replication; the primary is the requested socket's
+        // replica.
         let mut sockets = repl.sockets();
         if !sockets.contains(&socket) {
             sockets.insert(0, socket);
         }
         let mut frames = Vec::with_capacity(sockets.len());
         for s in &sockets {
-            match self.alloc_one(ctx, level, *s) {
-                Ok(frame) => frames.push(frame),
+            match ctx.alloc_table_frame(*s) {
+                Ok(frame) => {
+                    self.stats.tables_allocated += 1;
+                    frames.push(frame);
+                }
                 Err(err) => {
                     // A failed allocation leaves no unreachable replica
                     // behind.
                     for frame in frames {
                         self.release_one(ctx, frame)?;
                     }
-                    return Err(err);
+                    return Err(err.into());
                 }
             }
         }
-        ctx.frames.link_replicas(&frames);
+        ctx.store.link_replicas(&frames);
         let primary = sockets
             .iter()
             .position(|s| *s == socket)
-            .map(|i| frames[i])
-            .unwrap_or(frames[0]);
-        Ok(primary)
+            .expect("the requested socket is in the list");
+        Ok(frames[primary])
     }
 
     fn release_table(&mut self, ctx: &mut PtContext<'_>, frame: FrameId) -> Result<(), PtError> {
-        let ring = ctx.frames.replicas_of(frame);
+        let ring: Vec<FrameId> = ctx.store.ring(frame).map(|(member, _)| member).collect();
         for member in ring {
             self.release_one(ctx, member)?;
         }
@@ -135,30 +120,31 @@ impl PvOps for MitosisPvOps {
     }
 
     fn set_pte(&mut self, ctx: &mut PtContext<'_>, table: FrameId, index: usize, pte: Pte) {
-        let frames = &*ctx.frames;
         // The written table itself is the replica of its own socket: child
         // pointers are localised to keep every socket's tree self-contained.
-        let own = self.pte_for_replica(frames, pte, frames.socket_of(table));
-        ctx.store.write(table, index, own);
-        self.stats.pte_writes += 1;
-        // Propagate to every other replica in the ring.
-        for replica in frames.ring(table).skip(1) {
-            self.stats.replica_ring_reads += 1;
-            let translated = self.pte_for_replica(frames, pte, frames.socket_of(replica));
-            ctx.store.write(replica, index, translated);
-            self.stats.replica_pte_writes += 1;
+        let mut ring = ctx.store.ring_walk(table);
+        while let Some((member, slot)) = ring.next(ctx.store) {
+            let socket = ctx.alloc.frame_space().socket_of(member);
+            let translated = self.pte_for_replica(ctx, pte, socket);
+            ctx.store.write_at(slot, index, translated);
+            if member == table {
+                self.stats.pte_writes += 1;
+            } else {
+                self.stats.replica_ring_reads += 1;
+                self.stats.replica_pte_writes += 1;
+            }
         }
     }
 
     fn set_leaf_ptes(&mut self, ctx: &mut PtContext<'_>, table: FrameId, entries: &[(usize, Pte)]) {
         // Leaf entries point at data frames, which `pte_for_replica` copies
         // verbatim, so every ring member gets the same entries.
-        debug_assert!(entries.iter().all(|(_, pte)| pte
-            .frame()
-            .is_none_or(|frame| ctx.frames.level(frame).is_none())));
+        debug_assert!(entries
+            .iter()
+            .all(|(_, pte)| pte.frame().is_none_or(|frame| !ctx.store.contains(frame))));
         let writes = entries.len() as u64;
-        for member in ctx.frames.ring(table) {
-            let slot = ctx.store.slot(member);
+        let mut ring = ctx.store.ring_walk(table);
+        while let Some((member, slot)) = ring.next(ctx.store) {
             for &(index, pte) in entries {
                 ctx.store.write_at(slot, index, pte);
             }
@@ -179,8 +165,8 @@ impl PvOps for MitosisPvOps {
         // Consolidate accessed/dirty bits across the ring (logical OR).
         let mut accessed = pte.flags().accessed;
         let mut dirty = pte.flags().dirty;
-        for replica in ctx.frames.ring(table).skip(1) {
-            let other = ctx.store.read(replica, index);
+        for (_, replica) in ctx.store.ring(table).skip(1) {
+            let other = ctx.store.read_at(replica, index);
             accessed |= other.flags().accessed;
             dirty |= other.flags().dirty;
         }
@@ -195,10 +181,11 @@ impl PvOps for MitosisPvOps {
     }
 
     fn clear_accessed_dirty(&mut self, ctx: &mut PtContext<'_>, table: FrameId, index: usize) {
-        for replica in ctx.frames.ring(table) {
-            let pte = ctx.store.read(replica, index);
+        let mut ring = ctx.store.ring_walk(table);
+        while let Some((_, slot)) = ring.next(ctx.store) {
+            let pte = ctx.store.read_at(slot, index);
             if pte.is_present() {
-                ctx.store.write(replica, index, pte.with_ad_cleared());
+                ctx.store.write_at(slot, index, pte.with_ad_cleared());
                 self.stats.pte_writes += 1;
             }
         }
@@ -231,20 +218,25 @@ mod tests {
         ReplicationSpec::on(NodeMask::all(2))
     }
 
+    /// The members of the ring of the table in `frame`, from it.
+    fn replicas_of(ctx: &PtContext<'_>, frame: FrameId) -> Vec<FrameId> {
+        ctx.store.ring(frame).map(|(member, _)| member).collect()
+    }
+
     #[test]
     fn alloc_with_replication_creates_one_table_per_socket() {
         let mut env = env();
         let mut ops = MitosisPvOps::new();
         let mut ctx = env.context();
         let primary = ops
-            .alloc_table(&mut ctx, Level::L4, SocketId::new(1), &all_sockets())
+            .alloc_table(&mut ctx, SocketId::new(1), &all_sockets())
             .unwrap();
-        assert_eq!(ctx.frames.socket_of(primary), SocketId::new(1));
-        let ring = ctx.frames.replicas_of(primary);
+        assert_eq!(ctx.alloc.frame_space().socket_of(primary), SocketId::new(1));
+        let ring = replicas_of(&ctx, primary);
         assert_eq!(ring.len(), 2);
         let sockets: Vec<usize> = ring
             .iter()
-            .map(|f| ctx.frames.socket_of(*f).index())
+            .map(|f| ctx.alloc.frame_space().socket_of(*f).index())
             .collect();
         assert!(sockets.contains(&0) && sockets.contains(&1));
         assert_eq!(ops.stats().tables_allocated, 2);
@@ -256,15 +248,9 @@ mod tests {
         let mut ops = MitosisPvOps::new();
         let mut ctx = env.context();
         let frame = ops
-            .alloc_table(
-                &mut ctx,
-                Level::L1,
-                SocketId::new(0),
-                &ReplicationSpec::none(),
-            )
+            .alloc_table(&mut ctx, SocketId::new(0), &ReplicationSpec::none())
             .unwrap();
-        assert_eq!(ctx.frames.replicas_of(frame).len(), 1);
-        assert!(!ctx.frames.is_replicated(frame));
+        assert_eq!(replicas_of(&ctx, frame), vec![frame]);
     }
 
     #[test]
@@ -273,11 +259,11 @@ mod tests {
         let mut ops = MitosisPvOps::new();
         let mut ctx = env.context();
         let table = ops
-            .alloc_table(&mut ctx, Level::L1, SocketId::new(0), &all_sockets())
+            .alloc_table(&mut ctx, SocketId::new(0), &all_sockets())
             .unwrap();
         let data = ctx.alloc.alloc_on(SocketId::new(0)).unwrap();
         ops.set_pte(&mut ctx, table, 42, Pte::new(data, PteFlags::user_data()));
-        for replica in ctx.frames.replicas_of(table) {
+        for replica in replicas_of(&ctx, table) {
             assert_eq!(ctx.store.read(replica, 42).frame(), Some(data));
         }
         assert_eq!(ops.stats().pte_writes, 1);
@@ -293,9 +279,7 @@ mod tests {
             let mut env = PtEnv::new(&machine);
             let mut ops = MitosisPvOps::new();
             let mut ctx = env.context();
-            let table = ops
-                .alloc_table(&mut ctx, Level::L1, SocketId::new(1), &repl)
-                .unwrap();
+            let table = ops.alloc_table(&mut ctx, SocketId::new(1), &repl).unwrap();
             let data: Vec<FrameId> = (0..4)
                 .map(|s| ctx.alloc.alloc_on(SocketId::new(s)).unwrap())
                 .collect();
@@ -314,7 +298,7 @@ mod tests {
                 (300, Pte::EMPTY),
                 (511, Pte::new(data[3], PteFlags::user_readonly())),
             ];
-            let ring = ctx.frames.replicas_of(table);
+            let ring = replicas_of(&ctx, table);
             assert_eq!(ring.len(), repl.sockets().len().max(1));
             let (mut single_env, mut single_ops) = (env.clone(), ops.clone());
             let mut single = single_env.context();
@@ -359,10 +343,10 @@ mod tests {
         let mut ops = MitosisPvOps::new();
         let mut ctx = env.context();
         let parent = ops
-            .alloc_table(&mut ctx, Level::L2, SocketId::new(0), &all_sockets())
+            .alloc_table(&mut ctx, SocketId::new(0), &all_sockets())
             .unwrap();
         let child = ops
-            .alloc_table(&mut ctx, Level::L1, SocketId::new(0), &all_sockets())
+            .alloc_table(&mut ctx, SocketId::new(0), &all_sockets())
             .unwrap();
         ops.set_pte(
             &mut ctx,
@@ -370,12 +354,12 @@ mod tests {
             3,
             Pte::new(child, PteFlags::table_pointer()),
         );
-        for replica in ctx.frames.replicas_of(parent) {
-            let socket = ctx.frames.socket_of(replica);
+        for replica in replicas_of(&ctx, parent) {
+            let socket = ctx.alloc.frame_space().socket_of(replica);
             let entry = ctx.store.read(replica, 3);
             let pointed = entry.frame().unwrap();
             assert_eq!(
-                ctx.frames.socket_of(pointed),
+                ctx.alloc.frame_space().socket_of(pointed),
                 socket,
                 "replica on {socket} must point at its local child replica"
             );
@@ -388,12 +372,12 @@ mod tests {
         let mut ops = MitosisPvOps::new();
         let mut ctx = env.context();
         let table = ops
-            .alloc_table(&mut ctx, Level::L1, SocketId::new(0), &all_sockets())
+            .alloc_table(&mut ctx, SocketId::new(0), &all_sockets())
             .unwrap();
         let data = ctx.alloc.alloc_on(SocketId::new(0)).unwrap();
         ops.set_pte(&mut ctx, table, 7, Pte::new(data, PteFlags::user_data()));
         ops.set_pte(&mut ctx, table, 7, Pte::EMPTY);
-        for replica in ctx.frames.replicas_of(table) {
+        for replica in replicas_of(&ctx, table) {
             assert!(!ctx.store.read(replica, 7).is_present());
         }
     }
@@ -404,14 +388,12 @@ mod tests {
         let mut ops = MitosisPvOps::new();
         let mut ctx = env.context();
         let table = ops
-            .alloc_table(&mut ctx, Level::L1, SocketId::new(0), &all_sockets())
+            .alloc_table(&mut ctx, SocketId::new(0), &all_sockets())
             .unwrap();
         let data = ctx.alloc.alloc_on(SocketId::new(0)).unwrap();
         ops.set_pte(&mut ctx, table, 5, Pte::new(data, PteFlags::user_data()));
         // Hardware sets the dirty bit in the *other* replica only.
-        let other = ctx
-            .frames
-            .replicas_of(table)
+        let other = replicas_of(&ctx, table)
             .into_iter()
             .find(|f| *f != table)
             .unwrap();
@@ -423,7 +405,7 @@ mod tests {
         assert!(read.flags().dirty);
         // Clearing resets every replica.
         ops.clear_accessed_dirty(&mut ctx, table, 5);
-        for replica in ctx.frames.replicas_of(table) {
+        for replica in replicas_of(&ctx, table) {
             let pte = ctx.store.read(replica, 5);
             assert!(!pte.flags().accessed && !pte.flags().dirty);
         }
@@ -446,11 +428,11 @@ mod tests {
         }
         ctx.alloc.free(last.unwrap()).unwrap();
         let err = ops
-            .alloc_table(&mut ctx, Level::L1, SocketId::new(0), &all_sockets())
+            .alloc_table(&mut ctx, SocketId::new(0), &all_sockets())
             .unwrap_err();
         assert!(matches!(err, PtError::Mem(_)), "{err:?}");
         assert_eq!(ctx.store.table_count(), 0);
-        assert_eq!(ctx.frames.level(last.unwrap()), None);
+        assert!(!ctx.store.contains(last.unwrap()));
         assert_eq!(ctx.page_cache.reserved(SocketId::new(0)), 1);
         assert_eq!(ops.stats().tables_allocated, 1);
         assert_eq!(ops.stats().tables_freed, 1);
@@ -462,13 +444,12 @@ mod tests {
         let mut ops = MitosisPvOps::new();
         let mut ctx = env.context();
         let table = ops
-            .alloc_table(&mut ctx, Level::L3, SocketId::new(0), &all_sockets())
+            .alloc_table(&mut ctx, SocketId::new(0), &all_sockets())
             .unwrap();
-        let ring = ctx.frames.replicas_of(table);
+        let ring = replicas_of(&ctx, table);
         ops.release_table(&mut ctx, table).unwrap();
         for member in ring {
             assert!(!ctx.store.contains(member));
-            assert_eq!(ctx.frames.level(member), None);
         }
         assert_eq!(ops.stats().tables_freed, 2);
     }
@@ -506,7 +487,7 @@ mod tests {
             let t = mitosis_pt::translate(ctx.store, root, addr).unwrap();
             assert_eq!(t.frame, data);
             // Walk the tree and check every table is on `socket`.
-            let dump = mitosis_pt::PageTableDump::capture(ctx.store, ctx.frames, root);
+            let dump = mitosis_pt::PageTableDump::capture(ctx.store, ctx.alloc.frame_space(), root);
             for cell in dump.cells() {
                 if cell.table_pages > 0 {
                     assert_eq!(cell.socket, socket);

@@ -25,7 +25,7 @@ pub struct ReplicaSummary {
 
 /// Collects every page-table page reachable from `root` with its level,
 /// in top-down order (parents before children).
-fn collect_tree(ctx: &PtContext<'_>, root: FrameId) -> Vec<(FrameId, Level)> {
+pub(crate) fn collect_tree(ctx: &PtContext<'_>, root: FrameId) -> Vec<(FrameId, Level)> {
     let mut out = Vec::new();
     let mut queue = vec![(root, Level::L4)];
     while let Some((table, level)) = queue.pop() {
@@ -60,9 +60,10 @@ pub fn replicate_tree(
     if mask.is_empty() {
         return Err(MitosisError::EmptyMask);
     }
+    let space = ctx.alloc.frame_space().clone();
     let sockets: Vec<SocketId> = mask.iter().collect();
     for socket in &sockets {
-        if socket.index() >= ctx.frames.frame_space().sockets() {
+        if socket.index() >= space.sockets() {
             return Err(MitosisError::InvalidSocket { socket: *socket });
         }
     }
@@ -77,28 +78,22 @@ pub fn replicate_tree(
     // Pass 1: make sure every table has a replica frame on every requested
     // socket (children must exist before parents can point at them).
     let mut ring = Vec::new();
-    for (table, level) in &tree {
+    for (table, _) in &tree {
         ring.clear();
-        ring.extend(ctx.frames.ring(*table));
+        ring.extend(ctx.store.ring(*table).map(|(member, _)| member));
         let members = ring.len();
         for socket in &sockets {
             if ring
                 .iter()
-                .any(|member| ctx.frames.socket_of(*member) == *socket)
+                .any(|member| space.socket_of(*member) == *socket)
             {
                 continue;
             }
-            let frame = ctx
-                .page_cache
-                .alloc_pagetable_frame(ctx.alloc, *socket)
-                .map_err(MitosisError::from)?;
-            ctx.frames.insert(frame, level.number());
-            ctx.store.insert_table(frame);
-            ring.push(frame);
+            ring.push(ctx.alloc_table_frame(*socket)?);
             summary.replica_tables_created += 1;
         }
         if ring.len() > members {
-            ctx.frames.link_replicas(&ring);
+            ctx.store.link_replicas(&ring);
         }
     }
 
@@ -114,9 +109,9 @@ pub fn replicate_tree(
         // itself comes first.
         members.clear();
         members.extend(
-            ctx.frames
+            ctx.store
                 .ring(*table)
-                .map(|member| (ctx.frames.socket_of(member), ctx.store.slot(member))),
+                .map(|(member, slot)| (space.socket_of(member), slot)),
         );
         let source = members[0].1;
         if *level == Level::L1 {
@@ -135,16 +130,16 @@ pub fn replicate_tree(
             let pte = ctx.store.read_at(source, index);
             children.clear();
             if let Some(child) = pte.frame().filter(|_| !pte.is_huge()) {
-                if ctx.frames.level(child).is_some() {
-                    children.extend(ctx.frames.ring(child));
+                if ctx.store.contains(child) {
+                    children.extend(ctx.store.ring(child).map(|(member, _)| member));
                 }
             }
             for &(socket, slot) in &members {
                 // The first child replica on the member's socket, as
-                // `FrameTable::replica_on_socket` would find it.
+                // `PtContext::replica_on_socket` would find it.
                 let translated = children
                     .iter()
-                    .find(|child| ctx.frames.socket_of(**child) == socket)
+                    .find(|child| space.socket_of(**child) == socket)
                     .map_or(pte, |child| pte.with_frame(*child));
                 ctx.store.write_at(slot, index, translated);
             }
@@ -155,7 +150,7 @@ pub fn replicate_tree(
     let mut new_roots = roots.clone();
     for s in 0..new_roots.sockets() {
         let socket = SocketId::new(s as u16);
-        if let Some(replica) = ctx.frames.replica_on_socket(roots.base(), socket) {
+        if let Some(replica) = ctx.replica_on_socket(roots.base(), socket) {
             new_roots.set_root_for_socket(socket, replica);
         } else {
             new_roots.set_root_for_socket(socket, roots.base());
@@ -178,21 +173,16 @@ pub fn tear_down_replicas(
 ) -> Result<(PtRoots, u64), MitosisError> {
     let tree = collect_tree(ctx, roots.base());
     let mut freed = 0;
+    let mut replicas = Vec::new();
     for (table, _) in &tree {
-        for replica in ctx.frames.replicas_of(*table) {
-            if replica == *table {
-                continue;
-            }
-            ctx.frames.unlink_replica(replica);
-            ctx.store.remove_table(replica);
-            ctx.frames.remove(replica);
-            ctx.page_cache
-                .release_pagetable_frame(ctx.alloc, replica)
-                .map_err(MitosisError::from)?;
+        // Freeing a replica closes the ring around it, so the base table
+        // ends in a ring of its own.
+        replicas.clear();
+        replicas.extend(ctx.store.ring(*table).skip(1).map(|(member, _)| member));
+        for &replica in &replicas {
+            ctx.free_table_frame(replica)?;
             freed += 1;
         }
-        // The base table may still carry a stale self-link after unlinking.
-        ctx.frames.link_replicas(&[*table]);
     }
     let mut new_roots = roots.clone();
     new_roots.reset_to_base();
@@ -271,7 +261,7 @@ mod tests {
         // The socket-1 tree is entirely on socket 1.
         let dump = mitosis_pt::PageTableDump::capture(
             ctx.store,
-            ctx.frames,
+            ctx.alloc.frame_space(),
             new_roots.root_for_socket(SocketId::new(1)),
         );
         for cell in dump.cells() {
@@ -350,7 +340,7 @@ mod tests {
         assert_eq!(second.replica_tables_created, 2);
         for s in 0..4u16 {
             let root = roots.root_for_socket(SocketId::new(s));
-            assert_eq!(ctx.frames.socket_of(root), SocketId::new(s));
+            assert_eq!(ctx.alloc.frame_space().socket_of(root), SocketId::new(s));
         }
     }
 }

@@ -11,13 +11,14 @@
 //!   fail as the machine ages (paper §8.2, Figure 11).
 //! * [`PlacementPolicy`] — first-touch, interleave, fixed and preferred data
 //!   placement, mirroring Linux/numactl allocation policies.
-//! * [`FrameTable`] — the `struct page` metadata of page-table pages: each
-//!   page's level and the circular replica list Mitosis threads through
-//!   them (paper §5.2, Figure 8).  Data frames have no entry: nothing reads
-//!   per-frame state of a data frame, whose socket follows from its frame
-//!   number.
 //! * [`PageCache`] — per-socket reserved pools of frames for page-table
 //!   allocations, sized through a sysctl-like knob (paper §5.1).
+//! * [`CowRefCounts`] — share counts of copy-on-write data frames.
+//!
+//! The crate keeps no per-frame metadata otherwise.  A frame's socket
+//! follows from its frame number, and the `struct page` state Mitosis reads
+//! (the replica ring of each page-table page, paper §5.2) lives with the
+//! page-table page in `mitosis_pt::PtStore`.
 //!
 //! # Example
 //!
@@ -40,7 +41,6 @@ mod alloc;
 mod error;
 mod fragmentation;
 mod frame;
-mod meta;
 mod page_cache;
 mod policy;
 mod refcount;
@@ -51,7 +51,6 @@ pub use fragmentation::FragmentationModel;
 pub use frame::{
     FrameId, FrameRange, FrameSpace, BASE_PAGE_SIZE, FRAMES_PER_HUGE_PAGE, HUGE_PAGE_SIZE,
 };
-pub use meta::FrameTable;
 pub use page_cache::PageCache;
 pub use policy::{InterleaveState, PlacementPolicy, PolicyEngine};
 pub use refcount::CowRefCounts;

@@ -4,10 +4,10 @@
 //! shared frame carries a share count here.  A frame absent from the table
 //! is exclusively owned (the overwhelmingly common case), so the table only
 //! ever holds the currently-shared frames.  Counts live in a two-level
-//! directory indexed by frame number — the layout `FrameTable` and
-//! `PtStore` use — so every query and update is two array indexations; a
-//! fork sharing hundreds of thousands of frames and the copy-on-write
-//! faults that follow pay no tree search.
+//! directory indexed by frame number — the layout `PtStore` uses — so
+//! every query and update is two array indexations; a fork sharing
+//! hundreds of thousands of frames and the copy-on-write faults that
+//! follow pay no tree search.
 
 use crate::frame::FrameId;
 

@@ -19,7 +19,7 @@ use crate::pwc::PagingStructureCache;
 use crate::stats::{MmuStats, WalkStats};
 use crate::tlb::{TlbHierarchy, TlbHit, TlbLevel};
 use crate::walker::{HardwareWalker, WalkOutcome};
-use mitosis_mem::{FrameId, FrameTable};
+use mitosis_mem::{FrameId, FrameSpace};
 use mitosis_numa::{CoreId, CostModel, Cycles, SocketId};
 use mitosis_pt::{PageSize, PtStore, ShootdownPlan, Translation, VirtAddr};
 
@@ -116,7 +116,7 @@ impl WalkHalf {
         is_write: bool,
         root: FrameId,
         store: &PtStore,
-        frames: &FrameTable,
+        space: &FrameSpace,
         cost: &CostModel,
         pte_cache: &mut PteCache,
     ) -> WalkOutcome {
@@ -126,7 +126,7 @@ impl WalkHalf {
             addr,
             is_write,
             store,
-            frames,
+            space,
             cost,
             &mut self.pwc,
             pte_cache,
@@ -148,7 +148,7 @@ impl WalkHalf {
         leaf: &Translation,
         root: FrameId,
         store: &PtStore,
-        frames: &FrameTable,
+        space: &FrameSpace,
         cost: &CostModel,
         pte_cache: &mut PteCache,
     ) -> WalkOutcome {
@@ -159,7 +159,7 @@ impl WalkHalf {
             is_write,
             leaf,
             store,
-            frames,
+            space,
             cost,
             &mut self.pwc,
             pte_cache,
@@ -247,7 +247,7 @@ impl Mmu {
         is_write: bool,
         root: FrameId,
         store: &PtStore,
-        frames: &FrameTable,
+        space: &FrameSpace,
         cost: &CostModel,
         pte_cache: &mut PteCache,
     ) -> AccessOutcome {
@@ -262,7 +262,7 @@ impl Mmu {
         }
         let walk = self
             .walks
-            .walk(addr, is_write, root, store, frames, cost, pte_cache);
+            .walk(addr, is_write, root, store, space, cost, pte_cache);
         let Some(translation) = walk.translation else {
             return AccessOutcome {
                 frame: None,
@@ -379,9 +379,8 @@ mod tests {
     use mitosis_mem::FrameSpace;
     use mitosis_pt::{Level, Pte, PteFlags};
 
-    fn build() -> (PtStore, FrameTable, FrameId, VirtAddr) {
+    fn build() -> (PtStore, FrameSpace, FrameId, VirtAddr) {
         let space = FrameSpace::with_frames_per_socket(2, 10_000);
-        let mut frames = FrameTable::new(space);
         let mut store = PtStore::new();
         let (root, l3, l2, l1) = (
             FrameId::new(0),
@@ -389,8 +388,7 @@ mod tests {
             FrameId::new(2),
             FrameId::new(3),
         );
-        for (frame, level) in [(root, 4u8), (l3, 3), (l2, 2), (l1, 1)] {
-            frames.insert(frame, level);
+        for frame in [root, l3, l2, l1] {
             store.insert_table(frame);
         }
         let data = FrameId::new(600);
@@ -416,7 +414,7 @@ mod tests {
             addr.index_at(Level::L1),
             Pte::new(data, PteFlags::user_data()),
         );
-        (store, frames, root, addr)
+        (store, space, root, addr)
     }
 
     fn cost() -> CostModel {
@@ -425,16 +423,16 @@ mod tests {
 
     #[test]
     fn first_access_walks_second_hits_tlb() {
-        let (store, frames, root, addr) = build();
+        let (store, space, root, addr) = build();
         let mut mmu = Mmu::new(CoreId::new(0), SocketId::new(0));
         let mut pte_cache = PteCache::new(1024);
-        let first = mmu.access(addr, false, root, &store, &frames, &cost(), &mut pte_cache);
+        let first = mmu.access(addr, false, root, &store, &space, &cost(), &mut pte_cache);
         assert!(first.tlb_hit.is_none());
         assert!(!first.fault);
         assert_eq!(first.frame, Some(FrameId::new(600)));
         assert!(first.translation_cycles > 0);
 
-        let second = mmu.access(addr, false, root, &store, &frames, &cost(), &mut pte_cache);
+        let second = mmu.access(addr, false, root, &store, &space, &cost(), &mut pte_cache);
         assert_eq!(second.tlb_hit, Some(TlbLevel::L1));
         assert_eq!(second.translation_cycles, 0);
         assert_eq!(mmu.stats().tlb_misses, 1);
@@ -444,38 +442,38 @@ mod tests {
 
     #[test]
     fn context_switch_flushes_translations() {
-        let (store, frames, root, addr) = build();
+        let (store, space, root, addr) = build();
         let mut mmu = Mmu::new(CoreId::new(0), SocketId::new(0));
         let mut pte_cache = PteCache::new(1024);
-        mmu.access(addr, false, root, &store, &frames, &cost(), &mut pte_cache);
+        mmu.access(addr, false, root, &store, &space, &cost(), &mut pte_cache);
         mmu.context_switch();
-        let after = mmu.access(addr, false, root, &store, &frames, &cost(), &mut pte_cache);
+        let after = mmu.access(addr, false, root, &store, &space, &cost(), &mut pte_cache);
         assert!(after.tlb_hit.is_none());
         assert_eq!(mmu.stats().tlb_misses, 2);
     }
 
     #[test]
     fn shootdown_single_page_only_affects_that_page() {
-        let (store, frames, root, addr) = build();
+        let (store, space, root, addr) = build();
         let mut mmu = Mmu::new(CoreId::new(0), SocketId::new(0));
         let mut pte_cache = PteCache::new(1024);
-        mmu.access(addr, false, root, &store, &frames, &cost(), &mut pte_cache);
+        mmu.access(addr, false, root, &store, &space, &cost(), &mut pte_cache);
         mmu.shootdown_page(0, addr, PageSize::Base4K);
-        let after = mmu.access(addr, false, root, &store, &frames, &cost(), &mut pte_cache);
+        let after = mmu.access(addr, false, root, &store, &space, &cost(), &mut pte_cache);
         assert!(after.tlb_hit.is_none());
     }
 
     #[test]
     fn ranged_shootdown_plan_invalidates_cached_translations() {
-        let (store, frames, root, addr) = build();
+        let (store, space, root, addr) = build();
         let mut mmu = Mmu::new(CoreId::new(0), SocketId::new(0));
         let mut pte_cache = PteCache::new(1024);
-        mmu.access(addr, false, root, &store, &frames, &cost(), &mut pte_cache);
+        mmu.access(addr, false, root, &store, &space, &cost(), &mut pte_cache);
         let mut tx = mitosis_pt::MappingTx::new();
         tx.invalidate_page(0, addr, PageSize::Base4K);
         // Resident in L1 and L2 → two entries of modelled work.
         assert_eq!(mmu.apply_shootdown(&tx.take_plan()), 2);
-        let after = mmu.access(addr, false, root, &store, &frames, &cost(), &mut pte_cache);
+        let after = mmu.access(addr, false, root, &store, &space, &cost(), &mut pte_cache);
         assert!(after.tlb_hit.is_none());
         // A full-flush plan reports the resident count it wiped.
         tx.escalate_full();
@@ -485,24 +483,24 @@ mod tests {
 
     #[test]
     fn asids_partition_the_tlb_between_address_spaces() {
-        let (store, frames, root, addr) = build();
+        let (store, space, root, addr) = build();
         let mut mmu = Mmu::new(CoreId::new(0), SocketId::new(0));
         let mut pte_cache = PteCache::new(1024);
-        mmu.access(addr, false, root, &store, &frames, &cost(), &mut pte_cache);
+        mmu.access(addr, false, root, &store, &space, &cost(), &mut pte_cache);
         // Switching ASID without flushing: the other space cannot hit.
         mmu.set_asid(7);
         assert_eq!(mmu.asid(), 7);
-        let other = mmu.access(addr, false, root, &store, &frames, &cost(), &mut pte_cache);
+        let other = mmu.access(addr, false, root, &store, &space, &cost(), &mut pte_cache);
         assert!(other.tlb_hit.is_none());
         // Switching back: the original entry is still resident.
         mmu.set_asid(0);
-        let back = mmu.access(addr, false, root, &store, &frames, &cost(), &mut pte_cache);
+        let back = mmu.access(addr, false, root, &store, &space, &cost(), &mut pte_cache);
         assert!(back.tlb_hit.is_some());
     }
 
     #[test]
     fn unmapped_access_faults() {
-        let (store, frames, root, _) = build();
+        let (store, space, root, _) = build();
         let mut mmu = Mmu::new(CoreId::new(0), SocketId::new(0));
         let mut pte_cache = PteCache::new(1024);
         let outcome = mmu.access(
@@ -510,7 +508,7 @@ mod tests {
             false,
             root,
             &store,
-            &frames,
+            &space,
             &cost(),
             &mut pte_cache,
         );
@@ -521,10 +519,10 @@ mod tests {
 
     #[test]
     fn stats_reset_clears_counters() {
-        let (store, frames, root, addr) = build();
+        let (store, space, root, addr) = build();
         let mut mmu = Mmu::new(CoreId::new(0), SocketId::new(0));
         let mut pte_cache = PteCache::new(1024);
-        mmu.access(addr, true, root, &store, &frames, &cost(), &mut pte_cache);
+        mmu.access(addr, true, root, &store, &space, &cost(), &mut pte_cache);
         assert!(mmu.stats().accesses > 0);
         mmu.reset_stats();
         assert_eq!(mmu.stats().accesses, 0);

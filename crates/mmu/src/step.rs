@@ -12,9 +12,9 @@
 
 use crate::mmu::{Mmu, TlbHalf, WalkHalf};
 use crate::pte_cache::PteCache;
-use mitosis_mem::{FrameId, FrameSpace, FrameTable};
+use mitosis_mem::{FrameId, FrameSpace};
 use mitosis_numa::{CostModel, Cycles};
-use mitosis_pt::{translate_entry, Level, PageSize, PtEnv, PtSlot, PtStore, Translation, VirtAddr};
+use mitosis_pt::{translate_entry, Level, PageSize, PtSlot, PtStore, Translation, VirtAddr};
 use std::sync::Arc;
 
 /// One thread's cycle and fault accumulators, carried across run segments.
@@ -46,25 +46,6 @@ pub struct ThreadPhase {
     pub cr3: FrameId,
 }
 
-/// The page-table state a walk reads: the tables and the frame metadata.
-#[derive(Clone, Copy)]
-pub struct Tables<'a> {
-    /// The page tables.
-    pub store: &'a PtStore,
-    /// Frame metadata: which socket holds each table.
-    pub frames: &'a FrameTable,
-}
-
-impl<'a> Tables<'a> {
-    /// The tables of `env`.
-    pub fn of(env: &'a PtEnv) -> Self {
-        Tables {
-            store: &env.store,
-            frames: &env.frames,
-        }
-    }
-}
-
 /// What every access of a run reads and none writes, beyond the tables.
 #[derive(Clone, Copy)]
 pub struct AccessCtx<'a> {
@@ -72,7 +53,7 @@ pub struct AccessCtx<'a> {
     pub region: u64,
     /// Compute cycles charged per access.
     pub compute_cycles: Cycles,
-    /// Which socket each frame belongs to.
+    /// Which socket each frame, data or page table, belongs to.
     pub frame_space: &'a FrameSpace,
 }
 
@@ -99,7 +80,7 @@ pub fn step_access(
     totals: &mut ThreadTotals,
     pte_cache: &mut PteCache,
     phase: &ThreadPhase,
-    tables: Tables<'_>,
+    store: &PtStore,
     ctx: AccessCtx<'_>,
 ) -> Result<(), VirtAddr> {
     let addr = ctx.addr(offset);
@@ -108,8 +89,8 @@ pub fn step_access(
         addr,
         is_write,
         phase.cr3,
-        tables.store,
-        tables.frames,
+        store,
+        ctx.frame_space,
         &phase.cost,
         pte_cache,
     );
@@ -305,15 +286,16 @@ pub fn walk_step(
     walks: &mut WalkHalf,
     pte_cache: &mut PteCache,
     phase: &ThreadPhase,
-    tables: Tables<'_>,
+    store: &PtStore,
+    space: &FrameSpace,
 ) {
     let walk = walks.walk_known_leaf(
         miss.addr,
         miss.is_write,
         &miss.leaf,
         phase.cr3,
-        tables.store,
-        tables.frames,
+        store,
+        space,
         &phase.cost,
         pte_cache,
     );

@@ -28,7 +28,7 @@
 use crate::pte_cache::PteCache;
 use crate::pwc::PagingStructureCache;
 use crate::stats::WalkStats;
-use mitosis_mem::{FrameId, FrameTable};
+use mitosis_mem::{FrameId, FrameSpace};
 use mitosis_numa::{AccessKind, CostModel, Cycles, SocketId};
 use mitosis_pt::{Level, PageSize, PtStore, Pte, Translation, VirtAddr};
 
@@ -72,14 +72,14 @@ impl HardwareWalker {
         addr: VirtAddr,
         is_write: bool,
         store: &PtStore,
-        frames: &FrameTable,
+        space: &FrameSpace,
         cost: &CostModel,
         pwc: &mut PagingStructureCache,
         pte_cache: &mut PteCache,
         stats: &mut WalkStats,
     ) -> WalkOutcome {
         self.walk_from(
-            socket, root, addr, is_write, None, store, frames, cost, pwc, pte_cache, stats,
+            socket, root, addr, is_write, None, store, space, cost, pwc, pte_cache, stats,
         )
     }
 
@@ -98,7 +98,7 @@ impl HardwareWalker {
         is_write: bool,
         leaf: &Translation,
         store: &PtStore,
-        frames: &FrameTable,
+        space: &FrameSpace,
         cost: &CostModel,
         pwc: &mut PagingStructureCache,
         pte_cache: &mut PteCache,
@@ -106,7 +106,7 @@ impl HardwareWalker {
     ) -> WalkOutcome {
         let known_leaf = Some((leaf.level, leaf.pte));
         self.walk_from(
-            socket, root, addr, is_write, known_leaf, store, frames, cost, pwc, pte_cache, stats,
+            socket, root, addr, is_write, known_leaf, store, space, cost, pwc, pte_cache, stats,
         )
     }
 
@@ -123,7 +123,7 @@ impl HardwareWalker {
         is_write: bool,
         known_leaf: Option<(Level, Pte)>,
         store: &PtStore,
-        frames: &FrameTable,
+        space: &FrameSpace,
         cost: &CostModel,
         pwc: &mut PagingStructureCache,
         pte_cache: &mut PteCache,
@@ -147,8 +147,7 @@ impl HardwareWalker {
                 cycles += cost.llc_hit().cycles;
                 stats.pte_cache_hits += 1;
             } else {
-                let access =
-                    cost.dram_access(socket, frames.socket_of(table), AccessKind::PageWalk);
+                let access = cost.dram_access(socket, space.socket_of(table), AccessKind::PageWalk);
                 cycles += access.cycles;
                 if access.local {
                     stats.local_dram_accesses += 1;
@@ -245,9 +244,8 @@ mod tests {
 
     /// Builds a page table with the leaf table either on socket 0 (local) or
     /// socket 1 (remote): root@0 -> l3@1 -> l2@2 -> l1@(3 | 10_000) -> data.
-    fn build(remote_leaf: bool) -> (PtStore, FrameTable, FrameId, VirtAddr) {
+    fn build(remote_leaf: bool) -> (PtStore, FrameSpace, FrameId, VirtAddr) {
         let space = FrameSpace::with_frames_per_socket(2, 10_000);
-        let mut frames = FrameTable::new(space);
         let mut store = PtStore::new();
         let root = FrameId::new(0);
         let l3 = FrameId::new(1);
@@ -257,8 +255,7 @@ mod tests {
         } else {
             FrameId::new(3)
         };
-        for (frame, level) in [(root, 4u8), (l3, 3), (l2, 2), (l1, 1)] {
-            frames.insert(frame, level);
+        for frame in [root, l3, l2, l1] {
             store.insert_table(frame);
         }
         let data = FrameId::new(500);
@@ -283,7 +280,7 @@ mod tests {
             addr.index_at(Level::L1),
             Pte::new(data, PteFlags::user_data()),
         );
-        (store, frames, root, addr)
+        (store, space, root, addr)
     }
 
     fn cost() -> CostModel {
@@ -292,7 +289,7 @@ mod tests {
 
     #[test]
     fn full_walk_reads_four_levels_and_sets_accessed() {
-        let (store, frames, root, addr) = build(false);
+        let (store, space, root, addr) = build(false);
         let walker = HardwareWalker::new();
         let mut pwc = PagingStructureCache::paper_testbed();
         let mut pte_cache = PteCache::new(1024);
@@ -303,7 +300,7 @@ mod tests {
             addr,
             false,
             &store,
-            &frames,
+            &space,
             &cost(),
             &mut pwc,
             &mut pte_cache,
@@ -322,7 +319,7 @@ mod tests {
 
     #[test]
     fn write_walk_sets_dirty() {
-        let (store, frames, root, addr) = build(false);
+        let (store, space, root, addr) = build(false);
         let walker = HardwareWalker::new();
         let mut pwc = PagingStructureCache::paper_testbed();
         let mut pte_cache = PteCache::new(1024);
@@ -333,7 +330,7 @@ mod tests {
             addr,
             true,
             &store,
-            &frames,
+            &space,
             &cost(),
             &mut pwc,
             &mut pte_cache,
@@ -345,7 +342,7 @@ mod tests {
 
     #[test]
     fn write_through_a_read_only_leaf_faults() {
-        let (mut store, frames, root, addr) = build(false);
+        let (mut store, space, root, addr) = build(false);
         // Downgrade the leaf to read-only (a CoW mapping).
         let l1 = FrameId::new(3);
         let index = addr.index_at(Level::L1);
@@ -368,7 +365,7 @@ mod tests {
             addr,
             false,
             &store,
-            &frames,
+            &space,
             &cost(),
             &mut pwc,
             &mut pte_cache,
@@ -381,7 +378,7 @@ mod tests {
             addr,
             true,
             &store,
-            &frames,
+            &space,
             &cost(),
             &mut pwc,
             &mut pte_cache,
@@ -396,7 +393,7 @@ mod tests {
     #[test]
     fn remote_leaf_table_costs_more() {
         let run = |remote: bool| {
-            let (store, frames, root, addr) = build(remote);
+            let (store, space, root, addr) = build(remote);
             let walker = HardwareWalker::new();
             let mut pwc = PagingStructureCache::paper_testbed();
             let mut pte_cache = PteCache::new(1024);
@@ -407,7 +404,7 @@ mod tests {
                 addr,
                 false,
                 &store,
-                &frames,
+                &space,
                 &cost(),
                 &mut pwc,
                 &mut pte_cache,
@@ -425,7 +422,7 @@ mod tests {
 
     #[test]
     fn interference_on_the_leaf_socket_inflates_walks() {
-        let (store, frames, root, addr) = build(true);
+        let (store, space, root, addr) = build(true);
         let mut cost = cost();
         cost.set_interference(Interference::on([SocketId::new(1)]).with_latency_factor(2.0));
         let walker = HardwareWalker::new();
@@ -438,7 +435,7 @@ mod tests {
             addr,
             false,
             &store,
-            &frames,
+            &space,
             &cost,
             &mut pwc,
             &mut pte_cache,
@@ -449,7 +446,7 @@ mod tests {
 
     #[test]
     fn pwc_hit_shortens_subsequent_walks() {
-        let (store, frames, root, addr) = build(false);
+        let (store, space, root, addr) = build(false);
         let walker = HardwareWalker::new();
         let mut pwc = PagingStructureCache::paper_testbed();
         let mut pte_cache = PteCache::new(1); // effectively no PTE cache reuse
@@ -460,7 +457,7 @@ mod tests {
             addr,
             false,
             &store,
-            &frames,
+            &space,
             &cost(),
             &mut pwc,
             &mut pte_cache,
@@ -474,7 +471,7 @@ mod tests {
             neighbour,
             false,
             &store,
-            &frames,
+            &space,
             &cost(),
             &mut pwc,
             &mut pte_cache,
@@ -489,7 +486,7 @@ mod tests {
 
     #[test]
     fn pte_cache_hit_avoids_dram_cost() {
-        let (store, frames, root, addr) = build(true);
+        let (store, space, root, addr) = build(true);
         let walker = HardwareWalker::new();
         let mut pwc = PagingStructureCache::paper_testbed();
         let mut pte_cache = PteCache::new(1024);
@@ -500,7 +497,7 @@ mod tests {
             addr,
             false,
             &store,
-            &frames,
+            &space,
             &cost(),
             &mut pwc,
             &mut pte_cache,
@@ -512,7 +509,7 @@ mod tests {
             addr,
             false,
             &store,
-            &frames,
+            &space,
             &cost(),
             &mut pwc,
             &mut pte_cache,

@@ -7,7 +7,7 @@
 
 use crate::addr::Level;
 use crate::store::PtStore;
-use mitosis_mem::{FrameId, FrameTable};
+use mitosis_mem::{FrameId, FrameSpace};
 use mitosis_numa::SocketId;
 use std::fmt;
 
@@ -79,11 +79,11 @@ impl PageTableDump {
     /// Walks the radix tree rooted at `root` and produces the placement
     /// snapshot.
     ///
-    /// `frames` supplies the socket of every physical frame.  Only the tree
+    /// `space` supplies the socket of every physical frame.  Only the tree
     /// reachable from `root` is inspected; to analyse a replicated address
     /// space, capture one dump per per-socket root.
-    pub fn capture(store: &PtStore, frames: &FrameTable, root: FrameId) -> Self {
-        let sockets = frames.frame_space().sockets();
+    pub fn capture(store: &PtStore, space: &FrameSpace, root: FrameId) -> Self {
+        let sockets = space.sockets();
         let mut cells: Vec<DumpLevelSocket> = Vec::with_capacity(4 * sockets);
         for level in Level::WALK_ORDER {
             for s in 0..sockets {
@@ -100,7 +100,7 @@ impl PageTableDump {
             cells,
             leaf_ptes_per_socket: vec![0; sockets],
         };
-        dump.visit(store, frames, root, Level::L4);
+        dump.visit(store, space, root, Level::L4);
         dump
     }
 
@@ -114,21 +114,21 @@ impl PageTableDump {
         level_pos * self.sockets + socket.index()
     }
 
-    fn visit(&mut self, store: &PtStore, frames: &FrameTable, table: FrameId, level: Level) {
-        let table_socket = frames.socket_of(table);
+    fn visit(&mut self, store: &PtStore, space: &FrameSpace, table: FrameId, level: Level) {
+        let table_socket = space.socket_of(table);
         let idx = self.cell_index(level, table_socket);
         self.cells[idx].table_pages += 1;
         // Present entries come straight off the occupancy bitmap; sparse
         // upper-level tables cost popcounts instead of 512 entry reads.
         for (_, pte) in store.present_at(store.slot(table)) {
             let target = pte.frame().expect("present entry has a frame");
-            let target_socket = frames.socket_of(target);
+            let target_socket = space.socket_of(target);
             self.cells[idx].pointers_to_socket[target_socket.index()] += 1;
             let is_leaf = level == Level::L1 || pte.is_huge();
             if is_leaf {
                 self.leaf_ptes_per_socket[table_socket.index()] += 1;
             } else if let Some(next) = level.next_lower() {
-                self.visit(store, frames, target, next);
+                self.visit(store, space, target, next);
             }
         }
     }
@@ -227,22 +227,19 @@ impl fmt::Display for PageTableDump {
 mod tests {
     use super::*;
     use crate::entry::{Pte, PteFlags};
-    use mitosis_mem::FrameSpace;
 
     /// Builds a two-socket page table by hand:
     /// root on socket 0, one L3/L2/L1 chain on socket 0 and another L1 table
     /// on socket 1; leaf PTEs point to data on socket 1.
-    fn build() -> (PtStore, FrameTable, FrameId) {
+    fn build() -> (PtStore, FrameSpace, FrameId) {
         let space = FrameSpace::with_frames_per_socket(2, 10_000);
-        let mut frames = FrameTable::new(space);
         let mut store = PtStore::new();
         let root = FrameId::new(0);
         let l3 = FrameId::new(1);
         let l2 = FrameId::new(2);
         let l1_local = FrameId::new(3);
         let l1_remote = FrameId::new(10_000); // socket 1
-        for (frame, level) in [(root, 4), (l3, 3), (l2, 2), (l1_local, 1), (l1_remote, 1)] {
-            frames.insert(frame, level);
+        for frame in [root, l3, l2, l1_local, l1_remote] {
             store.insert_table(frame);
         }
         store.write(root, 0, Pte::new(l3, PteFlags::table_pointer()));
@@ -258,13 +255,13 @@ mod tests {
             let data = FrameId::new(10_200 + i);
             store.write(l1_remote, i as usize, Pte::new(data, PteFlags::user_data()));
         }
-        (store, frames, root)
+        (store, space, root)
     }
 
     #[test]
     fn page_counts_per_level_and_socket() {
-        let (store, frames, root) = build();
-        let dump = PageTableDump::capture(&store, &frames, root);
+        let (store, space, root) = build();
+        let dump = PageTableDump::capture(&store, &space, root);
         assert_eq!(dump.pages_at_level(Level::L4), 1);
         assert_eq!(dump.pages_at_level(Level::L3), 1);
         assert_eq!(dump.pages_at_level(Level::L2), 1);
@@ -277,8 +274,8 @@ mod tests {
 
     #[test]
     fn pointer_distribution_and_remote_fraction() {
-        let (store, frames, root) = build();
-        let dump = PageTableDump::capture(&store, &frames, root);
+        let (store, space, root) = build();
+        let dump = PageTableDump::capture(&store, &space, root);
         // The L2 table on socket 0 points to one local L1 and one remote L1.
         let l2_cell = dump.cell(Level::L2, SocketId::new(0));
         assert_eq!(l2_cell.valid_entries(), 2);
@@ -291,8 +288,8 @@ mod tests {
 
     #[test]
     fn leaf_locality_depends_on_observer() {
-        let (store, frames, root) = build();
-        let dump = PageTableDump::capture(&store, &frames, root);
+        let (store, space, root) = build();
+        let dump = PageTableDump::capture(&store, &space, root);
         assert_eq!(dump.total_leaf_ptes(), 6);
         assert_eq!(dump.leaf_ptes_per_socket(), &[4, 2]);
         let from0 = dump.leaf_locality_from(SocketId::new(0));
@@ -305,13 +302,11 @@ mod tests {
     #[test]
     fn huge_leaf_entries_count_as_leaf_ptes() {
         let space = FrameSpace::with_frames_per_socket(2, 10_000);
-        let mut frames = FrameTable::new(space);
         let mut store = PtStore::new();
         let root = FrameId::new(0);
         let l3 = FrameId::new(1);
         let l2 = FrameId::new(2);
-        for (frame, level) in [(root, 4), (l3, 3), (l2, 2)] {
-            frames.insert(frame, level);
+        for frame in [root, l3, l2] {
             store.insert_table(frame);
         }
         let huge_data = FrameId::new(512);
@@ -322,15 +317,15 @@ mod tests {
             0,
             Pte::new(huge_data, PteFlags::user_data().huge_page()),
         );
-        let dump = PageTableDump::capture(&store, &frames, root);
+        let dump = PageTableDump::capture(&store, &space, root);
         assert_eq!(dump.total_leaf_ptes(), 1);
         assert_eq!(dump.pages_at_level(Level::L1), 0);
     }
 
     #[test]
     fn paper_format_contains_all_levels() {
-        let (store, frames, root) = build();
-        let text = PageTableDump::capture(&store, &frames, root).to_string();
+        let (store, space, root) = build();
+        let text = PageTableDump::capture(&store, &space, root).to_string();
         for level in ["L4", "L3", "L2", "L1"] {
             assert!(text.contains(level), "missing {level} in:\n{text}");
         }

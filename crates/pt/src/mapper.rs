@@ -106,12 +106,12 @@ impl<'a> Mapper<'a> {
         socket: SocketId,
         repl: ReplicationSpec,
     ) -> Result<PtRoots, PtError> {
-        let base = ops.alloc_table(ctx, Level::L4, socket, &repl)?;
-        let sockets = ctx.frames.frame_space().sockets();
+        let base = ops.alloc_table(ctx, socket, &repl)?;
+        let sockets = ctx.alloc.frame_space().sockets();
         let mut roots = PtRoots::single(base, sockets);
         for s in 0..sockets {
             let socket_id = SocketId::new(s as u16);
-            if let Some(replica) = ctx.frames.replica_on_socket(base, socket_id) {
+            if let Some(replica) = ctx.replica_on_socket(base, socket_id) {
                 roots.set_root_for_socket(socket_id, replica);
             }
         }
@@ -285,7 +285,7 @@ impl<'a> Mapper<'a> {
                 }
                 entry.frame().expect("present table entry has a frame")
             } else {
-                let child = ops.alloc_table(ctx, next_level, pt_socket, repl)?;
+                let child = ops.alloc_table(ctx, pt_socket, repl)?;
                 ops.set_pte(
                     ctx,
                     table,
@@ -539,7 +539,10 @@ mod tests {
         assert_eq!(roots.root_for_socket(SocketId::new(0)), roots.base());
         assert_eq!(roots.root_for_socket(SocketId::new(1)), roots.base());
         assert_eq!(roots.distinct_roots().len(), 1);
-        assert_eq!(ctx.frames.socket_of(roots.base()), SocketId::new(1));
+        assert_eq!(
+            ctx.alloc.frame_space().socket_of(roots.base()),
+            SocketId::new(1)
+        );
     }
 
     #[test]

@@ -13,16 +13,17 @@
 //!   write to all replicas.
 //!
 //! [`PtEnv`]/[`PtContext`] bundle the physical-memory state every backend
-//! needs (page-table contents, page-table page metadata, allocator and
+//! needs (page-table pages with their replica rings, allocator and
 //! per-socket page cache) so that backends themselves stay stateless apart
-//! from statistics.
+//! from statistics.  Every backend takes page-table frames through one
+//! allocate path and one free path, [`PtContext::alloc_table_frame`] and
+//! [`PtContext::free_table_frame`].
 
-use crate::addr::Level;
 use crate::entry::Pte;
 use crate::error::PtError;
 use crate::mapper::PtRoots;
 use crate::store::PtStore;
-use mitosis_mem::{FrameAllocator, FrameId, FrameTable, PageCache};
+use mitosis_mem::{FrameAllocator, FrameId, MemError, PageCache};
 use mitosis_numa::{Machine, NodeMask, SocketId};
 
 /// Number of page-table frames each socket keeps in reserve by default.
@@ -102,14 +103,12 @@ impl PtOpStats {
     }
 }
 
-/// Owner of all physical page-table state: contents, page-table page
-/// metadata, allocator and the per-socket page cache.
+/// Owner of all physical page-table state: page-table pages and their
+/// replica rings, allocator and the per-socket page cache.
 #[derive(Debug, Clone)]
 pub struct PtEnv {
-    /// Contents of page-table pages.
+    /// Page-table pages: their contents and replica rings.
     pub store: PtStore,
-    /// Page-table page metadata (`struct page`): levels and replica rings.
-    pub frames: FrameTable,
     /// The machine's frame allocator.
     pub alloc: FrameAllocator,
     /// Per-socket reserves for page-table frames.
@@ -120,12 +119,9 @@ impl PtEnv {
     /// Creates the environment for a machine, with the default page-cache
     /// reserve target.
     pub fn new(machine: &Machine) -> Self {
-        let alloc = FrameAllocator::new(machine);
-        let frames = FrameTable::new(alloc.frame_space().clone());
         PtEnv {
             store: PtStore::new(),
-            frames,
-            alloc,
+            alloc: FrameAllocator::new(machine),
             page_cache: PageCache::new(machine.sockets(), DEFAULT_PAGE_CACHE_TARGET),
         }
     }
@@ -134,7 +130,6 @@ impl PtEnv {
     pub fn context(&mut self) -> PtContext<'_> {
         PtContext {
             store: &mut self.store,
-            frames: &mut self.frames,
             alloc: &mut self.alloc,
             page_cache: &mut self.page_cache,
         }
@@ -144,14 +139,51 @@ impl PtEnv {
 /// Mutable view of the page-table environment handed to [`PvOps`] calls.
 #[derive(Debug)]
 pub struct PtContext<'a> {
-    /// Contents of page-table pages.
+    /// Page-table pages: their contents and replica rings.
     pub store: &'a mut PtStore,
-    /// Page-table page metadata (`struct page`): levels and replica rings.
-    pub frames: &'a mut FrameTable,
     /// The machine's frame allocator.
     pub alloc: &'a mut FrameAllocator,
     /// Per-socket reserves for page-table frames.
     pub page_cache: &'a mut PageCache,
+}
+
+impl PtContext<'_> {
+    /// Allocates a page-table frame on `socket` from the page cache and
+    /// stores an empty table there, in a replica ring of its own.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the socket has no frame left.
+    pub fn alloc_table_frame(&mut self, socket: SocketId) -> Result<FrameId, MemError> {
+        let frame = self.page_cache.alloc_pagetable_frame(self.alloc, socket)?;
+        self.store.insert_table(frame);
+        Ok(frame)
+    }
+
+    /// Removes the table in `frame` from the store, closing its replica
+    /// ring around it, and returns the frame to the page cache.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the frame was not allocated (double free).
+    pub fn free_table_frame(&mut self, frame: FrameId) -> Result<(), MemError> {
+        self.store.remove_table(frame);
+        self.page_cache.release_pagetable_frame(self.alloc, frame)
+    }
+
+    /// The member of the replica ring of the table in `frame` that lives
+    /// on `socket`: the first one in ring order from `frame`, if any.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `frame` is not a page-table page.
+    pub fn replica_on_socket(&self, frame: FrameId, socket: SocketId) -> Option<FrameId> {
+        let space = self.alloc.frame_space();
+        self.store
+            .ring(frame)
+            .map(|(member, _)| member)
+            .find(|&member| space.socket_of(member) == socket)
+    }
 }
 
 /// The paravirtualised page-table operations interface.
@@ -166,7 +198,7 @@ pub struct PtContext<'a> {
 /// can be shared across replay worker threads, and [`PvOps::clone_box`] so
 /// such a snapshot can be cloned without knowing the concrete backend type.
 pub trait PvOps: std::fmt::Debug + Send + Sync {
-    /// Allocates a page-table page at `level`, homed on `socket`.
+    /// Allocates a page-table page homed on `socket`.
     ///
     /// With replication enabled the backend additionally allocates one
     /// replica per socket in the replication mask and links them into a
@@ -180,7 +212,6 @@ pub trait PvOps: std::fmt::Debug + Send + Sync {
     fn alloc_table(
         &mut self,
         ctx: &mut PtContext<'_>,
-        level: Level,
         socket: SocketId,
         repl: &ReplicationSpec,
     ) -> Result<FrameId, PtError>;
@@ -251,21 +282,16 @@ impl PvOps for NativePvOps {
     fn alloc_table(
         &mut self,
         ctx: &mut PtContext<'_>,
-        level: Level,
         socket: SocketId,
         _repl: &ReplicationSpec,
     ) -> Result<FrameId, PtError> {
-        let frame = ctx.page_cache.alloc_pagetable_frame(ctx.alloc, socket)?;
-        ctx.frames.insert(frame, level.number());
-        ctx.store.insert_table(frame);
+        let frame = ctx.alloc_table_frame(socket)?;
         self.stats.tables_allocated += 1;
         Ok(frame)
     }
 
     fn release_table(&mut self, ctx: &mut PtContext<'_>, frame: FrameId) -> Result<(), PtError> {
-        ctx.store.remove_table(frame);
-        ctx.frames.remove(frame);
-        ctx.page_cache.release_pagetable_frame(ctx.alloc, frame)?;
+        ctx.free_table_frame(frame)?;
         self.stats.tables_freed += 1;
         Ok(())
     }
@@ -326,15 +352,9 @@ mod tests {
         let mut ops = NativePvOps::new();
         let mut ctx = env.context();
         let frame = ops
-            .alloc_table(
-                &mut ctx,
-                Level::L4,
-                SocketId::new(1),
-                &ReplicationSpec::none(),
-            )
+            .alloc_table(&mut ctx, SocketId::new(1), &ReplicationSpec::none())
             .unwrap();
-        assert_eq!(ctx.frames.socket_of(frame), SocketId::new(1));
-        assert_eq!(ctx.frames.level(frame), Some(4));
+        assert_eq!(ctx.alloc.frame_space().socket_of(frame), SocketId::new(1));
         assert!(ctx.store.contains(frame));
         assert_eq!(ops.stats().tables_allocated, 1);
     }
@@ -345,12 +365,7 @@ mod tests {
         let mut ops = NativePvOps::new();
         let mut ctx = env.context();
         let table = ops
-            .alloc_table(
-                &mut ctx,
-                Level::L1,
-                SocketId::new(0),
-                &ReplicationSpec::none(),
-            )
+            .alloc_table(&mut ctx, SocketId::new(0), &ReplicationSpec::none())
             .unwrap();
         let data = ctx.alloc.alloc_on(SocketId::new(0)).unwrap();
         ops.set_pte(&mut ctx, table, 7, Pte::new(data, PteFlags::user_data()));
@@ -372,16 +387,11 @@ mod tests {
             let mut ctx = env.context();
             let ring: Vec<FrameId> = (0..members)
                 .map(|s| {
-                    ops.alloc_table(
-                        &mut ctx,
-                        Level::L1,
-                        SocketId::new(s),
-                        &ReplicationSpec::none(),
-                    )
-                    .unwrap()
+                    ops.alloc_table(&mut ctx, SocketId::new(s), &ReplicationSpec::none())
+                        .unwrap()
                 })
                 .collect();
-            ctx.frames.link_replicas(&ring);
+            ctx.store.link_replicas(&ring);
             let data: Vec<FrameId> = (0..4)
                 .map(|_| ctx.alloc.alloc_on(SocketId::new(0)).unwrap())
                 .collect();
@@ -433,12 +443,7 @@ mod tests {
         let mut ops = NativePvOps::new();
         let mut ctx = env.context();
         let table = ops
-            .alloc_table(
-                &mut ctx,
-                Level::L1,
-                SocketId::new(0),
-                &ReplicationSpec::none(),
-            )
+            .alloc_table(&mut ctx, SocketId::new(0), &ReplicationSpec::none())
             .unwrap();
         let data = ctx.alloc.alloc_on(SocketId::new(0)).unwrap();
         ops.set_pte(
@@ -463,16 +468,10 @@ mod tests {
         let mut ops = NativePvOps::new();
         let mut ctx = env.context();
         let table = ops
-            .alloc_table(
-                &mut ctx,
-                Level::L2,
-                SocketId::new(0),
-                &ReplicationSpec::none(),
-            )
+            .alloc_table(&mut ctx, SocketId::new(0), &ReplicationSpec::none())
             .unwrap();
         ops.release_table(&mut ctx, table).unwrap();
         assert!(!ctx.store.contains(table));
-        assert_eq!(ctx.frames.level(table), None);
         assert_eq!(ops.stats().tables_freed, 1);
     }
 

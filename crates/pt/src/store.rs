@@ -5,6 +5,18 @@
 //! entries each.  [`PtStore`] is the "physical memory" that holds them,
 //! indexed by the frame the table lives in.
 //!
+//! A table's slot is also its `struct page`: the only per-frame state
+//! Mitosis reads.  Mitosis threads the replicas of each page-table page
+//! into a circular list through that metadata (paper §5.2, Figure 8), so an
+//! update intercepted at the PV-Ops layer reaches every replica in 2N
+//! memory references instead of walking N page tables.  Here each slot
+//! names the slot of the next ring member ([`PtStore::link_replicas`]), so
+//! a hop around the ring is one slab index.  Nothing else needs per-frame
+//! state: a data frame's socket follows from its frame number
+//! ([`FrameSpace::socket_of`](mitosis_mem::FrameSpace::socket_of)), and
+//! whether a frame holds a page-table page is whether the store holds it
+//! ([`PtStore::contains`]).
+//!
 //! # Layout
 //!
 //! `PtStore::read` sits on the innermost loop of the simulator — the
@@ -19,6 +31,9 @@
 //!   page it models;
 //! * a **two-level radix directory** maps a frame number to its slot in two
 //!   array dereferences: `dir[pfn >> 12][pfn & 0xfff]`;
+//! * each slot holds its **replica-ring link**, kept closed by every insert
+//!   and removal: a removed or re-inserted table leaves its ring, which
+//!   closes around it;
 //! * each slot carries three 512-bit **entry bitmaps**, kept by
 //!   [`PtStore::write_at`] and interleaved word by word so one write
 //!   touches one cache line of them: which entries are present, which
@@ -59,6 +74,10 @@ const NO_SLOT: u32 = u32::MAX;
 /// Sentinel owner for recycled slots.
 const FREE_PFN: u64 = u64::MAX;
 
+/// The most members a replica ring can have: one per socket, and a
+/// [`NodeMask`](mitosis_numa::NodeMask) holds at most 64.
+const MAX_RING_MEMBERS: usize = 64;
+
 /// Number of 64-bit words in a 512-bit entry bitmap.
 pub(crate) const OCC_WORDS: usize = ENTRIES_PER_TABLE / 64;
 
@@ -85,19 +104,24 @@ pub(crate) struct MaskWord {
 /// A table's entry bitmaps, word by word.
 pub(crate) type EntryMasks = [MaskWord; OCC_WORDS];
 
-/// One stored page-table page: 512 packed entries plus their bitmaps.
+/// One stored page-table page: 512 packed entries plus their bitmaps, and
+/// its link in its replica ring.
 #[derive(Debug)]
 struct TableSlot {
     /// Frame number owning this slot, or [`FREE_PFN`] for recycled slots.
     pfn: u64,
+    /// Slot of the next member of the table's replica ring: the slot itself
+    /// when the table is not replicated.
+    ring_next: u32,
     entries: Box<[AtomicU64; ENTRIES_PER_TABLE]>,
     masks: EntryMasks,
 }
 
 impl TableSlot {
-    fn empty(pfn: u64) -> Self {
+    fn empty(pfn: u64, slot: u32) -> Self {
         TableSlot {
             pfn,
+            ring_next: slot,
             entries: Box::new([const { AtomicU64::new(0) }; ENTRIES_PER_TABLE]),
             masks: EntryMasks::default(),
         }
@@ -116,6 +140,7 @@ impl Clone for TableSlot {
         let entries = &self.entries;
         TableSlot {
             pfn: self.pfn,
+            ring_next: self.ring_next,
             entries: Box::new(std::array::from_fn(|index| {
                 AtomicU64::new(entries[index].load(Ordering::Relaxed))
             })),
@@ -187,13 +212,15 @@ impl PtStore {
         }
     }
 
-    /// Registers `frame` as a page-table page with all entries empty.
+    /// Registers `frame` as a page-table page with all entries empty, in a
+    /// replica ring of its own.
     ///
     /// Re-inserting an existing table clears it (matching the kernel zeroing
-    /// freshly allocated page-table pages).
+    /// freshly allocated page-table pages) and takes it out of its ring.
     pub fn insert_table(&mut self, frame: FrameId) {
         let pfn = frame.pfn();
         if let Some(existing) = self.slot_of(frame) {
+            self.unlink(existing);
             self.slots[existing.0 as usize].clear();
             return;
         }
@@ -206,7 +233,7 @@ impl PtStore {
             }
             None => {
                 let slot = u32::try_from(self.slots.len()).expect("slot count fits in u32");
-                self.slots.push(TableSlot::empty(pfn));
+                self.slots.push(TableSlot::empty(pfn, slot));
                 slot
             }
         };
@@ -219,22 +246,84 @@ impl PtStore {
         self.live += 1;
     }
 
-    /// Removes a page-table page from the store.
+    /// Removes a page-table page from the store; its replica ring closes
+    /// around it.  Removing a frame the store does not hold does nothing.
     pub fn remove_table(&mut self, frame: FrameId) {
-        let pfn = frame.pfn();
-        let top = (pfn >> DIR_SHIFT) as usize;
-        let Some(Some(chunk)) = self.dir.get_mut(top) else {
+        let Some(slot) = self.slot_of(frame) else {
             return;
         };
-        let entry = &mut chunk[pfn as usize & (DIR_FANOUT - 1)];
-        if *entry == NO_SLOT {
-            return;
+        self.unlink(slot);
+        let pfn = frame.pfn();
+        if let Some(Some(chunk)) = self.dir.get_mut((pfn >> DIR_SHIFT) as usize) {
+            chunk[pfn as usize & (DIR_FANOUT - 1)] = NO_SLOT;
         }
-        let slot = *entry;
-        *entry = NO_SLOT;
-        self.slots[slot as usize].pfn = FREE_PFN;
-        self.free.push(slot);
+        self.slots[slot.0 as usize].pfn = FREE_PFN;
+        self.free.push(slot.0);
         self.live -= 1;
+    }
+
+    // --- Replica rings (paper §5.2, Figure 8) -----------------------------
+
+    /// Links the tables in `frames` into one replica ring, in that order:
+    /// each member's link names the next and the last member's the first.
+    /// A single table forms a ring of one: it is not replicated.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `frames` is empty or names a frame that holds no table.
+    pub fn link_replicas(&mut self, frames: &[FrameId]) {
+        let (&first, rest) = frames
+            .split_first()
+            .expect("cannot link an empty replica set");
+        let first = self.resolve(first);
+        let mut last = first;
+        for &frame in rest {
+            let slot = self.resolve(frame);
+            self.slots[last as usize].ring_next = slot;
+            last = slot;
+        }
+        self.slots[last as usize].ring_next = first;
+    }
+
+    /// Takes the table behind `slot` out of its replica ring, closing the
+    /// ring around it; the table is left in a ring of its own.
+    fn unlink(&mut self, slot: PtSlot) {
+        // The member whose link names `slot` is the last a walk from it
+        // yields: `slot` itself when it is not replicated.
+        let mut ring = RingWalk::new(slot);
+        let mut before = slot;
+        while let Some((_, member)) = ring.next(self) {
+            before = member;
+        }
+        let after = self.slots[slot.0 as usize].ring_next;
+        self.slots[before.0 as usize].ring_next = after;
+        self.slots[slot.0 as usize].ring_next = slot.0;
+    }
+
+    /// A walk around the replica ring of the table in `frame`, starting
+    /// with it ([`RingWalk`]).  [`PtStore::ring`] is the same walk as an
+    /// iterator; this one lets the walker write the store between steps.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `frame` is not a page-table page.
+    #[inline]
+    pub fn ring_walk(&self, frame: FrameId) -> RingWalk {
+        RingWalk::new(self.slot(frame))
+    }
+
+    /// The members of the replica ring of the table in `frame` as
+    /// `(frame, slot)` pairs: `frame` first, then the others in ring order.
+    /// A table that is not replicated yields just itself.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `frame` is not a page-table page.  The iterator panics on
+    /// a 65th member (a [`RingWalk`] bound), which means the ring is
+    /// corrupted.
+    pub fn ring(&self, frame: FrameId) -> impl Iterator<Item = (FrameId, PtSlot)> + '_ {
+        let mut ring = self.ring_walk(frame);
+        std::iter::from_fn(move || ring.next(self))
     }
 
     /// Returns `true` if `frame` holds a page-table page.
@@ -354,6 +443,49 @@ impl PtStore {
             .iter()
             .filter(|slot| slot.pfn != FREE_PFN)
             .map(|slot| FrameId::new(slot.pfn))
+    }
+}
+
+/// A walk around one replica ring, from [`PtStore::ring_walk`], that
+/// borrows the store only while it steps: a caller may write the members'
+/// entries between steps.  Each step is one slab index, with no directory
+/// probe.
+#[derive(Debug, Clone, Copy)]
+pub struct RingWalk {
+    first: u32,
+    next: Option<u32>,
+    members: usize,
+}
+
+impl RingWalk {
+    fn new(slot: PtSlot) -> Self {
+        RingWalk {
+            first: slot.0,
+            next: Some(slot.0),
+            members: 0,
+        }
+    }
+
+    /// The next member of the ring in `store` as a `(frame, slot)` pair:
+    /// the table the walk started at, then the others in ring order, then
+    /// `None`.  `store` must be the store the walk came from, and its rings
+    /// must not change during the walk.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a 65th member: no ring of a machine of at most 64 sockets
+    /// has one, so the ring is corrupted.
+    #[inline]
+    pub fn next(&mut self, store: &PtStore) -> Option<(FrameId, PtSlot)> {
+        let slot = self.next?;
+        self.members += 1;
+        assert!(
+            self.members <= MAX_RING_MEMBERS,
+            "replica ring longer than the maximum socket count; corrupted ring?"
+        );
+        let table = &store.slots[slot as usize];
+        self.next = (table.ring_next != self.first).then_some(table.ring_next);
+        Some((FrameId::new(table.pfn), PtSlot(slot)))
     }
 }
 
@@ -583,6 +715,8 @@ mod tests {
         store.mark_accessed_at(sparse, 3, false);
         store.insert_table(FrameId::new(11));
         store.remove_table(FrameId::new(11));
+        store.insert_table(FrameId::new(12));
+        store.link_replicas(&[FrameId::new(7), FrameId::new(9000)]);
 
         let clone = store.clone();
         assert_eq!(clone.table_count(), store.table_count());
@@ -594,7 +728,9 @@ mod tests {
                 assert_eq!(clone.read_at(theirs, index), store.read_at(ours, index));
             }
             assert_eq!(clone.masks_at(theirs), store.masks_at(ours));
+            assert!(clone.ring(frame).eq(store.ring(frame)));
         }
+        assert_eq!(ring_members(&clone, FrameId::new(9000)).len(), 2);
         // The copy is deep: marking the clone leaves the source alone.
         clone.mark_accessed_at(clone.slot(FrameId::new(7)), 11, true);
         assert!(!store.read(FrameId::new(7), 11).flags().accessed);
@@ -627,6 +763,115 @@ mod tests {
         store.write_at(slot, 64, Pte::EMPTY);
         assert!(store.masks_at(slot).iter().all(|word| word.huge == 0));
         assert_eq!(store.masks_at(slot)[1].present, 0);
+    }
+
+    /// The members of the ring of `frame`, from it.
+    fn ring_members(store: &PtStore, frame: FrameId) -> Vec<FrameId> {
+        store.ring(frame).map(|(member, _)| member).collect()
+    }
+
+    /// Stores a table in each of `frames` and links them into one ring.
+    fn linked(frames: &[FrameId]) -> PtStore {
+        let mut store = PtStore::new();
+        for &frame in frames {
+            store.insert_table(frame);
+        }
+        store.link_replicas(frames);
+        store
+    }
+
+    /// One replica of a page-table page on each socket of a four-socket
+    /// machine of 1,000 frames per socket.
+    fn four_replicas() -> Vec<FrameId> {
+        (0..4)
+            .map(|socket| FrameId::new(socket * 1000 + 3))
+            .collect()
+    }
+
+    #[test]
+    fn a_ring_walks_its_members_in_order_from_any_member() {
+        let frames = four_replicas();
+        let mut store = PtStore::new();
+        for &frame in &frames {
+            store.insert_table(frame);
+        }
+        assert_eq!(ring_members(&store, frames[2]), vec![frames[2]]);
+        store.link_replicas(&frames);
+        assert_eq!(ring_members(&store, frames[0]), frames);
+        assert_eq!(
+            ring_members(&store, frames[2]),
+            vec![frames[2], frames[3], frames[0], frames[1]]
+        );
+        for (member, slot) in store.ring(frames[1]) {
+            assert_eq!(store.slot(member), slot);
+        }
+        // The walk that lets its caller write between steps visits the same
+        // members.
+        let mut walk = store.ring_walk(frames[3]);
+        let mut walked = Vec::new();
+        while let Some(member) = walk.next(&store) {
+            walked.push(member);
+        }
+        assert!(walked.into_iter().eq(store.ring(frames[3])));
+    }
+
+    #[test]
+    fn a_one_member_ring_is_not_replicated() {
+        let store = linked(&[FrameId::new(7)]);
+        assert_eq!(ring_members(&store, FrameId::new(7)), vec![FrameId::new(7)]);
+    }
+
+    #[test]
+    fn unlinking_a_member_closes_the_ring_around_it() {
+        let frames = four_replicas();
+        let mut store = linked(&frames);
+        store.unlink(store.slot(frames[1]));
+        assert_eq!(ring_members(&store, frames[1]), vec![frames[1]]);
+        assert_eq!(
+            ring_members(&store, frames[3]),
+            vec![frames[3], frames[0], frames[2]]
+        );
+        // Removing a table unlinks it the same way.
+        store.remove_table(frames[0]);
+        assert_eq!(ring_members(&store, frames[2]), vec![frames[2], frames[3]]);
+        store.remove_table(frames[3]);
+        assert_eq!(ring_members(&store, frames[2]), vec![frames[2]]);
+    }
+
+    #[test]
+    fn a_recycled_slot_and_a_reinserted_table_start_with_no_ring_link() {
+        let frames = four_replicas();
+        let mut store = linked(&frames);
+        // Re-inserting a member clears it like a fresh table, and the ring
+        // closes without it.
+        store.insert_table(frames[0]);
+        assert_eq!(ring_members(&store, frames[0]), vec![frames[0]]);
+        assert_eq!(
+            ring_members(&store, frames[1]),
+            vec![frames[1], frames[2], frames[3]]
+        );
+        // Another table recycles a removed member's slot with no link.
+        let slot = store.slot(frames[2]);
+        store.remove_table(frames[2]);
+        store.insert_table(FrameId::new(9));
+        assert_eq!(store.slot(FrameId::new(9)), slot, "the slot was recycled");
+        assert_eq!(ring_members(&store, FrameId::new(9)), vec![FrameId::new(9)]);
+        assert_eq!(ring_members(&store, frames[3]), vec![frames[3], frames[1]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "corrupted ring")]
+    fn a_ring_walk_stops_on_a_corrupted_ring() {
+        // A 70-member ring cannot come from a machine of at most 64 sockets.
+        let frames: Vec<FrameId> = (0..70).map(FrameId::new).collect();
+        let store = linked(&frames);
+        let _ = store.ring(frames[0]).count();
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot link an empty replica set")]
+    fn linking_an_empty_set_panics() {
+        PtStore::new().link_replicas(&[]);
     }
 
     #[test]

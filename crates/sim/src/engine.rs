@@ -6,10 +6,9 @@ use crate::metrics::RunMetrics;
 use crate::params::SimParams;
 use crate::shootdown::{self, BoundaryFlush, ShootdownStats};
 use mitosis::{Mitosis, MitosisError};
-use mitosis_mem::FrameId;
+use mitosis_mem::{FrameId, FrameSpace};
 use mitosis_mmu::step::{
-    step_access, tlb_step, walk_step, AccessCtx, LeafTables, Miss, Tables, ThreadPhase,
-    ThreadTotals,
+    step_access, tlb_step, walk_step, AccessCtx, LeafTables, Miss, ThreadPhase, ThreadTotals,
 };
 use mitosis_mmu::{Mmu, PteCache, PteCacheSet, TlbHalf, WalkHalf};
 use mitosis_numa::{AccessKind, CoreId, CostModel, Cycles, SocketId};
@@ -236,7 +235,7 @@ impl<S: AccessSource> SocketGroup<'_, S> {
     /// ([`draw_block`]) before stepping them.
     fn run(
         &mut self,
-        tables: Tables<'_>,
+        store: &PtStore,
         ctx: AccessCtx<'_>,
         segment_start: u64,
         run_to: u64,
@@ -245,7 +244,7 @@ impl<S: AccessSource> SocketGroup<'_, S> {
             .threads
             .iter()
             .map(|member| member.source.offset_bound());
-        let mut leaves = segment_leaves(tables.store, ctx, bounds);
+        let mut leaves = segment_leaves(store, ctx, bounds);
         let mut block = [NO_ACCESS; LOOKAHEAD];
         for member in &mut self.threads {
             for start in (segment_start..run_to).step_by(LOOKAHEAD) {
@@ -265,7 +264,7 @@ impl<S: AccessSource> SocketGroup<'_, S> {
                         &mut member.totals,
                         &mut self.pte_cache,
                         member.phase,
-                        tables,
+                        store,
                         ctx,
                     );
                     if let Err(addr) = stepped {
@@ -405,7 +404,7 @@ struct ParallelSegment<'a, S> {
 /// group order reports.
 fn run_split<S: AccessSource + Send>(
     pte_caches: &mut PteCacheSet,
-    tables: Tables<'_>,
+    store: &PtStore,
     ctx: AccessCtx<'_>,
     segment: ParallelSegment<'_, S>,
 ) -> Result<(), MitosisError> {
@@ -453,12 +452,12 @@ fn run_split<S: AccessSource + Send>(
         let spawned: Vec<_> = rest
             .map(|mut group| {
                 scope.spawn(move || {
-                    let result = group.run(tables, ctx, segment_start, run_to);
+                    let result = group.run(store, ctx, segment_start, run_to);
                     (group, result)
                 })
             })
             .collect();
-        let result = first.run(tables, ctx, segment_start, run_to);
+        let result = first.run(store, ctx, segment_start, run_to);
         let mut finished = vec![(first, result)];
         for handle in spawned {
             // A panicking group re-raises here, as it would have serially.
@@ -647,7 +646,13 @@ struct WalkStage {
 impl WalkStage {
     /// Walks every batch the TLB stage sends, in order, until it is done,
     /// and hands each emptied buffer back.
-    fn run(&mut self, handoff: &Handoff, tables: Tables<'_>, states: &[Option<ThreadPhase>]) {
+    fn run(
+        &mut self,
+        handoff: &Handoff,
+        store: &PtStore,
+        space: &FrameSpace,
+        states: &[Option<ThreadPhase>],
+    ) {
         let _hangup = Hangup {
             handoff,
             tlb_stage: false,
@@ -656,7 +661,7 @@ impl WalkStage {
             let walks = &mut self.walks[batch.thread];
             let phase = states[batch.thread].as_ref().expect("phases derived first");
             for &miss in &batch.misses {
-                walk_step(miss, walks, &mut self.pte_cache, phase, tables);
+                walk_step(miss, walks, &mut self.pte_cache, phase, store, space);
             }
             handoff.give_back(batch.misses);
         }
@@ -738,13 +743,13 @@ fn run_tlb_stage<S: AccessSource>(
 /// into the threads' totals.
 fn run_pipelined<S: AccessSource>(
     pte_caches: &mut PteCacheSet,
-    tables: Tables<'_>,
+    store: &PtStore,
     ctx: AccessCtx<'_>,
     mut segment: ParallelSegment<'_, S>,
 ) -> Result<(), MitosisError> {
     let socket = segment.threads[0].socket;
     let bounds = segment.sources.iter().map(AccessSource::offset_bound);
-    let mut leaves = segment_leaves(tables.store, ctx, bounds);
+    let mut leaves = segment_leaves(store, ctx, bounds);
     let (mut tlbs, walks): (Vec<TlbHalf>, Vec<WalkHalf>) = std::mem::take(segment.mmus)
         .into_iter()
         .map(Mmu::into_halves)
@@ -763,7 +768,7 @@ fn run_pipelined<S: AccessSource>(
     let result = std::thread::scope(|scope| {
         let walk_stage = &mut stage;
         let handoff = &handoff;
-        let walker = scope.spawn(move || walk_stage.run(handoff, tables, states));
+        let walker = scope.spawn(move || walk_stage.run(handoff, store, ctx.frame_space, states));
         let result = run_tlb_stage(&mut segment, &mut tlbs, &mut leaves, ctx, handoff);
         // The walk stage still drains the batches in flight.  Yield until it
         // is done rather than sleep in `join` (see `YIELDS_BEFORE_SLEEP`).
@@ -1316,21 +1321,11 @@ impl ExecutionEngine {
                     if proof.is_ok() && groups.len() >= 2 {
                         self.split.split_segments += 1;
                         self.split.threads_spawned += groups.len() as u64 - 1;
-                        run_split(
-                            &mut self.pte_caches,
-                            Tables::of(system.pt_env()),
-                            ctx,
-                            segment,
-                        )?;
+                        run_split(&mut self.pte_caches, &system.pt_env().store, ctx, segment)?;
                     } else if proof.is_ok() && groups.len() == 1 {
                         self.split.pipelined_segments += 1;
                         self.split.threads_spawned += 1;
-                        run_pipelined(
-                            &mut self.pte_caches,
-                            Tables::of(system.pt_env()),
-                            ctx,
-                            segment,
-                        )?;
+                        run_pipelined(&mut self.pte_caches, &system.pt_env().store, ctx, segment)?;
                     } else {
                         self.split.serial_segments += 1;
                         for (index, (placement, source)) in
@@ -1348,7 +1343,7 @@ impl ExecutionEngine {
                                     totals,
                                     self.pte_caches.socket(placement.socket),
                                     phase,
-                                    Tables::of(system.pt_env()),
+                                    &system.pt_env().store,
                                     ctx,
                                 ) else {
                                     continue;
@@ -1373,13 +1368,12 @@ impl ExecutionEngine {
                                         &mut self.pte_caches,
                                     ));
                                 }
-                                let tables = Tables::of(system.pt_env());
                                 let retry = mmu.access(
                                     addr,
                                     access.is_write,
                                     phase.cr3,
-                                    tables.store,
-                                    tables.frames,
+                                    &system.pt_env().store,
+                                    &frame_space,
                                     &phase.cost,
                                     self.pte_caches.socket(placement.socket),
                                 );

@@ -79,8 +79,8 @@ pub enum SetupStep {
 /// runs a scenario's [`SetupStep`]s — the same list whether they come
 /// from a runner, a capture or a trace's setup events — and the measured
 /// phase runs from the result as many times as needed.  Cloning is a deep
-/// copy of the whole simulated state (page tables, frame allocator, frame
-/// metadata, processes, Mitosis policy), so every clone starts the
+/// copy of the whole simulated state (page tables with their replica rings,
+/// frame allocator, processes, Mitosis policy), so every clone starts the
 /// measured phase from bit-identical state; running from a clone is
 /// indistinguishable from re-executing the setup.  That makes the clone
 /// the cheap unit of fan-out for parallel replay: workers copy the

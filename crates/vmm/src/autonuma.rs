@@ -96,7 +96,12 @@ impl AutoNuma {
             let roots = process.address_space().roots().clone();
             mitosis_pt::iter_leaf_mappings(&system.pt_env().store, roots.base())
                 .into_iter()
-                .map(|m| (m.addr, system.pt_env().frames.socket_of(m.frame)))
+                .map(|m| {
+                    (
+                        m.addr,
+                        system.pt_env().alloc.frame_space().socket_of(m.frame),
+                    )
+                })
                 .collect()
         };
         // Count current occupancy on the participating sockets.
@@ -160,7 +165,7 @@ impl AutoNuma {
         Ok(
             mitosis_pt::iter_leaf_mappings(&system.pt_env().store, roots.base())
                 .into_iter()
-                .filter(|m| system.pt_env().frames.socket_of(m.frame) != target)
+                .filter(|m| system.pt_env().alloc.frame_space().socket_of(m.frame) != target)
                 .map(|m| m.addr)
                 .collect(),
         )

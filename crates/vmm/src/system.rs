@@ -114,10 +114,10 @@ impl MemoryFootprint {
 ///
 /// `System` is `Clone` (the PV-Ops backend clones through
 /// [`PvOps::clone_box`]): a clone is a full, independent snapshot of the
-/// simulated machine — page tables, frame allocator, per-frame metadata,
-/// processes and VMA trees — which is what lets replay drivers prepare a
-/// system once and fan identical copies out to worker threads instead of
-/// re-executing the setup per worker.
+/// simulated machine — page tables with their replica rings, frame
+/// allocator, processes and VMA trees — which is what lets replay drivers
+/// prepare a system once and fan identical copies out to worker threads
+/// instead of re-executing the setup per worker.
 #[derive(Debug, Clone)]
 pub struct System {
     machine: Machine,
@@ -212,7 +212,7 @@ impl System {
         self.config = config;
     }
 
-    /// The page-table environment (store, frame table, allocator, cache).
+    /// The page-table environment (store, allocator, cache).
     pub fn pt_env(&self) -> &PtEnv {
         &self.env
     }
@@ -500,7 +500,12 @@ impl System {
                             // fall back to a 4 KiB page for this fault.
                             ctx.alloc.free_huge(frame)?;
                         }
-                        Err(other) => return Err(other.into()),
+                        Err(other) => {
+                            // No page table could be allocated for it, so
+                            // the frame is mapped nowhere.
+                            ctx.alloc.free_huge(frame)?;
+                            return Err(other.into());
+                        }
                     }
                 }
             }
@@ -509,7 +514,7 @@ impl System {
         // Base-page path.
         let page_addr = addr.align_down(PageSize::Base4K);
         let frame = process.data_policy_mut().alloc_data(ctx.alloc, socket)?;
-        mapper.map(
+        let mapped = mapper.map(
             self.ops.as_mut(),
             &mut ctx,
             page_addr,
@@ -518,7 +523,13 @@ impl System {
             flags,
             pt_socket,
             replication,
-        )?;
+        );
+        if let Err(err) = mapped {
+            // No page table could be allocated for it, so the frame is
+            // mapped nowhere.
+            ctx.alloc.free(frame)?;
+            return Err(err.into());
+        }
         Ok(FaultOutcome {
             addr: page_addr,
             size: PageSize::Base4K,
@@ -809,7 +820,8 @@ impl System {
             }
         }
         let target = ctx
-            .frames
+            .alloc
+            .frame_space()
             .socket_of(first_frame.expect("512 pages were checked"));
         let huge = match ctx.alloc.alloc_huge_on(target) {
             Ok(frame) => frame,
@@ -839,7 +851,7 @@ impl System {
             .frame()
             .expect("the freed base pages hung off an L1 table");
         if ranged {
-            for member in ctx.frames.replicas_of(l1) {
+            for (member, _) in ctx.store.ring(l1) {
                 self.pending.evict_table(member);
             }
         }
@@ -1087,7 +1099,7 @@ impl System {
         let process = self.process(pid)?;
         Ok(PageTableDump::capture(
             &self.env.store,
-            &self.env.frames,
+            self.env.alloc.frame_space(),
             process.address_space().roots().base(),
         ))
     }
@@ -1105,7 +1117,7 @@ impl System {
         let process = self.process(pid)?;
         Ok(PageTableDump::capture(
             &self.env.store,
-            &self.env.frames,
+            self.env.alloc.frame_space(),
             process.address_space().roots().root_for_socket(socket),
         ))
     }
@@ -1138,7 +1150,7 @@ impl System {
             Some(t) => t,
             None => return Err(VmError::SegmentationFault { addr }),
         };
-        if ctx.frames.socket_of(t.frame) == target {
+        if ctx.alloc.frame_space().socket_of(t.frame) == target {
             return Ok(false);
         }
         // A copy-on-write shared frame is pinned until the sharing breaks:
@@ -1235,7 +1247,7 @@ impl System {
     pub fn footprint(&self, pid: Pid) -> Result<MemoryFootprint, VmError> {
         let process = self.process(pid)?;
         let sockets = self.machine.sockets();
-        let space = self.env.frames.frame_space();
+        let space = self.env.alloc.frame_space();
         let mut footprint = MemoryFootprint {
             data_bytes: vec![0; sockets],
             pagetable_bytes: vec![0; sockets],
@@ -1361,7 +1373,10 @@ mod tests {
         let mut sys = system();
         let pid = sys.create_process(SocketId::new(1)).unwrap();
         let root = sys.process(pid).unwrap().address_space().roots().base();
-        assert_eq!(sys.pt_env().frames.socket_of(root), SocketId::new(1));
+        assert_eq!(
+            sys.pt_env().alloc.frame_space().socket_of(root),
+            SocketId::new(1)
+        );
         assert_eq!(sys.pids(), vec![pid]);
     }
 
@@ -1374,7 +1389,7 @@ mod tests {
         for i in 0..64u64 {
             let t = sys.translate(pid, addr.add(i * 4096)).unwrap().unwrap();
             assert_eq!(
-                sys.pt_env().frames.socket_of(t.frame),
+                sys.pt_env().alloc.frame_space().socket_of(t.frame),
                 SocketId::new(0),
                 "first-touch places data on the faulting socket"
             );
@@ -1393,7 +1408,7 @@ mod tests {
         assert!(!outcome.already_mapped);
         assert_eq!(outcome.size, PageSize::Base4K);
         assert_eq!(
-            sys.pt_env().frames.socket_of(outcome.frame),
+            sys.pt_env().alloc.frame_space().socket_of(outcome.frame),
             SocketId::new(1)
         );
         // Faulting again on the same page is spurious.
@@ -1454,7 +1469,7 @@ mod tests {
         let mut per_socket = [0u64; 2];
         for i in 0..8u64 {
             let t = sys.translate(pid, addr.add(i * 4096)).unwrap().unwrap();
-            per_socket[sys.pt_env().frames.socket_of(t.frame).index()] += 1;
+            per_socket[sys.pt_env().alloc.frame_space().socket_of(t.frame).index()] += 1;
         }
         assert_eq!(per_socket, [4, 4]);
     }
@@ -1685,6 +1700,63 @@ mod tests {
         };
         assert_eq!(observable(&sys), observable(&reference));
         assert_eq!(observable(&sys).0.len(), 100, "the window stopped mid-way");
+    }
+
+    /// A system of two 16 MiB sockets whose process binds its data to socket
+    /// 1 and has a lazy 2 MiB area at the returned address.  Socket 0 is
+    /// full and socket 1 has `free` never-allocated frames left, so once a
+    /// fault has taken its data no page table can be allocated anywhere.
+    fn starved_system(free: u64, thp: ThpMode) -> (System, Pid, VirtAddr) {
+        let machine = MachineConfig::new(2, 1)
+            .with_memory_per_socket(16 * 1024 * 1024)
+            .build();
+        let mut sys = System::new(machine);
+        sys.set_thp(thp);
+        let pid = sys.create_process(SocketId::new(0)).unwrap();
+        sys.process_mut(pid)
+            .unwrap()
+            .set_data_policy(PlacementPolicy::Bind(SocketId::new(1)));
+        let addr = VirtAddr::new(0x40_0000_0000);
+        sys.mmap_at(pid, addr, 2 * 1024 * 1024, MmapFlags::lazy())
+            .unwrap();
+        let alloc = &mut sys.pt_env_mut().alloc;
+        while alloc.alloc_on(SocketId::new(0)).is_ok() {}
+        for _ in free..alloc.stats(SocketId::new(1)).free_frames {
+            alloc.alloc_on(SocketId::new(1)).unwrap();
+        }
+        (sys, pid, addr)
+    }
+
+    /// Faults at `addr` and checks that the fault fails for want of a page
+    /// table and leaves socket 1's allocation count as it found it.
+    fn assert_fault_frees_its_frame(mut sys: System, pid: Pid, addr: VirtAddr) {
+        let allocated = |sys: &System| sys.pt_env().alloc.stats(SocketId::new(1)).allocated_frames;
+        let before = allocated(&sys);
+        assert_eq!(
+            sys.handle_fault(pid, addr, SocketId::new(0)),
+            Err(VmError::Mem(MemError::PageCacheEmpty {
+                socket: SocketId::new(0)
+            }))
+        );
+        assert_eq!(allocated(&sys), before, "the data frame was freed");
+        assert_eq!(sys.translate(pid, addr), Ok(None));
+    }
+
+    #[test]
+    fn a_fault_that_cannot_map_its_base_page_frees_the_frame() {
+        let (sys, pid, addr) = starved_system(1, ThpMode::Never);
+        assert_eq!(
+            sys.pt_env().alloc.stats(SocketId::new(1)).allocated_frames,
+            4095
+        );
+        assert_fault_frees_its_frame(sys, pid, addr);
+    }
+
+    #[test]
+    fn a_fault_that_cannot_map_its_huge_page_frees_the_frame() {
+        // The one 2 MiB run left on socket 1 takes the huge page.
+        let (sys, pid, addr) = starved_system(512, ThpMode::Always);
+        assert_fault_frees_its_frame(sys, pid, addr);
     }
 
     #[test]

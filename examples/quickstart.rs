@@ -39,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cr3 = system.cr3_for(pid, socket)?;
     println!(
         "socket 3 loads CR3 {cr3}, which lives on {}",
-        system.pt_env().frames.socket_of(cr3)
+        system.pt_env().alloc.frame_space().socket_of(cr3)
     );
 
     let mut mmu = Mmu::new(system.machine().first_core_of_socket(socket), socket);
@@ -51,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             false,
             cr3,
             &env.store,
-            &env.frames,
+            env.alloc.frame_space(),
             &cost,
             pte_caches.socket(socket),
         );

@@ -222,7 +222,7 @@ fn observable(
     let alloc: Vec<_> = (0..SOCKETS)
         .map(|s| env.alloc.stats(SocketId::new(s)))
         .collect();
-    let shared: Vec<_> = (0..env.frames.frame_space().total_frames())
+    let shared: Vec<_> = (0..env.alloc.frame_space().total_frames())
         .map(FrameId::new)
         .filter(|&frame| cow.references(frame) != 1)
         .map(|frame| (frame.pfn(), cow.references(frame)))

@@ -142,10 +142,11 @@ fn reference_footprint(system: &System, pid: Pid) -> MemoryFootprint {
         pagetable_bytes: vec![0; sockets],
     };
     for mapping in iter_leaf_mappings(&env.store, roots.base()) {
-        footprint.data_bytes[env.frames.socket_of(mapping.frame).index()] += mapping.size.bytes();
+        footprint.data_bytes[env.alloc.frame_space().socket_of(mapping.frame).index()] +=
+            mapping.size.bytes();
     }
     for root in roots.distinct_roots() {
-        let dump = PageTableDump::capture(&env.store, &env.frames, root);
+        let dump = PageTableDump::capture(&env.store, env.alloc.frame_space(), root);
         for cell in dump.cells() {
             footprint.pagetable_bytes[cell.socket.index()] += cell.table_pages * PAGE;
         }

@@ -31,8 +31,11 @@ fn assert_replicas_consistent(system: &System, pid: Pid, sample_addrs: &[VirtAdd
     }
     if process.replication().is_enabled() {
         for socket in process.replication().sockets() {
-            let dump =
-                PageTableDump::capture(&env.store, &env.frames, roots.root_for_socket(socket));
+            let dump = PageTableDump::capture(
+                &env.store,
+                env.alloc.frame_space(),
+                roots.root_for_socket(socket),
+            );
             for cell in dump.cells() {
                 assert!(
                     cell.table_pages == 0 || cell.socket == socket,
@@ -119,7 +122,7 @@ fn accessed_and_dirty_bits_are_visible_from_any_replica() {
             true,
             cr3,
             &env.store,
-            &env.frames,
+            env.alloc.frame_space(),
             &cost,
             caches.socket(socket),
         );
