@@ -23,7 +23,7 @@
 
 use mitosis_mem::FrameId;
 use mitosis_numa::SocketId;
-use mitosis_pt::{PtContext, PtError, PtOpStats, Pte, PvOps, ReplicationSpec};
+use mitosis_pt::{PtContext, PtError, PtOpStats, Pte, PteFlags, PvOps, ReplicationSpec};
 
 /// The replicating PV-Ops backend.
 ///
@@ -136,18 +136,20 @@ impl PvOps for MitosisPvOps {
         }
     }
 
-    fn set_leaf_ptes(&mut self, ctx: &mut PtContext<'_>, table: FrameId, entries: &[(usize, Pte)]) {
+    fn set_leaf_ptes(
+        &mut self,
+        ctx: &mut PtContext<'_>,
+        table: FrameId,
+        flags: PteFlags,
+        entries: &[(usize, FrameId)],
+    ) {
         // Leaf entries point at data frames, which `pte_for_replica` copies
         // verbatim, so every ring member gets the same entries.
-        debug_assert!(entries
-            .iter()
-            .all(|(_, pte)| pte.frame().is_none_or(|frame| !ctx.store.contains(frame))));
+        debug_assert!(entries.iter().all(|&(_, frame)| !ctx.store.contains(frame)));
         let writes = entries.len() as u64;
         let mut ring = ctx.store.ring_walk(table);
         while let Some((member, slot)) = ring.next(ctx.store) {
-            for &(index, pte) in entries {
-                ctx.store.write_at(slot, index, pte);
-            }
+            ctx.store.write_leaves_at(slot, flags, entries);
             if member == table {
                 self.stats.pte_writes += writes;
             } else {
@@ -208,7 +210,7 @@ impl PvOps for MitosisPvOps {
 mod tests {
     use super::*;
     use mitosis_numa::{MachineConfig, NodeMask};
-    use mitosis_pt::{Mapper, PageSize, PtEnv, PteFlags, VirtAddr};
+    use mitosis_pt::{Mapper, PageSize, PtEnv, VirtAddr};
 
     fn env() -> PtEnv {
         PtEnv::new(&MachineConfig::two_socket_small().build())
@@ -289,24 +291,25 @@ mod tests {
                 300,
                 Pte::new(data[3], PteFlags::user_data()),
             );
-            // Writable and read-only leaves, an index written twice and a
-            // present entry cleared.
+            // Read-only leaves over a writable one, an index written twice
+            // and the first and last entries.
+            let flags = PteFlags::user_readonly();
             let batch = [
-                (0, Pte::new(data[0], PteFlags::user_data())),
-                (7, Pte::new(data[1], PteFlags::user_readonly())),
-                (7, Pte::new(data[2], PteFlags::user_data())),
-                (300, Pte::EMPTY),
-                (511, Pte::new(data[3], PteFlags::user_readonly())),
+                (0, data[0]),
+                (7, data[1]),
+                (7, data[2]),
+                (300, data[1]),
+                (511, data[3]),
             ];
             let ring = replicas_of(&ctx, table);
             assert_eq!(ring.len(), repl.sockets().len().max(1));
             let (mut single_env, mut single_ops) = (env.clone(), ops.clone());
             let mut single = single_env.context();
-            for &(index, pte) in &batch {
-                single_ops.set_pte(&mut single, table, index, pte);
+            for &(index, frame) in &batch {
+                single_ops.set_pte(&mut single, table, index, Pte::new(frame, flags));
             }
             let mut batched = env.context();
-            ops.set_leaf_ptes(&mut batched, table, &batch);
+            ops.set_leaf_ptes(&mut batched, table, flags, &batch);
             assert_eq!(ops.stats(), single_ops.stats());
             // One write per entry of the table, and one ring read plus one
             // write per entry of every other member.

@@ -6,6 +6,15 @@
 //! existing tree and creates a replica on every requested socket
 //! (paper §6.2: "Whenever a new mask is set, Mitosis will walk the existing
 //! page-table and create replicas according to the new bitmask").
+//!
+//! The copy works a page-table page at a time.  A leaf table's entries
+//! point at data frames and are the same in every replica, so each replica
+//! of a leaf table is one whole-table copy of its entries and bitmaps
+//! ([`PtStore::copy_table_at`](mitosis_pt::PtStore::copy_table_at)).  An
+//! upper-level table is copied entry by entry, because each replica's
+//! entries must point at the child replicas on its own socket.
+//! Page-table migration ([`migrate_page_table`](crate::migrate_page_table))
+//! builds its target copy the same way.
 
 use crate::error::MitosisError;
 use mitosis_mem::FrameId;
@@ -115,12 +124,10 @@ pub fn replicate_tree(
         );
         let source = members[0].1;
         if *level == Level::L1 {
-            // Leaf entries point at data frames and are copied verbatim.
-            for index in ctx.store.present_indices(source) {
-                let pte = ctx.store.read_at(source, index);
-                for &(_, slot) in &members[1..] {
-                    ctx.store.write_at(slot, index, pte);
-                }
+            // Leaf entries point at data frames, so each replica is a copy
+            // of the whole table.
+            for &(_, slot) in &members[1..] {
+                ctx.store.copy_table_at(source, slot);
             }
             continue;
         }

@@ -57,6 +57,18 @@ impl SocketPool {
         self.in_use[(bit >> 6) as usize] |= 1 << (bit & 63);
     }
 
+    /// Marks the `count` allocated frames from `pfn` a bitmap word at a
+    /// time; they must lie below the bump pointer.
+    fn set_run(&mut self, pfn: u64, count: u64) {
+        let (mut bit, end) = (pfn - self.start, pfn - self.start + count);
+        while bit < end {
+            let word_end = (bit | 63) + 1;
+            let bits = word_end.min(end) - bit;
+            self.in_use[(bit >> 6) as usize] |= (u64::MAX >> (64 - bits)) << (bit & 63);
+            bit += bits;
+        }
+    }
+
     /// Clears a frame's bit, returning `false` if it was not set.
     fn clear(&mut self, pfn: u64) -> bool {
         if !self.is_set(pfn) {
@@ -178,6 +190,38 @@ impl FrameAllocator {
         Ok(frame)
     }
 
+    /// Allocates up to `count` 4 KiB frames on exactly the given socket and
+    /// appends them to `frames`, in the order as many [`Self::alloc_on`]
+    /// calls would return them: the free list first, then one run of the
+    /// never-allocated region, whose bitmap grows once.  Returns how many it
+    /// allocated: fewer than `count` only when the socket ran dry, and none
+    /// on a socket the machine lacks.
+    pub fn alloc_run_on(
+        &mut self,
+        socket: SocketId,
+        count: usize,
+        frames: &mut Vec<FrameId>,
+    ) -> usize {
+        let Some(pool) = self.pools.get_mut(socket.index()) else {
+            return 0;
+        };
+        let listed = count.min(pool.free_list.len());
+        let from = frames.len();
+        let kept = pool.free_list.len() - listed;
+        frames.extend(pool.free_list.drain(kept..).rev());
+        for frame in &frames[from..] {
+            pool.set(frame.pfn());
+        }
+        let first = pool.next;
+        let bumped = ((count - listed) as u64).min(pool.end - first);
+        pool.bump_to(first + bumped);
+        pool.set_run(first, bumped);
+        frames.extend((first..first + bumped).map(FrameId::new));
+        let taken = listed + bumped as usize;
+        pool.count_allocation(taken as u64);
+        taken
+    }
+
     /// Allocates one 4 KiB frame on the given socket, falling back to the
     /// other sockets in index order if it is full.
     ///
@@ -227,9 +271,7 @@ impl FrameAllocator {
             pool.free_list.push(FrameId::new(pfn));
         }
         pool.bump_to(aligned + FRAMES_PER_HUGE_PAGE);
-        for pfn in aligned..aligned + FRAMES_PER_HUGE_PAGE {
-            pool.set(pfn);
-        }
+        pool.set_run(aligned, FRAMES_PER_HUGE_PAGE);
         pool.count_allocation(FRAMES_PER_HUGE_PAGE);
         Ok(FrameId::new(aligned))
     }

@@ -125,6 +125,48 @@ impl PolicyEngine {
         }
     }
 
+    /// Allocates `count` data frames for consecutive faults of a thread on
+    /// `faulting_socket` and appends them to `frames`: exactly what `count`
+    /// [`Self::alloc_data`] calls would return, in order, leaving the same
+    /// allocator state and interleave cursor.  Except under interleave,
+    /// whose cursor moves per page, the policy's socket gives one run and
+    /// each fallback socket, in index order, one more.
+    ///
+    /// # Errors
+    ///
+    /// Returns the error of the first allocation that would fail, after
+    /// appending the frames allocated before it.
+    pub fn alloc_data_run(
+        &mut self,
+        alloc: &mut FrameAllocator,
+        faulting_socket: SocketId,
+        count: usize,
+        frames: &mut Vec<FrameId>,
+    ) -> Result<(), MemError> {
+        if matches!(self.policy, PlacementPolicy::Interleave(mask) if !mask.is_empty()) {
+            for _ in 0..count {
+                frames.push(self.alloc_data(alloc, faulting_socket)?);
+            }
+            return Ok(());
+        }
+        let target = self.choose_socket(faulting_socket);
+        let mut left = count - alloc.alloc_run_on(target, count, frames);
+        if let PlacementPolicy::Bind(_) = self.policy {
+            return match left {
+                0 => Ok(()),
+                _ => Err(MemError::OutOfMemory { socket: target }),
+            };
+        }
+        // `FrameAllocator::alloc_preferring`'s fallback order.
+        for s in (0..alloc.frame_space().sockets()).filter(|&s| s != target.index()) {
+            left -= alloc.alloc_run_on(SocketId::new(s as u16), left, frames);
+        }
+        match left {
+            0 => Ok(()),
+            _ => Err(MemError::MachineOutOfMemory),
+        }
+    }
+
     /// Chooses a socket and allocates a 2 MiB huge frame according to the
     /// policy.
     ///

@@ -83,7 +83,7 @@ impl Pte {
     pub(crate) const DIRTY_BIT: u64 = 1 << 6;
     pub(crate) const HUGE_BIT: u64 = 1 << 7;
     /// The frame number's position in the 64-bit encoding.
-    const FRAME_SHIFT: u32 = 12;
+    pub(crate) const FRAME_SHIFT: u32 = 12;
 
     /// The all-zero, non-present entry.
     pub const EMPTY: Pte = Pte {

@@ -76,6 +76,6 @@ pub use ops::{
 pub use store::{PtSlot, PtStore, RingWalk};
 pub use tx::{MappingTx, ShootdownPlan, ShootdownRange};
 pub use walk::{
-    check_writable_range, for_each_leaf, for_each_table, iter_leaf_mappings, table_at, translate,
-    translate_entry, LeafMapping, RangeGap, Translation,
+    check_writable_range, for_each_table, iter_leaf_mappings, table_at, translate, translate_entry,
+    LeafMapping, RangeGap, Translation,
 };

@@ -19,7 +19,7 @@
 //! allocate path and one free path, [`PtContext::alloc_table_frame`] and
 //! [`PtContext::free_table_frame`].
 
-use crate::entry::Pte;
+use crate::entry::{Pte, PteFlags};
 use crate::error::PtError;
 use crate::mapper::PtRoots;
 use crate::store::PtStore;
@@ -226,12 +226,20 @@ pub trait PvOps: std::fmt::Debug + Send + Sync {
     /// Writes the entry at `index` of `table`, propagating to replicas.
     fn set_pte(&mut self, ctx: &mut PtContext<'_>, table: FrameId, index: usize, pte: Pte);
 
-    /// Writes several entries of the leaf table `table`, each `(index,
-    /// pte)` pointing at a data frame, propagating to replicas: Linux's
-    /// `set_ptes()`.  The result and the statistics are exactly those of one
-    /// [`PvOps::set_pte`] per entry, in order, but the table and its
-    /// replica ring are resolved once for the whole batch.
-    fn set_leaf_ptes(&mut self, ctx: &mut PtContext<'_>, table: FrameId, entries: &[(usize, Pte)]);
+    /// Maps several data frames through the leaf table `table`, each
+    /// `(index, frame)` as a present entry with `flags`, propagating to
+    /// replicas: Linux's `set_ptes()`.  The result and the statistics are
+    /// exactly those of one [`PvOps::set_pte`] of `Pte::new(frame, flags)`
+    /// per pair, in order, but the table and its replica ring are resolved
+    /// once and the flags encoded once for the whole batch
+    /// ([`PtStore::write_leaves_at`]).
+    fn set_leaf_ptes(
+        &mut self,
+        ctx: &mut PtContext<'_>,
+        table: FrameId,
+        flags: PteFlags,
+        entries: &[(usize, FrameId)],
+    );
 
     /// Reads the entry at `index` of `table`.  Accessed/dirty bits reflect
     /// every replica (logical OR), as the paper's extended PV-Ops getters do.
@@ -301,11 +309,15 @@ impl PvOps for NativePvOps {
         self.stats.pte_writes += 1;
     }
 
-    fn set_leaf_ptes(&mut self, ctx: &mut PtContext<'_>, table: FrameId, entries: &[(usize, Pte)]) {
+    fn set_leaf_ptes(
+        &mut self,
+        ctx: &mut PtContext<'_>,
+        table: FrameId,
+        flags: PteFlags,
+        entries: &[(usize, FrameId)],
+    ) {
         let slot = ctx.store.slot(table);
-        for &(index, pte) in entries {
-            ctx.store.write_at(slot, index, pte);
-        }
+        ctx.store.write_leaves_at(slot, flags, entries);
         self.stats.pte_writes += entries.len() as u64;
     }
 
@@ -339,7 +351,6 @@ impl PvOps for NativePvOps {
 mod tests {
     use super::*;
     use crate::addr::ENTRIES_PER_TABLE;
-    use crate::entry::PteFlags;
     use mitosis_numa::MachineConfig;
 
     fn env() -> PtEnv {
@@ -401,22 +412,23 @@ mod tests {
                 300,
                 Pte::new(data[3], PteFlags::user_data()),
             );
-            // Writable and read-only leaves, an index written twice and a
-            // present entry cleared.
+            // Read-only leaves over a writable one, an index written twice
+            // and the first and last entries.
+            let flags = PteFlags::user_readonly();
             let batch = [
-                (0, Pte::new(data[0], PteFlags::user_data())),
-                (7, Pte::new(data[1], PteFlags::user_readonly())),
-                (7, Pte::new(data[2], PteFlags::user_data())),
-                (300, Pte::EMPTY),
-                (511, Pte::new(data[3], PteFlags::user_readonly())),
+                (0, data[0]),
+                (7, data[1]),
+                (7, data[2]),
+                (300, data[1]),
+                (511, data[3]),
             ];
             let (mut single_env, mut single_ops) = (env.clone(), ops.clone());
             let mut single = single_env.context();
-            for &(index, pte) in &batch {
-                single_ops.set_pte(&mut single, ring[0], index, pte);
+            for &(index, frame) in &batch {
+                single_ops.set_pte(&mut single, ring[0], index, Pte::new(frame, flags));
             }
             let mut batched = env.context();
-            ops.set_leaf_ptes(&mut batched, ring[0], &batch);
+            ops.set_leaf_ptes(&mut batched, ring[0], flags, &batch);
             assert_eq!(ops.stats(), single_ops.stats());
             assert_eq!(ops.stats().pte_writes, 6);
             for &member in &ring {

@@ -38,11 +38,18 @@
 //!   [`PtStore::write_at`] and interleaved word by word so one write
 //!   touches one cache line of them: which entries are present, which
 //!   present entries are writable, and which are huge (large-page leaves).
-//!   Enumerating or counting present entries (replication,
-//!   OR-consolidation, page-table dumps) is popcount-driven and
-//!   allocation-free instead of a 512-entry scan, and
+//!   Enumerating or counting present entries (OR-consolidation, page-table
+//!   dumps, the footprint) is popcount-driven and allocation-free instead
+//!   of a 512-entry scan, and
 //!   [`check_writable_range`](crate::check_writable_range) proves a range
-//!   fault-free from the bitmaps without reading a leaf entry.
+//!   fault-free from the bitmaps without reading a leaf entry;
+//! * setup moves **whole tables, not entries**: populate writes a leaf
+//!   window's entries, which share their flags, with the flags encoded once
+//!   and each entry's bitmap bits set directly
+//!   ([`PtStore::write_leaves_at`]), and replication copies a leaf table
+//!   into each replica as 512 entries plus the bitmaps
+//!   ([`PtStore::copy_table_at`]).  An absent entry is always zero, so the
+//!   copy equals writing each present entry.
 //!
 //! Every structural write goes through `&mut self`.  The one write a shared
 //! reference may make is the hardware walker's accessed/dirty update,
@@ -59,7 +66,7 @@
 //! directory on subsequent accesses.
 
 use crate::addr::ENTRIES_PER_TABLE;
-use crate::entry::Pte;
+use crate::entry::{Pte, PteFlags};
 use mitosis_mem::FrameId;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -383,6 +390,62 @@ impl PtStore {
         word.huge = (word.huge & !bit) | (present & on(Pte::HUGE_BIT));
     }
 
+    /// Writes present entries that share `flags` into the table behind
+    /// `slot`, each `(index, frame)` pointing at `frame`, in order: the
+    /// entries and bitmaps one [`PtStore::write_at`] per pair would leave.
+    /// The flags are encoded once and each entry's bitmap bits are set
+    /// directly.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `flags` is not present, or an index is `>= 512`.
+    pub fn write_leaves_at(&mut self, slot: PtSlot, flags: PteFlags, entries: &[(usize, FrameId)]) {
+        let flag_bits = Pte::new(FrameId::new(0), flags).to_bits();
+        let writable = if flags.writable { u64::MAX } else { 0 };
+        let huge = if flags.huge { u64::MAX } else { 0 };
+        let table = &mut self.slots[slot.0 as usize];
+        for &(index, frame) in entries {
+            let bits = flag_bits | frame.pfn() << Pte::FRAME_SHIFT;
+            debug_assert_eq!(
+                Pte::from_bits(bits),
+                Pte::new(frame, flags),
+                "entry does not survive its 64-bit encoding"
+            );
+            *table.entries[index].get_mut() = bits;
+            let bit = 1u64 << (index & 63);
+            let word = &mut table.masks[index >> 6];
+            word.present |= bit;
+            word.writable = (word.writable & !bit) | (bit & writable);
+            word.huge = (word.huge & !bit) | (bit & huge);
+        }
+    }
+
+    /// Makes the table behind `to` a copy of the table behind `from`:
+    /// every entry, accessed and dirty bits included, and the bitmaps.
+    /// Absent entries are zero in every table, so this is the table one
+    /// [`PtStore::write_at`] per present entry of `from` leaves in a
+    /// cleared `to`, or in a replica whose present entries are `from`'s
+    /// whatever their accessed and dirty bits.  The replica ring of neither
+    /// table changes.
+    pub fn copy_table_at(&mut self, from: PtSlot, to: PtSlot) {
+        let (from, to) = (from.0 as usize, to.0 as usize);
+        let (source, target) = match from.cmp(&to) {
+            std::cmp::Ordering::Equal => return,
+            std::cmp::Ordering::Less => {
+                let (head, tail) = self.slots.split_at_mut(to);
+                (&head[from], &mut tail[0])
+            }
+            std::cmp::Ordering::Greater => {
+                let (head, tail) = self.slots.split_at_mut(from);
+                (&tail[0], &mut head[to])
+            }
+        };
+        for (copy, entry) in target.entries.iter_mut().zip(source.entries.iter()) {
+            *copy.get_mut() = entry.load(Ordering::Relaxed);
+        }
+        target.masks = source.masks;
+    }
+
     /// Sets the accessed bit — and the dirty bit too when `dirty` — of the
     /// present entry at `index` of the table behind `slot`, through a shared
     /// reference: the hardware walker's update.
@@ -413,6 +476,16 @@ impl PtStore {
     pub fn present_at(&self, slot: PtSlot) -> impl Iterator<Item = (usize, Pte)> + '_ {
         self.present_indices(slot)
             .map(move |index| (index, self.read_at(slot, index)))
+    }
+
+    /// The frames the present entries of the table behind `slot` point at,
+    /// in ascending index order: [`PtStore::present_at`] without decoding
+    /// each entry's flags.
+    pub fn present_frames_at(&self, slot: PtSlot) -> impl Iterator<Item = FrameId> + '_ {
+        let entries = &self.slots[slot.0 as usize].entries;
+        self.present_indices(slot).map(move |index| {
+            FrameId::new(entries[index].load(Ordering::Relaxed) >> Pte::FRAME_SHIFT)
+        })
     }
 
     /// The indices of the present entries of the table behind `slot`, in
@@ -506,7 +579,6 @@ pub(crate) fn set_bits(bitmap: [u64; OCC_WORDS]) -> impl Iterator<Item = usize> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::entry::PteFlags;
 
     #[test]
     fn fresh_tables_are_empty() {
@@ -630,6 +702,16 @@ mod tests {
             })
             .collect();
         assert_eq!(seen, indices);
+        // The frames alone come in the same order, the flags left undecoded.
+        let slot = store.slot(FrameId::new(3));
+        store.write_at(
+            slot,
+            64,
+            Pte::new(FrameId::new(1 << 40), PteFlags::user_readonly().huge_page()).with_dirty(),
+        );
+        assert!(store
+            .present_frames_at(slot)
+            .eq(store.present_at(slot).map(|(_, pte)| pte.frame().unwrap())));
     }
 
     #[test]
@@ -763,6 +845,112 @@ mod tests {
         store.write_at(slot, 64, Pte::EMPTY);
         assert!(store.masks_at(slot).iter().all(|word| word.huge == 0));
         assert_eq!(store.masks_at(slot)[1].present, 0);
+    }
+
+    /// Asserts that the tables behind `a` and `b` hold the same entries and
+    /// the same three bitmaps.
+    fn assert_same_table(store: &PtStore, a: PtSlot, b: PtSlot) {
+        for index in 0..ENTRIES_PER_TABLE {
+            assert_eq!(store.read_at(a, index), store.read_at(b, index), "{index}");
+        }
+        assert_eq!(store.masks_at(a), store.masks_at(b));
+    }
+
+    #[test]
+    fn a_whole_table_copy_equals_a_copy_of_each_present_entry() {
+        let mut store = PtStore::new();
+        let source = full_table(&mut store, FrameId::new(1));
+        // Read-only, huge and cleared entries, and accessed/dirty marks.
+        store.write_at(
+            source,
+            3,
+            Pte::new(FrameId::new(4), PteFlags::user_readonly()),
+        );
+        store.write_at(
+            source,
+            64,
+            Pte::new(FrameId::new(512), PteFlags::user_data().huge_page()),
+        );
+        store.write_at(
+            source,
+            65,
+            Pte::new(FrameId::new(1024), PteFlags::user_readonly().huge_page()),
+        );
+        for index in [0, 100, 200, 511] {
+            store.write_at(source, index, Pte::EMPTY);
+        }
+        store.mark_accessed_at(source, 5, true);
+        store.mark_accessed_at(source, 64, false);
+        store.mark_accessed_at(source, 300, true);
+
+        // The reference: a fresh table given each present entry in turn.
+        store.insert_table(FrameId::new(2));
+        let reference = store.slot(FrameId::new(2));
+        for index in store.present_indices(source) {
+            let pte = store.read_at(source, index);
+            store.write_at(reference, index, pte);
+        }
+        // The copy overwrites whatever the target held, and links no ring.
+        let target = full_table(&mut store, FrameId::new(3));
+        store.write_at(target, 100, Pte::EMPTY);
+        store.mark_accessed_at(target, 7, true);
+        store.copy_table_at(source, target);
+        assert_same_table(&store, target, reference);
+        assert!(store.read_at(target, 300).flags().dirty);
+        assert!(store.read_at(target, 65).is_huge());
+        assert_eq!(ring_members(&store, FrameId::new(3)), vec![FrameId::new(3)]);
+        // Copying towards a lower slot, and onto itself, works too.
+        store.copy_table_at(reference, source);
+        assert_same_table(&store, source, reference);
+        store.copy_table_at(source, source);
+        assert_same_table(&store, source, reference);
+    }
+
+    #[test]
+    fn a_batched_leaf_write_equals_one_write_per_entry() {
+        for flags in [
+            PteFlags::user_data(),
+            PteFlags::user_readonly(),
+            PteFlags::user_data().huge_page(),
+        ] {
+            let mut store = PtStore::new();
+            let batched = full_table(&mut store, FrameId::new(1));
+            // Overwrites of read-only, huge and accessed entries, an empty
+            // entry, an index written twice and both ends of the table.
+            store.write_at(
+                batched,
+                9,
+                Pte::new(FrameId::new(5), PteFlags::user_readonly().huge_page()),
+            );
+            store.write_at(batched, 300, Pte::EMPTY);
+            store.mark_accessed_at(batched, 64, true);
+            store.insert_table(FrameId::new(2));
+            let single = store.slot(FrameId::new(2));
+            store.copy_table_at(batched, single);
+            let entries = [
+                (0, FrameId::new(7)),
+                (9, FrameId::new(8)),
+                (64, FrameId::new(9)),
+                (300, FrameId::new(10)),
+                (64, FrameId::new(11)),
+                (511, FrameId::new(1 << 40)),
+            ];
+            store.write_leaves_at(batched, flags, &entries);
+            for &(index, frame) in &entries {
+                store.write_at(single, index, Pte::new(frame, flags));
+            }
+            assert_same_table(&store, batched, single);
+            assert_eq!(store.read_at(batched, 64).frame(), Some(FrameId::new(11)));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "present flag required")]
+    fn a_batched_leaf_write_of_absent_flags_panics() {
+        let mut store = PtStore::new();
+        store.insert_table(FrameId::new(1));
+        let slot = store.slot(FrameId::new(1));
+        store.write_leaves_at(slot, PteFlags::default(), &[(0, FrameId::new(2))]);
     }
 
     /// The members of the ring of `frame`, from it.

@@ -109,22 +109,16 @@ pub fn table_at(store: &PtStore, root: FrameId, addr: VirtAddr, level: Level) ->
 /// Enumerates every leaf mapping reachable from `root`, in address order.
 pub fn iter_leaf_mappings(store: &PtStore, root: FrameId) -> Vec<LeafMapping> {
     let mut out = Vec::new();
-    for_each_leaf(store, root, |leaf| out.push(leaf));
+    collect_leaves(store, root, Level::L4, 0, &mut out);
     out
 }
 
-/// Calls `visit` for every leaf mapping reachable from `root`, in address
-/// order — [`iter_leaf_mappings`] without building the list.
-pub fn for_each_leaf(store: &PtStore, root: FrameId, mut visit: impl FnMut(LeafMapping)) {
-    visit_leaves(store, root, Level::L4, 0, &mut visit);
-}
-
-fn visit_leaves(
+fn collect_leaves(
     store: &PtStore,
     table: FrameId,
     level: Level,
     base: u64,
-    visit: &mut impl FnMut(LeafMapping),
+    out: &mut Vec<LeafMapping>,
 ) {
     // The occupancy bitmap yields present entries directly; sparse tables
     // (the common case above the leaf level) cost popcounts, not 512 reads.
@@ -138,7 +132,7 @@ fn visit_leaves(
                 Level::L3 => PageSize::Giant1G,
                 Level::L4 => continue,
             };
-            visit(LeafMapping {
+            out.push(LeafMapping {
                 addr: VirtAddr::new(entry_base),
                 frame: pte.frame().expect("present leaf entry has a frame"),
                 size,
@@ -146,20 +140,25 @@ fn visit_leaves(
             });
         } else if let Some(next) = level.next_lower() {
             let child = pte.frame().expect("present table entry has a frame");
-            visit_leaves(store, child, next, entry_base, visit);
+            collect_leaves(store, child, next, entry_base, out);
         }
     }
 }
 
-/// Calls `visit` for every page-table page reachable from `root`, parents
-/// before children.  Leaf (L1) tables are visited without reading their
-/// entries, so counting tables costs a scan of the upper levels only.
-pub fn for_each_table(store: &PtStore, root: FrameId, mut visit: impl FnMut(FrameId)) {
+/// Calls `visit` with every page-table page reachable from `root` and its
+/// level, parents before children.  The walk reads no entry of a leaf (L1)
+/// table, so counting tables costs a scan of the upper levels only.
+pub fn for_each_table(store: &PtStore, root: FrameId, mut visit: impl FnMut(FrameId, Level)) {
     visit_tables(store, root, Level::L4, &mut visit);
 }
 
-fn visit_tables(store: &PtStore, table: FrameId, level: Level, visit: &mut impl FnMut(FrameId)) {
-    visit(table);
+fn visit_tables(
+    store: &PtStore,
+    table: FrameId,
+    level: Level,
+    visit: &mut impl FnMut(FrameId, Level),
+) {
+    visit(table, level);
     let Some(lower) = level.next_lower() else {
         return;
     };
@@ -425,8 +424,16 @@ mod tests {
     fn for_each_table_visits_every_table_once() {
         let (store, root) = build();
         let mut seen = Vec::new();
-        for_each_table(&store, root, |table| seen.push(table.pfn()));
-        assert_eq!(seen, vec![0, 1, 2, 3]);
+        for_each_table(&store, root, |table, level| seen.push((table.pfn(), level)));
+        assert_eq!(
+            seen,
+            vec![
+                (0, Level::L4),
+                (1, Level::L3),
+                (2, Level::L2),
+                (3, Level::L1)
+            ]
+        );
     }
 
     #[test]

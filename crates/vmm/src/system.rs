@@ -8,7 +8,7 @@ use mitosis_mem::{CowRefCounts, FrameId, MemError, BASE_PAGE_SIZE};
 use mitosis_numa::{Machine, SocketId};
 use mitosis_pt::{
     Level, Mapper, MappingTx, NativePvOps, PageSize, PageTableDump, PtContext, PtEnv, Pte,
-    PteFlags, PvOps, ReplicationSpec, ShootdownPlan, Translation, VirtAddr, ENTRIES_PER_TABLE,
+    PteFlags, PvOps, ReplicationSpec, ShootdownPlan, Translation, VirtAddr,
 };
 use std::collections::BTreeMap;
 use std::convert::Infallible;
@@ -330,11 +330,15 @@ impl System {
     ) -> Result<(), VmError> {
         let mut cursor = addr;
         let end = addr.add(length);
+        // Every leaf window reuses one entry list and one frame list, so
+        // the windows allocate nothing: lists allocated and freed per
+        // window fragment the heap and raise the peak RSS.
+        let mut window = LeafWindow::default();
         while cursor < end {
             let outcome = self.handle_fault(pid, cursor, socket)?;
             cursor = outcome.addr.add(outcome.size.bytes());
             if outcome.size == PageSize::Base4K && !outcome.already_mapped {
-                cursor = self.populate_leaf_window(pid, outcome.addr, end, socket)?;
+                cursor = self.populate_leaf_window(pid, outcome.addr, end, socket, &mut window)?;
             }
         }
         Ok(())
@@ -346,14 +350,16 @@ impl System {
     /// address where those calls would continue.
     ///
     /// The window shares `faulted`'s leaf table, so no page walks from the
-    /// root: each absent entry gets a data frame from the process'
-    /// placement policy, in address order as the faults would allocate
-    /// them, and the new entries are written with one
-    /// [`PvOps::set_leaf_ptes`] call, which resolves the table and its
-    /// replica ring once for the window.  Present entries are skipped like
-    /// spurious faults.  If an allocation fails, the entries allocated
-    /// before it are written and the error is returned, which leaves the
-    /// system as the per-page faults would.
+    /// root.  The absent entries take their data frames in one
+    /// [`PolicyEngine::alloc_data_run`](mitosis_mem::PolicyEngine::alloc_data_run)
+    /// call, which returns what the faults' allocations would, in address
+    /// order (one allocator run per socket the policy draws from), and the
+    /// new entries are written with one [`PvOps::set_leaf_ptes`] call,
+    /// which resolves the table and its replica ring and encodes the flags
+    /// once for the window.  Present entries are skipped like spurious
+    /// faults.  If an allocation fails, the entries allocated before it are
+    /// written and the error is returned, which leaves the system as the
+    /// per-page faults would.
     ///
     /// A fault would try a transparent huge page first, though, and a
     /// failed attempt has side effects (a fragmentation draw, frames
@@ -365,6 +371,7 @@ impl System {
         faulted: VirtAddr,
         end: VirtAddr,
         socket: SocketId,
+        window: &mut LeafWindow,
     ) -> Result<VirtAddr, VmError> {
         let from = faulted.add(PageSize::Base4K.bytes());
         let huge_start = faulted.align_down(PageSize::Huge2M);
@@ -398,26 +405,30 @@ impl System {
         let leaf = mitosis_pt::table_at(store, root, faulted, Level::L1)
             .expect("the page just faulted in hangs off a leaf table");
         let slot = store.slot(leaf);
-        let policy = process.data_policy_mut();
-        let mut entries = Vec::with_capacity(ENTRIES_PER_TABLE);
-        let mut outcome = Ok(window_end);
-        let mut page = from;
-        while page < window_end {
-            let index = page.index_at(Level::L1);
-            if !store.read_at(slot, index).is_present() {
-                match policy.alloc_data(&mut self.env.alloc, socket) {
-                    Ok(frame) => entries.push((index, Pte::new(frame, flags))),
-                    Err(err) => {
-                        outcome = Err(err.into());
-                        break;
-                    }
-                }
-            }
-            page = page.add(PageSize::Base4K.bytes());
+        let first = from.index_at(Level::L1);
+        let pages = ((window_end.as_u64() - from.as_u64()) / PageSize::Base4K.bytes()) as usize;
+        let LeafWindow { entries, frames } = window;
+        entries.clear();
+        entries.extend(
+            (first..first + pages)
+                .filter(|&index| !store.read_at(slot, index).is_present())
+                .map(|index| (index, FrameId::new(0))),
+        );
+        frames.clear();
+        let outcome = process.data_policy_mut().alloc_data_run(
+            &mut self.env.alloc,
+            socket,
+            entries.len(),
+            frames,
+        );
+        entries.truncate(frames.len());
+        for (entry, &frame) in entries.iter_mut().zip(frames.iter()) {
+            entry.1 = frame;
         }
         self.ops
-            .set_leaf_ptes(&mut self.env.context(), leaf, &entries);
-        outcome
+            .set_leaf_ptes(&mut self.env.context(), leaf, flags, entries);
+        outcome?;
+        Ok(window_end)
     }
 
     /// Handles a page fault at `addr` raised by a thread running on
@@ -696,7 +707,7 @@ impl System {
         });
         if let Err(err) = copied {
             let mut tables = Vec::new();
-            mitosis_pt::for_each_table(ctx.store, child_roots.base(), |t| tables.push(t));
+            mitosis_pt::for_each_table(ctx.store, child_roots.base(), |t, _| tables.push(t));
             for table in tables {
                 ops.release_table(&mut ctx, table)?;
             }
@@ -1237,9 +1248,10 @@ impl System {
     /// Computes the per-socket memory footprint (data and page-table pages)
     /// of a process, including page-table replicas.
     ///
-    /// Data bytes come from one walk of the base tree; page-table pages are
-    /// counted by walking each distinct root, without reading the entries
-    /// of leaf tables.
+    /// Page-table pages are counted by walking each distinct root, and data
+    /// bytes table by table in the base tree's walk: one loop over each
+    /// table's present entries adds the leaves' pages to their frames'
+    /// sockets.
     ///
     /// # Errors
     ///
@@ -1247,18 +1259,30 @@ impl System {
     pub fn footprint(&self, pid: Pid) -> Result<MemoryFootprint, VmError> {
         let process = self.process(pid)?;
         let sockets = self.machine.sockets();
-        let space = self.env.alloc.frame_space();
+        let (store, space) = (&self.env.store, self.env.alloc.frame_space());
         let mut footprint = MemoryFootprint {
             data_bytes: vec![0; sockets],
             pagetable_bytes: vec![0; sockets],
         };
         let roots = process.address_space().roots();
-        mitosis_pt::for_each_leaf(&self.env.store, roots.base(), |leaf| {
-            footprint.data_bytes[space.socket_of(leaf.frame).index()] += leaf.size.bytes();
-        });
         for root in roots.distinct_roots() {
-            mitosis_pt::for_each_table(&self.env.store, root, |table| {
+            let base = root == roots.base();
+            mitosis_pt::for_each_table(store, root, |table, level| {
                 footprint.pagetable_bytes[space.socket_of(table).index()] += BASE_PAGE_SIZE;
+                if !base || level == Level::L4 {
+                    return;
+                }
+                // A leaf table's entries all map pages; above it, huge ones.
+                let (slot, page) = (store.slot(table), level.entry_coverage());
+                let mut count =
+                    |frame| footprint.data_bytes[space.socket_of(frame).index()] += page;
+                if level == Level::L1 {
+                    store.present_frames_at(slot).for_each(count);
+                } else {
+                    for (_, pte) in store.present_at(slot).filter(|(_, pte)| pte.is_huge()) {
+                        count(pte.frame().expect("present entry has a frame"));
+                    }
+                }
             });
         }
         Ok(footprint)
@@ -1276,6 +1300,15 @@ impl System {
             .ops
             .select_root(process.address_space().roots(), socket))
     }
+}
+
+/// The lists [`System::populate_leaf_window`] fills for each window: the
+/// absent entries as `(index, frame)` pairs, and the frames allocated for
+/// them.
+#[derive(Debug, Default)]
+struct LeafWindow {
+    entries: Vec<(usize, FrameId)>,
+    frames: Vec<FrameId>,
 }
 
 /// One leaf entry of a page-table tree, as [`for_each_leaf_entry`] visits
@@ -1299,10 +1332,10 @@ struct LeafEntry {
 }
 
 /// Visits every leaf entry of the tree rooted at `root`, in address order,
-/// stopping at the first error.  Unlike [`mitosis_pt::for_each_leaf`] the
-/// visitor holds the context and may write the store as it goes — another
-/// tree, or the entry it is handed — because each table's present entries
-/// are fixed when the walk reaches it.
+/// stopping at the first error.  Unlike [`mitosis_pt::iter_leaf_mappings`]
+/// the visitor holds the context and may write the store as it goes —
+/// another tree, or the entry it is handed — because each table's present
+/// entries are fixed when the walk reaches it.
 fn for_each_leaf_entry<E>(
     ctx: &mut PtContext<'_>,
     root: FrameId,

@@ -5,13 +5,17 @@
 //! system exactly as a loop calling `System::handle_fault` page by page
 //! does.  `System::footprint` counts in one pass what `iter_leaf_mappings`
 //! plus one `PageTableDump` per distinct root count, and must agree with
-//! that computation, kept here as the reference.
+//! that computation, the reference in `common` (`tests/replica_rings.rs`
+//! checks it after every other kind of mapping change).
 
+mod common;
+
+use common::reference_footprint;
 use mitosis::Mitosis;
 use mitosis_mem::{FragmentationModel, PlacementPolicy};
 use mitosis_numa::{Machine, MachineConfig, SocketId, GIB};
-use mitosis_pt::{iter_leaf_mappings, PageTableDump, VirtAddr};
-use mitosis_vmm::{MemoryFootprint, MmapFlags, Pid, Protection, System, ThpMode, VmError};
+use mitosis_pt::{iter_leaf_mappings, VirtAddr};
+use mitosis_vmm::{MmapFlags, Pid, Protection, System, ThpMode, VmError};
 use proptest::prelude::*;
 
 const PAGE: u64 = 4096;
@@ -129,29 +133,6 @@ fn populate_page_by_page(
         cursor = outcome.addr.add(outcome.size.bytes());
     }
     Ok(())
-}
-
-/// The reference footprint: every leaf mapping of the base tree, plus one
-/// placement dump per distinct root.
-fn reference_footprint(system: &System, pid: Pid) -> MemoryFootprint {
-    let env = system.pt_env();
-    let roots = system.process(pid).unwrap().address_space().roots();
-    let sockets = system.machine().sockets();
-    let mut footprint = MemoryFootprint {
-        data_bytes: vec![0; sockets],
-        pagetable_bytes: vec![0; sockets],
-    };
-    for mapping in iter_leaf_mappings(&env.store, roots.base()) {
-        footprint.data_bytes[env.alloc.frame_space().socket_of(mapping.frame).index()] +=
-            mapping.size.bytes();
-    }
-    for root in roots.distinct_roots() {
-        let dump = PageTableDump::capture(&env.store, env.alloc.frame_space(), root);
-        for cell in dump.cells() {
-            footprint.pagetable_bytes[cell.socket.index()] += cell.table_pages * PAGE;
-        }
-    }
-    footprint
 }
 
 /// Everything the two populate paths must agree on.

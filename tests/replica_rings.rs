@@ -6,8 +6,13 @@
 //! allocates, frees, replicates or migrates page-table pages keeps the
 //! rings closed, so after any mapping change each ring holds stored tables
 //! on distinct sockets, closes from any member, and gives each socket of a
-//! process's replication mask the root that socket loads.
+//! process's replication mask the root that socket loads.  After each
+//! change every process's `System::footprint` also equals the reference
+//! count of its leaves and tables.
 
+mod common;
+
+use common::reference_footprint;
 use mitosis::Mitosis;
 use mitosis_numa::{MachineConfig, NodeMask, SocketId, MIB};
 use mitosis_pt::{iter_leaf_mappings, PageSize, VirtAddr};
@@ -17,7 +22,7 @@ const PAGE: u64 = 4096;
 const HUGE: u64 = 2 * MIB;
 
 /// Checks the replica rings of every page-table page of `system`, and the
-/// roots and leaf entries of `pids`.
+/// roots, leaf entries and footprint of `pids`.
 fn assert_rings_hold(system: &System, pids: &[Pid], step: &str) {
     let env = system.pt_env();
     let space = env.alloc.frame_space();
@@ -71,6 +76,11 @@ fn assert_rings_hold(system: &System, pids: &[Pid], step: &str) {
                 "after {step}: {pid:?} on {socket} loads a root outside the base root's ring"
             );
         }
+        assert_eq!(
+            system.footprint(pid).unwrap(),
+            reference_footprint(system, pid),
+            "after {step}: the footprint of {pid:?}"
+        );
     }
 }
 

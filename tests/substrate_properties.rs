@@ -190,6 +190,131 @@ proptest! {
     }
 }
 
+/// Frames per socket of the allocators the run checks use: not a multiple
+/// of a huge page, so a huge allocation after a socket's first pushes the
+/// frames it skips for alignment onto the free list, and four huge pages
+/// drain a socket.
+const RUN_FRAMES_PER_SOCKET: u64 = 2000;
+
+/// Drives `alloc` and `engine` through an arbitrary history of
+/// `(socket, op)` steps: single and bulk 4 KiB allocations, huge
+/// allocations (which refill the free list with alignment frames), frees
+/// of either kind and policy allocations that move the interleave cursor.
+fn allocation_history(
+    alloc: &mut FrameAllocator,
+    engine: &mut PolicyEngine,
+    history: &[(u16, u8)],
+) {
+    let (mut live, mut huge) = (Vec::new(), Vec::new());
+    for &(socket, op) in history {
+        let socket = SocketId::new(socket);
+        match op {
+            0 => live.extend(alloc.alloc_on(socket)),
+            1 => live.extend((0..300).filter_map(|_| alloc.alloc_on(socket).ok())),
+            2 if !live.is_empty() => {
+                let frame = live.swap_remove(usize::from(socket.index() as u16) % live.len());
+                alloc.free(frame).unwrap();
+            }
+            3 => huge.extend(alloc.alloc_huge_on(socket)),
+            4 if !huge.is_empty() => alloc.free_huge(huge.swap_remove(0)).unwrap(),
+            _ => live.extend(engine.alloc_data(alloc, socket)),
+        }
+    }
+}
+
+/// Everything two allocators that should agree must agree on: every
+/// socket's statistics and which frames are allocated.
+fn allocator_state(alloc: &FrameAllocator) -> (Vec<mitosis_mem::AllocStats>, Vec<u64>) {
+    let stats = (0..4).map(|s| alloc.stats(SocketId::new(s))).collect();
+    let allocated = (0..4 * RUN_FRAMES_PER_SOCKET)
+        .filter(|&pfn| alloc.is_allocated(FrameId::new(pfn)))
+        .collect();
+    (stats, allocated)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `FrameAllocator::alloc_run_on` hands out exactly the frames, in
+    /// order, that as many `alloc_on` calls would, from any allocator
+    /// history — free-list frames first (alignment frames included), then
+    /// the bump run — stopping where the socket runs dry, and leaves the
+    /// same statistics and allocation bitmap.
+    #[test]
+    fn a_frame_run_equals_one_alloc_on_per_frame(
+        history in prop::collection::vec((0u16..4, 0u8..6), 0..60),
+        socket in 0u16..5,
+        count in 0usize..900,
+    ) {
+        let mut run = FrameAllocator::with_frame_space(
+            FrameSpace::with_frames_per_socket(4, RUN_FRAMES_PER_SOCKET),
+        );
+        allocation_history(&mut run, &mut PolicyEngine::new(PlacementPolicy::FirstTouch), &history);
+        let mut single = run.clone();
+        // Socket 4 is one the machine lacks: nothing to allocate there.
+        let socket = SocketId::new(socket);
+        let mut frames = Vec::new();
+        let taken = run.alloc_run_on(socket, count, &mut frames);
+        let reference: Vec<FrameId> =
+            (0..count).map_while(|_| single.alloc_on(socket).ok()).collect();
+        prop_assert_eq!(taken, frames.len());
+        prop_assert_eq!(&frames, &reference);
+        prop_assert_eq!(allocator_state(&run), allocator_state(&single));
+    }
+
+    /// `PolicyEngine::alloc_data_run` equals as many `alloc_data` calls
+    /// under all four policies (and an empty interleave mask), from any
+    /// allocator and interleave-cursor history: the same frames in order,
+    /// the same error after the same frames when a socket (`Bind`) or the
+    /// machine runs dry mid-window, the same statistics and bitmap, and
+    /// the same next allocation.
+    #[test]
+    fn a_data_window_equals_one_alloc_data_per_page(
+        history in prop::collection::vec((0u16..4, 0u8..7), 0..60),
+        policy in (0u8..4, 0u16..5, 0u64..16),
+        faulting in 0u16..4,
+        count in 0usize..900,
+    ) {
+        let (kind, target, mask) = policy;
+        let target = SocketId::new(target);
+        let policy = match kind {
+            0 => PlacementPolicy::FirstTouch,
+            1 => PlacementPolicy::Interleave(NodeMask::from_bits(mask)),
+            2 => PlacementPolicy::Bind(target),
+            _ => PlacementPolicy::Preferred(target),
+        };
+        let mut alloc = FrameAllocator::with_frame_space(
+            FrameSpace::with_frames_per_socket(4, RUN_FRAMES_PER_SOCKET),
+        );
+        let mut engine = PolicyEngine::new(policy);
+        allocation_history(&mut alloc, &mut engine, &history);
+        let (mut single_alloc, mut single_engine) = (alloc.clone(), engine.clone());
+        let faulting = SocketId::new(faulting);
+
+        let mut frames = Vec::new();
+        let result = engine.alloc_data_run(&mut alloc, faulting, count, &mut frames);
+        let mut reference = Vec::new();
+        let mut reference_result = Ok(());
+        for _ in 0..count {
+            match single_engine.alloc_data(&mut single_alloc, faulting) {
+                Ok(frame) => reference.push(frame),
+                Err(err) => {
+                    reference_result = Err(err);
+                    break;
+                }
+            }
+        }
+        prop_assert_eq!(result, reference_result);
+        prop_assert_eq!(&frames, &reference);
+        prop_assert_eq!(allocator_state(&alloc), allocator_state(&single_alloc));
+        prop_assert_eq!(
+            engine.alloc_data(&mut alloc, faulting),
+            single_engine.alloc_data(&mut single_alloc, faulting),
+            "the next allocation after the window"
+        );
+    }
+}
+
 /// One resident translation of [`ModelTlb`].
 #[derive(Debug, Clone, Copy)]
 struct ModelEntry {
