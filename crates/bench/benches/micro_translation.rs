@@ -13,6 +13,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use mitosis::{replicate_tree, Mitosis, MitosisPvOps};
+use mitosis_mem::PlacementPolicy;
 use mitosis_mmu::step::{
     tlb_step, walk_step, AccessCtx, LeafTables, Miss, ThreadPhase, ThreadTotals,
 };
@@ -481,26 +482,50 @@ fn bench_setup(c: &mut Criterion) {
     // The 4 MiB rows keep every structure the populate writes in the
     // host's caches.  `gups_scale128` populates a Figure 10 footprint on a
     // scale-128 machine, where per-frame work misses them as it does in
-    // the benchmark's setup.
+    // the benchmark's setup; `interleave_scale128` populates it with its
+    // data interleaved over the four sockets, as Figure 9's I+M does.
     let scaled = SimParams::new().with_machine_scale(128).machine();
-    for (label, machine, bytes, backend) in [
-        ("native", &machine, SETUP_REGION, Backend::Native),
+    let first_touch = PlacementPolicy::FirstTouch;
+    for (label, machine, bytes, backend, policy) in [
+        (
+            "native",
+            &machine,
+            SETUP_REGION,
+            Backend::Native,
+            first_touch,
+        ),
         (
             "mitosis_4way",
             &machine,
             SETUP_REGION,
             Backend::MitosisReplicated,
+            first_touch,
         ),
         (
             "gups_scale128",
             &scaled,
             GUPS_SCALE128_REGION,
             Backend::Mitosis,
+            first_touch,
+        ),
+        (
+            "interleave_scale128",
+            &scaled,
+            GUPS_SCALE128_REGION,
+            Backend::Mitosis,
+            PlacementPolicy::interleave_all(4),
         ),
     ] {
         group.bench_function(label, |b| {
             b.iter_batched(
-                || lazy_region(machine, bytes, backend),
+                || {
+                    let (mut system, pid, region) = lazy_region(machine, bytes, backend);
+                    system
+                        .process_mut(pid)
+                        .expect("process")
+                        .set_data_policy(policy);
+                    (system, pid, region)
+                },
                 |(mut system, pid, region)| {
                     system
                         .populate_region(pid, region, bytes, SocketId::new(0))

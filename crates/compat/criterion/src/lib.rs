@@ -255,12 +255,15 @@ impl Bencher {
         // One warm-up call, then one timed routine call per sample: the
         // workspace only uses batched mode for routines that are expensive
         // enough (tree replication, VMA syscalls) to time individually.
+        // The clock stops before the output drops, so tearing down what
+        // the routine built is not timed.
         black_box(routine(setup()));
         for _ in 0..self.config.sample_size {
             let input = setup();
             let start = Instant::now();
-            black_box(routine(input));
+            let output = black_box(routine(input));
             self.samples.record(start.elapsed(), 1);
+            drop(output);
         }
     }
 }
@@ -410,6 +413,31 @@ mod tests {
         });
         assert_eq!(setups, runs);
         assert!(runs > 1);
+    }
+
+    #[test]
+    fn iter_batched_does_not_time_the_output_drop() {
+        /// An output whose teardown takes 30 ms.
+        struct SlowDrop;
+        impl Drop for SlowDrop {
+            fn drop(&mut self) {
+                std::thread::sleep(Duration::from_millis(30));
+            }
+        }
+        let mut bencher = Bencher {
+            config: Config {
+                sample_size: 3,
+                ..Config::default()
+            },
+            samples: Samples::default(),
+        };
+        bencher.iter_batched(|| (), |()| SlowDrop, BatchSize::PerIteration);
+        let samples = &bencher.samples.ns_per_iter;
+        assert_eq!(samples.len(), 3);
+        assert!(
+            median(samples) < 10e6,
+            "a 30 ms drop was timed: {samples:?} ns"
+        );
     }
 
     #[test]

@@ -88,7 +88,7 @@ impl PvOps for MitosisPvOps {
         }
         let mut frames = Vec::with_capacity(sockets.len());
         for s in &sockets {
-            match ctx.alloc_table_frame(*s) {
+            match ctx.alloc_table_frame(*s, None) {
                 Ok(frame) => {
                     self.stats.tables_allocated += 1;
                     frames.push(frame);

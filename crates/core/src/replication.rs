@@ -8,9 +8,13 @@
 //! page-table and create replicas according to the new bitmask").
 //!
 //! The copy works a page-table page at a time.  A leaf table's entries
-//! point at data frames and are the same in every replica, so each replica
-//! of a leaf table is one whole-table copy of its entries and bitmaps
-//! ([`PtStore::copy_table_at`](mitosis_pt::PtStore::copy_table_at)).  An
+//! point at data frames and are the same in every replica, so a new leaf
+//! replica is allocated already holding a whole-table copy of its entries
+//! and bitmaps ([`PtContext::alloc_table_frame`] with a table to copy),
+//! written once with no zeroing before it, and a replica that existed
+//! before the call is overwritten with a fresh copy
+//! ([`PtStore::copy_table_at`](mitosis_pt::PtStore::copy_table_at)), so
+//! extending a mask leaves every replica of a leaf equal to its table.  An
 //! upper-level table is copied entry by entry, because each replica's
 //! entries must point at the child replicas on its own socket.
 //! Page-table migration ([`migrate_page_table`](crate::migrate_page_table))
@@ -85,12 +89,23 @@ pub fn replicate_tree(
     };
 
     // Pass 1: make sure every table has a replica frame on every requested
-    // socket (children must exist before parents can point at them).
+    // socket (children must exist before parents can point at them).  Leaf
+    // entries point at data frames, so a leaf table is the same in every
+    // replica: each new leaf replica is born a copy of its table, and each
+    // replica the table already had is copied again, accessed and dirty
+    // bits included.
     let mut ring = Vec::new();
-    for (table, _) in &tree {
+    for (table, level) in &tree {
+        let leaf = (*level == Level::L1).then(|| ctx.store.slot(*table));
         ring.clear();
         ring.extend(ctx.store.ring(*table).map(|(member, _)| member));
         let members = ring.len();
+        if let Some(source) = leaf {
+            for &member in &ring[1..] {
+                let slot = ctx.store.slot(member);
+                ctx.store.copy_table_at(source, slot);
+            }
+        }
         for socket in &sockets {
             if ring
                 .iter()
@@ -98,7 +113,7 @@ pub fn replicate_tree(
             {
                 continue;
             }
-            ring.push(ctx.alloc_table_frame(*socket)?);
+            ring.push(ctx.alloc_table_frame(*socket, leaf)?);
             summary.replica_tables_created += 1;
         }
         if ring.len() > members {
@@ -106,14 +121,14 @@ pub fn replicate_tree(
         }
     }
 
-    // Pass 2: fill replica contents, redirecting child pointers per socket.
-    // The original table is localised too (its child pointers are redirected
-    // to the replicas on its own socket), so that after replication *every*
-    // socket's tree — including the one holding the original pages — walks
-    // only local page-table pages.
+    // Pass 2: fill the upper-level replicas, redirecting child pointers per
+    // socket.  The original table is localised too (its child pointers are
+    // redirected to the replicas on its own socket), so that after
+    // replication *every* socket's tree — including the one holding the
+    // original pages — walks only local page-table pages.
     let mut members: Vec<(SocketId, PtSlot)> = Vec::new();
     let mut children: Vec<FrameId> = Vec::new();
-    for (table, level) in &tree {
+    for (table, _) in tree.iter().filter(|(_, level)| *level != Level::L1) {
         // Ring members' sockets and store slots, once per table; the table
         // itself comes first.
         members.clear();
@@ -123,14 +138,6 @@ pub fn replicate_tree(
                 .map(|(member, slot)| (space.socket_of(member), slot)),
         );
         let source = members[0].1;
-        if *level == Level::L1 {
-            // Leaf entries point at data frames, so each replica is a copy
-            // of the whole table.
-            for &(_, slot) in &members[1..] {
-                ctx.store.copy_table_at(source, slot);
-            }
-            continue;
-        }
         // The bitmap is snapshotted when the walk starts, and each entry is
         // read before the table's own copy of it is rewritten.
         for index in ctx.store.present_indices(source) {

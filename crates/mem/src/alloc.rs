@@ -222,6 +222,14 @@ impl FrameAllocator {
         taken
     }
 
+    /// Number of 4 KiB frames [`Self::alloc_on`] can still hand out on
+    /// `socket`: none on a socket the machine lacks.
+    pub(crate) fn free_frames(&self, socket: SocketId) -> u64 {
+        self.pools
+            .get(socket.index())
+            .map_or(0, SocketPool::free_frames)
+    }
+
     /// Allocates one 4 KiB frame on the given socket, falling back to the
     /// other sockets in index order if it is full.
     ///

@@ -98,7 +98,6 @@ impl PolicyEngine {
                 }
                 let count = mask.count();
                 let socket = mask
-                    .iter()
                     .nth(self.interleave.next % count)
                     .expect("the cursor indexes a socket of the mask");
                 self.interleave.next = (self.interleave.next + 1) % count;
@@ -128,9 +127,12 @@ impl PolicyEngine {
     /// Allocates `count` data frames for consecutive faults of a thread on
     /// `faulting_socket` and appends them to `frames`: exactly what `count`
     /// [`Self::alloc_data`] calls would return, in order, leaving the same
-    /// allocator state and interleave cursor.  Except under interleave,
-    /// whose cursor moves per page, the policy's socket gives one run and
-    /// each fallback socket, in index order, one more.
+    /// allocator state and interleave cursor.  The policy's socket gives
+    /// one run and each fallback socket, in index order, one more.  Under
+    /// interleave, each socket of the mask gives one run of its share of
+    /// the window, laid out in cursor order, unless a socket is too short
+    /// for its share: then the window goes page by page, so that
+    /// [`FrameAllocator::alloc_preferring`]'s fallback decides each page.
     ///
     /// # Errors
     ///
@@ -143,11 +145,16 @@ impl PolicyEngine {
         count: usize,
         frames: &mut Vec<FrameId>,
     ) -> Result<(), MemError> {
-        if matches!(self.policy, PlacementPolicy::Interleave(mask) if !mask.is_empty()) {
-            for _ in 0..count {
-                frames.push(self.alloc_data(alloc, faulting_socket)?);
+        match self.policy {
+            PlacementPolicy::Interleave(mask) if !mask.is_empty() => {
+                if !self.alloc_interleaved_run(alloc, mask, count, frames) {
+                    for _ in 0..count {
+                        frames.push(self.alloc_data(alloc, faulting_socket)?);
+                    }
+                }
+                return Ok(());
             }
-            return Ok(());
+            _ => {}
         }
         let target = self.choose_socket(faulting_socket);
         let mut left = count - alloc.alloc_run_on(target, count, frames);
@@ -165,6 +172,56 @@ impl PolicyEngine {
             0 => Ok(()),
             _ => Err(MemError::MachineOutOfMemory),
         }
+    }
+
+    /// The interleaved window of [`Self::alloc_data_run`] when every socket
+    /// of the non-empty `mask` can supply its share: the page at cursor
+    /// position `p` takes the mask's socket `p % sockets`, so each socket's
+    /// share is one [`FrameAllocator::alloc_run_on`] run, staged in
+    /// `frames` after the window's slots and then laid out into them in
+    /// cursor order.  Returns `false`, allocating nothing and leaving the
+    /// cursor, if a socket has fewer free frames than its share.
+    fn alloc_interleaved_run(
+        &mut self,
+        alloc: &mut FrameAllocator,
+        mask: NodeMask,
+        count: usize,
+        frames: &mut Vec<FrameId>,
+    ) -> bool {
+        if count == 0 {
+            return true;
+        }
+        let sockets = mask.count();
+        let first = self.interleave.next % sockets;
+        // Position `i` of the mask serves one page in each full round of
+        // the window, and one more if the partial round reaches it.
+        let (rounds, rest) = (count / sockets, count % sockets);
+        let share = |i: usize| rounds + usize::from((i + sockets - first) % sockets < rest);
+        if mask
+            .iter()
+            .enumerate()
+            .any(|(i, socket)| alloc.free_frames(socket) < share(i) as u64)
+        {
+            return false;
+        }
+        // The window's slots first, then each socket's run after them.
+        let window = frames.len();
+        frames.resize(window + count, FrameId::new(0));
+        let mut next = [0; 64];
+        for (i, socket) in mask.iter().enumerate() {
+            next[i] = frames.len() - window - count;
+            alloc.alloc_run_on(socket, share(i), frames);
+        }
+        let (slots, runs) = frames[window..].split_at_mut(count);
+        let mut i = first;
+        for slot in slots {
+            *slot = runs[next[i]];
+            next[i] += 1;
+            i = if i + 1 == sockets { 0 } else { i + 1 };
+        }
+        frames.truncate(window + count);
+        self.interleave.next = i;
+        true
     }
 
     /// Chooses a socket and allocates a 2 MiB huge frame according to the
@@ -216,6 +273,27 @@ mod tests {
             })
             .collect();
         assert_eq!(sockets, vec![1, 3, 1, 3, 1, 3]);
+    }
+
+    #[test]
+    fn interleave_picks_the_sockets_iter_nth_would() {
+        let masks = [
+            NodeMask::from_bits(0b1101),
+            NodeMask::single(SocketId::new(1)),
+            NodeMask::all(4),
+            NodeMask::from_bits(1 << 63 | 1 << 5 | 1),
+        ];
+        for mask in masks {
+            let mut engine = PolicyEngine::new(PlacementPolicy::Interleave(mask));
+            let count = mask.count();
+            for page in 0..3 * count + 1 {
+                assert_eq!(
+                    Some(engine.choose_socket(SocketId::new(0))),
+                    mask.iter().nth(page % count),
+                    "page {page} of {mask}"
+                );
+            }
+        }
     }
 
     #[test]

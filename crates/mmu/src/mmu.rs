@@ -389,7 +389,7 @@ mod tests {
             FrameId::new(3),
         );
         for frame in [root, l3, l2, l1] {
-            store.insert_table(frame);
+            store.insert_table(frame, None);
         }
         let data = FrameId::new(600);
         let addr = VirtAddr::new(0x7f00_0000_0000 & ((1 << 48) - 1));

@@ -256,7 +256,7 @@ mod tests {
             FrameId::new(3)
         };
         for frame in [root, l3, l2, l1] {
-            store.insert_table(frame);
+            store.insert_table(frame, None);
         }
         let data = FrameId::new(500);
         let addr = VirtAddr::new(0x4000_0000);

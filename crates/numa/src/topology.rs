@@ -169,6 +169,23 @@ impl NodeMask {
         NodeMask(self.0 & other.0)
     }
 
+    /// The socket at position `n` of the mask in increasing order, or
+    /// `None` if the mask holds `n` sockets or fewer: `self.iter().nth(n)`,
+    /// found by clearing the `n` lowest set bits instead of testing all 64.
+    pub const fn nth(self, n: usize) -> Option<SocketId> {
+        let mut bits = self.0;
+        let mut skipped = 0;
+        while skipped < n && bits != 0 {
+            bits &= bits - 1;
+            skipped += 1;
+        }
+        if bits == 0 {
+            None
+        } else {
+            Some(SocketId(bits.trailing_zeros() as u16))
+        }
+    }
+
     /// Iterates over the sockets contained in the mask, in increasing order.
     pub fn iter(self) -> impl Iterator<Item = SocketId> {
         (0..64u16)

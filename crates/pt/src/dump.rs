@@ -240,7 +240,7 @@ mod tests {
         let l1_local = FrameId::new(3);
         let l1_remote = FrameId::new(10_000); // socket 1
         for frame in [root, l3, l2, l1_local, l1_remote] {
-            store.insert_table(frame);
+            store.insert_table(frame, None);
         }
         store.write(root, 0, Pte::new(l3, PteFlags::table_pointer()));
         store.write(l3, 0, Pte::new(l2, PteFlags::table_pointer()));
@@ -307,7 +307,7 @@ mod tests {
         let l3 = FrameId::new(1);
         let l2 = FrameId::new(2);
         for frame in [root, l3, l2] {
-            store.insert_table(frame);
+            store.insert_table(frame, None);
         }
         let huge_data = FrameId::new(512);
         store.write(root, 0, Pte::new(l3, PteFlags::table_pointer()));

@@ -22,7 +22,7 @@
 use crate::entry::{Pte, PteFlags};
 use crate::error::PtError;
 use crate::mapper::PtRoots;
-use crate::store::PtStore;
+use crate::store::{PtSlot, PtStore};
 use mitosis_mem::{FrameAllocator, FrameId, MemError, PageCache};
 use mitosis_numa::{Machine, NodeMask, SocketId};
 
@@ -149,14 +149,20 @@ pub struct PtContext<'a> {
 
 impl PtContext<'_> {
     /// Allocates a page-table frame on `socket` from the page cache and
-    /// stores an empty table there, in a replica ring of its own.
+    /// stores a table there, in a replica ring of its own: a copy of the
+    /// table behind `copy_of`, or an empty one
+    /// ([`PtStore::insert_table`]).
     ///
     /// # Errors
     ///
     /// Returns an error if the socket has no frame left.
-    pub fn alloc_table_frame(&mut self, socket: SocketId) -> Result<FrameId, MemError> {
+    pub fn alloc_table_frame(
+        &mut self,
+        socket: SocketId,
+        copy_of: Option<PtSlot>,
+    ) -> Result<FrameId, MemError> {
         let frame = self.page_cache.alloc_pagetable_frame(self.alloc, socket)?;
-        self.store.insert_table(frame);
+        self.store.insert_table(frame, copy_of);
         Ok(frame)
     }
 
@@ -293,7 +299,7 @@ impl PvOps for NativePvOps {
         socket: SocketId,
         _repl: &ReplicationSpec,
     ) -> Result<FrameId, PtError> {
-        let frame = ctx.alloc_table_frame(socket)?;
+        let frame = ctx.alloc_table_frame(socket, None)?;
         self.stats.tables_allocated += 1;
         Ok(frame)
     }

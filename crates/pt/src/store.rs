@@ -47,9 +47,10 @@
 //!   window's entries, which share their flags, with the flags encoded once
 //!   and each entry's bitmap bits set directly
 //!   ([`PtStore::write_leaves_at`]), and replication copies a leaf table
-//!   into each replica as 512 entries plus the bitmaps
-//!   ([`PtStore::copy_table_at`]).  An absent entry is always zero, so the
-//!   copy equals writing each present entry.
+//!   into each replica as 512 entries plus the bitmaps: a new replica is
+//!   inserted as a copy ([`PtStore::insert_table`] with a table to copy),
+//!   an existing one overwritten ([`PtStore::copy_table_at`]).  An absent
+//!   entry is always zero, so the copy equals writing each present entry.
 //!
 //! Every structural write goes through `&mut self`.  The one write a shared
 //! reference may make is the hardware walker's accessed/dirty update,
@@ -134,6 +135,24 @@ impl TableSlot {
         }
     }
 
+    /// A slot for `pfn` whose ring link names `ring_next`, holding a copy
+    /// of `source`'s entries and bitmaps.  The entries are collected
+    /// straight into their heap box: `Box::new` of an array built on the
+    /// stack would copy each table twice.
+    fn copy_of(source: &TableSlot, pfn: u64, ring_next: u32) -> Self {
+        let entries: Box<[AtomicU64]> = source
+            .entries
+            .iter()
+            .map(|entry| AtomicU64::new(entry.load(Ordering::Relaxed)))
+            .collect();
+        TableSlot {
+            pfn,
+            ring_next,
+            entries: entries.try_into().expect("a table has 512 entries"),
+            masks: source.masks,
+        }
+    }
+
     fn clear(&mut self) {
         for entry in self.entries.iter_mut() {
             *entry.get_mut() = 0;
@@ -144,15 +163,7 @@ impl TableSlot {
 
 impl Clone for TableSlot {
     fn clone(&self) -> Self {
-        let entries = &self.entries;
-        TableSlot {
-            pfn: self.pfn,
-            ring_next: self.ring_next,
-            entries: Box::new(std::array::from_fn(|index| {
-                AtomicU64::new(entries[index].load(Ordering::Relaxed))
-            })),
-            masks: self.masks,
-        }
+        TableSlot::copy_of(self, self.pfn, self.ring_next)
     }
 }
 
@@ -165,7 +176,7 @@ impl Clone for TableSlot {
 /// use mitosis_pt::{Pte, PteFlags, PtStore};
 ///
 /// let mut store = PtStore::new();
-/// store.insert_table(FrameId::new(100));
+/// store.insert_table(FrameId::new(100), None);
 /// store.write(FrameId::new(100), 3, Pte::new(FrameId::new(7), PteFlags::user_data()));
 /// assert!(store.read(FrameId::new(100), 3).is_present());
 /// ```
@@ -219,28 +230,34 @@ impl PtStore {
         }
     }
 
-    /// Registers `frame` as a page-table page with all entries empty, in a
-    /// replica ring of its own.
+    /// Registers `frame` as a page-table page in a replica ring of its own,
+    /// holding a copy of the table behind `copy_of` as
+    /// [`PtStore::copy_table_at`] leaves it or, without one, all entries
+    /// empty (matching the kernel zeroing freshly allocated page-table
+    /// pages).  A copy is written once, with no zeroing before it.
     ///
-    /// Re-inserting an existing table clears it (matching the kernel zeroing
-    /// freshly allocated page-table pages) and takes it out of its ring.
-    pub fn insert_table(&mut self, frame: FrameId) {
+    /// Re-inserting an existing table overwrites it the same way and takes
+    /// it out of its ring.
+    pub fn insert_table(&mut self, frame: FrameId, copy_of: Option<PtSlot>) {
         let pfn = frame.pfn();
         if let Some(existing) = self.slot_of(frame) {
             self.unlink(existing);
-            self.slots[existing.0 as usize].clear();
+            self.fill(existing, copy_of);
             return;
         }
         let slot = match self.free.pop() {
             Some(slot) => {
-                let recycled = &mut self.slots[slot as usize];
-                recycled.clear();
-                recycled.pfn = pfn;
+                self.slots[slot as usize].pfn = pfn;
+                self.fill(PtSlot(slot), copy_of);
                 slot
             }
             None => {
                 let slot = u32::try_from(self.slots.len()).expect("slot count fits in u32");
-                self.slots.push(TableSlot::empty(pfn, slot));
+                let table = match copy_of {
+                    Some(source) => TableSlot::copy_of(&self.slots[source.0 as usize], pfn, slot),
+                    None => TableSlot::empty(pfn, slot),
+                };
+                self.slots.push(table);
                 slot
             }
         };
@@ -251,6 +268,15 @@ impl PtStore {
         let chunk = self.dir[top].get_or_insert_with(|| Box::new([NO_SLOT; DIR_FANOUT]));
         chunk[pfn as usize & (DIR_FANOUT - 1)] = slot;
         self.live += 1;
+    }
+
+    /// Overwrites the entries and bitmaps of the table behind `slot` with a
+    /// copy of the table behind `copy_of`, or empties them.
+    fn fill(&mut self, slot: PtSlot, copy_of: Option<PtSlot>) {
+        match copy_of {
+            Some(source) => self.copy_table_at(source, slot),
+            None => self.slots[slot.0 as usize].clear(),
+        }
     }
 
     /// Removes a page-table page from the store; its replica ring closes
@@ -583,7 +609,7 @@ mod tests {
     #[test]
     fn fresh_tables_are_empty() {
         let mut store = PtStore::new();
-        store.insert_table(FrameId::new(1));
+        store.insert_table(FrameId::new(1), None);
         assert_eq!(store.present_count(FrameId::new(1)), 0);
         assert!(!store.read(FrameId::new(1), 0).is_present());
         assert!(store.contains(FrameId::new(1)));
@@ -593,7 +619,7 @@ mod tests {
     #[test]
     fn writes_are_readable_and_enumerable() {
         let mut store = PtStore::new();
-        store.insert_table(FrameId::new(1));
+        store.insert_table(FrameId::new(1), None);
         let pte = Pte::new(FrameId::new(99), PteFlags::user_data());
         store.write(FrameId::new(1), 511, pte);
         store.write(FrameId::new(1), 0, pte);
@@ -607,20 +633,20 @@ mod tests {
     #[test]
     fn reinserting_clears_the_table() {
         let mut store = PtStore::new();
-        store.insert_table(FrameId::new(1));
+        store.insert_table(FrameId::new(1), None);
         store.write(
             FrameId::new(1),
             5,
             Pte::new(FrameId::new(3), PteFlags::user_data()),
         );
-        store.insert_table(FrameId::new(1));
+        store.insert_table(FrameId::new(1), None);
         assert_eq!(store.present_count(FrameId::new(1)), 0);
     }
 
     #[test]
     fn remove_table_forgets_contents() {
         let mut store = PtStore::new();
-        store.insert_table(FrameId::new(2));
+        store.insert_table(FrameId::new(2), None);
         store.remove_table(FrameId::new(2));
         assert!(!store.contains(FrameId::new(2)));
         assert_eq!(store.table_count(), 0);
@@ -639,7 +665,7 @@ mod tests {
     #[test]
     fn recycled_slots_start_clean() {
         let mut store = PtStore::new();
-        store.insert_table(FrameId::new(10));
+        store.insert_table(FrameId::new(10), None);
         store.write(
             FrameId::new(10),
             100,
@@ -647,7 +673,7 @@ mod tests {
         );
         store.remove_table(FrameId::new(10));
         // A different frame recycles the slot; it must not see old contents.
-        store.insert_table(FrameId::new(20));
+        store.insert_table(FrameId::new(20), None);
         assert_eq!(store.present_count(FrameId::new(20)), 0);
         assert!(!store.read(FrameId::new(20), 100).is_present());
         assert!(!store.contains(FrameId::new(10)));
@@ -656,7 +682,7 @@ mod tests {
     #[test]
     fn occupancy_tracks_overwrites_and_clears() {
         let mut store = PtStore::new();
-        store.insert_table(FrameId::new(1));
+        store.insert_table(FrameId::new(1), None);
         let pte = Pte::new(FrameId::new(50), PteFlags::user_data());
         store.write(FrameId::new(1), 63, pte);
         store.write(FrameId::new(1), 64, pte);
@@ -675,7 +701,7 @@ mod tests {
     #[test]
     fn slot_handles_read_and_write() {
         let mut store = PtStore::new();
-        store.insert_table(FrameId::new(4097)); // second directory chunk
+        store.insert_table(FrameId::new(4097), None); // second directory chunk
         let slot = store.slot(FrameId::new(4097));
         let pte = Pte::new(FrameId::new(8), PteFlags::user_data());
         store.write_at(slot, 7, pte);
@@ -688,7 +714,7 @@ mod tests {
     #[test]
     fn present_iteration_is_dense_and_ordered() {
         let mut store = PtStore::new();
-        store.insert_table(FrameId::new(3));
+        store.insert_table(FrameId::new(3), None);
         let pte = Pte::new(FrameId::new(77), PteFlags::user_data());
         let indices = [0usize, 1, 63, 64, 127, 255, 256, 510, 511];
         for index in indices.iter().rev() {
@@ -717,7 +743,7 @@ mod tests {
     #[test]
     fn present_indices_snapshot_the_bitmap() {
         let mut store = PtStore::new();
-        store.insert_table(FrameId::new(3));
+        store.insert_table(FrameId::new(3), None);
         let slot = store.slot(FrameId::new(3));
         let pte = Pte::new(FrameId::new(77), PteFlags::user_data());
         for index in [5usize, 64, 300] {
@@ -735,7 +761,7 @@ mod tests {
 
     /// A table of 512 present, writable entries with A/D clear.
     fn full_table(store: &mut PtStore, frame: FrameId) -> PtSlot {
-        store.insert_table(frame);
+        store.insert_table(frame, None);
         let slot = store.slot(frame);
         for index in 0..ENTRIES_PER_TABLE {
             let data = FrameId::new(1000 + index as u64);
@@ -789,15 +815,15 @@ mod tests {
     fn a_cloned_store_equals_its_source_entry_for_entry() {
         let mut store = PtStore::new();
         let full = full_table(&mut store, FrameId::new(7));
-        store.insert_table(FrameId::new(9000));
+        store.insert_table(FrameId::new(9000), None);
         let sparse = store.slot(FrameId::new(9000));
         let huge = Pte::new(FrameId::new(512), PteFlags::user_readonly().huge_page());
         store.write_at(sparse, 3, huge);
         store.mark_accessed_at(full, 10, true);
         store.mark_accessed_at(sparse, 3, false);
-        store.insert_table(FrameId::new(11));
+        store.insert_table(FrameId::new(11), None);
         store.remove_table(FrameId::new(11));
-        store.insert_table(FrameId::new(12));
+        store.insert_table(FrameId::new(12), None);
         store.link_replicas(&[FrameId::new(7), FrameId::new(9000)]);
 
         let clone = store.clone();
@@ -821,7 +847,7 @@ mod tests {
     #[test]
     fn bitmaps_mirror_present_writable_and_huge() {
         let mut store = PtStore::new();
-        store.insert_table(FrameId::new(2));
+        store.insert_table(FrameId::new(2), None);
         let slot = store.slot(FrameId::new(2));
         store.write_at(slot, 0, Pte::new(FrameId::new(5), PteFlags::user_data()));
         store.write_at(
@@ -884,7 +910,7 @@ mod tests {
         store.mark_accessed_at(source, 300, true);
 
         // The reference: a fresh table given each present entry in turn.
-        store.insert_table(FrameId::new(2));
+        store.insert_table(FrameId::new(2), None);
         let reference = store.slot(FrameId::new(2));
         for index in store.present_indices(source) {
             let pte = store.read_at(source, index);
@@ -907,6 +933,33 @@ mod tests {
     }
 
     #[test]
+    fn a_table_inserted_as_a_copy_equals_a_copied_table() {
+        let mut store = PtStore::new();
+        let source = full_table(&mut store, FrameId::new(1));
+        store.write_at(source, 9, Pte::EMPTY);
+        store.mark_accessed_at(source, 5, true);
+        store.insert_table(FrameId::new(2), None);
+        let reference = store.slot(FrameId::new(2));
+        store.copy_table_at(source, reference);
+        // A new slot, a recycled one holding another table's entries, and
+        // a re-inserted ring member.
+        store.insert_table(FrameId::new(3), Some(source));
+        let recycled = full_table(&mut store, FrameId::new(4));
+        store.remove_table(FrameId::new(4));
+        store.insert_table(FrameId::new(5), Some(source));
+        assert_eq!(store.slot(FrameId::new(5)), recycled);
+        store.insert_table(FrameId::new(6), None);
+        store.link_replicas(&[FrameId::new(6), FrameId::new(3)]);
+        store.insert_table(FrameId::new(6), Some(source));
+        for pfn in [3, 5, 6] {
+            let frame = FrameId::new(pfn);
+            assert_same_table(&store, store.slot(frame), reference);
+            assert_eq!(ring_members(&store, frame), vec![frame]);
+        }
+        assert_eq!(store.table_count(), 5);
+    }
+
+    #[test]
     fn a_batched_leaf_write_equals_one_write_per_entry() {
         for flags in [
             PteFlags::user_data(),
@@ -924,7 +977,7 @@ mod tests {
             );
             store.write_at(batched, 300, Pte::EMPTY);
             store.mark_accessed_at(batched, 64, true);
-            store.insert_table(FrameId::new(2));
+            store.insert_table(FrameId::new(2), None);
             let single = store.slot(FrameId::new(2));
             store.copy_table_at(batched, single);
             let entries = [
@@ -948,7 +1001,7 @@ mod tests {
     #[should_panic(expected = "present flag required")]
     fn a_batched_leaf_write_of_absent_flags_panics() {
         let mut store = PtStore::new();
-        store.insert_table(FrameId::new(1));
+        store.insert_table(FrameId::new(1), None);
         let slot = store.slot(FrameId::new(1));
         store.write_leaves_at(slot, PteFlags::default(), &[(0, FrameId::new(2))]);
     }
@@ -962,7 +1015,7 @@ mod tests {
     fn linked(frames: &[FrameId]) -> PtStore {
         let mut store = PtStore::new();
         for &frame in frames {
-            store.insert_table(frame);
+            store.insert_table(frame, None);
         }
         store.link_replicas(frames);
         store
@@ -981,7 +1034,7 @@ mod tests {
         let frames = four_replicas();
         let mut store = PtStore::new();
         for &frame in &frames {
-            store.insert_table(frame);
+            store.insert_table(frame, None);
         }
         assert_eq!(ring_members(&store, frames[2]), vec![frames[2]]);
         store.link_replicas(&frames);
@@ -1032,7 +1085,7 @@ mod tests {
         let mut store = linked(&frames);
         // Re-inserting a member clears it like a fresh table, and the ring
         // closes without it.
-        store.insert_table(frames[0]);
+        store.insert_table(frames[0], None);
         assert_eq!(ring_members(&store, frames[0]), vec![frames[0]]);
         assert_eq!(
             ring_members(&store, frames[1]),
@@ -1041,7 +1094,7 @@ mod tests {
         // Another table recycles a removed member's slot with no link.
         let slot = store.slot(frames[2]);
         store.remove_table(frames[2]);
-        store.insert_table(FrameId::new(9));
+        store.insert_table(FrameId::new(9), None);
         assert_eq!(store.slot(FrameId::new(9)), slot, "the slot was recycled");
         assert_eq!(ring_members(&store, FrameId::new(9)), vec![FrameId::new(9)]);
         assert_eq!(ring_members(&store, frames[3]), vec![frames[3], frames[1]]);
@@ -1066,7 +1119,7 @@ mod tests {
     fn table_frames_lists_live_tables_only() {
         let mut store = PtStore::new();
         for pfn in [5u64, 6, 7] {
-            store.insert_table(FrameId::new(pfn));
+            store.insert_table(FrameId::new(pfn), None);
         }
         store.remove_table(FrameId::new(6));
         let mut frames: Vec<u64> = store.table_frames().map(|f| f.pfn()).collect();

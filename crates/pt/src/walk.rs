@@ -296,7 +296,7 @@ mod tests {
         let mut store = PtStore::new();
         let root = FrameId::new(0);
         for pfn in 0..4 {
-            store.insert_table(FrameId::new(pfn));
+            store.insert_table(FrameId::new(pfn), None);
         }
         let va = VirtAddr::new(0x4000_0000);
         store.write(

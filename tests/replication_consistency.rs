@@ -148,6 +148,97 @@ fn accessed_and_dirty_bits_are_visible_from_any_replica() {
     assert!(consolidated.flags().dirty);
 }
 
+#[test]
+fn extending_the_mask_leaves_every_leaf_replica_equal_to_its_table() {
+    use mitosis_mmu::{Mmu, PteCacheSet};
+    use mitosis_pt::{Level, ENTRIES_PER_TABLE};
+
+    let machine = MachineConfig::paper_testbed_scaled().build();
+    let cost = machine.cost_model().clone();
+    let mut mitosis = Mitosis::new();
+    let mut system = mitosis.install(machine);
+    let pid = system.create_process(SocketId::new(0)).unwrap();
+    let addr = system
+        .mmap(pid, 4 * 1024 * 1024, MmapFlags::populate())
+        .unwrap();
+    let pair = NodeMask::from_sockets([SocketId::new(0), SocketId::new(1)]);
+    mitosis
+        .enable_for_process(&mut system, pid, Some(pair))
+        .unwrap();
+
+    // Hardware on socket 1 sets accessed and dirty bits in its own leaf
+    // replicas only.
+    let socket = SocketId::new(1);
+    let cr3 = system.cr3_for(pid, socket).unwrap();
+    let mut mmu = Mmu::new(system.machine().first_core_of_socket(socket), socket);
+    let mut caches = PteCacheSet::for_machine(system.machine());
+    let touched: Vec<VirtAddr> = (0..16).map(|i| addr.add(i * 64 * 4096)).collect();
+    {
+        let env = system.pt_env();
+        for &page in &touched {
+            let outcome = mmu.access(
+                page,
+                true,
+                cr3,
+                &env.store,
+                env.alloc.frame_space(),
+                &cost,
+                caches.socket(socket),
+            );
+            assert!(!outcome.fault);
+        }
+        let base = system.process(pid).unwrap().address_space().roots().base();
+        let marked = mitosis_pt::translate(&env.store, cr3, touched[0]).unwrap();
+        let unmarked = mitosis_pt::translate(&env.store, base, touched[0]).unwrap();
+        assert!(marked.pte.flags().accessed && marked.pte.flags().dirty);
+        assert!(
+            !unmarked.pte.flags().accessed,
+            "the walk stayed on socket 1"
+        );
+    }
+
+    mitosis
+        .enable_for_process(&mut system, pid, Some(NodeMask::all(4)))
+        .unwrap();
+
+    let roots = system.process(pid).unwrap().address_space().roots().clone();
+    let env = system.pt_env();
+    let space = env.alloc.frame_space();
+    let mut leaves = 0;
+    mitosis_pt::for_each_table(&env.store, roots.base(), |table, level| {
+        let members: Vec<_> = env.store.ring(table).collect();
+        let mut sockets: Vec<SocketId> = members
+            .iter()
+            .map(|(member, _)| space.socket_of(*member))
+            .collect();
+        sockets.sort();
+        assert_eq!(
+            sockets,
+            (0..4).map(SocketId::new).collect::<Vec<_>>(),
+            "{table} has one replica on each socket"
+        );
+        if level != Level::L1 {
+            return;
+        }
+        leaves += 1;
+        let base = members[0].1;
+        for &(member, slot) in &members[1..] {
+            for index in 0..ENTRIES_PER_TABLE {
+                assert_eq!(
+                    env.store.read_at(slot, index),
+                    env.store.read_at(base, index),
+                    "replica {member} of leaf {table} differs at entry {index}"
+                );
+            }
+        }
+    });
+    assert_eq!(leaves, 2);
+    for s in 0..4u16 {
+        let socket = SocketId::new(s);
+        assert_eq!(space.socket_of(roots.root_for_socket(socket)), socket);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
