@@ -20,14 +20,14 @@ use mitosis_mmu::step::{
 use mitosis_mmu::{Mmu, PteCacheSet};
 use mitosis_numa::{CoreId, Machine, MachineConfig, NodeMask, SocketId};
 use mitosis_pt::{
-    Mapper, NativePvOps, PageSize, PtEnv, Pte, PteFlags, PvOps, ReplicationSpec, ShootdownPlan,
-    ShootdownRange, VirtAddr,
+    Mapper, MappingTx, NativePvOps, PageSize, PtEnv, Pte, PteFlags, PvOps, ReplicationSpec,
+    ShootdownPlan, ShootdownRange, VirtAddr,
 };
 use mitosis_sim::{
     data_access_cycles, ExecutionEngine, MigrationConfig, MigrationRun, MultiSocketConfig,
     MultiSocketScenario, PreparedSystem, SimParams, WorkloadMigrationScenario,
 };
-use mitosis_vmm::{MmapFlags, Pid, System};
+use mitosis_vmm::{MmapFlags, Pid, ShootdownMode, System};
 use mitosis_workloads::{suite, Access};
 use std::sync::Arc;
 use std::time::Duration;
@@ -554,12 +554,20 @@ fn bench_setup(c: &mut Criterion) {
     group.finish();
 }
 
-/// The two steps of a fork/CoW storm that scale with the work modelled:
-/// the one-page ranged shootdown a copy-on-write break delivers, applied
-/// to an MMU whose TLBs are full (it checks one set per TLB level, not
-/// every way), and a fork of a populated region under 2-way replication
-/// (one child-table lookup per parent leaf table, not two root walks per
-/// leaf).
+/// Pages between the one-page ranges of `micro/shootdown/fork_plan`: over
+/// GUPS's region at machine scale 128 (131,072 pages) they make 26,215
+/// scattered ranges, the shape of a churn run's second fork's plan (25,322
+/// ranges at seed 42).
+const FORK_PLAN_STRIDE: u64 = 5;
+
+/// The steps of a fork/CoW storm that scale with the work modelled: the
+/// one-page ranged shootdown a copy-on-write break delivers and the plan
+/// of tens of thousands of scattered pages a fork of a partly copied
+/// region delivers, each applied to an MMU whose TLBs are full (a one-page
+/// plan checks one set per TLB level, not every way; a large one visits
+/// each set once, not once per range), and forks of populated regions
+/// under 2-way replication (one child-table lookup and one batched write
+/// of each kind per parent leaf table, not two root walks per leaf).
 fn bench_cow_path(c: &mut Criterion) {
     let mut group = c.benchmark_group("micro/shootdown");
     group
@@ -569,21 +577,22 @@ fn bench_cow_path(c: &mut Criterion) {
     let machine = MachineConfig::paper_testbed_scaled().build();
     let cost = machine.cost_model().clone();
     let (env, roots, addrs) = build_tree(4096);
+    let mut full = Mmu::new(CoreId::new(0), SocketId::new(0));
+    let mut caches = PteCacheSet::for_machine(&machine);
+    for &addr in &addrs {
+        full.access(
+            addr,
+            false,
+            roots.base(),
+            &env.store,
+            env.alloc.frame_space(),
+            &cost,
+            caches.socket(SocketId::new(0)),
+        );
+    }
+    assert_eq!(full.tlb().occupancy(), 64 + 1024, "4 KiB TLBs are full");
     group.bench_function("ranged_page", |b| {
-        let mut mmu = Mmu::new(CoreId::new(0), SocketId::new(0));
-        let mut caches = PteCacheSet::for_machine(&machine);
-        for &addr in &addrs {
-            mmu.access(
-                addr,
-                false,
-                roots.base(),
-                &env.store,
-                env.alloc.frame_space(),
-                &cost,
-                caches.socket(SocketId::new(0)),
-            );
-        }
-        assert_eq!(mmu.tlb().occupancy(), 64 + 1024, "4 KiB TLBs are full");
+        let mut mmu = full.clone();
         let plan = ShootdownPlan {
             ranges: vec![ShootdownRange {
                 asid: 0,
@@ -595,20 +604,57 @@ fn bench_cow_path(c: &mut Criterion) {
         };
         b.iter(|| mmu.apply_shootdown(&plan));
     });
+    group.bench_function("fork_plan", |b| {
+        let mut tx = MappingTx::new();
+        for page in (0..GUPS_SCALE128_REGION / 4096).step_by(FORK_PLAN_STRIDE as usize) {
+            tx.invalidate_page(0, addrs[0].add(page * 4096), PageSize::Base4K);
+        }
+        let plan = tx.take_plan();
+        assert_eq!(plan.ranges.len(), 26_215);
+        b.iter_batched(
+            || full.clone(),
+            |mut mmu| {
+                assert!(mmu.apply_shootdown(&plan) > 0);
+                mmu
+            },
+            BatchSize::SmallInput,
+        );
+    });
     group.finish();
 
-    let machine = MachineConfig::two_socket_small().build();
     let mut group = c.benchmark_group("micro/fork");
     group
         .sample_size(20)
         .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_secs(1));
+    let small = MachineConfig::two_socket_small().build();
+    let (mut system, pid, region) = lazy_region(&small, SETUP_REGION, Backend::MitosisReplicated);
+    system
+        .populate_region(pid, region, SETUP_REGION, SocketId::new(0))
+        .expect("populate");
     group.bench_function("mitosis_2way", |b| {
-        let (mut system, pid, region) =
-            lazy_region(&machine, SETUP_REGION, Backend::MitosisReplicated);
-        system
-            .populate_region(pid, region, SETUP_REGION, SocketId::new(0))
-            .expect("populate");
+        b.iter_batched(
+            || system.clone(),
+            |mut forked| {
+                forked.fork(pid).expect("fork");
+                forked
+            },
+            BatchSize::PerIteration,
+        );
+    });
+    // Churn's first fork: GUPS's region at machine scale 128, populated
+    // and replicated onto two sockets, with ranged shootdowns recorded.
+    let scaled = SimParams::new().with_machine_scale(128).machine();
+    let (mut system, pid, region) = lazy_region(&scaled, GUPS_SCALE128_REGION, Backend::Mitosis);
+    system.set_shootdown_mode(ShootdownMode::Ranged);
+    system
+        .populate_region(pid, region, GUPS_SCALE128_REGION, SocketId::new(0))
+        .expect("populate");
+    Mitosis::new()
+        .resize_replicas(&mut system, pid, NodeMask::all(2))
+        .expect("replicate");
+    drop(system.take_shootdown_plan());
+    group.bench_function("gups_scale128", |b| {
         b.iter_batched(
             || system.clone(),
             |mut forked| {

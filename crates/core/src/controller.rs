@@ -81,17 +81,17 @@ impl Mitosis {
                 return Err(MitosisError::InvalidSocket { socket });
             }
         }
-        // Future page-table allocations replicate eagerly.
-        system
-            .process_mut(pid)?
-            .set_replication(ReplicationSpec::on(mask));
-        // Replicate the tree that already exists.
+        // Replicate the tree that already exists; a failure leaves the
+        // process as it was.
         let roots = system.process(pid)?.address_space().roots().clone();
         let (new_roots, summary) = {
             let mut ctx = system.pt_env_mut().context();
             replicate_tree(&mut ctx, &roots, mask)?
         };
-        *system.process_mut(pid)?.address_space_mut().roots_mut() = new_roots;
+        let process = system.process_mut(pid)?;
+        *process.address_space_mut().roots_mut() = new_roots;
+        // Future page-table allocations replicate eagerly.
+        process.set_replication(ReplicationSpec::on(mask));
         Ok(summary)
     }
 

@@ -23,7 +23,9 @@
 
 use mitosis_mem::FrameId;
 use mitosis_numa::SocketId;
-use mitosis_pt::{PtContext, PtError, PtOpStats, Pte, PteFlags, PvOps, ReplicationSpec};
+use mitosis_pt::{
+    AccessedDirty, EntryMask, PtContext, PtError, PtOpStats, Pte, PteFlags, PvOps, ReplicationSpec,
+};
 
 /// The replicating PV-Ops backend.
 ///
@@ -157,6 +159,33 @@ impl PvOps for MitosisPvOps {
                 self.stats.replica_pte_writes += writes;
             }
         }
+    }
+
+    fn protect_leaves(
+        &mut self,
+        ctx: &mut PtContext<'_>,
+        table: FrameId,
+        flags: PteFlags,
+        leaves: &EntryMask,
+    ) {
+        // Accessed/dirty bits are ORed across the ring one member at a
+        // time; every member then gets the same rewritten entries, since a
+        // leaf entry differs between replicas only in those bits.
+        let mut bits = AccessedDirty::default();
+        let mut members = 0;
+        let mut ring = ctx.store.ring_walk(table);
+        while let Some((_, slot)) = ring.next(ctx.store) {
+            members += 1;
+            ctx.store.gather_accessed_dirty_at(slot, leaves, &mut bits);
+        }
+        let mut ring = ctx.store.ring_walk(table);
+        while let Some((_, slot)) = ring.next(ctx.store) {
+            ctx.store.protect_leaves_at(slot, flags, leaves, &bits);
+        }
+        let writes = leaves.len() as u64;
+        self.stats.pte_writes += writes;
+        self.stats.replica_ring_reads += writes * (members - 1);
+        self.stats.replica_pte_writes += writes * (members - 1);
     }
 
     fn read_pte(&self, ctx: &PtContext<'_>, table: FrameId, index: usize) -> Pte {
@@ -337,6 +366,55 @@ mod tests {
                 format!("{:?}", batched.store),
                 format!("{:?}", single.store)
             );
+        }
+    }
+
+    #[test]
+    fn protect_leaves_matches_one_protect_entry_per_leaf() {
+        let machine = MachineConfig::new(4, 1)
+            .with_memory_per_socket(64 * 1024 * 1024)
+            .build();
+        for repl in [ReplicationSpec::none(), ReplicationSpec::all_sockets(4)] {
+            let mut env = PtEnv::new(&machine);
+            let mut ops = MitosisPvOps::new();
+            let mut ctx = env.context();
+            let table = ops.alloc_table(&mut ctx, SocketId::new(1), &repl).unwrap();
+            let frames: Vec<(usize, FrameId)> = [0, 5, 6, 64, 300, 511]
+                .into_iter()
+                .map(|index| (index, ctx.alloc.alloc_on(SocketId::new(2)).unwrap()))
+                .collect();
+            ops.set_leaf_ptes(&mut ctx, table, PteFlags::user_data(), &frames);
+            // Walkers on different sockets set accessed and dirty bits in
+            // their own replicas.
+            let ring = replicas_of(&ctx, table);
+            for (member, index, dirty) in [(0, 5, false), (ring.len() - 1, 5, true), (0, 64, true)]
+            {
+                let slot = ctx.store.slot(ring[member]);
+                ctx.store.mark_accessed_at(slot, index, dirty);
+            }
+            let protected = [5, 6, 64, 511];
+            let (mut single_env, mut single_ops) = (env.clone(), ops.clone());
+            let mut single = single_env.context();
+            for index in protected {
+                Mapper::protect_entry(
+                    &mut single_ops,
+                    &mut single,
+                    table,
+                    index,
+                    PteFlags::user_readonly(),
+                );
+            }
+            let mut leaves = EntryMask::default();
+            protected.into_iter().for_each(|index| leaves.insert(index));
+            let mut batched = env.context();
+            ops.protect_leaves(&mut batched, table, PteFlags::user_readonly(), &leaves);
+            assert_eq!(ops.stats(), single_ops.stats());
+            assert_eq!(
+                format!("{:?}", batched.store),
+                format!("{:?}", single.store)
+            );
+            let entry = batched.store.read(ring[ring.len() - 1], 5);
+            assert!(entry.flags().accessed && entry.flags().dirty && !entry.flags().writable);
         }
     }
 

@@ -13,8 +13,10 @@
 //! and bitmaps ([`PtContext::alloc_table_frame`] with a table to copy),
 //! written once with no zeroing before it, and a replica that existed
 //! before the call is overwritten with a fresh copy
-//! ([`PtStore::copy_table_at`](mitosis_pt::PtStore::copy_table_at)), so
-//! extending a mask leaves every replica of a leaf equal to its table.  An
+//! ([`PtStore::copy_table_at`](mitosis_pt::PtStore::copy_table_at)) once
+//! every allocation has succeeded, so extending a mask leaves every replica
+//! of a leaf equal to its table, and a call that runs out of memory leaves
+//! every table, ring and entry as it found them.  An
 //! upper-level table is copied entry by entry, because each replica's
 //! entries must point at the child replicas on its own socket.
 //! Page-table migration ([`migrate_page_table`](crate::migrate_page_table))
@@ -64,7 +66,9 @@ pub(crate) fn collect_tree(ctx: &PtContext<'_>, root: FrameId) -> Vec<(FrameId, 
 /// # Errors
 ///
 /// Returns an error if the mask is empty or physical memory for a replica
-/// cannot be allocated.
+/// cannot be allocated; a failed allocation frees the replicas the call
+/// made, so the store, the allocator, the rings and the entries are as the
+/// call found them.
 pub fn replicate_tree(
     ctx: &mut PtContext<'_>,
     roots: &PtRoots,
@@ -91,9 +95,14 @@ pub fn replicate_tree(
     // Pass 1: make sure every table has a replica frame on every requested
     // socket (children must exist before parents can point at them).  Leaf
     // entries point at data frames, so a leaf table is the same in every
-    // replica: each new leaf replica is born a copy of its table, and each
-    // replica the table already had is copied again, accessed and dirty
+    // replica: each new leaf replica is born a copy of its table.  Nothing
+    // that existed before the call changes until every allocation has
+    // succeeded: a failed one frees the replicas made so far, which closes
+    // each ring back around its old members, and only then are the
+    // replicas a leaf table already had copied again, accessed and dirty
     // bits included.
+    let mut created: Vec<FrameId> = Vec::new();
+    let mut recopies: Vec<(PtSlot, PtSlot)> = Vec::new();
     let mut ring = Vec::new();
     for (table, level) in &tree {
         let leaf = (*level == Level::L1).then(|| ctx.store.slot(*table));
@@ -101,10 +110,12 @@ pub fn replicate_tree(
         ring.extend(ctx.store.ring(*table).map(|(member, _)| member));
         let members = ring.len();
         if let Some(source) = leaf {
-            for &member in &ring[1..] {
-                let slot = ctx.store.slot(member);
-                ctx.store.copy_table_at(source, slot);
-            }
+            recopies.extend(
+                ctx.store
+                    .ring(*table)
+                    .skip(1)
+                    .map(|(_, slot)| (source, slot)),
+            );
         }
         for socket in &sockets {
             if ring
@@ -113,12 +124,26 @@ pub fn replicate_tree(
             {
                 continue;
             }
-            ring.push(ctx.alloc_table_frame(*socket, leaf)?);
-            summary.replica_tables_created += 1;
+            match ctx.alloc_table_frame(*socket, leaf) {
+                Ok(frame) => {
+                    created.push(frame);
+                    ring.push(frame);
+                }
+                Err(err) => {
+                    for frame in created {
+                        ctx.free_table_frame(frame)?;
+                    }
+                    return Err(err.into());
+                }
+            }
         }
         if ring.len() > members {
             ctx.store.link_replicas(&ring);
         }
+    }
+    summary.replica_tables_created = created.len() as u64;
+    for (source, slot) in recopies {
+        ctx.store.copy_table_at(source, slot);
     }
 
     // Pass 2: fill the upper-level replicas, redirecting child pointers per

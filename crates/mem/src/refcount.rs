@@ -75,6 +75,20 @@ impl CowRefCounts {
         }
     }
 
+    /// Records one additional mapping of each of `frames`, in order: one
+    /// [`CowRefCounts::share`] per frame, in one loop the caller's crate
+    /// compiles, with the shared-frame count kept in a local until the end
+    /// (a fork shares a leaf table's frames at once).
+    pub fn share_all(&mut self, frames: impl IntoIterator<Item = FrameId>) {
+        let mut newly_shared = 0;
+        for frame in frames {
+            let count = self.count_mut(frame);
+            newly_shared += usize::from(*count == 0);
+            *count += 1 + u32::from(*count == 0);
+        }
+        self.shared += newly_shared;
+    }
+
     /// Drops one mapping of `frame`; returns `true` when the caller held
     /// the last reference and now owns the frame exclusively (and may free
     /// or write it in place).
@@ -108,6 +122,26 @@ mod tests {
         assert_eq!(counts.references(FrameId::new(5)), 1);
         assert!(!counts.is_shared(FrameId::new(5)));
         assert_eq!(counts.shared_frames(), 0);
+    }
+
+    #[test]
+    fn sharing_many_frames_equals_sharing_each() {
+        let frames: Vec<FrameId> = [3, 4, 3, 4097, 9000, 3].map(FrameId::new).to_vec();
+        let (mut batched, mut single) = (CowRefCounts::new(), CowRefCounts::new());
+        batched.share(FrameId::new(4));
+        single.share(FrameId::new(4));
+        batched.share_all(frames.iter().copied());
+        frames.iter().for_each(|&frame| single.share(frame));
+        assert_eq!(batched.shared_frames(), single.shared_frames());
+        for pfn in [3, 4, 5, 4097, 9000] {
+            let frame = FrameId::new(pfn);
+            assert_eq!(
+                batched.references(frame),
+                single.references(frame),
+                "{frame}"
+            );
+        }
+        assert_eq!(batched.references(FrameId::new(3)), 4);
     }
 
     #[test]

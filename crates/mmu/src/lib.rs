@@ -31,6 +31,7 @@
 
 mod lru;
 mod mmu;
+mod plan;
 mod pte_cache;
 mod pwc;
 mod stats;
@@ -39,6 +40,7 @@ mod tlb;
 mod walker;
 
 pub use mmu::{AccessOutcome, Mmu, TlbHalf, WalkHalf};
+pub use plan::PlanView;
 pub use pte_cache::{PteCache, PteCacheSet};
 pub use pwc::PagingStructureCache;
 pub use stats::{MmuStats, WalkStats};

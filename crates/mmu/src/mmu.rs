@@ -14,6 +14,7 @@
 //! the misses on another ([`WalkHalf::walk_known_leaf`]).  Each half owns
 //! its own counters; [`Mmu::stats`] joins them.
 
+use crate::plan::PlanView;
 use crate::pte_cache::PteCache;
 use crate::pwc::PagingStructureCache;
 use crate::stats::{MmuStats, WalkStats};
@@ -319,40 +320,45 @@ impl Mmu {
         self.reset_stats();
     }
 
-    /// Models a TLB shootdown of a single page in address space `asid`.
-    pub fn shootdown_page(&mut self, asid: u16, addr: VirtAddr, size: PageSize) {
-        self.tlbs.tlb.flush_page(asid, addr.align_down(size), size);
-    }
-
     /// Models a broadcast full-flush shootdown.
     pub fn shootdown_all(&mut self) {
         self.context_switch();
+    }
+
+    /// Applies a ranged shootdown plan to this core alone:
+    /// [`Mmu::apply_view`] of a view of `plan` made for this call.  To
+    /// deliver one plan to several cores, make one [`PlanView`] that owns
+    /// it and apply that to each, so a large plan is coalesced once, in
+    /// place.
+    pub fn apply_shootdown(&mut self, plan: &ShootdownPlan) -> u64 {
+        self.apply_view(&PlanView::from(plan))
     }
 
     /// Applies a ranged shootdown plan to this core: invalidates the named
     /// page ranges from the TLBs and evicts the covered paging-structure
     /// cache entries.  A plan escalated to `full_flush` flushes everything.
     ///
+    /// The plan's size and each structure's geometry pick how: a TLB of at
+    /// least as many sets as the plan has ranges, and paging-structure
+    /// caches of at least as many slots, go range by range (a range
+    /// inside one 2 MiB region, like every copy-on-write break's, is one
+    /// key lookup per cache level); a larger plan visits each TLB set and
+    /// each cached entry once and looks it up, by binary search, in the
+    /// plan's coalesced ranges.  Both remove exactly the entries one
+    /// `invalidate_range` per range of the plan removes.
+    ///
     /// Returns the number of TLB entries actually invalidated (for a full
     /// flush, the resident count before flushing) — the per-core modelled
     /// shootdown work.
-    pub fn apply_shootdown(&mut self, plan: &ShootdownPlan) -> u64 {
-        if plan.full_flush {
+    pub fn apply_view(&mut self, plan: &PlanView<'_>) -> u64 {
+        if plan.plan().full_flush {
             let resident = self.tlbs.tlb.occupancy() as u64;
             #[expect(clippy::disallowed_methods, reason = "applying a full-flush plan")]
             self.shootdown_all();
             return resident;
         }
-        let mut removed = 0u64;
-        for range in &plan.ranges {
-            removed +=
-                self.tlbs
-                    .tlb
-                    .invalidate_range(range.asid, range.vpn_start, range.pages, range.size)
-                    as u64;
-            self.walks.pwc.invalidate_range(range.start(), range.end());
-        }
-        removed
+        self.walks.pwc.invalidate_plan(plan);
+        self.tlbs.tlb.invalidate_plan(plan) as u64
     }
 
     /// Accumulated statistics: the TLB half's counters joined with the walk
@@ -450,17 +456,6 @@ mod tests {
         let after = mmu.access(addr, false, root, &store, &space, &cost(), &mut pte_cache);
         assert!(after.tlb_hit.is_none());
         assert_eq!(mmu.stats().tlb_misses, 2);
-    }
-
-    #[test]
-    fn shootdown_single_page_only_affects_that_page() {
-        let (store, space, root, addr) = build();
-        let mut mmu = Mmu::new(CoreId::new(0), SocketId::new(0));
-        let mut pte_cache = PteCache::new(1024);
-        mmu.access(addr, false, root, &store, &space, &cost(), &mut pte_cache);
-        mmu.shootdown_page(0, addr, PageSize::Base4K);
-        let after = mmu.access(addr, false, root, &store, &space, &cost(), &mut pte_cache);
-        assert!(after.tlb_hit.is_none());
     }
 
     #[test]

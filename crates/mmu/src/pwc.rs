@@ -6,6 +6,7 @@
 //! fetched.  The paper leans on this ("at least leaf-level PTEs have to be
 //! accessed", §3.1), so the walker model includes it.
 
+use crate::plan::PlanView;
 use mitosis_mem::FrameId;
 use mitosis_pt::{table_at, Level, PtStore, VirtAddr};
 
@@ -160,12 +161,27 @@ impl LevelCache {
 
     /// Drops every entry whose key falls in `[key_start, key_end]`, keeping
     /// the survivors in recency order.  Returns the number of entries
-    /// removed.
+    /// removed.  A one-key interval — every level of a range inside one
+    /// 2 MiB region, such as a copy-on-write break's page — is one lookup,
+    /// not a scan of the resident entries.
     fn invalidate_keys(&mut self, key_start: u32, key_end: u32) -> usize {
+        if key_start == key_end {
+            let Some(slot) = self.position(key_start) else {
+                return 0;
+            };
+            self.remove(slot);
+            return 1;
+        }
+        self.remove_where(|key| (key_start..=key_end).contains(&key))
+    }
+
+    /// Drops every entry whose key `dies`, keeping the survivors in recency
+    /// order.  Returns the number of entries removed.
+    fn remove_where(&mut self, dies: impl Fn(u32) -> bool) -> usize {
         let resident = self.len;
         let mut slot = 0;
         while slot < self.len {
-            if (key_start..=key_end).contains(&self.keys[slot]) {
+            if dies(self.keys[slot]) {
                 self.remove(slot);
             } else {
                 slot += 1;
@@ -317,6 +333,33 @@ impl PagingStructureCache {
             removed += cache.invalidate_keys(Self::key(va_start, level), Self::key(last, level));
         }
         removed
+    }
+
+    /// Evicts every entry serving an address some range of `plan` covers:
+    /// the entries, and the count, of one
+    /// [`invalidate_range`](PagingStructureCache::invalidate_range) per
+    /// range.  A plan of more ranges than the caches have slots visits each
+    /// resident entry once and looks its coverage up in the plan's
+    /// coalesced ranges instead.
+    pub fn invalidate_plan(&mut self, plan: &PlanView<'_>) -> usize {
+        let ranges = plan.ranges();
+        let slots = self.pde.capacity + self.pdpte.capacity + self.pml4e.capacity;
+        if ranges.len() <= slots {
+            return ranges
+                .iter()
+                .map(|range| self.invalidate_range(range.start(), range.end()))
+                .sum();
+        }
+        // An entry read at `level` serves the addresses its key selects.
+        let overlapped = |level: Level| {
+            move |key: u32| {
+                let first = u64::from(key) << level.index_shift();
+                plan.overlaps(first, first + level.entry_coverage())
+            }
+        };
+        self.pde.remove_where(overlapped(Level::L2))
+            + self.pdpte.remove_where(overlapped(Level::L3))
+            + self.pml4e.remove_where(overlapped(Level::L4))
     }
 }
 

@@ -1,5 +1,6 @@
 //! Translation lookaside buffers.
 
+use crate::plan::{range_key, PlanView};
 use mitosis_mem::FrameId;
 use mitosis_numa::Cycles;
 use mitosis_pt::{PageSize, VirtAddr};
@@ -88,7 +89,7 @@ const INVALID_TAG: u64 = 0;
 /// Bit position of the ASID in a tag.  A 48-bit virtual address has at most
 /// a 36-bit 4 KiB VPN, which shifted by the size code occupies bits 2-38,
 /// leaving the top 16 bits free for the ASID.
-const ASID_SHIFT: u32 = 48;
+pub(crate) const ASID_SHIFT: u32 = 48;
 
 /// The writable bit of a payload.
 const WRITABLE: u64 = 1;
@@ -103,7 +104,7 @@ const RANK_BITS: u64 = 0x0707_0707_0707_0707;
 const EMPTY_META: u64 = 0x0706_0504_0302_0100;
 
 #[inline]
-fn size_code(size: PageSize) -> u64 {
+pub(crate) fn size_code(size: PageSize) -> u64 {
     match size {
         PageSize::Base4K => 1,
         PageSize::Huge2M => 2,
@@ -286,16 +287,6 @@ impl Tlb {
         self.per_size = [0; 3];
     }
 
-    /// Invalidates the entry covering `addr` at `size` in address space
-    /// `asid`, if present (`invlpg`).
-    pub fn flush_page(&mut self, asid: u16, addr: VirtAddr, size: PageSize) {
-        let vpn = addr.page_number(size);
-        let set = self.set_of(vpn);
-        if let Some(way) = lane_of(&self.tags[set], tag_of(asid, vpn, size)) {
-            self.invalidate(set, way);
-        }
-    }
-
     /// Invalidates every entry of `size` in address space `asid` whose
     /// virtual page number falls in `[vpn_start, vpn_start + pages)`
     /// (a ranged shootdown).  Returns the number of entries invalidated.
@@ -332,6 +323,39 @@ impl Tlb {
                 }
                 let vpn = (tag >> 2) & ((1u64 << (ASID_SHIFT - 2)) - 1);
                 if vpn >= vpn_start && vpn < vpn_end {
+                    self.invalidate(set, way);
+                    removed += 1;
+                }
+            }
+        }
+        removed
+    }
+
+    /// Invalidates every entry a range of `plan` names: the entries, and
+    /// the count, of one [`Tlb::invalidate_range`] per range.  A plan of
+    /// at most one range per set goes range by range; a larger one visits
+    /// each set once and looks each valid entry up in the plan's coalesced
+    /// ranges, so it costs sets × ways binary searches instead of ranges ×
+    /// sets.
+    pub(crate) fn invalidate_plan(&mut self, plan: &PlanView<'_>) -> usize {
+        let ranges = plan.ranges();
+        if ranges.len() <= self.sets {
+            return ranges
+                .iter()
+                .map(|range| {
+                    self.invalidate_range(range.asid, range.vpn_start, range.pages, range.size)
+                })
+                .sum();
+        }
+        let mut removed = 0;
+        for set in 0..self.sets {
+            for way in 0..self.ways {
+                let tag = self.tags[set].0[way];
+                if tag == INVALID_TAG {
+                    continue;
+                }
+                let vpn = (tag >> 2) & ((1u64 << (ASID_SHIFT - 2)) - 1);
+                if plan.contains(range_key((tag >> ASID_SHIFT) as u16, tag & 3, vpn)) {
                     self.invalidate(set, way);
                     removed += 1;
                 }
@@ -468,13 +492,6 @@ impl TlbHierarchy {
         self.l2.flush();
     }
 
-    /// Flushes one page from every level.
-    pub fn flush_page(&mut self, asid: u16, addr: VirtAddr, size: PageSize) {
-        self.l1_4k.flush_page(asid, addr, size);
-        self.l1_2m.flush_page(asid, addr, size);
-        self.l2.flush_page(asid, addr, size);
-    }
-
     /// Invalidates `[vpn_start, vpn_start + pages)` of `size` for `asid`
     /// from every level; returns the number of entries removed.
     pub fn invalidate_range(
@@ -487,6 +504,17 @@ impl TlbHierarchy {
         self.l1_4k.invalidate_range(asid, vpn_start, pages, size)
             + self.l1_2m.invalidate_range(asid, vpn_start, pages, size)
             + self.l2.invalidate_range(asid, vpn_start, pages, size)
+    }
+
+    /// Invalidates every entry a range of `plan` names from every level —
+    /// the entries, and the count, of one
+    /// [`invalidate_range`](TlbHierarchy::invalidate_range) per range —
+    /// each level going range by range or set by set as its set count
+    /// decides ([`Mmu::apply_view`](crate::Mmu::apply_view)).
+    pub fn invalidate_plan(&mut self, plan: &PlanView<'_>) -> usize {
+        self.l1_4k.invalidate_plan(plan)
+            + self.l1_2m.invalidate_plan(plan)
+            + self.l2.invalidate_plan(plan)
     }
 
     /// Number of currently valid entries across all levels.
@@ -553,16 +581,6 @@ mod tests {
         assert_eq!(get(&mut tlb, va(0), PageSize::Base4K), None);
         assert!(get(&mut tlb, va(100), PageSize::Base4K).is_some());
         assert_eq!(tlb.occupancy(), 4);
-    }
-
-    #[test]
-    fn flush_page_removes_only_that_page() {
-        let mut tlb = Tlb::new(64, 4);
-        put(&mut tlb, va(1), PageSize::Base4K, FrameId::new(1));
-        put(&mut tlb, va(2), PageSize::Base4K, FrameId::new(2));
-        tlb.flush_page(0, va(1), PageSize::Base4K);
-        assert_eq!(get(&mut tlb, va(1), PageSize::Base4K), None);
-        assert!(get(&mut tlb, va(2), PageSize::Base4K).is_some());
     }
 
     #[test]
@@ -647,11 +665,8 @@ mod tests {
             FrameId::new(9),
         );
         assert!(!tlb.holds(PageSize::Base4K), "4 KiB entry was evicted");
-        tlb.flush_page(
-            0,
-            VirtAddr::new(0x4000_0000 + (4u64 << 21)),
-            PageSize::Huge2M,
-        );
+        let vpn = VirtAddr::new(0x4000_0000 + (4u64 << 21)).page_number(PageSize::Huge2M);
+        assert_eq!(tlb.invalidate_range(0, vpn, 1, PageSize::Huge2M), 1);
         assert_eq!(tlb.occupancy(), 3);
         tlb.flush();
         assert!(!tlb.holds(PageSize::Huge2M));
@@ -682,8 +697,8 @@ mod tests {
             Some((FrameId::new(20), true))
         );
         assert_eq!(tlb.lookup(3, va(5), PageSize::Base4K, false), None);
-        // Flushing one ASID's page leaves the other's intact.
-        tlb.flush_page(1, va(5), PageSize::Base4K);
+        // Invalidating one ASID's page leaves the other's intact.
+        assert_eq!(tlb.invalidate_range(1, 5, 1, PageSize::Base4K), 1);
         assert_eq!(tlb.lookup(1, va(5), PageSize::Base4K, false), None);
         assert!(tlb.lookup(2, va(5), PageSize::Base4K, false).is_some());
     }
@@ -740,6 +755,10 @@ mod tests {
             .is_some());
         // Empty size classes short-circuit.
         assert_eq!(tlb.invalidate_range(1, 0, 1000, PageSize::Giant1G), 0);
+        // A one-page range removes that page and nothing else.
+        assert_eq!(tlb.invalidate_range(1, 8, 1, PageSize::Base4K), 1);
+        assert_eq!(tlb.lookup(1, va(8), PageSize::Base4K, false), None);
+        assert!(tlb.lookup(1, va(9), PageSize::Base4K, false).is_some());
     }
 
     #[test]

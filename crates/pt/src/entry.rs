@@ -162,6 +162,17 @@ impl Pte {
         self
     }
 
+    /// This entry under new protection `flags`: its frame, large-page bit
+    /// and accessed/dirty bits stay, every other flag comes from `flags`.
+    pub fn reprotected(self, flags: PteFlags) -> Pte {
+        self.with_flags(PteFlags {
+            huge: self.flags.huge,
+            accessed: self.flags.accessed,
+            dirty: self.flags.dirty,
+            ..flags
+        })
+    }
+
     /// Returns a copy with accessed and dirty bits cleared.
     pub fn with_ad_cleared(mut self) -> Pte {
         self.flags.accessed = false;

@@ -73,7 +73,7 @@ pub use mapper::{Mapper, PtRoots};
 pub use ops::{
     NativePvOps, PtContext, PtEnv, PtOpStats, PvOps, ReplicationSpec, DEFAULT_PAGE_CACHE_TARGET,
 };
-pub use store::{PtSlot, PtStore, RingWalk};
+pub use store::{AccessedDirty, EntryMask, PtSlot, PtStore, RingWalk};
 pub use tx::{MappingTx, ShootdownPlan, ShootdownRange};
 pub use walk::{
     check_writable_range, for_each_table, iter_leaf_mappings, table_at, translate, translate_entry,

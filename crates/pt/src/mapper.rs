@@ -213,13 +213,7 @@ impl<'a> Mapper<'a> {
         flags: PteFlags,
     ) {
         let old = ops.read_pte(ctx, table, index);
-        let flags = PteFlags {
-            huge: old.is_huge(),
-            accessed: old.flags().accessed,
-            dirty: old.flags().dirty,
-            ..flags
-        };
-        ops.set_pte(ctx, table, index, old.with_flags(flags));
+        ops.set_pte(ctx, table, index, old.reprotected(flags));
     }
 
     /// Reads the leaf entry mapping `addr` through the backend, so that

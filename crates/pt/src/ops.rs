@@ -22,7 +22,7 @@
 use crate::entry::{Pte, PteFlags};
 use crate::error::PtError;
 use crate::mapper::PtRoots;
-use crate::store::{PtSlot, PtStore};
+use crate::store::{AccessedDirty, EntryMask, PtSlot, PtStore};
 use mitosis_mem::{FrameAllocator, FrameId, MemError, PageCache};
 use mitosis_numa::{Machine, NodeMask, SocketId};
 
@@ -247,6 +247,22 @@ pub trait PvOps: std::fmt::Debug + Send + Sync {
         entries: &[(usize, FrameId)],
     );
 
+    /// Rewrites the protection of the present leaf entries `leaves` of
+    /// `table` to `flags`, propagating to replicas: each entry keeps its
+    /// frame, its large-page bit and the accessed/dirty bits of every
+    /// replica.  The result and the statistics are exactly those of one
+    /// [`Mapper::protect_entry`](crate::Mapper::protect_entry) per entry,
+    /// but the accessed/dirty bits are ORed across the replica ring table
+    /// by table ([`PtStore::gather_accessed_dirty_at`]) and each ring
+    /// member is written once ([`PtStore::protect_leaves_at`]).
+    fn protect_leaves(
+        &mut self,
+        ctx: &mut PtContext<'_>,
+        table: FrameId,
+        flags: PteFlags,
+        leaves: &EntryMask,
+    );
+
     /// Reads the entry at `index` of `table`.  Accessed/dirty bits reflect
     /// every replica (logical OR), as the paper's extended PV-Ops getters do.
     fn read_pte(&self, ctx: &PtContext<'_>, table: FrameId, index: usize) -> Pte;
@@ -325,6 +341,20 @@ impl PvOps for NativePvOps {
         let slot = ctx.store.slot(table);
         ctx.store.write_leaves_at(slot, flags, entries);
         self.stats.pte_writes += entries.len() as u64;
+    }
+
+    fn protect_leaves(
+        &mut self,
+        ctx: &mut PtContext<'_>,
+        table: FrameId,
+        flags: PteFlags,
+        leaves: &EntryMask,
+    ) {
+        let slot = ctx.store.slot(table);
+        let mut bits = AccessedDirty::default();
+        ctx.store.gather_accessed_dirty_at(slot, leaves, &mut bits);
+        ctx.store.protect_leaves_at(slot, flags, leaves, &bits);
+        self.stats.pte_writes += leaves.len() as u64;
     }
 
     fn read_pte(&self, ctx: &PtContext<'_>, table: FrameId, index: usize) -> Pte {

@@ -112,6 +112,68 @@ pub(crate) struct MaskWord {
 /// A table's entry bitmaps, word by word.
 pub(crate) type EntryMasks = [MaskWord; OCC_WORDS];
 
+/// A set of the entries of one page-table page, by index, as a 512-bit
+/// map: the leaves a batched protection change rewrites
+/// ([`PtStore::protect_leaves_at`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EntryMask([u64; OCC_WORDS]);
+
+impl EntryMask {
+    /// Adds entry `index`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= 512`.
+    pub fn insert(&mut self, index: usize) {
+        self.0[index >> 6] |= 1 << (index & 63);
+    }
+
+    /// Whether the set holds no entry.
+    pub fn is_empty(&self) -> bool {
+        self.0 == [0; OCC_WORDS]
+    }
+
+    /// Number of entries in the set.
+    pub fn len(&self) -> usize {
+        self.0.iter().map(|word| word.count_ones() as usize).sum()
+    }
+
+    /// The runs of consecutive entries, as `(first index, length)` pairs in
+    /// ascending order, found a bitmap word at a time.
+    pub fn runs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let mut from = 0;
+        std::iter::from_fn(move || {
+            let first = self.next_from(from, false)?;
+            let end = self.next_from(first, true).unwrap_or(ENTRIES_PER_TABLE);
+            from = end;
+            Some((first, end - first))
+        })
+    }
+
+    /// The lowest index at or after `from` that is in the set, or with
+    /// `absent` the lowest that is not.
+    fn next_from(&self, from: usize, absent: bool) -> Option<usize> {
+        let flip = if absent { u64::MAX } else { 0 };
+        let mut word = from >> 6;
+        let mut bits = (*self.0.get(word)? ^ flip) & (u64::MAX << (from & 63));
+        while bits == 0 {
+            word += 1;
+            bits = *self.0.get(word)? ^ flip;
+        }
+        Some(word << 6 | bits.trailing_zeros() as usize)
+    }
+}
+
+/// The accessed and dirty bits of some of one table's entries, as two
+/// [`EntryMask`]s: what the members of a leaf table's replica ring OR
+/// together before a protection change
+/// ([`PtStore::gather_accessed_dirty_at`], [`PtStore::protect_leaves_at`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct AccessedDirty {
+    accessed: EntryMask,
+    dirty: EntryMask,
+}
+
 /// One stored page-table page: 512 packed entries plus their bitmaps, and
 /// its link in its replica ring.
 #[derive(Debug)]
@@ -419,8 +481,8 @@ impl PtStore {
     /// Writes present entries that share `flags` into the table behind
     /// `slot`, each `(index, frame)` pointing at `frame`, in order: the
     /// entries and bitmaps one [`PtStore::write_at`] per pair would leave.
-    /// The flags are encoded once and each entry's bitmap bits are set
-    /// directly.
+    /// The flags are encoded once, and each bitmap word is updated once per
+    /// run of pairs whose indices share it.
     ///
     /// # Panics
     ///
@@ -430,19 +492,88 @@ impl PtStore {
         let writable = if flags.writable { u64::MAX } else { 0 };
         let huge = if flags.huge { u64::MAX } else { 0 };
         let table = &mut self.slots[slot.0 as usize];
-        for &(index, frame) in entries {
-            let bits = flag_bits | frame.pfn() << Pte::FRAME_SHIFT;
-            debug_assert_eq!(
-                Pte::from_bits(bits),
-                Pte::new(frame, flags),
-                "entry does not survive its 64-bit encoding"
-            );
-            *table.entries[index].get_mut() = bits;
-            let bit = 1u64 << (index & 63);
-            let word = &mut table.masks[index >> 6];
-            word.present |= bit;
-            word.writable = (word.writable & !bit) | (bit & writable);
-            word.huge = (word.huge & !bit) | (bit & huge);
+        for run in entries.chunk_by(|(a, _), (b, _)| a >> 6 == b >> 6) {
+            let mut touched = 0;
+            for &(index, frame) in run {
+                let bits = flag_bits | frame.pfn() << Pte::FRAME_SHIFT;
+                debug_assert_eq!(
+                    Pte::from_bits(bits),
+                    Pte::new(frame, flags),
+                    "entry does not survive its 64-bit encoding"
+                );
+                *table.entries[index].get_mut() = bits;
+                touched |= 1u64 << (index & 63);
+            }
+            let word = &mut table.masks[run[0].0 >> 6];
+            word.present |= touched;
+            word.writable = (word.writable & !touched) | (touched & writable);
+            word.huge = (word.huge & !touched) | (touched & huge);
+        }
+    }
+
+    /// ORs the accessed and dirty bits of the entries in `leaves` of the
+    /// table behind `slot` into `bits`.
+    pub fn gather_accessed_dirty_at(
+        &self,
+        slot: PtSlot,
+        leaves: &EntryMask,
+        bits: &mut AccessedDirty,
+    ) {
+        let entries = &self.slots[slot.0 as usize].entries;
+        for (word, &mask) in leaves.0.iter().enumerate().filter(|(_, &mask)| mask != 0) {
+            let (mut accessed, mut dirty) = (0, 0);
+            for_each_bit(mask, |bit| {
+                let entry = entries[word << 6 | bit].load(Ordering::Relaxed);
+                accessed |= (entry >> Pte::ACCESSED_BIT.trailing_zeros() & 1) << bit;
+                dirty |= (entry >> Pte::DIRTY_BIT.trailing_zeros() & 1) << bit;
+            });
+            bits.accessed.0[word] |= accessed;
+            bits.dirty.0[word] |= dirty;
+        }
+    }
+
+    /// Rewrites the entries in `leaves` of the table behind `slot`, all
+    /// present, under protection `flags`: each keeps its frame and
+    /// large-page bit ([`Pte::reprotected`]) and takes the accessed and
+    /// dirty bits `bits` holds for it.  These are the entries and bitmaps
+    /// one [`PtStore::write_at`] per entry would leave; the flags are
+    /// encoded once and each bitmap word is written once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `flags` is not present.
+    pub fn protect_leaves_at(
+        &mut self,
+        slot: PtSlot,
+        flags: PteFlags,
+        leaves: &EntryMask,
+        bits: &AccessedDirty,
+    ) {
+        let flag_bits = Pte::new(
+            FrameId::new(0),
+            PteFlags {
+                huge: false,
+                accessed: false,
+                dirty: false,
+                ..flags
+            },
+        )
+        .to_bits();
+        let kept = !0 << Pte::FRAME_SHIFT | Pte::HUGE_BIT;
+        let writable = if flags.writable { u64::MAX } else { 0 };
+        let table = &mut self.slots[slot.0 as usize];
+        for (word, &mask) in leaves.0.iter().enumerate().filter(|(_, &mask)| mask != 0) {
+            let masks = &mut table.masks[word];
+            debug_assert_eq!(masks.present & mask, mask, "rewriting an absent entry");
+            masks.writable = (masks.writable & !mask) | (mask & writable);
+            let (accessed, dirty) = (bits.accessed.0[word], bits.dirty.0[word]);
+            for_each_bit(mask, |bit| {
+                let entry = table.entries[word << 6 | bit].get_mut();
+                *entry = *entry & kept
+                    | flag_bits
+                    | (accessed >> bit & 1) << Pte::ACCESSED_BIT.trailing_zeros()
+                    | (dirty >> bit & 1) << Pte::DIRTY_BIT.trailing_zeros();
+            });
         }
     }
 
@@ -514,6 +645,22 @@ impl PtStore {
         })
     }
 
+    /// Appends the present entries of the table behind `slot` to `out` as
+    /// `(index, frame)` pairs in ascending index order: the indices
+    /// [`PtStore::present_frames_at`] leaves out, taken a bitmap word at a
+    /// time.
+    pub fn push_present_frames(&self, slot: PtSlot, out: &mut Vec<(usize, FrameId)>) {
+        let table = &self.slots[slot.0 as usize];
+        out.reserve(ENTRIES_PER_TABLE);
+        for (word, masks) in table.masks.iter().enumerate() {
+            for_each_bit(masks.present, |bit| {
+                let index = word << 6 | bit;
+                let entry = table.entries[index].load(Ordering::Relaxed);
+                out.push((index, FrameId::new(entry >> Pte::FRAME_SHIFT)));
+            });
+        }
+    }
+
     /// The indices of the present entries of the table behind `slot`, in
     /// ascending order.  The iterator owns a copy of the present bitmap,
     /// so the caller may write the store — this table included — while
@@ -522,6 +669,12 @@ impl PtStore {
     pub fn present_indices(&self, slot: PtSlot) -> impl Iterator<Item = usize> {
         let masks = self.masks_at(slot);
         set_bits(std::array::from_fn(|word| masks[word].present))
+    }
+
+    /// The present, writable entries of the table behind `slot`.
+    pub fn writable_entries_at(&self, slot: PtSlot) -> EntryMask {
+        let masks = self.masks_at(slot);
+        EntryMask(std::array::from_fn(|word| masks[word].writable))
     }
 
     /// Number of present entries in the table in `frame`, by popcount.
@@ -588,6 +741,22 @@ impl RingWalk {
     }
 }
 
+/// Calls `visit` with the position of each set bit of `word`, in
+/// ascending order: a full word as a plain count, a sparse one by its set
+/// bits only.
+#[inline(always)]
+fn for_each_bit(word: u64, mut visit: impl FnMut(usize)) {
+    if word == u64::MAX {
+        (0..64).for_each(visit);
+        return;
+    }
+    let mut rest = word;
+    while rest != 0 {
+        visit(rest.trailing_zeros() as usize);
+        rest &= rest - 1;
+    }
+}
+
 /// The indices of the set bits of a 512-bit bitmap, in ascending order.
 pub(crate) fn set_bits(bitmap: [u64; OCC_WORDS]) -> impl Iterator<Item = usize> {
     bitmap
@@ -628,6 +797,80 @@ mod tests {
         assert_eq!(entries.len(), 2);
         assert_eq!(entries[0].0, 0);
         assert_eq!(entries[1].0, 511);
+    }
+
+    #[test]
+    fn entry_mask_runs_cross_bitmap_words() {
+        let mut mask = EntryMask::default();
+        assert!(mask.is_empty());
+        for index in [0, 1, 63, 64, 200, 511, 64] {
+            mask.insert(index);
+        }
+        assert_eq!(mask.len(), 6);
+        let runs: Vec<_> = mask.runs().collect();
+        assert_eq!(runs, vec![(0, 2), (63, 2), (200, 1), (511, 1)]);
+        let mut full = EntryMask::default();
+        (0..ENTRIES_PER_TABLE).for_each(|index| full.insert(index));
+        assert_eq!(full.runs().collect::<Vec<_>>(), vec![(0, 512)]);
+        assert_eq!(EntryMask::default().runs().count(), 0);
+    }
+
+    #[test]
+    fn protecting_leaves_equals_one_write_per_entry() {
+        // A leaf table and a replica whose entries carry other accessed
+        // and dirty bits, protected over a full bitmap word and a sparse
+        // one, against the OR of both members' bits written entry by
+        // entry.
+        let (table, replica) = (FrameId::new(1), FrameId::new(2));
+        let mut store = PtStore::new();
+        for frame in [table, replica] {
+            store.insert_table(frame, None);
+        }
+        let entries: Vec<(usize, FrameId)> = (0..64)
+            .chain([70, 71, 130, 511])
+            .map(|index| (index, FrameId::new(1000 + index as u64)))
+            .collect();
+        for frame in [table, replica] {
+            let slot = store.slot(frame);
+            store.write_leaves_at(slot, PteFlags::user_data(), &entries);
+        }
+        let huge = Pte::new(FrameId::new(4096), PteFlags::user_data().huge_page());
+        store.write(table, 300, huge);
+        store.write(replica, 300, huge);
+        for (frame, index, dirty) in [(table, 3, false), (replica, 3, true), (replica, 70, false)] {
+            store.mark_accessed_at(store.slot(frame), index, dirty);
+        }
+        let mut leaves = EntryMask::default();
+        (0..64)
+            .chain([70, 300, 511])
+            .for_each(|index| leaves.insert(index));
+        let mut reference = store.clone();
+        let mut bits = AccessedDirty::default();
+        for frame in [table, replica] {
+            store.gather_accessed_dirty_at(store.slot(frame), &leaves, &mut bits);
+        }
+        let flags = PteFlags::user_readonly();
+        for frame in [table, replica] {
+            let slot = store.slot(frame);
+            store.protect_leaves_at(slot, flags, &leaves, &bits);
+        }
+        for index in (0..64).chain([70, 300, 511]) {
+            let mut pte = reference.read(table, index).reprotected(flags);
+            let other = reference.read(replica, index).flags();
+            if other.accessed {
+                pte = pte.with_accessed();
+            }
+            if other.dirty {
+                pte = pte.with_dirty();
+            }
+            for frame in [table, replica] {
+                reference.write(frame, index, pte);
+            }
+        }
+        assert_eq!(format!("{store:?}"), format!("{reference:?}"));
+        assert!(store.read(replica, 3).flags().accessed && store.read(table, 3).flags().dirty);
+        assert!(store.read(table, 300).is_huge());
+        assert!(store.read(table, 71).flags().writable, "outside the set");
     }
 
     #[test]

@@ -116,6 +116,22 @@ impl MappingTx {
         });
     }
 
+    /// Records the invalidation of the `pages` pages of `size` from the one
+    /// covering `addr` in address space `asid`: exactly what one
+    /// [`invalidate_page`](MappingTx::invalidate_page) per page, in
+    /// ascending order, records.
+    pub fn invalidate_pages(&mut self, asid: u16, addr: VirtAddr, pages: u64, size: PageSize) {
+        if pages == 0 {
+            return;
+        }
+        self.invalidate_page(asid, addr, size);
+        // The first page is now the last range's or inside it, so each
+        // later page extends that range or falls inside it too.
+        let last = self.ranges.last_mut().expect("a page was just recorded");
+        let end = addr.page_number(size) + pages;
+        last.pages = (last.vpn_start + last.pages).max(end) - last.vpn_start;
+    }
+
     /// Records the invalidation of every page of `size` in
     /// `[start, start + len)` for address space `asid`.
     pub fn invalidate_bytes(&mut self, asid: u16, start: VirtAddr, len: u64, size: PageSize) {
@@ -230,6 +246,35 @@ mod tests {
         assert_eq!(plan.tables, vec![FrameId::new(9)]);
         assert!(!plan.is_empty());
         assert!(ShootdownPlan::default().is_empty());
+    }
+
+    #[test]
+    fn a_run_of_pages_records_what_one_call_per_page_records() {
+        let page = |vpn: u64| VirtAddr::new(vpn * 4096);
+        // Inside the last range and past its end, from its end, past it,
+        // and under another address space.
+        for (asid, first, pages) in [
+            (0, 10, 5),
+            (0, 12, 9),
+            (0, 11, 2),
+            (0, 14, 3),
+            (0, 30, 4),
+            (1, 14, 3),
+        ] {
+            let (mut batched, mut single) = (MappingTx::new(), MappingTx::new());
+            for tx in [&mut batched, &mut single] {
+                tx.invalidate_page(0, page(8), PageSize::Base4K);
+                tx.invalidate_pages(0, page(9), 5, PageSize::Base4K);
+            }
+            batched.invalidate_pages(asid, page(first), pages, PageSize::Base4K);
+            for vpn in first..first + pages {
+                single.invalidate_page(asid, page(vpn), PageSize::Base4K);
+            }
+            assert_eq!(batched.take_plan(), single.take_plan(), "{first} + {pages}");
+        }
+        let mut tx = MappingTx::new();
+        tx.invalidate_pages(0, page(3), 0, PageSize::Base4K);
+        assert!(tx.is_empty());
     }
 
     #[test]

@@ -1400,6 +1400,9 @@ impl ExecutionEngine {
                     }));
                 }
 
+                // The boundary's phase changes and their shootdown, timed
+                // apart from the segments.
+                let _boundary_span = self.observer.span("engine.boundary", self.obs_track);
                 let mut broadcast_flush = false;
                 let mut cache_flush = false;
                 let mut escalate_full = false;

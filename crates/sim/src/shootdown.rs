@@ -19,7 +19,7 @@
 //! no-stray-shootdowns check enforces: the engine itself never calls
 //! `shootdown_all`/`flush_all` directly.
 
-use mitosis_mmu::{Mmu, PteCacheSet};
+use mitosis_mmu::{Mmu, PlanView, PteCacheSet};
 use mitosis_pt::ShootdownPlan;
 use mitosis_vmm::System;
 
@@ -133,18 +133,21 @@ pub fn apply_boundary(
         return stats;
     }
     stats.ranged_ranges += plan.ranges.len() as u64;
+    // One view for every MMU: a plan of many ranges is coalesced once, in
+    // place.
+    let view = PlanView::from(plan);
     if flush.broadcast {
         // The invalidation IPI reaches every core that may cache the
         // ranges; each MMU drops only matching ASID-tagged entries.
         for mmu in mmus.iter_mut() {
-            stats.entries_invalidated += mmu.apply_shootdown(&plan);
+            stats.entries_invalidated += mmu.apply_view(&view);
         }
     } else {
         for &thread in flush.targeted {
-            stats.entries_invalidated += mmus[thread].apply_shootdown(&plan);
+            stats.entries_invalidated += mmus[thread].apply_view(&view);
         }
     }
-    pte_caches.apply_shootdown(&plan);
+    pte_caches.apply_shootdown(view.plan());
     stats
 }
 

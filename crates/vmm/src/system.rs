@@ -7,11 +7,10 @@ use crate::vma::{Protection, Vma};
 use mitosis_mem::{CowRefCounts, FrameId, MemError, BASE_PAGE_SIZE};
 use mitosis_numa::{Machine, SocketId};
 use mitosis_pt::{
-    Level, Mapper, MappingTx, NativePvOps, PageSize, PageTableDump, PtContext, PtEnv, Pte,
-    PteFlags, PvOps, ReplicationSpec, ShootdownPlan, Translation, VirtAddr,
+    EntryMask, Level, Mapper, MappingTx, NativePvOps, PageSize, PageTableDump, PtContext, PtEnv,
+    PtError, Pte, PteFlags, PvOps, ReplicationSpec, ShootdownPlan, Translation, VirtAddr,
 };
 use std::collections::BTreeMap;
-use std::convert::Infallible;
 
 /// Flags controlling an [`System::mmap`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -651,12 +650,27 @@ impl System {
     /// child, so the next store from either side faults and copies
     /// ([`System::handle_fault_access`]).
     ///
-    /// The copy runs table by table, as Linux's `copy_pte_range` does: each
-    /// parent table holding leaves resolves its child counterpart once.
-    /// The child's tree is built first, because only its allocations can
-    /// fail; a failed fork releases the partial tree and leaves the parent,
-    /// the share table, the pending shootdown work and the pid counter as
-    /// they were.
+    /// The fork works a page-table page at a time, as Linux's
+    /// `copy_pte_range` does, in two walks over the parent's tree in
+    /// address order:
+    ///
+    /// * the first allocates the child's tables, because only allocation
+    ///   can fail: each parent table holding leaves gets its child table at
+    ///   its first leaf, in the order mapping the leaves one by one would
+    ///   allocate them.  A failed fork releases the partial tree, which
+    ///   holds no leaf yet, and leaves the parent, the share table, the
+    ///   pending shootdown work and the pid counter as they were;
+    /// * the second visits each parent table once, while it is in the
+    ///   host's caches: a leaf table's entries go into its child table with
+    ///   one [`PvOps::set_leaf_ptes`] call (a 2 MiB or 1 GiB leaf with one
+    ///   [`PvOps::set_pte`]), its frames are shared and each run of its
+    ///   writable leaves is one shootdown record, in address order, and
+    ///   its writable leaves are write-protected with one
+    ///   [`PvOps::protect_leaves`] call.
+    ///
+    /// The tables, entries, PV-Ops statistics, allocation order, shootdown
+    /// ranges and share counts are those of mapping each leaf into the
+    /// child and protecting it in the parent one at a time.
     ///
     /// # Errors
     ///
@@ -677,54 +691,26 @@ impl System {
         };
         let pt_socket = self.config.pt_placement.resolve(home);
         let mut ctx = self.env.context();
-        let ops = self.ops.as_mut();
-        let child_roots = Mapper::create_roots(ops, &mut ctx, pt_socket, replication)?;
-        let child_mapper = Mapper::new(&child_roots);
-        let readonly = PteFlags::user_readonly();
-        // The child table receiving each level's leaves, with the parent
-        // table they come from.
-        let mut targets: [Option<(FrameId, FrameId)>; 3] = [None; 3];
-        let copied = for_each_leaf_entry(&mut ctx, parent_root, &mut |ctx, leaf| {
-            let target = &mut targets[usize::from(leaf.level.number()) - 1];
-            let table = match *target {
-                Some((from, to)) if from == leaf.table => to,
-                _ => {
-                    let to = child_mapper.walk_alloc(
-                        ops,
-                        ctx,
-                        leaf.addr,
-                        leaf.level,
-                        pt_socket,
-                        &replication,
-                    )?;
-                    *target = Some((leaf.table, to));
-                    to
-                }
-            };
-            let pte = Mapper::leaf_pte(leaf.frame, leaf.size, readonly);
-            ops.set_pte(ctx, table, leaf.index, pte);
-            Ok::<(), mitosis_pt::PtError>(())
-        });
-        if let Err(err) = copied {
+        let child_roots =
+            Mapper::create_roots(self.ops.as_mut(), &mut ctx, pt_socket, replication)?;
+        let mut walk = ForkWalk {
+            ops: self.ops.as_mut(),
+            child: Mapper::new(&child_roots),
+            pt_socket,
+            replication,
+            pending: ranged.then_some((&mut self.pending, parent_asid)),
+            cow: &mut self.cow,
+            entries: Vec::new(),
+        };
+        if let Err(err) = walk.allocate(&mut ctx, parent_root, Level::L4, 0) {
             let mut tables = Vec::new();
             mitosis_pt::for_each_table(ctx.store, child_roots.base(), |t, _| tables.push(t));
             for table in tables {
-                ops.release_table(&mut ctx, table)?;
+                walk.ops.release_table(&mut ctx, table)?;
             }
             return Err(err.into());
         }
-        let (pending, cow) = (&mut self.pending, &mut self.cow);
-        let shared = for_each_leaf_entry(&mut ctx, parent_root, &mut |ctx, leaf| {
-            if leaf.writable {
-                Mapper::protect_entry(ops, ctx, leaf.table, leaf.index, readonly);
-                if ranged {
-                    pending.invalidate_page(parent_asid, leaf.addr, leaf.size);
-                }
-            }
-            cow.share(leaf.frame);
-            Ok::<(), Infallible>(())
-        });
-        let Ok(()) = shared;
+        walk.share(&mut ctx, parent_root, Level::L4, 0);
         let child_pid = Pid::new(self.next_pid);
         self.next_pid += 1;
         let mut child = Process::new(child_pid, home, AddressSpace::new(child_roots));
@@ -1311,75 +1297,136 @@ struct LeafWindow {
     frames: Vec<FrameId>,
 }
 
-/// One leaf entry of a page-table tree, as [`for_each_leaf_entry`] visits
-/// it.
-#[derive(Debug, Clone, Copy)]
-struct LeafEntry {
-    /// The page-table page holding the entry.
-    table: FrameId,
-    /// The entry's index in `table`.
-    index: usize,
-    /// The level of `table`.
-    level: Level,
-    /// First virtual address the entry maps.
-    addr: VirtAddr,
-    /// Size of the mapped page.
-    size: PageSize,
-    /// First frame of the mapped page.
-    frame: FrameId,
-    /// The entry allows writes.
-    writable: bool,
-}
-
-/// Visits every leaf entry of the tree rooted at `root`, in address order,
-/// stopping at the first error.  Unlike [`mitosis_pt::iter_leaf_mappings`]
-/// the visitor holds the context and may write the store as it goes —
-/// another tree, or the entry it is handed — because each table's present
-/// entries are fixed when the walk reaches it.
-fn for_each_leaf_entry<E>(
-    ctx: &mut PtContext<'_>,
-    root: FrameId,
-    visit: &mut impl FnMut(&mut PtContext<'_>, LeafEntry) -> Result<(), E>,
-) -> Result<(), E> {
-    visit_leaf_entries(ctx, root, Level::L4, 0, visit)
-}
-
-fn visit_leaf_entries<E>(
-    ctx: &mut PtContext<'_>,
-    table: FrameId,
-    level: Level,
-    base: u64,
-    visit: &mut impl FnMut(&mut PtContext<'_>, LeafEntry) -> Result<(), E>,
-) -> Result<(), E> {
-    let slot = ctx.store.slot(table);
-    for index in ctx.store.present_indices(slot) {
-        let pte = ctx.store.read_at(slot, index);
-        let addr = base + index as u64 * level.entry_coverage();
-        let frame = pte.frame().expect("present entry has a frame");
-        if level != Level::L1 && !pte.is_huge() {
-            if let Some(lower) = level.next_lower() {
-                visit_leaf_entries(ctx, frame, lower, addr, visit)?;
-            }
-            continue;
-        }
-        let size = match level {
-            Level::L1 => PageSize::Base4K,
-            Level::L2 => PageSize::Huge2M,
-            Level::L3 => PageSize::Giant1G,
-            Level::L4 => continue,
-        };
-        let leaf = LeafEntry {
-            table,
-            index,
-            level,
-            addr: VirtAddr::new(addr),
-            size,
-            frame,
-            writable: pte.flags().writable,
-        };
-        visit(ctx, leaf)?;
+/// The size of the page a leaf entry at `level` maps; `None` at L4, which
+/// holds no leaves.
+fn leaf_size(level: Level) -> Option<PageSize> {
+    match level {
+        Level::L1 => Some(PageSize::Base4K),
+        Level::L2 => Some(PageSize::Huge2M),
+        Level::L3 => Some(PageSize::Giant1G),
+        Level::L4 => None,
     }
-    Ok(())
+}
+
+/// The two walks of [`System::fork`] over the parent's tree.
+struct ForkWalk<'a> {
+    ops: &'a mut dyn PvOps,
+    child: Mapper<'a>,
+    pt_socket: SocketId,
+    replication: ReplicationSpec,
+    /// The pending shootdown work and the parent's ASID, in ranged mode.
+    pending: Option<(&'a mut MappingTx, u16)>,
+    cow: &'a mut CowRefCounts,
+    /// One leaf table's entries as `(index, frame)` pairs, reused.
+    entries: Vec<(usize, FrameId)>,
+}
+
+impl ForkWalk<'_> {
+    /// The first walk, the only one that can fail: allocates the child
+    /// table of each table under `table` (the parent's table at `level`
+    /// whose first entry maps `base`) that holds leaves, at its first
+    /// leaf in address order — where mapping each leaf into the child in
+    /// turn would allocate it.
+    fn allocate(
+        &mut self,
+        ctx: &mut PtContext<'_>,
+        table: FrameId,
+        level: Level,
+        base: u64,
+    ) -> Result<(), PtError> {
+        let slot = ctx.store.slot(table);
+        let mut holds_leaves = false;
+        for index in ctx.store.present_indices(slot) {
+            let pte = ctx.store.read_at(slot, index);
+            let addr = base + index as u64 * level.entry_coverage();
+            if let Some(lower) = level.next_lower().filter(|_| !pte.is_huge()) {
+                let frame = pte.frame().expect("present entry has a frame");
+                self.allocate(ctx, frame, lower, addr)?;
+            } else if !holds_leaves && leaf_size(level).is_some() {
+                holds_leaves = true;
+                self.child.walk_alloc(
+                    self.ops,
+                    ctx,
+                    VirtAddr::new(addr),
+                    level,
+                    self.pt_socket,
+                    &self.replication,
+                )?;
+                if level == Level::L1 {
+                    break;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The second walk, which cannot fail: maps every leaf under `table`
+    /// read-only into the child table the first walk allocated — a leaf
+    /// (L1) table's entries with one `set_leaf_ptes` call, a large-page
+    /// leaf with one `set_pte` — shares its frame and, when it is writable,
+    /// records its shootdown, in address order, then write-protects each
+    /// parent table's writable leaves with one `protect_leaves` call.
+    fn share(&mut self, ctx: &mut PtContext<'_>, table: FrameId, level: Level, base: u64) {
+        let slot = ctx.store.slot(table);
+        let readonly = PteFlags::user_readonly();
+        let mut writable = EntryMask::default();
+        if level == Level::L1 {
+            self.entries.clear();
+            ctx.store.push_present_frames(slot, &mut self.entries);
+            if !self.entries.is_empty() {
+                let child = self.child_table(ctx, base, level);
+                self.ops.set_leaf_ptes(ctx, child, readonly, &self.entries);
+                self.cow
+                    .share_all(self.entries.iter().map(|&(_, frame)| frame));
+                writable = ctx.store.writable_entries_at(slot);
+                if let Some((pending, asid)) = &mut self.pending {
+                    // Each run of writable leaves is one shootdown record.
+                    for (first, pages) in writable.runs() {
+                        let addr = VirtAddr::new(base + first as u64 * level.entry_coverage());
+                        pending.invalidate_pages(*asid, addr, pages as u64, PageSize::Base4K);
+                    }
+                }
+            }
+        } else {
+            let mut child = None;
+            for index in ctx.store.present_indices(slot) {
+                let pte = ctx.store.read_at(slot, index);
+                let addr = base + index as u64 * level.entry_coverage();
+                let frame = pte.frame().expect("present entry has a frame");
+                if let Some(lower) = level.next_lower().filter(|_| !pte.is_huge()) {
+                    self.share(ctx, frame, lower, addr);
+                    continue;
+                }
+                let Some(size) = leaf_size(level) else {
+                    continue;
+                };
+                let to = match child {
+                    Some(to) => to,
+                    None => *child.insert(self.child_table(ctx, addr, level)),
+                };
+                self.ops
+                    .set_pte(ctx, to, index, Mapper::leaf_pte(frame, size, readonly));
+                if pte.flags().writable {
+                    writable.insert(index);
+                    if let Some((pending, asid)) = &mut self.pending {
+                        pending.invalidate_page(*asid, VirtAddr::new(addr), size);
+                    }
+                }
+                self.cow.share(frame);
+            }
+        }
+        if !writable.is_empty() {
+            self.ops.protect_leaves(ctx, table, readonly, &writable);
+        }
+    }
+
+    /// The child's table at `level` covering `addr`, which the first walk
+    /// allocated.
+    fn child_table(&self, ctx: &PtContext<'_>, addr: u64, level: Level) -> FrameId {
+        let root = self.child.roots().base();
+        mitosis_pt::table_at(ctx.store, root, VirtAddr::new(addr), level)
+            .expect("the first walk allocated the child's table")
+    }
 }
 
 /// Leaf flags for a data page of an area with `protection`.

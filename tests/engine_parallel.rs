@@ -13,20 +13,21 @@
 //! (accessed and dirty bits included) and the per-socket page-table-line
 //! cache counters.  With the recorder on, it also checks that
 //! `SplitStats` accounts for every segment the engine ran: one
-//! `engine.segment` span per split, pipelined or serial segment.  The
+//! `engine.segment` span per split, pipelined or serial segment, and one
+//! `engine.boundary` span per boundary of a churn schedule.  The
 //! adversarial tests pin the layouts that must stay serial, the typed error
 //! a lying source produces and the panic a failing source raises.
 
 use mitosis::{Mitosis, MitosisError};
 use mitosis_mem::FrameId;
-use mitosis_numa::SocketId;
+use mitosis_numa::{NodeMask, SocketId};
 use mitosis_obs::{MemoryRecorder, Observer};
 use mitosis_pt::{iter_leaf_mappings, LeafMapping, PageSize, VirtAddr};
 use mitosis_sim::{
     ExecutionEngine, PhaseChange, PhaseSchedule, RunMetrics, RunSpec, SerialReason, SimParams,
     SpanOutcome, SplitStats, ThreadPlacement,
 };
-use mitosis_vmm::{MmapFlags, Pid, Protection, System, ThpMode};
+use mitosis_vmm::{MmapFlags, Pid, Protection, ShootdownMode, System, ThpMode};
 use mitosis_workloads::{
     Access, AccessPattern, AccessSource, AccessStream, InitPattern, Scenario, WorkloadSpec,
 };
@@ -169,13 +170,15 @@ fn build(layout: &Layout, populate: bool, mutate: impl FnOnce(&mut Built)) -> Bu
 }
 
 /// Everything a run leaves behind that the split path could perturb, and
-/// the `engine.segment` spans its recorder saw (0 when unobserved).
+/// the `engine.segment` and `engine.boundary` spans its recorder saw (0
+/// when unobserved).
 #[derive(Debug, PartialEq)]
 struct Outcome {
     metrics: RunMetrics,
     leaves: Vec<(FrameId, Vec<LeafMapping>)>,
     pte_cache_counts: Vec<(u64, u64)>,
     segment_spans: u64,
+    boundary_spans: u64,
 }
 
 /// Runs `built` under `schedule` with every source reporting `bound`,
@@ -262,6 +265,7 @@ fn run(
             leaves,
             pte_cache_counts,
             segment_spans: memory.spans_named("engine.segment").len() as u64,
+            boundary_spans: memory.spans_named("engine.boundary").len() as u64,
         },
         split,
     ))
@@ -358,6 +362,66 @@ proptest! {
             serial_stats.last_serial_reason,
             Some(SerialReason::UnboundedSource { thread: 0 })
         );
+    }
+}
+
+/// A churn schedule — two forks, an mmap and a munmap away from the
+/// region, and dropping the replicas — records one `engine.boundary` span
+/// per boundary of the schedule beside its `engine.segment` spans, whether
+/// the run pauses on a boundary, inside a segment or not at all, and the
+/// recorder changes neither the metrics nor the page tables.
+#[test]
+fn every_boundary_records_one_span() {
+    const CHURN_BASE: u64 = 0x7000_0000_0000;
+    let schedule = PhaseSchedule::new()
+        .at(60, PhaseChange::Fork)
+        .at(
+            120,
+            PhaseChange::MmapAt {
+                addr: VirtAddr::new(CHURN_BASE),
+                length: 16 << 12,
+            },
+        )
+        .at(
+            180,
+            PhaseChange::MunmapAt {
+                addr: VirtAddr::new(CHURN_BASE + (4 << 12)),
+                length: 8 << 12,
+            },
+        )
+        .at(260, PhaseChange::Fork)
+        .at(
+            330,
+            PhaseChange::SetReplicas {
+                sockets: NodeMask::EMPTY,
+            },
+        );
+    let boundaries = schedule.boundaries(ACCESSES).len() as u64;
+    assert_eq!(boundaries, 6, "five event boundaries and the run's end");
+    let ranged = |built: &mut Built| built.system.set_shootdown_mode(ShootdownMode::Ranged);
+    for pause in [None, Some(120), Some(150)] {
+        let layout = Layout {
+            mitosis: true,
+            observed: true,
+            pause,
+            ..Layout::new(2, 1)
+        };
+        let mut built = build(&layout, true, ranged);
+        let (observed, stats) =
+            run(&layout, &mut built, &schedule, Bound::Honest).expect("observed run");
+        let unobserved = Layout {
+            observed: false,
+            ..layout
+        };
+        let mut built = build(&unobserved, true, ranged);
+        let (reference, _) =
+            run(&unobserved, &mut built, &schedule, Bound::Honest).expect("unobserved run");
+        assert_eq!(observed.metrics, reference.metrics, "pause {pause:?}");
+        assert_eq!(observed.leaves, reference.leaves, "pause {pause:?}");
+        assert_eq!(observed.boundary_spans, boundaries, "pause {pause:?}");
+        assert_eq!(reference.boundary_spans, 0);
+        let segments = stats.split_segments + stats.pipelined_segments + stats.serial_segments;
+        assert_eq!(observed.segment_spans, segments, "pause {pause:?}");
     }
 }
 

@@ -264,6 +264,10 @@ struct Case {
     first_stores: Vec<(u8, u64, u16)>,
     /// Stores after the second fork, indexing `[parent, child, child 2]`.
     second_stores: Vec<(u8, u64, u16)>,
+    /// Accessed (and, when set, dirty) bits a walker on a socket sets in
+    /// that socket's leaf entry for a page of the parent before each fork:
+    /// `(page, socket, dirty)`, before the first fork and before the second.
+    marks: [Vec<(u64, u16, bool)>; 2],
 }
 
 impl Case {
@@ -322,6 +326,40 @@ impl Case {
         (system, pid, start)
     }
 
+    /// Sets the accessed and dirty bits of `marks` in the parent's leaf
+    /// entries on both sides, each in the leaf table the marking socket's
+    /// tree reaches (a replica of its own under replication), as that
+    /// socket's hardware walker would.
+    fn mark(
+        &self,
+        system: &System,
+        reference: &Reference,
+        parent: Pid,
+        start: VirtAddr,
+        marks: &[(u64, u16, bool)],
+    ) {
+        for &(page, socket, dirty) in marks {
+            let addr = start.add(page % (self.rw_pages + self.ro_pages) * PAGE);
+            let socket = SocketId::new(socket);
+            let sides = [
+                (
+                    &system.pt_env().store,
+                    system.process(parent).unwrap().address_space().roots(),
+                ),
+                (
+                    &reference.env.store,
+                    reference.processes[&parent].address_space().roots(),
+                ),
+            ];
+            for (store, roots) in sides {
+                let root = roots.root_for_socket(socket);
+                if let Some((table, t)) = mitosis_pt::translate_entry(store, root, addr) {
+                    store.mark_accessed_at(store.slot(table), addr.index_at(t.level), dirty);
+                }
+            }
+        }
+    }
+
     /// Runs the history on the system and on the reference side by side,
     /// comparing everything observable after every step.
     fn check(&self) -> Result<(), TestCaseError> {
@@ -329,6 +367,7 @@ impl Case {
         let mut reference = Reference::of(&system);
         prop_assert_eq!(system_observable(&mut system), reference.observable());
 
+        self.mark(&system, &reference, parent, start, &self.marks[0]);
         let child = system.fork(parent).unwrap();
         reference.fork(parent, child).unwrap();
         prop_assert_eq!(
@@ -345,6 +384,7 @@ impl Case {
             &self.first_stores,
         )?;
 
+        self.mark(&system, &reference, parent, start, &self.marks[1]);
         let second = system.fork(parent).unwrap();
         reference.fork(parent, second).unwrap();
         prop_assert_eq!(
@@ -412,10 +452,12 @@ const BACKENDS: [Backend; 3] = [
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Two forks of one parent, with copy-on-write breaks by every process
-    /// in between and after, leave the same page tables, PV-Ops counters,
-    /// shootdown plans, allocator state, table count and share counts as
-    /// the per-leaf fork and the `unmap` + `map` break.
+    /// Two forks of one parent, each after walkers on several sockets set
+    /// accessed and dirty bits in their own replicas of the parent's
+    /// leaves, with copy-on-write breaks by every process in between and
+    /// after, leave the same page tables, PV-Ops counters, shootdown plans,
+    /// allocator state, table count and share counts as the per-leaf fork
+    /// and the `unmap` + `map` break.
     #[test]
     fn fork_and_cow_breaks_match_the_per_leaf_reference(
         kind in (0u8..3, 0u8..2, 0u8..3, 0usize..4),
@@ -423,6 +465,10 @@ proptest! {
         reads in prop::collection::vec((0u64..1600, 0u16..SOCKETS), 0..30),
         first_stores in prop::collection::vec((0u8..2, 0u64..1300, 0u16..SOCKETS), 0..30),
         second_stores in prop::collection::vec((0u8..3, 0u64..1300, 0u16..SOCKETS), 0..30),
+        marks in (
+            prop::collection::vec((0u64..1600, 0u16..SOCKETS, any::<bool>()), 0..40),
+            prop::collection::vec((0u64..1600, 0u16..SOCKETS, any::<bool>()), 0..40),
+        ),
     ) {
         let (backend, thp, policy, start_page) = kind;
         let (rw_pages, ro_pages, head, len) = shape;
@@ -441,14 +487,16 @@ proptest! {
             reads,
             first_stores,
             second_stores,
+            marks: [marks.0, marks.1],
         };
         case.check()?;
     }
 }
 
 /// A fully populated writable area — whole leaf tables, and 2 MiB leaves
-/// under THP — next to a read-only one, forked twice with stores from
-/// every process, on every backend.
+/// under THP — next to a read-only one, its leaves accessed and dirtied in
+/// single replicas, forked twice with stores from every process, on every
+/// backend.
 #[test]
 fn populated_areas_fork_like_the_reference_on_every_backend() {
     for backend in BACKENDS {
@@ -468,6 +516,11 @@ fn populated_areas_fork_like_the_reference_on_every_backend() {
                 second_stores: (0..60)
                     .map(|i| (i as u8 % 3, i * 61, i as u16 % 4))
                     .collect(),
+                marks: [0, 1].map(|fork| {
+                    (0..80)
+                        .map(|i| (i * 53 + fork * 7, (i + fork) as u16 % 4, i % 3 == 0))
+                        .collect()
+                }),
             };
             if let Err(err) = case.check() {
                 panic!("{err}");

@@ -3,7 +3,8 @@
 //! replica must translate every address identically, and every replica tree
 //! must be entirely local to its socket.
 
-use mitosis::Mitosis;
+use mitosis::{Mitosis, MitosisError, MitosisPvOps};
+use mitosis_mem::MemError;
 use mitosis_numa::{MachineConfig, NodeMask, SocketId};
 use mitosis_pt::{PageSize, PageTableDump, VirtAddr};
 use mitosis_vmm::{MmapFlags, Pid, Protection, System, ThpMode};
@@ -237,6 +238,73 @@ fn extending_the_mask_leaves_every_leaf_replica_equal_to_its_table() {
         let socket = SocketId::new(s);
         assert_eq!(space.socket_of(roots.root_for_socket(socket)), socket);
     }
+}
+
+/// The page-table state a failed replication must leave alone: the table
+/// count, each socket's allocated and free frames, every table's replica
+/// ring and entries, and the process's roots and replication spec.  (The
+/// allocator's peak is a high-water mark: it records the replicas the
+/// call allocated before it freed them.)
+fn replication_state(system: &System, pid: Pid) -> String {
+    let env = system.pt_env();
+    let mut tables: Vec<_> = env.store.table_frames().collect();
+    tables.sort_unstable();
+    let tables: Vec<_> = tables
+        .into_iter()
+        .map(|table| {
+            let ring: Vec<_> = env.store.ring(table).map(|(member, _)| member).collect();
+            let entries: Vec<_> = env.store.present_at(env.store.slot(table)).collect();
+            (table, ring, entries)
+        })
+        .collect();
+    let alloc: Vec<_> = (0..2)
+        .map(|s| env.alloc.stats(SocketId::new(s)))
+        .map(|stats| (stats.allocated_frames, stats.free_frames))
+        .collect();
+    let process = system.process(pid).expect("process exists");
+    format!(
+        "tables {} {tables:?}\nalloc {alloc:?}\nroots {:?}\nspec {:?}",
+        env.store.table_count(),
+        process.address_space().roots(),
+        process.replication(),
+    )
+}
+
+/// A replication that runs out of page-table frames part-way changes
+/// nothing: two sockets of 4,096 frames and no page-cache reserve, a
+/// 2,048-page tree of seven tables on socket 0, socket 0 full and three
+/// frames left on socket 1, so the fourth replica cannot be allocated.
+#[test]
+fn a_replication_that_runs_out_of_frames_leaves_everything_as_it_was() {
+    let machine = MachineConfig::new(2, 1)
+        .with_memory_per_socket(16 * 1024 * 1024)
+        .build();
+    // The Mitosis backend without `Mitosis::install`'s reserve refill.
+    let mut system = System::with_pvops(machine, Box::new(MitosisPvOps::new()));
+    system.pt_env_mut().page_cache.set_target(0);
+    let mut mitosis = Mitosis::new();
+    let pid = system.create_process(SocketId::new(0)).unwrap();
+    system
+        .mmap(pid, 2048 * 4096, MmapFlags::populate().without_thp())
+        .unwrap();
+    assert_eq!(system.pt_env().store.table_count(), 7);
+    let alloc = &mut system.pt_env_mut().alloc;
+    while alloc.alloc_on(SocketId::new(0)).is_ok() {}
+    while alloc.stats(SocketId::new(1)).free_frames > 3 {
+        alloc.alloc_on(SocketId::new(1)).unwrap();
+    }
+    let before = replication_state(&system, pid);
+    let err = mitosis
+        .enable_for_process(&mut system, pid, Some(NodeMask::all(2)))
+        .unwrap_err();
+    assert!(
+        matches!(
+            err,
+            MitosisError::Mem(MemError::PageCacheEmpty { socket }) if socket == SocketId::new(1)
+        ),
+        "{err:?}"
+    );
+    assert_eq!(replication_state(&system, pid), before);
 }
 
 proptest! {

@@ -9,9 +9,9 @@ use mitosis_mem::{
     CowRefCounts, FrameAllocator, FrameId, FrameSpace, MemError, PlacementPolicy, PolicyEngine,
     FRAMES_PER_HUGE_PAGE,
 };
-use mitosis_mmu::{PagingStructureCache, Tlb, TlbHierarchy, TlbHit, TlbLevel};
+use mitosis_mmu::{PagingStructureCache, PlanView, Tlb, TlbHierarchy, TlbHit, TlbLevel};
 use mitosis_numa::{NodeMask, SocketId};
-use mitosis_pt::{Level, PageSize, Pte, PteFlags, VirtAddr};
+use mitosis_pt::{Level, PageSize, Pte, PteFlags, ShootdownPlan, ShootdownRange, VirtAddr};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -120,9 +120,10 @@ proptest! {
         prop_assert_eq!(Pte::from_bits(pte.to_bits()), pte);
     }
 
-    /// After flushing a page, the TLB never returns a stale translation for
-    /// it, while unrelated entries — including the same page under a
-    /// different ASID — survive or miss, but never alias.
+    /// After a one-page shootdown (`invlpg`, a ranged invalidation of one
+    /// page), the TLB never returns a stale translation for the page, while
+    /// unrelated entries — including the same page under a different ASID
+    /// — survive or miss, but never alias.
     #[test]
     fn tlb_flush_page_is_precise(
         pages in prop::collection::vec(0u64..4096, 2..32),
@@ -137,7 +138,7 @@ proptest! {
             tlb.insert(other_asid, VirtAddr::new(page * 4096), PageSize::Base4K, FrameId::new(*page + 10_000), true);
         }
         let victim_page = pages[victim % pages.len()];
-        tlb.flush_page(asid, VirtAddr::new(victim_page * 4096), PageSize::Base4K);
+        tlb.invalidate_range(asid, victim_page, 1, PageSize::Base4K);
         prop_assert_eq!(tlb.lookup(asid, VirtAddr::new(victim_page * 4096), PageSize::Base4K, false), None);
         // Any other page — in either address space — either hits with the
         // right frame or was evicted; it must never return the wrong frame.
@@ -582,6 +583,71 @@ fn pwc_addr(l4: u64, l3: u64, l2: u64, page: u64) -> VirtAddr {
     VirtAddr::new((l4 << 39) | (l3 << 30) | (l2 << 21) | ((page & 0x1ff) << 12))
 }
 
+/// The 4 KiB page number of page `offset` of region `region`: four
+/// regions at 0, 2 GiB, 6 GiB and 512 GiB, so plans and caches span
+/// several keys of every paging-structure-cache level.
+fn plan_page(region: u64, offset: u64) -> u64 {
+    [0, 1 << 19, 3 << 19, 1 << 27][region as usize] + offset
+}
+
+/// The first page number, in units of `size`, of the page of `size`
+/// holding 4 KiB page `page`.
+fn page_of_size(page: u64, size: PageSize) -> u64 {
+    page * PageSize::Base4K.bytes() / size.bytes()
+}
+
+/// A shootdown plan of `count` ranges drawn from `seed`: ASIDs 0-2, mostly
+/// 4 KiB pages one to 64 pages long, some single 2 MiB pages and single
+/// 1 GiB pages, in no order, often overlapping, every fourth range
+/// starting where the one before it ended, and some starting on the last
+/// 4 KiB page of a 2 MiB region.  The 4 KiB and 2 MiB ranges lie in the
+/// first three regions' first 2,000 pages and the 1 GiB ones in the
+/// fourth region, so the cache entries the test fills further out survive
+/// and most 2 MiB regions the plan reaches are only partly covered.
+fn many_range_plan(count: usize, seed: u64) -> ShootdownPlan {
+    let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let mut ranges: Vec<ShootdownRange> = Vec::with_capacity(count);
+    for i in 0..count {
+        let draw = next();
+        let size = SIZES[[0, 0, 0, 0, 0, 0, 1, 2][(draw % 8) as usize]];
+        let pages = match size {
+            PageSize::Base4K => [1, 1, 1, 2, 3, 7, 64, 1][((draw >> 3) % 8) as usize],
+            _ => 1,
+        };
+        let offset = (draw >> 8) % 2000;
+        let offset = if (draw >> 4) % 16 == 5 {
+            offset | 511
+        } else {
+            offset
+        };
+        let region = match size {
+            PageSize::Giant1G => 3,
+            _ => (draw >> 6) % 3,
+        };
+        let page = plan_page(region, offset);
+        let vpn_start = match ranges.last() {
+            Some(last) if i % 4 == 3 && last.size == size => last.vpn_start + last.pages,
+            _ => page_of_size(page, size),
+        };
+        ranges.push(ShootdownRange {
+            asid: ((draw >> 20) % 3) as u16,
+            vpn_start,
+            pages,
+            size,
+        });
+    }
+    ShootdownPlan {
+        ranges,
+        ..ShootdownPlan::default()
+    }
+}
+
 /// A frame for the share-table model: a few frames at both edges of four
 /// directory chunks, so counts collide within and across chunks.
 fn cow_frame(chunk: u64, offset: u64) -> FrameId {
@@ -736,6 +802,70 @@ proptest! {
         for (l4, l3, l2) in (0..2).flat_map(|a| (0..3).flat_map(move |b| (0..6).map(move |c| (a, b, c)))) {
             let addr = pwc_addr(l4, l3, l2, 0);
             prop_assert_eq!(pwc.walk_start(addr), model.walk_start(addr));
+        }
+    }
+
+    /// A shootdown plan of one to about 30,000 ranges — adjacent,
+    /// overlapping and unsorted, under several ASIDs and all three page
+    /// sizes — applied through one `PlanView`, as the engine applies a plan
+    /// to each MMU (`Mmu::apply_view`), removes what the model TLB
+    /// hierarchy and paging-structure caches remove applying its ranges
+    /// one by one: the same count from each, and every later lookup,
+    /// probe and walk start agrees.  The geometries make the plan sizes go
+    /// range by range on some structures and set by set on others.
+    #[test]
+    fn many_range_plans_remove_what_one_range_at_a_time_removes(
+        geometry in 0usize..2,
+        plan in (0usize..5, 0u64..1_000),
+        fills in prop::collection::vec((0u16..3, 0u64..4, 0u64..4000, 0u8..3), 1..400),
+    ) {
+        let (l1_4k, l1_2m, l2) = [(8, 8, 48), (64, 32, 1024)][geometry];
+        let (pde, pdpte, pml4e) = [(4, 3, 2), (32, 16, 16)][geometry];
+        let mut tlb = TlbHierarchy::new(l1_4k, l1_2m, l2);
+        let mut model = ModelHierarchy {
+            l1_4k: ModelTlb::new(l1_4k, 4),
+            l1_2m: ModelTlb::new(l1_2m, 4),
+            l2: ModelTlb::new(l2, 8),
+        };
+        let mut pwc = PagingStructureCache::new(pde, pdpte, pml4e);
+        let mut model_pwc = ModelPwc::new(pde, pdpte, pml4e);
+        let addr_of = |region, offset, size| {
+            let page = page_of_size(plan_page(region, offset), size);
+            VirtAddr::new(page * size.bytes())
+        };
+        for &(asid, region, offset, size) in &fills {
+            let size = SIZES[size as usize];
+            let addr = addr_of(region, offset, size);
+            let frame = FrameId::new(offset * 8 + u64::from(asid));
+            tlb.insert(asid, addr, size, frame, offset % 2 == 0);
+            model.insert(asid, addr, size, frame, offset % 2 == 0);
+            let level = (offset % 3) as usize;
+            pwc.record(addr, [Level::L2, Level::L3, Level::L4][level], frame);
+            model_pwc.record(addr, level, frame);
+        }
+        let (count, seed) = plan;
+        let plan = many_range_plan([1, 7, 129, 1_000, 30_000][count], seed);
+        // The view owns its copy of the plan, as the engine's does.
+        let view = PlanView::from(plan.clone());
+        let expected: usize = plan
+            .ranges
+            .iter()
+            .map(|r| model.invalidate_range(r.asid, r.vpn_start, r.pages, r.size))
+            .sum();
+        prop_assert_eq!(tlb.invalidate_plan(&view), expected);
+        let expected: usize = plan
+            .ranges
+            .iter()
+            .map(|r| model_pwc.invalidate_range(r.start(), r.end()))
+            .sum();
+        prop_assert_eq!(pwc.invalidate_plan(&view), expected);
+        prop_assert_eq!(tlb.occupancy(), model.occupancy());
+        for &(asid, region, offset, size) in &fills {
+            let size = SIZES[size as usize];
+            let addr = addr_of(region, offset, size);
+            prop_assert_eq!(tlb.lookup(asid, addr, size, false), model.lookup(asid, addr, size, false));
+            prop_assert_eq!(tlb.probe(asid, addr, false), model.probe(asid, addr, false));
+            prop_assert_eq!(pwc.walk_start(addr), model_pwc.walk_start(addr));
         }
     }
 
